@@ -1,11 +1,13 @@
 """The ksalgebra benchmark: four closed-loop workloads, one client, no threads.
 
-    python3 perfbench/run.py --workload family --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload family --seed 1 --seconds 10 --trace 0
 
 Run from the root of a source tree; the package is imported from ./src.
-With --trace 0 it measures the end-to-end metrics; with --trace 1 it runs
-the exactfield micro layer and two traced passes in fresh processes, and
-reports the per-layer metrics named in BENCHMARK.json.  Human-readable
+With --trace 0 it measures the end-to-end metrics, timed in reference
+seconds (speed.py: wall time scaled by a machine-speed probe sampled while
+the work runs; the wall figures are printed beside them); with --trace 1 it
+runs the exactfield micro layer and two traced passes in fresh processes,
+and reports the per-layer metrics named in BENCHMARK.json.  Human-readable
 lines come first; the last line of stdout is one JSON object with the keys
 correct, attempted, failed and metrics.  Fresh processes (set-up samples,
 cold first operations, the CLI, traced passes) run one at a time.
@@ -25,6 +27,8 @@ from fractions import Fraction
 from math import ceil
 from pathlib import Path
 
+import speed
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -32,13 +36,19 @@ OUT = HERE / "out"
 
 WORKLOADS = ("family", "cubic", "rank4", "symbols")
 # fresh processes whose first operation is timed, the measuring process
-# included; each takes the next input of the seeded stream, so for rank4
-# the four cover the whole pool.  One cubic report costs ~10 s.
-COLD_PROCESSES = {"family": 3, "cubic": 1, "rank4": 4, "symbols": 5}
+# included; each takes the next input of the seeded stream.  One cubic
+# report costs ~10 s and one rank-4 report ~3 s.
+COLD_PROCESSES = {"family": 3, "cubic": 1, "rank4": 2, "symbols": 5}
 # fresh processes timing set-up alone: some before the window and some
 # after it, so the samples do not all fall in one slow spell of the machine
-SETUP_PROCESSES_BEFORE = 3
-SETUP_PROCESSES = 6
+SETUP_PROCESSES_BEFORE = 4
+SETUP_PROCESSES = 9
+# warm operations are scaled to reference seconds over stretches of at
+# least this many seconds (one op, for ops longer than that)
+SEGMENT_S = 0.5
+# a window still short of an epoch boundary ends here anyway, so the run
+# keeps time for its fresh processes within BUDGET_S
+WINDOW_DEADLINE_S = 100.0
 CLI_STARTUP_PROCESSES = 3
 TRACE_OPS = {"family": 3, "cubic": 1, "rank4": 2, "symbols": 300}
 BUDGET_S = 170.0
@@ -119,15 +129,21 @@ def _env_lines(args) -> list[str]:
 
 
 def child_cold(workload: str, seed: int, index: int) -> dict:
-    """Set-up in this fresh process, then (index >= 0) its first, cold op."""
+    """Set-up in this fresh process, then (index >= 0) its first, cold op;
+    each in wall and in reference seconds."""
     import workloads as wl
 
-    t0 = time.perf_counter()
-    plan = wl.make_plan(workload, seed)
-    out = {"setup_s": time.perf_counter() - t0}
-    if index >= 0:
-        secs, fail = wl.run_checked(plan, index, wl.load_digests())
-        out.update(first_op_s=secs, failure=fail, label=plan.label(index))
+    digests = wl.load_digests()
+    with speed.SpeedProbe() as probe:
+        mark = probe.mark()
+        plan = wl.make_plan(workload, seed)
+        wall = probe.elapsed(mark)
+        out = {"setup_wall_s": wall, "setup_s": wall * probe.factor(mark)}
+        if index >= 0:
+            mark = probe.mark()
+            secs, fail = wl.run_checked(plan, index, digests, probe=probe)
+            out.update(first_op_wall_s=secs, first_op_s=secs * probe.factor(mark),
+                       failure=fail, label=plan.label(index))
     return out
 
 
@@ -270,43 +286,63 @@ def micro_layer(seed: int, repeats: int = 5) -> dict:
 # -- the two kinds of run -------------------------------------------------------------
 
 
+def measure_window(plan, seconds: float, digests: dict, probe) -> dict:
+    """Warm operations in whole epochs, from index `plan.epoch` on, until
+    `seconds` have passed (or the run reaches WINDOW_DEADLINE_S): each op's
+    wall time less the probes in it, and that time in reference seconds,
+    scaled over stretches of SEGMENT_S."""
+    import workloads as wl
+
+    wall, ref, labels, failures, pending = [], [], [], [], []
+    start = i = plan.epoch
+    w0 = time.perf_counter()
+    segment = probe.mark()
+    while True:
+        secs, fail = wl.run_checked(plan, i, digests, probe=probe)
+        pending.append(secs)
+        labels.append(plan.label(i))
+        if fail:
+            failures.append(fail)
+        i += 1
+        now = time.perf_counter()
+        done = (now - w0 >= seconds and (i - start) % plan.epoch == 0
+                or now - STARTED >= WINDOW_DEADLINE_S)
+        if done or now - segment[0] >= SEGMENT_S:
+            k = probe.factor(segment)
+            wall.extend(pending)
+            ref.extend(s * k for s in pending)
+            pending = []
+            segment = probe.mark()
+        if done:
+            return {"wall": wall, "ref": ref, "labels": labels, "failures": failures,
+                    "window_s": time.perf_counter() - w0}
+
+
 def timed_run(args) -> dict:
     import workloads as wl
 
     name, seed = args.workload, args.seed
     digests = wl.load_digests()
     plan = wl.make_plan(name, seed)
-    setups = [_child("cold", name, seed, -1)["setup_s"] for _ in range(SETUP_PROCESSES_BEFORE)]
-    failures = []
-    cold_secs, fail = wl.run_checked(plan, 0, digests)
-    cold = [cold_secs]
-    if fail:
-        failures.append(fail)
-    attempted = 1
-
-    times, labels = [], []
-    i = 1
-    w0 = time.perf_counter()
-    while time.perf_counter() - w0 < args.seconds:
-        secs, fail = wl.run_checked(plan, i, digests)
-        times.append(secs)
-        labels.append(plan.label(i))
-        attempted += 1
-        if fail:
-            failures.append(fail)
-        i += 1
-    window = time.perf_counter() - w0
+    setups = [_child("cold", name, seed, -1) for _ in range(SETUP_PROCESSES_BEFORE)]
+    with speed.SpeedProbe() as probe:
+        mark = probe.mark()
+        cold_secs, fail = wl.run_checked(plan, 0, digests, probe=probe)
+        cold = [(cold_secs, cold_secs * probe.factor(mark))]
+        w = measure_window(plan, args.seconds, digests, probe)
+    failures = ([fail] if fail else []) + w["failures"]
+    attempted = 1 + len(w["ref"])
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
     for index in range(1, COLD_PROCESSES[name]):
         res = _child("cold", name, seed, index)
-        setups.append(res["setup_s"])
-        cold.append(res["first_op_s"])
+        setups.append(res)
+        cold.append((res["first_op_wall_s"], res["first_op_s"]))
         attempted += 1
         if res["failure"]:
             failures.append(res["failure"])
     while len(setups) < SETUP_PROCESSES:
-        setups.append(_child("cold", name, seed, -1)["setup_s"])
+        setups.append(_child("cold", name, seed, -1))
 
     cli = None
     if name == "family":
@@ -318,11 +354,9 @@ def timed_run(args) -> dict:
     return {
         "attempted": attempted,
         "failures": failures,
-        "setup": setups,
+        "setup": [(r["setup_wall_s"], r["setup_s"]) for r in setups],
         "cold": cold,
-        "times": times,
-        "labels": labels,
-        "window_s": window,
+        "window": w,
         "rss_mb": rss_mb,
         "cli_s": cli,
     }
@@ -350,57 +384,61 @@ def cli_sweep(plan, digests) -> tuple[float, str | None]:
 
 
 def report_timed(args, r: dict) -> dict:
-    """Print every end-to-end figure; return the ones BENCHMARK.json gates."""
-    name = args.workload
-    times = r["times"]
-    p50 = statistics.median(times)
-    setup_s = statistics.median(r["setup"])
-    first_op_s = statistics.median(r["cold"])
-    ops_per_s = len(times) / r["window_s"]
+    """Print every end-to-end figure, in reference and in wall seconds;
+    return the ones BENCHMARK.json gates, in reference seconds."""
+    name, w = args.workload, r["window"]
+    n = len(w["ref"])
+
+    def both(pairs, reduce):
+        return reduce([p[1] for p in pairs]), reduce([p[0] for p in pairs])
+
+    setup = both(r["setup"], statistics.median)
+    first_op = both(r["cold"], statistics.median)
+    p50 = statistics.median(w["ref"]), statistics.median(w["wall"])
+    ops_per_s = n / sum(w["ref"]), n / sum(w["wall"])
+    tail = tail_percentile(w["ref"])
+    tail_wall = tail_percentile(w["wall"])
     fail_ratio = len(r["failures"]) / r["attempted"]
-    tail = tail_percentile(times)
     rows = [
-        ("setup_s", setup_s, "s", f"median of {len(r['setup'])} fresh processes"),
-        ("first_op_s", first_op_s, "s", f"median of {len(r['cold'])} cold first operations"),
-        ("op_p50_s", p50, "s", f"{len(times)} warm operations"),
-        ("op_tail_s", tail[1] if tail else None, "s",
-         f"p{tail[0]:g} of {len(times)} operations" if tail
-         else f"omitted: {len(times)} operations allow nothing above the median"),
-        ("ops_per_s", ops_per_s, "1/s", f"over a {r['window_s']:.2f} s window"),
+        ("setup_s", setup, "s", f"median of {len(r['setup'])} fresh processes"),
+        ("first_op_s", first_op, "s", f"median of {len(r['cold'])} cold first operations"),
+        ("op_p50_s", p50, "s", f"{n} warm operations, {w['window_s']:.2f} s window"),
+        ("op_tail_s", (tail[1], tail_wall[1]) if tail else None, "s",
+         f"p{tail[0]:g} of {n} operations" if tail
+         else f"omitted: {n} operations allow nothing above the median"),
+        ("ops_per_s", ops_per_s, "1/s", "operations over their summed time"),
         ("fail_ratio", fail_ratio, "ratio", f"{len(r['failures'])} of {r['attempted']} attempted"),
         ("peak_rss_mb", r["rss_mb"], "MB", "measuring process"),
     ]
     if name in BOUNDS:
         label, bound, per = BOUNDS[name]
-        rows.append(("bound_headroom", bound / (per * p50), "x", label))
+        rows.append(("bound_headroom", (bound / (per * p50[0]), bound / (per * p50[1])), "x", label))
     else:
         rows.append(("bound_headroom", None, "x", "no acceptance bound for this workload"))
     if r["cli_s"] is not None:
-        rows.append(("cli_s", r["cli_s"], "s", "one ksalg six-lines --sweep process"))
+        rows.append(("cli_s", r["cli_s"], "s", "wall only: one ksalg six-lines --sweep process"))
     else:
         rows.append(("cli_s", None, "s", "family only"))
-    print(f"{'metric':<16}{'value':>14}  {'unit':<6}note")
+
+    def shown(v):
+        return "n/a" if v is None else f"{v:.6g}"
+
+    print(f"# reference seconds: wall seconds at a probe time of {speed.NOMINAL_S} s")
+    print(f"{'metric':<16}{'reference':>12}{'measured':>12}  {'unit':<6}note")
     for metric, value, unit, note in rows:
-        shown = f"{value:.6g}" if value is not None else "n/a"
-        print(f"{metric:<16}{shown:>14}  {unit:<6}{note}")
-    headrooms = []
-    if name in BOUNDS:
-        label, bound, per = BOUNDS[name]
-        headrooms.append(f"{label}: {bound / (per * p50):.3g}x")
+        ref, wall = value if isinstance(value, tuple) else (None, value)
+        print(f"{metric:<16}{shown(ref):>12}{shown(wall):>12}  {unit:<6}{note}")
     if name == "family":
         label, bound, triple = CRITERION_2
-        hits = [t for t, lab in zip(times, r["labels"]) if lab == triple]
-        headrooms.append(
-            f"{label}: {bound / statistics.median(hits):.3g}x" if hits else f"{label}: not drawn"
-        )
-    for line in headrooms:
-        print(f"# headroom {line}")
+        hits = [t for t, lab in zip(w["wall"], w["labels"]) if lab == triple]
+        print(f"# headroom {label}: {bound / statistics.median(hits):.3g}x wall"
+              if hits else f"# headroom {label}: not drawn")
     for failure in r["failures"]:
         print(f"# FAILED {failure}")
     return {
-        "setup_s": {"value": setup_s, "unit": "s"},
-        "op_p50_s": {"value": p50, "unit": "s"},
-        "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+        "setup_s": {"value": setup[0], "unit": "s"},
+        "op_p50_s": {"value": p50[0], "unit": "s"},
+        "ops_per_s": {"value": ops_per_s[0], "unit": "1/s"},
         "peak_rss_mb": {"value": r["rss_mb"], "unit": "MB"},
     }
 
@@ -453,7 +491,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
+    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--child", choices=("cold", "traced"), help=argparse.SUPPRESS)
     parser.add_argument("--index", type=int, default=0, help=argparse.SUPPRESS)

@@ -5,6 +5,7 @@
 
 import inspect
 import sys
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -13,6 +14,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 import pytest  # noqa: E402
 
 import run  # noqa: E402
+import speed  # noqa: E402
 import tracer as tr  # noqa: E402
 import workloads as wl  # noqa: E402
 
@@ -140,6 +142,59 @@ def test_traced_counts_repeat_exactly():
         k: v for k, v in m2.items() if not k.endswith(("_s", "_us"))
     }
     assert m1["brauer.hilbert_n"] > 0
+
+
+def test_speed_probe_samples_and_restores_the_alarm():
+    import signal
+
+    def before_handler(signum, frame):
+        pass
+
+    old = signal.signal(signal.SIGALRM, before_handler)
+    try:
+        with speed.SpeedProbe() as probe:
+            mark = probe.mark()
+            t_end = time.perf_counter() + 0.1
+            while time.perf_counter() < t_end:
+                sum(range(1000))
+            busy = probe.elapsed(mark)
+            factor = probe.factor(mark)
+        assert len(probe.samples) >= speed.MIN_PROBES
+        assert 0 < busy < 0.1 and abs(busy + probe.spent - 0.1) < 0.02
+        expected = speed.NOMINAL_S * len(probe.samples) / sum(probe.samples)
+        assert factor == pytest.approx(expected)
+        assert signal.getsignal(signal.SIGALRM) is before_handler
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_factor_runs_missing_probes_in_line():
+    probe = speed.SpeedProbe()  # timer not started
+    mark = probe.mark()
+    assert probe.factor(mark) > 0
+    assert len(probe.samples) == speed.MIN_PROBES
+
+
+def test_window_runs_whole_epochs_of_the_same_inputs():
+    class Counting(wl.Plan):
+        epoch = 3
+
+        def label(self, i):
+            return str(i % 3)
+
+        def run(self, i):
+            return None
+
+        def check(self, i, out, digests, render=None):
+            return None
+
+    with speed.SpeedProbe() as probe:
+        w = run.measure_window(Counting("family", 0), 0.05, {}, probe)
+    assert len(w["ref"]) % 3 == 0 and len(w["ref"]) == len(w["wall"])
+    assert sorted(set(w["labels"])) == ["0", "1", "2"]
+    assert w["labels"].count("0") == w["labels"].count("2")
+    assert w["window_s"] >= 0.05
 
 
 @pytest.mark.parametrize(

@@ -92,8 +92,20 @@ def _primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(lo, hi) if sieve[p]]
 
 
-def _draw_slot(rng: random.Random, mid_primes: list[int]) -> tuple[Fraction, frozenset]:
-    """A signed product of small-prime powers, sometimes times mid primes."""
+def _mid_prime_counts(rng: random.Random, n: int) -> list[int]:
+    """How many mid primes each of n slots carries: exactly MID_PRIME_SHARE
+    of them one or two, TWO_MID_PRIMES_SHARE two, in seeded order.  The
+    slow symbols are the ones with mid primes, so fixing their number keeps
+    the op-time mix the same for every seed."""
+    two = round(n * TWO_MID_PRIMES_SHARE)
+    one = round(n * MID_PRIME_SHARE) - two
+    counts = [2] * two + [1] * one + [0] * (n - two - one)
+    rng.shuffle(counts)
+    return counts
+
+
+def _draw_slot(rng: random.Random, mid_primes: list[int], extra: int) -> tuple[Fraction, frozenset]:
+    """A signed product of small-prime powers, times `extra` mid primes."""
     num, den = rng.choice((1, -1)), 1
     support = set()
     for p in SMALL_PRIMES:
@@ -104,8 +116,6 @@ def _draw_slot(rng: random.Random, mid_primes: list[int]) -> tuple[Fraction, fro
             den *= p ** -e
         if e:
             support.add(p)
-    u = rng.random()
-    extra = 2 if u < TWO_MID_PRIMES_SHARE else 1 if u < MID_PRIME_SHARE else 0
     for p in rng.sample(mid_primes, extra):
         num *= p
         support.add(p)
@@ -117,11 +127,12 @@ def symbol_inputs(seed: int, n: int = SYMBOL_POOL_SIZE) -> list[tuple]:
     a2 for bimultiplicativity, and the primes dividing any of them."""
     rng = random.Random(seed)
     mid_primes = _primes_in(*MID_PRIME_RANGE)
+    extras = [_mid_prime_counts(rng, n) for _ in range(3)]
     out = []
-    for _ in range(n):
-        a, sa = _draw_slot(rng, mid_primes)
-        b, sb = _draw_slot(rng, mid_primes)
-        a2, sa2 = _draw_slot(rng, mid_primes)
+    for ea, eb, ea2 in zip(*extras):
+        a, sa = _draw_slot(rng, mid_primes, ea)
+        b, sb = _draw_slot(rng, mid_primes, eb)
+        a2, sa2 = _draw_slot(rng, mid_primes, ea2)
         out.append((a, b, a2, sa | sb | sa2))
     return out
 
@@ -175,8 +186,12 @@ class Plan:
 
     `run(i)` performs operation i, the timed unit.  `check(i, out, digest)`
     returns None or a message naming the input; `render` turns a report
-    into the canonical JSON the digest is taken of.
+    into the canonical JSON the digest is taken of.  Operations
+    `k * epoch .. (k + 1) * epoch - 1` run the same inputs for every k, so a
+    window of whole epochs times the same mix whatever the seed.
     """
+
+    epoch = 1
 
     def __init__(self, name: str, seed: int):
         self.name = name
@@ -201,6 +216,8 @@ class Plan:
 
 
 class FamilyPlan(Plan):
+    epoch = len(FAMILY_POOL)
+
     def __init__(self, seed: int):
         super().__init__("family", seed)
         from ksalgebra import exactfield, pipeline
@@ -240,6 +257,8 @@ class CubicPlan(Plan):
 
 
 class Rank4Plan(Plan):
+    epoch = len(RANK4_POOL)
+
     def __init__(self, seed: int):
         super().__init__("rank4", seed)
         from ksalgebra import exactfield, pipeline, qform
@@ -295,14 +314,19 @@ def make_plan(name: str, seed: int) -> Plan:
     return PLANS[name](seed)
 
 
-def run_checked(plan: Plan, i: int, digests: dict, render=None):
-    """Run op i; return (wall seconds, failure message or None)."""
+def run_checked(plan: Plan, i: int, digests: dict, render=None, probe=None):
+    """Run op i; return (wall seconds, failure message or None).  Under a
+    running SpeedProbe the seconds exclude the probes that fell in the op."""
     from ksalgebra.errors import ExactAlgebraError
 
-    t0 = time.perf_counter()
+    mark = probe.mark() if probe else time.perf_counter()
+
+    def elapsed() -> float:
+        return probe.elapsed(mark) if probe else time.perf_counter() - mark
+
     try:
         out = plan.run(i)
     except (ExactAlgebraError, AssertionError, ArithmeticError) as exc:
-        return time.perf_counter() - t0, f"{plan.name} {plan.label(i)}: {type(exc).__name__}: {exc}"
-    secs = time.perf_counter() - t0
+        return elapsed(), f"{plan.name} {plan.label(i)}: {type(exc).__name__}: {exc}"
+    secs = elapsed()
     return secs, plan.check(i, out, digests, render)
