@@ -31,7 +31,6 @@ from .exactfield import (
     RATIONAL_FIELD,
     FieldDescriptor,
     FieldElem,
-    format_rational,
     norm,
 )
 
@@ -63,10 +62,7 @@ class QuaternionSymbol:
         return f"({self.a!r},{self.b!r})/{label}"
 
     def to_json_dict(self) -> dict:
-        def slot(x: FieldElem):
-            return format_rational(x.rational_value()) if x.is_rational() else x.to_json()
-
-        return {"a": slot(self.a), "b": slot(self.b)}
+        return {"a": self.a.to_json(), "b": self.b.to_json()}
 
     def __eq__(self, other) -> bool:
         return (

@@ -12,7 +12,7 @@ quaternion algebra (-ab, -ac), via i -> e1 e2, j -> e1 e3.
 """
 
 from .errors import AlgebraMismatch, FieldMismatch, ZeroDiagonalEntry
-from .exactfield import FieldDescriptor, FieldElem, format_rational
+from .exactfield import FieldDescriptor, FieldElem
 from .brauer import QuaternionSymbol
 from .csa import StructureAlgebra, from_symbol
 
@@ -112,16 +112,8 @@ class CliffordElement:
     def __bool__(self) -> bool:
         return bool(self.comps)
 
-    def parity(self) -> int:
-        parities = {bin(m).count("1") % 2 for m in self.comps}
-        assert len(parities) <= 1, "mixed-parity element"
-        return parities.pop() if parities else 0
-
     def to_json_dict(self) -> dict:
-        def val(c: FieldElem):
-            return format_rational(c.rational_value()) if c.is_rational() else c.to_json()
-
-        return {str(mask): val(c) for mask, c in sorted(self.comps.items())}
+        return {str(mask): c.to_json() for mask, c in sorted(self.comps.items())}
 
     def __repr__(self) -> str:
         if not self.comps:

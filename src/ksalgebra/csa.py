@@ -3,10 +3,11 @@
 Everything is basis-and-constants: an algebra is a table c with
 u_i u_j = sum_k c_ijk u_k, stored sparsely since the algebras that matter
 here (even Clifford algebras, quaternion tables, their tensor powers) are
-monomial or close to it.  When a table is built the unit law is asserted
-and, unless the caller opts out, associativity is checked exactly on every
-basis triple; a failure raises NotAssociative, which python -O does not
-strip.
+monomial or close to it.  One checking rule: unit laws and the Galois
+action on Z(A) are always certified; a table built from given constants is
+swept for associativity on every basis triple, and a tensor, twist or fixed
+subalgebra of swept tables is swept while its dim is at most SWEEP_MAX_DIM.
+Failures raise NotAssociative or CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -24,6 +25,7 @@ from itertools import product
 from math import lcm
 
 from .errors import (
+    CertificateFailure,
     DimensionMismatch,
     FieldMismatch,
     NotAssociative,
@@ -35,12 +37,16 @@ from .exactfield import (
     FieldDescriptor,
     FieldElem,
     apply_automorphism,
-    format_rational,
     sign_at_embedding,
 )
 from .brauer import QuaternionSymbol
 from .linalg import coords_in_rref_sparse, kernel, rref
 from .qform import DiagForm, congruence_diagonalize
+
+# Derived tables up to this dim are swept for associativity; bigger ones
+# inherit it.  Sweeping both dim-64 tables of a rank-4 report would more
+# than double its cost.
+SWEEP_MAX_DIM = 16
 
 
 def _normalize_row(field: FieldDescriptor, pairs) -> list[tuple[int, FieldElem]]:
@@ -140,8 +146,8 @@ class StructureAlgebra:
     """Finite-dimensional associative unital algebra over an exact field.
 
     constants[i][j] is the sparse row of u_i u_j as (index, coeff) pairs,
-    0-based.  check=True verifies associativity on all basis triples;
-    the unit law is always verified.
+    0-based.  check=True verifies associativity on all basis triples (only
+    the SWEEP_MAX_DIM rule passes False); the unit law is always verified.
     """
 
     def __init__(self, field: FieldDescriptor, constants, unit, check: bool = True):
@@ -173,20 +179,16 @@ class StructureAlgebra:
                         out[k] = v
         return {k: v for k, v in out.items() if v}
 
-    def mul_coords(self, x, y) -> list[FieldElem]:
-        xs = {i: v for i, v in enumerate(x) if v}
-        ys = {j: v for j, v in enumerate(y) if v}
-        out = self.mul_sparse(xs, ys)
-        zero = self.field.zero()
-        return [out.get(k, zero) for k in range(self.dim)]
-
     def _check_unit(self) -> None:
         us = {i: v for i, v in enumerate(self.unit) if v}
-        assert us, "unit cannot be zero"
+        if not us:
+            raise CertificateFailure("unit law fails: the unit is zero")
         for i in range(self.dim):
             e = {i: self.field.one()}
-            assert self.mul_sparse(us, e) == e, "left unit law fails"
-            assert self.mul_sparse(e, us) == e, "right unit law fails"
+            if self.mul_sparse(us, e) != e:
+                raise CertificateFailure(f"left unit law fails at u_{i}")
+            if self.mul_sparse(e, us) != e:
+                raise CertificateFailure(f"right unit law fails at u_{i}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -197,19 +199,12 @@ class StructureAlgebra:
         )
 
     def to_json_dict(self) -> dict:
-        def val(c: FieldElem):
-            return format_rational(c.rational_value()) if c.is_rational() else c.to_json()
-
         entries = []
         for i in range(self.dim):
             for j in range(self.dim):
                 for k, c in self.constants[i][j]:
-                    entries.append([i, j, k, val(c)])
+                    entries.append([i, j, k, c.to_json()])
         return {"dim": self.dim, "constants": entries}
-
-
-def scalar_algebra(field: FieldDescriptor) -> StructureAlgebra:
-    return StructureAlgebra(field, [[[(0, field.one())]]], [field.one()])
 
 
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
@@ -229,19 +224,17 @@ def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
     return StructureAlgebra(f, table, [one, f.zero(), f.zero(), f.zero()])
 
 
-def tensor(a: StructureAlgebra, b: StructureAlgebra, check: bool | None = None) -> StructureAlgebra:
+def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """Plain tensor product over the common base field.
 
-    check=None sweeps associativity only for small results (dim <= 16);
-    a tensor product of associative algebras is associative, so for big
-    tables the sweep certifies nothing the factors' checks did not.
+    Swept while its dim is at most SWEEP_MAX_DIM; a tensor product of
+    associative algebras is associative, so for big tables the sweep
+    certifies nothing the factors' checks did not.
     """
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
     na, nb = a.dim, b.dim
     n = na * nb
-    if check is None:
-        check = n <= 16
     constants = [[None] * n for _ in range(n)]
     for i1 in range(na):
         for j1 in range(nb):
@@ -254,7 +247,7 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra, check: bool | None = None) 
                         (k1 * nb + k2, c1 * c2) for k1, c1 in ra for k2, c2 in rb
                     ]
     unit = [a.unit[i] * b.unit[j] for i in range(na) for j in range(nb)]
-    return StructureAlgebra(a.field, constants, unit, check=check)
+    return StructureAlgebra(a.field, constants, unit, check=n <= SWEEP_MAX_DIM)
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -296,15 +289,14 @@ class GaloisModuleAlgebra:
     is indexed p = t*d + l for monomial t and power alpha^l.  actions[g]
     holds sparse columns of the Q-linear operator of sigma_g.
 
-    check=None (the default) always certifies the action columns (linear
-    in the basis size) and runs the cubic associativity sweep on the
-    monomial table only while it is small (dim <= 16); the big tables are
-    twists of a checked table by ring automorphisms followed by tensoring,
-    both of which preserve associativity.  Explicit True forces every
-    check, explicit False skips them all.
+    The action columns are always certified (linear in the basis size).
+    The monomial table is swept for associativity while its dim is at most
+    SWEEP_MAX_DIM; the big tables are twists of a checked table by ring
+    automorphisms followed by tensoring, both of which preserve
+    associativity.
     """
 
-    def __init__(self, a: StructureAlgebra, f: FieldDescriptor, check: bool | None = None):
+    def __init__(self, a: StructureAlgebra, f: FieldDescriptor):
         if a.field != f:
             raise FieldMismatch("algebra is not defined over the given field")
         self.field = f
@@ -312,7 +304,6 @@ class GaloisModuleAlgebra:
         d = f.degree
         m = a.dim
         self.q_dim = (m ** d) * d
-        sweep = check if check is not None else (m ** d) <= 16
         tuples = list(product(range(m), repeat=d))
         t_index = {kt: t for t, kt in enumerate(tuples)}
         twisted = [
@@ -336,14 +327,13 @@ class GaloisModuleAlgebra:
             for s in range(d):
                 w = w * unit_slots[s][kt[s]]
             unit.append(w)
-        self.underlying = StructureAlgebra(f, constants, unit, check=sweep)
+        self.underlying = StructureAlgebra(f, constants, unit, check=len(tuples) <= SWEEP_MAX_DIM)
         self._alpha_pow = [f.one()]
         for _ in range(2 * d - 2):
             self._alpha_pow.append(self._alpha_pow[-1] * f.gen())
         self._qrows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         self.actions = {g: _action_columns(f, m, g) for g in range(1, d + 1)}
-        if check is None or check:
-            self._check_actions()
+        self._check_actions()
 
     def qrow(self, p: int, q: int) -> list[tuple[int, Fraction]]:
         """Sparse Q-structure row: product of basis elements p and q."""
@@ -419,22 +409,23 @@ class GaloisModuleAlgebra:
             pt = []
             for t in range(nt):
                 col = cols[t * d]
-                assert len(col) == 1 and col[0][1] == one and col[0][0] % d == 0, (
-                    f"action {g}: power-0 column at monomial {t} is not a unit move"
-                )
+                if not (len(col) == 1 and col[0][1] == one and col[0][0] % d == 0):
+                    raise CertificateFailure(
+                        f"action {g}: power-0 column at monomial {t} is not a unit move"
+                    )
                 pt.append(col[0][0] // d)
-            assert sorted(pt) == list(range(nt)), (
-                f"action {g}: monomial move is not a bijection"
-            )
+            if sorted(pt) != list(range(nt)):
+                raise CertificateFailure(f"action {g}: monomial move is not a bijection")
             for t1 in range(nt):
                 for t2 in range(nt):
                     moved = sorted(
                         (pt[t3], apply_automorphism(c, g))
                         for t3, c in self.underlying.row(t1, t2)
                     )
-                    assert moved == sorted(self.underlying.row(pt[t1], pt[t2])), (
-                        f"action {g} is not multiplicative on monomials ({t1},{t2})"
-                    )
+                    if moved != sorted(self.underlying.row(pt[t1], pt[t2])):
+                        raise CertificateFailure(
+                            f"action {g} is not multiplicative on monomials ({t1},{t2})"
+                        )
             tau_gen = f.elem(list(f.automorphisms[g - 1]))
             for t in range(nt):
                 prev = f.one()
@@ -442,24 +433,29 @@ class GaloisModuleAlgebra:
                     coeffs = [Fraction(0)] * d
                     for r, c in cols[t * d + l]:
                         tr, lr = divmod(r, d)
-                        assert tr == pt[t], (
-                            f"action {g}: column ({t},{l}) leaves its block"
-                        )
+                        if tr != pt[t]:
+                            raise CertificateFailure(
+                                f"action {g}: column ({t},{l}) leaves its block"
+                            )
                         coeffs[lr] = c
                     prev = prev * tau_gen
-                    assert f.elem(coeffs) == prev, (
-                        f"action {g}: coefficient twist at ({t},{l}) is off"
-                    )
+                    if f.elem(coeffs) != prev:
+                        raise CertificateFailure(
+                            f"action {g}: coefficient twist at ({t},{l}) is off"
+                        )
         for g1 in range(1, d + 1):
             for g2 in range(1, d + 1):
                 g12 = self.field.compose(g1, g2)
                 for p in range(self.q_dim):
                     step = self.act_vec(g1, dict(self.actions[g2][p]))
-                    assert step == dict(self.actions[g12][p]), "group law fails"
+                    if step != dict(self.actions[g12][p]):
+                        raise CertificateFailure(
+                            f"action group law fails for ({g1},{g2}) at basis vector {p}"
+                        )
 
 
-def build_ZG(a: StructureAlgebra, f: FieldDescriptor, check: bool | None = None) -> GaloisModuleAlgebra:
-    return GaloisModuleAlgebra(a, f, check=check)
+def build_ZG(a: StructureAlgebra, f: FieldDescriptor) -> GaloisModuleAlgebra:
+    return GaloisModuleAlgebra(a, f)
 
 
 def _generating_set(f: FieldDescriptor) -> list[int]:
@@ -476,21 +472,18 @@ def _generating_set(f: FieldDescriptor) -> list[int]:
     return list(range(2, d + 1))
 
 
-def invariants(z: GaloisModuleAlgebra, check: bool | None = None) -> StructureAlgebra:
+def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     """The Q-algebra of G-fixed points of Z(A): the corestriction to Q.
 
-    check controls the associativity sweep of the resulting table and
-    defaults to running it only when the result is small (dim <= 16).
-    The fixed subalgebra inherits associativity from Z(A), whose table is
-    a twist of a checked table by field automorphisms followed by
-    tensoring, so the sweep is redundant certification and cubic in the
-    dimension; closure residuals and the unit law are always verified
-    exactly, whatever the flag says.
+    The resulting table is swept for associativity while its dim is at
+    most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
+    associativity from Z(A), whose table is a twist of a checked table by
+    field automorphisms followed by tensoring; closure residuals and the
+    unit law are always verified exactly.
     """
     n = z.q_dim
     want = z.underlying.dim
-    if check is None:
-        check = want <= 16
+    sweep = want <= SWEEP_MAX_DIM
     gens = _generating_set(z.field)
     if not gens:
         # E = Q: the fixed algebra is Z(A) itself, already over Q
@@ -499,7 +492,7 @@ def invariants(z: GaloisModuleAlgebra, check: bool | None = None) -> StructureAl
             for i in range(want)
         ]
         unit = [c.rational_value() for c in z.underlying.unit]
-        return StructureAlgebra(RATIONAL_FIELD, rows, unit, check=check)
+        return StructureAlgebra(RATIONAL_FIELD, rows, unit, check=sweep)
     stacked: list[list[Fraction]] = []
     for g in gens:
         rows = [[Fraction(0)] * n for _ in range(n)]
@@ -530,7 +523,7 @@ def invariants(z: GaloisModuleAlgebra, check: bool | None = None) -> StructureAl
                 raise NotClosedUnderMultiplication("product leaves the fixed subspace")
             row_out.append([(k, c) for k, c in enumerate(coords) if c])
         constants.append(row_out)
-    return StructureAlgebra(RATIONAL_FIELD, constants, unit_coords, check=check)
+    return StructureAlgebra(RATIONAL_FIELD, constants, unit_coords, check=sweep)
 
 
 # -- centers and trace forms ---------------------------------------------------------

@@ -19,10 +19,6 @@ class NonGaloisField(InvalidDescriptor):
     """The listed automorphisms are not a group of order equal to the degree."""
 
 
-class UnsupportedDegree(ExactAlgebraError):
-    """Operation only implemented for specific field degrees."""
-
-
 class FieldMismatch(ExactAlgebraError):
     """Two operands live over different base fields."""
 
@@ -41,6 +37,10 @@ class AlgebraMismatch(ExactAlgebraError):
 
 class NotAssociative(ExactAlgebraError):
     """A structure-constant table fails associativity on a basis triple."""
+
+
+class CertificateFailure(ExactAlgebraError):
+    """An exactness certificate failed: the message names the law."""
 
 
 class NotClosedUnderMultiplication(ExactAlgebraError):

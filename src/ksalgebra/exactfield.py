@@ -29,7 +29,6 @@ from .errors import (
     InvalidDescriptor,
     MalformedInput,
     NonGaloisField,
-    UnsupportedDegree,
 )
 from .polynomials import (
     Poly,
@@ -39,7 +38,6 @@ from .polynomials import (
     is_squarefree,
     ext_gcd,
     pcompose,
-    pderiv,
     peval,
     pmod,
     pmul,
@@ -54,16 +52,6 @@ _BISECTION_CAP = 2000
 
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root in Q, or None if q is not a square."""
-    if q < 0:
-        return None
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _has_rational_root(p: Sequence[Fraction]) -> bool:
@@ -115,7 +103,6 @@ class FieldDescriptor:
         self.degree = len(self.min_poly) - 1
         self._validate()
         self._compose_table = self._build_compose_table()
-        self._inverse = [row.index(0) for row in self._compose_table]
         self._power_den, self._power_rows = self._build_power_table()
         self._key = (
             tuple(self.min_poly),
@@ -248,10 +235,6 @@ class FieldDescriptor:
         self._check_index(j)
         return self._compose_table[i - 1][j - 1] + 1
 
-    def inverse_automorphism(self, i: int) -> int:
-        self._check_index(i)
-        return self._inverse[i - 1] + 1
-
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.degree:
             raise IndexError(f"automorphism/embedding index {i} outside 1..{self.degree}")
@@ -293,9 +276,6 @@ class FieldDescriptor:
 
     def __repr__(self) -> str:
         return f"FieldDescriptor(Q[{self.name}]/({render(self.min_poly)}))"
-
-    def describe(self) -> str:
-        return f"Q({self.name}) with {self.name} a root of {render(self.min_poly)}, degree {self.degree}"
 
 
 class FieldElem:
@@ -421,24 +401,14 @@ class FieldElem:
     def __repr__(self) -> str:
         return render(list(self.coeffs), self.field.name)
 
-    def to_json(self) -> list[str]:
+    def to_json(self) -> str | list[str]:
+        """A rational as one string, anything else as its coefficient list."""
+        if self.is_rational():
+            return format_rational(self.coeffs[0])
         return [format_rational(c) for c in self.coeffs]
 
 
 # -- module-level operations (the public surface) ------------------------------
-
-
-def field_arith(x: FieldElem, y: FieldElem, op: str) -> FieldElem:
-    """Dispatch add/sub/mul/div; the dunder operators do the work."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
 
 
 def apply_automorphism(x: FieldElem, i: int) -> FieldElem:
@@ -466,54 +436,6 @@ def sign_at_embedding(x: FieldElem, i: int) -> int:
     """Sign of x under the i-th real embedding: -1, 0 or +1; exact."""
     x.field._check_index(i)
     return x.field._sign_at_poly(list(x.coeffs), i - 1)
-
-
-def conjugates(x: FieldElem) -> list[FieldElem]:
-    return [apply_automorphism(x, i) for i in range(1, x.field.degree + 1)]
-
-
-def quadratic_is_square(x: FieldElem) -> FieldElem | None:
-    """Solve y^2 = x exactly in a degree-2 field; None if no root exists.
-
-    Works for any monic quadratic min_poly X^2 + pX + q by rewriting over
-    sqrt(D) with D = p^2 - 4q, then solving the two-coordinate system.
-    """
-    f = x.field
-    if f.degree != 2:
-        raise UnsupportedDegree("quadratic_is_square needs a degree-2 field")
-    pc, qc = f.min_poly[1], f.min_poly[0]
-    disc = pc * pc - 4 * qc
-    a, b = x.coeffs  # x = a + b*alpha, alpha = (-p + sqrt(D))/2
-    big_a = a - b * pc / 2
-    big_b = b / 2  # x = big_a + big_b*sqrt(D)
-
-    def back(s: Fraction, t: Fraction) -> FieldElem:
-        # y = s + t*sqrt(D) = (s + t*p) + 2 t alpha
-        y = f.elem([s + t * pc, 2 * t])
-        assert y * y == x
-        return y
-
-    if big_b == 0:
-        if big_a == 0:
-            return f.zero()
-        r = rational_sqrt(big_a)
-        if r is not None:
-            return back(r, Fraction(0))
-        r = rational_sqrt(big_a / disc)
-        if r is not None:
-            return back(Fraction(0), r)
-        return None
-    n = big_a * big_a - disc * big_b * big_b
-    r = rational_sqrt(n)
-    if r is None:
-        return None
-    for s2 in ((big_a + r) / 2, (big_a - r) / 2):
-        if s2 == 0:
-            continue
-        s = rational_sqrt(s2)
-        if s is not None:
-            return back(s, big_b / (2 * s))
-    return None
 
 
 # -- stock fields ---------------------------------------------------------------

@@ -136,11 +136,6 @@ def kernel(rows: Mat, ncols: int) -> Mat:
     return basis
 
 
-def rank(rows: Mat) -> int:
-    mat = _to_int_rows([list(r) for r in rows])
-    return len(_eliminate_int(mat)) if mat else 0
-
-
 def rref(rows: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Fraction; zero rows dropped."""
     mat = [list(r) for r in rows]
@@ -166,33 +161,18 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
     return mat[:r], pivots
 
 
-def coords_in_rref_basis(basis: Mat, pivots: list[int], v: Vec) -> Vec | None:
-    """Coordinates of v in the span of RREF basis rows, or None if outside.
-
-    With RREF rows the candidate coordinates are just v at the pivot
-    columns; the residual check then decides membership exactly.
-    """
-    coords = [v[c] for c in pivots]
-    residual = list(v)
-    for x, row in zip(coords, basis):
-        if x:
-            for j, b in enumerate(row):
-                if b:
-                    residual[j] -= x * b
-    if any(residual):
-        return None
-    return coords
-
-
 SparseRow = list[tuple[int, Fraction]]
 
 
 def coords_in_rref_sparse(
     basis: list[SparseRow], pivots: list[int], v: dict
 ) -> Vec | None:
-    """Sparse form of coords_in_rref_basis: rows as (column, value) pairs,
-    v as a column -> value dict holding only nonzeros.  Same exact residual
-    membership test, but cost scales with the nonzero counts."""
+    """Coordinates of v in the span of RREF basis rows, or None if outside.
+
+    Rows are (column, value) pairs and v is a column -> value dict of
+    nonzeros.  The candidate coordinates are v at the pivot columns; an
+    exact residual check then decides membership.
+    """
     zero = Fraction(0)
     coords = [v.get(c, zero) for c in pivots]
     residual = dict(v)

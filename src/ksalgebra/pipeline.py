@@ -19,7 +19,6 @@ code beyond the Clifford layer and are compared whenever both complete.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .brauer import (
@@ -34,14 +33,7 @@ from .brauer import (
     symbols_isomorphic_Q,
 )
 from .clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
-from .csa import (
-    build_ZG,
-    center,
-    from_symbol,
-    invariants,
-    tensor,
-    trace_form_signature,
-)
+from .csa import build_ZG, center, invariants, trace_form_signature
 from .errors import (
     InvalidPermutation,
     ParameterConstraintViolated,
@@ -51,7 +43,6 @@ from .exactfield import (
     FieldDescriptor,
     FieldElem,
     field_to_json_dict,
-    format_rational,
     quadratic_field,
     sign_at_embedding,
 )
@@ -176,10 +167,6 @@ def _elem_size(x: FieldElem) -> int:
     return sum(abs(c.numerator) + c.denominator for c in x.coeffs)
 
 
-def _elem_json(x: FieldElem):
-    return format_rational(x.rational_value()) if x.is_rational() else x.to_json()
-
-
 def _slot_state(x: FieldElem) -> tuple:
     return (0 if x.is_rational() else 1, _elem_size(x))
 
@@ -235,18 +222,15 @@ def _symbol_route(c0: QuaternionSymbol, f: FieldDescriptor, diag_entries: list) 
     }
 
 
-@lru_cache(maxsize=None)
 def _reference_signatures(d: int) -> tuple:
     """Trace signatures of the two possible corestriction classes in the
-    rank-3 case: matrices over the definite quaternions vs the full
-    matrix algebra.  Built from explicit symbol tables, tensored up."""
-    split = from_symbol(rational_symbol(1, 1))
-    definite = from_symbol(rational_symbol(-1, -1))
-    indefinite = split
-    for _ in range(d - 1):
-        definite = tensor(split, definite)
-        indefinite = tensor(split, indefinite)
-    return trace_form_signature(definite), trace_form_signature(indefinite)
+    rank-3 case, with n = 2^(d-1): M_n(H) over the definite quaternions
+    has (2n^2 - n, 2n^2 + n, 0), the full matrix algebra M_2n(Q) has
+    (2n^2 + n, 2n^2 - n, 0).  The trace form of M_k(Q) is k squares plus
+    k(k-1)/2 hyperbolic planes, that of H is <1, -1, -1, -1> up to scale,
+    and trace forms multiply under tensor products."""
+    n = 2 ** (d - 1)
+    return (2 * n * n - n, 2 * n * n + n, 0), (2 * n * n + n, 2 * n * n - n, 0)
 
 
 def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
@@ -320,7 +304,7 @@ class KSReport:
                 "ramification": route["ramification"].sorted_list(),
                 "definiteness": route["definiteness"],
                 "scalings": [
-                    {"slot": slot, "factor": _elem_json(u)}
+                    {"slot": slot, "factor": u.to_json()}
                     for slot, u in route["scalings"]
                 ],
             }

@@ -16,14 +16,11 @@ natural generalization and only flagged as a warning when it fails.
 """
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .errors import DegenerateForm, FieldMismatch, MalformedInput
 from .exactfield import (
     FieldDescriptor,
     FieldElem,
-    apply_automorphism,
-    format_rational,
     parse_rational,
     sign_at_embedding,
 )
@@ -164,11 +161,6 @@ def diagonalize(g: GramForm) -> DiagForm:
     return DiagForm(g.field, diag, p)
 
 
-def conjugate_form(g: GramForm, i: int) -> GramForm:
-    """Apply sigma_i to every entry: the i-th Galois conjugate form."""
-    return GramForm(g.field, [[apply_automorphism(e, i) for e in row] for row in g.entries])
-
-
 def signature(g: GramForm, i: int) -> tuple[int, int]:
     """(positive, negative) inertia of g at the i-th real place; exact."""
     diag = diagonalize(g)
@@ -256,19 +248,6 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
 
 
 # -- JSON ----------------------------------------------------------------------
-
-
-def _entry_to_json(e: FieldElem):
-    if e.is_rational():
-        return format_rational(e.rational_value())
-    return e.to_json()
-
-
-def gram_to_json_dict(g: GramForm) -> dict:
-    return {
-        "dim": g.dim,
-        "entries": [[_entry_to_json(e) for e in row] for row in g.entries],
-    }
 
 
 def _parse_entry(field: FieldDescriptor, value, key: str) -> FieldElem:

@@ -21,12 +21,11 @@ from ksalgebra.brauer import (
 )
 from ksalgebra.clifford import CliffordAlgebra, clifford_mul, even_part, rank3_map
 from ksalgebra.csa import build_ZG, verify_twisted_iso
-from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
+from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 from ksalgebra.pipeline import (
     cyclic_generators,
     even_weight_orbits,
     ks_report,
-    search_cubic_diagonal,
     six_lines_family,
     symmetric_generators,
 )
@@ -47,12 +46,6 @@ def family_reports():
         rep = six_lines_family(d, c, e)
         out[(d, c, e)] = (rep, time.perf_counter() - start)
     return out
-
-
-@pytest.fixture(scope="module")
-def cubic_instance():
-    f = cyclic_cubic_field()
-    return ks_report(f, search_cubic_diagonal(f))
 
 
 # -- criterion 1: the quadratic family, symbol route ---------------------------------
@@ -361,14 +354,14 @@ def test_criterion_6_orbit_sums_degrees_1_to_6():
 # -- criterion 7: definiteness parity on the worked instances ------------------------
 
 
-def test_criterion_7_parity_of_worked_instances(family_reports, cubic_instance):
+def test_criterion_7_parity_of_worked_instances(family_reports, cubic_report):
     failures = []
     rep2 = family_reports[(2, 1, 1)][0]
     if rep2.cores_symbol_route["definiteness"] != "definite":
         failures.append("degree-2 family instance is not definite")
     if rep2.cores_invariant_route["definiteness"] != "definite":
         failures.append("degree-2 invariant route disagrees")
-    route3 = cubic_instance.cores_symbol_route
+    route3 = cubic_report.cores_symbol_route
     if route3 is None:
         failures.append("cubic instance lost the symbol route")
     else:
@@ -376,7 +369,7 @@ def test_criterion_7_parity_of_worked_instances(family_reports, cubic_instance):
             failures.append("cubic instance ramifies at the infinite place")
         if is_definite(route3["symbol"]):
             failures.append("cubic instance came out definite")
-    if cubic_instance.route_agreement is not True:
+    if cubic_report.route_agreement is not True:
         failures.append("cubic instance routes disagree")
     ok = not failures
     _line(7, "degree 2 gives definite, the cubic instance avoids inf", ok)

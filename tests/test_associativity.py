@@ -7,7 +7,9 @@ the cyclic cubic both must accept the tables the pipeline builds (C0, Z(A)
 and the fixed algebra) and a quaternion table whose constants have
 unequal denominators, and both must reject each of them, at the same
 first triple, once one structure constant is perturbed.  The rejection is
-run once more under python -O, where an assert-based sweep would vanish.
+run once more under python -O, where an assert-based sweep would vanish,
+together with the unit law and the action certification of Z(A), which
+must reject a wrong unit and a corrupted action column in that mode too.
 """
 
 import os
@@ -29,7 +31,7 @@ from ksalgebra.csa import (
     from_symbol,
     invariants,
 )
-from ksalgebra.errors import NotAssociative
+from ksalgebra.errors import CertificateFailure, NotAssociative
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
@@ -132,10 +134,35 @@ def test_sweep_and_oracle_reject_a_perturbed_table_at_the_same_triple(name):
         StructureAlgebra(c0.field, perturbed(c0), c0.unit)
 
 
+def build_with_wrong_unit() -> None:
+    """The quaternion table over Q with unit 2 u_0 in place of u_0."""
+    h = tables("Q")["symbol"]
+    StructureAlgebra(h.field, h.constants, [2, 0, 0, 0])
+
+
+def certify_corrupted_action() -> None:
+    """Z(A) over Q(sqrt 2) with sigma_2 sending alpha to alpha, not -alpha,
+    in the single column of (monomial 0, alpha^1)."""
+    f = quadratic_field(2)
+    a = f.gen()
+    z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
+    z.actions[2][1] = [(1, Fraction(1))]
+    z._check_actions()
+
+
+def test_wrong_unit_and_corrupted_action_raise_certificate_failure():
+    with pytest.raises(CertificateFailure, match="left unit law fails"):
+        build_with_wrong_unit()
+    with pytest.raises(CertificateFailure, match=r"coefficient twist at \(0,1\)"):
+        certify_corrupted_action()
+
+
 _UNDER_O = """
-from test_associativity import FIELDS, perturbed, tables
+from test_associativity import (
+    FIELDS, build_with_wrong_unit, certify_corrupted_action, perturbed, tables,
+)
 from ksalgebra.csa import StructureAlgebra, check_associativity
-from ksalgebra.errors import NotAssociative
+from ksalgebra.errors import CertificateFailure, NotAssociative
 
 if __debug__:
     raise SystemExit("not running under python -O")
@@ -154,6 +181,14 @@ for name in FIELDS:
         print(f"{name} C0 built: {exc}")
     else:
         raise SystemExit(f"{name}: perturbed C0 built")
+for label, build in (("wrong unit", build_with_wrong_unit),
+                     ("corrupted action", certify_corrupted_action)):
+    try:
+        build()
+    except CertificateFailure as exc:
+        print(f"{label}: {exc}")
+    else:
+        raise SystemExit(f"{label} accepted")
 """
 
 
@@ -169,5 +204,7 @@ def test_negative_control_survives_python_O():
     )
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 * len(FIELDS)
-    assert all("associativity fails at (" in line for line in lines)
+    assert len(lines) == 5 * len(FIELDS) + 2
+    assert all("associativity fails at (" in line for line in lines[:-2])
+    assert lines[-2] == "wrong unit: left unit law fails at u_0"
+    assert lines[-1] == "corrupted action: action 2: coefficient twist at (0,1) is off"

@@ -10,7 +10,6 @@ from ksalgebra.csa import (
     center,
     from_symbol,
     invariants,
-    scalar_algebra,
     tensor,
     trace_form_signature,
     verify_twisted_iso,
@@ -124,7 +123,7 @@ def test_signature_components_sum_to_dim():
 
 
 def test_tensor_with_unit_algebra():
-    s = scalar_algebra(RATIONAL_FIELD)
+    s = StructureAlgebra(RATIONAL_FIELD, [[[(0, 1)]]], [1])
     t = tensor(HAMILTON, s)
     assert t.dim == 4
     assert all(t.row(i, j) == HAMILTON.row(i, j) for i in range(4) for j in range(4))
@@ -133,7 +132,7 @@ def test_tensor_with_unit_algebra():
 def test_tensor_dims_and_field_guard():
     assert tensor(HAMILTON, SPLIT).dim == 16
     with pytest.raises(FieldMismatch):
-        tensor(HAMILTON, scalar_algebra(Q2))
+        tensor(HAMILTON, StructureAlgebra(Q2, [[[(0, 1)]]], [1]))
 
 
 def test_hamilton_squared_is_full_matrix_class():
@@ -187,7 +186,7 @@ def test_zg_action_group_law_public():
 
 
 def test_invariants_of_E_itself():
-    zg = build_ZG(scalar_algebra(Q2), Q2)
+    zg = build_ZG(StructureAlgebra(Q2, [[[(0, 1)]]], [1]), Q2)
     inv = invariants(zg)
     assert inv.dim == 1
     assert inv.field == RATIONAL_FIELD

@@ -1,0 +1,44 @@
+"""Source hygiene checks that need nothing beyond the standard library.
+
+Every name a module of the package imports must be used in that module:
+read as a name, as the base of an attribute, or listed in __all__.  The
+check parses the sources with ast, so it runs without any linter.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ksalgebra"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    return [f"line {line}: {name}" for line, name in unused]
+
+
+def test_unused_imports_are_detected():
+    source = "import os\nfrom math import gcd, lcm\nfrom .x import y\n__all__ = ['y']\nlcm(1)\n"
+    assert unused_imports(source) == ["line 1: os", "line 2: gcd"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

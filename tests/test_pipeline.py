@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksalgebra.brauer import INF, is_definite, rational_symbol
+from ksalgebra.csa import from_symbol, tensor, trace_form_signature
 from ksalgebra.errors import (
     FieldMismatch,
     InvalidPermutation,
@@ -117,12 +118,6 @@ def test_orbit_laws_random_groups(data):
 @pytest.fixture(scope="module")
 def family_211() -> KSReport:
     return six_lines_family(2, 1, 1)
-
-
-@pytest.fixture(scope="module")
-def cubic_report() -> KSReport:
-    f = cyclic_cubic_field()
-    return ks_report(f, search_cubic_diagonal(f))
 
 
 def test_family_211_symbol_chain(family_211):
@@ -332,6 +327,25 @@ def test_dimension_laws_on_reports(family_211, cubic_report):
         assert rep.cores_dim == (2 ** (rep.m - 1)) ** rep.d
         assert rep.cores_invariant_route["dim"] == rep.cores_dim
         assert sum(rep.orbit_data.sizes()) == 2 ** (rep.d - 1)
+
+
+def tensor_chain_signatures(d: int) -> tuple:
+    """The reference signatures built literally: the (-1,-1) and (1,1)
+    symbol tables over Q, each tensored with d - 1 copies of M_2(Q)."""
+    split = from_symbol(rational_symbol(1, 1))
+    definite = from_symbol(rational_symbol(-1, -1))
+    indefinite = split
+    for _ in range(d - 1):
+        definite = tensor(split, definite)
+        indefinite = tensor(split, indefinite)
+    return trace_form_signature(definite), trace_form_signature(indefinite)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reference_signatures_closed_form_matches_tensor_chain(d):
+    import ksalgebra.pipeline as pl
+
+    assert pl._reference_signatures(d) == tensor_chain_signatures(d)
 
 
 def test_route_disagreement_is_detected(monkeypatch):

@@ -16,10 +16,8 @@ from ksalgebra.qform import (
     DiagForm,
     GramForm,
     congruence_diagonalize,
-    conjugate_form,
     diagonalize,
     gram_from_json_dict,
-    gram_to_json_dict,
     signature,
     validate_k3_rm,
 )
@@ -99,7 +97,7 @@ def test_family_form_conjugate_entries():
     d, c = 2, 1
     g = family_form(d, c)
     f = g.field
-    gc = conjugate_form(g, 2)
+    gc = GramForm(f, [[apply_automorphism(e, 2) for e in row] for row in g.entries])
     a = f.gen()
     assert gc.entries[0][0] == -a
     assert gc.entries[2][2] == -(c * a) - d
@@ -109,7 +107,9 @@ def test_conjugation_commutes_with_diagonalization():
     g = GramForm(CUBIC, [[CUBIC.gen(), 1, 0], [1, 0, CUBIC.gen() ** 2], [0, CUBIC.gen() ** 2, -2]])
     base = diagonalize(g)
     for i in (1, 2, 3):
-        twisted = diagonalize(conjugate_form(g, i))
+        twisted = diagonalize(
+            GramForm(CUBIC, [[apply_automorphism(e, i) for e in row] for row in g.entries])
+        )
         assert twisted.entries == [apply_automorphism(e, i) for e in base.entries]
 
 
@@ -211,12 +211,18 @@ def test_validate_rejects_field_mismatch():
 
 
 def test_gram_json_round_trip():
-    g = family_form(2, 1)
-    doc = gram_to_json_dict(g)
-    assert doc["dim"] == 3
-    assert doc["entries"][2][2] == ["-2", "1"]
-    back = gram_from_json_dict(g.field, doc)
-    assert back == g
+    # the "form" document of the README's input.json example
+    doc = {
+        "dim": 3,
+        "entries": [
+            [["0", "1"], "0", "0"],
+            ["0", ["0", "1"], "0"],
+            ["0", "0", ["-2", "1"]],
+        ],
+    }
+    g = gram_from_json_dict(Q2, doc)
+    assert g == family_form(2, 1)
+    assert [[e.to_json() for e in row] for row in g.entries] == doc["entries"]
 
 
 def test_gram_json_rational_shorthand():
