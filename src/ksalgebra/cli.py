@@ -9,9 +9,10 @@ Subcommands:
   selftest   the family regression with per-check pass/fail lines
 
 Exit codes: 0 success, 1 a report failed validation (or the selftest
-found a mismatch), 2 malformed input.  Malformed-input diagnostics name
-the offending key or flag.  JSON output is canonical: sorted keys,
-two-space indent, rationals as "p/q" strings, trailing newline.
+found a mismatch, or any other ExactAlgebraError stopped the command: one
+line "error: <ClassName>: <message>"), 2 malformed input.  Malformed-input
+diagnostics name the offending key or flag.  JSON output is canonical:
+sorted keys, two-space indent, rationals as "p/q" strings, trailing newline.
 """
 
 import argparse
@@ -29,7 +30,13 @@ from .brauer import (
     reduced_symbol,
 )
 from .csa import verify_twisted_iso
-from .errors import MalformedInput, NotAPlace, ParameterConstraintViolated, ZeroInput
+from .errors import (
+    ExactAlgebraError,
+    MalformedInput,
+    NotAPlace,
+    ParameterConstraintViolated,
+    ZeroInput,
+)
 from .exactfield import field_from_json_dict
 from .pipeline import (
     cyclic_generators,
@@ -275,6 +282,9 @@ def run(argv) -> int:
     except (MalformedInput, NotAPlace, ZeroInput, ParameterConstraintViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExactAlgebraError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main(argv=None) -> int:

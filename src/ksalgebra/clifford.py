@@ -11,7 +11,7 @@ subalgebra of dimension 2^(n-1); for n = 3 that subalgebra is the
 quaternion algebra (-ab, -ac), via i -> e1 e2, j -> e1 e3.
 """
 
-from .errors import AlgebraMismatch, FieldMismatch, ZeroDiagonalEntry
+from .errors import AlgebraMismatch, CertificateFailure, FieldMismatch, ZeroDiagonalEntry
 from .exactfield import FieldDescriptor, FieldElem
 from .brauer import QuaternionSymbol
 from .csa import StructureAlgebra, from_symbol
@@ -176,7 +176,7 @@ def even_rank3_to_symbol(diag) -> QuaternionSymbol:
 
     The identification is certified on the spot: all 16 products of the
     images of 1, i, j, k are checked against the symbol's multiplication
-    table before the symbol is returned.
+    table before the symbol is returned; a failure raises CertificateFailure.
     """
     symbol, images = rank3_map(diag)
     table = from_symbol(symbol)
@@ -186,5 +186,6 @@ def even_rank3_to_symbol(diag) -> QuaternionSymbol:
             expected = images[0].algebra.element({})
             for k, c in table.row(x, y):
                 expected = expected + images[k].scale(c)
-            assert got == expected, f"quaternion relation fails at ({x},{y})"
+            if got != expected:
+                raise CertificateFailure(f"quaternion relation fails at ({x},{y})")
     return symbol

@@ -11,13 +11,14 @@ Failures raise NotAssociative or CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
-and Z = A_{sigma_1} tensor ... tensor A_{sigma_d} carries a G-action that
-permutes tensor slots (slot i moves to the slot of tau targeting
-tau.sigma_i) and twists coefficients by tau.  The fixed points form a
-Q-algebra of dimension (dim_E A)^d: the corestriction of A to Q.  That
-fixed algebra is computed literally, as the kernel of the stacked
-operators act(tau) - id over Q, with products re-expressed in the kernel
-basis and closure verified by exact residuals.
+and Z = A_{sigma_1} tensor ... tensor A_{sigma_d} carries a semilinear
+G-action: sigma_g permutes the tensor slots (slot i moves to the slot of
+tau targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
+monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
+(dim_E A)^d: the corestriction of A to Q.  A fixed element is determined
+by its coefficients at the monomial orbit representatives, so the fixed
+algebra is built in closed form from orbit traces and its products are
+read off at the representatives.
 """
 
 from fractions import Fraction
@@ -40,7 +41,7 @@ from .exactfield import (
     sign_at_embedding,
 )
 from .brauer import QuaternionSymbol
-from .linalg import coords_in_rref_sparse, kernel, rref
+from .linalg import kernel, rref
 from .qform import DiagForm, congruence_diagonalize
 
 # Derived tables up to this dim are swept for associativity; bigger ones
@@ -253,47 +254,31 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
 # -- the G-module Z_G(A) -------------------------------------------------------------
 
 
-def _action_columns(f: FieldDescriptor, m: int, g: int) -> list[list[tuple[int, Fraction]]]:
-    """Sparse columns of act(sigma_g) on the Q-basis (monomial t, alpha^l)."""
+def _slot_moves(f: FieldDescriptor, m: int, g: int) -> list[int]:
+    """moves[t]: the monomial u_t goes to under sigma_g.  Slot s holds
+    A_{sigma_{s+1}} and moves to the slot hosting sigma_g . sigma_{s+1}."""
     d = f.degree
-    tuples = list(product(range(m), repeat=d))
-    t_index = {kt: t for t, kt in enumerate(tuples)}
-    # slot s (0-based) moves to the slot hosting sigma_g . sigma_{s+1}
     slot_to = [f.compose(g, s + 1) - 1 for s in range(d)]
-    perm_t = []
-    for kt in tuples:
+    moves = []
+    for kt in product(range(m), repeat=d):
         img = [0] * d
         for s in range(d):
             img[slot_to[s]] = kt[s]
-        perm_t.append(t_index[tuple(img)])
-    tau_gen = f.elem(list(f.automorphisms[g - 1]))
-    tau_pow = [f.one()]
-    for _ in range(d - 1):
-        tau_pow.append(tau_pow[-1] * tau_gen)
-    cols: list[list[tuple[int, Fraction]]] = []
-    for t in range(len(tuples)):
-        for l in range(d):
-            col = [
-                (perm_t[t] * d + lp, c)
-                for lp, c in enumerate(tau_pow[l].coeffs)
-                if c
-            ]
-            cols.append(col)
-    return cols
+        moves.append(sum(k * m ** (d - 1 - s) for s, k in enumerate(img)))
+    return moves
 
 
 class GaloisModuleAlgebra:
     """Z(A) = A_{sigma_1} tensor ... tensor A_{sigma_d} with its G-action.
 
-    underlying is the E-algebra on monomial basis u_{k_1..k_d}; the Q-basis
-    is indexed p = t*d + l for monomial t and power alpha^l.  actions[g]
-    holds sparse columns of the Q-linear operator of sigma_g.
+    underlying is the E-algebra on monomial basis u_{k_1..k_d}, indexed in
+    product order.  sigma_g acts semilinearly by the monomial permutation
+    moves[g]: sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}.
 
-    The action columns are always certified (linear in the basis size).
-    The monomial table is swept for associativity while its dim is at most
-    SWEEP_MAX_DIM; the big tables are twists of a checked table by ring
-    automorphisms followed by tensoring, both of which preserve
-    associativity.
+    The moves are always certified.  The monomial table is swept for
+    associativity while its dim is at most SWEEP_MAX_DIM; the big tables
+    are twists of a checked table by ring automorphisms followed by
+    tensoring, both of which preserve associativity.
     """
 
     def __init__(self, a: StructureAlgebra, f: FieldDescriptor):
@@ -303,7 +288,6 @@ class GaloisModuleAlgebra:
         self.base = a
         d = f.degree
         m = a.dim
-        self.q_dim = (m ** d) * d
         tuples = list(product(range(m), repeat=d))
         t_index = {kt: t for t, kt in enumerate(tuples)}
         twisted = [
@@ -328,129 +312,37 @@ class GaloisModuleAlgebra:
                 w = w * unit_slots[s][kt[s]]
             unit.append(w)
         self.underlying = StructureAlgebra(f, constants, unit, check=len(tuples) <= SWEEP_MAX_DIM)
-        self._alpha_pow = [f.one()]
-        for _ in range(2 * d - 2):
-            self._alpha_pow.append(self._alpha_pow[-1] * f.gen())
-        self._qrows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
-        self.actions = {g: _action_columns(f, m, g) for g in range(1, d + 1)}
+        self.moves = {g: _slot_moves(f, m, g) for g in range(1, d + 1)}
         self._check_actions()
 
-    def qrow(self, p: int, q: int) -> list[tuple[int, Fraction]]:
-        """Sparse Q-structure row: product of basis elements p and q."""
-        cached = self._qrows.get((p, q))
-        if cached is not None:
-            return cached
-        d = self.field.degree
-        t1, l1 = divmod(p, d)
-        t2, l2 = divmod(q, d)
-        out: dict[int, Fraction] = {}
-        pw = self._alpha_pow[l1 + l2]
-        for t3, c in self.underlying.row(t1, t2):
-            e = c * pw
-            for lp, coeff in enumerate(e.coeffs):
-                if coeff:
-                    r = t3 * d + lp
-                    out[r] = out.get(r, Fraction(0)) + coeff
-        row = sorted((r, v) for r, v in out.items() if v)
-        self._qrows[(p, q)] = row
-        return row
-
-    def mul_q(self, xs: dict, ys: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for p, xv in xs.items():
-            for q, yv in ys.items():
-                w = xv * yv
-                for r, c in self.qrow(p, q):
-                    out[r] = out.get(r, Fraction(0)) + w * c
-        return {r: v for r, v in out.items() if v}
-
-    def act_vec(self, g: int, xs: dict) -> dict:
-        cols = self.actions[g]
-        out: dict[int, Fraction] = {}
-        for p, xv in xs.items():
-            for r, c in cols[p]:
-                out[r] = out.get(r, Fraction(0)) + xv * c
-        return {r: v for r, v in out.items() if v}
-
-    def unit_qvec(self) -> list[Fraction]:
-        d = self.field.degree
-        v = [Fraction(0)] * self.q_dim
-        for t, w in enumerate(self.underlying.unit):
-            for l, c in enumerate(w.coeffs):
-                v[t * d + l] = c
-        return v
-
     def _check_actions(self) -> None:
-        """Exact certification of the stored action columns.
+        """Exact certification of the stored moves.
 
-        A multiplicativity sweep over all pairs of Q-basis vectors is
-        quadratic in q_dim and redundant: every basis vector is a monomial
-        times a power of the generator, so it suffices to verify the facts
-        that jointly imply multiplicativity on products of such vectors.
-
-        1. power-0 columns are unit monomial moves col = [(pt*d, 1)], and
-           the move t -> pt is a bijection;
-        2. the move is an algebra map for the twisted table: row(pt1, pt2)
-           equals row(t1, t2) with coefficients pushed through the
-           automorphism (coefficient automorphisms are ring maps, checked
-           at field construction);
-        3. column coefficients follow the tau(alpha)-power recurrence and
-           stay inside the image block, so the coefficient part of the
-           operator is exactly that automorphism.
-
-        The group law is still checked directly on whole columns.
+        Each move is a bijection of the monomials and an algebra map for
+        the twisted table: row(pt1, pt2) equals row(t1, t2) moved and with
+        its coefficients pushed through sigma_g.  Together the moves follow
+        the group law of G.  The coefficient part of the action is the
+        field automorphism itself, certified with the field.
         """
-        f = self.field
-        d = f.degree
-        nt = self.underlying.dim
-        one = Fraction(1)
-        for g in range(1, d + 1):
-            cols = self.actions[g]
-            pt = []
-            for t in range(nt):
-                col = cols[t * d]
-                if not (len(col) == 1 and col[0][1] == one and col[0][0] % d == 0):
-                    raise CertificateFailure(
-                        f"action {g}: power-0 column at monomial {t} is not a unit move"
-                    )
-                pt.append(col[0][0] // d)
+        alg = self.underlying
+        nt = alg.dim
+        for g, pt in self.moves.items():
             if sorted(pt) != list(range(nt)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
             for t1 in range(nt):
                 for t2 in range(nt):
-                    moved = sorted(
-                        (pt[t3], apply_automorphism(c, g))
-                        for t3, c in self.underlying.row(t1, t2)
-                    )
-                    if moved != sorted(self.underlying.row(pt[t1], pt[t2])):
+                    moved = sorted((pt[t3], apply_automorphism(c, g)) for t3, c in alg.row(t1, t2))
+                    if moved != sorted(alg.row(pt[t1], pt[t2])):
                         raise CertificateFailure(
                             f"action {g} is not multiplicative on monomials ({t1},{t2})"
                         )
-            tau_gen = f.elem(list(f.automorphisms[g - 1]))
-            for t in range(nt):
-                prev = f.one()
-                for l in range(1, d):
-                    coeffs = [Fraction(0)] * d
-                    for r, c in cols[t * d + l]:
-                        tr, lr = divmod(r, d)
-                        if tr != pt[t]:
-                            raise CertificateFailure(
-                                f"action {g}: column ({t},{l}) leaves its block"
-                            )
-                        coeffs[lr] = c
-                    prev = prev * tau_gen
-                    if f.elem(coeffs) != prev:
+        for g1, p1 in self.moves.items():
+            for g2, p2 in self.moves.items():
+                p12 = self.moves[self.field.compose(g1, g2)]
+                for t in range(nt):
+                    if p1[p2[t]] != p12[t]:
                         raise CertificateFailure(
-                            f"action {g}: coefficient twist at ({t},{l}) is off"
-                        )
-        for g1 in range(1, d + 1):
-            for g2 in range(1, d + 1):
-                g12 = self.field.compose(g1, g2)
-                for p in range(self.q_dim):
-                    step = self.act_vec(g1, dict(self.actions[g2][p]))
-                    if step != dict(self.actions[g12][p]):
-                        raise CertificateFailure(
-                            f"action group law fails for ({g1},{g2}) at basis vector {p}"
+                            f"action group law fails for ({g1},{g2}) at monomial {t}"
                         )
 
 
@@ -458,72 +350,78 @@ def build_ZG(a: StructureAlgebra, f: FieldDescriptor) -> GaloisModuleAlgebra:
     return GaloisModuleAlgebra(a, f)
 
 
-def _generating_set(f: FieldDescriptor) -> list[int]:
-    d = f.degree
-    if d == 1:
-        return []
-    for g in range(2, d + 1):
-        order, cur = 1, g
-        while cur != 1:
-            cur = f.compose(g, cur)
-            order += 1
-        if order == d:
-            return [g]
-    return list(range(2, d + 1))
-
-
 def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     """The Q-algebra of G-fixed points of Z(A): the corestriction to Q.
+
+    A fixed element is determined by its coefficients at the orbit
+    representatives, the monomials t with no smaller image; the one at t
+    ranges over E^H, H the stabiliser of t.  The basis is Tr_{G/H}(b u_t)
+    for the RREF rows b of E^H, which the H-traces of 1, alpha, ...,
+    alpha^(d-1) span: in the Q-basis alpha^l u_t this is the RREF basis of
+    the fixed subspace.  A basis element that gives one monomial two
+    values raises CertificateFailure.  A product's coordinates are its
+    coefficients at the representatives read at the pivots of E^H, and a
+    coefficient outside E^H raises NotClosedUnderMultiplication.  The
+    moves are trusted as certified when z was built; one corrupted later
+    is caught where it breaks these checks or the dimension count.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
     associativity from Z(A), whose table is a twist of a checked table by
-    field automorphisms followed by tensoring; closure residuals and the
-    unit law are always verified exactly.
+    field automorphisms followed by tensoring; the unit law is always
+    verified exactly.
     """
-    n = z.q_dim
-    want = z.underlying.dim
-    sweep = want <= SWEEP_MAX_DIM
-    gens = _generating_set(z.field)
-    if not gens:
-        # E = Q: the fixed algebra is Z(A) itself, already over Q
-        rows = [
-            [[(k, c.rational_value()) for k, c in z.underlying.row(i, j)] for j in range(want)]
-            for i in range(want)
-        ]
-        unit = [c.rational_value() for c in z.underlying.unit]
-        return StructureAlgebra(RATIONAL_FIELD, rows, unit, check=sweep)
-    stacked: list[list[Fraction]] = []
-    for g in gens:
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for p, col in enumerate(z.actions[g]):
-            for r, c in col:
-                rows[r][p] += c
-        for r in range(n):
-            rows[r][r] -= 1
-        stacked.extend(rows)
-    fixed = kernel(stacked, n)
-    if len(fixed) != want:
-        raise DimensionMismatch(f"invariant dimension {len(fixed)}, expected {want}")
-    basis, pivots = rref(fixed)
-    sparse_basis = [[(c, x) for c, x in enumerate(row) if x] for row in basis]
-    unit_coords = coords_in_rref_sparse(
-        sparse_basis, pivots, {p: x for p, x in enumerate(z.unit_qvec()) if x}
-    )
-    if unit_coords is None:
-        raise NotClosedUnderMultiplication("unit is not in the fixed subspace")
-    vecs = [{p: x for p, x in enumerate(row) if x} for row in basis]
+    f, alg = z.field, z.underlying
+    d, n = f.degree, alg.dim
+    gs = range(1, d + 1)
+    zero = f.zero()
+    powers = [f.elem([0] * l + [1]) for l in range(d)]
+    blocks = {}  # representative -> (first coordinate, RREF rows of E^H, pivots)
+    basis = []  # fixed elements as {monomial: coefficient}
+    for t in range(n):
+        images = [z.moves[g][t] for g in gs]
+        if min(images) < t:
+            continue
+        stab = [g for g, s in zip(gs, images) if s == t]
+        rows, pivots = rref([sum((apply_automorphism(x, h) for h in stab), zero).coeffs for x in powers])
+        blocks[t] = len(basis), rows, pivots
+        for row in rows:
+            b, vec = f.elem(row), {}
+            for g, s in zip(gs, images):
+                c = apply_automorphism(b, g)
+                if vec.setdefault(s, c) != c:
+                    raise CertificateFailure(f"basis element at monomial {t} is not fixed")
+            basis.append(vec)
+    if len(basis) != n:
+        raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
+
+    def coords(w: dict, failure: str) -> list[tuple[int, Fraction]]:
+        out = []
+        for t, c in w.items():
+            first, rows, pivots = blocks[t]
+            xs = [c.coeffs[p] for p in pivots]
+            if [sum(x * r[l] for x, r in zip(xs, rows)) for l in range(d)] != list(c.coeffs):
+                raise NotClosedUnderMultiplication(failure)
+            out.extend((first + i, x) for i, x in enumerate(xs) if x)
+        return out
+
+    unit = [Fraction(0)] * n
+    for k, x in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
+        unit[k] = x
     constants = []
-    for xa in vecs:
+    for xa in basis:
         row_out = []
-        for xb in vecs:
-            w = z.mul_q(xa, xb)
-            coords = coords_in_rref_sparse(sparse_basis, pivots, w)
-            if coords is None:
-                raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-            row_out.append([(k, c) for k, c in enumerate(coords) if c])
+        for xb in basis:
+            w: dict[int, FieldElem] = {}
+            for s, cs in xa.items():
+                for r, cr in xb.items():
+                    for k, c in alg.row(s, r):
+                        if k in blocks:
+                            v = cs * cr * c
+                            w[k] = w[k] + v if k in w else v
+            row_out.append(coords(w, "product leaves the fixed subspace"))
         constants.append(row_out)
-    return StructureAlgebra(RATIONAL_FIELD, constants, unit_coords, check=sweep)
+    return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM)
 
 
 # -- centers and trace forms ---------------------------------------------------------
@@ -625,7 +523,4 @@ def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor, zg: GaloisModuleAlg
         for j in range(left.dim):
             if left.row(i, j) != right.row(i, j):
                 return False
-    for g in range(1, d + 1):
-        if zg.actions[g] != _action_columns(f, a.dim, g):
-            return False
-    return True
+    return all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in range(1, d + 1))

@@ -3,13 +3,13 @@
 Kernels are computed by fraction-free forward elimination (Bareiss two-term
 updates on denominator-cleared integer rows, so every intermediate entry is
 a minor of the input) followed by back substitution over Fraction.  Before
-eliminating, the columns are split into connected components: Galois action
-operators are block-permutation shaped, and the split turns one large
-system into many tiny independent ones without any special casing.
+eliminating, the columns are split into connected components, so a sparse
+system (the commutator maps of a monomial algebra, when its center is
+computed) becomes many tiny independent ones without any special casing.
 
-Row-echelon bases double as coordinate solvers: a vector lying in the span
-of RREF rows has its coordinates sitting at the pivot positions, so
-expressing products in a subalgebra basis is a read plus a residual check.
+RREF gives the canonical basis of a span: the fixed algebra of Z(A) takes
+its orbit bases from the RREF of each fixed field E^H, and the center is
+returned in RREF.
 """
 
 from fractions import Fraction
@@ -159,27 +159,3 @@ def rref(rows: Mat) -> tuple[Mat, list[int]]:
         if r == nr:
             break
     return mat[:r], pivots
-
-
-SparseRow = list[tuple[int, Fraction]]
-
-
-def coords_in_rref_sparse(
-    basis: list[SparseRow], pivots: list[int], v: dict
-) -> Vec | None:
-    """Coordinates of v in the span of RREF basis rows, or None if outside.
-
-    Rows are (column, value) pairs and v is a column -> value dict of
-    nonzeros.  The candidate coordinates are v at the pivot columns; an
-    exact residual check then decides membership.
-    """
-    zero = Fraction(0)
-    coords = [v.get(c, zero) for c in pivots]
-    residual = dict(v)
-    for x, row in zip(coords, basis):
-        if x:
-            for j, b in row:
-                residual[j] = residual.get(j, zero) - x * b
-    if any(residual.values()):
-        return None
-    return coords

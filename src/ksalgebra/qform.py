@@ -5,8 +5,8 @@ entry in the active block as pivot; if the whole active diagonal vanishes
 but some off-diagonal entry survives, mix that column in (e_i <- e_i + e_j)
 to create a pivot, which works in characteristic zero since the new
 diagonal entry is twice the off-diagonal one.  The change of basis P is
-accumulated and P^T G P = diag is asserted, so every diagonalization
-carries its own certificate.
+accumulated and P^T G P = diag is checked exactly (CertificateFailure
+otherwise), so every diagonalization carries its own certificate.
 
 Signatures are per real place: count exact signs of the diagonal entries
 under each embedding.  The K3-with-real-multiplication shape is signature
@@ -17,7 +17,7 @@ natural generalization and only flagged as a warning when it fails.
 
 from dataclasses import dataclass, field as dc_field
 
-from .errors import DegenerateForm, FieldMismatch, MalformedInput
+from .errors import CertificateFailure, DegenerateForm, FieldMismatch, MalformedInput
 from .exactfield import (
     FieldDescriptor,
     FieldElem,
@@ -150,8 +150,8 @@ def congruence_diagonalize(matrix, field: FieldDescriptor, allow_degenerate: boo
     check = _mat_mul(_mat_mul(_transpose(p), [list(r) for r in matrix], field), p, field)
     for i in range(m):
         for j in range(m):
-            expected = diag[i] if i == j else zero
-            assert check[i][j] == expected, "congruence certificate failed"
+            if check[i][j] != (diag[i] if i == j else zero):
+                raise CertificateFailure(f"congruence certificate P^T G P fails at ({i},{j})")
     return diag, p
 
 

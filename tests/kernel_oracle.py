@@ -1,0 +1,115 @@
+"""The fixed algebra of Z(A) computed the long way, as a test oracle.
+
+This is how csa.invariants used to build it.  Z(A) is laid out on the
+Q-basis alpha^l u_t (index t*d + l), each sigma_g becomes a sparse
+Q-linear operator rebuilt here from the field's composition table, the
+fixed subspace is the kernel of the stacked operators act(g) - id, and
+every product of two RREF basis vectors is re-expressed in that basis by
+reading it at the pivot columns and checking the residual exactly.  It
+shares with csa.invariants only the monomial table of Z(A).
+"""
+
+from fractions import Fraction
+from itertools import product
+
+from ksalgebra.csa import StructureAlgebra
+from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
+from ksalgebra.exactfield import RATIONAL_FIELD
+from ksalgebra.linalg import kernel, rref
+
+
+def coords_in_rref_sparse(basis, pivots: list[int], v: dict) -> list[Fraction] | None:
+    """Coordinates of v in the span of RREF basis rows, or None if outside.
+
+    Rows are (column, value) pairs and v is a column -> value dict of
+    nonzeros.  The candidate coordinates are v at the pivot columns; an
+    exact residual check then decides membership.
+    """
+    zero = Fraction(0)
+    coords = [v.get(c, zero) for c in pivots]
+    residual = dict(v)
+    for x, row in zip(coords, basis):
+        if x:
+            for j, b in row:
+                residual[j] = residual.get(j, zero) - x * b
+    if any(residual.values()):
+        return None
+    return coords
+
+
+def action_columns(f, m: int, g: int) -> list[list[tuple[int, Fraction]]]:
+    """Sparse columns of act(sigma_g) on the Q-basis (monomial t, alpha^l)."""
+    d = f.degree
+    tuples = list(product(range(m), repeat=d))
+    t_index = {kt: t for t, kt in enumerate(tuples)}
+    # slot s (0-based) moves to the slot hosting sigma_g . sigma_{s+1}
+    slot_to = [f.compose(g, s + 1) - 1 for s in range(d)]
+    perm_t = []
+    for kt in tuples:
+        img = [0] * d
+        for s in range(d):
+            img[slot_to[s]] = kt[s]
+        perm_t.append(t_index[tuple(img)])
+    tau_gen = f.elem(list(f.automorphisms[g - 1]))
+    tau_pow = [f.one()]
+    for _ in range(d - 1):
+        tau_pow.append(tau_pow[-1] * tau_gen)
+    return [
+        [(perm_t[t] * d + lp, c) for lp, c in enumerate(tau_pow[l].coeffs) if c]
+        for t in range(len(tuples))
+        for l in range(d)
+    ]
+
+
+def oracle_invariants(z) -> StructureAlgebra:
+    """The fixed algebra of z by the stacked kernel over Q."""
+    f, alg = z.field, z.underlying
+    d, want = f.degree, alg.dim
+    n = want * d
+    alpha_pow = [f.one()]
+    for _ in range(2 * d - 2):
+        alpha_pow.append(alpha_pow[-1] * f.gen())
+
+    def mul_q(xs: dict, ys: dict) -> dict:
+        out: dict[int, Fraction] = {}
+        for p, xv in xs.items():
+            t1, l1 = divmod(p, d)
+            for q, yv in ys.items():
+                t2, l2 = divmod(q, d)
+                w = xv * yv
+                for t3, c in alg.row(t1, t2):
+                    for lp, coeff in enumerate((c * alpha_pow[l1 + l2]).coeffs):
+                        if coeff:
+                            r = t3 * d + lp
+                            out[r] = out.get(r, Fraction(0)) + w * coeff
+        return {r: v for r, v in out.items() if v}
+
+    stacked: list[list[Fraction]] = []
+    for g in range(2, d + 1):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for p, col in enumerate(action_columns(f, z.base.dim, g)):
+            for r, c in col:
+                rows[r][p] += c
+        for r in range(n):
+            rows[r][r] -= 1
+        stacked.extend(rows)
+    fixed = kernel(stacked, n)
+    if len(fixed) != want:
+        raise DimensionMismatch(f"invariant dimension {len(fixed)}, expected {want}")
+    basis, pivots = rref(fixed)
+    sparse_basis = [[(c, x) for c, x in enumerate(row) if x] for row in basis]
+    unit_q = {t * d + l: c for t, w in enumerate(alg.unit) for l, c in enumerate(w.coeffs) if c}
+    unit = coords_in_rref_sparse(sparse_basis, pivots, unit_q)
+    if unit is None:
+        raise NotClosedUnderMultiplication("unit is not in the fixed subspace")
+    vecs = [dict(row) for row in sparse_basis]
+    constants = []
+    for xa in vecs:
+        row_out = []
+        for xb in vecs:
+            coords = coords_in_rref_sparse(sparse_basis, pivots, mul_q(xa, xb))
+            if coords is None:
+                raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+            row_out.append([(k, c) for k, c in enumerate(coords) if c])
+        constants.append(row_out)
+    return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=False)

@@ -387,9 +387,9 @@ def test_criterion_8_twisted_comparison_and_negative_control():
     if not verify_twisted_iso(diag, f):
         failures.append("comparison fails on the family form")
     zg = build_ZG(even_part(CliffordAlgebra(f, diag.entries)), f)
-    cols = list(zg.actions[2])
-    cols[0], cols[1] = cols[1], cols[0]
-    zg.actions[2] = cols
+    moves = list(zg.moves[2])
+    moves[0], moves[1] = moves[1], moves[0]
+    zg.moves[2] = moves
     if verify_twisted_iso(diag, f, zg=zg):
         failures.append("corrupted action went undetected")
     ok = not failures

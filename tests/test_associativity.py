@@ -8,8 +8,10 @@ and the fixed algebra) and a quaternion table whose constants have
 unequal denominators, and both must reject each of them, at the same
 first triple, once one structure constant is perturbed.  The rejection is
 run once more under python -O, where an assert-based sweep would vanish,
-together with the unit law and the action certification of Z(A), which
-must reject a wrong unit and a corrupted action column in that mode too.
+together with the other certificates that must fire in that mode too: the
+unit law (a wrong unit), the action certification of Z(A) and the fixed
+algebra built from it (corrupted monomial moves), the congruence
+certificate P^T G P and the 16 quaternion relations of C0.
 """
 
 import os
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from ksalgebra import clifford, qform
 from ksalgebra.brauer import QuaternionSymbol
 from ksalgebra.clifford import CliffordAlgebra, even_part
 from ksalgebra.csa import (
@@ -31,7 +34,7 @@ from ksalgebra.csa import (
     from_symbol,
     invariants,
 )
-from ksalgebra.errors import CertificateFailure, NotAssociative
+from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
@@ -140,28 +143,86 @@ def build_with_wrong_unit() -> None:
     StructureAlgebra(h.field, h.constants, [2, 0, 0, 0])
 
 
+def corrupted_moves(name: str):
+    """Z(A) over Q(sqrt 2) (the family form) or the cubic (a rank-2 form)
+    with the images of monomials 1 and 2 under sigma_2 exchanged after
+    construction."""
+    f = quadratic_field(2) if name == "Q(sqrt 2)" else cyclic_cubic_field()
+    a = f.gen()
+    entries = [a, a, a - 2] if name == "Q(sqrt 2)" else [a, a - 1]
+    z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    moves = z.moves[2]
+    moves[1], moves[2] = moves[2], moves[1]
+    return z
+
+
 def certify_corrupted_action() -> None:
-    """Z(A) over Q(sqrt 2) with sigma_2 sending alpha to alpha, not -alpha,
-    in the single column of (monomial 0, alpha^1)."""
+    corrupted_moves("Q(sqrt 2)")._check_actions()
+
+
+# invariants(z) of a corrupted z: the error and its message, per field
+CORRUPTED_INVARIANTS = (
+    ("Q(sqrt 2)", NotClosedUnderMultiplication, "product leaves the fixed subspace"),
+    ("cubic", CertificateFailure, "basis element at monomial 1 is not fixed"),
+)
+
+
+def diagonalize_with_broken_certificate() -> None:
+    """diag(a, a, a - 2) over Q(sqrt 2) with P^T G P computed as zero."""
     f = quadratic_field(2)
     a = f.gen()
-    z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
-    z.actions[2][1] = [(1, Fraction(1))]
-    z._check_actions()
+    form = qform.GramForm.diagonal(f, [a, a, a - 2])
+    real = qform._mat_mul
+    qform._mat_mul = lambda x, y, field: [[field.zero()] * len(y[0]) for _ in x]
+    try:
+        qform.diagonalize(form)
+    finally:
+        qform._mat_mul = real
+
+
+def symbol_with_broken_relation() -> None:
+    """C0 of diag(1, 2, -3) over Q checked against the symbol with its
+    second slot negated."""
+    real = clifford.rank3_map
+
+    def wrong_symbol(diag):
+        symbol, images = real(diag)
+        return QuaternionSymbol(symbol.a, -symbol.b), images
+
+    clifford.rank3_map = wrong_symbol
+    try:
+        clifford.even_rank3_to_symbol([RATIONAL_FIELD.rational(x) for x in (1, 2, -3)])
+    finally:
+        clifford.rank3_map = real
 
 
 def test_wrong_unit_and_corrupted_action_raise_certificate_failure():
     with pytest.raises(CertificateFailure, match="left unit law fails"):
         build_with_wrong_unit()
-    with pytest.raises(CertificateFailure, match=r"coefficient twist at \(0,1\)"):
+    with pytest.raises(CertificateFailure, match=r"not multiplicative on monomials \(1,1\)"):
         certify_corrupted_action()
+
+
+def test_invariants_reject_moves_corrupted_after_construction():
+    for name, error, message in CORRUPTED_INVARIANTS:
+        with pytest.raises(error, match=message):
+            invariants(corrupted_moves(name))
+
+
+def test_congruence_and_quaternion_certificates_raise_certificate_failure():
+    with pytest.raises(CertificateFailure, match=r"P\^T G P fails at \(0,0\)"):
+        diagonalize_with_broken_certificate()
+    with pytest.raises(CertificateFailure, match=r"quaternion relation fails at \(2,2\)"):
+        symbol_with_broken_relation()
 
 
 _UNDER_O = """
 from test_associativity import (
-    FIELDS, build_with_wrong_unit, certify_corrupted_action, perturbed, tables,
+    CORRUPTED_INVARIANTS, FIELDS, build_with_wrong_unit, certify_corrupted_action,
+    corrupted_moves, diagonalize_with_broken_certificate, perturbed,
+    symbol_with_broken_relation, tables,
 )
-from ksalgebra.csa import StructureAlgebra, check_associativity
+from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
 from ksalgebra.errors import CertificateFailure, NotAssociative
 
 if __debug__:
@@ -182,13 +243,22 @@ for name in FIELDS:
     else:
         raise SystemExit(f"{name}: perturbed C0 built")
 for label, build in (("wrong unit", build_with_wrong_unit),
-                     ("corrupted action", certify_corrupted_action)):
+                     ("corrupted action", certify_corrupted_action),
+                     ("congruence", diagonalize_with_broken_certificate),
+                     ("quaternion relations", symbol_with_broken_relation)):
     try:
         build()
     except CertificateFailure as exc:
         print(f"{label}: {exc}")
     else:
         raise SystemExit(f"{label} accepted")
+for name, error, _ in CORRUPTED_INVARIANTS:
+    try:
+        invariants(corrupted_moves(name))
+    except error as exc:
+        print(f"{name} corrupted invariants: {type(exc).__name__}: {exc}")
+    else:
+        raise SystemExit(f"{name}: invariants of corrupted moves accepted")
 """
 
 
@@ -204,7 +274,14 @@ def test_negative_control_survives_python_O():
     )
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 * len(FIELDS) + 2
-    assert all("associativity fails at (" in line for line in lines[:-2])
-    assert lines[-2] == "wrong unit: left unit law fails at u_0"
-    assert lines[-1] == "corrupted action: action 2: coefficient twist at (0,1) is off"
+    assert len(lines) == 5 * len(FIELDS) + 6
+    assert all("associativity fails at (" in line for line in lines[:-6])
+    assert lines[-6:] == [
+        "wrong unit: left unit law fails at u_0",
+        "corrupted action: action 2 is not multiplicative on monomials (1,1)",
+        "congruence: congruence certificate P^T G P fails at (0,0)",
+        "quaternion relations: quaternion relation fails at (2,2)",
+        "Q(sqrt 2) corrupted invariants: NotClosedUnderMultiplication:"
+        " product leaves the fixed subspace",
+        "cubic corrupted invariants: CertificateFailure: basis element at monomial 1 is not fixed",
+    ]

@@ -59,6 +59,16 @@ def test_classify_rejects_zero_slot(capsys):
     capsys.readouterr()
 
 
+def test_classify_domain_error_is_one_line_exit_1(capsys):
+    # 1000003 * 1000033: trial division stops at its bound before factoring b
+    assert run(["classify", "-a", "-1", "-b", "1000036000099"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: FactorizationBound: cofactor 1000036000099 not factored within bound 1000000\n"
+    )
+
+
 def test_orbits_full_degree_2(capsys):
     assert run(["orbits", "--degree", "2", "--full"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -4,7 +4,6 @@ import pytest
 
 from ksalgebra.brauer import QuaternionSymbol, rational_symbol
 from ksalgebra.csa import (
-    GaloisModuleAlgebra,
     StructureAlgebra,
     build_ZG,
     center,
@@ -15,9 +14,16 @@ from ksalgebra.csa import (
     verify_twisted_iso,
 )
 from ksalgebra.clifford import CliffordAlgebra, even_part
-from ksalgebra.errors import FieldMismatch
-from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
+from ksalgebra.errors import CertificateFailure, FieldMismatch
+from ksalgebra.exactfield import (
+    RATIONAL_FIELD,
+    apply_automorphism,
+    cyclic_cubic_field,
+    quadratic_field,
+)
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
+
+from kernel_oracle import oracle_invariants
 
 Q2 = quadratic_field(2)
 
@@ -168,8 +174,14 @@ def test_zg_dimension_bookkeeping():
     a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
     zg = build_ZG(a, Q2)
     assert zg.underlying.dim == 16
-    assert zg.q_dim == 32
-    assert sorted(zg.actions) == [1, 2]
+    # one monomial permutation per automorphism; sigma_2 swaps the slots, so
+    # it fixes the 4 monomials u_k (x) u_k, each adding [Q:Q] = 1 to the
+    # fixed algebra, and pairs the other 12, each pair adding [E:Q] = 2
+    assert sorted(zg.moves) == [1, 2]
+    assert zg.moves[1] == list(range(16))
+    assert sorted(zg.moves[2]) == list(range(16))
+    assert [t for t in range(16) if zg.moves[2][t] == t] == [0, 5, 10, 15]
+    assert invariants(zg).dim == 4 * 1 + 12 // 2 * 2
 
 
 def test_zg_field_guard():
@@ -180,9 +192,27 @@ def test_zg_field_guard():
 def test_zg_action_group_law_public():
     a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
     zg = build_ZG(a, Q2)
-    for p in range(zg.q_dim):
-        x = {p: Fraction(1)}
-        assert zg.act_vec(2, zg.act_vec(2, x)) == x
+
+    def act(g: int, x: dict) -> dict:  # sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}
+        return {zg.moves[g][t]: apply_automorphism(c, g) for t, c in x.items()}
+
+    # sigma_2 is an involution on every Q-basis vector alpha^l u_t
+    for t in range(zg.underlying.dim):
+        for c in (Q2.one(), Q2.gen()):
+            x = {t: c}
+            assert act(2, act(2, x)) == x
+            assert act(1, x) == x
+
+
+def test_zg_group_law_certificate_rejects_a_wrong_move():
+    # E[x]/(x^2 - 2) over the cubic: its constants are rational, so every
+    # slot permutation is multiplicative, and only the group law can fail
+    f = cyclic_cubic_field()
+    etale = StructureAlgebra(f, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 2)]]], [1, 0])
+    zg = build_ZG(etale, f)
+    zg.moves[2] = list(range(zg.underlying.dim))
+    with pytest.raises(CertificateFailure, match=r"group law fails for \(2,2\)"):
+        zg._check_actions()
 
 
 def test_invariants_of_E_itself():
@@ -217,6 +247,36 @@ def test_family_invariant_route_matches_mat2_hamilton():
     assert sig != trace_form_signature(tensor(SPLIT, SPLIT))
 
 
+def oracle_case(name: str):
+    """Z(A) of the even Clifford algebra of one small diagonal form."""
+    if name == "Q rank 3":
+        return build_ZG(even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3])), RATIONAL_FIELD)
+    if name == "Q(sqrt 2) rank 4":
+        f = Q2
+        entries = [f.gen(), f.gen(), f.gen() - 2, f.gen() - 2]
+    elif name == "cubic rank 2":
+        f = cyclic_cubic_field()
+        entries = [f.gen(), f.gen() - 1]
+    else:  # the six-lines family form for (d, c)
+        d, c = {"Q(sqrt 2)": (2, 1), "Q(sqrt 5)": (5, 1), "Q(sqrt 13)": (13, 2)}[name]
+        f, diag = family_diag(d, c)
+        entries = diag.entries
+    return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2"],
+)
+def test_invariants_match_kernel_oracle(name):
+    z = oracle_case(name)
+    inv, oracle = invariants(z), oracle_invariants(z)
+    assert inv.dim == oracle.dim == z.underlying.dim
+    assert inv.unit == oracle.unit
+    assert inv.constants == oracle.constants
+    assert inv == oracle
+
+
 def test_structure_algebra_serialization():
     doc = HAMILTON.to_json_dict()
     assert doc["dim"] == 4
@@ -241,10 +301,9 @@ def test_twisted_iso_negative_controls():
     a = even_part(CliffordAlgebra(f, diag.entries))
     zg = build_ZG(a, f)
     # corrupt one action entry
-    col = list(zg.actions[2][5])
-    r, c = col[0]
-    col[0] = (r, c + 1)
-    zg.actions[2][5] = col
+    moves = list(zg.moves[2])
+    moves[5] = (moves[5] + 1) % len(moves)
+    zg.moves[2] = moves
     assert verify_twisted_iso(diag, f, zg=zg) is False
     # corrupt a structure constant instead
     zg2 = build_ZG(a, f)

@@ -21,7 +21,6 @@ from ksalgebra.errors import (
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
     FieldDescriptor,
-    FieldElem,
     apply_automorphism,
     cyclic_cubic_field,
     field_from_json_dict,

@@ -1,8 +1,9 @@
 """Source hygiene checks that need nothing beyond the standard library.
 
-Every name a module of the package imports must be used in that module:
-read as a name, as the base of an attribute, or listed in __all__.  The
-check parses the sources with ast, so it runs without any linter.
+Every name a module of the package or of its tests imports must be used in
+that module: read as a name, as the base of an attribute, or listed in
+__all__.  The check parses the sources with ast, so it runs without any
+linter.
 """
 
 import ast
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ksalgebra"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ksalgebra"
 MODULES = sorted(SRC.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,4 +44,9 @@ def test_unused_imports_are_detected():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=[f"tests/{p.name}" for p in TEST_MODULES])
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ksalgebra.linalg import coords_in_rref_sparse, kernel, rref
+from ksalgebra.linalg import kernel, rref
+
+from kernel_oracle import coords_in_rref_sparse
 
 F = Fraction
 
