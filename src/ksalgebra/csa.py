@@ -67,12 +67,9 @@ def _normalize_row(field: FieldDescriptor, pairs) -> list[tuple[int, FieldElem]]
 def _integer_table(constants) -> list:
     """The table with every constant scaled by one common denominator L to
     an integer coefficient vector: entries (k, tuple of ints)."""
-    den = lcm(1, *(
-        x.denominator for row in constants for cell in row for _, c in cell for x in c.coeffs
-    ))
+    den = lcm(1, *(c.den for row in constants for cell in row for _, c in cell))
     return [
-        [[(k, tuple(x.numerator * (den // x.denominator) for x in c.coeffs)) for k, c in cell]
-         for cell in row]
+        [[(k, tuple(x * (den // c.den) for x in c.num)) for k, c in cell] for cell in row]
         for row in constants
     ]
 
@@ -82,10 +79,11 @@ def check_associativity(field: FieldDescriptor, constants) -> None:
 
     constants is a normalized sparse table as held by StructureAlgebra.
     The constants are scaled once to integer vectors over one denominator
-    L, so both sides of each identity carry the same factor L^2 and are
-    compared as integers.  Each side is accumulated per output index as
-    unreduced integer convolutions and, where the two differ, reduced
-    once through the field's integer table of X^k mod P.  A failure raises
+    L, as FieldElem stores them, so both sides of each identity carry the
+    same factor L^2 and are compared as integers.  Each side is
+    accumulated per output index as unreduced integer convolutions and,
+    where the two differ, reduced through FieldDescriptor.reduce, the
+    reduction FieldElem multiplication uses.  A failure raises
     NotAssociative naming the first failing triple (i, j, k).
     """
     n = len(constants)
@@ -96,24 +94,12 @@ def check_associativity(field: FieldDescriptor, constants) -> None:
         table = [[[(k, v[0]) for k, v in cell] for cell in row] for row in table]
         zero = 0
 
-        def reduce(acc: int) -> int:
-            return acc
-
         def accumulate(into: dict, a: int, row) -> None:
             for s, b in row:
                 into[s] = into.get(s, 0) + a * b
     else:
         width = 2 * d - 1
-        den_p, high = field._power_den, field._power_rows[d:]
         zero = [0] * width
-
-        def reduce(acc: list[int]) -> list[int]:
-            out = [den_p * x for x in acc[:d]]
-            for m, c in enumerate(acc[d:]):
-                if c:
-                    for l, r in enumerate(high[m]):
-                        out[l] += c * r
-            return out
 
         def accumulate(into: dict, a: tuple, row) -> None:
             for s, b in row:
@@ -139,7 +125,8 @@ def check_associativity(field: FieldDescriptor, constants) -> None:
                 if lhs == rhs:
                     continue
                 for s in lhs.keys() | rhs.keys():
-                    if reduce(lhs.get(s, zero)) != reduce(rhs.get(s, zero)):
+                    x, y = lhs.get(s, zero), rhs.get(s, zero)
+                    if x != y and (d == 1 or field.reduce(x) != field.reduce(y)):
                         raise NotAssociative(f"associativity fails at ({i},{j},{k})")
 
 
@@ -376,7 +363,9 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     gs = range(1, d + 1)
     zero = f.zero()
     powers = [f.elem([0] * l + [1]) for l in range(d)]
-    blocks = {}  # representative -> (first coordinate, RREF rows of E^H, pivots)
+    # representative -> (first coordinate, pivots, L, the RREF rows of E^H
+    # scaled by their common denominator L to integer rows)
+    blocks = {}
     basis = []  # fixed elements as {monomial: coefficient}
     for t in range(n):
         images = [z.moves[g][t] for g in gs]
@@ -384,7 +373,10 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             continue
         stab = [g for g, s in zip(gs, images) if s == t]
         rows, pivots = rref([sum((apply_automorphism(x, h) for h in stab), zero).coeffs for x in powers])
-        blocks[t] = len(basis), rows, pivots
+        scale = lcm(1, *(x.denominator for row in rows for x in row))
+        blocks[t] = len(basis), pivots, scale, [
+            [x.numerator * (scale // x.denominator) for x in row] for row in rows
+        ]
         for row in rows:
             b, vec = f.elem(row), {}
             for g, s in zip(gs, images):
@@ -398,11 +390,13 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     def coords(w: dict, failure: str) -> list[tuple[int, Fraction]]:
         out = []
         for t, c in w.items():
-            first, rows, pivots = blocks[t]
-            xs = [c.coeffs[p] for p in pivots]
-            if [sum(x * r[l] for x, r in zip(xs, rows)) for l in range(d)] != list(c.coeffs):
+            # the coordinates are c.num[p] / c.den at the pivots; c lies in
+            # E^H when they combine the integer rows to L * c.num
+            first, pivots, scale, rows = blocks[t]
+            xs = [c.num[p] for p in pivots]
+            if [sum(x * r[l] for x, r in zip(xs, rows)) for l in range(d)] != [scale * v for v in c.num]:
                 raise NotClosedUnderMultiplication(failure)
-            out.extend((first + i, x) for i, x in enumerate(xs) if x)
+            out.extend((first + i, Fraction(x, c.den)) for i, x in enumerate(xs) if x)
         return out
 
     unit = [Fraction(0)] * n
@@ -458,7 +452,8 @@ def center(a: StructureAlgebra) -> list[list[Fraction]]:
             [sum((y[c] * basis[c][r] for c in range(len(y))), Fraction(0)) for r in range(n)]
             for y in combos
         ]
-        assert basis, "center lost the unit line"
+        if not basis:
+            raise CertificateFailure("center lost the unit line")
     return rref(basis)[0]
 
 

@@ -3,8 +3,12 @@
 A field E = Q(alpha) is described by a monic minimal polynomial P of degree
 d over Q, the full list of its d automorphisms (as polynomials giving the
 image of alpha), and d isolating intervals with rational endpoints, one per
-real root of P.  Elements are residue classes g(alpha) mod P with Fraction
-coefficients, so every operation is exact; no floating point anywhere.
+real root of P.  An element is a residue class g(alpha) mod P stored as an
+integer vector over a common denominator (Cohen, GTM 138, section 4.2):
+num, a tuple of d ints, over den > 0, in lowest terms.  A product is an
+integer convolution reduced through the field's integer table of X^k mod P,
+and an automorphism acts by an integer matrix, so every operation is exact
+and no floating point appears anywhere.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of
@@ -21,7 +25,7 @@ polynomial, which in the Galois case equals the product of the conjugates.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -40,7 +44,6 @@ from .polynomials import (
     pcompose,
     peval,
     pmod,
-    pmul,
     poly,
     render,
     resultant,
@@ -48,6 +51,14 @@ from .polynomials import (
 )
 
 _BISECTION_CAP = 2000
+
+
+def _add_rows(out: list[int], cs, rows) -> None:
+    """out += sum of cs[k] * rows[k], in place, on integer vectors."""
+    for c, row in zip(cs, rows):
+        if c:
+            for l, r in enumerate(row):
+                out[l] += c * r
 
 
 def _sign(x: Fraction) -> int:
@@ -103,7 +114,17 @@ class FieldDescriptor:
         self.degree = len(self.min_poly) - 1
         self._validate()
         self._compose_table = self._build_compose_table()
-        self._power_den, self._power_rows = self._build_power_table()
+        d, p = self.degree, self.min_poly
+        # X^k mod P for d <= k <= 2d - 2: a product of two coefficient
+        # vectors has degree <= 2d - 2 and reduces through these rows
+        self._power_den, self._power_rows = self._integer_rows(
+            pmod(poly([0] * k + [1]), p) for k in range(d, 2 * d - 1)
+        )
+        # row k of automorphism i: sigma_i(alpha^k) = a_i^k mod P
+        self._automorphism_rows = [
+            self._integer_rows(pmod(pcompose(poly([0] * k + [1]), a), p) for k in range(d))
+            for a in self.automorphisms
+        ]
         self._key = (
             tuple(self.min_poly),
             tuple(tuple(a) for a in self.automorphisms),
@@ -189,21 +210,26 @@ class FieldDescriptor:
                 raise NonGaloisField("composition table rows are not permutations")
         return table
 
-    def _build_power_table(self) -> tuple[int, list[tuple[int, ...]]]:
-        """X^k mod P for k <= 2d - 2 as integer rows over one denominator D.
+    def _integer_rows(self, polys) -> tuple[int, list[tuple[int, ...]]]:
+        """Reduced polynomials as integer rows of length d over one
+        denominator D: row k divided by D is the k-th polynomial."""
+        padded = [list(r) + [Fraction(0)] * (self.degree - len(r)) for r in polys]
+        den = lcm(1, *(c.denominator for r in padded for c in r))
+        return den, [tuple(c.numerator * (den // c.denominator) for c in r) for r in padded]
 
-        Row k divided by D is pmod(X^k, P).  A product of two coefficient
-        vectors has degree <= 2d - 2, so an unreduced integer convolution
-        reduces through these rows; the result is D times the reduced one.
+    def reduce(self, acc: Sequence[int]) -> tuple[list[int], int]:
+        """acc(alpha) in the power basis, as (r, D) meaning r / D.
+
+        acc holds the integer coefficients of a polynomial of degree at
+        most 2d - 2, such as an unreduced product of two coefficient
+        vectors.  It is reduced mod P through the integer rows of X^k mod P;
+        D is their common denominator, the same for every call.
         """
-        d = self.degree
-        reduced = []
-        for k in range(2 * d - 1):
-            r = pmod(poly([0] * k + [1]), self.min_poly)
-            reduced.append(list(r) + [Fraction(0)] * (d - len(r)))
-        den = lcm(1, *(c.denominator for r in reduced for c in r))
-        rows = [tuple(c.numerator * (den // c.denominator) for c in r) for r in reduced]
-        return den, rows
+        d, den = self.degree, self._power_den
+        out = [den * c for c in acc[:d]]
+        out += [0] * (d - len(out))
+        _add_rows(out, acc[d:], self._power_rows)
+        return out, den
 
     # -- basic structure ---------------------------------------------------
 
@@ -212,14 +238,14 @@ class FieldDescriptor:
         return self.degree == 1
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, [0] * self.degree)
+        return _reduced(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElem":
         return self.rational(1)
 
     def rational(self, c) -> "FieldElem":
-        coeffs = [Fraction(c)] + [Fraction(0)] * (self.degree - 1)
-        return FieldElem(self, coeffs)
+        c = Fraction(c)
+        return _reduced(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def gen(self) -> "FieldElem":
         return self.elem([0, 1])
@@ -278,25 +304,53 @@ class FieldDescriptor:
         return f"FieldDescriptor(Q[{self.name}]/({render(self.min_poly)}))"
 
 
-class FieldElem:
-    """A residue g(alpha) mod min_poly; immutable, hashable, exact."""
+_set = object.__setattr__
 
-    __slots__ = ("field", "coeffs")
+
+def _reduced(field: FieldDescriptor, num: tuple, den: int) -> "FieldElem":
+    """The element num / den (den > 0), stored in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    x = object.__new__(FieldElem)
+    _set(x, "field", field)
+    _set(x, "num", num)
+    _set(x, "den", den)
+    return x
+
+
+class FieldElem:
+    """A residue g(alpha) mod min_poly; immutable, hashable, exact.
+
+    num is a tuple of d ints and den a positive int with
+    gcd(num..., den) = 1: the power-basis coefficients are num[k] / den,
+    and coeffs gives them as Fractions.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: FieldDescriptor, coeffs: Sequence):
         cs = [Fraction(c) for c in coeffs]
-        assert len(cs) == field.degree, "coefficient vector must have length d"
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if len(cs) != field.degree:
+            raise ValueError(f"coefficient vector must have length {field.degree}, got {len(cs)}")
+        den = lcm(*(c.denominator for c in cs))  # already in lowest terms
+        _set(self, "field", field)
+        _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
+        _set(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElem is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- coercion ----------------------------------------------------------
 
     def _coerce(self, other) -> "FieldElem | None":
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("operands live in different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -309,12 +363,15 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElem(self.field, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        a, b = self.den, o.den
+        if a == b:
+            return _reduced(self.field, tuple(x + y for x, y in zip(self.num, o.num)), a)
+        return _reduced(self.field, tuple(x * b + y * a for x, y in zip(self.num, o.num)), a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElem(self.field, [-a for a in self.coeffs])
+        return _reduced(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -332,19 +389,27 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = pmod(pmul(list(self.coeffs), list(o.coeffs)), self.field.min_poly)
-        prod = list(prod) + [Fraction(0)] * (self.field.degree - len(prod))
-        return FieldElem(self.field, prod)
+        f, a, b = self.field, self.num, o.num
+        if f.degree == 1:
+            return _reduced(f, (a[0] * b[0],), self.den * o.den)
+        acc = [0] * (2 * f.degree - 1)
+        for p, ap in enumerate(a):
+            if ap:
+                for q, bq in enumerate(b):
+                    acc[p + q] += ap * bq
+        num, den = f.reduce(acc)
+        return _reduced(f, tuple(num), self.den * o.den * den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        d, u, _ = ext_gcd(list(self.coeffs), self.field.min_poly)
+        d, u, _ = ext_gcd([Fraction(c) for c in self.num], self.field.min_poly)
         if len(d) != 1:
             raise ArithmeticError("nontrivial gcd with min_poly; descriptor is not a field")
-        return self.field.elem(u)
+        # u * num = 1 mod P and x = num / den, so 1 / x = den * u
+        return self.field.elem([c * self.den for c in u])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -375,7 +440,7 @@ class FieldElem:
     # -- predicates ----------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(c != 0 for c in self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other) -> bool:
         try:
@@ -384,17 +449,17 @@ class FieldElem:
             return False
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.num, self.den))
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         assert self.is_rational(), "element is not rational"
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- presentation ----------------------------------------------------------
 
@@ -404,7 +469,7 @@ class FieldElem:
     def to_json(self) -> str | list[str]:
         """A rational as one string, anything else as its coefficient list."""
         if self.is_rational():
-            return format_rational(self.coeffs[0])
+            return format_rational(self.rational_value())
         return [format_rational(c) for c in self.coeffs]
 
 
@@ -412,10 +477,14 @@ class FieldElem:
 
 
 def apply_automorphism(x: FieldElem, i: int) -> FieldElem:
-    """sigma_i(x), 1-based; sigma_1 is the identity."""
-    x.field._check_index(i)
-    image = pcompose(list(x.coeffs), x.field.automorphisms[i - 1])
-    return x.field.elem(image)
+    """sigma_i(x), 1-based; sigma_1 is the identity.  The field stores
+    sigma_i as integer rows: row k over its denominator is sigma_i(alpha^k)."""
+    f = x.field
+    f._check_index(i)
+    den, rows = f._automorphism_rows[i - 1]
+    out = [0] * f.degree
+    _add_rows(out, x.num, rows)
+    return _reduced(f, tuple(out), x.den * den)
 
 
 def norm(x: FieldElem) -> Fraction:
@@ -433,9 +502,10 @@ def norm(x: FieldElem) -> Fraction:
 
 
 def sign_at_embedding(x: FieldElem, i: int) -> int:
-    """Sign of x under the i-th real embedding: -1, 0 or +1; exact."""
+    """Sign of x under the i-th real embedding: -1, 0 or +1; exact.  It is
+    the sign of the numerator vector, since den > 0."""
     x.field._check_index(i)
-    return x.field._sign_at_poly(list(x.coeffs), i - 1)
+    return x.field._sign_at_poly(list(x.num), i - 1)
 
 
 # -- stock fields ---------------------------------------------------------------

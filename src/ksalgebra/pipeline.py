@@ -35,6 +35,7 @@ from .brauer import (
 from .clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
 from .csa import build_ZG, center, invariants, trace_form_signature
 from .errors import (
+    CertificateFailure,
     InvalidPermutation,
     ParameterConstraintViolated,
     RouteDisagreement,
@@ -118,8 +119,9 @@ def even_weight_orbits(d: int, generators) -> OrbitData:
     """Partition the even-weight vectors in {0,1}^d into group orbits.
 
     The orbit count controls how many isogeny factors the big abelian
-    variety splits into; sizes must sum to 2^(d-1) and each size times
-    its stabilizer order gives back |G| (both asserted).
+    variety splits into.  The orbit sums certificate: each size divides
+    |G| (size times stabilizer order gives back |G|) and the sizes sum to
+    2^(d-1); a failure raises CertificateFailure.
     """
     assert d >= 1, "degree must be positive"
     gens = [_check_perm(p, d) for p in generators]
@@ -132,11 +134,16 @@ def even_weight_orbits(d: int, generators) -> OrbitData:
         orbit = {_act_on_vector(p, vec) for p in group}
         todo -= orbit
         size = len(orbit)
-        assert len(group) % size == 0, "orbit size must divide the group order"
+        if len(group) % size:
+            raise CertificateFailure(
+                f"orbit sums: orbit size {size} does not divide the group order {len(group)}"
+            )
         orbits.append((vec, size, len(group) // size))
-    assert sum(size for _, size, _ in orbits) == 2 ** (d - 1), (
-        "even-weight orbit sizes must sum to 2^(d-1)"
-    )
+    total = sum(size for _, size, _ in orbits)
+    if total != 2 ** (d - 1):
+        raise CertificateFailure(
+            f"orbit sums: even-weight orbit sizes sum to {total}, not 2^(d-1) = {2 ** (d - 1)}"
+        )
     return OrbitData(
         d=d, group_order=len(group), generators=tuple(gens), orbits=tuple(orbits)
     )
@@ -459,9 +466,9 @@ def six_lines_family(d, c, e) -> KSReport:
     """The family diag(sqrt(d), sqrt(d), c*sqrt(d) - d) over Q(sqrt(d))
     with d = c^2 + e^2: the K3 surfaces carrying six disjoint lines.
 
-    The classified corestriction is asserted to be the definite symbol
-    (-1,-1) over Q; that constancy across the family is the point of the
-    preset.
+    The symbol route must complete and the classified corestriction must
+    be the definite symbol (-1,-1) over Q, or CertificateFailure is raised;
+    that constancy across the family is the point of the preset.
     """
     d_q, c_q, e_q = Fraction(d), Fraction(c), Fraction(e)
     if d_q.denominator != 1 or d_q < 2:
@@ -483,10 +490,10 @@ def six_lines_family(d, c, e) -> KSReport:
     )
     report = ks_report(f, form)
     route = report.cores_symbol_route
-    assert route is not None, "family symbol route must complete"
-    assert symbols_isomorphic_Q(route["symbol"], rational_symbol(-1, -1)), (
-        "family corestriction must be the definite (-1,-1) class"
-    )
+    if route is None:
+        raise CertificateFailure("family symbol route must complete")
+    if not symbols_isomorphic_Q(route["symbol"], rational_symbol(-1, -1)):
+        raise CertificateFailure("family corestriction must be the definite (-1,-1) class")
     return report
 
 

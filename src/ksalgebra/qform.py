@@ -163,7 +163,10 @@ def diagonalize(g: GramForm) -> DiagForm:
 
 def signature(g: GramForm, i: int) -> tuple[int, int]:
     """(positive, negative) inertia of g at the i-th real place; exact."""
-    diag = diagonalize(g)
+    return _inertia(diagonalize(g), i)
+
+
+def _inertia(diag: DiagForm, i: int) -> tuple[int, int]:
     signs = [sign_at_embedding(e, i) for e in diag.entries]
     assert all(s != 0 for s in signs)
     return signs.count(1), signs.count(-1)
@@ -206,7 +209,8 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
     Requirements: dim >= 3, non-degenerate, signature (2, m-2) at place 1
     and (0, m) at every other place.  The profile checks are errors for
     m = 3 and warnings beyond (the shape is only pinned down classically
-    in the rank-3 case).
+    in the rank-3 case).  The form is diagonalized once and every place
+    reads its signs from that one diagonal.
     """
     if g.field != f:
         raise FieldMismatch("form is not defined over the given field")
@@ -218,14 +222,14 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
     if m < 1:
         return report
     try:
-        diagonalize(g)
+        diag = diagonalize(g)
         report.checks.append(ValidationCheck("non_degenerate", True, "error", "determinant is nonzero"))
     except DegenerateForm as exc:
         report.checks.append(ValidationCheck("non_degenerate", False, "error", str(exc)))
         return report
     profile_severity = "error" if m == 3 else "warning"
     want_first = (2, m - 2)
-    got = signature(g, 1)
+    got = _inertia(diag, 1)
     report.checks.append(
         ValidationCheck(
             "signature_place_1",
@@ -235,7 +239,7 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
         )
     )
     for i in range(2, f.degree + 1):
-        got = signature(g, i)
+        got = _inertia(diag, i)
         report.checks.append(
             ValidationCheck(
                 f"signature_place_{i}",

@@ -1,8 +1,10 @@
-"""The associativity sweep against a FieldElem oracle, with negative controls.
+"""The associativity sweep against a Fraction oracle, with negative controls.
 
-The oracle is the sweep as it was first written: every product is a
-FieldElem multiplication, so it shares nothing with the integer sweep in
-csa.check_associativity but the table.  Over Q, Q(sqrt 2), Q(sqrt 5) and
+The oracle is the sweep as it was first written, on plain Fraction
+coefficient lists: every product is the reference pmod(pmul(a, b), P) of
+fraction_reference.py, so it shares nothing with the integer sweep in
+csa.check_associativity (and FieldDescriptor.reduce, which FieldElem
+multiplication shares) but the table.  Over Q, Q(sqrt 2), Q(sqrt 5) and
 the cyclic cubic both must accept the tables the pipeline builds (C0, Z(A)
 and the fixed algebra) and a quaternion table whose constants have
 unequal denominators, and both must reject each of them, at the same
@@ -11,7 +13,9 @@ run once more under python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A) and the fixed
 algebra built from it (corrupted monomial moves), the congruence
-certificate P^T G P and the 16 quaternion relations of C0.
+certificate P^T G P, the 16 quaternion relations of C0, the orbit sums of
+even_weight_orbits, the two claims of six_lines_family and the unit line
+of the center.
 """
 
 import os
@@ -24,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from ksalgebra import clifford, qform
+from ksalgebra import clifford, csa, pipeline, qform
 from ksalgebra.brauer import QuaternionSymbol
 from ksalgebra.clifford import CliffordAlgebra, even_part
 from ksalgebra.csa import (
@@ -37,29 +41,31 @@ from ksalgebra.csa import (
 from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
+import fraction_reference as ref
+
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
 
 
-def oracle_associativity_failure(constants) -> tuple | None:
+def oracle_associativity_failure(field, constants) -> tuple | None:
     """First basis triple (i, j, k), in sweep order, at which the table
-    fails associativity, computed in FieldElem arithmetic; None if none."""
+    fails associativity, computed on Fraction coefficient lists; None if
+    none."""
     n = len(constants)
+    table = [[[(k, list(c.coeffs)) for k, c in cell] for cell in row] for row in constants]
+
+    def side(pairs, rows) -> dict:
+        out = {}
+        for t, c in pairs:
+            for s, c2 in rows(t):
+                v = ref.mul(field, c, c2)
+                out[s] = ref.add(out[s], v) if s in out else v
+        return {s: v for s, v in out.items() if any(v)}
+
     for i in range(n):
         for j in range(n):
-            rij = constants[i][j]
             for k in range(n):
-                lhs = {}
-                for t, c in rij:
-                    for s, c2 in constants[t][k]:
-                        v = c * c2
-                        lhs[s] = lhs[s] + v if s in lhs else v
-                rhs = {}
-                for t, c in constants[j][k]:
-                    for s, c2 in constants[i][t]:
-                        v = c * c2
-                        rhs[s] = rhs[s] + v if s in rhs else v
-                lhs = {s: v for s, v in lhs.items() if v}
-                rhs = {s: v for s, v in rhs.items() if v}
+                lhs = side(table[i][j], lambda t: table[t][k])
+                rhs = side(table[j][k], lambda t: table[i][t])
                 if lhs != rhs:
                     return (i, j, k)
     return None
@@ -119,7 +125,7 @@ def perturbed(alg: StructureAlgebra) -> list:
 @pytest.mark.parametrize("name", FIELDS)
 def test_sweep_and_oracle_accept_the_pipeline_tables(name):
     for label, alg in tables(name).items():
-        assert oracle_associativity_failure(alg.constants) is None, label
+        assert oracle_associativity_failure(alg.field, alg.constants) is None, label
         check_associativity(alg.field, alg.constants)
 
 
@@ -127,7 +133,7 @@ def test_sweep_and_oracle_accept_the_pipeline_tables(name):
 def test_sweep_and_oracle_reject_a_perturbed_table_at_the_same_triple(name):
     for label, alg in tables(name).items():
         bad = perturbed(alg)
-        triple = oracle_associativity_failure(bad)
+        triple = oracle_associativity_failure(alg.field, bad)
         assert triple is not None, f"{label}: the oracle accepts the perturbed table"
         where = "({},{},{})".format(*triple)
         with pytest.raises(NotAssociative, match=re.escape(where)):
@@ -196,6 +202,72 @@ def symbol_with_broken_relation() -> None:
         clifford.rank3_map = real
 
 
+def orbits_under_a_broken_action(d: int) -> None:
+    """even_weight_orbits for the cyclic group of degree d with the action
+    on vectors replaced by one that flips the first entry under every
+    non-identity permutation: for d = 3 an orbit has size 2 in a group of
+    order 3, for d = 2 the orbit sizes add up to 4."""
+    real = pipeline._act_on_vector
+
+    def flip(perm, vec):
+        return vec if list(perm) == sorted(perm) else (1 - vec[0],) + vec[1:]
+
+    pipeline._act_on_vector = flip
+    try:
+        pipeline.even_weight_orbits(d, pipeline.cyclic_generators(d))
+    finally:
+        pipeline._act_on_vector = real
+
+
+def family_without_symbol_route() -> None:
+    """six_lines_family(2, 1, 1) with a first slot that never becomes rational."""
+    real = pipeline._rationalize_first_slot
+    pipeline._rationalize_first_slot = lambda sym, candidates: None
+    try:
+        pipeline.six_lines_family(2, 1, 1)
+    finally:
+        pipeline._rationalize_first_slot = real
+
+
+def family_against_the_split_class() -> None:
+    """six_lines_family(2, 1, 1) compared with (1, 1) in place of (-1, -1)."""
+    real = pipeline.rational_symbol
+    pipeline.rational_symbol = lambda a, b: real(1, 1)
+    try:
+        pipeline.six_lines_family(2, 1, 1)
+    finally:
+        pipeline.rational_symbol = real
+
+
+def center_with_empty_kernels() -> None:
+    """The center of the quaternion table over Q when every kernel is empty."""
+    real = csa.kernel
+    csa.kernel = lambda rows, ncols: []
+    try:
+        csa.center(tables("Q")["symbol"])
+    finally:
+        csa.kernel = real
+
+
+# the certificates above, with the message each must raise under python -O
+NEW_CERTIFICATES = (
+    ("orbit divisibility", lambda: orbits_under_a_broken_action(3),
+     "orbit sums: orbit size 2 does not divide the group order 3"),
+    ("orbit total", lambda: orbits_under_a_broken_action(2),
+     "orbit sums: even-weight orbit sizes sum to 4, not 2^(d-1) = 2"),
+    ("family route", family_without_symbol_route, "family symbol route must complete"),
+    ("family class", family_against_the_split_class,
+     "family corestriction must be the definite (-1,-1) class"),
+    ("center", center_with_empty_kernels, "center lost the unit line"),
+)
+
+
+@pytest.mark.parametrize("label, build, message", NEW_CERTIFICATES, ids=[c[0] for c in NEW_CERTIFICATES])
+def test_orbit_family_and_center_certificates_raise_certificate_failure(label, build, message):
+    with pytest.raises(CertificateFailure, match=re.escape(message)):
+        build()
+
+
 def test_wrong_unit_and_corrupted_action_raise_certificate_failure():
     with pytest.raises(CertificateFailure, match="left unit law fails"):
         build_with_wrong_unit()
@@ -218,9 +290,9 @@ def test_congruence_and_quaternion_certificates_raise_certificate_failure():
 
 _UNDER_O = """
 from test_associativity import (
-    CORRUPTED_INVARIANTS, FIELDS, build_with_wrong_unit, certify_corrupted_action,
-    corrupted_moves, diagonalize_with_broken_certificate, perturbed,
-    symbol_with_broken_relation, tables,
+    CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES, build_with_wrong_unit,
+    certify_corrupted_action, corrupted_moves, diagonalize_with_broken_certificate,
+    perturbed, symbol_with_broken_relation, tables,
 )
 from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
 from ksalgebra.errors import CertificateFailure, NotAssociative
@@ -245,7 +317,8 @@ for name in FIELDS:
 for label, build in (("wrong unit", build_with_wrong_unit),
                      ("corrupted action", certify_corrupted_action),
                      ("congruence", diagonalize_with_broken_certificate),
-                     ("quaternion relations", symbol_with_broken_relation)):
+                     ("quaternion relations", symbol_with_broken_relation),
+                     *((label, build) for label, build, _ in NEW_CERTIFICATES)):
     try:
         build()
     except CertificateFailure as exc:
@@ -274,13 +347,14 @@ def test_negative_control_survives_python_O():
     )
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 * len(FIELDS) + 6
-    assert all("associativity fails at (" in line for line in lines[:-6])
-    assert lines[-6:] == [
+    assert len(lines) == 5 * len(FIELDS) + 11
+    assert all("associativity fails at (" in line for line in lines[:-11])
+    assert lines[-11:] == [
         "wrong unit: left unit law fails at u_0",
         "corrupted action: action 2 is not multiplicative on monomials (1,1)",
         "congruence: congruence certificate P^T G P fails at (0,0)",
         "quaternion relations: quaternion relation fails at (2,2)",
+        *(f"{label}: {message}" for label, _, message in NEW_CERTIFICATES),
         "Q(sqrt 2) corrupted invariants: NotClosedUnderMultiplication:"
         " product leaves the fixed subspace",
         "cubic corrupted invariants: CertificateFailure: basis element at monomial 1 is not fixed",

@@ -4,10 +4,12 @@ Frozen values were derived before the implementation existed: the inverse
 of sqrt2 by a hand extended-gcd, norms by the Sylvester oracle from the
 polynomial tests, signs by hand interval bisection (sqrt2 < 2 because
 2^2 > 2, and so on).  Property tests then pin the algebra laws on a small
-grid of fields.
+grid of fields, and the integer-vector arithmetic is checked against the
+plain-Fraction reference in fraction_reference.py.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from ksalgebra.errors import (
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
     FieldDescriptor,
+    FieldElem,
     apply_automorphism,
     cyclic_cubic_field,
     field_from_json_dict,
@@ -29,7 +32,9 @@ from ksalgebra.exactfield import (
     quadratic_field,
     sign_at_embedding,
 )
-from ksalgebra.polynomials import pmod, poly
+from ksalgebra.polynomials import pmod, pmul, poly
+
+import fraction_reference as ref
 
 F = Fraction
 
@@ -37,6 +42,10 @@ Q2 = quadratic_field(2)
 Q5 = quadratic_field(5)
 CUBIC = cyclic_cubic_field()
 FIELDS = [RATIONAL_FIELD, Q2, Q5, CUBIC]
+# alpha = sqrt(2)/2: min_poly X^2 - 1/2, so the X^k mod P table has
+# denominator 2
+HALF = FieldDescriptor([F(-1, 2), 0, 1], [[0, 1], [0, -1]], [(F(1, 2), 1), (-1, F(-1, 2))], name="h")
+REFERENCE_FIELDS = [RATIONAL_FIELD, Q2, Q5, CUBIC, HALF]
 
 
 def elem(field, *coeffs):
@@ -305,23 +314,123 @@ def test_rendering():
     assert repr(CUBIC.gen()) == "a"
 
 
+# -- the integer coefficient format --------------------------------------------------
+
+
+def in_lowest_terms(x) -> bool:
+    return (
+        isinstance(x.den, int) and x.den > 0
+        and all(isinstance(c, int) for c in x.num)
+        and len(x.num) == x.field.degree
+        and gcd(x.den, *x.num) == 1
+    )
+
+
+def coeff_lists(field):
+    return st.lists(
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+        min_size=field.degree,
+        max_size=field.degree,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_fraction_reference(data):
+    field = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    a, b = data.draw(coeff_lists(field)), data.draw(coeff_lists(field))
+    x, y = FieldElem(field, a), FieldElem(field, b)
+    assert list(x.coeffs) == a and in_lowest_terms(x) and in_lowest_terms(y)
+    for got, want in (
+        (x + y, ref.add(a, b)),
+        (x - y, ref.sub(a, b)),
+        (-x, ref.sub(ref.pad([], field.degree), a)),
+        (x * y, ref.mul(field, a, b)),
+        (x * x, ref.mul(field, a, a)),
+    ):
+        assert list(got.coeffs) == want
+        assert in_lowest_terms(got)
+    assert (x == y) == (a == b)
+    if y:
+        inv = y.inverse()
+        assert in_lowest_terms(inv)
+        assert ref.mul(field, list(inv.coeffs), b) == ref.pad([F(1)], field.degree)
+        assert list((x / y).coeffs) == ref.mul(field, a, list(inv.coeffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_equal_values_from_different_inputs_compare_and_hash_equal(data):
+    field = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    a = data.draw(coeff_lists(field))
+    k = data.draw(st.integers(1, 30)) * data.draw(st.sampled_from((1, -1)))
+    q = data.draw(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=3))
+    x = FieldElem(field, a)
+    # a + q * P is the same residue
+    lifted = ref.pad(a, field.degree + len(q))
+    for j, c in enumerate(pmul(q, field.min_poly)):
+        lifted[j] += c
+    variants = [
+        field.elem(a),
+        FieldElem(field, [str(c) for c in a]),
+        field.elem([c * k for c in a]) / k,
+        field.elem(lifted),
+        x * field.one(),
+        (x + field.one()) - 1,
+        x + field.zero(),
+        -(-x),
+    ]
+    for y in variants:
+        assert in_lowest_terms(y)
+        assert y == x and hash(y) == hash(x)
+        assert (y.num, y.den) == (x.num, x.den)
+
+
+def test_zero_has_denominator_one():
+    for field in REFERENCE_FIELDS:
+        for zero in (field.zero(), field.one() - 1, FieldElem(field, [F(0, 7)] * field.degree)):
+            assert zero.num == (0,) * field.degree and zero.den == 1
+
+
+def test_coeffs_is_a_read_only_tuple_of_fractions():
+    x = HALF.elem([F(1, 2), F(-2, 3)])
+    assert x.coeffs == (F(1, 2), F(-2, 3))
+    assert (x.num, x.den) == ((3, -4), 6)
+    with pytest.raises(AttributeError):
+        x.coeffs = (F(0), F(0))
+    with pytest.raises(AttributeError):
+        x.num = (0, 0)
+
+
+def test_wrong_coefficient_count_raises():
+    with pytest.raises(ValueError, match="length 2"):
+        FieldElem(Q2, [1, 2, 3])
+
+
+def test_half_field_arithmetic():
+    # alpha^2 = 1/2, so alpha * alpha is rational and 1/alpha = 2 alpha
+    a = HALF.gen()
+    assert a * a == F(1, 2) and (a * a).den == 2
+    assert a.inverse() == 2 * a
+
+
 # -- the integer X^k mod P table ---------------------------------------------------
 
 
-@pytest.mark.parametrize("f", [RATIONAL_FIELD, quadratic_field(2), cyclic_cubic_field()], ids=repr)
+@pytest.mark.parametrize("f", [RATIONAL_FIELD, Q2, CUBIC, HALF], ids=repr)
 def test_power_table_rows_over_their_denominator_are_x_to_the_k_mod_p(f):
     d = f.degree
-    den, rows = f._power_den, f._power_rows
-    assert len(rows) == 2 * d - 1
-    for k, row in enumerate(rows):
-        assert all(isinstance(c, int) for c in row)
-        want = pmod(poly([0] * k + [1]), f.min_poly)
-        want = list(want) + [F(0)] * (d - len(want))
-        assert [F(c, den) for c in row] == want
+    dens = set()
+    for k in range(2 * d - 1):
+        num, den = f.reduce([0] * k + [1])
+        assert len(num) == d and all(isinstance(c, int) for c in num)
+        assert [F(c, den) for c in num] == ref.pad(pmod(poly([0] * k + [1]), f.min_poly), d)
+        dens.add(den)
+    assert len(dens) == 1
 
 
 def test_power_table_clears_rational_denominators():
     # alpha = sqrt(2)/2 has min_poly X^2 - 1/2, so X^2 reduces to 1/2
-    f = FieldDescriptor([F(-1, 2), 0, 1], [[0, 1], [0, -1]], [(F(1, 2), 1), (-1, F(-1, 2))])
-    assert f._power_den == 2
-    assert f._power_rows == [(2, 0), (0, 2), (1, 0)]
+    assert HALF.reduce([0, 0, 1]) == ([1, 0], 2)
+    assert HALF.reduce([3, 5]) == ([6, 10], 2)
+    assert HALF.reduce([1, 2, 4]) == ([6, 4], 2)

@@ -2,8 +2,10 @@
 
 Every name a module of the package or of its tests imports must be used in
 that module: read as a name, as the base of an attribute, or listed in
-__all__.  The check parses the sources with ast, so it runs without any
-linter.
+__all__.  No module of the package may read a single-underscore attribute
+it does not define itself (reads on self and cls aside): another module's
+private state stays behind its public methods.  The checks parse the
+sources with ast, so they run without any linter.
 """
 
 import ast
@@ -50,3 +52,46 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TEST_MODULES, ids=[f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_private_reads(source: str) -> list[str]:
+    """Reads of obj._name where the module defines no _name: not as a
+    function, class or assigned name, not as an attribute it assigns, and
+    not in __slots__.  Dunder names and reads on self and cls are skipped."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            defined.add(node.value)  # __slots__ entries and setattr names
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+            and node.attr not in defined
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, text in sorted(found)]
+
+
+def test_foreign_private_reads_are_detected():
+    source = (
+        "class A:\n    def __init__(self):\n        self._mine = 1\n"
+        "def f(a, b):\n    return a._mine + b._theirs + b.__class__ + a.public\n"
+        "def g(self):\n    return self._anything\n"
+    )
+    assert foreign_private_reads(source) == ["line 5: b._theirs"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_foreign_private_reads(path):
+    assert foreign_private_reads(path.read_text()) == []

@@ -1,6 +1,11 @@
-"""Exact linear algebra tests: kernels against a brute-force check."""
+"""Exact linear algebra tests: kernels against a brute-force check.
+
+kernel is read off rref, so ranks here come from minors instead: the
+largest nonzero one, by cofactor expansion, shares no code with either.
+"""
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +24,25 @@ def mulvec(rows, v):
     return [sum((c * x for c, x in zip(row, v)), F(0)) for row in rows]
 
 
+def det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return F(1)
+    return sum(
+        ((-1) ** j * c * det([row[:j] + row[j + 1:] for row in m[1:]]) for j, c in enumerate(m[0]) if c),
+        F(0),
+    )
+
+
 def rank(rows):
-    # RREF over Fraction shares no elimination code with the Bareiss kernel
-    return len(rref(rows)[0])
+    """Size of the largest nonzero minor."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(nr, nc), 0, -1):
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                if det([[rows[r][c] for c in cs] for r in rs]):
+                    return k
+    return 0
 
 
 def test_kernel_known():
@@ -42,6 +63,20 @@ def test_kernel_full_rank_is_trivial():
 def test_kernel_no_rows():
     basis = kernel([], 2)
     assert basis == mat([[1, 0], [0, 1]])
+
+
+def test_kernel_frozen_basis_in_leading_coordinate_order():
+    # pivots 0, 1, 2, free columns 3 and 4.  Column 3 is zero, so e_3 is in
+    # the kernel.  Free column 4 gives x_4 = 1 and, by hand from
+    # 2 x0 + x1 = 0, x1/3 - 3 x2/2 + 1/2 = 0 and -x0/2 + x2 + 2 = 0,
+    # x0 = 42/17, x1 = -84/17, x2 = -13/17.  Its leading coordinate is 0,
+    # so it comes first although its free column comes last.
+    a = mat([[2, 1, 0, 0, 0], [0, F(1, 3), F(-3, 2), 0, F(1, 2)], [F(-1, 2), 0, 1, 0, 2]])
+    assert kernel(a, 5) == [
+        [F(42, 17), F(-84, 17), F(-13, 17), 0, 1],
+        [0, 0, 0, 1, 0],
+    ]
+    assert rank(a) == 3
 
 
 def test_kernel_block_structure():
