@@ -18,7 +18,9 @@ monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
 (dim_E A)^d: the corestriction of A to Q.  A fixed element is determined
 by its coefficients at the monomial orbit representatives, so the fixed
 algebra is built in closed form from orbit traces and its products are
-read off at the representatives.
+read off at the representatives.  Z(A) is monomial, so its center is
+spanned by its central monomials, and the center of the fixed algebra is
+counted from the two tables.
 """
 
 from fractions import Fraction
@@ -41,7 +43,7 @@ from .exactfield import (
     sign_at_embedding,
 )
 from .brauer import QuaternionSymbol
-from .linalg import kernel, rref
+from .linalg import rref
 from .qform import DiagForm, congruence_diagonalize
 
 # Derived tables up to this dim are swept for associativity; bigger ones
@@ -421,40 +423,43 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
 # -- centers and trace forms ---------------------------------------------------------
 
 
-def center(a: StructureAlgebra) -> list[list[Fraction]]:
-    """Basis of the center; restricted to algebras over Q (coords are exact
-    rationals).  Computed by successive restriction: intersect kernels of
-    the commutator maps x -> [x, u_i], shrinking the candidate space."""
-    assert a.field.degree == 1, "center is computed for Q-algebras only"
-    n = a.dim
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
+    """dim_Q of the center of b = invariants(z), fixed by two counts.
 
-    def commutator_with(v: list[Fraction], i: int) -> list[Fraction]:
-        out = [Fraction(0)] * n
-        for j, vj in enumerate(v):
-            if not vj:
-                continue
-            for k, c in a.row(j, i):
-                out[k] += vj * c.rational_value()
-            for k, c in a.row(i, j):
-                out[k] -= vj * c.rational_value()
-        return out
-
-    for i in range(n):
-        if len(basis) == 1:
-            break  # the unit line is always central; cannot shrink further
-        images = [commutator_with(v, i) for v in basis]
-        if all(not any(img) for img in images):
-            continue
-        rows = [[images[c][r] for c in range(len(basis))] for r in range(n)]
-        combos = kernel(rows, len(basis))
-        basis = [
-            [sum((y[c] * basis[c][r] for c in range(len(y))), Fraction(0)) for r in range(n)]
-            for y in combos
-        ]
-        if not basis:
-            raise CertificateFailure("center lost the unit line")
-    return rref(basis)[0]
+    Upper bound, on the table of Z(A): every product u_s u_t must be one
+    nonzero monomial, u_s u_t and u_t u_s must land on the same monomial,
+    and for each s, t -> that monomial must be injective.  Then
+    conjugation by u_s scales each u_t, so the center of Z(A) is spanned
+    by its central monomials (Lam, Introduction to Quadratic Forms over
+    Fields, Ch. V), the u_t with u_s u_t = u_t u_s for every s.  Their
+    number bounds dim_Q Z(b) from above, as Z(b) tensor E lies in the
+    center of Z(A).  Lower bound, on b's table: the basis elements that
+    commute with every basis element are independent and central.  A
+    failed shape check, or bounds that differ, raise CertificateFailure.
+    """
+    alg = z.underlying
+    n = alg.dim
+    monomials = []
+    for s, row in enumerate(alg.constants):
+        ms = [cell[0][0] if len(cell) == 1 and cell[0][1] else None for cell in row]
+        if None in ms:
+            raise CertificateFailure(f"Z(A) product u_{s} u_{ms.index(None)} is not one monomial")
+        t = next((t for t in range(s) if monomials[t][s] != ms[t]), None)
+        if t is not None:
+            raise CertificateFailure(
+                f"Z(A) products u_{s} u_{t} and u_{t} u_{s} land on different monomials"
+            )
+        if len(set(ms)) != n:
+            raise CertificateFailure(f"Z(A) products u_{s} u_t repeat a monomial")
+        monomials.append(ms)
+    upper = sum(all(alg.row(s, t) == alg.row(t, s) for s in range(n)) for t in range(n))
+    lower = sum(all(b.row(i, j) == b.row(j, i) for j in range(b.dim)) for i in range(b.dim))
+    if lower != upper:
+        raise CertificateFailure(
+            f"center bounds differ: {lower} central basis elements in B,"
+            f" {upper} central monomials in Z(A)"
+        )
+    return upper
 
 
 def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:

@@ -20,7 +20,9 @@ lets signature bookkeeping elsewhere identify "signature at place i" with
 
 Signs are decided exactly: test for zero first, then evaluate on the
 isolating interval with interval arithmetic and bisect until the enclosure
-has constant sign.  Norms go through the resultant with the minimal
+has constant sign.  A bisection that never settles, or an inverse that
+meets a common factor with P, means P is reducible: both raise
+InvalidDescriptor.  Norms go through the resultant with the minimal
 polynomial, which in the Galois case equals the product of the conjugates.
 """
 
@@ -290,7 +292,7 @@ class FieldDescriptor:
                 hi = mid
             else:
                 lo, slo = mid, sm
-        raise ArithmeticError("sign bisection did not converge; is min_poly irreducible?")
+        raise InvalidDescriptor("sign bisection did not converge; is min_poly irreducible?")
 
     # -- equality / presentation -------------------------------------------
 
@@ -407,7 +409,7 @@ class FieldElem:
             raise ZeroDivisionError("inverse of zero field element")
         d, u, _ = ext_gcd([Fraction(c) for c in self.num], self.field.min_poly)
         if len(d) != 1:
-            raise ArithmeticError("nontrivial gcd with min_poly; descriptor is not a field")
+            raise InvalidDescriptor("nontrivial gcd with min_poly; descriptor is not a field")
         # u * num = 1 mod P and x = num / den, so 1 / x = den * u
         return self.field.elem([c * self.den for c in u])
 

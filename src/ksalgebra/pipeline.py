@@ -12,9 +12,10 @@ abelian variety.
 The symbol route works on the rank-3 quaternion symbol: rewrite the first
 slot to a rational by dividing out squares, then apply the norm projection
 to land in a symbol over Q.  The invariant route never leaves structure
-constants: it intersects fixed spaces of the twisted tensor model and
-reads off dimension, center and trace signature.  The two routes share no
-code beyond the Clifford layer and are compared whenever both complete.
+constants: it builds the fixed algebra of the twisted tensor model from
+its monomial orbits and reads off dimension, center and trace signature.
+The two routes share no code beyond the Clifford layer and are compared
+whenever both complete.
 """
 
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from .exactfield import (
     quadratic_field,
     sign_at_embedding,
 )
-from .qform import GramForm, diagonalize, validate_k3_rm
+from .qform import GramForm, validate_k3_rm
 
 # -- orbit combinatorics of sign vectors ----------------------------------------------
 
@@ -243,7 +244,6 @@ def _reference_signatures(d: int) -> tuple:
 def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
     z = build_ZG(ev_algebra, f)
     inv = invariants(z)
-    cen = center(inv)
     sig = trace_form_signature(inv)
     verdict = None
     if m == 3:
@@ -254,7 +254,7 @@ def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
             verdict = "indefinite_or_split"
     return {
         "dim": inv.dim,
-        "center_dim": len(cen),
+        "center_dim": center(z, inv),
         "trace_signature": sig,
         "definiteness": verdict,
     }
@@ -406,7 +406,7 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
     if not validation.passed:
         return report
     warnings = list(validation.warnings)
-    diag = diagonalize(g)
+    diag = validation.diag
     if m == 3:
         report.c0_symbol = even_rank3_to_symbol(diag)
         report.cores_symbol_route = _symbol_route(report.c0_symbol, f, diag.entries)

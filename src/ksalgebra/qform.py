@@ -161,11 +161,6 @@ def diagonalize(g: GramForm) -> DiagForm:
     return DiagForm(g.field, diag, p)
 
 
-def signature(g: GramForm, i: int) -> tuple[int, int]:
-    """(positive, negative) inertia of g at the i-th real place; exact."""
-    return _inertia(diagonalize(g), i)
-
-
 def _inertia(diag: DiagForm, i: int) -> tuple[int, int]:
     signs = [sign_at_embedding(e, i) for e in diag.entries]
     assert all(s != 0 for s in signs)
@@ -186,6 +181,7 @@ class ValidationCheck:
 @dataclass
 class ValidationReport:
     checks: list[ValidationCheck] = dc_field(default_factory=list)
+    diag: DiagForm | None = dc_field(default=None, init=False)  # set when non-degenerate
 
     @property
     def passed(self) -> bool:
@@ -210,7 +206,7 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
     and (0, m) at every other place.  The profile checks are errors for
     m = 3 and warnings beyond (the shape is only pinned down classically
     in the rank-3 case).  The form is diagonalized once and every place
-    reads its signs from that one diagonal.
+    reads its signs from that one diagonal, which the report hands on.
     """
     if g.field != f:
         raise FieldMismatch("form is not defined over the given field")
@@ -222,7 +218,7 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
     if m < 1:
         return report
     try:
-        diag = diagonalize(g)
+        diag = report.diag = diagonalize(g)
         report.checks.append(ValidationCheck("non_degenerate", True, "error", "determinant is nonzero"))
     except DegenerateForm as exc:
         report.checks.append(ValidationCheck("non_degenerate", False, "error", str(exc)))

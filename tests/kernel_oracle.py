@@ -1,12 +1,21 @@
-"""The fixed algebra of Z(A) computed the long way, as a test oracle.
+"""The fixed algebra of Z(A) and the center of an algebra over Q computed
+the long way, as test oracles, with the dense kernel both rely on.
 
-This is how csa.invariants used to build it.  Z(A) is laid out on the
-Q-basis alpha^l u_t (index t*d + l), each sigma_g becomes a sparse
-Q-linear operator rebuilt here from the field's composition table, the
-fixed subspace is the kernel of the stacked operators act(g) - id, and
-every product of two RREF basis vectors is re-expressed in that basis by
-reading it at the pivot columns and checking the residual exactly.  It
-shares with csa.invariants only the monomial table of Z(A).
+kernel reads a kernel basis off linalg.rref: each free column f gives the
+vector with x_f = 1, x_c = -row[f] at each pivot column c and 0 at the
+other free columns.
+
+oracle_center is how csa.center used to find the center: it intersects the
+kernels of the commutator maps x -> [x, u_i] and returns the RREF basis.
+
+oracle_invariants is how csa.invariants used to build the fixed algebra.
+Z(A) is laid out on the Q-basis alpha^l u_t (index t*d + l), each sigma_g
+becomes a sparse Q-linear operator rebuilt here from the field's
+composition table, the fixed subspace is the kernel of the stacked
+operators act(g) - id, and every product of two RREF basis vectors is
+re-expressed in that basis by reading it at the pivot columns and checking
+the residual exactly.  It shares with csa.invariants only the monomial
+table of Z(A).
 """
 
 from fractions import Fraction
@@ -15,7 +24,60 @@ from itertools import product
 from ksalgebra.csa import StructureAlgebra
 from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
 from ksalgebra.exactfield import RATIONAL_FIELD
-from ksalgebra.linalg import kernel, rref
+from ksalgebra.linalg import rref
+
+
+def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of {x : A x = 0}, deterministic order by leading coordinate."""
+    for row in rows:
+        assert len(row) == ncols
+    reduced, pivots = rref(rows)
+    is_pivot = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in is_pivot:
+            continue
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            x[c] = -row[f]
+        basis.append(x)
+    basis.sort(key=lambda v: next(i for i, c in enumerate(v) if c != 0))
+    return basis
+
+
+def oracle_center(a: StructureAlgebra) -> list[list[Fraction]]:
+    """RREF basis of the center of a Q-algebra, by successive restriction:
+    intersect the kernels of the commutator maps x -> [x, u_i], shrinking
+    the candidate space."""
+    assert a.field.degree == 1, "the oracle center is for Q-algebras only"
+    n = a.dim
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def commutator_with(v: list[Fraction], i: int) -> list[Fraction]:
+        out = [Fraction(0)] * n
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            for k, c in a.row(j, i):
+                out[k] += vj * c.rational_value()
+            for k, c in a.row(i, j):
+                out[k] -= vj * c.rational_value()
+        return out
+
+    for i in range(n):
+        if len(basis) == 1:
+            break  # the unit line is always central; cannot shrink further
+        images = [commutator_with(v, i) for v in basis]
+        if all(not any(img) for img in images):
+            continue
+        rows = [[images[c][r] for c in range(len(basis))] for r in range(n)]
+        basis = [
+            [sum((y[c] * basis[c][r] for c in range(len(y))), Fraction(0)) for r in range(n)]
+            for y in kernel(rows, len(basis))
+        ]
+        assert basis, "the unit line is central"
+    return rref(basis)[0]
 
 
 def coords_in_rref_sparse(basis, pivots: list[int], v: dict) -> list[Fraction] | None:

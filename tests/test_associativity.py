@@ -14,8 +14,9 @@ together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A) and the fixed
 algebra built from it (corrupted monomial moves), the congruence
 certificate P^T G P, the 16 quaternion relations of C0, the orbit sums of
-even_weight_orbits, the two claims of six_lines_family and the unit line
-of the center.
+even_weight_orbits, the two claims of six_lines_family and the center
+count (a fixed algebra whose central basis element no longer commutes, and
+Z(A) tables that are not monomial in the way the count needs).
 """
 
 import os
@@ -239,14 +240,43 @@ def family_against_the_split_class() -> None:
         pipeline.rational_symbol = real
 
 
-def center_with_empty_kernels() -> None:
-    """The center of the quaternion table over Q when every kernel is empty."""
-    real = csa.kernel
-    csa.kernel = lambda rows, ncols: []
-    try:
-        csa.center(tables("Q")["symbol"])
-    finally:
-        csa.kernel = real
+def family_center_after(corrupt) -> None:
+    """csa.center of Z(A) over Q(sqrt 2) (the family form) and its fixed
+    algebra B, after corrupt(Z(A) table, B table) has edited the tables.
+
+    B's one central basis element is its unit e_0.  In Z(A),
+    u_s u_t = +-c u_{s xor t}, so u_1 u_3 lands on u_2.
+    """
+    f = quadratic_field(2)
+    a = f.gen()
+    z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
+    b = invariants(z)
+    corrupt(z.underlying.constants, b.constants)
+    csa.center(z, b)
+
+
+def center_with_a_noncentral_unit(zt, bt) -> None:
+    """e_0 e_1 = 2 e_1 in B: no basis element of B is central any more."""
+    k, c = bt[0][1][0]
+    bt[0][1] = [(k, c + c)]
+
+
+def center_with_two_terms(zt, bt) -> None:
+    """u_1 u_2 in Z(A) gains a second term."""
+    zt[1][2] = zt[1][2] + [(0, zt[1][2][0][1])]
+
+
+def center_with_a_repeated_monomial(zt, bt) -> None:
+    """u_1 u_2 and u_2 u_1 in Z(A) land on u_2, as u_1 u_3 does."""
+    k = zt[1][3][0][0]
+    zt[1][2] = [(k, zt[1][2][0][1])]
+    zt[2][1] = [(k, zt[2][1][0][1])]
+
+
+def center_with_asymmetric_monomials(zt, bt) -> None:
+    """u_2 u_1 and u_2 u_3 in Z(A) exchange their monomials."""
+    (k1, c1), (k3, c3) = zt[2][1][0], zt[2][3][0]
+    zt[2][1], zt[2][3] = [(k3, c1)], [(k1, c3)]
 
 
 # the certificates above, with the message each must raise under python -O
@@ -258,7 +288,14 @@ NEW_CERTIFICATES = (
     ("family route", family_without_symbol_route, "family symbol route must complete"),
     ("family class", family_against_the_split_class,
      "family corestriction must be the definite (-1,-1) class"),
-    ("center", center_with_empty_kernels, "center lost the unit line"),
+    ("center", lambda: family_center_after(center_with_a_noncentral_unit),
+     "center bounds differ: 0 central basis elements in B, 1 central monomials in Z(A)"),
+    ("center two terms", lambda: family_center_after(center_with_two_terms),
+     "Z(A) product u_1 u_2 is not one monomial"),
+    ("center repeated monomial", lambda: family_center_after(center_with_a_repeated_monomial),
+     "Z(A) products u_1 u_t repeat a monomial"),
+    ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
+     "Z(A) products u_2 u_1 and u_1 u_2 land on different monomials"),
 )
 
 
@@ -347,9 +384,9 @@ def test_negative_control_survives_python_O():
     )
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 * len(FIELDS) + 11
-    assert all("associativity fails at (" in line for line in lines[:-11])
-    assert lines[-11:] == [
+    assert len(lines) == 5 * len(FIELDS) + 14
+    assert all("associativity fails at (" in line for line in lines[:-14])
+    assert lines[-14:] == [
         "wrong unit: left unit law fails at u_0",
         "corrupted action: action 2 is not multiplicative on monomials (1,1)",
         "congruence: congruence certificate P^T G P fails at (0,0)",

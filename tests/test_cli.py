@@ -69,6 +69,25 @@ def test_classify_domain_error_is_one_line_exit_1(capsys):
     )
 
 
+def test_report_over_a_reducible_descriptor_is_one_line_exit_1(tmp_path, capsys):
+    # X^4 - 10X^2 + 16 = (X^2 - 2)(X^2 - 8) is accepted as a field; the
+    # diagonalization then has to invert an element with a common factor
+    doc = {
+        "field": {
+            "min_poly": [16, 0, -10, 0, 1],
+            "automorphisms": [[0, 1], [0, -1], [0, "5/2", 0, "-1/4"], [0, "-5/2", 0, "1/4"]],
+            "embeddings": [[1, "3/2"], ["-3/2", -1], ["5/2", 3], [-3, "-5/2"]],
+        },
+        "form": {"dim": 3, "entries": [[[-2, 0, 1], 1, 0], [1, [0, 1], 0], [0, 0, -1]]},
+    }
+    assert run(["report", "--input", write_input(tmp_path, doc), "--format", "text"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: InvalidDescriptor: nontrivial gcd with min_poly; descriptor is not a field\n"
+    )
+
+
 def test_orbits_full_degree_2(capsys):
     assert run(["orbits", "--degree", "2", "--full"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -21,9 +21,10 @@ from ksalgebra.exactfield import (
     cyclic_cubic_field,
     quadratic_field,
 )
+from ksalgebra.pipeline import search_cubic_diagonal
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
-from kernel_oracle import oracle_invariants
+from kernel_oracle import oracle_center, oracle_invariants
 
 Q2 = quadratic_field(2)
 
@@ -149,9 +150,10 @@ def test_hamilton_squared_is_full_matrix_class():
 
 
 def test_center_dimensions():
-    assert len(center(HAMILTON)) == 1
-    assert len(center(SPLIT)) == 1
-    assert len(center(matrix_units_algebra(3))) == 1
+    # the dense oracle on algebras that are not fixed algebras of a Z(A)
+    assert len(oracle_center(HAMILTON)) == 1
+    assert len(oracle_center(SPLIT)) == 1
+    assert len(oracle_center(matrix_units_algebra(3))) == 1
     # commutative quadratic etale algebra: dim-2 center
     one = RATIONAL_FIELD.one()
     comm = StructureAlgebra(
@@ -159,12 +161,58 @@ def test_center_dimensions():
         [[[(0, one)], [(1, one)]], [[(1, one)], [(0, RATIONAL_FIELD.rational(2))]]],
         [one, RATIONAL_FIELD.zero()],
     )
-    assert len(center(comm)) == 2
+    assert len(oracle_center(comm)) == 2
 
 
 def test_center_vector_is_unit_line():
-    basis = center(HAMILTON)
+    basis = oracle_center(HAMILTON)
     assert basis == [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
+
+
+# the six-lines family triples (d, c, e) and the rank-4 forms
+# diag(sqrt d + s) over Q(sqrt d) of the benchmark, and four small forms
+FAMILY_TRIPLES = (
+    (2, 1, 1), (5, 1, 2), (5, 2, 1), (10, 1, 3), (10, 3, 1), (13, 2, 3),
+    (13, 3, 2), (17, 1, 4), (2, Fraction(7, 5), Fraction(1, 5)),
+)
+RANK4_SHIFTS = ((2, (0, 0, -2, -2)), (2, (0, 1, -2, -3)), (5, (0, 0, -3, -3)), (5, (0, 1, -3, -4)))
+CENTER_CASES = (
+    *(pytest.param("family", (d, c), id=f"family {d},{c},{e}") for d, c, e in FAMILY_TRIPLES),
+    *(pytest.param("rank 4", (d, s), id=f"rank 4 Q(sqrt {d}) shifts {s}") for d, s in RANK4_SHIFTS),
+    pytest.param("cubic search form", None, id="cubic search form"),
+    pytest.param("cubic", (0, -1), id="cubic rank 2"),
+    pytest.param("Q", (1, 2, -3), id="Q rank 3"),
+    pytest.param("Q", (1, 2, -3, 5), id="Q rank 4"),
+)
+
+
+def center_case(kind: str, args):
+    """Z(A) of the even Clifford algebra of one diagonal form."""
+    if kind == "family":  # diag(a, a, c a - d), a = sqrt d
+        d, c = args
+        f = quadratic_field(d)
+        entries = [f.gen(), f.gen(), f.elem([-d, c])]
+    elif kind == "rank 4":  # diag(a + s), a = sqrt d
+        d, shifts = args
+        f = quadratic_field(d)
+        entries = [f.gen() + s for s in shifts]
+    elif kind == "cubic search form":
+        f = cyclic_cubic_field()
+        form = search_cubic_diagonal(f)
+        entries = [form.entries[i][i] for i in range(form.dim)]
+    elif kind == "cubic":  # diag(a + s), a the cubic generator
+        f = cyclic_cubic_field()
+        entries = [f.gen() + s for s in args]
+    else:
+        f, entries = RATIONAL_FIELD, list(args)
+    return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+
+
+@pytest.mark.parametrize("kind, args", CENTER_CASES)
+def test_center_counts_match_the_dense_oracle(kind, args):
+    z = center_case(kind, args)
+    b = invariants(z)
+    assert center(z, b) == len(oracle_center(b))
 
 
 # -- Z_G construction ------------------------------------------------------------------
@@ -224,9 +272,10 @@ def test_invariants_of_E_itself():
 
 def test_invariants_dim16_center1():
     a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
-    inv = invariants(build_ZG(a, Q2))
+    zg = build_ZG(a, Q2)
+    inv = invariants(zg)
     assert inv.dim == 16
-    assert len(center(inv)) == 1
+    assert center(zg, inv) == 1
 
 
 def test_invariants_trivial_degree_one():
@@ -239,9 +288,10 @@ def test_invariants_trivial_degree_one():
 def test_family_invariant_route_matches_mat2_hamilton():
     f, diag = family_diag(2, 1)
     a = even_part(CliffordAlgebra(f, diag.entries))
-    inv = invariants(build_ZG(a, f))
+    zg = build_ZG(a, f)
+    inv = invariants(zg)
     assert inv.dim == 16
-    assert len(center(inv)) == 1
+    assert center(zg, inv) == 1
     sig = trace_form_signature(inv)
     assert sig == trace_form_signature(tensor(SPLIT, HAMILTON))
     assert sig != trace_form_signature(tensor(SPLIT, SPLIT))

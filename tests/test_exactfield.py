@@ -181,6 +181,25 @@ def test_descriptor_rejects_place_order_mismatch():
     assert sign_at_embedding(swapped.gen(), 1) == -1
 
 
+# X^4 - 10X^2 + 16 = (X^2 - 2)(X^2 - 8) passes construction: it has no
+# rational root, and X -> -X, (5X - X^3/2)/2 and its negative map alpha to
+# the roots -sqrt 2, 2 sqrt 2 and -2 sqrt 2 when alpha = sqrt 2
+REDUCIBLE_QUARTIC = {
+    "min_poly": [16, 0, -10, 0, 1],
+    "automorphisms": [[0, 1], [0, -1], [0, "5/2", 0, "-1/4"], [0, "-5/2", 0, "1/4"]],
+    "embeddings": [[1, "3/2"], ["-3/2", -1], ["5/2", 3], [-3, "-5/2"]],
+}
+
+
+def test_reducible_descriptor_fails_with_invalid_descriptor():
+    f = field_from_json_dict(REDUCIBLE_QUARTIC)
+    factor = f.elem([-2, 0, 1])  # alpha^2 - 2, zero at the first place
+    with pytest.raises(InvalidDescriptor, match="sign bisection did not converge"):
+        sign_at_embedding(factor, 1)
+    with pytest.raises(InvalidDescriptor, match="not a field"):
+        factor.inverse()
+
+
 def test_quadratic_field_constructor_guards():
     with pytest.raises(InvalidDescriptor):
         quadratic_field(9)

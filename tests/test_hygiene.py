@@ -4,8 +4,10 @@ Every name a module of the package or of its tests imports must be used in
 that module: read as a name, as the base of an attribute, or listed in
 __all__.  No module of the package may read a single-underscore attribute
 it does not define itself (reads on self and cls aside): another module's
-private state stays behind its public methods.  The checks parse the
-sources with ast, so they run without any linter.
+private state stays behind its public methods.  Every public top-level
+function or class of the package must be named somewhere else in the
+package or in perfbench/: a public name only tests call is dead code.  The
+checks parse the sources with ast, so they run without any linter.
 """
 
 import ast
@@ -17,6 +19,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ksalgebra"
 MODULES = sorted(SRC.glob("*.py"))
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+BENCH_MODULES = sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -95,3 +98,39 @@ def test_foreign_private_reads_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_foreign_private_reads(path):
     assert foreign_private_reads(path.read_text()) == []
+
+
+def unreferenced_public_names(defining: dict[str, str], using: list[str]) -> list[str]:
+    """Public top-level functions and classes of the defining sources (name
+    -> source) that no source names: as a name, an attribute or an import.
+    The using sources should include the defining ones, so that a helper
+    used in its own module counts as used; its definition does not."""
+    named = set()
+    for source in using:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    return [
+        f"{module}.{node.name}"
+        for module, source in defining.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named
+    ]
+
+
+def test_unreferenced_public_names_are_detected():
+    defining = {"m": "def used():\n    return helper()\ndef helper():\n    pass\ndef dead():\n    pass\n"}
+    using = [defining["m"], "from m import used\nused()\n"]
+    assert unreferenced_public_names(defining, using) == ["m.dead"]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    defining = {path.stem: path.read_text() for path in MODULES}
+    using = list(defining.values()) + [path.read_text() for path in BENCH_MODULES]
+    assert unreferenced_public_names(defining, using) == []

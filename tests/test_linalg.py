@@ -1,7 +1,9 @@
-"""Exact linear algebra tests: kernels against a brute-force check.
+"""Exact linear algebra tests: rref, and the test oracles' kernel against
+a brute-force check.
 
-kernel is read off rref, so ranks here come from minors instead: the
-largest nonzero one, by cofactor expansion, shares no code with either.
+kernel_oracle.kernel is read off rref, so ranks here come from minors
+instead: the largest nonzero one, by cofactor expansion, shares no code
+with either.
 """
 
 from fractions import Fraction
@@ -9,9 +11,9 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from ksalgebra.linalg import kernel, rref
+from ksalgebra.linalg import rref
 
-from kernel_oracle import coords_in_rref_sparse
+from kernel_oracle import coords_in_rref_sparse, kernel
 
 F = Fraction
 

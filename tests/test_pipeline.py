@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksalgebra import csa, qform
 from ksalgebra.brauer import INF, is_definite, rational_symbol
 from ksalgebra.csa import from_symbol, tensor, trace_form_signature
 from ksalgebra.errors import (
@@ -169,6 +170,24 @@ def test_family_211_json_and_text(family_211):
     text = family_211.to_text()
     assert "symbol route: cores = (-1,-1)/Q" in text
     assert "routes agree: yes" in text
+
+
+def test_family_report_diagonalizes_the_form_once(monkeypatch):
+    # every diagonalization goes through congruence_diagonalize; the rank-3
+    # form is the only 3x3 matrix the report diagonalizes (the trace form
+    # is 16x16), and the validation report hands its DiagForm on
+    sizes = []
+    real = qform.congruence_diagonalize
+
+    def counting(matrix, field, allow_degenerate=False):
+        sizes.append(len(matrix))
+        return real(matrix, field, allow_degenerate)
+
+    monkeypatch.setattr(qform, "congruence_diagonalize", counting)
+    monkeypatch.setattr(csa, "congruence_diagonalize", counting)
+    rep = six_lines_family(2, 1, 1)
+    assert sizes.count(3) == 1
+    assert "diag" not in rep.validation.to_json_dict()
 
 
 def test_family_further_members_land_on_same_class():

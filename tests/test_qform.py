@@ -18,7 +18,6 @@ from ksalgebra.qform import (
     congruence_diagonalize,
     diagonalize,
     gram_from_json_dict,
-    signature,
     validate_k3_rm,
 )
 
@@ -31,6 +30,11 @@ def family_form(d: int, c: int) -> GramForm:
     f = quadratic_field(d)
     a = f.gen()
     return GramForm.diagonal(f, [a, a, c * a - d])
+
+
+def signature(g: GramForm, i: int) -> tuple[int, int]:
+    signs = [sign_at_embedding(e, i) for e in diagonalize(g).entries]
+    return signs.count(1), signs.count(-1)
 
 
 def check_certificate(g: GramForm, diag: DiagForm) -> None:
