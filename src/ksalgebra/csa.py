@@ -11,19 +11,22 @@ Failures raise NotAssociative or CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
-and Z = A_{sigma_1} tensor ... tensor A_{sigma_d} carries a semilinear
-G-action: sigma_g permutes the tensor slots (slot i moves to the slot of
-tau targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
+and Z = A_{sigma_1} tensor ... tensor A_{sigma_d}, built one slot at a
+time with the index arithmetic of tensor, carries a semilinear G-action:
+sigma_g permutes the tensor slots (slot i moves to the slot of tau
+targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
 monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
 (dim_E A)^d: the corestriction of A to Q.  A fixed element is determined
 by its coefficients at the monomial orbit representatives, so the fixed
 algebra is built in closed form from orbit traces and its products are
-read off at the representatives.  Z(A) is monomial, so its center is
-spanned by its central monomials, and the center of the fixed algebra is
-counted from the two tables.
+read off at the representatives, on integer vectors.  Z(A) is monomial,
+so its center is spanned by its central monomials, and the center of the
+fixed algebra is counted from the two tables.  The trace form of a
+Q-algebra is diagonalized block by block; for the fixed algebra the
+blocks are the monomial orbits.
 """
 
-from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import lcm
 
@@ -40,7 +43,6 @@ from .exactfield import (
     FieldDescriptor,
     FieldElem,
     apply_automorphism,
-    sign_at_embedding,
 )
 from .brauer import QuaternionSymbol
 from .linalg import rref
@@ -66,14 +68,26 @@ def _normalize_row(field: FieldDescriptor, pairs) -> list[tuple[int, FieldElem]]
     return sorted((k, c) for k, c in acc.items() if c)
 
 
-def _integer_table(constants) -> list:
-    """The table with every constant scaled by one common denominator L to
-    an integer coefficient vector: entries (k, tuple of ints)."""
-    den = lcm(1, *(c.den for row in constants for cell in row for _, c in cell))
-    return [
-        [[(k, tuple(x * (den // c.den) for x in c.num)) for k, c in cell] for cell in row]
+def _integer_table(constants) -> tuple[int, list]:
+    """(L, table): the table with every constant scaled by one common
+    denominator L to an integer coefficient vector, entries (k, tuple of
+    ints)."""
+    den = lcm(1, *{c.den for row in constants for cell in row for _, c in cell})
+    return den, [
+        [
+            [(k, c.num if c.den == den else tuple([x * (den // c.den) for x in c.num])) for k, c in cell]
+            for cell in row
+        ]
         for row in constants
     ]
+
+
+def _convolve_into(acc: list[int], a, b) -> None:
+    """acc += a * b as polynomials, unreduced, on integer vectors."""
+    for p, ap in enumerate(a):
+        if ap:
+            for q, bq in enumerate(b):
+                acc[p + q] += ap * bq
 
 
 def check_associativity(field: FieldDescriptor, constants) -> None:
@@ -90,7 +104,7 @@ def check_associativity(field: FieldDescriptor, constants) -> None:
     """
     n = len(constants)
     d = field.degree
-    table = _integer_table(constants)
+    _, table = _integer_table(constants)
     if d == 1:
         # Q: a coefficient vector is one integer and nothing needs reducing
         table = [[[(k, v[0]) for k, v in cell] for cell in row] for row in table]
@@ -108,10 +122,7 @@ def check_associativity(field: FieldDescriptor, constants) -> None:
                 acc = into.get(s)
                 if acc is None:
                     acc = into[s] = [0] * width
-                for p, ap in enumerate(a):
-                    if ap:
-                        for q, bq in enumerate(b):
-                            acc[p + q] += ap * bq
+                _convolve_into(acc, a, b)
 
     for i in range(n):
         ti = table[i]
@@ -223,21 +234,24 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    na, nb = a.dim, b.dim
-    n = na * nb
-    constants = [[None] * n for _ in range(n)]
-    for i1 in range(na):
-        for j1 in range(nb):
-            p = i1 * nb + j1
-            for i2 in range(na):
-                ra = a.row(i1, i2)
-                for j2 in range(nb):
-                    rb = b.row(j1, j2)
-                    constants[p][i2 * nb + j2] = [
-                        (k1 * nb + k2, c1 * c2) for k1, c1 in ra for k2, c2 in rb
-                    ]
-    unit = [a.unit[i] * b.unit[j] for i in range(na) for j in range(nb)]
-    return StructureAlgebra(a.field, constants, unit, check=n <= SWEEP_MAX_DIM)
+    constants, unit = _tensor_table((a.constants, a.unit), (b.constants, b.unit))
+    return StructureAlgebra(a.field, constants, unit, check=len(unit) <= SWEEP_MAX_DIM)
+
+
+def _tensor_table(a: tuple, b: tuple) -> tuple[list, list]:
+    """(constants, unit) of the tensor product of two (constants, unit)
+    tables, with u_i tensor u_j at index i * nb + j."""
+    (ta, ua), (tb, ub) = a, b
+    nb = len(ub)
+    constants = []
+    for row_a in ta:
+        for row_b in tb:
+            constants.append([
+                [(k1 * nb + k2, c1 * c2) for k1, c1 in ra for k2, c2 in rb]
+                for ra in row_a
+                for rb in row_b
+            ])
+    return constants, [x * y for x in ua for y in ub]
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -276,32 +290,15 @@ class GaloisModuleAlgebra:
         self.field = f
         self.base = a
         d = f.degree
-        m = a.dim
-        tuples = list(product(range(m), repeat=d))
-        t_index = {kt: t for t, kt in enumerate(tuples)}
-        twisted = [
-            [[[(k, apply_automorphism(c, i)) for k, c in a.row(p, q)] for q in range(m)] for p in range(m)]
+        # the slots A_{sigma_i}, tensored on one at a time
+        slots = [
+            ([[[(k, apply_automorphism(c, i)) for k, c in cell] for cell in row] for row in a.constants],
+             [apply_automorphism(w, i) for w in a.unit])
             for i in range(1, d + 1)
         ]
-        constants = [[None] * len(tuples) for _ in tuples]
-        for t1, k1 in enumerate(tuples):
-            for t2, k2 in enumerate(tuples):
-                combos = [((), f.one())]
-                for s in range(d):
-                    step = twisted[s][k1[s]][k2[s]]
-                    combos = [(kt + (k,), c * cs) for kt, c in combos for k, cs in step]
-                constants[t1][t2] = [(t_index[kt], c) for kt, c in combos]
-        unit_slots = [
-            [apply_automorphism(w, i) for w in a.unit] for i in range(1, d + 1)
-        ]
-        unit = []
-        for kt in tuples:
-            w = f.one()
-            for s in range(d):
-                w = w * unit_slots[s][kt[s]]
-            unit.append(w)
-        self.underlying = StructureAlgebra(f, constants, unit, check=len(tuples) <= SWEEP_MAX_DIM)
-        self.moves = {g: _slot_moves(f, m, g) for g in range(1, d + 1)}
+        constants, unit = reduce(_tensor_table, slots)
+        self.underlying = StructureAlgebra(f, constants, unit, check=len(unit) <= SWEEP_MAX_DIM)
+        self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
         self._check_actions()
 
     def _check_actions(self) -> None:
@@ -311,16 +308,25 @@ class GaloisModuleAlgebra:
         the twisted table: row(pt1, pt2) equals row(t1, t2) moved and with
         its coefficients pushed through sigma_g.  Together the moves follow
         the group law of G.  The coefficient part of the action is the
-        field automorphism itself, certified with the field.
+        field automorphism itself, certified with the field.  sigma_g is
+        applied once to each distinct constant of the table.
         """
         alg = self.underlying
         nt = alg.dim
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(nt)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
+            images: dict = {}
+
+            def image(c: FieldElem) -> FieldElem:
+                key = c.num, c.den
+                if key not in images:
+                    images[key] = apply_automorphism(c, g)
+                return images[key]
+
             for t1 in range(nt):
                 for t2 in range(nt):
-                    moved = sorted((pt[t3], apply_automorphism(c, g)) for t3, c in alg.row(t1, t2))
+                    moved = sorted((pt[t3], image(c)) for t3, c in alg.row(t1, t2))
                     if moved != sorted(alg.row(pt[t1], pt[t2])):
                         raise CertificateFailure(
                             f"action {g} is not multiplicative on monomials ({t1},{t2})"
@@ -348,11 +354,20 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     for the RREF rows b of E^H, which the H-traces of 1, alpha, ...,
     alpha^(d-1) span: in the Q-basis alpha^l u_t this is the RREF basis of
     the fixed subspace.  A basis element that gives one monomial two
-    values raises CertificateFailure.  A product's coordinates are its
-    coefficients at the representatives read at the pivots of E^H, and a
-    coefficient outside E^H raises NotClosedUnderMultiplication.  The
-    moves are trusted as certified when z was built; one corrupted later
-    is caught where it breaks these checks or the dimension count.
+    values raises CertificateFailure.
+
+    Products run on integer vectors: Z(A)'s table is scaled to one
+    denominator, the basis to another.  For each basis element x the
+    products u_s x are formed once at the representatives, and each
+    product's coefficient at a representative is accumulated from them as
+    unreduced integer convolutions and reduced through
+    FieldDescriptor.reduce.  Its coordinates are the
+    coefficient read at the pivots of E^H; at every other column the RREF
+    rows, combined by those coordinates, must give the coefficient back,
+    or it lies outside E^H and NotClosedUnderMultiplication is raised (at
+    a pivot they give it back by construction).  The moves are trusted as
+    certified when z was built; one corrupted later is caught where it
+    breaks these checks or the dimension count.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
@@ -363,10 +378,10 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     f, alg = z.field, z.underlying
     d, n = f.degree, alg.dim
     gs = range(1, d + 1)
-    zero = f.zero()
+    zero, quotient = f.zero(), RATIONAL_FIELD.quotient
     powers = [f.elem([0] * l + [1]) for l in range(d)]
-    # representative -> (first coordinate, pivots, L, the RREF rows of E^H
-    # scaled by their common denominator L to integer rows)
+    # representative -> (first coordinate, pivots, free columns, S, the
+    # RREF rows of E^H scaled by their common denominator S to integer rows)
     blocks = {}
     basis = []  # fixed elements as {monomial: coefficient}
     for t in range(n):
@@ -376,7 +391,8 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
         stab = [g for g, s in zip(gs, images) if s == t]
         rows, pivots = rref([sum((apply_automorphism(x, h) for h in stab), zero).coeffs for x in powers])
         scale = lcm(1, *(x.denominator for row in rows for x in row))
-        blocks[t] = len(basis), pivots, scale, [
+        free = [l for l in range(d) if l not in pivots]
+        blocks[t] = len(basis), pivots, free, scale, [
             [x.numerator * (scale // x.denominator) for x in row] for row in rows
         ]
         for row in rows:
@@ -389,34 +405,55 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     if len(basis) != n:
         raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
 
-    def coords(w: dict, failure: str) -> list[tuple[int, Fraction]]:
+    def coords(w: dict, den: int, failure: str) -> list[tuple[int, FieldElem]]:
+        """Coordinates of the sum of w[t] / den u_t, w[t] an integer vector."""
         out = []
-        for t, c in w.items():
-            # the coordinates are c.num[p] / c.den at the pivots; c lies in
-            # E^H when they combine the integer rows to L * c.num
-            first, pivots, scale, rows = blocks[t]
-            xs = [c.num[p] for p in pivots]
-            if [sum(x * r[l] for x, r in zip(xs, rows)) for l in range(d)] != [scale * v for v in c.num]:
+        for t, v in w.items():
+            first, pivots, free, scale, rows = blocks[t]
+            xs = [v[p] for p in pivots]
+            if free and any(sum(x * r[l] for x, r in zip(xs, rows)) != scale * v[l] for l in free):
                 raise NotClosedUnderMultiplication(failure)
-            out.extend((first + i, Fraction(x, c.den)) for i, x in enumerate(xs) if x)
+            out.extend((first + i, quotient(x, den)) for i, x in enumerate(xs) if x)
         return out
 
-    unit = [Fraction(0)] * n
-    for k, x in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
+    unit_den = lcm(1, *(alg.unit[t].den for t in blocks))
+    unit_at = {t: [x * (unit_den // alg.unit[t].den) for x in alg.unit[t].num] for t in blocks}
+    unit = [RATIONAL_FIELD.zero()] * n
+    for k, x in coords(unit_at, unit_den, "unit is not in the fixed subspace"):
         unit[k] = x
-    constants = []
-    for xa in basis:
-        row_out = []
-        for xb in basis:
-            w: dict[int, FieldElem] = {}
-            for s, cs in xa.items():
-                for r, cr in xb.items():
-                    for k, c in alg.row(s, r):
-                        if k in blocks:
-                            v = cs * cr * c
-                            w[k] = w[k] + v if k in w else v
-            row_out.append(coords(w, "product leaves the fixed subspace"))
-        constants.append(row_out)
+
+    # the basis over one denominator M and the table over one L; a
+    # product's coefficient then comes out over M^2 L D^2, D the
+    # denominator every reduction returns
+    tden, table = _integer_table(alg.constants)
+    bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
+    ibasis = [[(s, [x * (bden // c.den) for x in c.num]) for s, c in vec.items()] for vec in basis]
+    rden = f.reduce(())[1]
+    den = bden * bden * tden * rden * rden
+    width = 2 * d - 1
+    constants = [[None] * n for _ in range(n)]
+    for j, xb in enumerate(ibasis):
+        # right[s]: u_s times xb at the representatives, reduced
+        right = []
+        for ts in table:
+            terms = []
+            for r, b in xb:
+                for k, c in ts[r]:
+                    if k in blocks:
+                        acc = [0] * width
+                        _convolve_into(acc, b, c)
+                        terms.append((k, f.reduce(acc)[0]))
+            right.append(terms)
+        for i, xa in enumerate(ibasis):
+            w: dict[int, list[int]] = {}
+            for s, a in xa:
+                for k, v in right[s]:
+                    acc = w.get(k)
+                    if acc is None:
+                        acc = w[k] = [0] * width
+                    _convolve_into(acc, a, v)
+            reduced = {k: f.reduce(acc)[0] for k, acc in w.items()}
+            constants[i][j] = coords(reduced, den, "product leaves the fixed subspace")
     return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM)
 
 
@@ -465,27 +502,51 @@ def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
 def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q.
 
-    Associativity makes Tr(L_x L_y) = Tr(L_{xy}); the Gram matrix is
-    assembled from basis traces and diagonalized exactly.
+    Associativity makes Tr(L_x L_y) = Tr(L_{xy}).  With the constants
+    scaled to integers over one denominator L, the basis traces and the
+    Gram matrix are integers over L and L^2, positive factors the
+    signature does not see.  The Gram matrix splits into the connected
+    blocks of its nonzero pattern, and each block is diagonalized exactly
+    with its own P^T G P certificate (Conner and Perlis, A Survey of Trace
+    Forms).  For a fixed algebra of Z(A) these are the monomial orbits: u_s
+    u_t has a unit component only when s = t.
     """
-    assert a.field.degree == 1, "trace form is computed for Q-algebras only"
+    if a.field.degree != 1:
+        raise FieldMismatch("trace form is computed for Q-algebras only")
     n = a.dim
-    tr = [Fraction(0)] * n
-    for k in range(n):
-        for t in range(n):
-            for s, c in a.row(k, t):
-                if s == t:
-                    tr[k] += c.rational_value()
-    gram = [[RATIONAL_FIELD.zero()] * n for _ in range(n)]
+    table = _integer_table(a.constants)[1]
+    tr = [sum(v[0] for t, cell in enumerate(row) for k, v in cell if k == t) for row in table]
+    gram: dict[tuple[int, int], int] = {}
+    links: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            acc = Fraction(0)
-            for k, c in a.row(i, j):
-                acc += c.rational_value() * tr[k]
-            gram[i][j] = gram[j][i] = RATIONAL_FIELD.rational(acc)
-    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD, allow_degenerate=True)
-    signs = [sign_at_embedding(e, 1) if e else 0 for e in diag]
-    return signs.count(1), signs.count(-1), signs.count(0)
+            x = sum(v[0] * tr[k] for k, v in table[i][j])
+            if x:
+                gram[i, j] = gram[j, i] = x
+                if i != j:
+                    links[i].append(j)
+                    links[j].append(i)
+    q = RATIONAL_FIELD
+    pos = neg = 0
+    seen = [False] * n
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen[i], block = True, [i]
+        for j in block:  # grows while it is read: the component of i
+            for k in links[j]:
+                if not seen[k]:
+                    seen[k] = True
+                    block.append(k)
+        block.sort()
+        diag, _ = congruence_diagonalize(
+            [[q.rational(gram.get((r, c), 0)) for c in block] for r in block], q, allow_degenerate=True
+        )
+        for e in diag:
+            x = e.rational_value()
+            pos += x > 0
+            neg += x < 0
+    return pos, neg, n - pos - neg
 
 
 # -- the twisted-Clifford comparison --------------------------------------------------

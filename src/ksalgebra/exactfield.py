@@ -23,7 +23,8 @@ isolating interval with interval arithmetic and bisect until the enclosure
 has constant sign.  A bisection that never settles, or an inverse that
 meets a common factor with P, means P is reducible: both raise
 InvalidDescriptor.  Norms go through the resultant with the minimal
-polynomial, which in the Galois case equals the product of the conjugates.
+polynomial, which in the Galois case equals the product of the conjugates;
+over Q the inverse and the norm are read off num and den directly.
 """
 
 from fractions import Fraction
@@ -247,7 +248,11 @@ class FieldDescriptor:
 
     def rational(self, c) -> "FieldElem":
         c = Fraction(c)
-        return _reduced(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
+        return self.quotient(c.numerator, c.denominator)
+
+    def quotient(self, num: int, den: int) -> "FieldElem":
+        """The rational num / den, for ints num and den > 0."""
+        return _reduced(self, (num,) + (0,) * (self.degree - 1), den)
 
     def gen(self) -> "FieldElem":
         return self.elem([0, 1])
@@ -407,6 +412,10 @@ class FieldElem:
     def inverse(self) -> "FieldElem":
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
+        if self.field.degree == 1:
+            # x = num / den, so 1 / x = den / num with the sign moved up
+            a = self.num[0]
+            return self.field.quotient(self.den if a > 0 else -self.den, abs(a))
         d, u, _ = ext_gcd([Fraction(c) for c in self.num], self.field.min_poly)
         if len(d) != 1:
             raise InvalidDescriptor("nontrivial gcd with min_poly; descriptor is not a field")
@@ -493,8 +502,10 @@ def norm(x: FieldElem) -> Fraction:
     """Field norm down to Q: resultant of min_poly with the representative.
 
     Since min_poly is monic this is exactly the product of the conjugates
-    sigma_i(x).
+    sigma_i(x).  Over Q the norm is x itself.
     """
+    if x.field.degree == 1:
+        return Fraction(x.num[0], x.den)
     g = trim(list(x.coeffs))
     if not g:
         return Fraction(0)

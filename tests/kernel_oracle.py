@@ -16,6 +16,10 @@ operators act(g) - id, and every product of two RREF basis vectors is
 re-expressed in that basis by reading it at the pivot columns and checking
 the residual exactly.  It shares with csa.invariants only the monomial
 table of Z(A).
+
+oracle_dense_trace_signature is how csa.trace_form_signature used to find
+the signature: it assembles the whole n x n Gram matrix of Tr(L_{xy}) in
+Fractions and runs one dense congruence diagonalization on it.
 """
 
 from fractions import Fraction
@@ -23,8 +27,9 @@ from itertools import product
 
 from ksalgebra.csa import StructureAlgebra
 from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
-from ksalgebra.exactfield import RATIONAL_FIELD
+from ksalgebra.exactfield import RATIONAL_FIELD, sign_at_embedding
 from ksalgebra.linalg import rref
+from ksalgebra.qform import congruence_diagonalize
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -175,3 +180,26 @@ def oracle_invariants(z) -> StructureAlgebra:
             row_out.append([(k, c) for k, c in enumerate(coords) if c])
         constants.append(row_out)
     return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=False)
+
+
+def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
+    """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q, from the
+    dense Gram matrix assembled from basis traces."""
+    assert a.field.degree == 1, "trace form is computed for Q-algebras only"
+    n = a.dim
+    tr = [Fraction(0)] * n
+    for k in range(n):
+        for t in range(n):
+            for s, c in a.row(k, t):
+                if s == t:
+                    tr[k] += c.rational_value()
+    gram = [[RATIONAL_FIELD.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            acc = Fraction(0)
+            for k, c in a.row(i, j):
+                acc += c.rational_value() * tr[k]
+            gram[i][j] = gram[j][i] = RATIONAL_FIELD.rational(acc)
+    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD, allow_degenerate=True)
+    signs = [sign_at_embedding(e, 1) if e else 0 for e in diag]
+    return signs.count(1), signs.count(-1), signs.count(0)

@@ -12,7 +12,8 @@ first triple, once one structure constant is perturbed.  The rejection is
 run once more under python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A) and the fixed
-algebra built from it (corrupted monomial moves), the congruence
+algebra built from it (corrupted monomial moves), the closure test of the
+fixed algebra (a corrupted Z(A) coefficient), the congruence
 certificate P^T G P, the 16 quaternion relations of C0, the orbit sums of
 even_weight_orbits, the two claims of six_lines_family and the center
 count (a fixed algebra whose central basis element no longer commutes, and
@@ -150,17 +151,39 @@ def build_with_wrong_unit() -> None:
     StructureAlgebra(h.field, h.constants, [2, 0, 0, 0])
 
 
-def corrupted_moves(name: str):
-    """Z(A) over Q(sqrt 2) (the family form) or the cubic (a rank-2 form)
-    with the images of monomials 1 and 2 under sigma_2 exchanged after
-    construction."""
+def small_zg(name: str):
+    """Z(A) over Q(sqrt 2) (the family form) or the cubic (a rank-2 form)."""
     f = quadratic_field(2) if name == "Q(sqrt 2)" else cyclic_cubic_field()
     a = f.gen()
     entries = [a, a, a - 2] if name == "Q(sqrt 2)" else [a, a - 1]
-    z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+
+
+def corrupted_moves(name: str):
+    """small_zg(name) with the images of monomials 1 and 2 under sigma_2
+    exchanged after construction."""
+    z = small_zg(name)
     moves = z.moves[2]
     moves[1], moves[2] = moves[2], moves[1]
     return z
+
+
+def corrupted_coefficient(name: str):
+    """small_zg(name) with u_0 u_t = u_t scaled by alpha after construction,
+    t the first monomial after u_0 that every automorphism fixes.  The
+    basis elements at u_0 and u_t are u_0 and u_t, so their product has the
+    coefficient alpha at u_t, outside E^G = Q: only the closure test at the
+    free columns of E^G can see it."""
+    z = small_zg(name)
+    t = next(t for t in range(1, z.underlying.dim) if all(m[t] == t for m in z.moves.values()))
+    cell = z.underlying.constants[0]
+    [(k, c)] = cell[t]
+    cell[t] = [(k, c * z.field.gen())]
+    return z
+
+
+# the fields whose corrupted_coefficient invariants must reject
+CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic")
 
 
 def certify_corrupted_action() -> None:
@@ -318,6 +341,12 @@ def test_invariants_reject_moves_corrupted_after_construction():
             invariants(corrupted_moves(name))
 
 
+def test_invariants_reject_a_coefficient_corrupted_after_construction():
+    for name in CORRUPTED_COEFFICIENTS:
+        with pytest.raises(NotClosedUnderMultiplication, match="product leaves the fixed subspace"):
+            invariants(corrupted_coefficient(name))
+
+
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():
     with pytest.raises(CertificateFailure, match=r"P\^T G P fails at \(0,0\)"):
         diagonalize_with_broken_certificate()
@@ -327,12 +356,13 @@ def test_congruence_and_quaternion_certificates_raise_certificate_failure():
 
 _UNDER_O = """
 from test_associativity import (
-    CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES, build_with_wrong_unit,
-    certify_corrupted_action, corrupted_moves, diagonalize_with_broken_certificate,
-    perturbed, symbol_with_broken_relation, tables,
+    CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES,
+    build_with_wrong_unit, certify_corrupted_action, corrupted_coefficient,
+    corrupted_moves, diagonalize_with_broken_certificate, perturbed,
+    symbol_with_broken_relation, tables,
 )
 from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
-from ksalgebra.errors import CertificateFailure, NotAssociative
+from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
 
 if __debug__:
     raise SystemExit("not running under python -O")
@@ -369,6 +399,13 @@ for name, error, _ in CORRUPTED_INVARIANTS:
         print(f"{name} corrupted invariants: {type(exc).__name__}: {exc}")
     else:
         raise SystemExit(f"{name}: invariants of corrupted moves accepted")
+for name in CORRUPTED_COEFFICIENTS:
+    try:
+        invariants(corrupted_coefficient(name))
+    except NotClosedUnderMultiplication as exc:
+        print(f"{name} corrupted coefficient: {exc}")
+    else:
+        raise SystemExit(f"{name}: invariants of a corrupted coefficient accepted")
 """
 
 
@@ -384,9 +421,9 @@ def test_negative_control_survives_python_O():
     )
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 * len(FIELDS) + 14
-    assert all("associativity fails at (" in line for line in lines[:-14])
-    assert lines[-14:] == [
+    assert len(lines) == 5 * len(FIELDS) + 16
+    assert all("associativity fails at (" in line for line in lines[:-16])
+    assert lines[-16:] == [
         "wrong unit: left unit law fails at u_0",
         "corrupted action: action 2 is not multiplicative on monomials (1,1)",
         "congruence: congruence certificate P^T G P fails at (0,0)",
@@ -395,4 +432,6 @@ def test_negative_control_survives_python_O():
         "Q(sqrt 2) corrupted invariants: NotClosedUnderMultiplication:"
         " product leaves the fixed subspace",
         "cubic corrupted invariants: CertificateFailure: basis element at monomial 1 is not fixed",
+        "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
+        "cubic corrupted coefficient: product leaves the fixed subspace",
     ]

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ksalgebra.cli import run
-from ksalgebra.exactfield import field_to_json_dict, quadratic_field
+from ksalgebra.exactfield import cyclic_cubic_field, field_to_json_dict, quadratic_field
+from ksalgebra.pipeline import search_cubic_diagonal
 
 FAMILY_INPUT = {
     "field": {"quadratic_d": 2},
@@ -205,6 +210,36 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "selftest: all checks passed" in out
     assert "FAILED" not in out
+
+
+def cli_subprocess(*args: str, optimize: bool) -> subprocess.CompletedProcess:
+    """python [-O] -m ksalgebra.cli args, with the package's sources on the path."""
+    path = [str(Path(__file__).resolve().parent.parent / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "ksalgebra.cli", *args],
+        capture_output=True, env=env, timeout=300,
+    )
+
+
+def test_selftest_and_cubic_report_under_python_O(tmp_path):
+    f = cyclic_cubic_field()
+    form = search_cubic_diagonal(f)
+    path = write_input(tmp_path, {
+        "field": field_to_json_dict(f),
+        "form": {"dim": form.dim, "entries": [[e.to_json() for e in row] for row in form.entries]},
+    })
+    selftest = cli_subprocess("selftest", optimize=True)
+    assert selftest.returncode == 0, selftest.stderr
+    assert b"selftest: all checks passed" in selftest.stdout
+    optimized = cli_subprocess("report", "--input", path, optimize=True)
+    plain = cli_subprocess("report", "--input", path, optimize=False)
+    assert optimized.returncode == plain.returncode == 0, optimized.stderr + plain.stderr
+    assert b'"cores_dim": 64' in plain.stdout
+    assert optimized.stdout == plain.stdout
 
 
 def test_unknown_command_exits_2():

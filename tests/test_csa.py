@@ -24,7 +24,7 @@ from ksalgebra.exactfield import (
 from ksalgebra.pipeline import search_cubic_diagonal
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
-from kernel_oracle import oracle_center, oracle_invariants
+from kernel_oracle import oracle_center, oracle_dense_trace_signature, oracle_invariants
 
 Q2 = quadratic_field(2)
 
@@ -213,6 +213,39 @@ def test_center_counts_match_the_dense_oracle(kind, args):
     z = center_case(kind, args)
     b = invariants(z)
     assert center(z, b) == len(oracle_center(b))
+
+
+def dual_numbers() -> StructureAlgebra:
+    """Q[x]/(x^2): its trace form <2, 0> has a radical."""
+    return StructureAlgebra(RATIONAL_FIELD, [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]], [1, 0])
+
+
+# Q-algebras that are not fixed algebras of a Z(A); in the matrix units
+# E_pq pairs with E_qp in a block with a zero diagonal
+TRACE_ALGEBRAS = {
+    "HAMILTON": lambda: HAMILTON,
+    "SPLIT": lambda: SPLIT,
+    "matrix units 2": lambda: matrix_units_algebra(2),
+    "matrix units 4": lambda: matrix_units_algebra(4),
+    "SPLIT x HAMILTON": lambda: tensor(SPLIT, HAMILTON),
+    "SPLIT x SPLIT": lambda: tensor(SPLIT, SPLIT),
+    "dual numbers": dual_numbers,
+}
+TRACE_CASES = (
+    *CENTER_CASES,
+    *(pytest.param("algebra", name, id=name) for name in TRACE_ALGEBRAS),
+)
+
+
+@pytest.mark.parametrize("kind, args", TRACE_CASES)
+def test_trace_signature_matches_the_dense_oracle(kind, args):
+    alg = TRACE_ALGEBRAS[args]() if kind == "algebra" else invariants(center_case(kind, args))
+    assert trace_form_signature(alg) == oracle_dense_trace_signature(alg)
+
+
+def test_trace_signature_rejects_an_algebra_over_E():
+    with pytest.raises(FieldMismatch, match="Q-algebras only"):
+        trace_form_signature(from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen())))
 
 
 # -- Z_G construction ------------------------------------------------------------------

@@ -375,6 +375,9 @@ def test_arithmetic_matches_the_fraction_reference(data):
         assert in_lowest_terms(inv)
         assert ref.mul(field, list(inv.coeffs), b) == ref.pad([F(1)], field.degree)
         assert list((x / y).coeffs) == ref.mul(field, a, list(inv.coeffs))
+    if field.degree == 1:
+        # over Q the norm is the element itself
+        assert norm(x) == a[0]
 
 
 @settings(max_examples=100, deadline=None)
