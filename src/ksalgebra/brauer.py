@@ -212,30 +212,24 @@ def hilbert_symbol(a, b, place) -> int:
 # -- ramification ------------------------------------------------------------------
 
 
-def _odd_prime_support(n: int, bound: int) -> set[int]:
-    """Odd primes with odd exponent is what matters; we return all odd prime
-    divisors found by trial division and insist the leftover cofactor is a
-    square or a prime (anything else is beyond the factorization budget)."""
-    n = abs(n)
-    assert n != 0
-    found: set[int] = set()
-    while n % 2 == 0:
-        n //= 2
+def _odd_prime_exponents(n: int, bound: int) -> dict[int, int]:
+    """Exponents of the odd primes of n != 0, by trial division up to bound.
+    A leftover cofactor must be a prime (exponent 1) or a square, whose
+    primes have even exponents and cannot affect any symbol, so they are
+    left out; anything else is beyond the factorization budget."""
+    n = _int_valuation(abs(n), 2)[1]
+    exponents: dict[int, int] = {}
     f = 3
     while f * f <= n and f <= bound:
         if n % f == 0:
-            found.add(f)
-            while n % f == 0:
-                n //= f
+            exponents[f], n = _int_valuation(n, f)
         f += 2
     if n > 1:
         if f * f > n or is_probable_prime(n):
-            found.add(n)
-        elif isqrt(n) ** 2 == n:
-            pass  # even exponents only; cannot affect any symbol
-        else:
+            exponents[n] = 1
+        elif isqrt(n) ** 2 != n:
             raise FactorizationBound(f"cofactor {n} not factored within bound {bound}")
-    return found
+    return exponents
 
 
 def _require_rational_symbol(s: QuaternionSymbol) -> tuple[Fraction, Fraction]:
@@ -249,8 +243,8 @@ def ramification(s: QuaternionSymbol, bound: int = DEFAULT_TRIAL_BOUND) -> Ramif
     a, b = _require_rational_symbol(s)
     candidates: set[int] = {2}
     for q in (a, b):
-        candidates |= _odd_prime_support(q.numerator, bound)
-        candidates |= _odd_prime_support(q.denominator, bound)
+        candidates.update(_odd_prime_exponents(q.numerator, bound))
+        candidates.update(_odd_prime_exponents(q.denominator, bound))
     ramified = {p for p in candidates if hilbert_symbol(a, b, p) == -1}
     if hilbert_symbol(a, b, INF) == -1:
         ramified.add(INF)
@@ -276,24 +270,11 @@ def squarefree_kernel(q: Fraction, bound: int = DEFAULT_TRIAL_BOUND) -> int:
         raise ZeroInput("squarefree kernel of zero")
     n = abs(q.numerator * q.denominator)
     sign = -1 if q < 0 else 1
-    kernel = 1
     v2, n = _int_valuation(n, 2)
-    if v2 % 2:
-        kernel *= 2
-    f = 3
-    while f * f <= n and f <= bound:
-        if n % f == 0:
-            v, n = _int_valuation(n, f)
-            if v % 2:
-                kernel *= f
-        f += 2
-    if n > 1:
-        if f * f > n or is_probable_prime(n):
-            kernel *= n
-        elif isqrt(n) ** 2 == n:
-            pass
-        else:
-            raise FactorizationBound(f"cofactor {n} not factored within bound {bound}")
+    kernel = 2 if v2 % 2 else 1
+    for p, v in _odd_prime_exponents(n, bound).items():
+        if v % 2:
+            kernel *= p
     return sign * kernel
 
 
@@ -327,6 +308,4 @@ def corestrict_symbol(s: QuaternionSymbol) -> QuaternionSymbol:
     if not s.a.is_rational():
         raise FirstSlotNotRational("first slot must be rational to corestrict")
     a = s.a.rational_value()
-    nb = norm(s.b)
-    assert nb != 0
-    return rational_symbol(a, nb)
+    return rational_symbol(a, norm(s.b))

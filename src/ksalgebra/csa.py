@@ -310,12 +310,18 @@ class GaloisModuleAlgebra:
         the group law of G.  The coefficient part of the action is the
         field automorphism itself, certified with the field.  sigma_g is
         applied once to each distinct constant of the table.
+
+        The cells are not compared for sigma_1, and nothing is lost: the
+        field pins sigma_1 to X, and the group law at (1, 1) gives
+        p_1 o p_1 = p_1, which for a bijection p_1 forces p_1 = id.
         """
         alg = self.underlying
         nt = alg.dim
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(nt)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
+            if g == 1:
+                continue
             images: dict = {}
 
             def image(c: FieldElem) -> FieldElem:

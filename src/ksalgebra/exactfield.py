@@ -18,13 +18,17 @@ is the identity.  This pairing is validated at construction, which is what
 lets signature bookkeeping elsewhere identify "signature at place i" with
 "signature of the i-th conjugate form at the distinguished place".
 
+The intervals are the certificate of the roots: each has a strict sign
+change of P and no two overlap, so P has d distinct real roots, is
+squarefree and totally real, and each interval isolates one root.
+
 Signs are decided exactly: test for zero first, then evaluate on the
 isolating interval with interval arithmetic and bisect until the enclosure
-has constant sign.  A bisection that never settles, or an inverse that
-meets a common factor with P, means P is reducible: both raise
-InvalidDescriptor.  Norms go through the resultant with the minimal
-polynomial, which in the Galois case equals the product of the conjugates;
-over Q the inverse and the norm are read off num and den directly.
+has constant sign.  The norm is the product of the d conjugates, taken with
+the certified automorphisms, and the inverse is the product of the other
+d - 1 conjugates over the norm.  A bisection that never settles, or a
+nonzero element whose conjugates do not multiply to a nonzero rational,
+means P is reducible: both raise InvalidDescriptor.
 """
 
 from fractions import Fraction
@@ -39,17 +43,12 @@ from .errors import (
 )
 from .polynomials import (
     Poly,
-    count_real_roots,
-    count_roots_in,
     interval_eval,
-    is_squarefree,
-    ext_gcd,
     pcompose,
     peval,
     pmod,
     poly,
     render,
-    resultant,
     trim,
 )
 
@@ -70,8 +69,6 @@ def _sign(x: Fraction) -> int:
 
 def _has_rational_root(p: Sequence[Fraction]) -> bool:
     """Rational root test, used as the irreducibility check for degree <= 3."""
-    from math import gcd
-
     p = trim(p)
     den = lcm(*[c.denominator for c in p]) if len(p) > 1 else 1
     ip = [int(c * den) for c in p]
@@ -142,12 +139,8 @@ class FieldDescriptor:
             raise InvalidDescriptor("min_poly must have degree >= 1")
         if p[-1] != 1:
             raise InvalidDescriptor("min_poly must be monic")
-        if not is_squarefree(p):
-            raise InvalidDescriptor("min_poly has repeated roots")
         if 2 <= d <= 3 and _has_rational_root(p):
             raise InvalidDescriptor("min_poly is reducible (rational root)")
-        if count_real_roots(p) != d:
-            raise InvalidDescriptor("min_poly is not totally real")
 
         if len(self.automorphisms) != d:
             raise NonGaloisField(f"need exactly {d} automorphisms, got {len(self.automorphisms)}")
@@ -171,12 +164,13 @@ class FieldDescriptor:
                 raise InvalidDescriptor(f"empty interval ({lo}, {hi})")
             if peval(p, lo) * peval(p, hi) >= 0:
                 raise InvalidDescriptor(f"min_poly does not change sign on ({lo}, {hi})")
-            if count_roots_in(p, lo, hi) != 1:
-                raise InvalidDescriptor(f"interval ({lo}, {hi}) does not isolate one root")
         ordered = sorted(self.embeddings)
         for (_, h1), (l2, _) in zip(ordered, ordered[1:]):
             if h1 > l2:
                 raise InvalidDescriptor("isolating intervals overlap")
+        # each open interval holds a root (a strict sign change) and they are
+        # pairwise disjoint, so P has d distinct real roots: it is squarefree
+        # and totally real, and each interval isolates exactly one root
 
         # place i must see automorphism i: the value of automorphisms[i](alpha)
         # under the first embedding has to land in interval i.
@@ -236,15 +230,11 @@ class FieldDescriptor:
 
     # -- basic structure ---------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.degree == 1
-
     def zero(self) -> "FieldElem":
         return _reduced(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElem":
-        return self.rational(1)
+        return self.quotient(1, 1)
 
     def rational(self, c) -> "FieldElem":
         c = Fraction(c)
@@ -410,17 +400,15 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
+        """1 / x = adj / N(x), adj the product of the other conjugates."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.field.degree == 1:
-            # x = num / den, so 1 / x = den / num with the sign moved up
-            a = self.num[0]
-            return self.field.quotient(self.den if a > 0 else -self.den, abs(a))
-        d, u, _ = ext_gcd([Fraction(c) for c in self.num], self.field.min_poly)
-        if len(d) != 1:
-            raise InvalidDescriptor("nontrivial gcd with min_poly; descriptor is not a field")
-        # u * num = 1 mod P and x = num / den, so 1 / x = den * u
-        return self.field.elem([c * self.den for c in u])
+        adj, n = _adjugate(self)
+        # adj = num / den and N(x) = p / q, so adj / N(x) = num q / (den p)
+        p, q = n.num[0], n.den
+        if p < 0:
+            q = -q
+        return _reduced(self.field, tuple(c * q for c in adj.num), adj.den * abs(p))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -498,20 +486,28 @@ def apply_automorphism(x: FieldElem, i: int) -> FieldElem:
     return _reduced(f, tuple(out), x.den * den)
 
 
-def norm(x: FieldElem) -> Fraction:
-    """Field norm down to Q: resultant of min_poly with the representative.
+def _adjugate(x: FieldElem) -> tuple[FieldElem, FieldElem]:
+    """(adj, n): adj = prod over i >= 2 of sigma_i(x), 1 over Q, and
+    n = x * adj, the product of all d conjugates, which is N(x).
 
-    Since min_poly is monic this is exactly the product of the conjugates
-    sigma_i(x).  Over Q the norm is x itself.
+    In a field n is a nonzero rational for nonzero x.  Over a descriptor
+    that is not a field x may be a zero divisor, or the certified maps may
+    fix more than Q; then n is zero or irrational, and this raises.
     """
-    if x.field.degree == 1:
-        return Fraction(x.num[0], x.den)
-    g = trim(list(x.coeffs))
-    if not g:
-        return Fraction(0)
-    r = resultant(x.field.min_poly, g)
-    assert isinstance(r, Fraction)
-    return r
+    adj = x.field.one()
+    for i in range(2, x.field.degree + 1):
+        adj = adj * apply_automorphism(x, i)
+    n = x * adj
+    if x and (not n.num[0] or any(n.num[1:])):
+        raise InvalidDescriptor("nontrivial gcd with min_poly; descriptor is not a field")
+    return adj, n
+
+
+def norm(x: FieldElem) -> Fraction:
+    """Field norm down to Q: the product of the d conjugates sigma_i(x),
+    taken with the certified automorphisms.  Over Q it is x itself."""
+    n = _adjugate(x)[1]
+    return Fraction(n.num[0], n.den)
 
 
 def sign_at_embedding(x: FieldElem, i: int) -> int:

@@ -2,9 +2,12 @@
 
 A polynomial is a list of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty list.  Everything here is
-exact.  This module carries the primitives the number-field layer is built
-on: division, resultants (for norms), extended gcd (for inversion) and
-Sturm chains (for validating real root isolation).
+exact.  This module carries what the number-field layer needs to set a
+field up and to decide signs: products, division with remainder,
+composition (for automorphisms and the X^k mod P table), point
+evaluation and interval evaluation on an isolating interval, and
+rendering.  Norms and inverses are not here: the field layer takes them
+from the certified conjugates.
 """
 
 from fractions import Fraction
@@ -13,7 +16,6 @@ from typing import Sequence
 Poly = list[Fraction]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def trim(p: Sequence[Fraction]) -> Poly:
@@ -28,35 +30,10 @@ def poly(coeffs: Sequence) -> Poly:
     return trim([Fraction(c) for c in coeffs])
 
 
-def degree(p: Sequence[Fraction]) -> int:
-    """Degree, with degree(0) = -1."""
-    return len(trim(p)) - 1
-
-
-def lead(p: Sequence[Fraction]) -> Fraction:
-    q = trim(p)
-    assert q, "zero polynomial has no leading coefficient"
-    return q[-1]
-
-
 def padd(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
     n = max(len(f), len(g))
     return trim([(f[i] if i < len(f) else ZERO) + (g[i] if i < len(g) else ZERO)
                  for i in range(n)])
-
-
-def pneg(f: Sequence[Fraction]) -> Poly:
-    return [-c for c in f]
-
-
-def psub(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    return padd(f, pneg(g))
-
-
-def pscale(f: Sequence[Fraction], c: Fraction) -> Poly:
-    if c == 0:
-        return []
-    return trim([a * c for a in f])
 
 
 def pmul(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
@@ -107,107 +84,6 @@ def pcompose(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
     for c in reversed(trim(f)):
         acc = padd(pmul(acc, g), [c])
     return acc
-
-
-def pderiv(f: Sequence[Fraction]) -> Poly:
-    return trim([f[i] * i for i in range(1, len(f))])
-
-
-def monic(f: Sequence[Fraction]) -> Poly:
-    f = trim(f)
-    if not f:
-        return []
-    return pscale(f, 1 / f[-1])
-
-
-def poly_gcd(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    """Monic gcd by the Euclidean algorithm."""
-    a, b = trim(f), trim(g)
-    while b:
-        a, b = b, pmod(a, b)
-    return monic(a)
-
-
-def ext_gcd(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Poly, Poly, Poly]:
-    """Extended Euclid: returns (d, u, v) with u*f + v*g = d, d monic gcd."""
-    r0, r1 = trim(f), trim(g)
-    u0, u1 = [ONE], []
-    v0, v1 = [], [ONE]
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, psub(u0, pmul(q, u1))
-        v0, v1 = v1, psub(v0, pmul(q, v1))
-    if r0:
-        c = r0[-1]
-        r0, u0, v0 = pscale(r0, 1 / c), pscale(u0, 1 / c), pscale(v0, 1 / c)
-    return r0, u0, v0
-
-
-def resultant(f: Sequence[Fraction], g: Sequence[Fraction]) -> Fraction:
-    """Res(f, g) = lc(f)^deg(g) * prod g(beta) over roots beta of f.
-
-    Computed by the Euclidean remainder sequence with the classical
-    transformation rules; exact over Fraction.
-    """
-    f, g = trim(f), trim(g)
-    if not f or not g:
-        return ZERO
-    if degree(f) == 0:
-        return f[0] ** degree(g)
-    if degree(g) == 0:
-        return g[0] ** degree(f)
-    r = pmod(f, g)
-    sign = -ONE if (degree(f) * degree(g)) % 2 else ONE
-    if not r:
-        return ZERO
-    # Res(f,g) = lc(g)^(deg f - deg r) * (-1)^(deg f * deg g) * Res(g, r)
-    return sign * lead(g) ** (degree(f) - degree(r)) * resultant(g, r)
-
-
-def is_squarefree(f: Sequence[Fraction]) -> bool:
-    return degree(poly_gcd(f, pderiv(f))) <= 0
-
-
-def sturm_chain(f: Sequence[Fraction]) -> list[Poly]:
-    chain = [trim(f), pderiv(f)]
-    while chain[-1]:
-        rem = pmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(pneg(rem))
-    return [c for c in chain if c]
-
-
-def _variations(signs: Sequence[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def count_real_roots(f: Sequence[Fraction]) -> int:
-    """Number of distinct real roots, by Sturm's theorem at +-infinity.
-
-    Requires f squarefree; the sign at +-infinity is read off the leading
-    coefficient and the degree parity, so no bound on the roots is needed.
-    """
-    assert is_squarefree(f), "Sturm root count needs a squarefree polynomial"
-    chain = sturm_chain(f)
-    at_pos = [_sign(lead(c)) for c in chain]
-    at_neg = [_sign(lead(c)) * (-1 if degree(c) % 2 else 1) for c in chain]
-    return _variations(at_neg) - _variations(at_pos)
-
-
-def count_roots_in(f: Sequence[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of squarefree f in the half-open interval (lo, hi]."""
-    assert lo <= hi
-    chain = sturm_chain(f)
-    vlo = _variations([_sign(peval(c, lo)) for c in chain])
-    vhi = _variations([_sign(peval(c, hi)) for c in chain])
-    return vlo - vhi
 
 
 def interval_eval(f: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -296,6 +296,19 @@ def test_zg_group_law_certificate_rejects_a_wrong_move():
         zg._check_actions()
 
 
+@pytest.mark.parametrize("f", [Q2, cyclic_cubic_field()], ids=["sqrt2", "cubic"])
+def test_zg_identity_move_is_certified_without_its_cells(f):
+    # sigma_1's cells are not compared; a move that is a bijection but not
+    # the identity still fails the group law at (1, 1)
+    a = from_symbol(QuaternionSymbol(f.rational(-1), f.gen() - 1))
+    zg = build_ZG(a, f)
+    moves = list(zg.moves[1])
+    moves[1], moves[2] = moves[2], moves[1]
+    zg.moves[1] = moves
+    with pytest.raises(CertificateFailure, match=r"group law fails for \(1,1\)"):
+        zg._check_actions()
+
+
 def test_invariants_of_E_itself():
     zg = build_ZG(StructureAlgebra(Q2, [[[(0, 1)]]], [1]), Q2)
     inv = invariants(zg)

@@ -1,8 +1,8 @@
 """Number field layer tests.
 
 Frozen values were derived before the implementation existed: the inverse
-of sqrt2 by a hand extended-gcd, norms by the Sylvester oracle from the
-polynomial tests, signs by hand interval bisection (sqrt2 < 2 because
+of sqrt2 by a hand extended-gcd, norms by the Sylvester-matrix resultant in
+fraction_reference.py, signs by hand interval bisection (sqrt2 < 2 because
 2^2 > 2, and so on).  Property tests then pin the algebra laws on a small
 grid of fields, and the integer-vector arithmetic is checked against the
 plain-Fraction reference in fraction_reference.py.
@@ -70,6 +70,25 @@ def test_norm_frozen_values():
     assert norm(CUBIC.rational(7)) == 343
     assert norm(CUBIC.gen()) == 1  # product of roots of X^3 - 3X - 1
     assert norm(Q2.zero()) == 0
+
+
+def test_sylvester_oracle_frozen_values():
+    # Res(X^2 - 2, X + 1) = (1 + sqrt2)(1 - sqrt2) = -1; Res(X^2 - 2, 7) = 7^2;
+    # Res(X^3 - 3X - 1, X) = product of the roots = 1
+    assert ref.sylvester_resultant(poly([-2, 0, 1]), poly([1, 1])) == -1
+    assert ref.sylvester_resultant(poly([-2, 0, 1]), poly([7])) == 49
+    assert ref.sylvester_resultant(poly([-1, -3, 0, 1]), poly([0, 1])) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_norm_and_inverse_match_the_sylvester_oracle(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    x = data.draw(elems(field))
+    want = ref.sylvester_resultant(field.min_poly, list(x.coeffs)) if x else 0
+    assert norm(x) == want
+    if x:
+        assert x * x.inverse() == 1
 
 
 def test_sign_frozen_values():
@@ -198,6 +217,18 @@ def test_reducible_descriptor_fails_with_invalid_descriptor():
         sign_at_embedding(factor, 1)
     with pytest.raises(InvalidDescriptor, match="not a field"):
         factor.inverse()
+    with pytest.raises(InvalidDescriptor, match="not a field"):
+        norm(factor)
+    # a unit of the product of fields still has a nonzero rational norm
+    assert norm(f.gen()) == 16
+
+
+def test_descriptor_rejects_one_interval_holding_every_root():
+    # (-2, 2) holds all three roots of X^3 - 3X - 1 and P changes sign on
+    # it, so only the overlap with the other two intervals rejects it: d
+    # disjoint sign-changing intervals are what certify d distinct roots
+    with pytest.raises(InvalidDescriptor, match="overlap"):
+        FieldDescriptor([-1, -3, 0, 1], [[0, 1], [2, 0, -1], [-2, -1, 1]], [(-2, 2), (-1, 0), (1, 2)])
 
 
 def test_quadratic_field_constructor_guards():

@@ -6,8 +6,10 @@ __all__.  No module of the package may read a single-underscore attribute
 it does not define itself (reads on self and cls aside): another module's
 private state stays behind its public methods.  Every public top-level
 function or class of the package must be named somewhere else in the
-package or in perfbench/: a public name only tests call is dead code.  The
-checks parse the sources with ast, so they run without any linter.
+package or in perfbench/: a public name only tests call is dead code.
+Every private top-level function of the package must be named in its own
+module, so no helper outlives its last caller.  The checks parse the
+sources with ast, so they run without any linter.
 """
 
 import ast
@@ -100,13 +102,11 @@ def test_no_foreign_private_reads(path):
     assert foreign_private_reads(path.read_text()) == []
 
 
-def unreferenced_public_names(defining: dict[str, str], using: list[str]) -> list[str]:
-    """Public top-level functions and classes of the defining sources (name
-    -> source) that no source names: as a name, an attribute or an import.
-    The using sources should include the defining ones, so that a helper
-    used in its own module counts as used; its definition does not."""
+def names_read(sources: list[str]) -> set[str]:
+    """Every name the sources use: as a name, an attribute or an import.
+    A definition does not name itself."""
     named = set()
-    for source in using:
+    for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -114,6 +114,15 @@ def unreferenced_public_names(defining: dict[str, str], using: list[str]) -> lis
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
+    return named
+
+
+def unreferenced_public_names(defining: dict[str, str], using: list[str]) -> list[str]:
+    """Public top-level functions and classes of the defining sources (name
+    -> source) that no source names.  The using sources should include the
+    defining ones, so that a helper used in its own module counts as
+    used."""
+    named = names_read(using)
     return [
         f"{module}.{node.name}"
         for module, source in defining.items()
@@ -134,3 +143,23 @@ def test_every_public_name_is_used_outside_the_tests():
     defining = {path.stem: path.read_text() for path in MODULES}
     using = list(defining.values()) + [path.read_text() for path in BENCH_MODULES]
     assert unreferenced_public_names(defining, using) == []
+
+
+def unreferenced_private_functions(source: str) -> list[str]:
+    """Private top-level functions that their own module never names."""
+    named = names_read([source])
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and node.name not in named
+    ]
+
+
+def test_unreferenced_private_functions_are_detected():
+    source = "def f():\n    return _used()\ndef _used():\n    pass\ndef _dead():\n    pass\n"
+    assert unreferenced_private_functions(source) == ["_dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_function_is_used_in_its_module(path):
+    assert unreferenced_private_functions(path.read_text()) == []

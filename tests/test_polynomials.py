@@ -1,9 +1,5 @@
-"""Polynomial layer tests.
-
-The resultant is cross-checked against an independent Sylvester-matrix
-determinant oracle implemented here in the test, so the Euclidean remainder
-sequence in the library never certifies itself.
-"""
+"""Polynomial layer tests: division, composition, interval enclosures and
+rendering, each against a hand-derived value or a pointwise law."""
 
 from fractions import Fraction
 
@@ -11,90 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksalgebra.polynomials import (
-    count_real_roots,
-    count_roots_in,
-    ext_gcd,
     interval_eval,
-    is_squarefree,
     padd,
     pcompose,
     pdivmod,
     peval,
     pmul,
     poly,
-    poly_gcd,
     render,
-    resultant,
-    trim,
 )
 
 F = Fraction
-
-
-def sylvester_resultant(f, g):
-    """Oracle: determinant of the Sylvester matrix, by exact elimination."""
-    f, g = trim(f), trim(g)
-    m, n = len(f) - 1, len(g) - 1
-    assert m >= 0 and n >= 0
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):  # n rows of f coefficients
-        row = [F(0)] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):  # m rows of g coefficients
-        row = [F(0)] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    # fraction Gaussian elimination, tracking row swaps
-    det = F(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return F(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] * inv
-            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-def test_resultant_frozen_value():
-    # Res(X^2 - 2, X + 1) = (1 + sqrt2)(1 - sqrt2) = -1
-    f, g = poly([-2, 0, 1]), poly([1, 1])
-    assert sylvester_resultant(f, g) == -1  # oracle first
-    assert resultant(f, g) == -1
-
-
-def test_resultant_more_frozen_values():
-    # Res(X^2 - 2, 7) = 7^2; Res(X^3 - 3X - 1, X) = product of roots * (-1)^3 = 1
-    assert resultant(poly([-2, 0, 1]), poly([7])) == 49
-    assert resultant(poly([-1, -3, 0, 1]), poly([0, 1])) == 1
-    assert sylvester_resultant(poly([-1, -3, 0, 1]), poly([0, 1])) == 1
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.integers(-6, 6), min_size=1, max_size=5),
-    st.lists(st.integers(-6, 6), min_size=1, max_size=4),
-)
-def test_resultant_matches_sylvester(fc, gc):
-    f, g = poly(fc), poly(gc)
-    if not f or not g:
-        return
-    assert resultant(f, g) == sylvester_resultant(f, g)
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,36 +32,6 @@ def test_divmod_reconstructs(fc, gc):
     q, r = pdivmod(f, g)
     assert padd(pmul(q, g), r) == f
     assert len(r) < len(g)
-
-
-def test_ext_gcd_bezout_identity():
-    f, g = poly([0, 1]), poly([-2, 0, 1])  # X and X^2 - 2
-    d, u, v = ext_gcd(f, g)
-    assert d == poly([1])
-    assert padd(pmul(u, f), pmul(v, g)) == poly([1])
-    # hand-derived: 1 = (1/2) X * X - (1/2)(X^2 - 2), so u = X/2
-    assert u == poly([0, F(1, 2)])
-
-
-def test_gcd_detects_common_factor():
-    f = pmul(poly([1, 1]), poly([-2, 0, 1]))
-    g = pmul(poly([1, 1]), poly([3, 1]))
-    assert poly_gcd(f, g) == poly([1, 1])
-
-
-def test_sturm_root_counts():
-    assert count_real_roots(poly([-2, 0, 1])) == 2  # X^2 - 2
-    assert count_real_roots(poly([1, 0, 1])) == 0  # X^2 + 1
-    assert count_real_roots(poly([-1, -3, 0, 1])) == 3  # cyclic cubic field poly
-    assert count_real_roots(poly([-2, 0, 0, 1])) == 1  # X^3 - 2, not totally real
-    assert count_roots_in(poly([-2, 0, 1]), F(1), F(2)) == 1
-    assert count_roots_in(poly([-2, 0, 1]), F(-2), F(2)) == 2
-    assert count_roots_in(poly([-1, -3, 0, 1]), F(-2), F(0)) == 2
-
-
-def test_squarefree_detection():
-    assert is_squarefree(poly([-2, 0, 1]))
-    assert not is_squarefree(pmul(poly([1, 1]), poly([1, 1])))
 
 
 @settings(max_examples=100, deadline=None)
