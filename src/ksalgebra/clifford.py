@@ -91,16 +91,10 @@ class CliffordElement:
     def __neg__(self) -> "CliffordElement":
         return CliffordElement(self.algebra, {m: -c for m, c in self.comps.items()})
 
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
     def scale(self, c) -> "CliffordElement":
         if not isinstance(c, FieldElem):
             c = self.algebra.field.rational(c)
         return CliffordElement(self.algebra, {m: v * c for m, v in self.comps.items()})
-
-    def __mul__(self, other: "CliffordElement") -> "CliffordElement":
-        return clifford_mul(self, other)
 
     def __eq__(self, other) -> bool:
         return (
@@ -108,9 +102,6 @@ class CliffordElement:
             and self.algebra == other.algebra
             and self.comps == other.comps
         )
-
-    def __bool__(self) -> bool:
-        return bool(self.comps)
 
     def to_json_dict(self) -> dict:
         return {str(mask): c.to_json() for mask, c in sorted(self.comps.items())}

@@ -3,11 +3,14 @@
 Everything is basis-and-constants: an algebra is a table c with
 u_i u_j = sum_k c_ijk u_k, stored sparsely since the algebras that matter
 here (even Clifford algebras, quaternion tables, their tensor powers) are
-monomial or close to it.  One checking rule: unit laws and the Galois
-action on Z(A) are always certified; a table built from given constants is
-swept for associativity on every basis triple, and a tensor, twist or fixed
-subalgebra of swept tables is swept while its dim is at most SWEEP_MAX_DIM.
-Failures raise NotAssociative or CertificateFailure, under python -O too.
+monomial or close to it.  A table is stored as integer vectors over one
+common denominator; tables are built and checked on those integers, and
+FieldElems appear only in tables given from outside and in row().  One
+checking rule: unit laws and the Galois action on Z(A) are always
+certified; a table built from given constants is swept for associativity
+on every basis triple, and a tensor, twist or fixed subalgebra of swept
+tables is swept while its dim is at most SWEEP_MAX_DIM.  Failures raise
+NotAssociative or CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -19,16 +22,15 @@ monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
 (dim_E A)^d: the corestriction of A to Q.  A fixed element is determined
 by its coefficients at the monomial orbit representatives, so the fixed
 algebra is built in closed form from orbit traces and its products are
-read off at the representatives, on integer vectors.  Z(A) is monomial,
-so its center is spanned by its central monomials, and the center of the
-fixed algebra is counted from the two tables.  The trace form of a
-Q-algebra is diagonalized block by block; for the fixed algebra the
-blocks are the monomial orbits.
+read off at the representatives.  Z(A) is monomial, so its center is
+spanned by its central monomials, and the center of the fixed algebra is
+counted from the two tables.  The trace form of a Q-algebra is
+diagonalized block by block; for the fixed algebra the blocks are the
+monomial orbits.
 """
-
 from functools import reduce
-from itertools import product
-from math import lcm
+from itertools import chain, product
+from math import gcd, lcm
 
 from .errors import (
     CertificateFailure,
@@ -54,32 +56,27 @@ from .qform import DiagForm, congruence_diagonalize
 SWEEP_MAX_DIM = 16
 
 
-def _normalize_row(field: FieldDescriptor, pairs) -> list[tuple[int, FieldElem]]:
+def _pair(field: FieldDescriptor, c) -> tuple:
+    """A given coefficient as a (num, den) pair."""
+    if isinstance(c, tuple):
+        return c
+    if not isinstance(c, FieldElem):
+        c = field.rational(c)
+    elif c.field != field:
+        raise FieldMismatch("structure constant in the wrong field")
+    return c.num, c.den
+
+
+def _normalize_row(field: FieldDescriptor, pairs) -> tuple[list, int]:
+    """A row given as (index, coefficient) pairs, merged per index, zeros
+    dropped and sorted, as (entries, den): entries (index, tuple of d
+    ints) over den."""
     acc: dict[int, FieldElem] = {}
     for k, c in pairs:
-        if not isinstance(c, FieldElem):
-            c = field.rational(c)
-        elif c.field != field:
-            raise FieldMismatch("structure constant in the wrong field")
-        if k in acc:
-            acc[k] = acc[k] + c
-        else:
-            acc[k] = c
-    return sorted((k, c) for k, c in acc.items() if c)
-
-
-def _integer_table(constants) -> tuple[int, list]:
-    """(L, table): the table with every constant scaled by one common
-    denominator L to an integer coefficient vector, entries (k, tuple of
-    ints)."""
-    den = lcm(1, *{c.den for row in constants for cell in row for _, c in cell})
-    return den, [
-        [
-            [(k, c.num if c.den == den else tuple([x * (den // c.den) for x in c.num])) for k, c in cell]
-            for cell in row
-        ]
-        for row in constants
-    ]
+        c = field.from_integers(*_pair(field, c))
+        acc[k] = acc[k] + c if k in acc else c
+    den = lcm(1, *(c.den for c in acc.values()))
+    return [(k, tuple([x * (den // c.den) for x in c.num])) for k, c in sorted(acc.items()) if c], den
 
 
 def _convolve_into(acc: list[int], a, b) -> None:
@@ -90,21 +87,26 @@ def _convolve_into(acc: list[int], a, b) -> None:
                 acc[p + q] += ap * bq
 
 
-def check_associativity(field: FieldDescriptor, constants) -> None:
+def _multiply(field: FieldDescriptor, a, b) -> tuple[int, ...]:
+    """a * b on integer vectors, reduced: over the reduction's denominator."""
+    acc = [0] * (2 * field.degree - 1)
+    _convolve_into(acc, a, b)
+    return tuple(field.reduce(acc)[0])
+
+
+def check_associativity(field: FieldDescriptor, table) -> None:
     """Exact check of (u_i u_j) u_k = u_i (u_j u_k) on every basis triple.
 
-    constants is a normalized sparse table as held by StructureAlgebra.
-    The constants are scaled once to integer vectors over one denominator
-    L, as FieldElem stores them, so both sides of each identity carry the
-    same factor L^2 and are compared as integers.  Each side is
-    accumulated per output index as unreduced integer convolutions and,
-    where the two differ, reduced through FieldDescriptor.reduce, the
-    reduction FieldElem multiplication uses.  A failure raises
-    NotAssociative naming the first failing triple (i, j, k).
+    table is the integer table a StructureAlgebra stores: cells of
+    (index, tuple of d ints), all over one denominator L, so both sides of
+    each identity carry the same factor L^2 and are compared as integers.
+    Each side is accumulated per output index as unreduced integer
+    convolutions and, where the two differ, reduced through
+    FieldDescriptor.reduce, the reduction FieldElem multiplication uses.  A
+    failure raises NotAssociative naming the first failing triple (i, j, k).
     """
-    n = len(constants)
+    n = len(table)
     d = field.degree
-    _, table = _integer_table(constants)
     if d == 1:
         # Q: a coefficient vector is one integer and nothing needs reducing
         table = [[[(k, v[0]) for k, v in cell] for cell in row] for row in table]
@@ -146,66 +148,75 @@ def check_associativity(field: FieldDescriptor, constants) -> None:
 class StructureAlgebra:
     """Finite-dimensional associative unital algebra over an exact field.
 
-    constants[i][j] is the sparse row of u_i u_j as (index, coeff) pairs,
-    0-based.  check=True verifies associativity on all basis triples (only
-    the SWEEP_MAX_DIM rule passes False); the unit law is always verified.
+    constants[i][j] is the sparse row of u_i u_j, 0-based, and unit the
+    unit's coordinates, each a FieldElem, a rational or a (num, den) pair
+    meaning num[k] / den at alpha^k.  A row is a list of (index,
+    coefficient) pairs, merged, cleared of zeros and sorted here, or, as
+    this module builds them, an (entries, den) pair: entries (index, tuple
+    of d ints) over den, sorted, distinct and nonzero, taken as they come.
+
+    At rest table[i][j] holds (index, tuple of d ints) and unit a tuple of
+    d ints per coordinate, all over one denominator den in lowest terms,
+    so equal algebras store equal tables; row() builds FieldElems.
+    check=True sweeps associativity on all basis triples (only the
+    SWEEP_MAX_DIM rule passes False); the unit law is always verified.
     """
 
     def __init__(self, field: FieldDescriptor, constants, unit, check: bool = True):
-        self.field = field
-        self.dim = len(constants)
-        self.constants = [
-            [_normalize_row(field, constants[i][j]) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        self.unit = [c if isinstance(c, FieldElem) else field.rational(c) for c in unit]
-        assert len(self.unit) == self.dim
+        n = len(constants)
+        if len(unit) != n:
+            raise DimensionMismatch(f"unit of length {len(unit)} for a table of dim {n}")
+        rows = [[_normalize_row(field, cell) if isinstance(cell, list) else cell for cell in row] for row in constants]
+        units = [_pair(field, c) for c in unit]
+        den = lcm(1, *{l for row in rows for _, l in row}, *{l for _, l in units})
+        table = [[es if l == den else _scaled(es, den // l, 1) for es, l in row] for row in rows]
+        unit = [v if l == den else tuple([x * (den // l) for x in v]) for v, l in units]
+        g = den
+        for v in chain(unit, (v for row in table for es in row for _, v in es)):
+            g = gcd(g, *v)
+            if g == 1:
+                break
+        if g > 1:  # to lowest terms, so that equal algebras store equal tables
+            den //= g
+            table = [[_scaled(es, 1, g) for es in row] for row in table]
+            unit = [tuple([x // g for x in v]) for v in unit]
+        self.field, self.dim, self.den, self.table, self.unit = field, n, den, table, unit
         self._check_unit()
         if check:
-            check_associativity(field, self.constants)
+            check_associativity(field, table)
 
     def row(self, i: int, j: int) -> list[tuple[int, FieldElem]]:
-        return self.constants[i][j]
-
-    def mul_sparse(self, xs: dict, ys: dict) -> dict:
-        out: dict[int, FieldElem] = {}
-        for i, xi in xs.items():
-            for j, yj in ys.items():
-                w = xi * yj
-                for k, c in self.constants[i][j]:
-                    v = w * c
-                    if k in out:
-                        out[k] = out[k] + v
-                    else:
-                        out[k] = v
-        return {k: v for k, v in out.items() if v}
+        """u_i u_j as (index, FieldElem) pairs."""
+        f, den = self.field, self.den
+        return [(k, f.from_integers(v, den)) for k, v in self.table[i][j]]
 
     def _check_unit(self) -> None:
-        us = {i: v for i, v in enumerate(self.unit) if v}
+        """u e_i = e_i = e_i u for each basis element e_i, on integers:
+        with u and the table over den L, both products come out over L^2 D,
+        D the denominator every reduction returns."""
+        f, table = self.field, self.table
+        us = [(s, v) for s, v in enumerate(self.unit) if any(v)]
         if not us:
             raise CertificateFailure("unit law fails: the unit is zero")
+        one = (self.den * self.den * f.reduce(())[1],) + (0,) * (f.degree - 1)
         for i in range(self.dim):
-            e = {i: self.field.one()}
-            if self.mul_sparse(us, e) != e:
-                raise CertificateFailure(f"left unit law fails at u_{i}")
-            if self.mul_sparse(e, us) != e:
-                raise CertificateFailure(f"right unit law fails at u_{i}")
+            for side, cells in (("left", [table[s][i] for s, _ in us]), ("right", [table[i][s] for s, _ in us])):
+                acc: dict[int, list[int]] = {}
+                for (_, a), cell in zip(us, cells):
+                    for k, b in cell:
+                        _convolve_into(acc.setdefault(k, [0] * (2 * f.degree - 1)), a, b)
+                reduced = {k: tuple(f.reduce(v)[0]) for k, v in acc.items()}
+                if {k: r for k, r in reduced.items() if any(r)} != {i: one}:
+                    raise CertificateFailure(f"{side} unit law fails at u_{i}")
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, StructureAlgebra)
             and self.field == other.field
-            and self.constants == other.constants
+            and self.den == other.den
+            and self.table == other.table
             and self.unit == other.unit
         )
-
-    def to_json_dict(self) -> dict:
-        entries = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in self.constants[i][j]:
-                    entries.append([i, j, k, c.to_json()])
-        return {"dim": self.dim, "constants": entries}
 
 
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
@@ -234,24 +245,57 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    constants, unit = _tensor_table((a.constants, a.unit), (b.constants, b.unit))
+    constants, unit = _tensor_table(a.field, _twist(a, 1), _twist(b, 1))
     return StructureAlgebra(a.field, constants, unit, check=len(unit) <= SWEEP_MAX_DIM)
 
 
-def _tensor_table(a: tuple, b: tuple) -> tuple[list, list]:
+def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, list]:
     """(constants, unit) of the tensor product of two (constants, unit)
-    tables, with u_i tensor u_j at index i * nb + j."""
+    tables as the constructor takes them, u_i tensor u_j at index
+    i * nb + j; each distinct pair of integer vectors is multiplied once."""
     (ta, ua), (tb, ub) = a, b
     nb = len(ub)
-    constants = []
-    for row_a in ta:
-        for row_b in tb:
-            constants.append([
-                [(k1 * nb + k2, c1 * c2) for k1, c1 in ra for k2, c2 in rb]
-                for ra in row_a
-                for rb in row_b
-            ])
-    return constants, [x * y for x in ua for y in ub]
+    rden = field.reduce(())[1]
+    products: dict = {}
+
+    def mul(x: tuple, y: tuple) -> tuple:
+        p = products.get((x, y))
+        if p is None:
+            p = products[x, y] = _multiply(field, x, y)
+        return p
+
+    constants = [
+        [
+            ([(k1 * nb + k2, mul(v1, v2)) for k1, v1 in ea for k2, v2 in eb], la * lb * rden)
+            for ea, la in row_a
+            for eb, lb in row_b
+        ]
+        for row_a in ta
+        for row_b in tb
+    ]
+    return constants, [(mul(x, y), lx * ly * rden) for x, lx in ua for y, ly in ub]
+
+
+def _twist(a: StructureAlgebra, i: int) -> tuple[list, list]:
+    """(constants, unit) of A_{sigma_i} with (entries, den) rows, sigma_i
+    applied to each distinct integer vector of a once; sigma_1 gives a."""
+    images = {}
+    for v in _vectors(a):
+        r, scale = a.field.automorphism(i, v)  # the same scale for every v
+        images[v] = tuple(r)
+    den = a.den * scale
+    rows = [[([(k, images[v]) for k, v in es], den) for es in row] for row in a.table]
+    return rows, [(images[v], den) for v in a.unit]
+
+
+def _scaled(entries: list, mul: int, div: int) -> list:
+    """entries (index, integer vector) with every vector times mul / div."""
+    return [(k, tuple([x * mul // div for x in v])) for k, v in entries]
+
+
+def _vectors(a: StructureAlgebra) -> set:
+    """The distinct integer vectors of a's table and unit."""
+    return {v for row in a.table for cell in row for _, v in cell} | set(a.unit)
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -291,12 +335,8 @@ class GaloisModuleAlgebra:
         self.base = a
         d = f.degree
         # the slots A_{sigma_i}, tensored on one at a time
-        slots = [
-            ([[[(k, apply_automorphism(c, i)) for k, c in cell] for cell in row] for row in a.constants],
-             [apply_automorphism(w, i) for w in a.unit])
-            for i in range(1, d + 1)
-        ]
-        constants, unit = reduce(_tensor_table, slots)
+        slots = [_twist(a, i) for i in range(1, d + 1)]
+        constants, unit = reduce(lambda x, y: _tensor_table(f, x, y), slots)
         self.underlying = StructureAlgebra(f, constants, unit, check=len(unit) <= SWEEP_MAX_DIM)
         self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
         self._check_actions()
@@ -315,25 +355,25 @@ class GaloisModuleAlgebra:
         field pins sigma_1 to X, and the group law at (1, 1) gives
         p_1 o p_1 = p_1, which for a bijection p_1 forces p_1 = id.
         """
-        alg = self.underlying
-        nt = alg.dim
+        alg, f = self.underlying, self.field
+        table, nt, vectors = alg.table, alg.dim, _vectors(alg)
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(nt)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
             if g == 1:
                 continue
-            images: dict = {}
-
-            def image(c: FieldElem) -> FieldElem:
-                key = c.num, c.den
-                if key not in images:
-                    images[key] = apply_automorphism(c, g)
-                return images[key]
-
-            for t1 in range(nt):
-                for t2 in range(nt):
-                    moved = sorted((pt[t3], image(c)) for t3, c in alg.row(t1, t2))
-                    if moved != sorted(alg.row(pt[t1], pt[t2])):
+            # sigma_g(v) over the table's denominator, or None where that is
+            # not an integer vector, which matches no stored one
+            images = {}
+            for v in vectors:
+                r, scale = f.automorphism(g, v)
+                images[v] = None if any(x % scale for x in r) else tuple([x // scale for x in r])
+            for t1, row in enumerate(table):
+                target = table[pt[t1]]
+                for t2, cell in enumerate(row):
+                    moved = [(pt[t3], images[v]) for t3, v in cell]
+                    moved.sort()
+                    if moved != target[pt[t2]]:
                         raise CertificateFailure(
                             f"action {g} is not multiplicative on monomials ({t1},{t2})"
                         )
@@ -362,18 +402,19 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     the fixed subspace.  A basis element that gives one monomial two
     values raises CertificateFailure.
 
-    Products run on integer vectors: Z(A)'s table is scaled to one
-    denominator, the basis to another.  For each basis element x the
+    Products run on integer vectors: Z(A)'s stored table over its
+    denominator, the basis over another.  For each basis element x the
     products u_s x are formed once at the representatives, and each
     product's coefficient at a representative is accumulated from them as
     unreduced integer convolutions and reduced through
-    FieldDescriptor.reduce.  Its coordinates are the
-    coefficient read at the pivots of E^H; at every other column the RREF
-    rows, combined by those coordinates, must give the coefficient back,
-    or it lies outside E^H and NotClosedUnderMultiplication is raised (at
-    a pivot they give it back by construction).  The moves are trusted as
-    certified when z was built; one corrupted later is caught where it
-    breaks these checks or the dimension count.
+    FieldDescriptor.reduce.  Its coordinates are the coefficient read at
+    the pivots of E^H, stored as integers over the product's denominator;
+    at every other column the RREF rows, combined by those coordinates,
+    must give the coefficient back, or it lies outside E^H and
+    NotClosedUnderMultiplication is raised (at a pivot they give it back by
+    construction).  The moves are trusted as certified when z was built;
+    one corrupted later is caught where it breaks these checks or the
+    dimension count.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
@@ -384,7 +425,7 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     f, alg = z.field, z.underlying
     d, n = f.degree, alg.dim
     gs = range(1, d + 1)
-    zero, quotient = f.zero(), RATIONAL_FIELD.quotient
+    zero = f.zero()
     powers = [f.elem([0] * l + [1]) for l in range(d)]
     # representative -> (first coordinate, pivots, free columns, S, the
     # RREF rows of E^H scaled by their common denominator S to integer rows)
@@ -411,44 +452,45 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     if len(basis) != n:
         raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
 
-    def coords(w: dict, den: int, failure: str) -> list[tuple[int, FieldElem]]:
-        """Coordinates of the sum of w[t] / den u_t, w[t] an integer vector."""
+    def coords(w: dict, failure: str) -> list[tuple[int, tuple]]:
+        """Coordinates of the sum of w[t] u_t, w[t] an integer vector, as
+        (index, (num,)) pairs in index order."""
         out = []
-        for t, v in w.items():
+        for t in sorted(w):
+            v = w[t]
             first, pivots, free, scale, rows = blocks[t]
             xs = [v[p] for p in pivots]
             if free and any(sum(x * r[l] for x, r in zip(xs, rows)) != scale * v[l] for l in free):
                 raise NotClosedUnderMultiplication(failure)
-            out.extend((first + i, quotient(x, den)) for i, x in enumerate(xs) if x)
+            out.extend((first + i, (x,)) for i, x in enumerate(xs) if x)
         return out
 
-    unit_den = lcm(1, *(alg.unit[t].den for t in blocks))
-    unit_at = {t: [x * (unit_den // alg.unit[t].den) for x in alg.unit[t].num] for t in blocks}
-    unit = [RATIONAL_FIELD.zero()] * n
-    for k, x in coords(unit_at, unit_den, "unit is not in the fixed subspace"):
-        unit[k] = x
+    unit = [((0,), 1)] * n
+    for k, v in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
+        unit[k] = v, alg.den
 
     # the basis over one denominator M and the table over one L; a
     # product's coefficient then comes out over M^2 L D^2, D the
     # denominator every reduction returns
-    tden, table = _integer_table(alg.constants)
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
-    ibasis = [[(s, [x * (bden // c.den) for x in c.num]) for s, c in vec.items()] for vec in basis]
+    ibasis = [[(s, tuple([x * (bden // c.den) for x in c.num])) for s, c in vec.items()] for vec in basis]
     rden = f.reduce(())[1]
-    den = bden * bden * tden * rden * rden
+    den = bden * bden * alg.den * rden * rden
     width = 2 * d - 1
+    products: dict = {}
     constants = [[None] * n for _ in range(n)]
     for j, xb in enumerate(ibasis):
         # right[s]: u_s times xb at the representatives, reduced
         right = []
-        for ts in table:
+        for ts in alg.table:
             terms = []
             for r, b in xb:
                 for k, c in ts[r]:
                     if k in blocks:
-                        acc = [0] * width
-                        _convolve_into(acc, b, c)
-                        terms.append((k, f.reduce(acc)[0]))
+                        v = products.get((b, c))
+                        if v is None:
+                            v = products[b, c] = _multiply(f, b, c)
+                        terms.append((k, v))
             right.append(terms)
         for i, xa in enumerate(ibasis):
             w: dict[int, list[int]] = {}
@@ -459,7 +501,7 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
                         acc = w[k] = [0] * width
                     _convolve_into(acc, a, v)
             reduced = {k: f.reduce(acc)[0] for k, acc in w.items()}
-            constants[i][j] = coords(reduced, den, "product leaves the fixed subspace")
+            constants[i][j] = coords(reduced, "product leaves the fixed subspace"), den
     return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM)
 
 
@@ -483,8 +525,8 @@ def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
     alg = z.underlying
     n = alg.dim
     monomials = []
-    for s, row in enumerate(alg.constants):
-        ms = [cell[0][0] if len(cell) == 1 and cell[0][1] else None for cell in row]
+    for s, row in enumerate(alg.table):
+        ms = [cell[0][0] if len(cell) == 1 and any(cell[0][1]) else None for cell in row]
         if None in ms:
             raise CertificateFailure(f"Z(A) product u_{s} u_{ms.index(None)} is not one monomial")
         t = next((t for t in range(s) if monomials[t][s] != ms[t]), None)
@@ -495,8 +537,9 @@ def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
         if len(set(ms)) != n:
             raise CertificateFailure(f"Z(A) products u_{s} u_t repeat a monomial")
         monomials.append(ms)
-    upper = sum(all(alg.row(s, t) == alg.row(t, s) for s in range(n)) for t in range(n))
-    lower = sum(all(b.row(i, j) == b.row(j, i) for j in range(b.dim)) for i in range(b.dim))
+    zt, bt = alg.table, b.table
+    upper = sum(all(zt[s][t] == zt[t][s] for s in range(n)) for t in range(n))
+    lower = sum(all(bt[i][j] == bt[j][i] for j in range(b.dim)) for i in range(b.dim))
     if lower != upper:
         raise CertificateFailure(
             f"center bounds differ: {lower} central basis elements in B,"
@@ -509,7 +552,7 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q.
 
     Associativity makes Tr(L_x L_y) = Tr(L_{xy}).  With the constants
-    scaled to integers over one denominator L, the basis traces and the
+    stored as integers over one denominator L, the basis traces and the
     Gram matrix are integers over L and L^2, positive factors the
     signature does not see.  The Gram matrix splits into the connected
     blocks of its nonzero pattern, and each block is diagonalized exactly
@@ -519,8 +562,7 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     """
     if a.field.degree != 1:
         raise FieldMismatch("trace form is computed for Q-algebras only")
-    n = a.dim
-    table = _integer_table(a.constants)[1]
+    n, table = a.dim, a.table
     tr = [sum(v[0] for t, cell in enumerate(row) for k, v in cell if k == t) for row in table]
     gram: dict[tuple[int, int], int] = {}
     links: list[list[int]] = [[] for _ in range(n)]
@@ -576,18 +618,7 @@ def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor, zg: GaloisModuleAlg
         return True
     if zg is None:
         zg = build_ZG(a, f)
-    conj_algebras = []
-    for i in range(1, d + 1):
-        entries = [apply_automorphism(e, i) for e in diag_q.entries]
-        conj_algebras.append(even_part(CliffordAlgebra(f, entries)))
-    right = conj_algebras[0]
-    for c in conj_algebras[1:]:
-        right = tensor(right, c)
-    left = zg.underlying
-    if left.dim != right.dim or left.unit != right.unit:
-        return False
-    for i in range(left.dim):
-        for j in range(left.dim):
-            if left.row(i, j) != right.row(i, j):
-                return False
-    return all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in range(1, d + 1))
+    right = reduce(tensor, (
+        even_part(CliffordAlgebra(f, [apply_automorphism(e, i) for e in diag_q.entries])) for i in range(1, d + 1)
+    ))
+    return zg.underlying == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in range(1, d + 1))

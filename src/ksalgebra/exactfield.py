@@ -228,6 +228,15 @@ class FieldDescriptor:
         _add_rows(out, acc[d:], self._power_rows)
         return out, den
 
+    def automorphism(self, i: int, num: Sequence[int]) -> tuple[list[int], int]:
+        """sigma_i(num(alpha)), 1-based, as (r, A) meaning r / A.  The field
+        stores sigma_i as integer rows: row k over A is sigma_i(alpha^k)."""
+        self._check_index(i)
+        den, rows = self._automorphism_rows[i - 1]
+        out = [0] * self.degree
+        _add_rows(out, num, rows)
+        return out, den
+
     # -- basic structure ---------------------------------------------------
 
     def zero(self) -> "FieldElem":
@@ -243,6 +252,10 @@ class FieldDescriptor:
     def quotient(self, num: int, den: int) -> "FieldElem":
         """The rational num / den, for ints num and den > 0."""
         return _reduced(self, (num,) + (0,) * (self.degree - 1), den)
+
+    def from_integers(self, num: tuple[int, ...], den: int) -> "FieldElem":
+        """The element num / den, for a tuple of d ints and den > 0."""
+        return _reduced(self, num, den)
 
     def gen(self) -> "FieldElem":
         return self.elem([0, 1])
@@ -376,12 +389,6 @@ class FieldElem:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -415,26 +422,6 @@ class FieldElem:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- predicates ----------------------------------------------------------
 
@@ -476,14 +463,9 @@ class FieldElem:
 
 
 def apply_automorphism(x: FieldElem, i: int) -> FieldElem:
-    """sigma_i(x), 1-based; sigma_1 is the identity.  The field stores
-    sigma_i as integer rows: row k over its denominator is sigma_i(alpha^k)."""
-    f = x.field
-    f._check_index(i)
-    den, rows = f._automorphism_rows[i - 1]
-    out = [0] * f.degree
-    _add_rows(out, x.num, rows)
-    return _reduced(f, tuple(out), x.den * den)
+    """sigma_i(x), 1-based; sigma_1 is the identity."""
+    out, den = x.field.automorphism(i, x.num)
+    return _reduced(x.field, tuple(out), x.den * den)
 
 
 def _adjugate(x: FieldElem) -> tuple[FieldElem, FieldElem]:

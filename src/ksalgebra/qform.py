@@ -73,10 +73,6 @@ class DiagForm:
     entries: list[FieldElem]
     certificate: list[list[FieldElem]]  # P with P^T G P = diag(entries)
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
 
 def _mat_mul(a, b, field):
     n, k, m = len(a), len(b), len(b[0])

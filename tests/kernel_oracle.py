@@ -165,7 +165,7 @@ def oracle_invariants(z) -> StructureAlgebra:
         raise DimensionMismatch(f"invariant dimension {len(fixed)}, expected {want}")
     basis, pivots = rref(fixed)
     sparse_basis = [[(c, x) for c, x in enumerate(row) if x] for row in basis]
-    unit_q = {t * d + l: c for t, w in enumerate(alg.unit) for l, c in enumerate(w.coeffs) if c}
+    unit_q = {t * d + l: Fraction(x, alg.den) for t, w in enumerate(alg.unit) for l, x in enumerate(w) if x}
     unit = coords_in_rref_sparse(sparse_basis, pivots, unit_q)
     if unit is None:
         raise NotClosedUnderMultiplication("unit is not in the fixed subspace")

@@ -48,12 +48,13 @@ import fraction_reference as ref
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
 
 
-def oracle_associativity_failure(field, constants) -> tuple | None:
-    """First basis triple (i, j, k), in sweep order, at which the table
-    fails associativity, computed on Fraction coefficient lists; None if
-    none."""
-    n = len(constants)
-    table = [[[(k, list(c.coeffs)) for k, c in cell] for cell in row] for row in constants]
+def oracle_associativity_failure(field, table) -> tuple | None:
+    """First basis triple (i, j, k), in sweep order, at which the integer
+    table (cells of (index, integer vector) over one denominator, which
+    scales both sides alike) fails associativity, computed on Fraction
+    coefficient lists; None if none."""
+    n = len(table)
+    table = [[[(k, [Fraction(x) for x in v]) for k, v in cell] for cell in row] for row in table]
 
     def side(pairs, rows) -> dict:
         out = {}
@@ -111,24 +112,43 @@ def tables(name: str) -> dict:
     }
 
 
+def scaled_by(alg: StructureAlgebra, v: tuple, factor) -> tuple:
+    """The stored integer vector v times the field element factor, over
+    the table's denominator (factor has integer coordinates, and the
+    fields here reduce over denominator 1)."""
+    p = alg.field.from_integers(v, alg.den) * factor
+    return tuple(x * alg.den // p.den for x in p.num)
+
+
 def perturbed(alg: StructureAlgebra) -> list:
-    """The table with its first constant beyond the unit row and column
-    (i, j >= 1) multiplied by 2 + alpha (by 2 over Q)."""
+    """A copy of the stored integer table with its first constant beyond
+    the unit row and column (i, j >= 1) multiplied by 2 + alpha (by 2 over
+    Q)."""
     factor = alg.field.elem([2, 1])
-    out = [[list(cell) for cell in row] for row in alg.constants]
+    out = [[list(cell) for cell in row] for row in alg.table]
     i, j = next(
         (i, j) for i in range(1, alg.dim) for j in range(1, alg.dim) if out[i][j]
     )
-    k, c = out[i][j][0]
-    out[i][j][0] = (k, c * factor)
+    k, v = out[i][j][0]
+    out[i][j][0] = (k, scaled_by(alg, v, factor))
     return out
+
+
+def given(alg: StructureAlgebra, table: list) -> list:
+    """An integer table over alg's denominator as constructor input: every
+    row an (entries, den) pair."""
+    return [[(cell, alg.den) for cell in row] for row in table]
+
+
+def build_perturbed(alg: StructureAlgebra) -> StructureAlgebra:
+    return StructureAlgebra(alg.field, given(alg, perturbed(alg)), [(v, alg.den) for v in alg.unit])
 
 
 @pytest.mark.parametrize("name", FIELDS)
 def test_sweep_and_oracle_accept_the_pipeline_tables(name):
     for label, alg in tables(name).items():
-        assert oracle_associativity_failure(alg.field, alg.constants) is None, label
-        check_associativity(alg.field, alg.constants)
+        assert oracle_associativity_failure(alg.field, alg.table) is None, label
+        check_associativity(alg.field, alg.table)
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -140,15 +160,14 @@ def test_sweep_and_oracle_reject_a_perturbed_table_at_the_same_triple(name):
         where = "({},{},{})".format(*triple)
         with pytest.raises(NotAssociative, match=re.escape(where)):
             check_associativity(alg.field, bad)
-    c0 = tables(name)["C0"]
     with pytest.raises(NotAssociative):
-        StructureAlgebra(c0.field, perturbed(c0), c0.unit)
+        build_perturbed(tables(name)["C0"])
 
 
 def build_with_wrong_unit() -> None:
     """The quaternion table over Q with unit 2 u_0 in place of u_0."""
     h = tables("Q")["symbol"]
-    StructureAlgebra(h.field, h.constants, [2, 0, 0, 0])
+    StructureAlgebra(h.field, given(h, h.table), [2, 0, 0, 0])
 
 
 def small_zg(name: str):
@@ -169,16 +188,17 @@ def corrupted_moves(name: str):
 
 
 def corrupted_coefficient(name: str):
-    """small_zg(name) with u_0 u_t = u_t scaled by alpha after construction,
-    t the first monomial after u_0 that every automorphism fixes.  The
+    """small_zg(name) with u_0 u_t = u_t scaled by alpha in the stored
+    integer table after construction, t the first monomial after u_0 that
+    every automorphism fixes.  The
     basis elements at u_0 and u_t are u_0 and u_t, so their product has the
     coefficient alpha at u_t, outside E^G = Q: only the closure test at the
     free columns of E^G can see it."""
     z = small_zg(name)
     t = next(t for t in range(1, z.underlying.dim) if all(m[t] == t for m in z.moves.values()))
-    cell = z.underlying.constants[0]
-    [(k, c)] = cell[t]
-    cell[t] = [(k, c * z.field.gen())]
+    cell = z.underlying.table[0]
+    [(k, v)] = cell[t]
+    cell[t] = [(k, scaled_by(z.underlying, v, z.field.gen()))]
     return z
 
 
@@ -265,7 +285,8 @@ def family_against_the_split_class() -> None:
 
 def family_center_after(corrupt) -> None:
     """csa.center of Z(A) over Q(sqrt 2) (the family form) and its fixed
-    algebra B, after corrupt(Z(A) table, B table) has edited the tables.
+    algebra B, after corrupt(Z(A) table, B table) has edited their stored
+    integer tables.
 
     B's one central basis element is its unit e_0.  In Z(A),
     u_s u_t = +-c u_{s xor t}, so u_1 u_3 lands on u_2.
@@ -274,14 +295,14 @@ def family_center_after(corrupt) -> None:
     a = f.gen()
     z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
     b = invariants(z)
-    corrupt(z.underlying.constants, b.constants)
+    corrupt(z.underlying.table, b.table)
     csa.center(z, b)
 
 
 def center_with_a_noncentral_unit(zt, bt) -> None:
     """e_0 e_1 = 2 e_1 in B: no basis element of B is central any more."""
-    k, c = bt[0][1][0]
-    bt[0][1] = [(k, c + c)]
+    k, v = bt[0][1][0]
+    bt[0][1] = [(k, tuple(x + x for x in v))]
 
 
 def center_with_two_terms(zt, bt) -> None:
@@ -357,11 +378,11 @@ def test_congruence_and_quaternion_certificates_raise_certificate_failure():
 _UNDER_O = """
 from test_associativity import (
     CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES,
-    build_with_wrong_unit, certify_corrupted_action, corrupted_coefficient,
-    corrupted_moves, diagonalize_with_broken_certificate, perturbed,
-    symbol_with_broken_relation, tables,
+    build_perturbed, build_with_wrong_unit, certify_corrupted_action,
+    corrupted_coefficient, corrupted_moves, diagonalize_with_broken_certificate,
+    perturbed, symbol_with_broken_relation, tables,
 )
-from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
+from ksalgebra.csa import check_associativity, invariants
 from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
 
 if __debug__:
@@ -374,9 +395,8 @@ for name in FIELDS:
             print(f"{name} {label}: {exc}")
         else:
             raise SystemExit(f"{name} {label}: perturbed table accepted")
-    c0 = tables(name)["C0"]
     try:
-        StructureAlgebra(c0.field, perturbed(c0), c0.unit)
+        build_perturbed(tables(name)["C0"])
     except NotAssociative as exc:
         print(f"{name} C0 built: {exc}")
     else:
@@ -409,16 +429,21 @@ for name in CORRUPTED_COEFFICIENTS:
 """
 
 
-def test_negative_control_survives_python_O():
+def run_under_O(script: str) -> subprocess.CompletedProcess:
+    """script run by python -O with the package and the tests importable."""
     here = Path(__file__).resolve().parent
     path = [str(here.parent / "src"), str(here)]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", _UNDER_O],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_negative_control_survives_python_O():
+    done = run_under_O(_UNDER_O)
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
     assert len(lines) == 5 * len(FIELDS) + 16
@@ -435,3 +460,25 @@ def test_negative_control_survives_python_O():
         "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
         "cubic corrupted coefficient: product leaves the fixed subspace",
     ]
+
+
+_SHORT_UNIT = """
+from ksalgebra.csa import StructureAlgebra
+from ksalgebra.errors import DimensionMismatch
+from ksalgebra.exactfield import RATIONAL_FIELD
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+try:
+    StructureAlgebra(RATIONAL_FIELD, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], [1])
+except DimensionMismatch as exc:
+    print(exc)
+else:
+    raise SystemExit("a unit of the wrong length accepted")
+"""
+
+
+def test_unit_of_the_wrong_length_raises_under_python_O():
+    done = run_under_O(_SHORT_UNIT)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout == "unit of length 1 for a table of dim 2\n"

@@ -17,6 +17,7 @@ from ksalgebra.clifford import CliffordAlgebra, even_part
 from ksalgebra.errors import CertificateFailure, FieldMismatch
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
+    FieldDescriptor,
     apply_automorphism,
     cyclic_cubic_field,
     quadratic_field,
@@ -368,15 +369,44 @@ def test_invariants_match_kernel_oracle(name):
     z = oracle_case(name)
     inv, oracle = invariants(z), oracle_invariants(z)
     assert inv.dim == oracle.dim == z.underlying.dim
+    assert inv.den == oracle.den
     assert inv.unit == oracle.unit
-    assert inv.constants == oracle.constants
+    assert inv.table == oracle.table
     assert inv == oracle
 
 
-def test_structure_algebra_serialization():
-    doc = HAMILTON.to_json_dict()
-    assert doc["dim"] == 4
-    assert [1, 1, 0, "-1"] in doc["constants"]
+def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(monkeypatch):
+    f = cyclic_cubic_field()
+    form = search_cubic_diagonal(f)
+    z = build_ZG(even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)])), f)
+    calls = []
+    real = FieldDescriptor.quotient
+
+    def quotient(field, num, den):
+        if field == RATIONAL_FIELD:
+            calls.append((num, den))
+        return real(field, num, den)
+
+    monkeypatch.setattr(FieldDescriptor, "quotient", quotient)
+    b = invariants(z)
+    assert calls == []
+    assert b.dim == 64 and b.field == RATIONAL_FIELD
+
+
+def test_field_elem_rows_and_integers_over_6_store_the_same_table():
+    # the quaternion table (1/2, 2/3) over Q, whose constants 1/2, 2/3 and
+    # 1/3 need the common denominator 6, and the Hamilton table, whose
+    # integer constants given over 6 must come back to lowest terms
+    for symbol in (rational_symbol(Fraction(1, 2), Fraction(2, 3)), rational_symbol(-1, -1)):
+        a = from_symbol(symbol)
+        rows = [[a.row(i, j) for j in range(4)] for i in range(4)]
+        over_6 = [[([(k, (int(6 * c.rational_value()),)) for k, c in cell], 6) for cell in row] for row in rows]
+        b = StructureAlgebra(RATIONAL_FIELD, over_6, [((6,), 6), 0, 0, 0])
+        assert b == a
+        assert (b.den, b.table, b.unit) == (a.den, a.table, a.unit)
+        assert [[b.row(i, j) for j in range(4)] for i in range(4)] == rows
+    assert from_symbol(rational_symbol(Fraction(1, 2), Fraction(2, 3))).den == 6
+    assert HAMILTON.den == 1
 
 
 # -- twisted-Clifford comparison --------------------------------------------------------
@@ -401,8 +431,9 @@ def test_twisted_iso_negative_controls():
     moves[5] = (moves[5] + 1) % len(moves)
     zg.moves[2] = moves
     assert verify_twisted_iso(diag, f, zg=zg) is False
-    # corrupt a structure constant instead
     zg2 = build_ZG(a, f)
-    k, v = zg2.underlying.constants[1][2][0]
-    zg2.underlying.constants[1][2] = [(k, v + f.one())]
+    # corrupt a stored integer constant instead: add 1 to it
+    left = zg2.underlying
+    k, v = left.table[1][2][0]
+    left.table[1][2] = [(k, (v[0] + left.den,) + v[1:])]
     assert verify_twisted_iso(diag, f, zg=zg2) is False

@@ -108,7 +108,8 @@ def test_family_form_conjugate_entries():
 
 
 def test_conjugation_commutes_with_diagonalization():
-    g = GramForm(CUBIC, [[CUBIC.gen(), 1, 0], [1, 0, CUBIC.gen() ** 2], [0, CUBIC.gen() ** 2, -2]])
+    a = CUBIC.gen()
+    g = GramForm(CUBIC, [[a, 1, 0], [1, 0, a * a], [0, a * a, -2]])
     base = diagonalize(g)
     for i in (1, 2, 3):
         twisted = diagonalize(
