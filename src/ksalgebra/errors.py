@@ -31,10 +31,6 @@ class ZeroDiagonalEntry(ExactAlgebraError):
     """A diagonal quadratic form has a zero entry where a unit is required."""
 
 
-class AlgebraMismatch(ExactAlgebraError):
-    """Structure-constant algebras are incompatible (field or dimension)."""
-
-
 class NotAssociative(ExactAlgebraError):
     """A structure-constant table fails associativity on a basis triple."""
 

@@ -444,7 +444,8 @@ class FieldElem:
         return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational(), "element is not rational"
+        if not self.is_rational():
+            raise FieldMismatch("element is not rational")
         return Fraction(self.num[0], self.den)
 
     # -- presentation ----------------------------------------------------------

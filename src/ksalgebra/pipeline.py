@@ -407,12 +407,12 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
         return report
     warnings = list(validation.warnings)
     diag = validation.diag
+    ev = even_part(CliffordAlgebra(f, diag.entries))
     if m == 3:
-        report.c0_symbol = even_rank3_to_symbol(diag)
+        report.c0_symbol = even_rank3_to_symbol(ev, diag.entries)
         report.cores_symbol_route = _symbol_route(report.c0_symbol, f, diag.entries)
         if report.cores_symbol_route is None:
             warnings.append("first slot of the C0 symbol resisted rationalization")
-    ev = even_part(CliffordAlgebra(f, diag.entries))
     report.cores_invariant_route = _invariant_route(ev, f, m)
     if (
         report.cores_invariant_route["definiteness"] is None

@@ -19,7 +19,7 @@ from ksalgebra.brauer import (
     rational_symbol,
     reduced_symbol,
 )
-from ksalgebra.clifford import CliffordAlgebra, clifford_mul, even_part, rank3_map
+from ksalgebra.clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
 from ksalgebra.csa import build_ZG, verify_twisted_iso
 from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 from ksalgebra.pipeline import (
@@ -266,8 +266,11 @@ def test_criterion_4_random_rank3_quaternion_relations():
         one = f.one()
         for trial in range(100):
             entries = [_random_nonzero(f, rng) for _ in range(3)]
-            symbol, images = rank3_map(entries)
+            c0 = even_part(CliffordAlgebra(f, entries))
+            symbol = even_rank3_to_symbol(c0, entries)
             a, b = symbol.a, symbol.b
+            # 1, i, j, k map to C0's basis 1, e1e2, e1e3, e2e3 scaled by these
+            images = [one, one, one, -entries[0]]
             # the full multiplication table of (a, b): rows 1, i, j, k
             table = {
                 (1, 1): [(0, a)],
@@ -282,10 +285,11 @@ def test_criterion_4_random_rank3_quaternion_relations():
             }
             for x in range(4):
                 for y in range(4):
-                    got = clifford_mul(images[x], images[y])
-                    want = images[0].algebra.element({})
-                    for idx, coeff in table.get((x, y), [(y if x == 0 else x, one)]):
-                        want = want + images[idx].scale(coeff)
+                    got = {k: images[x] * images[y] * c for k, c in c0.row(x, y)}
+                    want = {
+                        idx: coeff * images[idx]
+                        for idx, coeff in table.get((x, y), [(y if x == 0 else x, one)])
+                    }
                     if got != want:
                         failures.append(f"{f.name} trial {trial}: product ({x},{y})")
     ok = not failures

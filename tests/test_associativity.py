@@ -231,19 +231,20 @@ def diagonalize_with_broken_certificate() -> None:
 
 
 def symbol_with_broken_relation() -> None:
-    """C0 of diag(1, 2, -3) over Q checked against the symbol with its
-    second slot negated."""
-    real = clifford.rank3_map
+    """C0 of diag(1, 2, -3) over Q checked against the entries (1, 2, 3),
+    whose symbol has the second slot negated."""
+    f = RATIONAL_FIELD
+    c0 = even_part(CliffordAlgebra(f, [1, 2, -3]))
+    clifford.even_rank3_to_symbol(c0, [f.rational(x) for x in (1, 2, 3)])
 
-    def wrong_symbol(diag):
-        symbol, images = real(diag)
-        return QuaternionSymbol(symbol.a, -symbol.b), images
 
-    clifford.rank3_map = wrong_symbol
-    try:
-        clifford.even_rank3_to_symbol([RATIONAL_FIELD.rational(x) for x in (1, 2, -3)])
-    finally:
-        clifford.rank3_map = real
+def symbol_of_a_corrupted_c0() -> None:
+    """C0 of diag(1, 2, -3) over Q with u_1 u_2 doubled after construction."""
+    f = RATIONAL_FIELD
+    c0 = even_part(CliffordAlgebra(f, [1, 2, -3]))
+    [(k, v)] = c0.table[1][2]
+    c0.table[1][2] = [(k, tuple(x + x for x in v))]
+    clifford.even_rank3_to_symbol(c0, [f.rational(x) for x in (1, 2, -3)])
 
 
 def orbits_under_a_broken_action(d: int) -> None:
@@ -373,6 +374,11 @@ def test_congruence_and_quaternion_certificates_raise_certificate_failure():
         diagonalize_with_broken_certificate()
     with pytest.raises(CertificateFailure, match=r"quaternion relation fails at \(2,2\)"):
         symbol_with_broken_relation()
+
+
+def test_identification_rejects_a_c0_cell_corrupted_after_construction():
+    with pytest.raises(CertificateFailure, match=r"quaternion relation fails at \(1,2\)"):
+        symbol_of_a_corrupted_c0()
 
 
 _UNDER_O = """

@@ -34,6 +34,8 @@ from ksalgebra.errors import (
 )
 from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 
+from test_associativity import run_under_O
+
 Q2 = quadratic_field(2)
 
 
@@ -102,6 +104,30 @@ def test_hilbert_rejects_bad_places_and_zero():
         hilbert_symbol(1, 1, True)
     with pytest.raises(ZeroInput):
         hilbert_symbol(0, 1, 2)
+
+
+_IRRATIONAL_SLOT = """
+from ksalgebra.brauer import hilbert_symbol
+from ksalgebra.errors import FieldMismatch
+from ksalgebra.exactfield import quadratic_field
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+try:
+    hilbert_symbol(quadratic_field(2).gen() - 3, -1, "inf")
+except FieldMismatch as exc:
+    print(exc)
+else:
+    raise SystemExit("an irrational slot accepted")
+"""
+
+
+def test_hilbert_rejects_an_irrational_slot_under_python_O():
+    with pytest.raises(FieldMismatch, match="element is not rational"):
+        hilbert_symbol(Q2.gen() - 3, -1, INF)
+    done = run_under_O(_IRRATIONAL_SLOT)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout == "element is not rational\n"
 
 
 def test_valuation():

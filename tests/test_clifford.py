@@ -1,19 +1,13 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksalgebra.clifford import (
-    CliffordAlgebra,
-    clifford_mul,
-    even_part,
-    even_rank3_to_symbol,
-    rank3_map,
-)
-from ksalgebra.errors import AlgebraMismatch, FieldMismatch, ZeroDiagonalEntry
+from ksalgebra.clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
+from ksalgebra.errors import DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
 from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 from ksalgebra.qform import GramForm, diagonalize
+
+from test_associativity import run_under_O
 
 Q2 = quadratic_field(2)
 
@@ -22,22 +16,29 @@ def diag_form(field, entries):
     return diagonalize(GramForm.diagonal(field, entries))
 
 
+def c0_and_entries(field, entries):
+    """C0 of the diagonalized form and its diagonal entries."""
+    d = diag_form(field, entries)
+    return even_part(CliffordAlgebra(field, d.entries)), d.entries
+
+
+def symbol_of(field, entries):
+    return even_rank3_to_symbol(*c0_and_entries(field, entries))
+
+
 def test_defining_relations_by_hand():
     c = CliffordAlgebra(RATIONAL_FIELD, [3, 5])
-    e1, e2 = c.blade(0b01), c.blade(0b10)
-    assert clifford_mul(e1, e1) == c.one().scale(3)
-    assert clifford_mul(e2, e2) == c.one().scale(5)
+    assert c.blade_product(0b01, 0b01) == (3, 0)
+    assert c.blade_product(0b10, 0b10) == (5, 0)
     # e1e2 * e1e2 = -e1e1e2e2 = -15, the hand-expanded sign rule
-    e12 = c.blade(0b11)
-    assert clifford_mul(e12, e12) == c.one().scale(-15)
-    assert clifford_mul(c.one(), e12) == e12
+    assert c.blade_product(0b11, 0b11) == (-15, 0)
+    assert c.blade_product(0, 0b11) == (1, 0b11)
 
 
 def test_symbolic_rank2_square():
     a, b = Q2.gen(), Q2.gen() - 1
     c = CliffordAlgebra(Q2, [a, b])
-    e12 = c.blade(0b11)
-    assert clifford_mul(e12, e12) == c.one().scale(-(a * b))
+    assert c.blade_product(0b11, 0b11) == (-(a * b), 0)
 
 
 def test_anticommutation_exhaustive():
@@ -46,28 +47,30 @@ def test_anticommutation_exhaustive():
         for j in range(3):
             if i == j:
                 continue
-            ei, ej = c.blade(1 << i), c.blade(1 << j)
-            assert clifford_mul(ei, ej) + clifford_mul(ej, ei) == c.element({})
+            (cij, mij), (cji, mji) = c.blade_product(1 << i, 1 << j), c.blade_product(1 << j, 1 << i)
+            assert mij == mji and cij + cji == 0
 
 
 @pytest.mark.parametrize("entries", [[1], [2, -3], [2, -3, 5], [1, 1, -1, 7]])
 def test_blade_associativity_exhaustive(entries):
+    # a product of blades is one scaled blade, so both sides are (coefficient, mask)
     c = CliffordAlgebra(RATIONAL_FIELD, entries)
-    blades = [c.blade(m) for m in range(c.dim)]
-    for x in blades:
-        for y in blades:
-            xy = clifford_mul(x, y)
-            for z in blades:
-                assert clifford_mul(xy, z) == clifford_mul(x, clifford_mul(y, z))
+    for x in range(c.dim):
+        for y in range(c.dim):
+            cxy, xy = c.blade_product(x, y)
+            for z in range(c.dim):
+                cyz, yz = c.blade_product(y, z)
+                left, right = c.blade_product(xy, z), c.blade_product(x, yz)
+                assert (cxy * left[0], left[1]) == (cyz * right[0], right[1])
 
 
 def test_grading():
     c = CliffordAlgebra(Q2, [Q2.gen(), 1, -2])
     for s in range(c.dim):
         for t in range(c.dim):
-            prod = clifford_mul(c.blade(s), c.blade(t))
-            want = (bin(s).count("1") + bin(t).count("1")) % 2
-            assert {bin(m).count("1") % 2 for m in prod.comps} == {want}
+            coeff, mask = c.blade_product(s, t)
+            assert coeff
+            assert bin(mask).count("1") % 2 == (bin(s).count("1") + bin(t).count("1")) % 2
 
 
 def test_even_part_dimensions():
@@ -90,45 +93,38 @@ def test_even_part_rank3_unit_square():
 
 
 def test_rank3_symbol_values():
-    assert even_rank3_to_symbol(diag_form(RATIONAL_FIELD, [1, 1, 1])).to_json_dict() == {
-        "a": "-1",
-        "b": "-1",
-    }
-    assert even_rank3_to_symbol(diag_form(RATIONAL_FIELD, [1, 1, -1])).to_json_dict() == {
-        "a": "-1",
-        "b": "1",
-    }
+    assert symbol_of(RATIONAL_FIELD, [1, 1, 1]).to_json_dict() == {"a": "-1", "b": "-1"}
+    assert symbol_of(RATIONAL_FIELD, [1, 1, -1]).to_json_dict() == {"a": "-1", "b": "1"}
 
 
 def test_rank3_symbol_family_form():
     # diag(sqrt2, sqrt2, sqrt2 - 2) -> (-2, 2*sqrt2 - 2)
     a = Q2.gen()
-    s = even_rank3_to_symbol(diag_form(Q2, [a, a, a - 2]))
+    s = symbol_of(Q2, [a, a, a - 2])
     assert s.a == Q2.rational(-2)
     assert s.b == 2 * a - 2
 
 
-def test_rank3_map_k_is_minus_a_e23():
-    d = diag_form(RATIONAL_FIELD, [2, 3, 5])
-    _, images = rank3_map(d)
-    c = images[0].algebra
-    assert images[3] == c.blade(0b110).scale(-2)
+def test_rank3_k_is_minus_a_e23():
+    # k = ij = e1e2 e1e3 = -a1 e2e3, for diag(2, 3, 5)
+    assert CliffordAlgebra(RATIONAL_FIELD, [2, 3, 5]).blade_product(0b011, 0b101) == (-2, 0b110)
+    c0, _ = c0_and_entries(RATIONAL_FIELD, [2, 3, 5])
+    assert c0.row(1, 2) == [(3, RATIONAL_FIELD.rational(-2))]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=-5, max_value=5).filter(bool), min_size=3, max_size=3))
 def test_rank3_relations_reverified(entries):
-    d = diag_form(RATIONAL_FIELD, entries)
-    symbol, images = rank3_map(d)
-    one, i, j, k = images
-    a = one.scale(symbol.a)
-    b = one.scale(symbol.b)
-    assert clifford_mul(i, i) == a
-    assert clifford_mul(j, j) == b
-    assert clifford_mul(i, j) == k
-    assert clifford_mul(j, i) == -k
-    assert clifford_mul(k, k) == one.scale(-(symbol.a * symbol.b))
-    even_rank3_to_symbol(d)  # runs the full 16-product certification
+    # read off C0's basis 1, e1e2, e1e3, e2e3, where i, j, k are u_1, u_2, -a1 u_3
+    c0, diag = c0_and_entries(RATIONAL_FIELD, entries)
+    symbol = even_rank3_to_symbol(c0, diag)  # runs the full 16-product certification
+    a1 = diag[0]
+    assert c0.row(1, 1) == [(0, symbol.a)]
+    assert c0.row(2, 2) == [(0, symbol.b)]
+    assert c0.row(1, 2) == [(3, -a1)]
+    assert c0.row(2, 1) == [(3, a1)]
+    [(k, c)] = c0.row(3, 3)
+    assert k == 0 and a1 * a1 * c == -(symbol.a * symbol.b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,10 +136,10 @@ def test_rank3_relations_over_quadratic_field(raw):
     entries = [raw[2 * t] + raw[2 * t + 1] * a for t in range(3)]
     if not all(entries):
         return
-    d = diag_form(Q2, entries)
-    s = even_rank3_to_symbol(d)
-    assert s.a == -(entries[0] * entries[1])
-    assert s.b == -(entries[0] * entries[2])
+    c0, diag = c0_and_entries(Q2, entries)
+    s = even_rank3_to_symbol(c0, diag)
+    assert s.a == -(diag[0] * diag[1])
+    assert s.b == -(diag[0] * diag[2])
 
 
 def test_guards():
@@ -151,21 +147,37 @@ def test_guards():
         CliffordAlgebra(RATIONAL_FIELD, [1, 0, 2])
     with pytest.raises(FieldMismatch):
         CliffordAlgebra(Q2, [RATIONAL_FIELD.one()])
-    c1 = CliffordAlgebra(RATIONAL_FIELD, [1, 1])
-    c2 = CliffordAlgebra(RATIONAL_FIELD, [1, 2])
-    with pytest.raises(AlgebraMismatch):
-        clifford_mul(c1.one(), c2.one())
 
 
-def test_element_serialization():
-    c = CliffordAlgebra(Q2, [Q2.gen(), 1, -1])
-    x = c.blade(0b011).scale(Q2.gen()) + c.one().scale(Fraction(1, 2))
-    assert x.to_json_dict() == {"0": "1/2", "3": ["0", "1"]}
-    assert "e1e2" in repr(x)
+_WRONG_RANK = """
+from ksalgebra.clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
+from ksalgebra.errors import DimensionMismatch
+from ksalgebra.exactfield import RATIONAL_FIELD
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, 3]))
+entries = [RATIONAL_FIELD.rational(x) for x in (1, 2, 3)]
+for c, es in ((even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2])), entries), (c0, entries[:2])):
+    try:
+        even_rank3_to_symbol(c, es)
+    except DimensionMismatch as exc:
+        print(exc)
+    else:
+        raise SystemExit("a wrong-rank identification accepted")
+"""
 
 
-def test_immutability():
-    c = CliffordAlgebra(RATIONAL_FIELD, [1])
-    x = c.one()
-    with pytest.raises(AttributeError):
-        x.comps = {}
+def test_rank3_identification_needs_a_dim4_c0_and_three_entries():
+    c0, entries = c0_and_entries(RATIONAL_FIELD, [1, 2, 3])
+    rank2 = even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2]))
+    with pytest.raises(DimensionMismatch, match="got dim 2 and 3"):
+        even_rank3_to_symbol(rank2, entries)
+    with pytest.raises(DimensionMismatch, match="got dim 4 and 2"):
+        even_rank3_to_symbol(c0, entries[:2])
+    done = run_under_O(_WRONG_RANK)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout.splitlines() == [
+        "rank-3 identification needs a dim-4 C0 and 3 entries, got dim 2 and 3",
+        "rank-3 identification needs a dim-4 C0 and 3 entries, got dim 4 and 2",
+    ]

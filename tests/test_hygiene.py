@@ -8,8 +8,10 @@ private state stays behind its public methods.  Every public top-level
 function or class of the package must be named somewhere else in the
 package or in perfbench/: a public name only tests call is dead code.
 Every private top-level function of the package must be named in its own
-module, so no helper outlives its last caller.  The checks parse the
-sources with ast, so they run without any linter.
+module, so no helper outlives its last caller.  Every assert left in the
+package is listed below by module and enclosing function: certificates
+raise, and a new assert is a deliberate edit of that list.  The checks
+parse the sources with ast, so they run without any linter.
 """
 
 import ast
@@ -163,3 +165,46 @@ def test_unreferenced_private_functions_are_detected():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_private_function_is_used_in_its_module(path):
     assert unreferenced_private_functions(path.read_text()) == []
+
+
+# the asserts left in the package: programmer-error preconditions, by
+# module and enclosing function, in source order
+LISTED_ASSERTS = {
+    "brauer": ["_int_valuation", "legendre", "legendre", "symbol_scale"],
+    "pipeline": ["even_weight_orbits", "search_cubic_diagonal"],
+    "polynomials": ["interval_eval"],
+    "qform": ["GramForm.__init__", "GramForm.__init__", "_inertia"],
+}
+
+
+def asserts_by_function(source: str) -> list[str]:
+    """The enclosing function (Class.method, outer.inner) of each assert
+    statement, in source order; <module> for one at top level."""
+    found = []
+
+    def visit(node, scope: list[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assert):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_asserts_are_located_by_function():
+    source = (
+        "assert True\n"
+        "def f(x):\n    assert x\n    def g():\n        if x:\n            assert x > 1\n"
+        "class C:\n    def m(self):\n        for _ in ():\n            assert self\n"
+        "def clean():\n    return 1\n"
+    )
+    assert asserts_by_function(source) == ["<module>", "f", "f.g", "C.m"]
+
+
+def test_asserts_in_src_are_the_listed_preconditions():
+    found = {path.stem: asserts_by_function(path.read_text()) for path in MODULES}
+    assert {module: where for module, where in found.items() if where} == LISTED_ASSERTS

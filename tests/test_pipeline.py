@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksalgebra import csa, qform
+from ksalgebra.clifford import CliffordAlgebra
 from ksalgebra.brauer import INF, is_definite, rational_symbol
 from ksalgebra.csa import from_symbol, tensor, trace_form_signature
 from ksalgebra.errors import (
@@ -188,6 +189,20 @@ def test_family_report_diagonalizes_the_form_once(monkeypatch):
     rep = six_lines_family(2, 1, 1)
     assert sizes.count(3) == 1
     assert "diag" not in rep.validation.to_json_dict()
+
+
+def test_family_report_builds_one_clifford_algebra(monkeypatch):
+    # the symbol route's identification and the invariant route read one C0
+    built = []
+    real = CliffordAlgebra.__init__
+
+    def counting(self, field, diag):
+        built.append(len(diag))
+        real(self, field, diag)
+
+    monkeypatch.setattr(CliffordAlgebra, "__init__", counting)
+    six_lines_family(2, 1, 1)
+    assert built == [3]
 
 
 def test_family_further_members_land_on_same_class():
