@@ -251,10 +251,6 @@ def ramification(s: QuaternionSymbol, bound: int = DEFAULT_TRIAL_BOUND) -> Ramif
     return RamificationSet(frozenset(ramified))
 
 
-def is_split(s: QuaternionSymbol) -> bool:
-    return ramification(s).empty
-
-
 def is_definite(s: QuaternionSymbol) -> bool:
     return INF in ramification(s)
 
@@ -290,13 +286,10 @@ def reduced_symbol(s: QuaternionSymbol, bound: int = DEFAULT_TRIAL_BOUND) -> Qua
 def symbol_scale(s: QuaternionSymbol, slot: int, u: FieldElem) -> QuaternionSymbol:
     """Divide the chosen slot by u^2; the class is unchanged, u is recorded."""
     assert slot in (1, 2)
-    if isinstance(u, FieldElem):
-        if not u:
-            raise ZeroScale("scaling certificate must be nonzero")
-    else:
+    if not isinstance(u, FieldElem):
         u = s.field.rational(u)
-        if not u:
-            raise ZeroScale("scaling certificate must be nonzero")
+    if not u:
+        raise ZeroScale("scaling certificate must be nonzero")
     usq = u * u
     if slot == 1:
         return QuaternionSymbol(s.a / usq, s.b, s.history + ((1, u),))

@@ -23,8 +23,6 @@ from fractions import Fraction
 from .brauer import (
     INF,
     hilbert_symbol,
-    is_definite,
-    is_split,
     ramification,
     rational_symbol,
     reduced_symbol,
@@ -129,8 +127,8 @@ def _cmd_classify(args) -> int:
             "symbol": symbol.to_json_dict(),
             "reduced": reduced.render(),
             "ramification": ram.sorted_list(),
-            "split": is_split(symbol),
-            "definite": is_definite(symbol),
+            "split": ram.empty,
+            "definite": INF in ram,
         }
         sys.stdout.write(_canonical(doc))
         return 0
@@ -138,8 +136,8 @@ def _cmd_classify(args) -> int:
     print(f"symbol: {symbol.render()}")
     print(f"reduced: {reduced.render()}")
     print(f"ramification: {{{places}}}")
-    print(f"split: {'yes' if is_split(symbol) else 'no'}")
-    print(f"definite: {'yes' if is_definite(symbol) else 'no'}")
+    print(f"split: {'yes' if ram.empty else 'no'}")
+    print(f"definite: {'yes' if INF in ram else 'no'}")
     return 0
 
 

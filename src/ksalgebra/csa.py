@@ -4,7 +4,8 @@ Everything is basis-and-constants: an algebra is a table c with
 u_i u_j = sum_k c_ijk u_k, stored sparsely since the algebras that matter
 here (even Clifford algebras, quaternion tables, their tensor powers) are
 monomial or close to it.  A table is stored as integer vectors over one
-common denominator; tables are built and checked on those integers, and
+common denominator; tables are built and checked on those integers with
+the field's kernel (FieldDescriptor.multiply, accumulate and reduce), and
 FieldElems appear only in tables given from outside and in row().  One
 checking rule: unit laws and the Galois action on Z(A) are always
 certified; a table built from given constants is swept for associativity
@@ -79,69 +80,33 @@ def _normalize_row(field: FieldDescriptor, pairs) -> tuple[list, int]:
     return [(k, tuple([x * (den // c.den) for x in c.num])) for k, c in sorted(acc.items()) if c], den
 
 
-def _convolve_into(acc: list[int], a, b) -> None:
-    """acc += a * b as polynomials, unreduced, on integer vectors."""
-    for p, ap in enumerate(a):
-        if ap:
-            for q, bq in enumerate(b):
-                acc[p + q] += ap * bq
-
-
-def _multiply(field: FieldDescriptor, a, b) -> tuple[int, ...]:
-    """a * b on integer vectors, reduced: over the reduction's denominator."""
-    acc = [0] * (2 * field.degree - 1)
-    _convolve_into(acc, a, b)
-    return tuple(field.reduce(acc)[0])
-
-
 def check_associativity(field: FieldDescriptor, table) -> None:
     """Exact check of (u_i u_j) u_k = u_i (u_j u_k) on every basis triple.
 
     table is the integer table a StructureAlgebra stores: cells of
     (index, tuple of d ints), all over one denominator L, so both sides of
     each identity carry the same factor L^2 and are compared as integers.
-    Each side is accumulated per output index as unreduced integer
-    convolutions and, where the two differ, reduced through
-    FieldDescriptor.reduce, the reduction FieldElem multiplication uses.  A
-    failure raises NotAssociative naming the first failing triple (i, j, k).
+    Their difference is summed per output index with
+    FieldDescriptor.accumulate, the right side through a negated copy of
+    the table, and each nonzero sum must reduce to zero under
+    FieldDescriptor.reduce.  A failure raises NotAssociative naming the
+    first failing triple (i, j, k).
     """
     n = len(table)
-    d = field.degree
-    if d == 1:
-        # Q: a coefficient vector is one integer and nothing needs reducing
-        table = [[[(k, v[0]) for k, v in cell] for cell in row] for row in table]
-        zero = 0
-
-        def accumulate(into: dict, a: int, row) -> None:
-            for s, b in row:
-                into[s] = into.get(s, 0) + a * b
-    else:
-        width = 2 * d - 1
-        zero = [0] * width
-
-        def accumulate(into: dict, a: tuple, row) -> None:
-            for s, b in row:
-                acc = into.get(s)
-                if acc is None:
-                    acc = into[s] = [0] * width
-                _convolve_into(acc, a, b)
-
+    accumulate = field.accumulate
+    negated = [[[(t, tuple([-x for x in a])) for t, a in cell] for cell in row] for row in table]
     for i in range(n):
         ti = table[i]
         for j in range(n):
-            rij, tj = ti[j], table[j]
+            rij, nj = ti[j], negated[j]
             for k in range(n):
-                lhs: dict = {}
+                sums: dict = {}
                 for t, a in rij:
-                    accumulate(lhs, a, table[t][k])
-                rhs: dict = {}
-                for t, a in tj[k]:
-                    accumulate(rhs, a, ti[t])
-                if lhs == rhs:
-                    continue
-                for s in lhs.keys() | rhs.keys():
-                    x, y = lhs.get(s, zero), rhs.get(s, zero)
-                    if x != y and (d == 1 or field.reduce(x) != field.reduce(y)):
+                    accumulate(sums, a, table[t][k])
+                for t, a in nj[k]:
+                    accumulate(sums, a, ti[t])
+                for v in sums.values():
+                    if any(v) and any(field.reduce(v)):
                         raise NotAssociative(f"associativity fails at ({i},{j},{k})")
 
 
@@ -193,20 +158,18 @@ class StructureAlgebra:
     def _check_unit(self) -> None:
         """u e_i = e_i = e_i u for each basis element e_i, on integers:
         with u and the table over den L, both products come out over L^2 D,
-        D the denominator every reduction returns."""
+        D the field's reduction_den."""
         f, table = self.field, self.table
         us = [(s, v) for s, v in enumerate(self.unit) if any(v)]
         if not us:
             raise CertificateFailure("unit law fails: the unit is zero")
-        one = (self.den * self.den * f.reduce(())[1],) + (0,) * (f.degree - 1)
+        one = (self.den * self.den * f.reduction_den,) + (0,) * (f.degree - 1)
         for i in range(self.dim):
             for side, cells in (("left", [table[s][i] for s, _ in us]), ("right", [table[i][s] for s, _ in us])):
-                acc: dict[int, list[int]] = {}
+                sums: dict = {}
                 for (_, a), cell in zip(us, cells):
-                    for k, b in cell:
-                        _convolve_into(acc.setdefault(k, [0] * (2 * f.degree - 1)), a, b)
-                reduced = {k: tuple(f.reduce(v)[0]) for k, v in acc.items()}
-                if {k: r for k, r in reduced.items() if any(r)} != {i: one}:
+                    f.accumulate(sums, a, cell)
+                if {k: r for k, v in sums.items() if any(r := f.reduce(v))} != {i: one}:
                     raise CertificateFailure(f"{side} unit law fails at u_{i}")
 
     def __eq__(self, other) -> bool:
@@ -254,14 +217,13 @@ def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, lis
     tables as the constructor takes them, u_i tensor u_j at index
     i * nb + j; each distinct pair of integer vectors is multiplied once."""
     (ta, ua), (tb, ub) = a, b
-    nb = len(ub)
-    rden = field.reduce(())[1]
+    nb, rden = len(ub), field.reduction_den
     products: dict = {}
 
     def mul(x: tuple, y: tuple) -> tuple:
         p = products.get((x, y))
         if p is None:
-            p = products[x, y] = _multiply(field, x, y)
+            p = products[x, y] = field.multiply(x, y)
         return p
 
     constants = [
@@ -405,16 +367,15 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     Products run on integer vectors: Z(A)'s stored table over its
     denominator, the basis over another.  For each basis element x the
     products u_s x are formed once at the representatives, and each
-    product's coefficient at a representative is accumulated from them as
-    unreduced integer convolutions and reduced through
-    FieldDescriptor.reduce.  Its coordinates are the coefficient read at
-    the pivots of E^H, stored as integers over the product's denominator;
-    at every other column the RREF rows, combined by those coordinates,
-    must give the coefficient back, or it lies outside E^H and
-    NotClosedUnderMultiplication is raised (at a pivot they give it back by
-    construction).  The moves are trusted as certified when z was built;
-    one corrupted later is caught where it breaks these checks or the
-    dimension count.
+    product's coefficient at a representative is summed from them with
+    FieldDescriptor.accumulate and reduced with FieldDescriptor.reduce.
+    Its coordinates are the coefficient read at the pivots of E^H, stored
+    as integers over the product's denominator; at every other column the
+    RREF rows, combined by those coordinates, must give the coefficient
+    back, or it lies outside E^H and NotClosedUnderMultiplication is raised
+    (at a pivot they give it back by construction).  The moves are trusted
+    as certified when z was built; one corrupted later is caught where it
+    breaks these checks or the dimension count.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
@@ -470,13 +431,12 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
         unit[k] = v, alg.den
 
     # the basis over one denominator M and the table over one L; a
-    # product's coefficient then comes out over M^2 L D^2, D the
-    # denominator every reduction returns
+    # product's coefficient then comes out over M^2 L D^2, D the field's
+    # reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [[(s, tuple([x * (bden // c.den) for x in c.num])) for s, c in vec.items()] for vec in basis]
-    rden = f.reduce(())[1]
-    den = bden * bden * alg.den * rden * rden
-    width = 2 * d - 1
+    den = bden * bden * alg.den * f.reduction_den ** 2
+    accumulate, multiply = f.accumulate, f.multiply
     products: dict = {}
     constants = [[None] * n for _ in range(n)]
     for j, xb in enumerate(ibasis):
@@ -489,18 +449,14 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
                     if k in blocks:
                         v = products.get((b, c))
                         if v is None:
-                            v = products[b, c] = _multiply(f, b, c)
+                            v = products[b, c] = multiply(b, c)
                         terms.append((k, v))
             right.append(terms)
         for i, xa in enumerate(ibasis):
-            w: dict[int, list[int]] = {}
+            w: dict = {}
             for s, a in xa:
-                for k, v in right[s]:
-                    acc = w.get(k)
-                    if acc is None:
-                        acc = w[k] = [0] * width
-                    _convolve_into(acc, a, v)
-            reduced = {k: f.reduce(acc)[0] for k, acc in w.items()}
+                accumulate(w, a, right[s])
+            reduced = {k: f.reduce(acc) for k, acc in w.items()}
             constants[i][j] = coords(reduced, "product leaves the fixed subspace"), den
     return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM)
 
@@ -614,8 +570,6 @@ def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor, zg: GaloisModuleAlg
 
     a = even_part(CliffordAlgebra(f, diag_q.entries))
     d = f.degree
-    if d == 1:
-        return True
     if zg is None:
         zg = build_ZG(a, f)
     right = reduce(tensor, (

@@ -5,10 +5,15 @@ d over Q, the full list of its d automorphisms (as polynomials giving the
 image of alpha), and d isolating intervals with rational endpoints, one per
 real root of P.  An element is a residue class g(alpha) mod P stored as an
 integer vector over a common denominator (Cohen, GTM 138, section 4.2):
-num, a tuple of d ints, over den > 0, in lowest terms.  A product is an
-integer convolution reduced through the field's integer table of X^k mod P,
-and an automorphism acts by an integer matrix, so every operation is exact
-and no floating point appears anywhere.
+num, a tuple of d ints, over den > 0, in lowest terms.  An automorphism
+acts by an integer matrix, so every operation is exact and no floating
+point appears anywhere.
+
+The field owns the integer-vector kernel that FieldElem and csa share:
+accumulate sums products of vectors per output index, unreduced; reduce
+takes a sum mod P by the integer matrix whose columns are X^k mod P, over
+reduction_den; multiply is the two in one.  Over Q a product is one
+integer product: accumulate holds the package's one degree-1 branch.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of
@@ -33,6 +38,7 @@ means P is reducible: both raise InvalidDescriptor.
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -53,14 +59,6 @@ from .polynomials import (
 )
 
 _BISECTION_CAP = 2000
-
-
-def _add_rows(out: list[int], cs, rows) -> None:
-    """out += sum of cs[k] * rows[k], in place, on integer vectors."""
-    for c, row in zip(cs, rows):
-        if c:
-            for l, r in enumerate(row):
-                out[l] += c * r
 
 
 def _sign(x: Fraction) -> int:
@@ -115,14 +113,14 @@ class FieldDescriptor:
         self._validate()
         self._compose_table = self._build_compose_table()
         d, p = self.degree, self.min_poly
-        # X^k mod P for d <= k <= 2d - 2: a product of two coefficient
-        # vectors has degree <= 2d - 2 and reduces through these rows
-        self._power_den, self._power_rows = self._integer_rows(
-            pmod(poly([0] * k + [1]), p) for k in range(d, 2 * d - 1)
+        # column k is X^k mod P for k <= 2d - 2: a product of two
+        # coefficient vectors has degree <= 2d - 2 and reduces through it
+        self.reduction_den, self._reduction = self._integer_matrix(
+            pmod(poly([0] * k + [1]), p) for k in range(2 * d - 1)
         )
-        # row k of automorphism i: sigma_i(alpha^k) = a_i^k mod P
-        self._automorphism_rows = [
-            self._integer_rows(pmod(pcompose(poly([0] * k + [1]), a), p) for k in range(d))
+        # column k of automorphism i: sigma_i(alpha^k) = a_i^k mod P
+        self._automorphism_matrices = [
+            self._integer_matrix(pmod(pcompose(poly([0] * k + [1]), a), p) for k in range(d))
             for a in self.automorphisms
         ]
         self._key = (
@@ -144,9 +142,7 @@ class FieldDescriptor:
 
         if len(self.automorphisms) != d:
             raise NonGaloisField(f"need exactly {d} automorphisms, got {len(self.automorphisms)}")
-        if self.automorphisms[0] != poly([0, 1]) and d > 1:
-            raise InvalidDescriptor("first automorphism must be the identity X")
-        if d == 1 and pmod(poly([0, 1]), p) != self.automorphisms[0]:
+        if self.automorphisms[0] != pmod(poly([0, 1]), p):
             raise InvalidDescriptor("first automorphism must be the identity X")
         seen = set()
         for a in self.automorphisms:
@@ -207,35 +203,60 @@ class FieldDescriptor:
                 raise NonGaloisField("composition table rows are not permutations")
         return table
 
-    def _integer_rows(self, polys) -> tuple[int, list[tuple[int, ...]]]:
-        """Reduced polynomials as integer rows of length d over one
-        denominator D: row k divided by D is the k-th polynomial."""
+    def _integer_matrix(self, polys) -> tuple[int, list[tuple[int, ...]]]:
+        """(D, M): reduced polynomials as the columns of an integer matrix
+        M of d rows over one denominator D, so that column k divided by D
+        is the k-th polynomial."""
         padded = [list(r) + [Fraction(0)] * (self.degree - len(r)) for r in polys]
         den = lcm(1, *(c.denominator for r in padded for c in r))
-        return den, [tuple(c.numerator * (den // c.denominator) for c in r) for r in padded]
+        return den, list(zip(*([c.numerator * (den // c.denominator) for c in r] for r in padded)))
 
-    def reduce(self, acc: Sequence[int]) -> tuple[list[int], int]:
-        """acc(alpha) in the power basis, as (r, D) meaning r / D.
+    # -- the integer-vector kernel -------------------------------------------
+
+    def accumulate(self, sums: dict, a: Sequence[int], row) -> None:
+        """sums[s] += a * b for each (s, b) in row, unreduced: a and each b
+        are d ints, and a sum is a list of 2d - 1 ints for reduce to read."""
+        if self.degree == 1:
+            (a,) = a
+            for s, (b,) in row:
+                acc = sums.get(s)
+                if acc is None:
+                    sums[s] = [a * b]
+                else:
+                    acc[0] += a * b
+            return
+        width = 2 * self.degree - 1
+        for s, b in row:
+            acc = sums.get(s)
+            if acc is None:
+                acc = sums[s] = [0] * width
+            for p, ap in enumerate(a):
+                if ap:
+                    for q, bq in enumerate(b):
+                        acc[p + q] += ap * bq
+
+    def reduce(self, acc: Sequence[int]) -> tuple[int, ...]:
+        """acc(alpha) in the power basis, as d ints over reduction_den.
 
         acc holds the integer coefficients of a polynomial of degree at
-        most 2d - 2, such as an unreduced product of two coefficient
-        vectors.  It is reduced mod P through the integer rows of X^k mod P;
-        D is their common denominator, the same for every call.
+        most 2d - 2, such as a sum from accumulate.  It is reduced mod P
+        by the integer matrix whose column k is X^k mod P.
         """
-        d, den = self.degree, self._power_den
-        out = [den * c for c in acc[:d]]
-        out += [0] * (d - len(out))
-        _add_rows(out, acc[d:], self._power_rows)
-        return out, den
+        return tuple([sum(map(mul, row, acc)) for row in self._reduction])
+
+    def multiply(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+        """a * b on integer vectors, reduced: d ints over reduction_den."""
+        sums: dict = {}
+        self.accumulate(sums, a, ((0, b),))
+        return self.reduce(sums[0])
 
     def automorphism(self, i: int, num: Sequence[int]) -> tuple[list[int], int]:
         """sigma_i(num(alpha)), 1-based, as (r, A) meaning r / A.  The field
-        stores sigma_i as integer rows: row k over A is sigma_i(alpha^k)."""
+        stores sigma_i as an integer matrix: column k over A is
+        sigma_i(alpha^k)."""
         self._check_index(i)
-        den, rows = self._automorphism_rows[i - 1]
-        out = [0] * self.degree
-        _add_rows(out, num, rows)
-        return out, den
+        den, rows = self._automorphism_matrices[i - 1]
+        return [sum(map(mul, row, num)) for row in rows], den
 
     # -- basic structure ---------------------------------------------------
 
@@ -393,16 +414,8 @@ class FieldElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        f, a, b = self.field, self.num, o.num
-        if f.degree == 1:
-            return _reduced(f, (a[0] * b[0],), self.den * o.den)
-        acc = [0] * (2 * f.degree - 1)
-        for p, ap in enumerate(a):
-            if ap:
-                for q, bq in enumerate(b):
-                    acc[p + q] += ap * bq
-        num, den = f.reduce(acc)
-        return _reduced(f, tuple(num), self.den * o.den * den)
+        f = self.field
+        return _reduced(f, f.multiply(self.num, o.num), self.den * o.den * f.reduction_den)
 
     __rmul__ = __mul__
 

@@ -151,8 +151,6 @@ def even_weight_orbits(d: int, generators) -> OrbitData:
 
 
 def cyclic_generators(d: int) -> list:
-    if d == 1:
-        return [(1,)]
     return [tuple(range(2, d + 1)) + (1,)]
 
 
@@ -414,31 +412,19 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
         if report.cores_symbol_route is None:
             warnings.append("first slot of the C0 symbol resisted rationalization")
     report.cores_invariant_route = _invariant_route(ev, f, m)
-    if (
-        report.cores_invariant_route["definiteness"] is None
-        and m == 3
-    ):
+    symbol_verdict = report.cores_symbol_route and report.cores_symbol_route["definiteness"]
+    invariant_verdict = report.cores_invariant_route["definiteness"]
+    if invariant_verdict is None and m == 3:
         warnings.append("trace signature matches neither reference class")
-    if report.cores_symbol_route and report.cores_invariant_route["definiteness"]:
-        symbol_definite = report.cores_symbol_route["definiteness"] == "definite"
-        invariant_definite = report.cores_invariant_route["definiteness"] == "definite"
-        if symbol_definite != invariant_definite:
+    if symbol_verdict and invariant_verdict:
+        if (symbol_verdict == "definite") != (invariant_verdict == "definite"):
             raise RouteDisagreement(
-                f"symbol route says {report.cores_symbol_route['definiteness']}, "
-                f"invariant route says {report.cores_invariant_route['definiteness']}"
+                f"symbol route says {symbol_verdict}, invariant route says {invariant_verdict}"
             )
         report.route_agreement = True
-    actual = None
-    if report.cores_symbol_route is not None:
-        actual = report.cores_symbol_route["definiteness"]
-    elif report.cores_invariant_route["definiteness"] is not None:
-        actual = report.cores_invariant_route["definiteness"]
-    if actual is not None:
-        definite_now = actual == "definite"
-        if definite_now != (parity_expected == "definite"):
-            warnings.append(
-                f"parity expectation {parity_expected} not met (got {actual})"
-            )
+    verdict = symbol_verdict or invariant_verdict
+    if verdict is not None and (verdict == "definite") != (parity_expected == "definite"):
+        warnings.append(f"parity expectation {parity_expected} not met (got {verdict})")
     cores_desc = (
         report.cores_symbol_route["reduced"].render()
         if report.cores_symbol_route
@@ -446,15 +432,8 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
     )
     report.decomposition = f"A ~ B'^{2 ** (d - 1)}, End(B') = {cores_desc}"
     if m == 3:
-        if report.cores_symbol_route is not None:
-            dverdict = report.cores_symbol_route["definiteness"]
-        elif report.cores_invariant_route["definiteness"] is not None:
-            dverdict = report.cores_invariant_route["definiteness"].replace("_", " ")
-        else:
-            dverdict = "unclassified"
-        report.rank3_extras = (
-            f"A ~ B^{2 ** (2 * d - 2)}, dim B = {2 ** d}, D {dverdict}"
-        )
+        dverdict = (verdict or "unclassified").replace("_", " ")
+        report.rank3_extras = f"A ~ B^{2 ** (2 * d - 2)}, dim B = {2 ** d}, D {dverdict}"
     report.warnings = tuple(warnings)
     return report
 

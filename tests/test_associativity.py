@@ -3,8 +3,8 @@
 The oracle is the sweep as it was first written, on plain Fraction
 coefficient lists: every product is the reference pmod(pmul(a, b), P) of
 fraction_reference.py, so it shares nothing with the integer sweep in
-csa.check_associativity (and FieldDescriptor.reduce, which FieldElem
-multiplication shares) but the table.  Over Q, Q(sqrt 2), Q(sqrt 5) and
+csa.check_associativity (and the FieldDescriptor kernel it runs on, which
+FieldElem multiplication shares) but the table.  Over Q, Q(sqrt 2), Q(sqrt 5) and
 the cyclic cubic both must accept the tables the pipeline builds (C0, Z(A)
 and the fixed algebra) and a quaternion table whose constants have
 unequal denominators, and both must reject each of them, at the same

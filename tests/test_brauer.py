@@ -12,7 +12,6 @@ from ksalgebra.brauer import (
     hilbert_symbol,
     is_definite,
     is_probable_prime,
-    is_split,
     legendre,
     ramification,
     rational_symbol,
@@ -204,10 +203,10 @@ def test_ramification_frozen_sets():
 
 
 def test_split_definite_verdicts():
-    assert is_definite(rational_symbol(-1, -1)) and not is_split(rational_symbol(-1, -1))
-    assert is_split(rational_symbol(1, 1))
+    assert is_definite(rational_symbol(-1, -1)) and not ramification(rational_symbol(-1, -1)).empty
+    assert ramification(rational_symbol(1, 1)).empty
     s = rational_symbol(-1, 3)
-    assert not is_definite(s) and not is_split(s)
+    assert not is_definite(s) and not ramification(s).empty
 
 
 def test_symbols_isomorphic():
@@ -314,4 +313,4 @@ def test_corestrict_rational_second_slot():
     s = QuaternionSymbol(Q2.rational(-1), Q2.rational(3))
     down = corestrict_symbol(s)
     assert down == rational_symbol(-1, 9)
-    assert is_split(down)
+    assert ramification(down).empty

@@ -422,6 +422,21 @@ def test_twisted_iso_degree_one():
     assert verify_twisted_iso(diagonalize(g), RATIONAL_FIELD) is True
 
 
+def test_twisted_iso_degree_one_checks_a_passed_zg():
+    diag = diagonalize(GramForm.diagonal(RATIONAL_FIELD, [1, 1, -1]))
+    a = even_part(CliffordAlgebra(RATIONAL_FIELD, diag.entries))
+    zg = build_ZG(a, RATIONAL_FIELD)
+    moves = list(zg.moves[1])
+    moves[0], moves[1] = moves[1], moves[0]
+    zg.moves[1] = moves
+    assert verify_twisted_iso(diag, RATIONAL_FIELD, zg=zg) is False
+    zg2 = build_ZG(a, RATIONAL_FIELD)
+    left = zg2.underlying
+    k, v = left.table[1][2][0]
+    left.table[1][2] = [(k, (v[0] + left.den,))]
+    assert verify_twisted_iso(diag, RATIONAL_FIELD, zg=zg2) is False
+
+
 def test_twisted_iso_negative_controls():
     f, diag = family_diag(2, 1)
     a = even_part(CliffordAlgebra(f, diag.entries))

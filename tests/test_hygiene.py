@@ -10,8 +10,11 @@ package or in perfbench/: a public name only tests call is dead code.
 Every private top-level function of the package must be named in its own
 module, so no helper outlives its last caller.  Every assert left in the
 package is listed below by module and enclosing function: certificates
-raise, and a new assert is a deliberate edit of that list.  The checks
-parse the sources with ast, so they run without any linter.
+raise, and a new assert is a deliberate edit of that list.  So is every
+comparison of a field degree with 1: products specialize to Q in one
+place, the exactfield accumulator, and a new Q-only fork is a deliberate
+edit of its list.  The checks parse the sources with ast, so they run
+without any linter.
 """
 
 import ast
@@ -177,9 +180,9 @@ LISTED_ASSERTS = {
 }
 
 
-def asserts_by_function(source: str) -> list[str]:
-    """The enclosing function (Class.method, outer.inner) of each assert
-    statement, in source order; <module> for one at top level."""
+def located_by_function(source: str, match) -> list[str]:
+    """The enclosing function (Class.method, outer.inner) of each node that
+    match accepts, in source order; <module> for one at top level."""
     found = []
 
     def visit(node, scope: list[str]) -> None:
@@ -187,12 +190,16 @@ def asserts_by_function(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Assert):
+            if match(child):
                 found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def asserts_by_function(source: str) -> list[str]:
+    return located_by_function(source, lambda node: isinstance(node, ast.Assert))
 
 
 def test_asserts_are_located_by_function():
@@ -208,3 +215,46 @@ def test_asserts_are_located_by_function():
 def test_asserts_in_src_are_the_listed_preconditions():
     found = {path.stem: asserts_by_function(path.read_text()) for path in MODULES}
     assert {module: where for module, where in found.items() if where} == LISTED_ASSERTS
+
+
+# the comparisons of a field degree with 1 left in the package, by module
+# and enclosing function: Q's label, the trace form's guard, and the one Q
+# specialization of products
+LISTED_DEGREE_BRANCHES = {
+    "brauer": ["QuaternionSymbol.render"],
+    "csa": ["trace_form_signature"],
+    "exactfield": ["FieldDescriptor.accumulate"],
+}
+
+
+def is_degree(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("d", "degree")) or (
+        isinstance(node, ast.Attribute) and node.attr == "degree"
+    )
+
+
+def compares_degree_with_one(node) -> bool:
+    """An == or != comparison of d, degree or x.degree with the constant 1."""
+    if not isinstance(node, ast.Compare) or not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+        return False
+    operands = [node.left, *node.comparators]
+    one = any(isinstance(x, ast.Constant) and x.value == 1 for x in operands)
+    return one and any(is_degree(x) for x in operands)
+
+
+def degree_branches_by_function(source: str) -> list[str]:
+    return located_by_function(source, compares_degree_with_one)
+
+
+def test_degree_branches_are_located_by_function():
+    source = (
+        "def f(field, d):\n    if field.degree == 1:\n        return d != 1\n"
+        "class K:\n    def m(self, degree):\n        return 1 == degree\n"
+        "def clean(d, x):\n    return d < 1 or x == 1 or d == 2 or x.size == 1\n"
+    )
+    assert degree_branches_by_function(source) == ["f", "f", "K.m"]
+
+
+def test_degree_branches_in_src_are_the_listed_ones():
+    found = {path.stem: degree_branches_by_function(path.read_text()) for path in MODULES}
+    assert {module: where for module, where in found.items() if where} == LISTED_DEGREE_BRANCHES
