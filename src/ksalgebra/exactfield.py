@@ -23,13 +23,22 @@ is the identity.  This pairing is validated at construction, which is what
 lets signature bookkeeping elsewhere identify "signature at place i" with
 "signature of the i-th conjugate form at the distinguished place".
 
+The field is built and checked in its own arithmetic.  Once P is monic of
+degree >= 1 the X^k mod P table is set up, and each automorphism is taken
+as its image a_i = sigma_i(alpha), an element: Horner evaluation in the
+field checks P(a_i) = 0 and fills the composition table, and successive
+products give the columns sigma_i(alpha^k).
+
 The intervals are the certificate of the roots: each has a strict sign
 change of P and no two overlap, so P has d distinct real roots, is
-squarefree and totally real, and each interval isolates one root.
+squarefree and totally real, and each interval isolates one root.  One
+bisection halves an interval around that sign change, and whatever needs
+the roots reads it: signs, and the rational-root test that decides
+irreducibility in degree 2 and 3.
 
 Signs are decided exactly: test for zero first, then evaluate on the
-isolating interval with interval arithmetic and bisect until the enclosure
-has constant sign.  The norm is the product of the d conjugates, taken with
+halved intervals with interval arithmetic until the enclosure has constant
+sign.  The norm is the product of the d conjugates, taken with
 the certified automorphisms, and the inverse is the product of the other
 d - 1 conjugates over the norm.  A bisection that never settles, or a
 nonzero element whose conjugates do not multiply to a nonzero rational,
@@ -37,6 +46,7 @@ means P is reducible: both raise InvalidDescriptor.
 """
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -50,7 +60,7 @@ from .errors import (
 from .polynomials import (
     Poly,
     interval_eval,
-    pcompose,
+    padd,
     peval,
     pmod,
     poly,
@@ -65,34 +75,6 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _has_rational_root(p: Sequence[Fraction]) -> bool:
-    """Rational root test, used as the irreducibility check for degree <= 3."""
-    p = trim(p)
-    den = lcm(*[c.denominator for c in p]) if len(p) > 1 else 1
-    ip = [int(c * den) for c in p]
-    if ip[0] == 0:
-        return True
-    lead, const = abs(ip[-1]), abs(ip[0])
-
-    def divisors(n: int) -> list[int]:
-        out = []
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out.extend((i, n // i))
-            i += 1
-        return out
-
-    for num in divisors(const):
-        for den2 in divisors(lead):
-            if gcd(num, den2) != 1:
-                continue
-            for cand in (Fraction(num, den2), Fraction(-num, den2)):
-                if peval(list(p), cand) == 0:
-                    return True
-    return False
-
-
 class FieldDescriptor:
     """A totally real Galois number field, fully explicit and validated.
 
@@ -103,55 +85,48 @@ class FieldDescriptor:
     """
 
     def __init__(self, min_poly, automorphisms, embeddings, name: str = "a"):
-        self.min_poly: Poly = poly(min_poly)
-        self.automorphisms: list[Poly] = [pmod(poly(a), self.min_poly) for a in automorphisms]
+        p = self.min_poly = poly(min_poly)
+        d = self.degree = len(p) - 1
+        if d < 1:
+            raise InvalidDescriptor("min_poly must have degree >= 1")
+        if p[-1] != 1:
+            raise InvalidDescriptor("min_poly must be monic")
+        self.automorphisms: list[Poly] = [pmod(poly(a), p) for a in automorphisms]
         self.embeddings: list[tuple[Fraction, Fraction]] = [
             (Fraction(lo), Fraction(hi)) for lo, hi in embeddings
         ]
         self.name = name
-        self.degree = len(self.min_poly) - 1
-        self._validate()
-        self._compose_table = self._build_compose_table()
-        d, p = self.degree, self.min_poly
+        self._key = (tuple(p), tuple(tuple(a) for a in self.automorphisms), tuple(self.embeddings))
         # column k is X^k mod P for k <= 2d - 2: a product of two
         # coefficient vectors has degree <= 2d - 2 and reduces through it
         self.reduction_den, self._reduction = self._integer_matrix(
             pmod(poly([0] * k + [1]), p) for k in range(2 * d - 1)
         )
-        # column k of automorphism i: sigma_i(alpha^k) = a_i^k mod P
+        # each automorphism as its image a_i = sigma_i(alpha), an element
+        images = [self.elem(a) for a in self.automorphisms]
+        self._validate(images)
+        self._compose_table = self._build_compose_table(images)
+        # column k of automorphism i: sigma_i(alpha^k) = a_i^k
         self._automorphism_matrices = [
-            self._integer_matrix(pmod(pcompose(poly([0] * k + [1]), a), p) for k in range(d))
-            for a in self.automorphisms
+            self._integer_matrix(y.coeffs for y in accumulate(repeat(x, d - 1), mul, initial=self.one()))
+            for x in images
         ]
-        self._key = (
-            tuple(self.min_poly),
-            tuple(tuple(a) for a in self.automorphisms),
-            tuple(self.embeddings),
-        )
 
     # -- validation -------------------------------------------------------
 
-    def _validate(self) -> None:
+    def _validate(self, images: list["FieldElem"]) -> None:
         d, p = self.degree, self.min_poly
-        if d < 1:
-            raise InvalidDescriptor("min_poly must have degree >= 1")
-        if p[-1] != 1:
-            raise InvalidDescriptor("min_poly must be monic")
-        if 2 <= d <= 3 and _has_rational_root(p):
-            raise InvalidDescriptor("min_poly is reducible (rational root)")
-
-        if len(self.automorphisms) != d:
-            raise NonGaloisField(f"need exactly {d} automorphisms, got {len(self.automorphisms)}")
-        if self.automorphisms[0] != pmod(poly([0, 1]), p):
+        if len(images) != d:
+            raise NonGaloisField(f"need exactly {d} automorphisms, got {len(images)}")
+        if images[0] != self.gen():
             raise InvalidDescriptor("first automorphism must be the identity X")
         seen = set()
-        for a in self.automorphisms:
-            if pmod(pcompose(p, a), p):
+        for a, x in zip(self.automorphisms, images):
+            if peval(p, x):
                 raise NonGaloisField(f"{render(a)} does not map alpha to a root")
-            key = tuple(a)
-            if key in seen:
+            if x in seen:
                 raise NonGaloisField("automorphisms are not pairwise distinct")
-            seen.add(key)
+            seen.add(x)
 
         if len(self.embeddings) != d:
             raise InvalidDescriptor(f"need exactly {d} isolating intervals, got {len(self.embeddings)}")
@@ -167,40 +142,44 @@ class FieldDescriptor:
         # each open interval holds a root (a strict sign change) and they are
         # pairwise disjoint, so P has d distinct real roots: it is squarefree
         # and totally real, and each interval isolates exactly one root
+        if 2 <= d <= 3 and self._has_rational_root():
+            raise InvalidDescriptor("min_poly is reducible (rational root)")
 
         # place i must see automorphism i: the value of automorphisms[i](alpha)
         # under the first embedding has to land in interval i.
         for i, a in enumerate(self.automorphisms):
             lo, hi = self.embeddings[i]
-            above = self._sign_at_poly(trim(self._shift(a, -lo)), 0)
-            below = self._sign_at_poly(trim(self._shift([-c for c in a], hi)), 0)
+            above = self._sign_at_poly(padd(a, [-lo]), 0)
+            below = self._sign_at_poly(padd([-c for c in a], [hi]), 0)
             if above <= 0 or below <= 0:
                 raise InvalidDescriptor(
                     f"interval {i + 1} does not isolate the image of automorphism {i + 1}; "
                     "list intervals in automorphism order, distinguished place first"
                 )
 
-    @staticmethod
-    def _shift(coeffs: Sequence[Fraction], c: Fraction) -> Poly:
-        out = list(coeffs) if coeffs else [Fraction(0)]
-        out[0] = out[0] + c
-        return trim(out)
+    def _has_rational_root(self) -> bool:
+        """Whether P has a rational root, the irreducibility test in degree 2
+        and 3.  D P is integral with leading coefficient D, the lcm of P's
+        denominators, so such a root lies in (1/D)Z: halve its isolating
+        interval below 1/D and test the point of (1/D)Z nearest the middle."""
+        p = self.min_poly
+        den = lcm(*(c.denominator for c in p))
+        for i in range(self.degree):
+            for lo, hi in self._halvings(i):
+                if (hi - lo) * den < 1:
+                    break
+            if not peval(p, Fraction(round((lo + hi) * den / 2), den)):
+                return True
+        return False
 
-    def _build_compose_table(self) -> list[list[int]]:
-        table = []
-        index = {tuple(a): i for i, a in enumerate(self.automorphisms)}
-        for i, ai in enumerate(self.automorphisms):
-            row = []
-            for j, aj in enumerate(self.automorphisms):
-                # (sigma_i o sigma_j)(alpha) = aj(ai(alpha))
-                comp = tuple(pmod(pcompose(aj, ai), self.min_poly))
-                if comp not in index:
-                    raise NonGaloisField("automorphisms are not closed under composition")
-                row.append(index[comp])
-            table.append(row)
-        for row in table:
-            if sorted(row) != list(range(self.degree)):
-                raise NonGaloisField("composition table rows are not permutations")
+    def _build_compose_table(self, images: list["FieldElem"]) -> list[list[int]]:
+        index = {x: i for i, x in enumerate(images)}
+        # (sigma_i o sigma_j)(alpha) = sigma_i(aj(alpha)) = aj(a_i)
+        table = [[index.get(peval(aj, x)) for aj in self.automorphisms] for x in images]
+        if any(None in row for row in table):
+            raise NonGaloisField("automorphisms are not closed under composition")
+        if any(sorted(row) != list(range(self.degree)) for row in table):
+            raise NonGaloisField("composition table rows are not permutations")
         return table
 
     def _integer_matrix(self, polys) -> tuple[int, list[tuple[int, ...]]]:
@@ -298,30 +277,39 @@ class FieldDescriptor:
 
     # -- sign machinery ----------------------------------------------------
 
-    def _sign_at_poly(self, g: Poly, idx0: int) -> int:
-        """Exact sign of g(alpha) under the (idx0+1)-th real embedding."""
-        g = trim(g)
-        if not g:
-            return 0
+    def _halvings(self, idx0: int):
+        """The (idx0+1)-th isolating interval, then its successive halves
+        around P's sign change, at most _BISECTION_CAP of them; (r, r) last
+        if a midpoint r is the root itself."""
         lo, hi = self.embeddings[idx0]
         p = self.min_poly
         slo = _sign(peval(p, lo))
         for _ in range(_BISECTION_CAP):
-            vlo, vhi = interval_eval(g, lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
+            yield lo, hi
             mid = (lo + hi) / 2
             sm = _sign(peval(p, mid))
             if sm == 0:
-                # the root itself is rational (degree-1 fields)
-                return _sign(peval(g, mid))
+                yield mid, mid
+                return
             if slo * sm < 0:
                 hi = mid
             else:
                 lo, slo = mid, sm
         raise InvalidDescriptor("sign bisection did not converge; is min_poly irreducible?")
+
+    def _sign_at_poly(self, g: Poly, idx0: int) -> int:
+        """Exact sign of g(alpha) under the (idx0+1)-th real embedding."""
+        g = trim(g)
+        if not g:
+            return 0
+        for lo, hi in self._halvings(idx0):
+            vlo, vhi = interval_eval(g, lo, hi)
+            if vlo > 0:
+                return 1
+            if vhi < 0:
+                return -1
+            if lo == hi:
+                return 0  # g vanishes at the rational root
 
     # -- equality / presentation -------------------------------------------
 

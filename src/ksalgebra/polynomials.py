@@ -3,11 +3,11 @@
 A polynomial is a list of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty list.  Everything here is
 exact.  This module carries what the number-field layer needs to set a
-field up and to decide signs: products, division with remainder,
-composition (for automorphisms and the X^k mod P table), point
-evaluation and interval evaluation on an isolating interval, and
-rendering.  Norms and inverses are not here: the field layer takes them
-from the certified conjugates.
+field up and to decide signs: sums, division with remainder (the X^k mod
+P table), point evaluation and interval evaluation on an isolating
+interval, and rendering.  Products, composition, norms and inverses are
+not here: the field layer computes them in its own arithmetic, where
+point evaluation at a field element is Horner in the field.
 """
 
 from fractions import Fraction
@@ -36,18 +36,6 @@ def padd(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
                  for i in range(n)])
 
 
-def pmul(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    if not f or not g:
-        return []
-    out = [ZERO] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return trim(out)
-
-
 def pdivmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Poly, Poly]:
     """Quotient and remainder of f by g; g must be nonzero."""
     g = trim(g)
@@ -70,19 +58,11 @@ def pmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
     return pdivmod(f, g)[1]
 
 
-def peval(f: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Horner evaluation."""
-    acc = ZERO
+def peval(f: Sequence[Fraction], x):
+    """f(x) by Horner, in the ring of x: a Fraction or a field element."""
+    acc = x * ZERO
     for c in reversed(trim(f)):
         acc = acc * x + c
-    return acc
-
-
-def pcompose(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    """f(g(X)), by Horner in the polynomial ring."""
-    acc: Poly = []
-    for c in reversed(trim(f)):
-        acc = padd(pmul(acc, g), [c])
     return acc
 
 

@@ -141,8 +141,6 @@ def congruence_diagonalize(matrix, field: FieldDescriptor, allow_degenerate: boo
                 col_add(j, k, -(a[k][j] / a[k][k]))
 
     diag = [a[i][i] for i in range(m)]
-    if not allow_degenerate and not all(diag):
-        raise DegenerateForm("zero diagonal entry after congruence sweep")
     check = _mat_mul(_mat_mul(_transpose(p), [list(r) for r in matrix], field), p, field)
     for i in range(m):
         for j in range(m):

@@ -1,9 +1,11 @@
 """Plain-Fraction reference arithmetic for number field elements.
 
 An element is the list of its d Fraction coefficients in the power basis.
-Sums are taken coefficientwise and products as pmod(pmul(a, b), P).  None
-of it touches FieldElem's integer vectors or the field's X^k mod P table,
-so the tests can check that arithmetic against this one.  Norms are
+Sums are taken coefficientwise and products as pmod(pmul(a, b), P), with
+this module's own polynomial product and remainder: it imports nothing
+from ksalgebra, so it shares no code with FieldElem's integer vectors or
+with the polynomial division that builds the field's X^k mod P table, and
+the tests can check both against it.  Norms are
 checked against the resultant Res(P, g), read off as the determinant of
 the Sylvester matrix: for monic P it is the product of g over the roots of
 P, and it uses neither the automorphisms nor the field's multiplication.
@@ -11,7 +13,31 @@ P, and it uses neither the automorphisms nor the field's multiplication.
 
 from fractions import Fraction
 
-from ksalgebra.polynomials import pmod, pmul, trim
+
+def trim(p) -> list[Fraction]:
+    q = [Fraction(c) for c in p]
+    while q and not q[-1]:
+        del q[-1]
+    return q
+
+
+def pmul(f, g) -> list[Fraction]:
+    """Schoolbook product: coefficient k is the sum of f[i] g[k - i]."""
+    f, g = trim(f), trim(g)
+    return trim(
+        sum((f[i] * g[k - i] for i in range(max(0, k - len(g) + 1), min(k, len(f) - 1) + 1)), Fraction(0))
+        for k in range(len(f) + len(g) - 1)
+    )
+
+
+def pmod(f, g) -> list[Fraction]:
+    """Remainder of f by nonzero g: cancel the top coefficient of f with a
+    multiple of X^s g until deg f < deg g."""
+    f, g = trim(f), trim(g)
+    while len(f) >= len(g):
+        s, c = len(f) - len(g), f[-1] / g[-1]
+        f = trim([x - c * g[i - s] if i >= s else x for i, x in enumerate(f)])
+    return f
 
 
 def pad(cs, d: int) -> list[Fraction]:

@@ -93,6 +93,23 @@ def test_report_over_a_reducible_descriptor_is_one_line_exit_1(tmp_path, capsys)
     )
 
 
+def test_report_over_a_huge_quadratic_d_exits_in_time(tmp_path):
+    # the field's rational-root test halves its intervals instead of
+    # enumerating the divisors of 10^22 + 1; the form then fails validation
+    doc = dict(FAMILY_INPUT, field={"quadratic_d": 10**22 + 1})
+    done = cli_subprocess("report", "--input", write_input(tmp_path, doc), optimize=False, timeout=30)
+    assert (done.returncode, done.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("min_poly", [["0"], []], ids=["zero", "empty"])
+def test_report_over_a_zero_min_poly_is_one_line_exit_2(tmp_path, capsys, min_poly):
+    doc = dict(FAMILY_INPUT, field={"min_poly": min_poly, "automorphisms": [[0, 1]], "embeddings": [[-1, 1]]})
+    assert run(["report", "--input", write_input(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid field descriptor: min_poly must have degree >= 1\n"
+
+
 def test_orbits_full_degree_2(capsys):
     assert run(["orbits", "--degree", "2", "--full"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -212,7 +229,7 @@ def test_selftest_passes(capsys):
     assert "FAILED" not in out
 
 
-def cli_subprocess(*args: str, optimize: bool) -> subprocess.CompletedProcess:
+def cli_subprocess(*args: str, optimize: bool, timeout: float = 300) -> subprocess.CompletedProcess:
     """python [-O] -m ksalgebra.cli args, with the package's sources on the path."""
     path = [str(Path(__file__).resolve().parent.parent / "src")]
     if os.environ.get("PYTHONPATH"):
@@ -221,7 +238,7 @@ def cli_subprocess(*args: str, optimize: bool) -> subprocess.CompletedProcess:
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, "-m", "ksalgebra.cli", *args],
-        capture_output=True, env=env, timeout=300,
+        capture_output=True, env=env, timeout=timeout,
     )
 
 

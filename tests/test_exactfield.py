@@ -8,6 +8,7 @@ grid of fields, and the integer-vector arithmetic is checked against the
 plain-Fraction reference in fraction_reference.py.
 """
 
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -32,7 +33,6 @@ from ksalgebra.exactfield import (
     quadratic_field,
     sign_at_embedding,
 )
-from ksalgebra.polynomials import pmod, pmul, poly
 
 import fraction_reference as ref
 
@@ -75,9 +75,9 @@ def test_norm_frozen_values():
 def test_sylvester_oracle_frozen_values():
     # Res(X^2 - 2, X + 1) = (1 + sqrt2)(1 - sqrt2) = -1; Res(X^2 - 2, 7) = 7^2;
     # Res(X^3 - 3X - 1, X) = product of the roots = 1
-    assert ref.sylvester_resultant(poly([-2, 0, 1]), poly([1, 1])) == -1
-    assert ref.sylvester_resultant(poly([-2, 0, 1]), poly([7])) == 49
-    assert ref.sylvester_resultant(poly([-1, -3, 0, 1]), poly([0, 1])) == 1
+    assert ref.sylvester_resultant([-2, 0, 1], [1, 1]) == -1
+    assert ref.sylvester_resultant([-2, 0, 1], [7]) == 49
+    assert ref.sylvester_resultant([-1, -3, 0, 1], [0, 1]) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,8 +161,28 @@ def test_descriptor_rejects_non_monic():
 
 
 def test_descriptor_rejects_reducible():
-    with pytest.raises(InvalidDescriptor):
-        FieldDescriptor([-4, 0, 1], [[0, 1], [0, -1]], [(1, 3), (-3, -1)])
+    # X^2 - 4; X^2 - 1/4, whose roots are not integers; X^2 - 1/9, whose
+    # roots no midpoint hits; (X - 10^20)(X + 3), whose constant term has
+    # too many divisors to enumerate
+    r = 10**20
+    for min_poly, autos, intervals in (
+        ([-4, 0, 1], [[0, 1], [0, -1]], [(1, 3), (-3, -1)]),
+        ([F(-1, 4), 0, 1], [[0, 1], [0, -1]], [(0, 1), (-1, 0)]),
+        ([F(-1, 9), 0, 1], [[0, 1], [0, -1]], [(0, 1), (-1, 0)]),
+        ([-3 * r, 3 - r, 1], [[0, 1], [r - 3, -1]], [(r - 1, r + 2), (-4, -2)]),
+    ):
+        with pytest.raises(InvalidDescriptor, match=r"min_poly is reducible \(rational root\)"):
+            FieldDescriptor(min_poly, autos, intervals)
+
+
+def test_descriptor_with_a_huge_constant_term_builds_fast():
+    # X^2 - (10^40 + 1): the rational-root test halves the certified
+    # intervals, so its cost does not grow with the constant term
+    r = 10**20
+    start = time.perf_counter()
+    f = FieldDescriptor([-(r * r + 1), 0, 1], [[0, 1], [0, -1]], [(r, r + 1), (-r - 1, -r)])
+    assert time.perf_counter() - start < 1
+    assert sign_at_embedding(f.gen() - r, 1) == 1 and sign_at_embedding(f.gen() + r, 2) == -1
 
 
 def test_descriptor_rejects_not_totally_real():
@@ -431,7 +451,7 @@ def test_equal_values_from_different_inputs_compare_and_hash_equal(data):
     x = FieldElem(field, a)
     # a + q * P is the same residue
     lifted = ref.pad(a, field.degree + len(q))
-    for j, c in enumerate(pmul(q, field.min_poly)):
+    for j, c in enumerate(ref.pmul(q, field.min_poly)):
         lifted[j] += c
     variants = [
         field.elem(a),
@@ -486,7 +506,7 @@ def test_power_table_rows_over_their_denominator_are_x_to_the_k_mod_p(f):
     for k in range(2 * d - 1):
         num = f.reduce([0] * k + [1])
         assert len(num) == d and all(isinstance(c, int) for c in num)
-        assert [F(c, f.reduction_den) for c in num] == ref.pad(pmod(poly([0] * k + [1]), f.min_poly), d)
+        assert [F(c, f.reduction_den) for c in num] == ref.pad(ref.pmod([0] * k + [1], f.min_poly), d)
 
 
 def test_power_table_clears_rational_denominators():

@@ -13,8 +13,10 @@ package is listed below by module and enclosing function: certificates
 raise, and a new assert is a deliberate edit of that list.  So is every
 comparison of a field degree with 1: products specialize to Q in one
 place, the exactfield accumulator, and a new Q-only fork is a deliberate
-edit of its list.  The checks parse the sources with ast, so they run
-without any linter.
+edit of its list.  The Fraction reference that the arithmetic is checked
+against imports nothing from the package, so a package bug cannot pass by
+agreeing with itself.  The checks parse the sources with ast, so they run without any
+linter.
 """
 
 import ast
@@ -62,6 +64,36 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", TEST_MODULES, ids=[f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> list[str]:
+    """Import statements that load ksalgebra or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "ksalgebra" or name.startswith("ksalgebra.") for name in names):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_package_imports_are_detected():
+    source = (
+        "import ksalgebra.polynomials as p\nfrom fractions import Fraction\n"
+        "def f():\n    from ksalgebra import exactfield\n    import ksalgebrax\n"
+    )
+    assert package_imports(source) == [
+        "line 1: import ksalgebra.polynomials as p",
+        "line 4: from ksalgebra import exactfield",
+    ]
+
+
+def test_fraction_reference_imports_nothing_from_the_package():
+    assert package_imports((TESTS / "fraction_reference.py").read_text()) == []
 
 
 def foreign_private_reads(source: str) -> list[str]:
