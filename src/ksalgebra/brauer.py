@@ -283,17 +283,13 @@ def reduced_symbol(s: QuaternionSymbol, bound: int = DEFAULT_TRIAL_BOUND) -> Qua
 # -- symbol rewriting ---------------------------------------------------------------
 
 
-def symbol_scale(s: QuaternionSymbol, slot: int, u: FieldElem) -> QuaternionSymbol:
-    """Divide the chosen slot by u^2; the class is unchanged, u is recorded."""
-    assert slot in (1, 2)
+def symbol_scale(s: QuaternionSymbol, u: FieldElem) -> QuaternionSymbol:
+    """Divide the first slot by u^2; the class is unchanged, u is recorded."""
     if not isinstance(u, FieldElem):
         u = s.field.rational(u)
     if not u:
         raise ZeroScale("scaling certificate must be nonzero")
-    usq = u * u
-    if slot == 1:
-        return QuaternionSymbol(s.a / usq, s.b, s.history + ((1, u),))
-    return QuaternionSymbol(s.a, s.b / usq, s.history + ((2, u),))
+    return QuaternionSymbol(s.a / (u * u), s.b, s.history + ((1, u),))
 
 
 def corestrict_symbol(s: QuaternionSymbol) -> QuaternionSymbol:

@@ -17,7 +17,7 @@ route corestricts.
 from .errors import CertificateFailure, DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
 from .exactfield import FieldDescriptor, FieldElem
 from .brauer import QuaternionSymbol
-from .csa import StructureAlgebra, from_symbol
+from .csa import StructureAlgebra, from_symbol, monomial_algebra
 
 
 class CliffordAlgebra:
@@ -50,15 +50,14 @@ def even_part(c: CliffordAlgebra) -> StructureAlgebra:
     """The even subalgebra as a structure-constant table, blades ascending."""
     masks = [m for m in range(c.dim) if bin(m).count("1") % 2 == 0]
     index = {m: i for i, m in enumerate(masks)}
-    constants = []
+    cells = []
     for s in masks:
         row = []
         for t in masks:
             coeff, mask = c.blade_product(s, t)
-            row.append([(index[mask], coeff)])
-        constants.append(row)
-    unit = [c.field.one()] + [c.field.zero()] * (len(masks) - 1)
-    return StructureAlgebra(c.field, constants, unit)
+            row.append((index[mask], coeff))
+        cells.append(row)
+    return monomial_algebra(c.field, cells, [1] + [0] * (len(masks) - 1))
 
 
 def even_rank3_to_symbol(c0: StructureAlgebra, entries) -> QuaternionSymbol:

@@ -3,15 +3,17 @@
 Everything is basis-and-constants: an algebra is a table c with
 u_i u_j = sum_k c_ijk u_k, stored sparsely since the algebras that matter
 here (even Clifford algebras, quaternion tables, their tensor powers) are
-monomial or close to it.  A table is stored as integer vectors over one
-common denominator; tables are built and checked on those integers with
-the field's kernel (FieldDescriptor.multiply, accumulate and reduce), and
-FieldElems appear only in tables given from outside and in row().  One
-checking rule: unit laws and the Galois action on Z(A) are always
-certified; a table built from given constants is swept for associativity
-on every basis triple, and a tensor, twist or fixed subalgebra of swept
-tables is swept while its dim is at most SWEEP_MAX_DIM.  Failures raise
-NotAssociative or CertificateFailure, under python -O too.
+monomial or close to it.  A table is given to StructureAlgebra and stored
+in one form, integer vectors over one common denominator; tables are built
+and checked on those integers with the field's kernel
+(FieldDescriptor.multiply, accumulate and reduce).  FieldElem constants
+become table cells in one place, monomial_algebra, and come back only from
+row().  One checking rule: unit laws and the Galois action on Z(A) are
+always certified; a table monomial_algebra builds from given constants is
+swept for associativity on every basis triple, and a tensor, twist or
+fixed subalgebra of swept tables is swept while its dim is at most
+SWEEP_MAX_DIM.  Failures raise NotAssociative or CertificateFailure, under
+python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -57,29 +59,6 @@ from .qform import DiagForm, congruence_diagonalize
 SWEEP_MAX_DIM = 16
 
 
-def _pair(field: FieldDescriptor, c) -> tuple:
-    """A given coefficient as a (num, den) pair."""
-    if isinstance(c, tuple):
-        return c
-    if not isinstance(c, FieldElem):
-        c = field.rational(c)
-    elif c.field != field:
-        raise FieldMismatch("structure constant in the wrong field")
-    return c.num, c.den
-
-
-def _normalize_row(field: FieldDescriptor, pairs) -> tuple[list, int]:
-    """A row given as (index, coefficient) pairs, merged per index, zeros
-    dropped and sorted, as (entries, den): entries (index, tuple of d
-    ints) over den."""
-    acc: dict[int, FieldElem] = {}
-    for k, c in pairs:
-        c = field.from_integers(*_pair(field, c))
-        acc[k] = acc[k] + c if k in acc else c
-    den = lcm(1, *(c.den for c in acc.values()))
-    return [(k, tuple([x * (den // c.den) for x in c.num])) for k, c in sorted(acc.items()) if c], den
-
-
 def check_associativity(field: FieldDescriptor, table) -> None:
     """Exact check of (u_i u_j) u_k = u_i (u_j u_k) on every basis triple.
 
@@ -113,37 +92,28 @@ def check_associativity(field: FieldDescriptor, table) -> None:
 class StructureAlgebra:
     """Finite-dimensional associative unital algebra over an exact field.
 
-    constants[i][j] is the sparse row of u_i u_j, 0-based, and unit the
-    unit's coordinates, each a FieldElem, a rational or a (num, den) pair
-    meaning num[k] / den at alpha^k.  A row is a list of (index,
-    coefficient) pairs, merged, cleared of zeros and sorted here, or, as
-    this module builds them, an (entries, den) pair: entries (index, tuple
-    of d ints) over den, sorted, distinct and nonzero, taken as they come.
-
-    At rest table[i][j] holds (index, tuple of d ints) and unit a tuple of
-    d ints per coordinate, all over one denominator den in lowest terms,
-    so equal algebras store equal tables; row() builds FieldElems.
-    check=True sweeps associativity on all basis triples (only the
-    SWEEP_MAX_DIM rule passes False); the unit law is always verified.
+    The constructor takes the table in the one form it stores:
+    constants[i][j] is u_i u_j, 0-based, as a sorted list of (index, tuple
+    of d ints) with distinct indices and nonzero vectors, and unit a tuple
+    of d ints per coordinate, all over the denominator den.  They are
+    brought to lowest terms, so equal algebras store equal tables; row()
+    builds FieldElems.  monomial_algebra builds a table given by FieldElem
+    constants.  check=True sweeps associativity on all basis triples (only
+    the SWEEP_MAX_DIM rule passes False); the unit law is always verified.
     """
 
-    def __init__(self, field: FieldDescriptor, constants, unit, check: bool = True):
+    def __init__(self, field: FieldDescriptor, constants, unit, check: bool = True, *, den: int = 1):
         n = len(constants)
         if len(unit) != n:
             raise DimensionMismatch(f"unit of length {len(unit)} for a table of dim {n}")
-        rows = [[_normalize_row(field, cell) if isinstance(cell, list) else cell for cell in row] for row in constants]
-        units = [_pair(field, c) for c in unit]
-        den = lcm(1, *{l for row in rows for _, l in row}, *{l for _, l in units})
-        table = [[es if l == den else _scaled(es, den // l, 1) for es, l in row] for row in rows]
-        unit = [v if l == den else tuple([x * (den // l) for x in v]) for v, l in units]
-        g = den
-        for v in chain(unit, (v for row in table for es in row for _, v in es)):
+        table, unit, g = constants, list(unit), den
+        for v in chain(unit, (v for row in table for cell in row for _, v in cell)):
             g = gcd(g, *v)
             if g == 1:
                 break
         if g > 1:  # to lowest terms, so that equal algebras store equal tables
             den //= g
-            table = [[_scaled(es, 1, g) for es in row] for row in table]
+            table = [[[(k, tuple([x // g for x in v])) for k, v in cell] for cell in row] for row in table]
             unit = [tuple([x // g for x in v]) for v in unit]
         self.field, self.dim, self.den, self.table, self.unit = field, n, den, table, unit
         self._check_unit()
@@ -182,21 +152,33 @@ class StructureAlgebra:
         )
 
 
+def monomial_algebra(field: FieldDescriptor, cells, unit) -> StructureAlgebra:
+    """The algebra with u_i u_j = c u_k for cells[i][j] = (k, c), c a
+    nonzero FieldElem of field, and unit coordinates FieldElems or
+    rationals, scaled to their common denominator and always swept."""
+    unit = [c if isinstance(c, FieldElem) else field.rational(c) for c in unit]
+    given = [c for row in cells for _, c in row] + unit
+    if any(c.field != field for c in given):
+        raise FieldMismatch("structure constant in the wrong field")
+    den = lcm(1, *{c.den for c in given})
+    vec = lambda c: tuple([x * (den // c.den) for x in c.num])
+    table = [[[(k, vec(c))] for k, c in row] for row in cells]
+    return StructureAlgebra(field, table, [vec(c) for c in unit], den=den)
+
+
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
     """The 4-dimensional algebra 1, i, j, k with i^2 = a, j^2 = b, k = ij."""
-    f = s.field
     a, b = s.a, s.b
     if not a or not b:
         raise ZeroSlot("symbol slots must be nonzero")
-    one = f.one()
-    e = lambda k, c: [(k, c)]
-    table = [
-        [e(0, one), e(1, one), e(2, one), e(3, one)],
-        [e(1, one), e(0, a), e(3, one), e(2, a)],
-        [e(2, one), e(3, -one), e(0, b), e(1, -b)],
-        [e(3, one), e(2, -a), e(1, b), e(0, -(a * b))],
+    one = s.field.one()
+    cells = [
+        [(0, one), (1, one), (2, one), (3, one)],
+        [(1, one), (0, a), (3, one), (2, a)],
+        [(2, one), (3, -one), (0, b), (1, -b)],
+        [(3, one), (2, -a), (1, b), (0, -(a * b))],
     ]
-    return StructureAlgebra(f, table, [one, f.zero(), f.zero(), f.zero()])
+    return monomial_algebra(s.field, cells, [1, 0, 0, 0])
 
 
 def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -208,16 +190,16 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    constants, unit = _tensor_table(a.field, _twist(a, 1), _twist(b, 1))
-    return StructureAlgebra(a.field, constants, unit, check=len(unit) <= SWEEP_MAX_DIM)
+    constants, unit, den = _tensor_table(a.field, (a.table, a.unit, a.den), (b.table, b.unit, b.den))
+    return StructureAlgebra(a.field, constants, unit, check=len(unit) <= SWEEP_MAX_DIM, den=den)
 
 
-def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, list]:
-    """(constants, unit) of the tensor product of two (constants, unit)
-    tables as the constructor takes them, u_i tensor u_j at index
-    i * nb + j; each distinct pair of integer vectors is multiplied once."""
-    (ta, ua), (tb, ub) = a, b
-    nb, rden = len(ub), field.reduction_den
+def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, list, int]:
+    """(constants, unit, den) of the tensor product of two (constants,
+    unit, den) tables, u_i tensor u_j at index i * nb + j; each distinct
+    pair of integer vectors is multiplied once."""
+    (ta, ua, la), (tb, ub, lb) = a, b
+    nb = len(ub)
     products: dict = {}
 
     def mul(x: tuple, y: tuple) -> tuple:
@@ -227,32 +209,22 @@ def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, lis
         return p
 
     constants = [
-        [
-            ([(k1 * nb + k2, mul(v1, v2)) for k1, v1 in ea for k2, v2 in eb], la * lb * rden)
-            for ea, la in row_a
-            for eb, lb in row_b
-        ]
+        [[(k1 * nb + k2, mul(v1, v2)) for k1, v1 in ea for k2, v2 in eb] for ea in row_a for eb in row_b]
         for row_a in ta
         for row_b in tb
     ]
-    return constants, [(mul(x, y), lx * ly * rden) for x, lx in ua for y, ly in ub]
+    return constants, [mul(x, y) for x in ua for y in ub], la * lb * field.reduction_den
 
 
-def _twist(a: StructureAlgebra, i: int) -> tuple[list, list]:
-    """(constants, unit) of A_{sigma_i} with (entries, den) rows, sigma_i
-    applied to each distinct integer vector of a once; sigma_1 gives a."""
+def _twist(a: StructureAlgebra, i: int) -> tuple[list, list, int]:
+    """(constants, unit, den) of A_{sigma_i}, sigma_i applied to each
+    distinct integer vector of a once; sigma_1 gives a."""
     images = {}
     for v in _vectors(a):
         r, scale = a.field.automorphism(i, v)  # the same scale for every v
         images[v] = tuple(r)
-    den = a.den * scale
-    rows = [[([(k, images[v]) for k, v in es], den) for es in row] for row in a.table]
-    return rows, [(images[v], den) for v in a.unit]
-
-
-def _scaled(entries: list, mul: int, div: int) -> list:
-    """entries (index, integer vector) with every vector times mul / div."""
-    return [(k, tuple([x * mul // div for x in v])) for k, v in entries]
+    table = [[[(k, images[v]) for k, v in cell] for cell in row] for row in a.table]
+    return table, [images[v] for v in a.unit], a.den * scale
 
 
 def _vectors(a: StructureAlgebra) -> set:
@@ -298,8 +270,8 @@ class GaloisModuleAlgebra:
         d = f.degree
         # the slots A_{sigma_i}, tensored on one at a time
         slots = [_twist(a, i) for i in range(1, d + 1)]
-        constants, unit = reduce(lambda x, y: _tensor_table(f, x, y), slots)
-        self.underlying = StructureAlgebra(f, constants, unit, check=len(unit) <= SWEEP_MAX_DIM)
+        constants, unit, den = reduce(lambda x, y: _tensor_table(f, x, y), slots)
+        self.underlying = StructureAlgebra(f, constants, unit, check=len(unit) <= SWEEP_MAX_DIM, den=den)
         self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
         self._check_actions()
 
@@ -426,16 +398,15 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             out.extend((first + i, (x,)) for i, x in enumerate(xs) if x)
         return out
 
-    unit = [((0,), 1)] * n
-    for k, v in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
-        unit[k] = v, alg.den
-
     # the basis over one denominator M and the table over one L; a
     # product's coefficient then comes out over M^2 L D^2, D the field's
-    # reduction_den
+    # reduction_den, and the unit is put over it too
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [[(s, tuple([x * (bden // c.den) for x in c.num])) for s, c in vec.items()] for vec in basis]
     den = bden * bden * alg.den * f.reduction_den ** 2
+    unit = [(0,)] * n
+    for k, (x,) in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
+        unit[k] = (x * (den // alg.den),)
     accumulate, multiply = f.accumulate, f.multiply
     products: dict = {}
     constants = [[None] * n for _ in range(n)]
@@ -457,8 +428,8 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             for s, a in xa:
                 accumulate(w, a, right[s])
             reduced = {k: f.reduce(acc) for k, acc in w.items()}
-            constants[i][j] = coords(reduced, "product leaves the fixed subspace"), den
-    return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM)
+            constants[i][j] = coords(reduced, "product leaves the fixed subspace")
+    return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM, den=den)
 
 
 # -- centers and trace forms ---------------------------------------------------------

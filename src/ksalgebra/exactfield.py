@@ -97,6 +97,7 @@ class FieldDescriptor:
         ]
         self.name = name
         self._key = (tuple(p), tuple(tuple(a) for a in self.automorphisms), tuple(self.embeddings))
+        self._hash = hash(self._key)
         # column k is X^k mod P for k <= 2d - 2: a product of two
         # coefficient vectors has degree <= 2d - 2 and reduces through it
         self.reduction_den, self._reduction = self._integer_matrix(
@@ -317,7 +318,7 @@ class FieldDescriptor:
         return isinstance(other, FieldDescriptor) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FieldDescriptor(Q[{self.name}]/({render(self.min_poly)}))"

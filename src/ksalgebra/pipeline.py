@@ -194,7 +194,7 @@ def _rationalize_first_slot(sym: QuaternionSymbol, candidates: list) -> Quaterni
         for u in candidates:
             if not u:
                 continue
-            scaled = symbol_scale(cur, 1, u)
+            scaled = symbol_scale(cur, u)
             state = _slot_state(scaled.a)
             if state < best_state:
                 best, best_state = scaled, state

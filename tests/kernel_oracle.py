@@ -24,6 +24,7 @@ Fractions and runs one dense congruence diagonalization on it.
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from ksalgebra.csa import StructureAlgebra
 from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
@@ -179,7 +180,11 @@ def oracle_invariants(z) -> StructureAlgebra:
                 raise NotClosedUnderMultiplication("product leaves the fixed subspace")
             row_out.append([(k, c) for k, c in enumerate(coords) if c])
         constants.append(row_out)
-    return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=False)
+    # the Fraction table and unit as integers over their common denominator
+    cs = [c for row in constants for cell in row for _, c in cell] + unit
+    den = lcm(1, *(c.denominator for c in cs))
+    table = [[[(k, (int(c * den),)) for k, c in cell] for cell in row] for row in constants]
+    return StructureAlgebra(RATIONAL_FIELD, table, [(int(c * den),) for c in unit], check=False, den=den)
 
 
 def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:

@@ -134,14 +134,8 @@ def perturbed(alg: StructureAlgebra) -> list:
     return out
 
 
-def given(alg: StructureAlgebra, table: list) -> list:
-    """An integer table over alg's denominator as constructor input: every
-    row an (entries, den) pair."""
-    return [[(cell, alg.den) for cell in row] for row in table]
-
-
 def build_perturbed(alg: StructureAlgebra) -> StructureAlgebra:
-    return StructureAlgebra(alg.field, given(alg, perturbed(alg)), [(v, alg.den) for v in alg.unit])
+    return StructureAlgebra(alg.field, perturbed(alg), alg.unit, den=alg.den)
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -167,7 +161,7 @@ def test_sweep_and_oracle_reject_a_perturbed_table_at_the_same_triple(name):
 def build_with_wrong_unit() -> None:
     """The quaternion table over Q with unit 2 u_0 in place of u_0."""
     h = tables("Q")["symbol"]
-    StructureAlgebra(h.field, given(h, h.table), [2, 0, 0, 0])
+    StructureAlgebra(h.field, h.table, [(2 * h.den,), (0,), (0,), (0,)], den=h.den)
 
 
 def small_zg(name: str):
@@ -476,7 +470,7 @@ from ksalgebra.exactfield import RATIONAL_FIELD
 if __debug__:
     raise SystemExit("not running under python -O")
 try:
-    StructureAlgebra(RATIONAL_FIELD, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 1)]]], [1])
+    StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))], [(1, (1,))]], [[(1, (1,))], [(0, (1,))]]], [(1,)])
 except DimensionMismatch as exc:
     print(exc)
 else:

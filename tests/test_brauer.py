@@ -289,14 +289,13 @@ def test_symbol_guards_and_render():
 
 
 def test_symbol_scale():
-    assert symbol_scale(rational_symbol(12, 5), 1, 2) == rational_symbol(3, 5)
-    assert symbol_scale(rational_symbol(3, 5), 2, 1) == rational_symbol(3, 5)
+    assert symbol_scale(rational_symbol(12, 5), 2) == rational_symbol(3, 5)
     s = QuaternionSymbol(Q2.rational(-2), Q2.gen() - 1)
-    scaled = symbol_scale(s, 1, Q2.gen())
+    scaled = symbol_scale(s, Q2.gen())
     assert scaled.a == Q2.rational(-1) and scaled.b == s.b
     assert scaled.history == ((1, Q2.gen()),)
     with pytest.raises(ZeroScale):
-        symbol_scale(s, 1, Q2.zero())
+        symbol_scale(s, Q2.zero())
 
 
 def test_corestrict_projection_formula():

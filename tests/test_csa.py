@@ -9,6 +9,7 @@ from ksalgebra.csa import (
     center,
     from_symbol,
     invariants,
+    monomial_algebra,
     tensor,
     trace_form_signature,
     verify_twisted_iso,
@@ -67,9 +68,8 @@ def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
 
 
 def matrix_units_algebra(n: int) -> StructureAlgebra:
-    # n x n matrix units: E_pq E_rs = delta_qr E_ps
+    # n x n matrix units: E_pq E_rs = delta_qr E_ps, as integers over 1
     dim = n * n
-    one = RATIONAL_FIELD.one()
     constants = [[[] for _ in range(dim)] for _ in range(dim)]
     for p in range(n):
         for q in range(n):
@@ -77,8 +77,8 @@ def matrix_units_algebra(n: int) -> StructureAlgebra:
                 for s in range(n):
                     i, j = p * n + q, r * n + s
                     if q == r:
-                        constants[i][j] = [(p * n + s, one)]
-    unit = [one if p == q else RATIONAL_FIELD.zero() for p in range(n) for q in range(n)]
+                        constants[i][j] = [(p * n + s, (1,))]
+    unit = [(int(p == q),) for p in range(n) for q in range(n)]
     return StructureAlgebra(RATIONAL_FIELD, constants, unit)
 
 
@@ -127,11 +127,21 @@ def test_signature_components_sum_to_dim():
         assert pos + neg + null == alg.dim
 
 
+def test_builder_rejects_a_constant_in_the_wrong_field():
+    q5 = quadratic_field(5)
+    with pytest.raises(FieldMismatch, match="structure constant in the wrong field"):
+        monomial_algebra(RATIONAL_FIELD, [[(0, Q2.gen())]], [1])
+    one = Q2.one()
+    cells = [[(0, one), (1, one)], [(1, one), (0, q5.rational(2))]]
+    with pytest.raises(FieldMismatch, match="structure constant in the wrong field"):
+        monomial_algebra(Q2, cells, [1, 0])
+
+
 # -- tensor ---------------------------------------------------------------------------
 
 
 def test_tensor_with_unit_algebra():
-    s = StructureAlgebra(RATIONAL_FIELD, [[[(0, 1)]]], [1])
+    s = StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))]]], [(1,)])
     t = tensor(HAMILTON, s)
     assert t.dim == 4
     assert all(t.row(i, j) == HAMILTON.row(i, j) for i in range(4) for j in range(4))
@@ -140,7 +150,7 @@ def test_tensor_with_unit_algebra():
 def test_tensor_dims_and_field_guard():
     assert tensor(HAMILTON, SPLIT).dim == 16
     with pytest.raises(FieldMismatch):
-        tensor(HAMILTON, StructureAlgebra(Q2, [[[(0, 1)]]], [1]))
+        tensor(HAMILTON, StructureAlgebra(Q2, [[[(0, (1, 0))]]], [(1, 0)]))
 
 
 def test_hamilton_squared_is_full_matrix_class():
@@ -157,10 +167,8 @@ def test_center_dimensions():
     assert len(oracle_center(matrix_units_algebra(3))) == 1
     # commutative quadratic etale algebra: dim-2 center
     one = RATIONAL_FIELD.one()
-    comm = StructureAlgebra(
-        RATIONAL_FIELD,
-        [[[(0, one)], [(1, one)]], [[(1, one)], [(0, RATIONAL_FIELD.rational(2))]]],
-        [one, RATIONAL_FIELD.zero()],
+    comm = monomial_algebra(
+        RATIONAL_FIELD, [[(0, one), (1, one)], [(1, one), (0, RATIONAL_FIELD.rational(2))]], [1, 0]
     )
     assert len(oracle_center(comm)) == 2
 
@@ -218,7 +226,7 @@ def test_center_counts_match_the_dense_oracle(kind, args):
 
 def dual_numbers() -> StructureAlgebra:
     """Q[x]/(x^2): its trace form <2, 0> has a radical."""
-    return StructureAlgebra(RATIONAL_FIELD, [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]], [1, 0])
+    return StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))], [(1, (1,))]], [[(1, (1,))], []]], [(1,), (0,)])
 
 
 # Q-algebras that are not fixed algebras of a Z(A); in the matrix units
@@ -290,7 +298,8 @@ def test_zg_group_law_certificate_rejects_a_wrong_move():
     # E[x]/(x^2 - 2) over the cubic: its constants are rational, so every
     # slot permutation is multiplicative, and only the group law can fail
     f = cyclic_cubic_field()
-    etale = StructureAlgebra(f, [[[(0, 1)], [(1, 1)]], [[(1, 1)], [(0, 2)]]], [1, 0])
+    one = f.one()
+    etale = monomial_algebra(f, [[(0, one), (1, one)], [(1, one), (0, f.rational(2))]], [1, 0])
     zg = build_ZG(etale, f)
     zg.moves[2] = list(range(zg.underlying.dim))
     with pytest.raises(CertificateFailure, match=r"group law fails for \(2,2\)"):
@@ -311,7 +320,7 @@ def test_zg_identity_move_is_certified_without_its_cells(f):
 
 
 def test_invariants_of_E_itself():
-    zg = build_ZG(StructureAlgebra(Q2, [[[(0, 1)]]], [1]), Q2)
+    zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]], [(1, 0)]), Q2)
     inv = invariants(zg)
     assert inv.dim == 1
     assert inv.field == RATIONAL_FIELD
@@ -396,12 +405,14 @@ def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(mo
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():
     # the quaternion table (1/2, 2/3) over Q, whose constants 1/2, 2/3 and
     # 1/3 need the common denominator 6, and the Hamilton table, whose
-    # integer constants given over 6 must come back to lowest terms
+    # integer constants given over 6 must come back to lowest terms; the
+    # builder takes the FieldElem rows, the constructor integers over 6
     for symbol in (rational_symbol(Fraction(1, 2), Fraction(2, 3)), rational_symbol(-1, -1)):
         a = from_symbol(symbol)
         rows = [[a.row(i, j) for j in range(4)] for i in range(4)]
-        over_6 = [[([(k, (int(6 * c.rational_value()),)) for k, c in cell], 6) for cell in row] for row in rows]
-        b = StructureAlgebra(RATIONAL_FIELD, over_6, [((6,), 6), 0, 0, 0])
+        assert monomial_algebra(RATIONAL_FIELD, [[cell for [cell] in row] for row in rows], [1, 0, 0, 0]) == a
+        over_6 = [[[(k, (int(6 * c.rational_value()),)) for k, c in cell] for cell in row] for row in rows]
+        b = StructureAlgebra(RATIONAL_FIELD, over_6, [(6,), (0,), (0,), (0,)], den=6)
         assert b == a
         assert (b.den, b.table, b.unit) == (a.den, a.table, a.unit)
         assert [[b.row(i, j) for j in range(4)] for i in range(4)] == rows
