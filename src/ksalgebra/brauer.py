@@ -8,9 +8,9 @@ and two symbols are isomorphic iff the sets agree.
 Local computations stay exact: Legendre characters by Euler's criterion,
 the p = 2 case by the classical epsilon/omega formula on odd parts, the
 real place by signs.  No factorization of large integers is attempted;
-ramification candidates come from trial division up to a configurable
-bound, and anything irreducible beyond the bound raises rather than
-guessing.
+ramification candidates come from trial division up to the fixed
+DEFAULT_TRIAL_BOUND, and anything irreducible beyond it raises rather
+than guessing.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -212,15 +212,15 @@ def hilbert_symbol(a, b, place) -> int:
 # -- ramification ------------------------------------------------------------------
 
 
-def _odd_prime_exponents(n: int, bound: int) -> dict[int, int]:
-    """Exponents of the odd primes of n != 0, by trial division up to bound.
+def _odd_prime_exponents(n: int) -> dict[int, int]:
+    """Odd prime exponents of n != 0, by trial division to DEFAULT_TRIAL_BOUND.
     A leftover cofactor must be a prime (exponent 1) or a square, whose
     primes have even exponents and cannot affect any symbol, so they are
     left out; anything else is beyond the factorization budget."""
     n = _int_valuation(abs(n), 2)[1]
     exponents: dict[int, int] = {}
     f = 3
-    while f * f <= n and f <= bound:
+    while f * f <= n and f <= DEFAULT_TRIAL_BOUND:
         if n % f == 0:
             exponents[f], n = _int_valuation(n, f)
         f += 2
@@ -228,7 +228,7 @@ def _odd_prime_exponents(n: int, bound: int) -> dict[int, int]:
         if f * f > n or is_probable_prime(n):
             exponents[n] = 1
         elif isqrt(n) ** 2 != n:
-            raise FactorizationBound(f"cofactor {n} not factored within bound {bound}")
+            raise FactorizationBound(f"cofactor {n} not factored within bound {DEFAULT_TRIAL_BOUND}")
     return exponents
 
 
@@ -238,13 +238,13 @@ def _require_rational_symbol(s: QuaternionSymbol) -> tuple[Fraction, Fraction]:
     return s.a.rational_value(), s.b.rational_value()
 
 
-def ramification(s: QuaternionSymbol, bound: int = DEFAULT_TRIAL_BOUND) -> RamificationSet:
+def ramification(s: QuaternionSymbol) -> RamificationSet:
     """The finite even set of places of Q where the symbol is -1."""
     a, b = _require_rational_symbol(s)
     candidates: set[int] = {2}
     for q in (a, b):
-        candidates.update(_odd_prime_exponents(q.numerator, bound))
-        candidates.update(_odd_prime_exponents(q.denominator, bound))
+        candidates.update(_odd_prime_exponents(q.numerator))
+        candidates.update(_odd_prime_exponents(q.denominator))
     ramified = {p for p in candidates if hilbert_symbol(a, b, p) == -1}
     if hilbert_symbol(a, b, INF) == -1:
         ramified.add(INF)
@@ -259,7 +259,7 @@ def symbols_isomorphic_Q(s1: QuaternionSymbol, s2: QuaternionSymbol) -> bool:
     return ramification(s1) == ramification(s2)
 
 
-def squarefree_kernel(q: Fraction, bound: int = DEFAULT_TRIAL_BOUND) -> int:
+def squarefree_kernel(q: Fraction) -> int:
     """The squarefree integer representing q modulo nonzero squares."""
     q = Fraction(q)
     if q == 0:
@@ -268,16 +268,16 @@ def squarefree_kernel(q: Fraction, bound: int = DEFAULT_TRIAL_BOUND) -> int:
     sign = -1 if q < 0 else 1
     v2, n = _int_valuation(n, 2)
     kernel = 2 if v2 % 2 else 1
-    for p, v in _odd_prime_exponents(n, bound).items():
+    for p, v in _odd_prime_exponents(n).items():
         if v % 2:
             kernel *= p
     return sign * kernel
 
 
-def reduced_symbol(s: QuaternionSymbol, bound: int = DEFAULT_TRIAL_BOUND) -> QuaternionSymbol:
+def reduced_symbol(s: QuaternionSymbol) -> QuaternionSymbol:
     """Equivalent rational symbol with squarefree slots (same ramification)."""
     a, b = _require_rational_symbol(s)
-    return rational_symbol(squarefree_kernel(a, bound), squarefree_kernel(b, bound))
+    return rational_symbol(squarefree_kernel(a), squarefree_kernel(b))
 
 
 # -- symbol rewriting ---------------------------------------------------------------

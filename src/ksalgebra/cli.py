@@ -17,6 +17,7 @@ sorted keys, two-space indent, rationals as "p/q" strings, trailing newline.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -225,8 +226,12 @@ def _cmd_orbits(args) -> int:
         raise MalformedInput(f"flag --degree: expected an integer, got {args.degree!r}")
     if degree < 1:
         raise MalformedInput("flag --degree: must be at least 1")
-    gens = cyclic_generators(degree) if args.cycle else symmetric_generators(degree)
-    data = even_weight_orbits(degree, gens)
+    if degree > 16:  # the orbit walk visits all 2^(d-1) even-weight vectors
+        raise MalformedInput("flag --degree: must be at most 16")
+    if args.cycle:
+        data = even_weight_orbits(degree, cyclic_generators(degree), degree)
+    else:
+        data = even_weight_orbits(degree, symmetric_generators(degree), math.factorial(degree))
     if args.format == "json":
         sys.stdout.write(_canonical(data.to_json_dict()))
         return 0

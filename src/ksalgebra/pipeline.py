@@ -57,31 +57,10 @@ def _check_perm(p, d: int) -> tuple:
     try:
         t = tuple(int(x) for x in p)
     except (TypeError, ValueError):
-        raise InvalidPermutation(f"{p!r} is not a permutation of 1..{d}")
+        t = ()
     if sorted(t) != list(range(1, d + 1)):
         raise InvalidPermutation(f"{p!r} is not a permutation of 1..{d}")
     return t
-
-
-def _compose_perm(p: tuple, q: tuple) -> tuple:
-    # (p after q)(i) = p[q(i)]
-    return tuple(p[q[i] - 1] for i in range(len(q)))
-
-
-def _group_closure(gens: list, d: int) -> set:
-    ident = tuple(range(1, d + 1))
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        step = []
-        for g in frontier:
-            for h in gens:
-                w = _compose_perm(h, g)
-                if w not in seen:
-                    seen.add(w)
-                    step.append(w)
-        frontier = step
-    return seen
 
 
 def _act_on_vector(perm: tuple, vec: tuple) -> tuple:
@@ -99,7 +78,6 @@ class OrbitData:
 
     d: int
     group_order: int
-    generators: tuple
     orbits: tuple
 
     def to_json_dict(self) -> dict:
@@ -116,38 +94,40 @@ class OrbitData:
         return [size for _, size, _ in self.orbits]
 
 
-def even_weight_orbits(d: int, generators) -> OrbitData:
-    """Partition the even-weight vectors in {0,1}^d into group orbits.
+def even_weight_orbits(d: int, generators, group_order: int) -> OrbitData:
+    """Partition the even-weight vectors in {0,1}^d into the orbits of the
+    permutation group that the generators generate, of the stated order.
 
     The orbit count controls how many isogeny factors the big abelian
-    variety splits into.  The orbit sums certificate: each size divides
-    |G| (size times stabilizer order gives back |G|) and the sizes sum to
-    2^(d-1); a failure raises CertificateFailure.
+    variety splits into.  A breadth-first walk that follows every image
+    under the generators closes each orbit.  The orbit sums certificate:
+    each size divides group_order (stabilizer order group_order // size)
+    and the sizes sum to 2^(d-1); a failure raises CertificateFailure.
     """
     assert d >= 1, "degree must be positive"
     gens = [_check_perm(p, d) for p in generators]
-    group = _group_closure(gens, d)
-    todo = set(v for v in product((0, 1), repeat=d) if sum(v) % 2 == 0)
+    assigned = set()
     orbits = []
-    for vec in sorted(todo):
-        if vec not in todo:
+    for vec in product((0, 1), repeat=d):
+        if sum(vec) % 2 or vec in assigned:
             continue
-        orbit = {_act_on_vector(p, vec) for p in group}
-        todo -= orbit
+        orbit, frontier = {vec}, {vec}
+        while frontier:
+            frontier = {_act_on_vector(p, v) for v in frontier for p in gens} - orbit
+            orbit |= frontier
+        assigned |= orbit
         size = len(orbit)
-        if len(group) % size:
+        if group_order % size:
             raise CertificateFailure(
-                f"orbit sums: orbit size {size} does not divide the group order {len(group)}"
+                f"orbit sums: orbit size {size} does not divide the group order {group_order}"
             )
-        orbits.append((vec, size, len(group) // size))
+        orbits.append((vec, size, group_order // size))
     total = sum(size for _, size, _ in orbits)
     if total != 2 ** (d - 1):
         raise CertificateFailure(
             f"orbit sums: even-weight orbit sizes sum to {total}, not 2^(d-1) = {2 ** (d - 1)}"
         )
-    return OrbitData(
-        d=d, group_order=len(group), generators=tuple(gens), orbits=tuple(orbits)
-    )
+    return OrbitData(d=d, group_order=group_order, orbits=tuple(orbits))
 
 
 def cyclic_generators(d: int) -> list:
@@ -155,10 +135,8 @@ def cyclic_generators(d: int) -> list:
 
 
 def symmetric_generators(d: int) -> list:
-    gens = list(cyclic_generators(d))
-    if d >= 2:
-        gens.append((2, 1) + tuple(range(3, d + 1)))
-    return gens
+    swap = [(2, 1) + tuple(range(3, d + 1))] if d >= 2 else []
+    return cyclic_generators(d) + swap
 
 
 def _galois_generators(f: FieldDescriptor) -> list:
@@ -387,7 +365,8 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
     validation = validate_k3_rm(f, g)
     d = f.degree
     m = g.dim
-    orbit_data = even_weight_orbits(d, _galois_generators(f))
+    # the descriptor certifies d distinct automorphisms closed under composition
+    orbit_data = even_weight_orbits(d, _galois_generators(f), d)
     parity_expected = "definite" if d % 2 == 0 else "indefinite_or_split"
     report = KSReport(
         validation=validation,
@@ -476,16 +455,20 @@ def six_lines_family(d, c, e) -> KSReport:
     return report
 
 
-def search_cubic_diagonal(f: FieldDescriptor, coeff_bound: int = 2) -> GramForm:
+SEARCH_COEFF_BOUND = 2
+
+
+def search_cubic_diagonal(f: FieldDescriptor) -> GramForm:
     """First diag(u, u, w) over a degree-3 field meeting the signature
-    profile, scanning small coefficient vectors in lexicographic order.
+    profile, scanning coefficient vectors with entries bounded by
+    SEARCH_COEFF_BOUND in lexicographic order.
 
     The repeated first entry keeps the first symbol slot equal to -u^2,
     which the square-scaling rewrite always rationalizes, so the symbol
     route is available for the found form.
     """
     assert f.degree == 3, "search preset is for cubic fields"
-    rng = range(-coeff_bound, coeff_bound + 1)
+    rng = range(-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND + 1)
     candidates = [
         f.elem([Fraction(a), Fraction(b), Fraction(c)])
         for a in rng
@@ -508,5 +491,5 @@ def search_cubic_diagonal(f: FieldDescriptor, coeff_bound: int = 2) -> GramForm:
             if validate_k3_rm(f, form).passed:
                 return form
     raise ParameterConstraintViolated(
-        f"no valid diagonal form with coefficients bounded by {coeff_bound}"
+        f"no valid diagonal form with coefficients bounded by {SEARCH_COEFF_BOUND}"
     )

@@ -9,6 +9,7 @@ the library's structure-constant machinery.
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -343,11 +344,11 @@ def test_criterion_5_hilbert_symbol_laws():
 def test_criterion_6_orbit_sums_degrees_1_to_6():
     failures = []
     for d in range(1, 7):
-        for label, gens in (
-            ("cyclic", cyclic_generators(d)),
-            ("symmetric", symmetric_generators(d)),
+        for label, gens, order in (
+            ("cyclic", cyclic_generators(d), d),
+            ("symmetric", symmetric_generators(d), factorial(d)),
         ):
-            data = even_weight_orbits(d, gens)
+            data = even_weight_orbits(d, gens, order)
             if sum(data.sizes()) != 2 ** (d - 1):
                 failures.append(f"{label} degree {d}: sizes {data.sizes()}")
     ok = not failures

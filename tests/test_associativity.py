@@ -253,7 +253,7 @@ def orbits_under_a_broken_action(d: int) -> None:
 
     pipeline._act_on_vector = flip
     try:
-        pipeline.even_weight_orbits(d, pipeline.cyclic_generators(d))
+        pipeline.even_weight_orbits(d, pipeline.cyclic_generators(d), d)
     finally:
         pipeline._act_on_vector = real
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,16 @@ def test_orbits_rejects_bad_degree(capsys):
     assert run(["orbits", "--degree", "x", "--full"]) == 2
     assert "--degree" in capsys.readouterr().err
     assert run(["orbits", "--degree", "0", "--cycle"]) == 2
+    capsys.readouterr()
+    assert run(["orbits", "--degree", "17", "--cycle"]) == 2
+    assert capsys.readouterr().err == "error: flag --degree: must be at most 16\n"
+
+
+@pytest.mark.parametrize("argv", [["--degree", "12", "--full"], ["--degree", "16", "--cycle"]])
+def test_orbits_up_to_the_degree_cap_answer_within_a_second(argv, capsys):
+    start = time.perf_counter()
+    assert run(["orbits", *argv]) == 0
+    assert time.perf_counter() - start < 1.0
     capsys.readouterr()
 
 

@@ -15,7 +15,9 @@ comparison of a field degree with 1: products specialize to Q in one
 place, the exactfield accumulator, and a new Q-only fork is a deliberate
 edit of its list.  The Fraction reference that the arithmetic is checked
 against imports nothing from the package, so a package bug cannot pass by
-agreeing with itself.  The checks parse the sources with ast, so they run without any
+agreeing with itself.  No assert in the tests may have a constant true
+operand of `or` in its condition, which would let it pass whatever the
+code does.  The checks parse the sources with ast, so they run without any
 linter.  One check reads a signature instead: perfbench's table hook reads
 the leading arguments of StructureAlgebra by position and keyword, so
 their order is pinned.
@@ -252,6 +254,38 @@ def test_asserts_are_located_by_function():
 def test_asserts_in_src_are_the_listed_preconditions():
     found = {path.stem: asserts_by_function(path.read_text()) for path in MODULES}
     assert {module: where for module, where in found.items() if where} == LISTED_ASSERTS
+
+
+def vacuous_asserts(source: str) -> list[str]:
+    """Asserts whose condition holds an `or` with a constant true operand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Assert):
+            continue
+        for sub in ast.walk(node.test):
+            if isinstance(sub, ast.BoolOp) and isinstance(sub.op, ast.Or) and any(
+                isinstance(v, ast.Constant) and v.value for v in sub.values
+            ):
+                found.append(f"line {node.lineno}: {ast.unparse(node.test)}")
+                break
+    return found
+
+
+def test_vacuous_asserts_are_detected():
+    source = (
+        "assert x in y or True\nassert f(a or 1)\nassert x or False\n"
+        "assert x or y\nassert (x and y) or 'yes'\n"
+    )
+    assert vacuous_asserts(source) == [
+        "line 1: x in y or True",
+        "line 2: f(a or 1)",
+        "line 5: x and y or 'yes'",
+    ]
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=[f"tests/{p.name}" for p in TEST_MODULES])
+def test_no_vacuous_asserts_in_tests(path):
+    assert vacuous_asserts(path.read_text()) == []
 
 
 # the comparisons of a field degree with 1 left in the package, by module

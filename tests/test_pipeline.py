@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from ksalgebra.clifford import CliffordAlgebra
 from ksalgebra.brauer import INF, is_definite, rational_symbol
 from ksalgebra.csa import from_symbol, tensor, trace_form_signature
 from ksalgebra.errors import (
+    CertificateFailure,
     FieldMismatch,
     InvalidPermutation,
     ParameterConstraintViolated,
@@ -33,7 +35,8 @@ from ksalgebra.qform import GramForm
 # -- independent orbit oracle: pairwise-product closure and inverse-indexed action
 
 
-def oracle_orbit_sizes(d: int, gens) -> list[int]:
+def oracle_group(d: int, gens) -> set:
+    """Every element of the group the generators generate."""
     ident = tuple(range(1, d + 1))
     group = {ident} | {tuple(g) for g in gens}
     while True:
@@ -41,8 +44,12 @@ def oracle_orbit_sizes(d: int, gens) -> list[int]:
             tuple(p[q[i] - 1] for i in range(d)) for p in group for q in group
         }
         if more <= group:
-            break
+            return group
         group |= more
+
+
+def oracle_orbit_sizes(d: int, gens) -> list[int]:
+    group = oracle_group(d, gens)
     vecs = [v for v in product((0, 1), repeat=d) if sum(v) % 2 == 0]
     sizes = []
     seen = set()
@@ -61,15 +68,15 @@ def oracle_orbit_sizes(d: int, gens) -> list[int]:
 
 
 def test_orbits_swap_degree_2():
-    data = even_weight_orbits(2, [(2, 1)])
+    data = even_weight_orbits(2, [(2, 1)], 2)
     assert data.group_order == 2
     assert data.orbits == (((0, 0), 1, 2), ((1, 1), 1, 2))
     assert data.sizes() == [1, 1]
 
 
 def test_orbits_cyclic_and_symmetric_degree_3_match():
-    cyc = even_weight_orbits(3, cyclic_generators(3))
-    sym = even_weight_orbits(3, symmetric_generators(3))
+    cyc = even_weight_orbits(3, cyclic_generators(3), 3)
+    sym = even_weight_orbits(3, symmetric_generators(3), factorial(3))
     assert sorted(cyc.sizes()) == [1, 3]
     assert sorted(sym.sizes()) == [1, 3]
     assert cyc.group_order == 3 and sym.group_order == 6
@@ -80,23 +87,29 @@ def test_orbits_cyclic_and_symmetric_degree_3_match():
 
 def test_orbit_sums_and_stabilizers_degrees_1_to_6():
     for d in range(1, 7):
-        for gens in (cyclic_generators(d), symmetric_generators(d)):
-            data = even_weight_orbits(d, gens)
+        for gens, order in ((cyclic_generators(d), d), (symmetric_generators(d), factorial(d))):
+            data = even_weight_orbits(d, gens, order)
+            assert data.group_order == len(oracle_group(d, gens))
             assert sum(data.sizes()) == 2 ** (d - 1)
             for _, size, stab in data.orbits:
                 assert size * stab == data.group_order
-            assert data.sizes() == oracle_orbit_sizes(d, gens) or sorted(
-                data.sizes()
-            ) == oracle_orbit_sizes(d, gens)
+            assert sorted(data.sizes()) == oracle_orbit_sizes(d, gens)
+
+
+def test_orbits_reject_a_stated_order_that_does_not_match_the_generators():
+    # S_4 has order 24; stated as 4, the six weight-2 vectors form one orbit
+    with pytest.raises(CertificateFailure) as err:
+        even_weight_orbits(4, symmetric_generators(4), 4)
+    assert str(err.value) == "orbit sums: orbit size 6 does not divide the group order 4"
 
 
 def test_orbits_reject_bad_generators():
     with pytest.raises(InvalidPermutation):
-        even_weight_orbits(2, [(1, 1)])
+        even_weight_orbits(2, [(1, 1)], 2)
     with pytest.raises(InvalidPermutation):
-        even_weight_orbits(3, [(1, 2, 4)])
+        even_weight_orbits(3, [(1, 2, 4)], 3)
     with pytest.raises(InvalidPermutation):
-        even_weight_orbits(3, ["ab"])
+        even_weight_orbits(3, ["ab"], 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,7 +120,7 @@ def test_orbit_laws_random_groups(data):
     gens = data.draw(
         st.lists(st.sampled_from(perms), min_size=1, max_size=3)
     )
-    orbits = even_weight_orbits(d, gens)
+    orbits = even_weight_orbits(d, gens, len(oracle_group(d, gens)))
     assert sum(orbits.sizes()) == 2 ** (d - 1)
     for _, size, stab in orbits.orbits:
         assert size * stab == orbits.group_order
@@ -394,7 +407,7 @@ def test_route_disagreement_is_detected(monkeypatch):
 
 
 def test_orbit_data_json_shape():
-    data = even_weight_orbits(3, cyclic_generators(3))
+    data = even_weight_orbits(3, cyclic_generators(3), 3)
     doc = data.to_json_dict()
     assert doc == {
         "d": 3,
