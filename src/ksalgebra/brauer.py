@@ -8,14 +8,14 @@ and two symbols are isomorphic iff the sets agree.
 Local computations stay exact: Legendre characters by Euler's criterion,
 the p = 2 case by the classical epsilon/omega formula on odd parts, the
 real place by signs.  No factorization of large integers is attempted;
-ramification candidates come from trial division up to the fixed
-DEFAULT_TRIAL_BOUND, and anything irreducible beyond it raises rather
-than guessing.
+the odd ramification candidates, primes of odd valuation in a slot, come
+from trial division up to the fixed DEFAULT_TRIAL_BOUND, and anything
+irreducible beyond it raises rather than guessing.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import (
     FactorizationBound,
@@ -238,13 +238,17 @@ def _require_rational_symbol(s: QuaternionSymbol) -> tuple[Fraction, Fraction]:
     return s.a.rational_value(), s.b.rational_value()
 
 
+def _odd_primes_of_odd_valuation(q: Fraction) -> set[int]:
+    """The odd primes p with v_p(q) odd: a symbol is split at an odd prime
+    where both slots have even valuation, so only these can ramify."""
+    exponents = {**_odd_prime_exponents(q.numerator), **_odd_prime_exponents(q.denominator)}
+    return {p for p, v in exponents.items() if v % 2}
+
+
 def ramification(s: QuaternionSymbol) -> RamificationSet:
     """The finite even set of places of Q where the symbol is -1."""
     a, b = _require_rational_symbol(s)
-    candidates: set[int] = {2}
-    for q in (a, b):
-        candidates.update(_odd_prime_exponents(q.numerator))
-        candidates.update(_odd_prime_exponents(q.denominator))
+    candidates = {2} | _odd_primes_of_odd_valuation(a) | _odd_primes_of_odd_valuation(b)
     ramified = {p for p in candidates if hilbert_symbol(a, b, p) == -1}
     if hilbert_symbol(a, b, INF) == -1:
         ramified.add(INF)
@@ -252,11 +256,9 @@ def ramification(s: QuaternionSymbol) -> RamificationSet:
 
 
 def is_definite(s: QuaternionSymbol) -> bool:
-    return INF in ramification(s)
-
-
-def symbols_isomorphic_Q(s1: QuaternionSymbol, s2: QuaternionSymbol) -> bool:
-    return ramification(s1) == ramification(s2)
+    """Ramified at the real place: both slots are negative."""
+    a, b = _require_rational_symbol(s)
+    return a < 0 and b < 0
 
 
 def squarefree_kernel(q: Fraction) -> int:
@@ -264,14 +266,8 @@ def squarefree_kernel(q: Fraction) -> int:
     q = Fraction(q)
     if q == 0:
         raise ZeroInput("squarefree kernel of zero")
-    n = abs(q.numerator * q.denominator)
-    sign = -1 if q < 0 else 1
-    v2, n = _int_valuation(n, 2)
-    kernel = 2 if v2 % 2 else 1
-    for p, v in _odd_prime_exponents(n).items():
-        if v % 2:
-            kernel *= p
-    return sign * kernel
+    kernel = prod(_odd_primes_of_odd_valuation(q)) * 2 ** (valuation(q, 2)[0] % 2)
+    return kernel if q > 0 else -kernel
 
 
 def reduced_symbol(s: QuaternionSymbol) -> QuaternionSymbol:

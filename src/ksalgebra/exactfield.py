@@ -593,6 +593,10 @@ def field_from_json_dict(doc: dict) -> FieldDescriptor:
     for key in ("min_poly", "automorphisms", "embeddings"):
         if key not in doc:
             raise MalformedInput(f"field descriptor is missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise MalformedInput(f"key {key!r}: expected a list")
+    if not all(isinstance(a, list) for a in doc["automorphisms"]):
+        raise MalformedInput("key 'automorphisms': each entry must be a list")
     min_poly = [parse_rational(c, "min_poly") for c in doc["min_poly"]]
     autos = [[parse_rational(c, "automorphisms") for c in a] for a in doc["automorphisms"]]
     embs = []

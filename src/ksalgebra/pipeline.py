@@ -31,7 +31,6 @@ from .brauer import (
     reduced_symbol,
     squarefree_kernel,
     symbol_scale,
-    symbols_isomorphic_Q,
 )
 from .clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
 from .csa import build_ZG, center, invariants, trace_form_signature
@@ -206,28 +205,17 @@ def _symbol_route(c0: QuaternionSymbol, f: FieldDescriptor, diag_entries: list) 
     }
 
 
-def _reference_signatures(d: int) -> tuple:
-    """Trace signatures of the two possible corestriction classes in the
-    rank-3 case, with n = 2^(d-1): M_n(H) over the definite quaternions
-    has (2n^2 - n, 2n^2 + n, 0), the full matrix algebra M_2n(Q) has
-    (2n^2 + n, 2n^2 - n, 0).  The trace form of M_k(Q) is k squares plus
-    k(k-1)/2 hyperbolic planes, that of H is <1, -1, -1, -1> up to scale,
-    and trace forms multiply under tensor products."""
-    n = 2 ** (d - 1)
-    return (2 * n * n - n, 2 * n * n + n, 0), (2 * n * n + n, 2 * n * n - n, 0)
-
-
 def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
     z = build_ZG(ev_algebra, f)
     inv = invariants(z)
     sig = trace_form_signature(inv)
     verdict = None
-    if m == 3:
-        def_sig, indef_sig = _reference_signatures(f.degree)
-        if sig == def_sig:
-            verdict = "definite"
-        elif sig == indef_sig:
-            verdict = "indefinite_or_split"
+    if m == 3 and sig[2] == 0:
+        # B is M_n(H) or M_2n(Q), n = 2^(d-1).  Trace forms multiply under
+        # tensor products, and pos - neg is k for M_k(Q) and -2 for H, so
+        # pos - neg is -2^d for the definite class and +2^d for the other.
+        d = f.degree
+        verdict = {-(2 ** d): "definite", 2 ** d: "indefinite_or_split"}.get(sig[0] - sig[1])
     return {
         "dim": inv.dim,
         "center_dim": center(z, inv),
@@ -450,7 +438,7 @@ def six_lines_family(d, c, e) -> KSReport:
     route = report.cores_symbol_route
     if route is None:
         raise CertificateFailure("family symbol route must complete")
-    if not symbols_isomorphic_Q(route["symbol"], rational_symbol(-1, -1)):
+    if route["ramification"] != ramification(rational_symbol(-1, -1)):
         raise CertificateFailure("family corestriction must be the definite (-1,-1) class")
     return report
 
@@ -459,9 +447,12 @@ SEARCH_COEFF_BOUND = 2
 
 
 def search_cubic_diagonal(f: FieldDescriptor) -> GramForm:
-    """First diag(u, u, w) over a degree-3 field meeting the signature
-    profile, scanning coefficient vectors with entries bounded by
-    SEARCH_COEFF_BOUND in lexicographic order.
+    """diag(u, u, w) over a degree-3 field meeting the signature profile:
+    u is the first coefficient vector, entries bounded by
+    SEARCH_COEFF_BOUND in lexicographic order, with signs (+, -, -) at the
+    three places, and w the first with signs (-, -, -).  A diagonal form's
+    signature at a place counts the signs of its entries, so the form has
+    (2, 1) at the first place and (0, 3) at the others.
 
     The repeated first entry keeps the first symbol slot equal to -u^2,
     which the square-scaling rewrite always rationalizes, so the symbol
@@ -469,27 +460,14 @@ def search_cubic_diagonal(f: FieldDescriptor) -> GramForm:
     """
     assert f.degree == 3, "search preset is for cubic fields"
     rng = range(-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND + 1)
-    candidates = [
-        f.elem([Fraction(a), Fraction(b), Fraction(c)])
-        for a in rng
-        for b in rng
-        for c in rng
-    ]
-    candidates = [x for x in candidates if x]
-    plus_at_first = [
-        x
-        for x in candidates
-        if sign_at_embedding(x, 1) > 0
-        and all(sign_at_embedding(x, i) < 0 for i in range(2, 4))
-    ]
-    all_negative = [
-        x for x in candidates if all(sign_at_embedding(x, i) < 0 for i in range(1, 4))
-    ]
-    for u in plus_at_first:
-        for w in all_negative:
-            form = GramForm.diagonal(f, [u, u, w])
-            if validate_k3_rm(f, form).passed:
-                return form
-    raise ParameterConstraintViolated(
-        f"no valid diagonal form with coefficients bounded by {SEARCH_COEFF_BOUND}"
-    )
+
+    def first_with_signs(signs: tuple) -> FieldElem | None:
+        scan = (f.elem(coeffs) for coeffs in product(rng, repeat=3))
+        return next((x for x in scan if tuple(sign_at_embedding(x, i) for i in (1, 2, 3)) == signs), None)
+
+    u, w = first_with_signs((1, -1, -1)), first_with_signs((-1, -1, -1))
+    if u is None or w is None:
+        raise ParameterConstraintViolated(
+            f"no valid diagonal form with coefficients bounded by {SEARCH_COEFF_BOUND}"
+        )
+    return GramForm.diagonal(f, [u, u, w])

@@ -259,7 +259,7 @@ def gram_from_json_dict(field: FieldDescriptor, doc: dict) -> GramForm:
         if key not in doc:
             raise MalformedInput(f"form document is missing key {key!r}")
     m = doc["dim"]
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise MalformedInput("key 'dim': expected a positive integer")
     rows = doc["entries"]
     if not isinstance(rows, list) or len(rows) != m or any(

@@ -19,7 +19,6 @@ from ksalgebra.brauer import (
     reduced_symbol,
     squarefree_kernel,
     symbol_scale,
-    symbols_isomorphic_Q,
     valuation,
 )
 from ksalgebra.errors import (
@@ -211,9 +210,9 @@ def test_split_definite_verdicts():
 
 
 def test_symbols_isomorphic():
-    assert symbols_isomorphic_Q(rational_symbol(-1, -1), rational_symbol(-1, -4))
-    assert symbols_isomorphic_Q(rational_symbol(-2, -3), rational_symbol(-2, -3))
-    assert not symbols_isomorphic_Q(rational_symbol(1, 1), rational_symbol(-1, -1))
+    assert ramification(rational_symbol(-1, -1)) == ramification(rational_symbol(-1, -4))
+    assert ramification(rational_symbol(-2, -3)) == ramification(rational_symbol(-2, -3))
+    assert ramification(rational_symbol(1, 1)) != ramification(rational_symbol(-1, -1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -252,6 +251,14 @@ def test_factorization_bound_honesty(monkeypatch):
     assert ramification(sq) == ramification(rational_symbol(3, -1))
 
 
+def test_definiteness_is_read_at_the_real_place(monkeypatch):
+    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 100)
+    s = rational_symbol(-101 * 103, -1)
+    assert is_definite(s)
+    with pytest.raises(FactorizationBound):
+        ramification(s)
+
+
 def test_odd_ramification_guard():
     with pytest.raises(OddRamification):
         RamificationSet(frozenset({2}))
@@ -268,6 +275,12 @@ def test_squarefree_kernel(monkeypatch):
         squarefree_kernel(Fraction(0))
     with pytest.raises(FactorizationBound):
         squarefree_kernel(Fraction(10007 * 10009))
+
+
+def test_squarefree_kernel_factors_numerator_and_denominator_apart(monkeypatch):
+    # each part is one prime beyond the bound; their product is not
+    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 100)
+    assert squarefree_kernel(Fraction(10007, 10009)) == 10007 * 10009
 
 
 def test_reduced_symbol():

@@ -111,6 +111,28 @@ def test_report_over_a_zero_min_poly_is_one_line_exit_2(tmp_path, capsys, min_po
     assert captured.err == "error: invalid field descriptor: min_poly must have degree >= 1\n"
 
 
+QUADRATIC_DESCRIPTOR = {"min_poly": [-2, 0, 1], "automorphisms": [[0, 1], [0, -1]], "embeddings": [[1, 2], [-2, -1]]}
+
+
+@pytest.mark.parametrize(
+    "field, form, message",
+    [
+        (dict(QUADRATIC_DESCRIPTOR, min_poly=5), FAMILY_INPUT["form"], "key 'min_poly': expected a list"),
+        (dict(QUADRATIC_DESCRIPTOR, automorphisms=5), FAMILY_INPUT["form"], "key 'automorphisms': expected a list"),
+        (dict(QUADRATIC_DESCRIPTOR, automorphisms=[[0, 1], 5]), FAMILY_INPUT["form"],
+         "key 'automorphisms': each entry must be a list"),
+        (dict(QUADRATIC_DESCRIPTOR, embeddings=5), FAMILY_INPUT["form"], "key 'embeddings': expected a list"),
+        ({"quadratic_d": 2}, {"dim": True, "entries": [["1"]]}, "key 'dim': expected a positive integer"),
+    ],
+    ids=["min_poly", "automorphisms", "one_automorphism", "embeddings", "dim_true"],
+)
+def test_report_rejects_json_fields_of_the_wrong_shape(tmp_path, capsys, field, form, message):
+    assert run(["report", "--input", write_input(tmp_path, {"field": field, "form": form})]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_orbits_full_degree_2(capsys):
     assert run(["orbits", "--degree", "2", "--full"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -18,8 +18,9 @@ from ksalgebra.errors import (
     ParameterConstraintViolated,
     RouteDisagreement,
 )
-from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
+from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field, sign_at_embedding
 from ksalgebra.pipeline import (
+    SEARCH_COEFF_BOUND,
     KSReport,
     OrbitData,
     cyclic_generators,
@@ -341,6 +342,31 @@ def test_cubic_search_finds_valid_form(cubic_report):
     assert (report.m, report.d) == (3, 3)
 
 
+def oracle_cubic_search(f):
+    """The exhaustive search the first-match scan replaced: every pair
+    (u, w) of candidates with the right signs, in order, until one passes
+    validation."""
+    rng = range(-SEARCH_COEFF_BOUND, SEARCH_COEFF_BOUND + 1)
+    candidates = [f.elem([Fraction(a), Fraction(b), Fraction(c)]) for a in rng for b in rng for c in rng]
+    candidates = [x for x in candidates if x]
+    plus_at_first = [
+        x for x in candidates
+        if sign_at_embedding(x, 1) > 0 and all(sign_at_embedding(x, i) < 0 for i in range(2, 4))
+    ]
+    all_negative = [x for x in candidates if all(sign_at_embedding(x, i) < 0 for i in range(1, 4))]
+    for u in plus_at_first:
+        for w in all_negative:
+            form = GramForm.diagonal(f, [u, u, w])
+            if qform.validate_k3_rm(f, form).passed:
+                return form
+    return None
+
+
+def test_cubic_search_matches_the_exhaustive_pair_search():
+    f = cyclic_cubic_field()
+    assert search_cubic_diagonal(f) == oracle_cubic_search(f)
+
+
 def test_cubic_instance_unramified_at_infinity(cubic_report):
     rep = cubic_report
     route = rep.cores_symbol_route
@@ -390,16 +416,24 @@ def tensor_chain_signatures(d: int) -> tuple:
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_reference_signatures_closed_form_matches_tensor_chain(d):
-    import ksalgebra.pipeline as pl
-
-    assert pl._reference_signatures(d) == tensor_chain_signatures(d)
+    # the invariant route's verdict rule: no null part, pos - neg = -2^d
+    # for the definite class and +2^d for the other
+    definite, indefinite = tensor_chain_signatures(d)
+    assert definite[2] == indefinite[2] == 0
+    assert definite[0] - definite[1] == -(2 ** d)
+    assert indefinite[0] - indefinite[1] == 2 ** d
 
 
 def test_route_disagreement_is_detected(monkeypatch):
     import ksalgebra.pipeline as pl
 
-    real = pl._reference_signatures(2)
-    monkeypatch.setattr(pl, "_reference_signatures", lambda d: (real[1], real[0]))
+    real = pl.trace_form_signature
+
+    def swapped(a):
+        pos, neg, null = real(a)
+        return neg, pos, null
+
+    monkeypatch.setattr(pl, "trace_form_signature", swapped)
     f = quadratic_field(2)
     form = GramForm.diagonal(f, [f.gen(), f.gen(), f.gen() - f.rational(2)])
     with pytest.raises(RouteDisagreement):
