@@ -45,7 +45,7 @@ class QuaternionSymbol:
 
     a: FieldElem
     b: FieldElem
-    history: tuple = dc_field(default_factory=tuple)  # (slot, u) rewrite certificates
+    history: tuple = dc_field(default_factory=tuple, compare=False)  # (slot, u) rewrite certificates
 
     def __post_init__(self):
         if self.a.field != self.b.field:
@@ -63,16 +63,6 @@ class QuaternionSymbol:
 
     def to_json_dict(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json()}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, QuaternionSymbol)
-            and self.a == other.a
-            and self.b == other.b
-        )
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
 
 def rational_symbol(a, b) -> QuaternionSymbol:
@@ -98,12 +88,6 @@ class RamificationSet:
 
     def __contains__(self, place) -> bool:
         return place in self.places
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RamificationSet) and self.places == other.places
-
-    def __hash__(self):
-        return hash(self.places)
 
 
 def sorted_places(places) -> list:

@@ -269,6 +269,12 @@ def _cmd_selftest() -> int:
 
 def run(argv) -> int:
     parser = _build_parser()
+    # argparse reads a value that starts with '-' as a flag unless it is a
+    # plain negative number, so -a -4/9 goes in as -a=-4/9
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("-a", "-b") and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         if args.command == "hilbert":

@@ -57,7 +57,7 @@ def even_part(c: CliffordAlgebra) -> StructureAlgebra:
             coeff, mask = c.blade_product(s, t)
             row.append((index[mask], coeff))
         cells.append(row)
-    return monomial_algebra(c.field, cells, [1] + [0] * (len(masks) - 1))
+    return monomial_algebra(c.field, cells)
 
 
 def even_rank3_to_symbol(c0: StructureAlgebra, entries) -> QuaternionSymbol:

@@ -31,7 +31,7 @@ counted from the two tables.  The trace form of a Q-algebra is
 diagonalized block by block; for the fixed algebra the blocks are the
 monomial orbits.
 """
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, product
 from math import gcd, lcm
 
@@ -152,18 +152,18 @@ class StructureAlgebra:
         )
 
 
-def monomial_algebra(field: FieldDescriptor, cells, unit) -> StructureAlgebra:
+def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
     """The algebra with u_i u_j = c u_k for cells[i][j] = (k, c), c a
-    nonzero FieldElem of field, and unit coordinates FieldElems or
-    rationals, scaled to their common denominator and always swept."""
-    unit = [c if isinstance(c, FieldElem) else field.rational(c) for c in unit]
-    given = [c for row in cells for _, c in row] + unit
+    nonzero FieldElem of field, and unit u_0, scaled to the constants'
+    common denominator and always swept."""
+    given = [c for row in cells for _, c in row]
     if any(c.field != field for c in given):
         raise FieldMismatch("structure constant in the wrong field")
     den = lcm(1, *{c.den for c in given})
     vec = lambda c: tuple([x * (den // c.den) for x in c.num])
     table = [[[(k, vec(c))] for k, c in row] for row in cells]
-    return StructureAlgebra(field, table, [vec(c) for c in unit], den=den)
+    unit = [vec(field.one())] + [vec(field.zero())] * (len(cells) - 1)
+    return StructureAlgebra(field, table, unit, den=den)
 
 
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
@@ -178,7 +178,7 @@ def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
         [(2, one), (3, -one), (0, b), (1, -b)],
         [(3, one), (2, -a), (1, b), (0, -(a * b))],
     ]
-    return monomial_algebra(s.field, cells, [1, 0, 0, 0])
+    return monomial_algebra(s.field, cells)
 
 
 def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -200,14 +200,7 @@ def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, lis
     pair of integer vectors is multiplied once."""
     (ta, ua, la), (tb, ub, lb) = a, b
     nb = len(ub)
-    products: dict = {}
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        p = products.get((x, y))
-        if p is None:
-            p = products[x, y] = field.multiply(x, y)
-        return p
-
+    mul = lru_cache(maxsize=None)(field.multiply)
     constants = [
         [[(k1 * nb + k2, mul(v1, v2)) for k1, v1 in ea for k2, v2 in eb] for ea in row_a for eb in row_b]
         for row_a in ta
@@ -407,8 +400,7 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     unit = [(0,)] * n
     for k, (x,) in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
         unit[k] = (x * (den // alg.den),)
-    accumulate, multiply = f.accumulate, f.multiply
-    products: dict = {}
+    accumulate, multiply = f.accumulate, lru_cache(maxsize=None)(f.multiply)
     constants = [[None] * n for _ in range(n)]
     for j, xb in enumerate(ibasis):
         # right[s]: u_s times xb at the representatives, reduced
@@ -418,10 +410,7 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             for r, b in xb:
                 for k, c in ts[r]:
                     if k in blocks:
-                        v = products.get((b, c))
-                        if v is None:
-                            v = products[b, c] = multiply(b, c)
-                        terms.append((k, v))
+                        terms.append((k, multiply(b, c)))
             right.append(terms)
         for i, xa in enumerate(ibasis):
             w: dict = {}
@@ -514,9 +503,7 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
                     seen[k] = True
                     block.append(k)
         block.sort()
-        diag, _ = congruence_diagonalize(
-            [[q.rational(gram.get((r, c), 0)) for c in block] for r in block], q, allow_degenerate=True
-        )
+        diag, _ = congruence_diagonalize([[q.rational(gram.get((r, c), 0)) for c in block] for r in block], q)
         for e in diag:
             x = e.rational_value()
             pos += x > 0
@@ -527,7 +514,7 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
 # -- the twisted-Clifford comparison --------------------------------------------------
 
 
-def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor, zg: GaloisModuleAlgebra | None = None) -> bool:
+def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor) -> bool:
     """Check Z(C0(Q)) against the tensor of conjugate even Clifford algebras.
 
     The two sides are built through different code paths: the left twists
@@ -535,14 +522,13 @@ def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor, zg: GaloisModuleAlg
     Clifford construction on the sigma_i-conjugated diagonal entries.  The
     identity map on monomials must be an algebra isomorphism, and the
     stored G-action must match the slot-permutation action recomputed from
-    scratch.  Pass a prebuilt (possibly corrupted) zg to test against it.
+    scratch.
     """
     from .clifford import CliffordAlgebra, even_part  # layering: clifford builds on csa
 
     a = even_part(CliffordAlgebra(f, diag_q.entries))
     d = f.degree
-    if zg is None:
-        zg = build_ZG(a, f)
+    zg = build_ZG(a, f)
     right = reduce(tensor, (
         even_part(CliffordAlgebra(f, [apply_automorphism(e, i) for e in diag_q.entries])) for i in range(1, d + 1)
     ))

@@ -3,11 +3,11 @@
 A polynomial is a list of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty list.  Everything here is
 exact.  This module carries what the number-field layer needs to set a
-field up and to decide signs: sums, division with remainder (the X^k mod
-P table), point evaluation and interval evaluation on an isolating
-interval, and rendering.  Products, composition, norms and inverses are
-not here: the field layer computes them in its own arithmetic, where
-point evaluation at a field element is Horner in the field.
+field up and to decide signs: sums, remainders (the X^k mod P table),
+point evaluation and interval evaluation on an isolating interval, and
+rendering.  Products, composition, norms and inverses are not here: the
+field layer computes them in its own arithmetic, where point evaluation
+at a field element is Horner in the field.
 """
 
 from fractions import Fraction
@@ -36,26 +36,20 @@ def padd(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
                  for i in range(n)])
 
 
-def pdivmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> tuple[Poly, Poly]:
-    """Quotient and remainder of f by g; g must be nonzero."""
+def pmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
+    """Remainder of f by g; g must be nonzero."""
     g = trim(g)
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(trim(f))
+    r = trim(f)
     dg, lg = len(g) - 1, g[-1]
-    q = [ZERO] * max(len(r) - dg, 0)
     while len(r) - 1 >= dg and r:
         shift = len(r) - 1 - dg
         c = r[-1] / lg
-        q[shift] = c
         for i in range(len(g)):
             r[shift + i] -= c * g[i]
         r = trim(r)
-    return trim(q), r
-
-
-def pmod(f: Sequence[Fraction], g: Sequence[Fraction]) -> Poly:
-    return pdivmod(f, g)[1]
+    return r
 
 
 def peval(f: Sequence[Fraction], x):

@@ -93,11 +93,11 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def congruence_diagonalize(matrix, field: FieldDescriptor, allow_degenerate: bool = False):
+def congruence_diagonalize(matrix, field: FieldDescriptor):
     """Symmetric Gauss over the field; returns (diag, P) with P^T A P = diag.
 
-    With allow_degenerate the radical shows up as zero diagonal entries;
-    otherwise a vanishing active block raises DegenerateForm.
+    A totally isotropic active block ends the elimination, so the radical
+    shows up as zero diagonal entries.
     """
     m = len(matrix)
     a = [[e for e in row] for row in matrix]
@@ -128,9 +128,7 @@ def congruence_diagonalize(matrix, field: FieldDescriptor, allow_degenerate: boo
                 None,
             )
             if off is None:
-                if allow_degenerate:
-                    break
-                raise DegenerateForm("form has a totally isotropic active block")
+                break
             i, j = off
             col_add(i, j, one)  # diagonal entry becomes 2*a[i][j] != 0
             piv = i
@@ -152,6 +150,8 @@ def congruence_diagonalize(matrix, field: FieldDescriptor, allow_degenerate: boo
 def diagonalize(g: GramForm) -> DiagForm:
     """Diagonalize a non-degenerate Gram form with an exact certificate."""
     diag, p = congruence_diagonalize(g.entries, g.field)
+    if not all(diag):
+        raise DegenerateForm("form has a totally isotropic active block")
     return DiagForm(g.field, diag, p)
 
 

@@ -205,6 +205,6 @@ def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
             for k, c in a.row(i, j):
                 acc += c.rational_value() * tr[k]
             gram[i][j] = gram[j][i] = RATIONAL_FIELD.rational(acc)
-    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD, allow_degenerate=True)
+    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD)
     signs = [sign_at_embedding(e, 1) if e else 0 for e in diag]
     return signs.count(1), signs.count(-1), signs.count(0)

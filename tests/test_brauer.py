@@ -314,6 +314,14 @@ def test_symbol_scale():
         symbol_scale(s, Q2.zero())
 
 
+def test_symbols_compare_and_hash_by_their_slots_only():
+    s = QuaternionSymbol(Q2.rational(-2), Q2.gen() - 1)
+    scaled = QuaternionSymbol(s.a, s.b, ((1, Q2.gen()),))
+    assert scaled == s and hash(scaled) == hash(s)
+    assert len({s, scaled}) == 1
+    assert scaled != QuaternionSymbol(s.b, s.a)
+
+
 def test_corestrict_projection_formula():
     # (-1, sqrt2 - 1) over Q(sqrt2) -> (-1, N(sqrt2 - 1)) = (-1, -1)
     s = QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1)

@@ -60,6 +60,18 @@ def test_classify_text_and_json(capsys):
     assert doc["reduced"] == "(-1,-1)/Q"
 
 
+def test_negative_fraction_flags_read_as_the_equals_form(capsys):
+    # argparse alone takes -4/9 for a flag and exits 2
+    for separate, joined in (
+        (["classify", "-a", "-4/9", "-b", "18"], ["classify", "-a=-4/9", "-b", "18"]),
+        (["hilbert", "-a", "2", "-b", "-3/5", "-p", "3"], ["hilbert", "-a", "2", "-b=-3/5", "-p", "3"]),
+    ):
+        assert run(joined) == 0
+        want = capsys.readouterr()
+        assert run(separate) == 0
+        assert capsys.readouterr() == want
+
+
 def test_classify_rejects_zero_slot(capsys):
     assert run(["classify", "-a", "0", "-b", "3"]) == 2
     capsys.readouterr()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ksalgebra import csa
 from ksalgebra.brauer import QuaternionSymbol, rational_symbol
 from ksalgebra.csa import (
     StructureAlgebra,
@@ -61,7 +62,7 @@ def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
                 tr += sum(mats[x][r][t] * mats[y][t][r] for t in range(n))
             row.append(RATIONAL_FIELD.rational(tr))
         gram.append(row)
-    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD, allow_degenerate=True)
+    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD)
     pos = sum(1 for e in diag if e and e.rational_value() > 0)
     neg = sum(1 for e in diag if e and e.rational_value() < 0)
     return pos, neg, n - pos - neg
@@ -130,11 +131,21 @@ def test_signature_components_sum_to_dim():
 def test_builder_rejects_a_constant_in_the_wrong_field():
     q5 = quadratic_field(5)
     with pytest.raises(FieldMismatch, match="structure constant in the wrong field"):
-        monomial_algebra(RATIONAL_FIELD, [[(0, Q2.gen())]], [1])
+        monomial_algebra(RATIONAL_FIELD, [[(0, Q2.gen())]])
     one = Q2.one()
     cells = [[(0, one), (1, one)], [(1, one), (0, q5.rational(2))]]
     with pytest.raises(FieldMismatch, match="structure constant in the wrong field"):
-        monomial_algebra(Q2, cells, [1, 0])
+        monomial_algebra(Q2, cells)
+
+
+def test_builder_unit_is_u0_over_the_constants_denominator():
+    # E[x]/(x^2 - c) over Q(sqrt 2), c = (1 + sqrt 2)/3: the table and the
+    # unit u_0 are stored over 3, and the unit law holds
+    one, c = Q2.one(), (Q2.one() + Q2.gen()) / 3
+    alg = monomial_algebra(Q2, [[(0, one), (1, one)], [(1, one), (0, c)]])
+    assert alg.den == 3
+    assert alg.unit == [(3, 0), (0, 0)]
+    assert alg.row(1, 1) == [(0, c)]
 
 
 # -- tensor ---------------------------------------------------------------------------
@@ -168,7 +179,7 @@ def test_center_dimensions():
     # commutative quadratic etale algebra: dim-2 center
     one = RATIONAL_FIELD.one()
     comm = monomial_algebra(
-        RATIONAL_FIELD, [[(0, one), (1, one)], [(1, one), (0, RATIONAL_FIELD.rational(2))]], [1, 0]
+        RATIONAL_FIELD, [[(0, one), (1, one)], [(1, one), (0, RATIONAL_FIELD.rational(2))]]
     )
     assert len(oracle_center(comm)) == 2
 
@@ -299,7 +310,7 @@ def test_zg_group_law_certificate_rejects_a_wrong_move():
     # slot permutation is multiplicative, and only the group law can fail
     f = cyclic_cubic_field()
     one = f.one()
-    etale = monomial_algebra(f, [[(0, one), (1, one)], [(1, one), (0, f.rational(2))]], [1, 0])
+    etale = monomial_algebra(f, [[(0, one), (1, one)], [(1, one), (0, f.rational(2))]])
     zg = build_ZG(etale, f)
     zg.moves[2] = list(range(zg.underlying.dim))
     with pytest.raises(CertificateFailure, match=r"group law fails for \(2,2\)"):
@@ -410,7 +421,7 @@ def test_field_elem_rows_and_integers_over_6_store_the_same_table():
     for symbol in (rational_symbol(Fraction(1, 2), Fraction(2, 3)), rational_symbol(-1, -1)):
         a = from_symbol(symbol)
         rows = [[a.row(i, j) for j in range(4)] for i in range(4)]
-        assert monomial_algebra(RATIONAL_FIELD, [[cell for [cell] in row] for row in rows], [1, 0, 0, 0]) == a
+        assert monomial_algebra(RATIONAL_FIELD, [[cell for [cell] in row] for row in rows]) == a
         over_6 = [[[(k, (int(6 * c.rational_value()),)) for k, c in cell] for cell in row] for row in rows]
         b = StructureAlgebra(RATIONAL_FIELD, over_6, [(6,), (0,), (0,), (0,)], den=6)
         assert b == a
@@ -433,22 +444,28 @@ def test_twisted_iso_degree_one():
     assert verify_twisted_iso(diagonalize(g), RATIONAL_FIELD) is True
 
 
-def test_twisted_iso_degree_one_checks_a_passed_zg():
+def verify_against(monkeypatch, diag, f, zg) -> bool:
+    """verify_twisted_iso with zg standing in for the Z(A) it builds."""
+    monkeypatch.setattr(csa, "build_ZG", lambda a, field: zg)
+    return verify_twisted_iso(diag, f)
+
+
+def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
     diag = diagonalize(GramForm.diagonal(RATIONAL_FIELD, [1, 1, -1]))
     a = even_part(CliffordAlgebra(RATIONAL_FIELD, diag.entries))
     zg = build_ZG(a, RATIONAL_FIELD)
     moves = list(zg.moves[1])
     moves[0], moves[1] = moves[1], moves[0]
     zg.moves[1] = moves
-    assert verify_twisted_iso(diag, RATIONAL_FIELD, zg=zg) is False
+    assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg) is False
     zg2 = build_ZG(a, RATIONAL_FIELD)
     left = zg2.underlying
     k, v = left.table[1][2][0]
     left.table[1][2] = [(k, (v[0] + left.den,))]
-    assert verify_twisted_iso(diag, RATIONAL_FIELD, zg=zg2) is False
+    assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg2) is False
 
 
-def test_twisted_iso_negative_controls():
+def test_twisted_iso_negative_controls(monkeypatch):
     f, diag = family_diag(2, 1)
     a = even_part(CliffordAlgebra(f, diag.entries))
     zg = build_ZG(a, f)
@@ -456,10 +473,10 @@ def test_twisted_iso_negative_controls():
     moves = list(zg.moves[2])
     moves[5] = (moves[5] + 1) % len(moves)
     zg.moves[2] = moves
-    assert verify_twisted_iso(diag, f, zg=zg) is False
+    assert verify_against(monkeypatch, diag, f, zg) is False
     zg2 = build_ZG(a, f)
     # corrupt a stored integer constant instead: add 1 to it
     left = zg2.underlying
     k, v = left.table[1][2][0]
     left.table[1][2] = [(k, (v[0] + left.den,) + v[1:])]
-    assert verify_twisted_iso(diag, f, zg=zg2) is False
+    assert verify_against(monkeypatch, diag, f, zg2) is False

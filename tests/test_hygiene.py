@@ -8,8 +8,11 @@ private state stays behind its public methods.  Every public top-level
 function or class of the package must be named somewhere else in the
 package or in perfbench/: a public name only tests call is dead code.
 Every private top-level function of the package must be named in its own
-module, so no helper outlives its last caller.  Every assert left in the
-package is listed below by module and enclosing function: certificates
+module, so no helper outlives its last caller.  Every parameter with a
+default in the package must be passed at some call site of the package
+(the console entry point aside): a default no caller overrides is a
+constant, and a test that needs another value monkeypatches.  Every
+assert left in the package is listed below by module and enclosing function: certificates
 raise, and a new assert is a deliberate edit of that list.  So is every
 comparison of a field degree with 1: products specialize to Q in one
 place, the exactfield accumulator, and a new Q-only fork is a deliberate
@@ -329,6 +332,84 @@ def test_degree_branches_are_located_by_function():
 def test_degree_branches_in_src_are_the_listed_ones():
     found = {path.stem: degree_branches_by_function(path.read_text()) for path in MODULES}
     assert {module: where for module, where in found.items() if where} == LISTED_DEGREE_BRANCHES
+
+
+def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, callee name, parameter, position among the
+    arguments a call writes, or None for keyword-only) of each parameter
+    with a default.  A method's callee name is its own, __init__'s is its
+    class's; self and cls take no position."""
+    found = []
+
+    def visit(node, scope: list[str], in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list
+                )
+                callee = scope[-1] if bound and child.name == "__init__" else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                qualname = ".".join(scope + [child.name])
+                for i, arg in enumerate(positional[first:], start=first):
+                    found.append((qualname, callee, arg.arg, i - bound))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((qualname, callee, arg.arg, None))
+                visit(child, scope + [child.name], False)
+            else:
+                visit(child, scope, in_class)
+
+    visit(tree, [], False)
+    return found
+
+
+def unpassed_defaults(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """module.function(parameter) for each parameter with a default that no
+    call in the sources passes, by position or keyword.  Calls are matched
+    to functions by name: f(...) and obj.f(...) both call every f."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    passed: dict[str, list[tuple[float, set[str]]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                count = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+                passed.setdefault(name, []).append((count, {k.arg for k in node.keywords}))
+    return [
+        f"{module}.{qualname}({param})"
+        for module, tree in trees.items()
+        for qualname, callee, param, position in defaulted_parameters(tree)
+        if f"{module}.{qualname}" not in exempt
+        and not any(
+            param in keywords or None in keywords or (position is not None and count > position)
+            for count, keywords in passed.get(callee, [])
+        )
+    ]
+
+
+def test_unpassed_defaults_are_detected():
+    defining = (
+        "def f(x, y=1, z=2, *, w=3):\n    return g(x, 1) + g(x, fast=True)\n"
+        "def g(x, y=0, fast=False):\n    return f(x, 5) + f(x, **{})\n"
+        "class C:\n    def __init__(self, a, b=0):\n        self.m(a=1)\n"
+        "    def m(self, a=0, b=0):\n        return C(1)\n"
+        "def main(argv=None):\n    return C(1, 2)\n"
+    )
+    assert unpassed_defaults({"m": defining}, {"m.main"}) == ["m.C.m(b)"]
+    assert unpassed_defaults({"m": defining.replace("**{}", "1")}, {"m.main"}) == [
+        "m.f(z)", "m.f(w)", "m.C.m(b)"
+    ]
+
+
+def test_every_default_is_passed_somewhere_in_src():
+    # a default that no caller overrides is a switch nobody sets: a constant
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unpassed_defaults(sources, {"cli.main"}) == []
 
 
 def test_structure_algebra_leads_with_the_arguments_perfbench_reads():

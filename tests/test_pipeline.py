@@ -194,9 +194,9 @@ def test_family_report_diagonalizes_the_form_once(monkeypatch):
     sizes = []
     real = qform.congruence_diagonalize
 
-    def counting(matrix, field, allow_degenerate=False):
+    def counting(matrix, field):
         sizes.append(len(matrix))
-        return real(matrix, field, allow_degenerate)
+        return real(matrix, field)
 
     monkeypatch.setattr(qform, "congruence_diagonalize", counting)
     monkeypatch.setattr(csa, "congruence_diagonalize", counting)

@@ -85,9 +85,24 @@ def test_degenerate_raises():
 
 def test_zero_block_tolerated_when_allowed():
     g = GramForm(RATIONAL_FIELD, [[1, 1], [1, 1]])
-    diag, p = congruence_diagonalize(g.entries, RATIONAL_FIELD, allow_degenerate=True)
+    diag, p = congruence_diagonalize(g.entries, RATIONAL_FIELD)
     signs = [1 if sign_at_embedding(e, 1) > 0 else (-1 if sign_at_embedding(e, 1) < 0 else 0) for e in diag]
     assert sorted(signs) == [0, 1]
+
+
+def test_degenerate_gram_comes_back_with_its_radical():
+    # the radical is a zero diagonal entry under a certified P, and
+    # diagonalize rejects it with the same message as ever
+    g = GramForm(RATIONAL_FIELD, [[1, 1], [1, 1]])
+    diag, p = congruence_diagonalize(g.entries, RATIONAL_FIELD)
+    assert sorted(bool(e) for e in diag) == [False, True]
+    zero = RATIONAL_FIELD.zero()
+    for i in range(2):
+        for j in range(2):
+            entry = sum((p[r][i] * g.entries[r][c] * p[c][j] for r in range(2) for c in range(2)), zero)
+            assert entry == (diag[i] if i == j else zero)
+    with pytest.raises(DegenerateForm, match=r"^form has a totally isotropic active block$"):
+        diagonalize(g)
 
 
 def test_family_form_signatures():
