@@ -156,15 +156,9 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, FieldElem):
-        return x.rational_value()
-    return Fraction(x)
-
-
 def hilbert_symbol(a, b, place) -> int:
-    """Local Hilbert symbol of (a, b) at a prime or at "inf"."""
-    a, b = _as_fraction(a), _as_fraction(b)
+    """Local Hilbert symbol of the nonzero rationals (a, b) at a prime or at "inf"."""
+    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ZeroInput("Hilbert symbol of zero")
     if place == INF:
@@ -265,8 +259,6 @@ def reduced_symbol(s: QuaternionSymbol) -> QuaternionSymbol:
 
 def symbol_scale(s: QuaternionSymbol, u: FieldElem) -> QuaternionSymbol:
     """Divide the first slot by u^2; the class is unchanged, u is recorded."""
-    if not isinstance(u, FieldElem):
-        u = s.field.rational(u)
     if not u:
         raise ZeroScale("scaling certificate must be nonzero")
     return QuaternionSymbol(s.a / (u * u), s.b, s.history + ((1, u),))

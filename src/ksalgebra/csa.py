@@ -8,7 +8,8 @@ in one form, integer vectors over one common denominator; tables are built
 and checked on those integers with the field's kernel
 (FieldDescriptor.multiply, accumulate and reduce).  FieldElem constants
 become table cells in one place, monomial_algebra, and come back only from
-row().  One checking rule: unit laws and the Galois action on Z(A) are
+row().  Every table has unit u_0.  One checking rule: the unit law, read
+off the stored row and column of u_0, and the Galois action on Z(A) are
 always certified; a table monomial_algebra builds from given constants is
 swept for associativity on every basis triple, and a tensor, twist or
 fixed subalgebra of swept tables is swept while its dim is at most
@@ -32,7 +33,7 @@ diagonalized block by block; for the fixed algebra the blocks are the
 monomial orbits.
 """
 from functools import lru_cache, reduce
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm
 
 from .errors import (
@@ -94,28 +95,24 @@ class StructureAlgebra:
 
     The constructor takes the table in the one form it stores:
     constants[i][j] is u_i u_j, 0-based, as a sorted list of (index, tuple
-    of d ints) with distinct indices and nonzero vectors, and unit a tuple
-    of d ints per coordinate, all over the denominator den.  They are
-    brought to lowest terms, so equal algebras store equal tables; row()
-    builds FieldElems.  monomial_algebra builds a table given by FieldElem
-    constants.  check=True sweeps associativity on all basis triples (only
-    the SWEEP_MAX_DIM rule passes False); the unit law is always verified.
+    of d ints) with distinct indices and nonzero vectors, all over the
+    denominator den.  It is brought to lowest terms, so equal algebras
+    store equal tables; row() builds FieldElems.  The unit is u_0, and the
+    unit law is always verified.  monomial_algebra builds a table given by
+    FieldElem constants.  check=True sweeps associativity on all basis
+    triples (only the SWEEP_MAX_DIM rule passes False).
     """
 
-    def __init__(self, field: FieldDescriptor, constants, unit, check: bool = True, *, den: int = 1):
-        n = len(constants)
-        if len(unit) != n:
-            raise DimensionMismatch(f"unit of length {len(unit)} for a table of dim {n}")
-        table, unit, g = constants, list(unit), den
-        for v in chain(unit, (v for row in table for cell in row for _, v in cell)):
+    def __init__(self, field: FieldDescriptor, constants, *, check: bool = True, den: int = 1):
+        table, g = constants, den
+        for v in (v for row in table for cell in row for _, v in cell):
             g = gcd(g, *v)
             if g == 1:
                 break
         if g > 1:  # to lowest terms, so that equal algebras store equal tables
             den //= g
             table = [[[(k, tuple([x // g for x in v])) for k, v in cell] for cell in row] for row in table]
-            unit = [tuple([x // g for x in v]) for v in unit]
-        self.field, self.dim, self.den, self.table, self.unit = field, n, den, table, unit
+        self.field, self.dim, self.den, self.table = field, len(table), den, table
         self._check_unit()
         if check:
             check_associativity(field, table)
@@ -126,20 +123,15 @@ class StructureAlgebra:
         return [(k, f.from_integers(v, den)) for k, v in self.table[i][j]]
 
     def _check_unit(self) -> None:
-        """u e_i = e_i = e_i u for each basis element e_i, on integers:
-        with u and the table over den L, both products come out over L^2 D,
-        D the field's reduction_den."""
-        f, table = self.field, self.table
-        us = [(s, v) for s, v in enumerate(self.unit) if any(v)]
-        if not us:
-            raise CertificateFailure("unit law fails: the unit is zero")
-        one = (self.den * self.den * f.reduction_den,) + (0,) * (f.degree - 1)
+        """u_0 u_i = u_i = u_i u_0 for each basis element u_i: both stored
+        cells must be u_i with the coefficient 1 over den, (den, 0, ..., 0)."""
+        table = self.table
+        if not table:
+            raise CertificateFailure("unit law fails: the table is empty")
+        one = (self.den,) + (0,) * (self.field.degree - 1)
         for i in range(self.dim):
-            for side, cells in (("left", [table[s][i] for s, _ in us]), ("right", [table[i][s] for s, _ in us])):
-                sums: dict = {}
-                for (_, a), cell in zip(us, cells):
-                    f.accumulate(sums, a, cell)
-                if {k: r for k, v in sums.items() if any(r := f.reduce(v))} != {i: one}:
+            for side, cell in (("left", table[0][i]), ("right", table[i][0])):
+                if cell != [(i, one)]:
                     raise CertificateFailure(f"{side} unit law fails at u_{i}")
 
     def __eq__(self, other) -> bool:
@@ -148,22 +140,19 @@ class StructureAlgebra:
             and self.field == other.field
             and self.den == other.den
             and self.table == other.table
-            and self.unit == other.unit
         )
 
 
 def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
     """The algebra with u_i u_j = c u_k for cells[i][j] = (k, c), c a
-    nonzero FieldElem of field, and unit u_0, scaled to the constants'
-    common denominator and always swept."""
+    nonzero FieldElem of field, over the constants' common denominator and
+    always swept; cells[0] and column 0 must make u_0 the unit."""
     given = [c for row in cells for _, c in row]
     if any(c.field != field for c in given):
         raise FieldMismatch("structure constant in the wrong field")
     den = lcm(1, *{c.den for c in given})
-    vec = lambda c: tuple([x * (den // c.den) for x in c.num])
-    table = [[[(k, vec(c))] for k, c in row] for row in cells]
-    unit = [vec(field.one())] + [vec(field.zero())] * (len(cells) - 1)
-    return StructureAlgebra(field, table, unit, den=den)
+    table = [[[(k, tuple([x * (den // c.den) for x in c.num]))] for k, c in row] for row in cells]
+    return StructureAlgebra(field, table, den=den)
 
 
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
@@ -190,39 +179,39 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     """
     if a.field != b.field:
         raise FieldMismatch("tensor factors over different fields")
-    constants, unit, den = _tensor_table(a.field, (a.table, a.unit, a.den), (b.table, b.unit, b.den))
-    return StructureAlgebra(a.field, constants, unit, check=len(unit) <= SWEEP_MAX_DIM, den=den)
+    constants, den = _tensor_table(a.field, (a.table, a.den), (b.table, b.den))
+    return StructureAlgebra(a.field, constants, check=len(constants) <= SWEEP_MAX_DIM, den=den)
 
 
-def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, list, int]:
-    """(constants, unit, den) of the tensor product of two (constants,
-    unit, den) tables, u_i tensor u_j at index i * nb + j; each distinct
-    pair of integer vectors is multiplied once."""
-    (ta, ua, la), (tb, ub, lb) = a, b
-    nb = len(ub)
+def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, int]:
+    """(constants, den) of the tensor product of two (constants, den)
+    tables, u_i tensor u_j at index i * nb + j; each distinct pair of
+    integer vectors is multiplied once."""
+    (ta, la), (tb, lb) = a, b
+    nb = len(tb)
     mul = lru_cache(maxsize=None)(field.multiply)
     constants = [
         [[(k1 * nb + k2, mul(v1, v2)) for k1, v1 in ea for k2, v2 in eb] for ea in row_a for eb in row_b]
         for row_a in ta
         for row_b in tb
     ]
-    return constants, [mul(x, y) for x in ua for y in ub], la * lb * field.reduction_den
+    return constants, la * lb * field.reduction_den
 
 
-def _twist(a: StructureAlgebra, i: int) -> tuple[list, list, int]:
-    """(constants, unit, den) of A_{sigma_i}, sigma_i applied to each
+def _twist(a: StructureAlgebra, i: int) -> tuple[list, int]:
+    """(constants, den) of A_{sigma_i}, sigma_i applied to each
     distinct integer vector of a once; sigma_1 gives a."""
     images = {}
     for v in _vectors(a):
         r, scale = a.field.automorphism(i, v)  # the same scale for every v
         images[v] = tuple(r)
     table = [[[(k, images[v]) for k, v in cell] for cell in row] for row in a.table]
-    return table, [images[v] for v in a.unit], a.den * scale
+    return table, a.den * scale
 
 
 def _vectors(a: StructureAlgebra) -> set:
-    """The distinct integer vectors of a's table and unit."""
-    return {v for row in a.table for cell in row for _, v in cell} | set(a.unit)
+    """The distinct integer vectors of a's table."""
+    return {v for row in a.table for cell in row for _, v in cell}
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -259,12 +248,11 @@ class GaloisModuleAlgebra:
         if a.field != f:
             raise FieldMismatch("algebra is not defined over the given field")
         self.field = f
-        self.base = a
         d = f.degree
         # the slots A_{sigma_i}, tensored on one at a time
         slots = [_twist(a, i) for i in range(1, d + 1)]
-        constants, unit, den = reduce(lambda x, y: _tensor_table(f, x, y), slots)
-        self.underlying = StructureAlgebra(f, constants, unit, check=len(unit) <= SWEEP_MAX_DIM, den=den)
+        constants, den = reduce(lambda x, y: _tensor_table(f, x, y), slots)
+        self.underlying = StructureAlgebra(f, constants, check=len(constants) <= SWEEP_MAX_DIM, den=den)
         self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
         self._check_actions()
 
@@ -327,7 +315,8 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     for the RREF rows b of E^H, which the H-traces of 1, alpha, ...,
     alpha^(d-1) span: in the Q-basis alpha^l u_t this is the RREF basis of
     the fixed subspace.  A basis element that gives one monomial two
-    values raises CertificateFailure.
+    values raises CertificateFailure.  Every move fixes monomial 0, so
+    E^H = Q there and basis element 0 is 1 u_0, the unit of the result.
 
     Products run on integer vectors: Z(A)'s stored table over its
     denominator, the basis over another.  For each basis element x the
@@ -393,13 +382,10 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
 
     # the basis over one denominator M and the table over one L; a
     # product's coefficient then comes out over M^2 L D^2, D the field's
-    # reduction_den, and the unit is put over it too
+    # reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [[(s, tuple([x * (bden // c.den) for x in c.num])) for s, c in vec.items()] for vec in basis]
     den = bden * bden * alg.den * f.reduction_den ** 2
-    unit = [(0,)] * n
-    for k, (x,) in coords({t: alg.unit[t] for t in blocks}, "unit is not in the fixed subspace"):
-        unit[k] = (x * (den // alg.den),)
     accumulate, multiply = f.accumulate, lru_cache(maxsize=None)(f.multiply)
     constants = [[None] * n for _ in range(n)]
     for j, xb in enumerate(ibasis):
@@ -418,7 +404,7 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
                 accumulate(w, a, right[s])
             reduced = {k: f.reduce(acc) for k, acc in w.items()}
             constants[i][j] = coords(reduced, "product leaves the fixed subspace")
-    return StructureAlgebra(RATIONAL_FIELD, constants, unit, check=n <= SWEEP_MAX_DIM, den=den)
+    return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
 
 
 # -- centers and trace forms ---------------------------------------------------------

@@ -129,8 +129,9 @@ def action_columns(f, m: int, g: int) -> list[list[tuple[int, Fraction]]]:
     ]
 
 
-def oracle_invariants(z) -> StructureAlgebra:
-    """The fixed algebra of z by the stacked kernel over Q."""
+def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
+    """The fixed algebra of z = build_ZG(a, f) by the stacked kernel over
+    Q, base_dim the dim of a."""
     f, alg = z.field, z.underlying
     d, want = f.degree, alg.dim
     n = want * d
@@ -155,7 +156,7 @@ def oracle_invariants(z) -> StructureAlgebra:
     stacked: list[list[Fraction]] = []
     for g in range(2, d + 1):
         rows = [[Fraction(0)] * n for _ in range(n)]
-        for p, col in enumerate(action_columns(f, z.base.dim, g)):
+        for p, col in enumerate(action_columns(f, base_dim, g)):
             for r, c in col:
                 rows[r][p] += c
         for r in range(n):
@@ -166,10 +167,6 @@ def oracle_invariants(z) -> StructureAlgebra:
         raise DimensionMismatch(f"invariant dimension {len(fixed)}, expected {want}")
     basis, pivots = rref(fixed)
     sparse_basis = [[(c, x) for c, x in enumerate(row) if x] for row in basis]
-    unit_q = {t * d + l: Fraction(x, alg.den) for t, w in enumerate(alg.unit) for l, x in enumerate(w) if x}
-    unit = coords_in_rref_sparse(sparse_basis, pivots, unit_q)
-    if unit is None:
-        raise NotClosedUnderMultiplication("unit is not in the fixed subspace")
     vecs = [dict(row) for row in sparse_basis]
     constants = []
     for xa in vecs:
@@ -180,11 +177,11 @@ def oracle_invariants(z) -> StructureAlgebra:
                 raise NotClosedUnderMultiplication("product leaves the fixed subspace")
             row_out.append([(k, c) for k, c in enumerate(coords) if c])
         constants.append(row_out)
-    # the Fraction table and unit as integers over their common denominator
-    cs = [c for row in constants for cell in row for _, c in cell] + unit
-    den = lcm(1, *(c.denominator for c in cs))
+    # the Fraction table as integers over its common denominator; u_0 is
+    # fixed, so the first RREF row is u_0 and the unit law holds on it
+    den = lcm(1, *(c.denominator for row in constants for cell in row for _, c in cell))
     table = [[[(k, (int(c * den),)) for k, c in cell] for cell in row] for row in constants]
-    return StructureAlgebra(RATIONAL_FIELD, table, [(int(c * den),) for c in unit], check=False, den=den)
+    return StructureAlgebra(RATIONAL_FIELD, table, check=False, den=den)
 
 
 def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -69,18 +70,22 @@ def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
 
 
 def matrix_units_algebra(n: int) -> StructureAlgebra:
-    # n x n matrix units: E_pq E_rs = delta_qr E_ps, as integers over 1
+    # n x n matrices on the basis u_0 = 1 and the matrix units E_pq,
+    # (p, q) != (0, 0), at index p n + q, as integers over 1: E_pq E_rs =
+    # delta_qr E_ps, with E_00 = 1 - sum_{p > 0} E_pp
     dim = n * n
-    constants = [[[] for _ in range(dim)] for _ in range(dim)]
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    i, j = p * n + q, r * n + s
-                    if q == r:
-                        constants[i][j] = [(p * n + s, (1,))]
-    unit = [(int(p == q),) for p in range(n) for q in range(n)]
-    return StructureAlgebra(RATIONAL_FIELD, constants, unit)
+
+    def unit_matrix(p: int, s: int) -> list:
+        if p or s:
+            return [(p * n + s, (1,))]
+        return [(0, (1,))] + [(p * (n + 1), (-1,)) for p in range(1, n)]
+
+    constants = [[[(i + j, (1,))] if not i or not j else [] for j in range(dim)] for i in range(dim)]
+    for p, q, s in product(range(n), repeat=3):
+        i, j = p * n + q, q * n + s
+        if i and j:
+            constants[i][j] = unit_matrix(p, s)
+    return StructureAlgebra(RATIONAL_FIELD, constants)
 
 
 # -- from_symbol ---------------------------------------------------------------------
@@ -144,15 +149,39 @@ def test_builder_unit_is_u0_over_the_constants_denominator():
     one, c = Q2.one(), (Q2.one() + Q2.gen()) / 3
     alg = monomial_algebra(Q2, [[(0, one), (1, one)], [(1, one), (0, c)]])
     assert alg.den == 3
-    assert alg.unit == [(3, 0), (0, 0)]
+    assert alg.table[0] == [[(0, (3, 0))], [(1, (3, 0))]]
     assert alg.row(1, 1) == [(0, c)]
+
+
+def hamilton_table_with(cells: dict) -> list:
+    """A copy of HAMILTON's stored table with the cells at (i, j) replaced."""
+    table = [list(row) for row in HAMILTON.table]
+    for (i, j), cell in cells.items():
+        table[i][j] = cell
+    return table
+
+
+def test_unit_law_reads_row_and_column_0_of_the_stored_table():
+    # u_0 u_2 = u_3 breaks row 0 only; u_3 u_0 = -u_3 breaks column 0 only
+    with pytest.raises(CertificateFailure, match=r"left unit law fails at u_2"):
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(0, 2): [(3, (1,))]}))
+    with pytest.raises(CertificateFailure, match=r"right unit law fails at u_3"):
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(3, 0): [(3, (-1,))]}))
+    # u_0 u_1 = u_1 + u_2 has the right coefficient at u_1 but one more term
+    with pytest.raises(CertificateFailure, match=r"left unit law fails at u_1"):
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(0, 1): [(1, (1,)), (2, (1,))]}))
+
+
+def test_unit_law_rejects_an_empty_table():
+    with pytest.raises(CertificateFailure, match="unit law fails"):
+        StructureAlgebra(RATIONAL_FIELD, [])
 
 
 # -- tensor ---------------------------------------------------------------------------
 
 
 def test_tensor_with_unit_algebra():
-    s = StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))]]], [(1,)])
+    s = StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))]]])
     t = tensor(HAMILTON, s)
     assert t.dim == 4
     assert all(t.row(i, j) == HAMILTON.row(i, j) for i in range(4) for j in range(4))
@@ -161,7 +190,7 @@ def test_tensor_with_unit_algebra():
 def test_tensor_dims_and_field_guard():
     assert tensor(HAMILTON, SPLIT).dim == 16
     with pytest.raises(FieldMismatch):
-        tensor(HAMILTON, StructureAlgebra(Q2, [[[(0, (1, 0))]]], [(1, 0)]))
+        tensor(HAMILTON, StructureAlgebra(Q2, [[[(0, (1, 0))]]]))
 
 
 def test_hamilton_squared_is_full_matrix_class():
@@ -237,7 +266,7 @@ def test_center_counts_match_the_dense_oracle(kind, args):
 
 def dual_numbers() -> StructureAlgebra:
     """Q[x]/(x^2): its trace form <2, 0> has a radical."""
-    return StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))], [(1, (1,))]], [[(1, (1,))], []]], [(1,), (0,)])
+    return StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))], [(1, (1,))]], [[(1, (1,))], []]])
 
 
 # Q-algebras that are not fixed algebras of a Z(A); in the matrix units
@@ -331,7 +360,7 @@ def test_zg_identity_move_is_certified_without_its_cells(f):
 
 
 def test_invariants_of_E_itself():
-    zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]], [(1, 0)]), Q2)
+    zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]]), Q2)
     inv = invariants(zg)
     assert inv.dim == 1
     assert inv.field == RATIONAL_FIELD
@@ -365,9 +394,9 @@ def test_family_invariant_route_matches_mat2_hamilton():
 
 
 def oracle_case(name: str):
-    """Z(A) of the even Clifford algebra of one small diagonal form."""
+    """The even Clifford algebra of one small diagonal form."""
     if name == "Q rank 3":
-        return build_ZG(even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3])), RATIONAL_FIELD)
+        return even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3]))
     if name == "Q(sqrt 2) rank 4":
         f = Q2
         entries = [f.gen(), f.gen(), f.gen() - 2, f.gen() - 2]
@@ -378,7 +407,7 @@ def oracle_case(name: str):
         d, c = {"Q(sqrt 2)": (2, 1), "Q(sqrt 5)": (5, 1), "Q(sqrt 13)": (13, 2)}[name]
         f, diag = family_diag(d, c)
         entries = diag.entries
-    return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    return even_part(CliffordAlgebra(f, entries))
 
 
 @pytest.mark.parametrize(
@@ -386,11 +415,11 @@ def oracle_case(name: str):
     ["Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2"],
 )
 def test_invariants_match_kernel_oracle(name):
-    z = oracle_case(name)
-    inv, oracle = invariants(z), oracle_invariants(z)
+    a = oracle_case(name)
+    z = build_ZG(a, a.field)
+    inv, oracle = invariants(z), oracle_invariants(z, a.dim)
     assert inv.dim == oracle.dim == z.underlying.dim
     assert inv.den == oracle.den
-    assert inv.unit == oracle.unit
     assert inv.table == oracle.table
     assert inv == oracle
 
@@ -423,9 +452,9 @@ def test_field_elem_rows_and_integers_over_6_store_the_same_table():
         rows = [[a.row(i, j) for j in range(4)] for i in range(4)]
         assert monomial_algebra(RATIONAL_FIELD, [[cell for [cell] in row] for row in rows]) == a
         over_6 = [[[(k, (int(6 * c.rational_value()),)) for k, c in cell] for cell in row] for row in rows]
-        b = StructureAlgebra(RATIONAL_FIELD, over_6, [(6,), (0,), (0,), (0,)], den=6)
+        b = StructureAlgebra(RATIONAL_FIELD, over_6, den=6)
         assert b == a
-        assert (b.den, b.table, b.unit) == (a.den, a.table, a.unit)
+        assert (b.den, b.table) == (a.den, a.table)
         assert [[b.row(i, j) for j in range(4)] for i in range(4)] == rows
     assert from_symbol(rational_symbol(Fraction(1, 2), Fraction(2, 3))).den == 6
     assert HAMILTON.den == 1

@@ -414,6 +414,9 @@ def test_every_default_is_passed_somewhere_in_src():
 
 def test_structure_algebra_leads_with_the_arguments_perfbench_reads():
     # perfbench/tracer.py _table_hook reads constants as args[2] and check
-    # as args[4]; a reorder would miscount csa.assoc_triples_n silently
-    params = list(inspect.signature(StructureAlgebra.__init__).parameters)
-    assert params[:5] == ["self", "field", "constants", "unit", "check"]
+    # from the keywords when there are at most 4 positional arguments; a
+    # reorder would miscount csa.assoc_triples_n silently
+    params = inspect.signature(StructureAlgebra.__init__).parameters
+    assert list(params)[2] == "constants"
+    assert params["constants"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    assert params["check"].kind is inspect.Parameter.KEYWORD_ONLY
