@@ -14,6 +14,8 @@ identification is certified on C0's table itself, the table the invariant
 route corestricts.
 """
 
+from functools import lru_cache
+
 from .errors import CertificateFailure, DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
 from .exactfield import FieldDescriptor, FieldElem
 from .brauer import QuaternionSymbol
@@ -31,6 +33,7 @@ class CliffordAlgebra:
                 raise ZeroDiagonalEntry("Clifford algebra needs nonzero diagonal entries")
         self.n = len(self.diag)
         self.dim = 1 << self.n
+        self._square = lru_cache(maxsize=None)(self._square)  # once per mask
 
     def blade_product(self, s: int, t: int) -> tuple[FieldElem, int]:
         """(coefficient, mask) with e_s e_t = coefficient * e_mask."""
@@ -38,12 +41,15 @@ class CliffordAlgebra:
         for i in range(self.n):
             if s >> i & 1:
                 sign += bin(t & ((1 << i) - 1)).count("1")
-        coeff = self.field.one() if sign % 2 == 0 else -self.field.one()
-        common = s & t
-        for i in range(self.n):
-            if common >> i & 1:
-                coeff = coeff * self.diag[i]
-        return coeff, s ^ t
+        coeff = self._square(s & t)
+        return (coeff if sign % 2 == 0 else -coeff), s ^ t
+
+    def _square(self, common: int) -> FieldElem:
+        """prod_{i in common} a_i, from the product without the top bit."""
+        if not common:
+            return self.field.one()
+        top = common.bit_length() - 1
+        return self._square(common ^ 1 << top) * self.diag[top]
 
 
 def even_part(c: CliffordAlgebra) -> StructureAlgebra:

@@ -11,10 +11,15 @@ become table cells in one place, monomial_algebra, and come back only from
 row().  Every table has unit u_0.  One checking rule: the unit law, read
 off the stored row and column of u_0, and the Galois action on Z(A) are
 always certified; a table monomial_algebra builds from given constants is
-swept for associativity on every basis triple, and a tensor, twist or
-fixed subalgebra of swept tables is swept while its dim is at most
-SWEEP_MAX_DIM.  Failures raise NotAssociative or CertificateFailure, under
-python -O too.
+swept for associativity, and a tensor, twist or fixed subalgebra of swept
+tables is swept while its dim is at most SWEEP_MAX_DIM.  A sweep checks
+(u_i u_j) g = u_i (u_j g) for every basis pair and every g in a
+generating set S: the right nucleus is a subalgebra (Schafer, An
+Introduction to Nonassociative Algebras, 1966), so that is n^2 |S|
+triples instead of n^3.  S is chosen greedily from the basis and
+certified by an integer row echelon of its left-normed words, which must
+span the table.  Failures raise NotAssociative or CertificateFailure,
+under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -61,33 +66,106 @@ SWEEP_MAX_DIM = 16
 
 
 def check_associativity(field: FieldDescriptor, table) -> None:
-    """Exact check of (u_i u_j) u_k = u_i (u_j u_k) on every basis triple.
+    """Exact check of associativity on a certified generating set.
+
+    The right nucleus {z : (x, y, z) = 0 for all x, y} is a subalgebra
+    (Schafer, An Introduction to Nonassociative Algebras, 1966), so
+    (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a set S
+    that generates the algebra makes it associative: n^2 |S| triples
+    instead of n^3.  S is chosen by _generators and certified here: the
+    left-normed words in S, the closure of u_0 under right multiplication
+    by S, must span the algebra, or CertificateFailure is raised.
 
     table is the integer table a StructureAlgebra stores: cells of
     (index, tuple of d ints), all over one denominator L, so both sides of
     each identity carry the same factor L^2 and are compared as integers.
     Their difference is summed per output index with
     FieldDescriptor.accumulate, the right side through a negated copy of
-    the table, and each nonzero sum must reduce to zero under
+    the generators' columns, and each nonzero sum must reduce to zero under
     FieldDescriptor.reduce.  A failure raises NotAssociative naming the
-    first failing triple (i, j, k).
+    first failing triple (i, j, g).
     """
     n = len(table)
+    gens = _generators(field, table)
+    spanned = len(_word_span(field, table, gens))
+    if spanned < n:
+        raise CertificateFailure(f"generators {gens} span {spanned} of {n} dimensions")
     accumulate = field.accumulate
-    negated = [[[(t, tuple([-x for x in a])) for t, a in cell] for cell in row] for row in table]
+    negated = [{g: [(t, tuple([-x for x in a])) for t, a in row[g]] for g in gens} for row in table]
     for i in range(n):
         ti = table[i]
         for j in range(n):
             rij, nj = ti[j], negated[j]
-            for k in range(n):
+            for g in gens:
                 sums: dict = {}
                 for t, a in rij:
-                    accumulate(sums, a, table[t][k])
-                for t, a in nj[k]:
+                    accumulate(sums, a, table[t][g])
+                for t, a in nj[g]:
                     accumulate(sums, a, ti[t])
                 for v in sums.values():
                     if any(v) and any(field.reduce(v)):
-                        raise NotAssociative(f"associativity fails at ({i},{j},{k})")
+                        raise NotAssociative(f"associativity fails at ({i},{j},{g})")
+
+
+def _generators(field: FieldDescriptor, table) -> list[int]:
+    """Greedy generators: each is the smallest basis index outside the
+    span of the left-normed words in the ones before it."""
+    gens: list[int] = []
+    rows = _word_span(field, table, gens)
+    one = field.one().num
+    for k in range(1, len(table)):
+        if len(rows) == len(table):
+            break
+        if _echelon_reduce(field, rows, {k: one}):
+            gens.append(k)
+            rows = _word_span(field, table, gens)
+    return gens
+
+
+def _word_span(field: FieldDescriptor, table, gens: list[int]) -> dict:
+    """An echelon basis, by leading index, of the span of the left-normed
+    words in gens: u_0 and its images under right multiplication by gens,
+    closed.  A word w is a dict of index -> integer vector (scale is
+    irrelevant to the span); w u_g sums w_t u_t u_g with
+    FieldDescriptor.accumulate and reduce.  Each row found independent is
+    multiplied by every generator once, n |S| products in all; a word of
+    one term costs one table lookup and one product."""
+    accumulate, reduce_ = field.accumulate, field.reduce
+    rows: dict = {}
+    pending = [{0: field.one().num}]
+    while pending and len(rows) < len(table):
+        w = _echelon_reduce(field, rows, pending.pop())
+        if not w:
+            continue
+        rows[min(w)] = w
+        for g in gens:
+            sums: dict = {}
+            for t, a in w.items():
+                accumulate(sums, a, table[t][g])
+            pending.append({k: v for k, v in ((k, reduce_(acc)) for k, acc in sums.items()) if any(v)})
+    return rows
+
+
+def _echelon_reduce(field: FieldDescriptor, rows: dict, v: dict) -> dict:
+    """v reduced against echelon rows (each keyed by its smallest index,
+    with support at or above it): zero ({}) exactly when v is in their
+    span, otherwise a vector whose smallest index leads no row, scaled to
+    small integers.  Eliminating index k forms p v - c r, with p and c the
+    coefficients of the row r and of v there."""
+    accumulate, reduce_ = field.accumulate, field.reduce
+    while v:
+        k = min(v)
+        r = rows.get(k)
+        if r is None:
+            break
+        sums: dict = {}
+        accumulate(sums, r[k], v.items())
+        accumulate(sums, tuple([-x for x in v[k]]), r.items())
+        v = {s: x for s, x in ((s, reduce_(acc)) for s, acc in sums.items()) if any(x)}
+    if len(v) == 1:
+        return {k: field.one().num for k in v}
+    g = gcd(*(x for c in v.values() for x in c))
+    return {s: tuple([x // g for x in c]) for s, c in v.items()} if g > 1 else v
 
 
 class StructureAlgebra:
@@ -99,8 +177,9 @@ class StructureAlgebra:
     denominator den.  It is brought to lowest terms, so equal algebras
     store equal tables; row() builds FieldElems.  The unit is u_0, and the
     unit law is always verified.  monomial_algebra builds a table given by
-    FieldElem constants.  check=True sweeps associativity on all basis
-    triples (only the SWEEP_MAX_DIM rule passes False).
+    FieldElem constants.  check=True sweeps associativity with
+    check_associativity, on the basis pairs times a certified generating
+    set (only the SWEEP_MAX_DIM rule passes False).
     """
 
     def __init__(self, field: FieldDescriptor, constants, *, check: bool = True, den: int = 1):

@@ -7,9 +7,14 @@ csa.check_associativity (and the FieldDescriptor kernel it runs on, which
 FieldElem multiplication shares) but the table.  Over Q, Q(sqrt 2), Q(sqrt 5) and
 the cyclic cubic both must accept the tables the pipeline builds (C0, Z(A)
 and the fixed algebra) and a quaternion table whose constants have
-unequal denominators, and both must reject each of them, at the same
-first triple, once one structure constant is perturbed.  The rejection is
-run once more under python -O, where an assert-based sweep would vanish,
+unequal denominators, and both must reject each of them once one
+structure constant is perturbed.  The sweep checks only the triples
+(i, j, g) with g in a certified generating set, so the triple it names
+must be one where the oracle fails too, with g a generator.  Two more
+controls aim at the generating set: a table whose failing triples all
+have a third index outside the first generators, and a generator choice
+that stops short of spanning.  The rejections are run once more under
+python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A) and the fixed
 algebra built from it (corrupted monomial moves), the closure test of the
@@ -44,34 +49,36 @@ from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderM
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
+from test_acceptance import TRIPLES
 
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
 
 
-def oracle_associativity_failure(field, table) -> tuple | None:
-    """First basis triple (i, j, k), in sweep order, at which the integer
-    table (cells of (index, integer vector) over one denominator, which
-    scales both sides alike) fails associativity, computed on Fraction
-    coefficient lists; None if none."""
-    n = len(table)
-    table = [[[(k, [Fraction(x) for x in v]) for k, v in cell] for cell in row] for row in table]
+def oracle_fails_at(field, table, i: int, j: int, k: int) -> bool:
+    """Whether (u_i u_j) u_k != u_i (u_j u_k) in the integer table (cells
+    of (index, integer vector) over one denominator, which scales both
+    sides alike), computed on Fraction coefficient lists."""
 
     def side(pairs, rows) -> dict:
         out = {}
         for t, c in pairs:
             for s, c2 in rows(t):
-                v = ref.mul(field, c, c2)
+                v = ref.mul(field, c, c2)  # trim makes Fraction lists of both
                 out[s] = ref.add(out[s], v) if s in out else v
         return {s: v for s, v in out.items() if any(v)}
 
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = side(table[i][j], lambda t: table[t][k])
-                rhs = side(table[j][k], lambda t: table[i][t])
-                if lhs != rhs:
-                    return (i, j, k)
-    return None
+    return side(table[i][j], lambda t: table[t][k]) != side(table[j][k], lambda t: table[i][t])
+
+
+def oracle_associativity_failure(field, table) -> tuple | None:
+    """First basis triple (i, j, k), in the order of a sweep over all
+    triples, at which the oracle finds associativity failing; None if
+    none."""
+    n = len(table)
+    return next(
+        ((i, j, k) for i in range(n) for j in range(n) for k in range(n) if oracle_fails_at(field, table, i, j, k)),
+        None,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -145,17 +152,97 @@ def test_sweep_and_oracle_accept_the_pipeline_tables(name):
         check_associativity(alg.field, alg.table)
 
 
+def named_triple(exc: NotAssociative) -> tuple[int, int, int]:
+    """The triple (i, j, g) a NotAssociative message names."""
+    return tuple(int(x) for x in re.search(r"\((\d+),(\d+),(\d+)\)", str(exc)).groups())
+
+
 @pytest.mark.parametrize("name", FIELDS)
 def test_sweep_and_oracle_reject_a_perturbed_table_at_the_same_triple(name):
+    # the sweep checks the triples (i, j, g) for g a certified generator
+    # only, so the triple it names need not be the oracle's first failure
+    # over all n^3 triples; the oracle must fail at the triple it names
     for label, alg in tables(name).items():
         bad = perturbed(alg)
-        triple = oracle_associativity_failure(alg.field, bad)
-        assert triple is not None, f"{label}: the oracle accepts the perturbed table"
-        where = "({},{},{})".format(*triple)
-        with pytest.raises(NotAssociative, match=re.escape(where)):
+        assert oracle_associativity_failure(alg.field, bad) is not None, (
+            f"{label}: the oracle accepts the perturbed table"
+        )
+        with pytest.raises(NotAssociative) as caught:
             check_associativity(alg.field, bad)
+        i, j, g = named_triple(caught.value)
+        assert g in csa._generators(alg.field, bad), label
+        assert oracle_fails_at(alg.field, bad, i, j, g), label
     with pytest.raises(NotAssociative):
         build_perturbed(tables(name)["C0"])
+
+
+def nucleus_table(x: int, y: int, z: int) -> list:
+    """A dim-4 Q-table, (x, y, z) a permutation of (1, 2, 3), that fails
+    associativity at (z,z,z) only.
+
+    u_0 is the unit, u_z u_z = u_x, u_x u_z = u_y, and every other product
+    of u_1, u_2, u_3 is zero.  Then u_0, u_x, u_y span a subalgebra inside
+    the right nucleus, and (u_z u_z) u_z = u_y while u_z (u_z u_z) = 0.
+    For z = 3 every failing triple has a third index outside {1, 2}, which
+    does not generate: the sweep must take u_3 as a generator too.  For
+    z = 1 the first generator u_1 alone generates and is the only third
+    index that fails.
+    """
+    table = [[[] for _ in range(4)] for _ in range(4)]
+    for i in range(4):
+        table[0][i] = table[i][0] = [(i, (1,))]
+    table[z][z] = [(x, (1,))]
+    table[x][z] = [(y, (1,))]
+    return table
+
+
+# (x, y, z) of nucleus_table, and the generators the sweep must take
+NUCLEUS_TABLES = (((1, 2, 3), [1, 2, 3]), ((3, 2, 1), [1]))
+
+
+@pytest.mark.parametrize("xyz, gens", NUCLEUS_TABLES)
+def test_a_failure_at_one_generator_only_is_found(xyz, gens):
+    table = nucleus_table(*xyz)
+    z = xyz[2]
+    n = len(table)
+    failing = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+               if oracle_fails_at(RATIONAL_FIELD, table, i, j, k)]
+    assert failing == [(z, z, z)]
+    assert csa._generators(RATIONAL_FIELD, table) == gens
+    with pytest.raises(NotAssociative, match=re.escape(f"({z},{z},{z})")):
+        StructureAlgebra(RATIONAL_FIELD, table)
+
+
+def sweep_on_too_few_generators() -> None:
+    """C0 of diag(1, 2, -3) over Q built with the generator choice cut to
+    its first element, {1}: the words u_0, u_1 span 2 of the 4
+    dimensions, and a sweep on them would certify nothing."""
+    real = csa._generators
+    csa._generators = lambda field, table: real(field, table)[:1]
+    try:
+        even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3]))
+    finally:
+        csa._generators = real
+
+
+@pytest.mark.parametrize("d, c, e", TRIPLES)
+def test_generator_counts_on_the_acceptance_triples(d, c, e):
+    f = quadratic_field(d)
+    a = f.gen()
+    c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
+    z = build_ZG(c0, f)
+    b = invariants(z)
+    counts = [len(csa._generators(x.field, x.table)) for x in (c0, z.underlying, b)]
+    assert counts == [2, 4, 3]
+
+
+def test_rank_m_c0_over_Q_takes_m_minus_1_generators():
+    for m in range(3, 10):
+        c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, m + 1))))
+        gens = csa._generators(c0.field, c0.table)
+        assert len(gens) == m - 1, m
+    # the rank-9 sweep: 256^2 * 8 triples instead of 256^3 = 16,777,216
+    assert c0.dim ** 2 * len(gens) == 524_288
 
 
 def build_with_wrong_unit() -> None:
@@ -337,6 +424,7 @@ NEW_CERTIFICATES = (
      "Z(A) products u_1 u_t repeat a monomial"),
     ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
      "Z(A) products u_2 u_1 and u_1 u_2 land on different monomials"),
+    ("generation", sweep_on_too_few_generators, "generators [1] span 2 of 4 dimensions"),
 )
 
 
@@ -379,12 +467,13 @@ def test_identification_rejects_a_c0_cell_corrupted_after_construction():
 
 _UNDER_O = """
 from test_associativity import (
-    CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES,
+    CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES, NUCLEUS_TABLES,
     build_perturbed, build_with_wrong_unit, certify_corrupted_action,
     corrupted_coefficient, corrupted_moves, diagonalize_with_broken_certificate,
-    perturbed, symbol_with_broken_relation, tables,
+    nucleus_table, perturbed, symbol_with_broken_relation, tables,
 )
-from ksalgebra.csa import check_associativity, invariants
+from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
+from ksalgebra.exactfield import RATIONAL_FIELD
 from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
 
 if __debug__:
@@ -403,6 +492,13 @@ for name in FIELDS:
         print(f"{name} C0 built: {exc}")
     else:
         raise SystemExit(f"{name}: perturbed C0 built")
+for xyz, _ in NUCLEUS_TABLES:
+    try:
+        StructureAlgebra(RATIONAL_FIELD, nucleus_table(*xyz))
+    except NotAssociative as exc:
+        print(f"nucleus table {xyz}: {exc}")
+    else:
+        raise SystemExit(f"nucleus table {xyz} accepted")
 for label, build in (("wrong unit", build_with_wrong_unit),
                      ("corrupted action", certify_corrupted_action),
                      ("congruence", diagonalize_with_broken_certificate),
@@ -448,9 +544,8 @@ def test_negative_control_survives_python_O():
     done = run_under_O(_UNDER_O)
     assert done.returncode == 0, done.stderr or done.stdout
     lines = done.stdout.splitlines()
-    assert len(lines) == 5 * len(FIELDS) + 16
-    assert all("associativity fails at (" in line for line in lines[:-16])
-    assert lines[-16:] == [
+    swept = 5 * len(FIELDS)  # 4 perturbed tables and one perturbed C0 build per field
+    certificates = [
         "wrong unit: left unit law fails at u_0",
         "corrupted action: action 2 is not multiplicative on monomials (1,1)",
         "congruence: congruence certificate P^T G P fails at (0,0)",
@@ -462,3 +557,10 @@ def test_negative_control_survives_python_O():
         "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
         "cubic corrupted coefficient: product leaves the fixed subspace",
     ]
+    assert len(lines) == swept + 2 + len(certificates)
+    assert all("associativity fails at (" in line for line in lines[:swept])
+    assert lines[swept:swept + 2] == [
+        "nucleus table (1, 2, 3): associativity fails at (3,3,3)",
+        "nucleus table (3, 2, 1): associativity fails at (1,1,1)",
+    ]
+    assert lines[swept + 2:] == certificates
