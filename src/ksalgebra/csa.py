@@ -5,8 +5,8 @@ u_i u_j = sum_k c_ijk u_k, stored sparsely since the algebras that matter
 here (even Clifford algebras, quaternion tables, their tensor powers) are
 monomial or close to it.  A table is given to StructureAlgebra and stored
 in one form, integer vectors over one common denominator; tables are built
-and checked on those integers with the field's kernel
-(FieldDescriptor.multiply, accumulate and reduce).  FieldElem constants
+and checked on those integers with the field's kernel (FieldDescriptor
+multiply, accumulate, reduce and the packed products).  FieldElem constants
 become table cells in one place, monomial_algebra, and come back only from
 row().  Every table has unit u_0.  One checking rule: the unit law, read
 off the stored row and column of u_0, and the Galois action on Z(A) are
@@ -30,15 +30,15 @@ targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
 monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
 (dim_E A)^d: the corestriction of A to Q.  A fixed element is determined
 by its coefficients at the monomial orbit representatives, so the fixed
-algebra is built in closed form from orbit traces and its products are
-read off at the representatives.  Z(A) is monomial, so its center is
+algebra is built in closed form from orbit traces and its products, one
+pair of orbits at a time, read off there.  Z(A) is monomial, so its center is
 spanned by its central monomials, and the center of the fixed algebra is
 counted from the two tables.  The trace form of a Q-algebra is
 diagonalized block by block; for the fixed algebra the blocks are the
 monomial orbits.
 """
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import compress, count, cycle, product
 from math import gcd, lcm
 
 from .errors import (
@@ -397,18 +397,17 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     values raises CertificateFailure.  Every move fixes monomial 0, so
     E^H = Q there and basis element 0 is 1 u_0, the unit of the result.
 
-    Products run on integer vectors: Z(A)'s stored table over its
-    denominator, the basis over another.  For each basis element x the
-    products u_s x are formed once at the representatives, and each
-    product's coefficient at a representative is summed from them with
-    FieldDescriptor.accumulate and reduced with FieldDescriptor.reduce.
-    Its coordinates are the coefficient read at the pivots of E^H, stored
-    as integers over the product's denominator; at every other column the
-    RREF rows, combined by those coordinates, must give the coefficient
-    back, or it lies outside E^H and NotClosedUnderMultiplication is raised
-    (at a pivot they give it back by construction).  The moves are trusted
-    as certified when z was built; one corrupted later is caught where it
-    breaks these checks or the dimension count.
+    Products run on integer vectors, one pair of orbits at a time: a term
+    c u_k of u_s u_s' at a representative k, read once from Z(A)'s table,
+    adds one product of FieldDescriptor.pack_matrices of the coefficients a
+    at s of the basis elements and pack_vectors of the b c, b those at s',
+    which sums M_a (b c) = reduce(a b c) for every pair of basis elements.
+    Each sum is read once: at E^H = E every coordinate, at E^H = Q
+    coordinate 0, the others having to vanish, and otherwise those at the
+    pivots of E^H, the RREF rows combined by them having to give the sum
+    back; else NotClosedUnderMultiplication is raised.  The moves are
+    trusted as certified when z was built; a later corruption is caught
+    where it breaks these checks or the dimension count.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
@@ -418,71 +417,71 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     """
     f, alg = z.field, z.underlying
     d, n = f.degree, alg.dim
-    gs = range(1, d + 1)
-    zero = f.zero()
-    powers = [f.elem([0] * l + [1]) for l in range(d)]
-    # representative -> (first coordinate, pivots, free columns, S, the
-    # RREF rows of E^H scaled by their common denominator S to integer rows)
-    blocks = {}
-    basis = []  # fixed elements as {monomial: coefficient}
+    gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
+    blocks, basis, fields = [], [], {}  # a block: first coordinate, dim E^H, orbit, pivots, rows over S, S
     for t in range(n):
         images = [z.moves[g][t] for g in gs]
         if min(images) < t:
             continue
-        stab = [g for g, s in zip(gs, images) if s == t]
-        rows, pivots = rref([sum((apply_automorphism(x, h) for h in stab), zero).coeffs for x in powers])
-        scale = lcm(1, *(x.denominator for row in rows for x in row))
-        free = [l for l in range(d) if l not in pivots]
-        blocks[t] = len(basis), pivots, free, scale, [
-            [x.numerator * (scale // x.denominator) for x in row] for row in rows
-        ]
-        for row in rows:
-            b, vec = f.elem(row), {}
-            for g, s in zip(gs, images):
-                c = apply_automorphism(b, g)
-                if vec.setdefault(s, c) != c:
-                    raise CertificateFailure(f"basis element at monomial {t} is not fixed")
-            basis.append(vec)
+        stab = tuple(g for g, s in zip(gs, images) if s == t)
+        if stab not in fields:
+            rows, pivots = rref([sum((apply_automorphism(x, h) for h in stab), f.zero()).coeffs for x in powers])
+            scale = lcm(1, *(x.denominator for row in rows for x in row))
+            ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+            fields[stab] = pivots, ints, scale, [[apply_automorphism(f.elem(r), g) for g in gs] for r in rows]
+        pivots, rows, scale, conjugates = fields[stab]
+        blocks.append((len(basis), len(rows), sorted(set(images)), pivots, rows, scale))
+        if any(len(set(zip(images, cs))) != len(set(images)) for cs in conjugates):
+            raise CertificateFailure(f"basis element at monomial {t} is not fixed")
+        basis += [dict(zip(images, cs)) for cs in conjugates]  # {monomial: coefficient}
     if len(basis) != n:
         raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
+    block_of = {s: o for o, (_, _, orbit, *_) in enumerate(blocks) for s in orbit}
 
-    def coords(w: dict, failure: str) -> list[tuple[int, tuple]]:
-        """Coordinates of the sum of w[t] u_t, w[t] an integer vector, as
-        (index, (num,)) pairs in index order."""
-        out = []
-        for t in sorted(w):
-            v = w[t]
-            first, pivots, free, scale, rows = blocks[t]
-            xs = [v[p] for p in pivots]
-            if free and any(sum(x * r[l] for x, r in zip(xs, rows)) != scale * v[l] for l in free):
-                raise NotClosedUnderMultiplication(failure)
-            out.extend((first + i, (x,)) for i, x in enumerate(xs) if x)
-        return out
+    def read(k: int, v: list[int], cells: list[list]) -> None:
+        # appends to cells[x] the coordinates of v[d x:d x + d] u_k in the basis at k
+        first, m, _, pivots, rows, scale = blocks[block_of[k]]
+        if m in (1, d):  # every one at E^H = E; at E^H = Q the first, and the rest must vanish
+            xs, bad = v[::d // m], m == 1 and any(any(v[i::d]) for i in range(1, d))
+        else:  # those at the pivots, which the RREF rows must take back to v
+            xs = [v[y + p] for y in range(0, len(v), d) for p in pivots]
+            bad = any(sum(c * r[l] for c, r in zip(xs[m * x:m * x + m], rows)) != scale * v[d * x + l]
+                      for x in range(len(cells)) for l in range(d))
+        if bad:
+            raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+        for i, x, at in compress(zip(cycle(range(first, first + m)), zip(xs), count()), xs):
+            cells[at // m].append((i, x))
 
-    # the basis over one denominator M and the table over one L; a
-    # product's coefficient then comes out over M^2 L D^2, D the field's
-    # reduction_den
+    # the basis over one denominator M, the table over one L: products over M^2 L D^2, D = reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
-    ibasis = [[(s, tuple([x * (bden // c.den) for x in c.num])) for s, c in vec.items()] for vec in basis]
+    ibasis = [{s: tuple([x * (bden // c.den) for x in c.num]) for s, c in vec.items()} for vec in basis]
     den = bden * bden * alg.den * f.reduction_den ** 2
-    accumulate, multiply = f.accumulate, lru_cache(maxsize=None)(f.multiply)
-    constants = [[None] * n for _ in range(n)]
-    for j, xb in enumerate(ibasis):
-        # right[s]: u_s times xb at the representatives, reduced
-        right = []
-        for ts in alg.table:
-            terms = []
-            for r, b in xb:
-                for k, c in ts[r]:
-                    if k in blocks:
-                        terms.append((k, multiply(b, c)))
-            right.append(terms)
-        for i, xa in enumerate(ibasis):
-            w: dict = {}
-            for s, a in xa:
-                accumulate(w, a, right[s])
-            reduced = {k: f.reduce(acc) for k, acc in w.items()}
-            constants[i][j] = coords(reduced, "product leaves the fixed subspace")
+    # the terms (s, k, (s', c)) of each pair of orbits, and ys[s', c], the b c
+    reps, patterns = {orbit[0] for _, _, orbit, *_ in blocks}, [[[] for _ in blocks] for _ in blocks]
+    multiply, ys = lru_cache(maxsize=None)(f.multiply), {}
+    for s, row in enumerate(alg.table):
+        pattern = patterns[block_of[s]]
+        for s2, cell in enumerate(row):
+            for k, c in cell:
+                if k in reps:
+                    pattern[block_of[s2]].append((s, k, (s2, c)))
+                    if (s2, c) not in ys:
+                        first, m, *_ = blocks[block_of[s2]]
+                        ys[s2, c] = [multiply(ibasis[j][s2], c) for j in range(first, first + m)]
+    terms = max(len(p) for row in patterns for p in row)
+    width = f.packing_width(terms, {a for v in ibasis for a in v.values()}, {y for v in ys.values() for y in v})
+    packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
+    packed_a = {(mr, s): f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], mr, width)
+                for mr in {m for _, m, *_ in blocks} for first, m, orbit, *_ in blocks for s in orbit}
+    constants = [[[] for _ in range(n)] for _ in range(n)]
+    for (i0, m, *_), row in zip(blocks, patterns):
+        for (j0, mr, *_), pattern in zip(blocks, row):
+            sums: dict = {}
+            for s, k, key in pattern:
+                sums[k] = sums.get(k, 0) + packed_a[mr, s] * packed_y[key]
+            cells = [constants[i0 + x // mr][j0 + x % mr] for x in range(m * mr)]
+            for k in sorted(sums):
+                read(k, f.unpack(sums[k], m, mr, width), cells)
     return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
 
 

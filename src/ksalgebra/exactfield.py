@@ -14,6 +14,8 @@ accumulate sums products of vectors per output index, unreduced; reduce
 takes a sum mod P by the integer matrix whose columns are X^k mod P, over
 reduction_den; multiply is the two in one.  Over Q a product is one
 integer product: accumulate holds the package's one degree-1 branch.
+pack_matrices, pack_vectors and unpack sum many M_a y = reduce(a y) in one
+int by Kronecker substitution, at a digit width packing_width bounds.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of
@@ -46,9 +48,10 @@ means P is reducible: both raise InvalidDescriptor.
 """
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from functools import lru_cache
+from itertools import accumulate, chain, count, repeat
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -230,6 +233,35 @@ class FieldDescriptor:
         self.accumulate(sums, a, ((0, b),))
         return self.reduce(sums[0])
 
+    def packing_width(self, terms: int, coefficients, vectors) -> int:
+        """W for sums of at most terms products pack_matrices * pack_vectors:
+        each digit sums at most terms * d products, so W - 1 = bit_length(terms
+        d A B), A and B the largest |entry| of an M_a and of a y, holds it."""
+        a = max((abs(sum(map(mul, row[q:], c))) for c in coefficients for row in self._reduction
+                 for q in range(self.degree)), default=0)
+        b = max((abs(x) for y in vectors for x in y), default=0)
+        return (terms * self.degree * a * b).bit_length() + 1
+
+    def pack_matrices(self, coefficients: Sequence[Sequence[int]], vectors: int, width: int) -> int:
+        """The M_a of the coefficients at 2^width, (M_a)_iq = sum_p R[i][p + q]
+        a_p so that M_a y = reduce(a y): row i of the l-th, reversed, ends at
+        digit S(l d + i) + d - 1, S = d(vectors + 1) - 1, so that digit S(l d
+        + i) + d - 1 + d j of a product with pack_vectors is (M_a y_j)_i."""
+        d, slot = self.degree, self.degree * (vectors + 1) - 1
+        return sum(sum(map(mul, row[q:], a)) << width * (slot * (l * d + i) + d - 1 - q)
+                   for l, a in enumerate(coefficients) for i, row in enumerate(self._reduction) for q in range(d))
+
+    def pack_vectors(self, vectors: Sequence[Sequence[int]], width: int) -> int:
+        """The vectors end to end at 2^width: digit d j + q is y_j[q]."""
+        return sum(map(lshift, chain.from_iterable(vectors), count(0, width)))
+
+    def unpack(self, packed: int, matrices: int, vectors: int, width: int) -> list[int]:
+        """The sums of (M_{a_l} y_j)_i over the products of pack_matrices and
+        pack_vectors added up in packed, over reduction_den, at (l vectors + j) d + i."""
+        bias, shifts = _layout(self.degree, matrices, vectors, width)
+        mask, half, packed = (1 << width) - 1, 1 << width - 1, packed + bias
+        return [(packed >> s & mask) - half for s in shifts]
+
     def automorphism(self, i: int, num: Sequence[int]) -> tuple[list[int], int]:
         """sigma_i(num(alpha)), 1-based, as (r, A) meaning r / A.  The field
         stores sigma_i as an integer matrix: column k over A is
@@ -322,6 +354,15 @@ class FieldDescriptor:
 
     def __repr__(self) -> str:
         return f"FieldDescriptor(Q[{self.name}]/({render(self.min_poly)}))"
+
+
+@lru_cache(maxsize=None)
+def _layout(d: int, matrices: int, vectors: int, width: int) -> tuple[int, tuple[int, ...]]:
+    """For unpack: 2^(width - 1) at every digit, so none borrows, and the shifts it reads at."""
+    slot = d * (vectors + 1) - 1
+    bias = ((1 << width * slot * d * matrices) - 1) // ((1 << width) - 1) << width - 1
+    return bias, tuple(width * (slot * (l * d + i) + d - 1 + d * j)
+                       for l in range(matrices) for j in range(vectors) for i in range(d))
 
 
 _set = object.__setattr__

@@ -49,6 +49,7 @@ from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderM
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
+from quartic_fields import cyclic_quartic_field
 from test_acceptance import TRIPLES
 
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
@@ -254,8 +255,13 @@ def build_with_wrong_unit() -> None:
 
 
 def small_zg(name: str):
-    """Z(A) over Q(sqrt 2) (the family form) or the cubic (a rank-2 form)."""
-    f = quadratic_field(2) if name == "Q(sqrt 2)" else cyclic_cubic_field()
+    """Z(A) over Q(sqrt 2) (the family form), or over the cubic or the
+    cyclic quartic (a rank-2 form)."""
+    f = {
+        "Q(sqrt 2)": lambda: quadratic_field(2),
+        "cubic": cyclic_cubic_field,
+        "cyclic quartic": cyclic_quartic_field,
+    }[name]()
     a = f.gen()
     entries = [a, a, a - 2] if name == "Q(sqrt 2)" else [a, a - 1]
     return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
@@ -273,12 +279,16 @@ def corrupted_moves(name: str):
 def corrupted_coefficient(name: str):
     """small_zg(name) with u_0 u_t = u_t scaled by alpha in the stored
     integer table after construction, t the first monomial after u_0 that
-    every automorphism fixes.  The
-    basis elements at u_0 and u_t are u_0 and u_t, so their product has the
-    coefficient alpha at u_t, outside E^G = Q: only the closure test at the
-    free columns of E^G can see it."""
+    every automorphism fixes, or over the cyclic quartic the first whose
+    stabiliser H has order 2.  The basis element at u_0 is u_0, and the
+    first one at u_t has the coefficient 1 at u_t (the RREF row of 1 in
+    E^H), so their product has the coefficient alpha at u_t, outside E^H.
+    Over Q(sqrt 2) and the cubic E^H = Q, and coordinate 1 no longer
+    vanishes; over the quartic E^H = Q(alpha^2), and only the closure test
+    at its free columns can see it."""
     z = small_zg(name)
-    t = next(t for t in range(1, z.underlying.dim) if all(m[t] == t for m in z.moves.values()))
+    order = 2 if name == "cyclic quartic" else z.field.degree
+    t = next(t for t in range(1, z.underlying.dim) if sum(m[t] == t for m in z.moves.values()) == order)
     cell = z.underlying.table[0]
     [(k, v)] = cell[t]
     cell[t] = [(k, scaled_by(z.underlying, v, z.field.gen()))]
@@ -286,7 +296,7 @@ def corrupted_coefficient(name: str):
 
 
 # the fields whose corrupted_coefficient invariants must reject
-CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic")
+CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic", "cyclic quartic")
 
 
 def certify_corrupted_action() -> None:
@@ -556,6 +566,7 @@ def test_negative_control_survives_python_O():
         "cubic corrupted invariants: CertificateFailure: basis element at monomial 1 is not fixed",
         "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
         "cubic corrupted coefficient: product leaves the fixed subspace",
+        "cyclic quartic corrupted coefficient: product leaves the fixed subspace",
     ]
     assert len(lines) == swept + 2 + len(certificates)
     assert all("associativity fails at (" in line for line in lines[:swept])

@@ -29,6 +29,7 @@ from ksalgebra.pipeline import search_cubic_diagonal
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
 from kernel_oracle import oracle_center, oracle_dense_trace_signature, oracle_invariants
+from quartic_fields import biquadratic_field, cyclic_quartic_field
 
 Q2 = quadratic_field(2)
 
@@ -403,6 +404,12 @@ def oracle_case(name: str):
     elif name == "cubic rank 2":
         f = cyclic_cubic_field()
         entries = [f.gen(), f.gen() - 1]
+    elif name == "cyclic quartic rank 2":
+        f = cyclic_quartic_field()
+        entries = [f.gen(), f.gen() - 1]
+    elif name == "biquadratic rank 2":
+        f = biquadratic_field()
+        entries = [f.gen(), f.gen() - 2]
     else:  # the six-lines family form for (d, c)
         d, c = {"Q(sqrt 2)": (2, 1), "Q(sqrt 5)": (5, 1), "Q(sqrt 13)": (13, 2)}[name]
         f, diag = family_diag(d, c)
@@ -410,9 +417,14 @@ def oracle_case(name: str):
     return even_part(CliffordAlgebra(f, entries))
 
 
+# the two quartic cases (n = 16) have an orbit of size 2, where E^H is a
+# quadratic subfield: coordinates read at its pivots, checked by its rows
 @pytest.mark.parametrize(
     "name",
-    ["Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2"],
+    [
+        "Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2",
+        "cyclic quartic rank 2", "biquadratic rank 2",
+    ],
 )
 def test_invariants_match_kernel_oracle(name):
     a = oracle_case(name)

@@ -515,3 +515,86 @@ def test_power_table_clears_rational_denominators():
     assert HALF.reduce([0, 0, 1]) == (1, 0)
     assert HALF.reduce([3, 5]) == (6, 10)
     assert HALF.reduce([1, 2, 4]) == (6, 4)
+
+
+# -- packed products ----------------------------------------------------------------
+
+
+def packed_sum(field, terms, vectors: int) -> list[int]:
+    """unpack of the sum, over the terms (coefficients, vectors), of
+    pack_matrices * pack_vectors, at the width packing_width gives."""
+    width = field.packing_width(
+        len(terms), [a for coefficients, _ in terms for a in coefficients], [y for _, ys in terms for y in ys]
+    )
+    total = sum(
+        field.pack_matrices(coefficients, vectors, width) * field.pack_vectors(ys, width)
+        for coefficients, ys in terms
+    )
+    return field.unpack(total, len(terms[0][0]), vectors, width)
+
+
+def accumulated_sum(field, terms) -> list[int]:
+    """The same sums with accumulate and reduce: reduce(a_l y_j) summed over
+    the terms, at (l * vectors + j) d + i."""
+    sums: dict = {}
+    for coefficients, ys in terms:
+        for l, a in enumerate(coefficients):
+            field.accumulate(sums, a, [((l, j), y) for j, y in enumerate(ys)])
+    m, r = len(terms[0][0]), len(terms[0][1])
+    return [x for l in range(m) for j in range(r) for x in field.reduce(sums[l, j])]
+
+
+def reference_sum(field, terms) -> list[Fraction]:
+    """The same sums from the Fraction reference, times reduction_den."""
+    m, r = len(terms[0][0]), len(terms[0][1])
+    out = []
+    for l in range(m):
+        for j in range(r):
+            total = ref.pad([], field.degree)
+            for coefficients, ys in terms:
+                total = ref.add(total, ref.mul(field, coefficients[l], ys[j]))
+            out.extend(c * field.reduction_den for c in total)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_products_match_the_accumulator_and_the_fraction_reference(data):
+    field = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    m, r = data.draw(st.integers(1, field.degree)), data.draw(st.integers(1, 3))
+    big = data.draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
+    vector = st.lists(st.integers(-big, big), min_size=field.degree, max_size=field.degree).map(tuple)
+    term = st.tuples(st.lists(vector, min_size=m, max_size=m), st.lists(vector, min_size=r, max_size=r))
+    terms = data.draw(st.lists(term, min_size=1, max_size=5))
+    got = packed_sum(field, terms, r)
+    assert got == accumulated_sum(field, terms)
+    assert got == reference_sum(field, terms)
+
+
+# terms at the width bound: the digit read sums terms * d products of A,
+# the largest |entry| of M_a, and B = |y_q|, all of one sign, so it is
+# +-terms * d * A * B exactly: a = 5 over Q (M_a = (5)), a = (2, 1) over
+# Q(sqrt 2) (M_a = ((2, 2), (1, 2)), A = 2)
+AT_THE_BOUND = [
+    (RATIONAL_FIELD, (5,), 5, (7,)),
+    (RATIONAL_FIELD, (5,), 5, (-7,)),
+    (Q2, (2, 1), 2, (7, 7)),
+    (Q2, (2, 1), 2, (-7, -7)),
+]
+AT_THE_BOUND_IDS = ["Q+", "Q-", "Q(sqrt 2)+", "Q(sqrt 2)-"]
+
+
+@pytest.mark.parametrize("field, a, bound_a, y", AT_THE_BOUND, ids=AT_THE_BOUND_IDS)
+def test_packed_products_hold_coefficients_at_the_width_bound(field, a, bound_a, y):
+    terms = [([a], [y])] * 3
+    got = packed_sum(field, terms, 1)
+    assert abs(got[0]) == 3 * field.degree * bound_a * abs(y[0])
+    assert got == accumulated_sum(field, terms) == reference_sum(field, terms)
+
+
+@pytest.mark.parametrize("field, a, bound_a, y", AT_THE_BOUND, ids=AT_THE_BOUND_IDS)
+def test_packed_products_one_bit_short_of_the_width_bound_fail(monkeypatch, field, a, bound_a, y):
+    real = FieldDescriptor.packing_width
+    monkeypatch.setattr(FieldDescriptor, "packing_width", lambda self, *args: real(self, *args) - 1)
+    terms = [([a], [y])] * 3
+    assert packed_sum(field, terms, 1) != accumulated_sum(field, terms)
