@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,11 @@ from ksalgebra.errors import (
 )
 from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 
+from symbol_oracle import (
+    full_base_is_prime,
+    oracle_hilbert_symbol,
+    oracle_odd_prime_exponents,
+)
 from test_associativity import run_under_O
 
 Q2 = quadratic_field(2)
@@ -141,6 +148,93 @@ def test_probable_prime():
     assert not is_probable_prime(1) and not is_probable_prime(10007 * 10009)
 
 
+# psi_1..psi_12 (OEIS A014233): the least odd composite that is a strong
+# probable prime to each of the first k prime bases
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+)
+PSI_12 = PSI[-1]
+
+
+def test_probable_prime_matches_a_sieve():
+    n = 100_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    assert [m for m in range(n) if is_probable_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+def test_strong_pseudoprimes_to_the_first_bases_are_rejected():
+    for k, psi in enumerate(PSI, start=1):
+        assert not is_probable_prime(psi), (k, psi)
+
+
+def test_probable_prime_agrees_with_all_13_bases():
+    rng = random.Random(20)
+    odd = [rng.randrange(3, 10**20, 2) for _ in range(3000)]
+    # and numbers near each psi_k, where the count of bases changes
+    odd += [psi + delta for psi in PSI for delta in range(-40, 41, 2)]
+    assert sum(map(full_base_is_prime, odd)) > 50
+    for n in odd:
+        assert is_probable_prime(n) == full_base_is_prime(n), n
+
+
+def test_psi_12_is_not_a_place():
+    assert 399165290221 * 798330580441 == PSI_12
+    with pytest.raises(NotAPlace):
+        hilbert_symbol(3, 5, PSI_12)
+    # its factors are beyond the trial-division bound, so it is not factored
+    with pytest.raises(FactorizationBound):
+        ramification(rational_symbol(PSI_12, 2))
+
+
+def test_euler_criterion_is_a_named_check():
+    # 2^7 = 8 mod the composite 15
+    with pytest.raises(NotAPlace, match="Euler"):
+        legendre(2, 15)
+
+
+_PSI_12_UNDER_O = f"""
+from ksalgebra import brauer
+from ksalgebra.errors import FactorizationBound, NotAPlace
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+psi12 = {PSI_12}
+for label, run, error in (
+    ("hilbert", lambda: brauer.hilbert_symbol(3, 5, psi12), NotAPlace),
+    ("ramification", lambda: brauer.ramification(brauer.rational_symbol(psi12, 2)), FactorizationBound),
+):
+    try:
+        run()
+    except error:
+        print(label, error.__name__)
+try:
+    brauer.legendre(2, 15)
+except NotAPlace:
+    print("euler NotAPlace")
+"""
+
+
+def test_psi_12_rejections_survive_python_O():
+    done = run_under_O(_PSI_12_UNDER_O)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout == "hilbert NotAPlace\nramification FactorizationBound\neuler NotAPlace\n"
+
+
 # -- local-global properties -------------------------------------------------------
 
 nonzero_rat = st.fractions(
@@ -190,6 +284,51 @@ def test_product_formula(a, b):
     for v in candidate_places(a, b):
         prod *= hilbert_symbol(a, b, v)
     assert prod == 1
+
+
+wide_rat = st.builds(
+    lambda num, den, big: Fraction(num * big, den),
+    st.integers(min_value=-10**4, max_value=10**4).filter(lambda n: n != 0),
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from((1, 1, 10007, 99991, -104729)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(nonzero_rat, wide_rat), st.one_of(nonzero_rat, wide_rat))
+def test_hilbert_matches_fraction_oracle(a, b):
+    # the candidate places, and primes dividing neither slot
+    for v in candidate_places(a, b) | {3, 5, 7, 10007}:
+        assert hilbert_symbol(a, b, v) == oracle_hilbert_symbol(a, b, v), (a, b, v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(nonzero_rat, wide_rat), st.one_of(nonzero_rat, wide_rat))
+def test_ramification_matches_fraction_oracle(a, b):
+    want = {v for v in candidate_places(a, b) if oracle_hilbert_symbol(a, b, v) == -1}
+    assert ramification(rational_symbol(a, b)).places == want
+
+
+# primes on both sides of the patched bounds 100, 121 and 127
+FACTOR_PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 10007, 10009)
+
+
+@pytest.mark.parametrize("bound", (100, 121, 127, brauer.DEFAULT_TRIAL_BOUND))
+@settings(max_examples=200, deadline=None)
+@given(factors=st.lists(st.sampled_from(FACTOR_PRIMES), min_size=1, max_size=5), sign=st.sampled_from((1, -1)))
+def test_odd_prime_exponents_match_oracle(bound, factors, sign):
+    n = sign * prod(factors)
+    try:
+        want = oracle_odd_prime_exponents(n, bound)
+    except FactorizationBound:
+        want = FactorizationBound
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(brauer, "DEFAULT_TRIAL_BOUND", bound)
+        try:
+            got = brauer._odd_prime_exponents(n)
+        except FactorizationBound:
+            got = FactorizationBound
+    assert got == want, (n, bound)
 
 
 # -- ramification -------------------------------------------------------------------

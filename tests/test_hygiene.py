@@ -215,7 +215,7 @@ def test_every_private_function_is_used_in_its_module(path):
 # the asserts left in the package: programmer-error preconditions, by
 # module and enclosing function, in source order
 LISTED_ASSERTS = {
-    "brauer": ["_int_valuation", "legendre", "legendre"],
+    "brauer": ["_int_valuation"],
     "pipeline": ["even_weight_orbits", "search_cubic_diagonal"],
     "polynomials": ["interval_eval"],
     "qform": ["GramForm.__init__", "GramForm.__init__", "_inertia"],
