@@ -17,9 +17,9 @@ tables is swept while its dim is at most SWEEP_MAX_DIM.  A sweep checks
 generating set S: the right nucleus is a subalgebra (Schafer, An
 Introduction to Nonassociative Algebras, 1966), so that is n^2 |S|
 triples instead of n^3.  S is chosen greedily from the basis and
-certified by an integer row echelon of its left-normed words, which must
-span the table.  Failures raise NotAssociative or CertificateFailure,
-under python -O too.
+certified by an integer row echelon (linalg) of its left-normed words,
+which must span the table.  Failures raise NotAssociative or
+CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -34,8 +34,8 @@ algebra is built in closed form from orbit traces and its products, one
 pair of orbits at a time, read off there.  Z(A) is monomial, so its center is
 spanned by its central monomials, and the center of the fixed algebra is
 counted from the two tables.  The trace form of a Q-algebra is
-diagonalized block by block; for the fixed algebra the blocks are the
-monomial orbits.
+diagonalized block by block, on integers; for the fixed algebra the blocks
+are the monomial orbits.
 """
 from functools import lru_cache, reduce
 from itertools import compress, count, cycle, product
@@ -56,7 +56,7 @@ from .exactfield import (
     apply_automorphism,
 )
 from .brauer import QuaternionSymbol
-from .linalg import rref
+from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
 # Derived tables up to this dim are swept for associativity; bigger ones
@@ -116,7 +116,7 @@ def _generators(field: FieldDescriptor, table) -> list[int]:
     for k in range(1, len(table)):
         if len(rows) == len(table):
             break
-        if _echelon_reduce(field, rows, {k: one}):
+        if echelon_reduce(field, rows, {k: one}):
             gens.append(k)
             rows = _word_span(field, table, gens)
     return gens
@@ -134,7 +134,7 @@ def _word_span(field: FieldDescriptor, table, gens: list[int]) -> dict:
     rows: dict = {}
     pending = [{0: field.one().num}]
     while pending and len(rows) < len(table):
-        w = _echelon_reduce(field, rows, pending.pop())
+        w = echelon_reduce(field, rows, pending.pop())
         if not w:
             continue
         rows[min(w)] = w
@@ -144,28 +144,6 @@ def _word_span(field: FieldDescriptor, table, gens: list[int]) -> dict:
                 accumulate(sums, a, table[t][g])
             pending.append({k: v for k, v in ((k, reduce_(acc)) for k, acc in sums.items()) if any(v)})
     return rows
-
-
-def _echelon_reduce(field: FieldDescriptor, rows: dict, v: dict) -> dict:
-    """v reduced against echelon rows (each keyed by its smallest index,
-    with support at or above it): zero ({}) exactly when v is in their
-    span, otherwise a vector whose smallest index leads no row, scaled to
-    small integers.  Eliminating index k forms p v - c r, with p and c the
-    coefficients of the row r and of v there."""
-    accumulate, reduce_ = field.accumulate, field.reduce
-    while v:
-        k = min(v)
-        r = rows.get(k)
-        if r is None:
-            break
-        sums: dict = {}
-        accumulate(sums, r[k], v.items())
-        accumulate(sums, tuple([-x for x in v[k]]), r.items())
-        v = {s: x for s, x in ((s, reduce_(acc)) for s, acc in sums.items()) if any(x)}
-    if len(v) == 1:
-        return {k: field.one().num for k in v}
-    g = gcd(*(x for c in v.values() for x in c))
-    return {s: tuple([x // g for x in c]) for s, c in v.items()} if g > 1 else v
 
 
 class StructureAlgebra:
@@ -392,8 +370,10 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     representatives, the monomials t with no smaller image; the one at t
     ranges over E^H, H the stabiliser of t.  The basis is Tr_{G/H}(b u_t)
     for the RREF rows b of E^H, which the H-traces of 1, alpha, ...,
-    alpha^(d-1) span: in the Q-basis alpha^l u_t this is the RREF basis of
-    the fixed subspace.  A basis element that gives one monomial two
+    alpha^(d-1) span: linalg.echelon_reduce over Q takes them to primitive
+    rows, back-reduced at the pivots, which over their pivots are those
+    RREF rows.  In the Q-basis alpha^l u_t this is the RREF basis of the
+    fixed subspace.  A basis element that gives one monomial two
     values raises CertificateFailure.  Every move fixes monomial 0, so
     E^H = Q there and basis element 0 is 1 u_0, the unit of the result.
 
@@ -424,11 +404,20 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
         if min(images) < t:
             continue
         stab = tuple(g for g, s in zip(gs, images) if s == t)
-        if stab not in fields:
-            rows, pivots = rref([sum((apply_automorphism(x, h) for h in stab), f.zero()).coeffs for x in powers])
-            scale = lcm(1, *(x.denominator for row in rows for x in row))
-            ints = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
-            fields[stab] = pivots, ints, scale, [[apply_automorphism(f.elem(r), g) for g in gs] for r in rows]
+        if stab not in fields:  # the reduced echelon of E^H, each row primitive
+            echelon: dict = {}
+            for x in powers:
+                trace = sum((apply_automorphism(x, h) for h in stab), f.zero()).num
+                w = echelon_reduce(RATIONAL_FIELD, echelon, {l: (c,) for l, c in enumerate(trace) if c})
+                if w:
+                    echelon = {p: echelon_reduce(RATIONAL_FIELD, {min(w): w}, r) for p, r in echelon.items()}
+                    echelon[min(w)] = w
+            # a primitive row over its pivot is an RREF row, of denominators with lcm |pivot|
+            pivots = sorted(echelon)
+            scale = lcm(*(echelon[p][p][0] for p in pivots))
+            rows = [[echelon[p].get(l, (0,))[0] * (scale // echelon[p][p][0]) for l in range(d)] for p in pivots]
+            conjugates = [[apply_automorphism(f.from_integers(r, scale), g) for g in gs] for r in rows]
+            fields[stab] = pivots, rows, scale, conjugates
         pivots, rows, scale, conjugates = fields[stab]
         blocks.append((len(basis), len(rows), sorted(set(images)), pivots, rows, scale))
         if any(len(set(zip(images, cs))) != len(set(images)) for cs in conjugates):
@@ -535,10 +524,11 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     stored as integers over one denominator L, the basis traces and the
     Gram matrix are integers over L and L^2, positive factors the
     signature does not see.  The Gram matrix splits into the connected
-    blocks of its nonzero pattern, and each block is diagonalized exactly
-    with its own P^T G P certificate (Conner and Perlis, A Survey of Trace
-    Forms).  For a fixed algebra of Z(A) these are the monomial orbits: u_s
-    u_t has a unit component only when s = t.
+    blocks of its nonzero pattern, and each integer block goes to
+    qform.congruence_diagonalize, which certifies its P^T G P in integers
+    (Conner and Perlis, A Survey of Trace Forms).  For a fixed algebra of
+    Z(A) these are the monomial orbits: u_s u_t has a unit component only
+    when s = t.
     """
     if a.field.degree != 1:
         raise FieldMismatch("trace form is computed for Q-algebras only")
@@ -554,7 +544,6 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
                 if i != j:
                     links[i].append(j)
                     links[j].append(i)
-    q = RATIONAL_FIELD
     pos = neg = 0
     seen = [False] * n
     for i in range(n):
@@ -567,11 +556,10 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
                     seen[k] = True
                     block.append(k)
         block.sort()
-        diag, _ = congruence_diagonalize([[q.rational(gram.get((r, c), 0)) for c in block] for r in block], q)
+        diag, _ = congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD)
         for e in diag:
-            x = e.rational_value()
-            pos += x > 0
-            neg += x < 0
+            pos += e.num[0] > 0
+            neg += e.num[0] < 0
     return pos, neg, n - pos - neg
 
 

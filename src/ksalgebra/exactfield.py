@@ -9,11 +9,13 @@ num, a tuple of d ints, over den > 0, in lowest terms.  An automorphism
 acts by an integer matrix, so every operation is exact and no floating
 point appears anywhere.
 
-The field owns the integer-vector kernel that FieldElem and csa share:
-accumulate sums products of vectors per output index, unreduced; reduce
-takes a sum mod P by the integer matrix whose columns are X^k mod P, over
-reduction_den; multiply is the two in one.  Over Q a product is one
-integer product: accumulate holds the package's one degree-1 branch.
+The field owns the integer-vector kernel that FieldElem, qform and csa
+share: accumulate sums products of vectors per output index, unreduced;
+reduce takes a sum mod P by the integer matrix whose columns are X^k mod
+P, over reduction_den; multiply reduces one product, convolved into 2d - 1
+ints; adjugate gives the product of the other conjugates, for inverses,
+norms and exact division.  Over Q a product is one integer product:
+accumulate holds the package's one degree-1 branch.
 pack_matrices, pack_vectors and unpack sum many M_a y = reduce(a y) in one
 int by Kronecker substitution, at a digit width packing_width bounds.
 
@@ -50,7 +52,7 @@ means P is reducible: both raise InvalidDescriptor.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, count, repeat
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from operator import lshift, mul
 from typing import Iterable, Sequence
 
@@ -228,10 +230,28 @@ class FieldDescriptor:
         return tuple([sum(map(mul, row, acc)) for row in self._reduction])
 
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """a * b on integer vectors, reduced: d ints over reduction_den."""
-        sums: dict = {}
-        self.accumulate(sums, a, ((0, b),))
-        return self.reduce(sums[0])
+        """a * b on integer vectors, convolved and reduced: d ints over reduction_den."""
+        acc = [0] * (2 * self.degree - 1)
+        for p, ap in enumerate(a):
+            if ap:
+                for q, bq in enumerate(b, p):
+                    acc[q] += ap * bq
+        return self.reduce(acc)
+
+    def adjugate(self, num: Sequence[int]) -> tuple[tuple[int, ...], int]:
+        """(adj, n): adj the product of sigma_i(num) over i >= 2 times the
+        positive int S = reduction_den^(d - 1) A_2 ... A_d, A_i the
+        denominator of automorphism i, and multiply(num, adj) = (n, 0, ...,
+        0).  So 1 / num = reduction_den adj / n and N(num) = n / (S
+        reduction_den).  A nonzero num that gives no such nonzero n means P
+        is reducible, and raises InvalidDescriptor."""
+        adj = (1,) + (0,) * (self.degree - 1)
+        for i in range(2, self.degree + 1):
+            adj = self.multiply(adj, self.automorphism(i, num)[0])
+        n, *rest = self.multiply(num, adj)
+        if any(num) and (not n or any(rest)):
+            raise InvalidDescriptor("nontrivial gcd with min_poly; descriptor is not a field")
+        return adj, n
 
     def packing_width(self, terms: int, coefficients, vectors) -> int:
         """W for sums of at most terms products pack_matrices * pack_vectors:
@@ -450,15 +470,13 @@ class FieldElem:
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElem":
-        """1 / x = adj / N(x), adj the product of the other conjugates."""
+        """1 / x = den reduction_den adj / n for x = num / den, (adj, n) = f.adjugate(num)."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        adj, n = _adjugate(self)
-        # adj = num / den and N(x) = p / q, so adj / N(x) = num q / (den p)
-        p, q = n.num[0], n.den
-        if p < 0:
-            q = -q
-        return _reduced(self.field, tuple(c * q for c in adj.num), adj.den * abs(p))
+        f = self.field
+        adj, n = f.adjugate(self.num)
+        scale = self.den * f.reduction_den if n > 0 else -self.den * f.reduction_den
+        return _reduced(f, tuple(c * scale for c in adj), abs(n))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -512,28 +530,12 @@ def apply_automorphism(x: FieldElem, i: int) -> FieldElem:
     return _reduced(x.field, tuple(out), x.den * den)
 
 
-def _adjugate(x: FieldElem) -> tuple[FieldElem, FieldElem]:
-    """(adj, n): adj = prod over i >= 2 of sigma_i(x), 1 over Q, and
-    n = x * adj, the product of all d conjugates, which is N(x).
-
-    In a field n is a nonzero rational for nonzero x.  Over a descriptor
-    that is not a field x may be a zero divisor, or the certified maps may
-    fix more than Q; then n is zero or irrational, and this raises.
-    """
-    adj = x.field.one()
-    for i in range(2, x.field.degree + 1):
-        adj = adj * apply_automorphism(x, i)
-    n = x * adj
-    if x and (not n.num[0] or any(n.num[1:])):
-        raise InvalidDescriptor("nontrivial gcd with min_poly; descriptor is not a field")
-    return adj, n
-
-
 def norm(x: FieldElem) -> Fraction:
     """Field norm down to Q: the product of the d conjugates sigma_i(x),
     taken with the certified automorphisms.  Over Q it is x itself."""
-    n = _adjugate(x)[1]
-    return Fraction(n.num[0], n.den)
+    f = x.field
+    scale = prod(den for den, _ in f._automorphism_matrices)  # A_1 = 1
+    return Fraction(f.adjugate(x.num)[1], scale * (f.reduction_den * x.den) ** f.degree)
 
 
 def sign_at_embedding(x: FieldElem, i: int) -> int:

@@ -1,32 +1,34 @@
-"""Exact linear algebra over Q: one elimination, the reduced row echelon form.
+"""Exact row echelon on integer vectors, in the field's kernel.
 
-RREF gives the canonical basis of a span: the fixed algebra of Z(A) takes
-its orbit bases from the RREF of each fixed field E^H.
+A vector is a dict of index -> integer vector (d ints, as accumulate and
+reduce read them), and its scale is irrelevant to a span, so elimination
+never divides.  The associativity sweep certifies its generators with it,
+and the fixed algebra of Z(A) takes each fixed field E^H from it over Q.
 """
 
-from fractions import Fraction
+from math import gcd
+
+from .exactfield import FieldDescriptor
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fraction; zero rows dropped."""
-    mat = [list(r) for r in rows]
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        p = next((i for i in range(r, nr) if mat[i][c] != 0), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [a * inv for a in mat[r]]
-        for i in range(nr):
-            if i != r and mat[i][c] != 0:
-                fac = mat[i][c]
-                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
+def echelon_reduce(field: FieldDescriptor, rows: dict, v: dict) -> dict:
+    """v reduced against echelon rows (each keyed by its smallest index,
+    with support at or above it) at every index that leads a row: zero
+    ({}) exactly when v is in their span, otherwise a vector with no entry
+    at such an index, scaled to small integers.  Eliminating index k forms
+    p v - c r, with p and c the coefficients of the row r and of v there."""
+    accumulate, reduce_ = field.accumulate, field.reduce
+    k = -1
+    while True:
+        k = min((s for s in v if s > k and s in rows), default=None)
+        if k is None:
             break
-    return mat[:r], pivots
+        r = rows[k]
+        sums: dict = {}
+        accumulate(sums, r[k], v.items())
+        accumulate(sums, tuple([-x for x in v[k]]), r.items())
+        v = {s: x for s, x in ((s, reduce_(acc)) for s, acc in sums.items()) if any(x)}
+    if len(v) == 1:
+        return {k: (1,) + (0,) * (field.degree - 1) for k in v}
+    g = gcd(*(x for c in v.values() for x in c))
+    return {s: tuple([x // g for x in c]) for s, c in v.items()} if g > 1 else v

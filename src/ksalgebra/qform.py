@@ -1,12 +1,17 @@
 """Quadratic forms over a totally real Galois field, diagonalized exactly.
 
-Symmetric Gauss congruence: at each step take the first nonzero diagonal
-entry in the active block as pivot; if the whole active diagonal vanishes
-but some off-diagonal entry survives, mix that column in (e_i <- e_i + e_j)
-to create a pivot, which works in characteristic zero since the new
-diagonal entry is twice the off-diagonal one.  The change of basis P is
-accumulated and P^T G P = diag is checked exactly (CertificateFailure
-otherwise), so every diagonalization carries its own certificate.
+Symmetric Bareiss congruence (Bareiss, Math. Comp. 22, 1968) on the
+field's integer vectors, for E and Q alike: at each step take the first
+nonzero diagonal entry in the active block as pivot; if the whole active
+diagonal vanishes but some off-diagonal entry survives, mix that column in
+(e_i <- e_i + e_j) to create a pivot, which works in characteristic zero
+since the new diagonal entry is twice the off-diagonal one.  The pivots
+M_1, M_2, ... are minors of the matrix, and the step after M_k divides by
+it exactly: it multiplies by the adjugate of M_k and divides the integers
+by its norm.  The diagonal is D_k = M_k / M_(k-1), M_0 = 1, and the
+integer change of basis P_int is certified in integers, P_int^T G P_int =
+diag(M_(k-1) M_k) (CertificateFailure otherwise), so every
+diagonalization carries its own certificate.
 
 Signatures are per real place: count exact signs of the diagonal entries
 under each embedding.  The K3-with-real-multiplication shape is signature
@@ -16,6 +21,8 @@ natural generalization and only flagged as a warning when it fails.
 """
 
 from dataclasses import dataclass, field as dc_field
+from math import lcm
+from operator import add
 
 from .errors import CertificateFailure, DegenerateForm, FieldMismatch, MalformedInput
 from .exactfield import (
@@ -74,85 +81,82 @@ class DiagForm:
     certificate: list[list[FieldElem]]  # P with P^T G P = diag(entries)
 
 
-def _mat_mul(a, b, field):
-    n, k, m = len(a), len(b), len(b[0])
-    zero = field.zero()
-    out = [[zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            ait = a[i][t]
-            if not ait:
-                continue
-            for j in range(m):
-                if b[t][j]:
-                    out[i][j] = out[i][j] + ait * b[t][j]
-    return out
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def congruence_diagonalize(matrix, field: FieldDescriptor):
-    """Symmetric Gauss over the field; returns (diag, P) with P^T A P = diag.
+    """(diag, P) as FieldElems with P^T A P = diag, for A a symmetric
+    matrix of integer vectors (d ints each, over 1), by the module's
+    Bareiss; column k of P_int is M_k times column k of P.  A totally
+    isotropic active block ends it: the radical gives zero entries."""
+    m, multiply, rd = len(matrix), field.multiply, field.reduction_den
+    zero = (0,) * field.degree
+    a, one = [list(row) for row in matrix], (1,) + zero[1:]
+    cols = [[one if r == c else zero for r in range(m)] for c in range(m)]  # P_int
+    adj, rn, steps = one, rd, []  # at step k, a vector v over M_k is multiply(v, adj) / rn
 
-    A totally isotropic active block ends the elimination, so the radical
-    shows up as zero diagonal entries.
-    """
-    m = len(matrix)
-    a = [[e for e in row] for row in matrix]
-    zero, one = field.zero(), field.one()
-    p = [[one if i == j else zero for j in range(m)] for i in range(m)]
-
-    def col_add(dst: int, src: int, lam: FieldElem) -> None:
-        # basis op v_dst += lam * v_src, applied congruently
-        for r in range(m):
-            a[r][dst] = a[r][dst] + lam * a[r][src]
-        for r in range(m):
-            a[dst][r] = a[dst][r] + lam * a[src][r]
-        for r in range(m):
-            p[r][dst] = p[r][dst] + lam * p[r][src]
-
-    def swap(i: int, j: int) -> None:
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(m):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
+    def step(x, b, y):  # (M_(k+1) x - b y) / M_k
+        w = [s - t for s, t in zip(multiply(pivot, x), multiply(b, y))]
+        return tuple([z // rn for z in multiply(w, adj)])
 
     for k in range(m):
-        piv = next((i for i in range(k, m) if a[i][i]), None)
+        if k:
+            adj, n = field.adjugate(pivot)
+            adj, rn = (adj, rd * n) if n > 0 else (tuple([-x for x in adj]), -rd * n)
+        piv = next((i for i in range(k, m) if any(a[i][i])), None)
         if piv is None:
-            off = next(
-                ((i, j) for i in range(k, m) for j in range(i + 1, m) if a[i][j]),
-                None,
-            )
+            off = next(((i, j) for i in range(k, m) for j in range(i + 1, m) if any(a[i][j])), None)
             if off is None:
+                steps += [(zero, adj, rn)] * (m - k)
                 break
-            i, j = off
-            col_add(i, j, one)  # diagonal entry becomes 2*a[i][j] != 0
-            piv = i
+            piv, j = off  # e_piv += e_j: the diagonal entry becomes 2 a[piv][j] != 0
+            for r in range(k, m):
+                a[r][piv] = tuple(map(add, a[r][piv], a[r][j]))
+            a[piv] = [tuple(map(add, x, y)) for x, y in zip(a[piv], a[j])]
+            cols[piv] = [tuple(map(add, x, y)) for x, y in zip(cols[piv], cols[j])]
         if piv != k:
-            swap(k, piv)
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+            a[k], a[piv] = a[piv], a[k]
+            cols[k], cols[piv] = cols[piv], cols[k]
+        pivot, top = a[k][k], a[k]
+        steps.append((pivot, adj, rn))
+        for i in range(k + 1, m):
+            for j in range(i, m):
+                a[i][j] = a[j][i] = step(a[i][j], top[i], top[j])
         for j in range(k + 1, m):
-            if a[k][j]:
-                col_add(j, k, -(a[k][j] / a[k][k]))
-
-    diag = [a[i][i] for i in range(m)]
-    check = _mat_mul(_mat_mul(_transpose(p), [list(r) for r in matrix], field), p, field)
-    for i in range(m):
-        for j in range(m):
-            if check[i][j] != (diag[i] if i == j else zero):
+            cols[j] = [step(x, top[j], y) for x, y in zip(cols[j], cols[k])]
+    # P_int^T A P_int = diag(M_i M_(i+1)): entry (i, i) over M_i is rd^2 times the pivot M_(i+1)
+    for i, (row, (pivot, adj, rn)) in enumerate(zip(_congruence_products(field, matrix, cols), steps)):
+        for j, x in enumerate(row):
+            if (multiply(x, adj) != tuple([rd * rd * rn * y for y in pivot])) if i == j else any(x):
                 raise CertificateFailure(f"congruence certificate P^T G P fails at ({i},{j})")
-    return diag, p
+    elem = field.from_integers
+    p = [[elem(multiply(x, adj), rn) for x, (_, adj, rn) in zip(row, steps)] for row in zip(*cols)]
+    return [elem(multiply(v, adj), rn) for v, adj, rn in steps], p
+
+
+def _congruence_products(field: FieldDescriptor, matrix, cols) -> list[list[tuple[int, ...]]]:
+    """cols[i]^T matrix cols[j] at (i, j), summed with FieldDescriptor.accumulate
+    and reduced twice, so over reduction_den^2 and the columns' denominators."""
+
+    def times(v, rows):  # v^T rows, reduced
+        sums: dict = {}
+        for x, row in zip(v, rows):
+            field.accumulate(sums, x, enumerate(row))
+        return [field.reduce(sums[j]) for j in range(len(rows))]
+
+    images = list(zip(*(times(c, matrix) for c in cols)))  # images[r][j] = (matrix cols[j])_r
+    return [times(c, images) for c in cols]
 
 
 def diagonalize(g: GramForm) -> DiagForm:
-    """Diagonalize a non-degenerate Gram form with an exact certificate."""
-    diag, p = congruence_diagonalize(g.entries, g.field)
+    """Diagonalize a non-degenerate Gram form with an exact certificate: the
+    entries over their common denominator L, the diagonal divided by L."""
+    f = g.field
+    den = lcm(1, *(e.den for row in g.entries for e in row))
+    rows = [[tuple([x * (den // e.den) for x in e.num]) for e in row] for row in g.entries]
+    diag, p = congruence_diagonalize(rows, f)
     if not all(diag):
         raise DegenerateForm("form has a totally isotropic active block")
-    return DiagForm(g.field, diag, p)
+    return DiagForm(f, [f.from_integers(e.num, e.den * den) for e in diag], p)
 
 
 def _inertia(diag: DiagForm, i: int) -> tuple[int, int]:

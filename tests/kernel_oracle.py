@@ -1,9 +1,14 @@
 """The fixed algebra of Z(A) and the center of an algebra over Q computed
-the long way, as test oracles, with the dense kernel both rely on.
+the long way, as test oracles, with the dense eliminations they rely on.
+The oracles share no elimination with the package: rref is a Fraction
+RREF, and congruence is the symmetric Gauss congruence the package ran on
+FieldElems before its integer Bareiss elimination, kept here as the
+reference on plain Fraction coefficient lists (fraction_reference's
+arithmetic, inverses solved with rref).
 
-kernel reads a kernel basis off linalg.rref: each free column f gives the
-vector with x_f = 1, x_c = -row[f] at each pivot column c and 0 at the
-other free columns.
+kernel reads a kernel basis off rref: each free column f gives the vector
+with x_f = 1, x_c = -row[f] at each pivot column c and 0 at the other free
+columns.
 
 oracle_center is how csa.center used to find the center: it intersects the
 kernels of the commutator maps x -> [x, u_i] and returns the RREF basis.
@@ -26,11 +31,88 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
+import fraction_reference as ref
 from ksalgebra.csa import StructureAlgebra
 from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
-from ksalgebra.exactfield import RATIONAL_FIELD, sign_at_embedding
-from ksalgebra.linalg import rref
-from ksalgebra.qform import congruence_diagonalize
+from ksalgebra.exactfield import RATIONAL_FIELD
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Fraction; zero rows dropped."""
+    mat = [list(r) for r in rows]
+    nr = len(mat)
+    nc = len(mat[0]) if nr else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        p = next((i for i in range(r, nr) if mat[i][c] != 0), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [a * inv for a in mat[r]]
+        for i in range(nr):
+            if i != r and mat[i][c] != 0:
+                fac = mat[i][c]
+                mat[i] = [a - fac * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return mat[:r], pivots
+
+
+def inverse(field, x: list[Fraction]) -> list[Fraction]:
+    """1 / x for a nonzero coefficient list: the solution y of x y = 1,
+    read off the RREF of [M_x | e_0], M_x the matrix of multiplication by x."""
+    d = field.degree
+    columns = [ref.mul(field, x, [0] * k + [1]) for k in range(d)]
+    rows, _ = rref([[columns[k][i] for k in range(d)] + [Fraction(i == 0)] for i in range(d)])
+    return [row[d] for row in rows]
+
+
+def congruence(matrix, field) -> tuple[list, list]:
+    """Symmetric Gauss on coefficient lists: (diag, P) with P^T A P = diag.
+    The pivot is the first nonzero diagonal entry of the active block; if
+    the whole active diagonal vanishes, e_i += e_j for the first nonzero
+    a[i][j] makes one; a totally isotropic active block ends it."""
+    m, d = len(matrix), field.degree
+    a = [[list(e) for e in row] for row in matrix]
+    zero, one = [Fraction(0)] * d, [Fraction(1)] + [Fraction(0)] * (d - 1)
+    p = [[one if i == j else zero for j in range(m)] for i in range(m)]
+
+    def col_add(dst: int, src: int, lam) -> None:
+        # basis op v_dst += lam * v_src, applied congruently
+        for r in range(m):
+            a[r][dst] = ref.add(a[r][dst], ref.mul(field, lam, a[r][src]))
+        for r in range(m):
+            a[dst][r] = ref.add(a[dst][r], ref.mul(field, lam, a[src][r]))
+        for r in range(m):
+            p[r][dst] = ref.add(p[r][dst], ref.mul(field, lam, p[r][src]))
+
+    def swap(i: int, j: int) -> None:
+        for r in range(m):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        a[i], a[j] = a[j], a[i]
+        for r in range(m):
+            p[r][i], p[r][j] = p[r][j], p[r][i]
+
+    for k in range(m):
+        piv = next((i for i in range(k, m) if any(a[i][i])), None)
+        if piv is None:
+            off = next(((i, j) for i in range(k, m) for j in range(i + 1, m) if any(a[i][j])), None)
+            if off is None:
+                break
+            i, j = off
+            col_add(i, j, one)
+            piv = i
+        if piv != k:
+            swap(k, piv)
+        inv = inverse(field, a[k][k])
+        for j in range(k + 1, m):
+            if any(a[k][j]):
+                col_add(j, k, ref.sub(zero, ref.mul(field, a[k][j], inv)))
+    return [a[i][i] for i in range(m)], p
 
 
 def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
@@ -195,13 +277,12 @@ def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
             for s, c in a.row(k, t):
                 if s == t:
                     tr[k] += c.rational_value()
-    gram = [[RATIONAL_FIELD.zero()] * n for _ in range(n)]
+    gram = [[[Fraction(0)]] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = Fraction(0)
             for k, c in a.row(i, j):
                 acc += c.rational_value() * tr[k]
-            gram[i][j] = gram[j][i] = RATIONAL_FIELD.rational(acc)
-    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD)
-    signs = [sign_at_embedding(e, 1) if e else 0 for e in diag]
-    return signs.count(1), signs.count(-1), signs.count(0)
+            gram[i][j] = gram[j][i] = [acc]
+    diag, _ = congruence(gram, RATIONAL_FIELD)
+    return sum(e > 0 for e, in diag), sum(e < 0 for e, in diag), sum(e == 0 for e, in diag)

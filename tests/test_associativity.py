@@ -19,7 +19,8 @@ together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A) and the fixed
 algebra built from it (corrupted monomial moves), the closure test of the
 fixed algebra (a corrupted Z(A) coefficient), the congruence
-certificate P^T G P, the 16 quaternion relations of C0, the orbit sums of
+certificate P^T G P (once with the certificate's products zeroed, once on
+the Q Gram blocks of a trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
 even_weight_orbits, the two claims of six_lines_family and the center
 count (a fixed algebra whose central basis element no longer commutes, and
 Z(A) tables that are not monomial in the way the count needs).
@@ -311,16 +312,29 @@ CORRUPTED_INVARIANTS = (
 
 
 def diagonalize_with_broken_certificate() -> None:
-    """diag(a, a, a - 2) over Q(sqrt 2) with P^T G P computed as zero."""
+    """diag(a, a, a - 2) over Q(sqrt 2) with P_int^T G P_int computed as zero."""
     f = quadratic_field(2)
     a = f.gen()
     form = qform.GramForm.diagonal(f, [a, a, a - 2])
-    real = qform._mat_mul
-    qform._mat_mul = lambda x, y, field: [[field.zero()] * len(y[0]) for _ in x]
+    real = qform._congruence_products
+    qform._congruence_products = lambda field, matrix, cols: [[(0,) * field.degree] * len(cols) for _ in cols]
     try:
         qform.diagonalize(form)
     finally:
-        qform._mat_mul = real
+        qform._congruence_products = real
+
+
+def trace_form_with_a_wrong_division() -> None:
+    """The trace form of the fixed algebra over Q(sqrt 2), whose Gram
+    blocks over Q are eliminated with the norm of each pivot but the last
+    taken one too large, so that the exact divisions floor."""
+    q = RATIONAL_FIELD
+    real = q.adjugate
+    q.adjugate = lambda num: (real(num)[0], real(num)[1] + 1)
+    try:
+        csa.trace_form_signature(tables("Q(sqrt 2)")["fixed"])
+    finally:
+        del q.adjugate
 
 
 def symbol_with_broken_relation() -> None:
@@ -435,6 +449,7 @@ NEW_CERTIFICATES = (
     ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
      "Z(A) products u_2 u_1 and u_1 u_2 land on different monomials"),
     ("generation", sweep_on_too_few_generators, "generators [1] span 2 of 4 dimensions"),
+    ("trace form division", trace_form_with_a_wrong_division, "congruence certificate P^T G P fails at (1,1)"),
 )
 
 

@@ -26,9 +26,9 @@ from ksalgebra.exactfield import (
     quadratic_field,
 )
 from ksalgebra.pipeline import search_cubic_diagonal
-from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
+from ksalgebra.qform import GramForm, diagonalize
 
-from kernel_oracle import oracle_center, oracle_dense_trace_signature, oracle_invariants
+from kernel_oracle import congruence, oracle_center, oracle_dense_trace_signature, oracle_invariants
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 
 Q2 = quadratic_field(2)
@@ -62,11 +62,11 @@ def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
             tr = Fraction(0)
             for r in range(n):
                 tr += sum(mats[x][r][t] * mats[y][t][r] for t in range(n))
-            row.append(RATIONAL_FIELD.rational(tr))
+            row.append([tr])
         gram.append(row)
-    diag, _ = congruence_diagonalize(gram, RATIONAL_FIELD)
-    pos = sum(1 for e in diag if e and e.rational_value() > 0)
-    neg = sum(1 for e in diag if e and e.rational_value() < 0)
+    diag, _ = congruence(gram, RATIONAL_FIELD)
+    pos = sum(1 for e, in diag if e > 0)
+    neg = sum(1 for e, in diag if e < 0)
     return pos, neg, n - pos - neg
 
 

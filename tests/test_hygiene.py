@@ -18,7 +18,9 @@ comparison of a field degree with 1: products specialize to Q in one
 place, the exactfield accumulator, and a new Q-only fork is a deliberate
 edit of its list.  The Fraction reference that the arithmetic is checked
 against imports nothing from the package, so a package bug cannot pass by
-agreeing with itself.  No assert in the tests may have a constant true
+agreeing with itself.  The modules that import fractions are listed
+below, so that Fraction arithmetic does not come back into the linear
+algebra unnoticed.  No assert in the tests may have a constant true
 operand of `or` in its condition, which would let it pass whatever the
 code does.  The checks parse the sources with ast, so they run without any
 linter.  One check reads a signature instead: perfbench's table hook reads
@@ -104,6 +106,32 @@ def test_package_imports_are_detected():
 
 def test_fraction_reference_imports_nothing_from_the_package():
     assert package_imports((TESTS / "fraction_reference.py").read_text()) == []
+
+
+def imports_fractions(source: str) -> bool:
+    """Whether the source imports the fractions module or a name from it."""
+    return any(
+        isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_fraction_imports_are_detected():
+    assert imports_fractions("import fractions\n")
+    assert imports_fractions("def f():\n    from fractions import Fraction\n")
+    assert not imports_fractions("from .exactfield import Fraction\nimport fractionsx\n")
+
+
+# the modules of the package that import fractions: parsing and printing
+# rationals, the field descriptor's rational data, and the symbol route.
+# The linear algebra (linalg, qform, csa) runs on integer vectors, and
+# bringing Fraction back into it is a deliberate edit of this list
+FRACTION_MODULES = ["brauer", "cli", "exactfield", "pipeline", "polynomials"]
+
+
+def test_modules_importing_fractions_are_the_listed_ones():
+    assert [path.stem for path in MODULES if imports_fractions(path.read_text())] == FRACTION_MODULES
 
 
 def foreign_private_reads(source: str) -> list[str]:

@@ -1,5 +1,5 @@
-"""Exact linear algebra tests: rref, and the test oracles' kernel against
-a brute-force check.
+"""The test oracles' exact linear algebra: their Fraction rref, and their
+kernel against a brute-force check.
 
 kernel_oracle.kernel is read off rref, so ranks here come from minors
 instead: the largest nonzero one, by cofactor expansion, shares no code
@@ -11,9 +11,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from ksalgebra.linalg import rref
-
-from kernel_oracle import coords_in_rref_sparse, kernel
+from kernel_oracle import coords_in_rref_sparse, kernel, rref
 
 F = Fraction
 

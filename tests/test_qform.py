@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,9 @@ from ksalgebra.qform import (
     validate_k3_rm,
 )
 
+from kernel_oracle import congruence
+from test_exactfield import HALF
+
 Q2 = quadratic_field(2)
 CUBIC = cyclic_cubic_field()
 
@@ -35,6 +39,12 @@ def family_form(d: int, c: int) -> GramForm:
 def signature(g: GramForm, i: int) -> tuple[int, int]:
     signs = [sign_at_embedding(e, i) for e in diagonalize(g).entries]
     return signs.count(1), signs.count(-1)
+
+
+def integer_rows(g: GramForm) -> list[list[tuple[int, ...]]]:
+    # the entries of a form with integer coefficients as congruence_diagonalize takes them
+    assert all(e.den == 1 for row in g.entries for e in row)
+    return [[e.num for e in row] for row in g.entries]
 
 
 def check_certificate(g: GramForm, diag: DiagForm) -> None:
@@ -85,7 +95,7 @@ def test_degenerate_raises():
 
 def test_zero_block_tolerated_when_allowed():
     g = GramForm(RATIONAL_FIELD, [[1, 1], [1, 1]])
-    diag, p = congruence_diagonalize(g.entries, RATIONAL_FIELD)
+    diag, p = congruence_diagonalize(integer_rows(g), RATIONAL_FIELD)
     signs = [1 if sign_at_embedding(e, 1) > 0 else (-1 if sign_at_embedding(e, 1) < 0 else 0) for e in diag]
     assert sorted(signs) == [0, 1]
 
@@ -94,7 +104,7 @@ def test_degenerate_gram_comes_back_with_its_radical():
     # the radical is a zero diagonal entry under a certified P, and
     # diagonalize rejects it with the same message as ever
     g = GramForm(RATIONAL_FIELD, [[1, 1], [1, 1]])
-    diag, p = congruence_diagonalize(g.entries, RATIONAL_FIELD)
+    diag, p = congruence_diagonalize(integer_rows(g), RATIONAL_FIELD)
     assert sorted(bool(e) for e in diag) == [False, True]
     zero = RATIONAL_FIELD.zero()
     for i in range(2):
@@ -103,6 +113,48 @@ def test_degenerate_gram_comes_back_with_its_radical():
             assert entry == (diag[i] if i == j else zero)
     with pytest.raises(DegenerateForm, match=r"^form has a totally isotropic active block$"):
         diagonalize(g)
+
+
+def random_symmetric(rng: random.Random, field, m: int, kind: str) -> list[list[tuple[int, ...]]]:
+    """A symmetric m x m matrix of integer vectors with coefficients in
+    [-3, 3], about a third of them zero.  kind "mix" zeroes the diagonal,
+    so the elimination has to make its first pivot by e_i += e_j; kind
+    "radical" repeats the first row and column as the last ones, so the
+    matrix is singular and the radical comes back as zero entries."""
+    entries: dict = {}
+    for i in range(m):
+        for j in range(i, m):
+            x = tuple(rng.randint(-3, 3) if rng.random() < 0.7 else 0 for _ in range(field.degree))
+            entries[i, j] = entries[j, i] = (0,) * field.degree if kind == "mix" and i == j else x
+    if kind == "radical":
+        for r in range(m):
+            entries[r, m - 1] = entries[m - 1, r] = entries[r, 0] if r < m - 1 else entries[0, 0]
+    return [[entries[i, j] for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("field", [RATIONAL_FIELD, Q2, CUBIC, HALF], ids=repr)
+def test_bareiss_matches_the_fraction_congruence(field):
+    # congruence_diagonalize raises unless P_int^T A P_int = diag(M_k
+    # M_(k+1)) holds in integers; its diagonal and P must be those of the
+    # Gauss congruence on Fraction coefficient lists, and P^T A P = diag
+    # is recomputed here with FieldElems
+    rng = random.Random(2024)
+    zero, seen = field.zero(), {"mix": 0, "radical": 0}
+    for trial in range(45):
+        kind, m = ("plain", "mix", "radical")[trial % 3], rng.randint(2, 5)
+        matrix = random_symmetric(rng, field, m, kind)
+        diag, p = congruence_diagonalize(matrix, field)
+        want_diag, want_p = congruence([[[Fraction(x) for x in e] for e in row] for row in matrix], field)
+        assert diag == [field.elem(c) for c in want_diag]
+        assert p == [[field.elem(c) for c in row] for row in want_p]
+        a = [[field.from_integers(e, 1) for e in row] for row in matrix]
+        for i in range(m):
+            for j in range(m):
+                entry = sum((p[r][i] * a[r][s] * p[s][j] for r in range(m) for s in range(m)), zero)
+                assert entry == (diag[i] if i == j else zero)
+        seen["mix"] += kind == "mix" and any(any(e) for row in matrix for e in row)
+        seen["radical"] += not all(diag)
+    assert seen["mix"] >= 10 and seen["radical"] >= 10
 
 
 def test_family_form_signatures():
