@@ -16,10 +16,10 @@ tables is swept while its dim is at most SWEEP_MAX_DIM.  A sweep checks
 (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a
 generating set S: the right nucleus is a subalgebra (Schafer, An
 Introduction to Nonassociative Algebras, 1966), so that is n^2 |S|
-triples instead of n^3.  S is chosen greedily from the basis and
-certified by an integer row echelon (linalg) of its left-normed words,
-which must span the table.  Failures raise NotAssociative or
-CertificateFailure, under python -O too.
+triples instead of n^3.  S is chosen greedily from the basis, and the
+same closure of its left-normed words, on an integer row echelon
+(linalg), proves that they span the table.  Failures raise
+NotAssociative or CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -72,9 +72,9 @@ def check_associativity(field: FieldDescriptor, table) -> None:
     (Schafer, An Introduction to Nonassociative Algebras, 1966), so
     (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a set S
     that generates the algebra makes it associative: n^2 |S| triples
-    instead of n^3.  S is chosen by _generators and certified here: the
-    left-normed words in S, the closure of u_0 under right multiplication
-    by S, must span the algebra, or CertificateFailure is raised.
+    instead of n^3.  S comes from _generators, whose one closure also
+    proves that the left-normed words in S span the algebra, or raises
+    CertificateFailure.
 
     table is the integer table a StructureAlgebra stores: cells of
     (index, tuple of d ints), all over one denominator L, so both sides of
@@ -87,9 +87,6 @@ def check_associativity(field: FieldDescriptor, table) -> None:
     """
     n = len(table)
     gens = _generators(field, table)
-    spanned = len(_word_span(field, table, gens))
-    if spanned < n:
-        raise CertificateFailure(f"generators {gens} span {spanned} of {n} dimensions")
     accumulate = field.accumulate
     negated = [{g: [(t, tuple([-x for x in a])) for t, a in row[g]] for g in gens} for row in table]
     for i in range(n):
@@ -108,42 +105,41 @@ def check_associativity(field: FieldDescriptor, table) -> None:
 
 
 def _generators(field: FieldDescriptor, table) -> list[int]:
-    """Greedy generators: each is the smallest basis index outside the
-    span of the left-normed words in the ones before it."""
-    gens: list[int] = []
-    rows = _word_span(field, table, gens)
-    one = field.one().num
-    for k in range(1, len(table)):
-        if len(rows) == len(table):
-            break
-        if echelon_reduce(field, rows, {k: one}):
-            gens.append(k)
-            rows = _word_span(field, table, gens)
-    return gens
+    """Greedy generators, found and certified in one closure: each is the
+    smallest basis index outside the span of the left-normed words in the
+    ones before it, and the words in all of them must span the table.
 
-
-def _word_span(field: FieldDescriptor, table, gens: list[int]) -> dict:
-    """An echelon basis, by leading index, of the span of the left-normed
-    words in gens: u_0 and its images under right multiplication by gens,
-    closed.  A word w is a dict of index -> integer vector (scale is
-    irrelevant to the span); w u_g sums w_t u_t u_g with
-    FieldDescriptor.accumulate and reduce.  Each row found independent is
-    multiplied by every generator once, n |S| products in all; a word of
-    one term costs one table lookup and one product."""
+    rows is an echelon basis (linalg.echelon_reduce), by leading index, of
+    the words found so far, from u_0 on.  Each row is multiplied by every
+    generator once, summing w_t u_t u_g with FieldDescriptor.accumulate
+    and reduce.  When that stalls short of n, the smallest u_k outside the
+    span (the probe resumes after the last generator, as smaller indices
+    lie in it) is the next generator, and every row so far is multiplied
+    by it; if there is none, CertificateFailure is raised.
+    """
+    n, one = len(table), field.one().num
     accumulate, reduce_ = field.accumulate, field.reduce
-    rows: dict = {}
-    pending = [{0: field.one().num}]
-    while pending and len(rows) < len(table):
-        w = echelon_reduce(field, rows, pending.pop())
-        if not w:
-            continue
-        rows[min(w)] = w
-        for g in gens:
+    gens: list[int] = []
+    rows = {0: {0: one}}
+    pending: list = []  # (row, generator) products still to reduce
+    probe = 0
+    while len(rows) < n:
+        if pending:
+            w, g = pending.pop()
             sums: dict = {}
             for t, a in w.items():
                 accumulate(sums, a, table[t][g])
-            pending.append({k: v for k, v in ((k, reduce_(acc)) for k, acc in sums.items()) if any(v)})
-    return rows
+            w = echelon_reduce(field, rows, {k: v for k, v in zip(sums, map(reduce_, sums.values())) if any(v)})
+            if w:
+                rows[min(w)] = w
+                pending += [(w, g) for g in gens]
+        else:
+            probe = next((k for k in range(probe + 1, n) if echelon_reduce(field, rows, {k: one})), None)
+            if probe is None:
+                raise CertificateFailure(f"generators {gens} span {len(rows)} of {n} dimensions")
+            gens.append(probe)
+            pending = [(w, probe) for w in rows.values()]
+    return gens
 
 
 class StructureAlgebra:

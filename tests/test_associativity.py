@@ -10,10 +10,12 @@ and the fixed algebra) and a quaternion table whose constants have
 unequal denominators, and both must reject each of them once one
 structure constant is perturbed.  The sweep checks only the triples
 (i, j, g) with g in a certified generating set, so the triple it names
-must be one where the oracle fails too, with g a generator.  Two more
-controls aim at the generating set: a table whose failing triples all
-have a third index outside the first generators, and a generator choice
-that stops short of spanning.  The rejections are run once more under
+must be one where the oracle fails too, with g a generator.  The
+generating set has an oracle of its own, a greedy search on Fraction
+lists whose spans are kernel_oracle.rref's, and two more controls: a
+table whose failing triples all have a third index outside the first
+generators, and a span probe that reports every basis element inside, so
+that no generator is found.  The rejections are run once more under
 python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A) and the fixed
@@ -50,7 +52,8 @@ from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderM
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
-from quartic_fields import cyclic_quartic_field
+from kernel_oracle import rref
+from quartic_fields import biquadratic_field, cyclic_quartic_field
 from test_acceptance import TRIPLES
 
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
@@ -215,16 +218,22 @@ def test_a_failure_at_one_generator_only_is_found(xyz, gens):
         StructureAlgebra(RATIONAL_FIELD, table)
 
 
-def sweep_on_too_few_generators() -> None:
-    """C0 of diag(1, 2, -3) over Q built with the generator choice cut to
-    its first element, {1}: the words u_0, u_1 span 2 of the 4
+def sweep_with_a_blind_probe() -> None:
+    """C0 of diag(1, 2, -3) over Q built with csa's echelon_reduce reporting
+    every probe {k: 1}, k >= 1, of the generator search inside the span:
+    no generator is found, the words in none, u_0 alone, span 1 of the 4
     dimensions, and a sweep on them would certify nothing."""
-    real = csa._generators
-    csa._generators = lambda field, table: real(field, table)[:1]
+    real = csa.echelon_reduce
+
+    def blind(field, rows, v):
+        probe = len(v) == 1 and min(v) >= 1 and v[min(v)] == field.one().num
+        return {} if probe else real(field, rows, v)
+
+    csa.echelon_reduce = blind
     try:
         even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3]))
     finally:
-        csa._generators = real
+        csa.echelon_reduce = real
 
 
 @pytest.mark.parametrize("d, c, e", TRIPLES)
@@ -245,6 +254,127 @@ def test_rank_m_c0_over_Q_takes_m_minus_1_generators():
         assert len(gens) == m - 1, m
     # the rank-9 sweep: 256^2 * 8 triples instead of 256^3 = 16,777,216
     assert c0.dim ** 2 * len(gens) == 524_288
+
+
+def reference_generators(field, table) -> tuple[list[int], int]:
+    """The greedy generators of an integer table, on Fraction coefficient
+    lists, and the dimension over E of the span of the words in them.
+
+    A vector is the Q-coordinates of an E-combination of the u_t, with
+    alpha^l u_t at t d + l, kept as {index: Fraction}; the E-span of words
+    is the Q-span of the alpha^l w.  Right multiplication by u_g is
+    E-linear, and its images of that Q-basis are built with
+    fraction_reference.mul.  The span is kept as blocks of
+    kernel_oracle.rref rows, each block's rows 0 at the pivots of the
+    blocks before it, so a vector is reduced block by block.  The span of
+    the words in gens is E u_0 grown in rounds: the new rows of a round,
+    times every generator (after a generator is added, the whole span
+    times it alone), reduced, and the RREF of what is left is the next
+    block.  Each generator is the smallest u_k, k >= 1, with a nonzero
+    residual.  The table's denominator scales every product alike, so it
+    is dropped.  Nothing here runs on linalg or the FieldDescriptor
+    kernel.
+    """
+    n, d = len(table), field.degree
+    zero, one = Fraction(0), Fraction(1)
+    right = {}  # g -> the image of alpha^l u_t at t d + l
+
+    def times(v: dict, g: int) -> dict:
+        if g not in right:
+            right[g] = [
+                {s * d + m: x for s, a in table[t][g] for m, x in enumerate(ref.mul(field, [0] * l + [1], a)) if x}
+                for t in range(n) for l in range(d)
+            ]
+        out: dict = {}
+        for i, x in v.items():
+            for j, y in right[g][i].items():
+                out[j] = out.get(j, zero) + x * y
+        return out
+
+    blocks: list[dict] = []  # pivot -> row
+
+    def residual(v: dict) -> dict:
+        v = dict(v)
+        for block in blocks:
+            for p, row in block.items():
+                x = v.get(p)
+                if x:
+                    for i, y in row.items():
+                        v[i] = v.get(i, zero) - x * y
+        return {i: x for i, x in v.items() if x}
+
+    def add_block(vectors: list) -> list:
+        rows, pivots = rref([[v.get(i, zero) for i in range(n * d)] for v in vectors])
+        blocks.append({p: {i: x for i, x in enumerate(row) if x} for p, row in zip(pivots, rows)})
+        return list(blocks[-1].values())
+
+    spanned = len(add_block([{l: one} for l in range(d)]))
+    gens: list[int] = []
+    for k in range(1, n):
+        if spanned == n * d:
+            break
+        if not residual({k * d: one}):
+            continue
+        gens.append(k)
+        new, gs = [row for block in blocks for row in block.values()], [k]
+        while rest := [r for r in (residual(times(v, g)) for v in new for g in gs) if r]:
+            new, gs = add_block(rest), gens
+            spanned += len(new)
+    return gens, spanned // d
+
+
+def generation_cases():
+    """(label, field, integer table) of every table the generator search
+    is checked on against reference_generators."""
+    for d, c, e in TRIPLES:
+        f = quadratic_field(d)
+        a = f.gen()
+        entries = [a, a, c * a - d]
+        c0 = even_part(CliffordAlgebra(f, entries))
+        z = build_ZG(c0, f)
+        symbol = from_symbol(clifford.even_rank3_to_symbol(c0, entries))
+        for label, alg in (("C0", c0), ("quaternions", symbol), ("Z(A)", z.underlying), ("B", invariants(z))):
+            yield f"{d, c, e} {label}", f, alg.table
+    q2, cubic = quadratic_field(2), cyclic_cubic_field()
+    quartic, biquadratic = cyclic_quartic_field(), biquadratic_field()
+    r2, x, y, search = q2.gen(), quartic.gen(), biquadratic.gen(), pipeline.search_cubic_diagonal(cubic)
+    for label, f, entries in (
+        ("rank4", q2, [r2, r2, r2 - 2, r2 - 2]),
+        ("cubic search", cubic, [search.entries[i][i] for i in range(search.dim)]),
+        ("cyclic quartic rank 2", quartic, [x, x - 1]),
+        ("biquadratic rank 2", biquadratic, [y, y - 2]),
+    ):
+        z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+        yield f"{label} Z(A)", f, z.underlying.table
+        yield f"{label} B", RATIONAL_FIELD, invariants(z).table
+    for m in range(3, 10):
+        c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, m + 1))))
+        yield f"Q rank {m} C0", RATIONAL_FIELD, c0.table
+    for xyz, _ in NUCLEUS_TABLES:
+        yield f"nucleus table {xyz}", RATIONAL_FIELD, nucleus_table(*xyz)
+    for i, j in ((1, 2), (2, 1)):
+        yield f"u_{i} u_{j} = u_3", RATIONAL_FIELD, one_product_table(i, j)
+
+
+def one_product_table(i: int, j: int) -> list:
+    """The dim-4 Q-table, u_0 the unit, whose only other nonzero product is
+    u_i u_j = u_3 for (i, j) = (1, 2) or (2, 1): associative, generated by
+    u_1 and u_2 but by neither alone.  u_3 is only a word that multiplies a
+    row found before u_2 by u_2, for (1, 2), or the row u_2 by the earlier
+    generator u_1, for (2, 1); a closure that skips either product takes
+    u_3 as a third generator."""
+    table = [[[] for _ in range(4)] for _ in range(4)]
+    for t in range(4):
+        table[0][t] = table[t][0] = [(t, (1,))]
+    table[i][j] = [(3, (1,))]
+    return table
+
+
+def test_generators_match_the_fraction_reference():
+    for label, field, table in generation_cases():
+        gens, spanned = reference_generators(field, table)
+        assert spanned == len(table), label
+        assert csa._generators(field, table) == gens, label
 
 
 def build_with_wrong_unit() -> None:
@@ -448,7 +578,7 @@ NEW_CERTIFICATES = (
      "Z(A) products u_1 u_t repeat a monomial"),
     ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
      "Z(A) products u_2 u_1 and u_1 u_2 land on different monomials"),
-    ("generation", sweep_on_too_few_generators, "generators [1] span 2 of 4 dimensions"),
+    ("generation", sweep_with_a_blind_probe, "generators [] span 1 of 4 dimensions"),
     ("trace form division", trace_form_with_a_wrong_division, "congruence certificate P^T G P fails at (1,1)"),
 )
 
