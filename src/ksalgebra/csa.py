@@ -34,8 +34,8 @@ algebra is built in closed form from orbit traces and its products, one
 pair of orbits at a time, read off there.  Z(A) is monomial, so its center is
 spanned by its central monomials, and the center of the fixed algebra is
 counted from the two tables.  The trace form of a Q-algebra is
-diagonalized block by block, on integers; for the fixed algebra the blocks
-are the monomial orbits.
+diagonalized block by block, on integers, split at every index that no
+nonzero entry crosses; for the fixed algebra the blocks are the orbits.
 """
 from functools import lru_cache, reduce
 from itertools import compress, count, cycle, product
@@ -376,8 +376,9 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     Products run on integer vectors, one pair of orbits at a time: a term
     c u_k of u_s u_s' at a representative k, read once from Z(A)'s table,
     adds one product of FieldDescriptor.pack_matrices of the coefficients a
-    at s of the basis elements and pack_vectors of the b c, b those at s',
-    which sums M_a (b c) = reduce(a b c) for every pair of basis elements.
+    at s of the basis elements (packed once per s) and pack_vectors of the
+    b c, b those at s', which sums M_a (b c) = reduce(a b c) for every pair
+    of basis elements.
     Each sum is read once: at E^H = E every coordinate, at E^H = Q
     coordinate 0, the others having to vanish, and otherwise those at the
     pivots of E^H, the RREF rows combined by them having to give the sum
@@ -456,14 +457,14 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     terms = max(len(p) for row in patterns for p in row)
     width = f.packing_width(terms, {a for v in ibasis for a in v.values()}, {y for v in ys.values() for y in v})
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
-    packed_a = {(mr, s): f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], mr, width)
-                for mr in {m for _, m, *_ in blocks} for first, m, orbit, *_ in blocks for s in orbit}
+    packed_a = {s: f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], width)
+                for first, m, orbit, *_ in blocks for s in orbit}
     constants = [[[] for _ in range(n)] for _ in range(n)]
     for (i0, m, *_), row in zip(blocks, patterns):
         for (j0, mr, *_), pattern in zip(blocks, row):
             sums: dict = {}
             for s, k, key in pattern:
-                sums[k] = sums.get(k, 0) + packed_a[mr, s] * packed_y[key]
+                sums[k] = sums.get(k, 0) + packed_a[s] * packed_y[key]
             cells = [constants[i0 + x // mr][j0 + x % mr] for x in range(m * mr)]
             for k in sorted(sums):
                 read(k, f.unpack(sums[k], m, mr, width), cells)
@@ -519,43 +520,33 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     Associativity makes Tr(L_x L_y) = Tr(L_{xy}).  With the constants
     stored as integers over one denominator L, the basis traces and the
     Gram matrix are integers over L and L^2, positive factors the
-    signature does not see.  The Gram matrix splits into the connected
-    blocks of its nonzero pattern, and each integer block goes to
-    qform.congruence_diagonalize, which certifies its P^T G P in integers
-    (Conner and Perlis, A Survey of Trace Forms).  For a fixed algebra of
-    Z(A) these are the monomial orbits: u_s u_t has a unit component only
-    when s = t.
+    signature does not see.  The Gram matrix splits at every index that no
+    nonzero entry crosses: each block, an interval of the basis, is closed
+    as soon as its rows are summed and goes to qform.congruence_diagonalize,
+    which certifies its P^T G P in integers (Conner and Perlis, A Survey of
+    Trace Forms).  No nonzero entry lies outside the blocks, so the
+    signature is the sum of theirs.  For a fixed algebra of Z(A) the blocks
+    are the orbits' bases: u_s u_t has a unit component only when s = t.
     """
     if a.field.degree != 1:
         raise FieldMismatch("trace form is computed for Q-algebras only")
     n, table = a.dim, a.table
     tr = [sum(v[0] for t, cell in enumerate(row) for k, v in cell if k == t) for row in table]
     gram: dict[tuple[int, int], int] = {}
-    links: list[list[int]] = [[] for _ in range(n)]
+    pos = neg = start = end = 0  # the open block starts at start; end is its last nonzero column
     for i in range(n):
         for j in range(i, n):
             x = sum(v[0] * tr[k] for k, v in table[i][j])
             if x:
                 gram[i, j] = gram[j, i] = x
-                if i != j:
-                    links[i].append(j)
-                    links[j].append(i)
-    pos = neg = 0
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        seen[i], block = True, [i]
-        for j in block:  # grows while it is read: the component of i
-            for k in links[j]:
-                if not seen[k]:
-                    seen[k] = True
-                    block.append(k)
-        block.sort()
-        diag, _ = congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD)
-        for e in diag:
-            pos += e.num[0] > 0
-            neg += e.num[0] < 0
+                end = max(end, j)
+        if end <= i:  # no nonzero entry crosses i
+            block = range(start, i + 1)
+            diag, _ = congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD)
+            for e in diag:
+                pos += e.num[0] > 0
+                neg += e.num[0] < 0
+            start, gram = i + 1, {}
     return pos, neg, n - pos - neg
 
 

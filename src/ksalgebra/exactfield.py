@@ -17,7 +17,8 @@ ints; adjugate gives the product of the other conjugates, for inverses,
 norms and exact division.  Over Q a product is one integer product:
 accumulate holds the package's one degree-1 branch.
 pack_matrices, pack_vectors and unpack sum many M_a y = reduce(a y) in one
-int by Kronecker substitution, at a digit width packing_width bounds.
+int by Kronecker substitution, at a digit width packing_width bounds; a
+packed M_a has room for d vectors, so it is packed once for every count.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of
@@ -37,8 +38,8 @@ The intervals are the certificate of the roots: each has a strict sign
 change of P and no two overlap, so P has d distinct real roots, is
 squarefree and totally real, and each interval isolates one root.  One
 bisection halves an interval around that sign change, and whatever needs
-the roots reads it: signs, and the rational-root test that decides
-irreducibility in degree 2 and 3.
+the roots reads it: signs, and the rational-root test, run at every
+degree >= 2, which decides irreducibility in degree 2 and 3.
 
 Signs are decided exactly: test for zero first, then evaluate on the
 halved intervals with interval arithmetic until the enclosure has constant
@@ -148,7 +149,7 @@ class FieldDescriptor:
         # each open interval holds a root (a strict sign change) and they are
         # pairwise disjoint, so P has d distinct real roots: it is squarefree
         # and totally real, and each interval isolates exactly one root
-        if 2 <= d <= 3 and self._has_rational_root():
+        if d >= 2 and self._has_rational_root():
             raise InvalidDescriptor("min_poly is reducible (rational root)")
 
         # place i must see automorphism i: the value of automorphisms[i](alpha)
@@ -164,8 +165,9 @@ class FieldDescriptor:
                 )
 
     def _has_rational_root(self) -> bool:
-        """Whether P has a rational root, the irreducibility test in degree 2
-        and 3.  D P is integral with leading coefficient D, the lcm of P's
+        """Whether P has a rational root, which proves P reducible at every
+        degree d >= 2 and is the whole irreducibility test in degree 2 and
+        3.  D P is integral with leading coefficient D, the lcm of P's
         denominators, so such a root lies in (1/D)Z: halve its isolating
         interval below 1/D and test the point of (1/D)Z nearest the middle."""
         p = self.min_poly
@@ -262,12 +264,13 @@ class FieldDescriptor:
         b = max((abs(x) for y in vectors for x in y), default=0)
         return (terms * self.degree * a * b).bit_length() + 1
 
-    def pack_matrices(self, coefficients: Sequence[Sequence[int]], vectors: int, width: int) -> int:
+    def pack_matrices(self, coefficients: Sequence[Sequence[int]], width: int) -> int:
         """The M_a of the coefficients at 2^width, (M_a)_iq = sum_p R[i][p + q]
         a_p so that M_a y = reduce(a y): row i of the l-th, reversed, ends at
-        digit S(l d + i) + d - 1, S = d(vectors + 1) - 1, so that digit S(l d
-        + i) + d - 1 + d j of a product with pack_vectors is (M_a y_j)_i."""
-        d, slot = self.degree, self.degree * (vectors + 1) - 1
+        digit S(l d + i) + d - 1, S = d(d + 1) - 1, so that digit S(l d + i)
+        + d - 1 + d j of a product with pack_vectors of at most d vectors is
+        (M_a y_j)_i."""
+        d, slot = self.degree, self.degree * (self.degree + 1) - 1
         return sum(sum(map(mul, row[q:], a)) << width * (slot * (l * d + i) + d - 1 - q)
                    for l, a in enumerate(coefficients) for i, row in enumerate(self._reduction) for q in range(d))
 
@@ -379,7 +382,7 @@ class FieldDescriptor:
 @lru_cache(maxsize=None)
 def _layout(d: int, matrices: int, vectors: int, width: int) -> tuple[int, tuple[int, ...]]:
     """For unpack: 2^(width - 1) at every digit, so none borrows, and the shifts it reads at."""
-    slot = d * (vectors + 1) - 1
+    slot = d * (d + 1) - 1
     bias = ((1 << width * slot * d * matrices) - 1) // ((1 << width) - 1) << width - 1
     return bias, tuple(width * (slot * (l * d + i) + d - 1 + d * j)
                        for l in range(matrices) for j in range(vectors) for i in range(d))

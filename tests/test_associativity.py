@@ -236,20 +236,31 @@ def sweep_with_a_blind_probe() -> None:
         csa.echelon_reduce = real
 
 
-@pytest.mark.parametrize("d, c, e", TRIPLES)
-def test_generator_counts_on_the_acceptance_triples(d, c, e):
+@lru_cache(maxsize=None)
+def swept_tables(case) -> dict:
+    """The tables of one case, built and swept once for every test here.
+    An int m gives C0 of diag(1, ..., m) over Q; an acceptance triple
+    (d, c, e) gives C0 of diag(a, a, c a - d) over Q(sqrt d), its Z(A) and
+    its fixed algebra B."""
+    if isinstance(case, int):
+        return {"C0": even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, case + 1))))}
+    d, c, e = case
     f = quadratic_field(d)
     a = f.gen()
     c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
     z = build_ZG(c0, f)
-    b = invariants(z)
-    counts = [len(csa._generators(x.field, x.table)) for x in (c0, z.underlying, b)]
+    return {"C0": c0, "Z(A)": z.underlying, "B": invariants(z)}
+
+
+@pytest.mark.parametrize("d, c, e", TRIPLES)
+def test_generator_counts_on_the_acceptance_triples(d, c, e):
+    counts = [len(csa._generators(x.field, x.table)) for x in swept_tables((d, c, e)).values()]
     assert counts == [2, 4, 3]
 
 
 def test_rank_m_c0_over_Q_takes_m_minus_1_generators():
     for m in range(3, 10):
-        c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, m + 1))))
+        c0 = swept_tables(m)["C0"]
         gens = csa._generators(c0.field, c0.table)
         assert len(gens) == m - 1, m
     # the rank-9 sweep: 256^2 * 8 triples instead of 256^3 = 16,777,216
@@ -327,13 +338,11 @@ def generation_cases():
     """(label, field, integer table) of every table the generator search
     is checked on against reference_generators."""
     for d, c, e in TRIPLES:
-        f = quadratic_field(d)
+        built = swept_tables((d, c, e))
+        f = built["C0"].field
         a = f.gen()
-        entries = [a, a, c * a - d]
-        c0 = even_part(CliffordAlgebra(f, entries))
-        z = build_ZG(c0, f)
-        symbol = from_symbol(clifford.even_rank3_to_symbol(c0, entries))
-        for label, alg in (("C0", c0), ("quaternions", symbol), ("Z(A)", z.underlying), ("B", invariants(z))):
+        symbol = from_symbol(clifford.even_rank3_to_symbol(built["C0"], [a, a, c * a - d]))
+        for label, alg in (*built.items(), ("quaternions", symbol)):
             yield f"{d, c, e} {label}", f, alg.table
     q2, cubic = quadratic_field(2), cyclic_cubic_field()
     quartic, biquadratic = cyclic_quartic_field(), biquadratic_field()
@@ -348,8 +357,7 @@ def generation_cases():
         yield f"{label} Z(A)", f, z.underlying.table
         yield f"{label} B", RATIONAL_FIELD, invariants(z).table
     for m in range(3, 10):
-        c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, m + 1))))
-        yield f"Q rank {m} C0", RATIONAL_FIELD, c0.table
+        yield f"Q rank {m} C0", RATIONAL_FIELD, swept_tables(m)["C0"].table
     for xyz, _ in NUCLEUS_TABLES:
         yield f"nucleus table {xyz}", RATIONAL_FIELD, nucleus_table(*xyz)
     for i, j in ((1, 2), (2, 1)):

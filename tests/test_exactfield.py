@@ -163,13 +163,20 @@ def test_descriptor_rejects_non_monic():
 def test_descriptor_rejects_reducible():
     # X^2 - 4; X^2 - 1/4, whose roots are not integers; X^2 - 1/9, whose
     # roots no midpoint hits; (X - 10^20)(X + 3), whose constant term has
-    # too many divisors to enumerate
+    # too many divisors to enumerate; X^4 - 5X^2 + 4, whose automorphisms
+    # X, -X, (5X - X^3)/2 and (X^3 - 5X)/2 map alpha = 2 to the roots 2,
+    # -2, 1 and -1, so that only the rational-root test rejects it
     r = 10**20
     for min_poly, autos, intervals in (
         ([-4, 0, 1], [[0, 1], [0, -1]], [(1, 3), (-3, -1)]),
         ([F(-1, 4), 0, 1], [[0, 1], [0, -1]], [(0, 1), (-1, 0)]),
         ([F(-1, 9), 0, 1], [[0, 1], [0, -1]], [(0, 1), (-1, 0)]),
         ([-3 * r, 3 - r, 1], [[0, 1], [r - 3, -1]], [(r - 1, r + 2), (-4, -2)]),
+        (
+            [4, 0, -5, 0, 1],
+            [[0, 1], [0, -1], [0, F(5, 2), 0, F(-1, 2)], [0, F(-5, 2), 0, F(1, 2)]],
+            [(F(3, 2), F(5, 2)), (F(-5, 2), F(-3, 2)), (F(1, 2), F(3, 2)), (F(-3, 2), F(-1, 2))],
+        ),
     ):
         with pytest.raises(InvalidDescriptor, match=r"min_poly is reducible \(rational root\)"):
             FieldDescriptor(min_poly, autos, intervals)
@@ -520,17 +527,21 @@ def test_power_table_clears_rational_denominators():
 # -- packed products ----------------------------------------------------------------
 
 
-def packed_sum(field, terms, vectors: int) -> list[int]:
-    """unpack of the sum, over the terms (coefficients, vectors), of
-    pack_matrices * pack_vectors, at the width packing_width gives."""
-    width = field.packing_width(
+def width_for(field, terms) -> int:
+    """The width packing_width gives for the terms (coefficients, vectors)."""
+    return field.packing_width(
         len(terms), [a for coefficients, _ in terms for a in coefficients], [y for _, ys in terms for y in ys]
     )
+
+
+def packed_sum(field, terms) -> list[int]:
+    """unpack of the sum, over the terms (coefficients, vectors), of
+    pack_matrices * pack_vectors, at the width packing_width gives."""
+    width = width_for(field, terms)
     total = sum(
-        field.pack_matrices(coefficients, vectors, width) * field.pack_vectors(ys, width)
-        for coefficients, ys in terms
+        field.pack_matrices(coefficients, width) * field.pack_vectors(ys, width) for coefficients, ys in terms
     )
-    return field.unpack(total, len(terms[0][0]), vectors, width)
+    return field.unpack(total, len(terms[0][0]), len(terms[0][1]), width)
 
 
 def accumulated_sum(field, terms) -> list[int]:
@@ -561,14 +572,36 @@ def reference_sum(field, terms) -> list[Fraction]:
 @given(st.data())
 def test_packed_products_match_the_accumulator_and_the_fraction_reference(data):
     field = data.draw(st.sampled_from(REFERENCE_FIELDS))
-    m, r = data.draw(st.integers(1, field.degree)), data.draw(st.integers(1, 3))
+    m, r = data.draw(st.integers(1, field.degree)), data.draw(st.integers(1, field.degree))
     big = data.draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
     vector = st.lists(st.integers(-big, big), min_size=field.degree, max_size=field.degree).map(tuple)
     term = st.tuples(st.lists(vector, min_size=m, max_size=m), st.lists(vector, min_size=r, max_size=r))
     terms = data.draw(st.lists(term, min_size=1, max_size=5))
-    got = packed_sum(field, terms, r)
+    got = packed_sum(field, terms)
     assert got == accumulated_sum(field, terms)
     assert got == reference_sum(field, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_packed_matrix_serves_every_vector_count_up_to_the_degree(data):
+    # pack_matrices leaves room for d vectors, so the int packed once per
+    # term is multiplied by pack_vectors of the first r vectors, r = 1..d
+    field = data.draw(st.sampled_from(REFERENCE_FIELDS))
+    d = field.degree
+    m = data.draw(st.integers(1, d))
+    big = data.draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
+    vector = st.lists(st.integers(-big, big), min_size=d, max_size=d).map(tuple)
+    term = st.tuples(st.lists(vector, min_size=m, max_size=m), st.lists(vector, min_size=d, max_size=d))
+    terms = data.draw(st.lists(term, min_size=1, max_size=5))
+    width = width_for(field, terms)
+    matrices = [field.pack_matrices(coefficients, width) for coefficients, _ in terms]
+    for r in range(1, d + 1):
+        total = sum(x * field.pack_vectors(ys[:r], width) for x, (_, ys) in zip(matrices, terms))
+        first = [(coefficients, ys[:r]) for coefficients, ys in terms]
+        got = field.unpack(total, m, r, width)
+        assert got == accumulated_sum(field, first)
+        assert got == reference_sum(field, first)
 
 
 # terms at the width bound: the digit read sums terms * d products of A,
@@ -587,7 +620,7 @@ AT_THE_BOUND_IDS = ["Q+", "Q-", "Q(sqrt 2)+", "Q(sqrt 2)-"]
 @pytest.mark.parametrize("field, a, bound_a, y", AT_THE_BOUND, ids=AT_THE_BOUND_IDS)
 def test_packed_products_hold_coefficients_at_the_width_bound(field, a, bound_a, y):
     terms = [([a], [y])] * 3
-    got = packed_sum(field, terms, 1)
+    got = packed_sum(field, terms)
     assert abs(got[0]) == 3 * field.degree * bound_a * abs(y[0])
     assert got == accumulated_sum(field, terms) == reference_sum(field, terms)
 
@@ -597,4 +630,4 @@ def test_packed_products_one_bit_short_of_the_width_bound_fail(monkeypatch, fiel
     real = FieldDescriptor.packing_width
     monkeypatch.setattr(FieldDescriptor, "packing_width", lambda self, *args: real(self, *args) - 1)
     terms = [([a], [y])] * 3
-    assert packed_sum(field, terms, 1) != accumulated_sum(field, terms)
+    assert packed_sum(field, terms) != accumulated_sum(field, terms)

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -31,6 +32,8 @@ from ksalgebra.pipeline import (
     symmetric_generators,
 )
 from ksalgebra.qform import GramForm
+
+from quartic_fields import biquadratic_field, cyclic_quartic_field
 
 
 # -- independent orbit oracle: pairwise-product closure and inverse-indexed action
@@ -392,6 +395,52 @@ def test_parity_law_across_degrees(family_211, cubic_report):
             "definite" if d % 2 == 0 else "indefinite_or_split"
         )
         assert not any("parity" in w for w in rep.warnings)
+
+
+# rank-3 forms over the stock quartics, with the odd prime their
+# corestriction ramifies at: the only end-to-end runs of the fixed algebra
+# read at an intermediate E^H, and of the parity claim at d = 4
+QUARTIC_RANK3 = (
+    (cyclic_quartic_field, lambda f, a: [2 * a - 3, 2 * a - 3, -f.one()], 31),
+    (biquadratic_field, lambda f, a: [a - 2, a - 2, -f.one()], 23),
+)
+
+
+@pytest.mark.parametrize("field, entries, prime", QUARTIC_RANK3, ids=["cyclic quartic", "biquadratic"])
+def test_quartic_rank_3_reports_are_definite_and_agree(field, entries, prime):
+    f = field()
+    form = GramForm.diagonal(f, entries(f, f.gen()))
+    start = time.perf_counter()
+    rep = ks_report(f, form)
+    secs = time.perf_counter() - start
+    assert rep.validation.passed
+    route = rep.cores_invariant_route
+    assert (route["dim"], route["center_dim"]) == (256, 1)
+    assert route["trace_signature"] == (120, 136, 0)
+    assert route["definiteness"] == "definite"
+    assert rep.cores_symbol_route["ramification"].sorted_list() == [prime, INF]
+    assert rep.cores_symbol_route["definiteness"] == "definite"
+    assert rep.route_agreement is True
+    assert rep.parity_expected == "definite"
+    assert rep.warnings == ()  # the parity expectation is met
+    assert secs < 5, f"took {secs:.2f}s, bound is 5s"
+
+
+def test_symbol_route_unavailable_on_a_rank_3_form():
+    # no square scaling by sqrt 2 or a diagonal entry makes the first slot
+    # of the C0 symbol of diag(3 sqrt 2 - 2, sqrt 2, -1) rational, so only
+    # the invariant route answers; a slot finder that searches further
+    # (ROADMAP item 7) should make this input report "routes agree"
+    f = quadratic_field(2)
+    s = f.gen()
+    rep = ks_report(f, GramForm.diagonal(f, [3 * s - 2, s, -f.one()]))
+    assert rep.validation.passed
+    assert rep.cores_symbol_route is None
+    assert rep.warnings == ("first slot of the C0 symbol resisted rationalization",)
+    route = rep.cores_invariant_route
+    assert route["trace_signature"] == (6, 10, 0)
+    assert route["definiteness"] == rep.parity_expected == "definite"
+    assert rep.route_agreement is None
 
 
 def test_dimension_laws_on_reports(family_211, cubic_report):
