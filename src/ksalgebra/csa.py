@@ -9,11 +9,11 @@ and checked on those integers with the field's kernel (FieldDescriptor
 multiply, accumulate, reduce and the packed products).  FieldElem constants
 become table cells in one place, monomial_algebra, and come back only from
 row().  Every table has unit u_0.  One checking rule: the unit law, read
-off the stored row and column of u_0, and the Galois action on Z(A) are
-always certified; a table monomial_algebra builds from given constants is
-swept for associativity, and a tensor, twist or fixed subalgebra of swept
-tables is swept while its dim is at most SWEEP_MAX_DIM.  A sweep checks
-(u_i u_j) g = u_i (u_j g) for every basis pair and every g in a
+off the stored row and column of u_0, and the Galois action on the slots
+of Z(A) are always certified; a table monomial_algebra builds from given
+constants is swept for associativity, and a tensor or fixed subalgebra of
+swept tables is swept while its dim is at most SWEEP_MAX_DIM.  A sweep
+checks (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a
 generating set S: the right nucleus is a subalgebra (Schafer, An
 Introduction to Nonassociative Algebras, 1966), so that is n^2 |S|
 triples instead of n^3.  S is chosen greedily from the basis, and the
@@ -23,23 +23,25 @@ NotAssociative or CertificateFailure, under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
-and Z = A_{sigma_1} tensor ... tensor A_{sigma_d}, built one slot at a
-time with the index arithmetic of tensor, carries a semilinear G-action:
-sigma_g permutes the tensor slots (slot i moves to the slot of tau
-targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
+and Z = A_{sigma_1} tensor ... tensor A_{sigma_d}, kept as its d slot
+tables (A monomial) and multiplied where it is read, carries a semilinear
+G-action: sigma_g permutes the tensor slots (slot i moves to the slot of
+tau targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
 monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
-(dim_E A)^d: the corestriction of A to Q.  A fixed element is determined
-by its coefficients at the monomial orbit representatives, so the fixed
+(dim_E A)^d: the corestriction of A to Q (Knus, Merkurjev, Rost and
+Tignol, The Book of Involutions, 3.B).  A fixed element is determined by
+its coefficients at the monomial orbit representatives, so the fixed
 algebra is built in closed form from orbit traces and its products, one
-pair of orbits at a time, read off there.  Z(A) is monomial, so its center is
-spanned by its central monomials, and the center of the fixed algebra is
-counted from the two tables.  The trace form of a Q-algebra is
-diagonalized block by block, on integers, split at every index that no
-nonzero entry crosses; for the fixed algebra the blocks are the orbits.
+pair of orbits at a time, read off there.  The center of Z is the tensor of
+the slots' centers, each spanned by its central monomials, and the center
+of the fixed algebra is counted from the slots and its table.  The trace
+form of a Q-algebra is diagonalized block by block, on integers, split at
+every index that no nonzero entry crosses; for the fixed algebra the
+blocks are the orbits.
 """
 from functools import lru_cache, reduce
 from itertools import compress, count, cycle, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     CertificateFailure,
@@ -59,9 +61,9 @@ from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
-# Derived tables up to this dim are swept for associativity; bigger ones
-# inherit it.  Sweeping both dim-64 tables of a rank-4 report would more
-# than double its cost.
+# A tensor or fixed subalgebra up to this dim is swept for associativity;
+# a bigger one inherits it.  Sweeping the dim-64 fixed algebra of a rank-4
+# report would double its cost.
 SWEEP_MAX_DIM = 16
 
 
@@ -251,20 +253,14 @@ def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, int
     return constants, la * lb * field.reduction_den
 
 
-def _twist(a: StructureAlgebra, i: int) -> tuple[list, int]:
-    """(constants, den) of A_{sigma_i}, sigma_i applied to each
-    distinct integer vector of a once; sigma_1 gives a."""
+def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
+    """(constants, den) of the table over den with sigma_i applied to each
+    of its distinct integer vectors once; sigma_1 gives the table back."""
     images = {}
-    for v in _vectors(a):
-        r, scale = a.field.automorphism(i, v)  # the same scale for every v
+    for v in {v for row in table for cell in row for _, v in cell}:
+        r, scale = field.automorphism(i, v)  # the same scale for every v
         images[v] = tuple(r)
-    table = [[[(k, images[v]) for k, v in cell] for cell in row] for row in a.table]
-    return table, a.den * scale
-
-
-def _vectors(a: StructureAlgebra) -> set:
-    """The distinct integer vectors of a's table."""
-    return {v for row in a.table for cell in row for _, v in cell}
+    return [[[(k, images[v]) for k, v in cell] for cell in row] for row in table], den * scale
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -274,27 +270,19 @@ def _slot_moves(f: FieldDescriptor, m: int, g: int) -> list[int]:
     """moves[t]: the monomial u_t goes to under sigma_g.  Slot s holds
     A_{sigma_{s+1}} and moves to the slot hosting sigma_g . sigma_{s+1}."""
     d = f.degree
-    slot_to = [f.compose(g, s + 1) - 1 for s in range(d)]
-    moves = []
-    for kt in product(range(m), repeat=d):
-        img = [0] * d
-        for s in range(d):
-            img[slot_to[s]] = kt[s]
-        moves.append(sum(k * m ** (d - 1 - s) for s, k in enumerate(img)))
-    return moves
+    weights = [m ** (d - f.compose(g, s + 1)) for s in range(d)]
+    return [sum(k * w for k, w in zip(kt, weights)) for kt in product(range(m), repeat=d)]
 
 
 class GaloisModuleAlgebra:
     """Z(A) = A_{sigma_1} tensor ... tensor A_{sigma_d} with its G-action.
 
-    underlying is the E-algebra on monomial basis u_{k_1..k_d}, indexed in
-    product order.  sigma_g acts semilinearly by the monomial permutation
-    moves[g]: sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}.
-
-    The moves are always certified.  The monomial table is swept for
-    associativity while its dim is at most SWEEP_MAX_DIM; the big tables
-    are twists of a checked table by ring automorphisms followed by
-    tensoring, both of which preserve associativity.
+    slots[s] is A_{sigma_{s+1}} as (constants, den), each cell one nonzero
+    monomial.  Z(A) has dim (dim A)^d and the monomial basis u_t, t read in
+    base dim A with slot 0 the leading digit; products gives its products
+    over den, the slot denominators times reduction_den^(d-1).  sigma_g
+    acts semilinearly by the monomial permutation moves[g]: sigma_g(c u_t)
+    = sigma_g(c) u_{moves[g][t]}.  The slots and moves are always certified.
     """
 
     def __init__(self, a: StructureAlgebra, f: FieldDescriptor):
@@ -302,57 +290,77 @@ class GaloisModuleAlgebra:
             raise FieldMismatch("algebra is not defined over the given field")
         self.field = f
         d = f.degree
-        # the slots A_{sigma_i}, tensored on one at a time
-        slots = [_twist(a, i) for i in range(1, d + 1)]
-        constants, den = reduce(lambda x, y: _tensor_table(f, x, y), slots)
-        self.underlying = StructureAlgebra(f, constants, check=len(constants) <= SWEEP_MAX_DIM, den=den)
+        self.slots = [_twist(f, a.table, a.den, i) for i in range(1, d + 1)]
+        self.dim = a.dim ** d
+        self.den = f.reduction_den ** (d - 1) * prod(den for _, den in self.slots)
         self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
         self._check_actions()
 
-    def _check_actions(self) -> None:
-        """Exact certification of the stored moves.
+    def products(self, keep):
+        """(s, t, k, c) for each product u_s u_t = c u_k with k in keep, c as
+        d ints over den: the slot cells at the digits of s and t multiplied,
+        the last slot's only where k is kept."""
+        m, mul = len(self.slots[0][0]), lru_cache(maxsize=None)(self.field.multiply)
+        *heads, last = [[(s, t, *cell[0]) for s, row in enumerate(table) for t, cell in enumerate(row)]
+                        for table, _ in self.slots]
+        pairs = [(0, 0, 0, None)]
+        for slot in heads:
+            pairs = [(s * m + s1, t * m + t1, k * m + k1, v1 if v is None else mul(v, v1))
+                     for s, t, k, v in pairs for s1, t1, k1, v1 in slot]
+        for s, t, k, v in pairs:
+            s, t, k = s * m, t * m, k * m
+            for s1, t1, k1, v1 in last:
+                if k + k1 in keep:
+                    yield s + s1, t + t1, k + k1, v1 if v is None else mul(v, v1)
 
-        Each move is a bijection of the monomials and an algebra map for
-        the twisted table: row(pt1, pt2) equals row(t1, t2) moved and with
-        its coefficients pushed through sigma_g.  Together the moves follow
-        the group law of G.  The coefficient part of the action is the
-        field automorphism itself, certified with the field.  sigma_g is
-        applied once to each distinct constant of the table.
+    def _check_actions(self) -> None:
+        """Exact certification of the slots and the stored moves.
+
+        Every slot cell is one nonzero monomial and each move a bijection.
+        sigma_g, applied by _twist once to each distinct vector of slot s,
+        takes its cells to those of slot pi_g(s), hosting sigma_g .
+        sigma_{s+1}, compared over both denominators.  Slot 0 is A, so each
+        slot is certified as sigma_g(A), associative by A's sweep, and so is
+        Z(A), their tensor product (Pierce, Associative Algebras, GTM 88).
+        The moves follow the group law of G, and each carries digit s of
+        every monomial to slot pi_g(s); the coefficient part of the action
+        is the field automorphism, certified with the field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
         field pins sigma_1 to X, and the group law at (1, 1) gives
         p_1 o p_1 = p_1, which for a bijection p_1 forces p_1 = id.
         """
-        alg, f = self.underlying, self.field
-        table, nt, vectors = alg.table, alg.dim, _vectors(alg)
+        f, slots, n, m = self.field, self.slots, self.dim, len(self.slots[0][0])
+        for s, (table, _) in enumerate(slots):
+            _monomials(s, table)
         for g, pt in self.moves.items():
-            if sorted(pt) != list(range(nt)):
+            if sorted(pt) != list(range(n)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
-            if g == 1:
-                continue
-            # sigma_g(v) over the table's denominator, or None where that is
-            # not an integer vector, which matches no stored one
-            images = {}
-            for v in vectors:
-                r, scale = f.automorphism(g, v)
-                images[v] = None if any(x % scale for x in r) else tuple([x // scale for x in r])
-            for t1, row in enumerate(table):
-                target = table[pt[t1]]
-                for t2, cell in enumerate(row):
-                    moved = [(pt[t3], images[v]) for t3, v in cell]
-                    moved.sort()
-                    if moved != target[pt[t2]]:
-                        raise CertificateFailure(
-                            f"action {g} is not multiplicative on monomials ({t1},{t2})"
-                        )
-        for g1, p1 in self.moves.items():
-            for g2, p2 in self.moves.items():
-                p12 = self.moves[self.field.compose(g1, g2)]
-                for t in range(nt):
-                    if p1[p2[t]] != p12[t]:
-                        raise CertificateFailure(
-                            f"action group law fails for ({g1},{g2}) at monomial {t}"
-                        )
+            for s, (table, den) in enumerate(slots if g > 1 else ()):
+                s2 = f.compose(g, s + 1) - 1
+                image, den1 = _twist(f, table, den, g)
+                target, den2 = slots[s2]
+                for i, j in product(range(m), repeat=2):
+                    [(k, v)], [(k2, w)] = image[i][j], target[i][j]
+                    if k != k2 or [x * den2 for x in v] != [x * den1 for x in w]:
+                        raise CertificateFailure(f"action {g} does not take slot {s} to slot {s2} at ({i},{j})")
+        for (g1, p1), (g2, p2) in product(self.moves.items(), repeat=2):
+            p12 = self.moves[f.compose(g1, g2)]
+            t = next((t for t in range(n) if p1[p2[t]] != p12[t]), None)
+            if t is not None:
+                raise CertificateFailure(f"action group law fails for ({g1},{g2}) at monomial {t}")
+        for g, pt in self.moves.items():
+            t = next((t for t, (x, y) in enumerate(zip(pt, _slot_moves(f, m, g))) if x != y), None)
+            if t is not None:
+                raise CertificateFailure(f"action {g} does not carry the slot digits of monomial {t}")
+
+
+def _monomials(s: int, table) -> list[list[int]]:
+    """The monomial of each cell of slot s's table, which must be one nonzero monomial."""
+    for i, j in product(range(len(table)), repeat=2):
+        if len(table[i][j]) != 1 or not any(table[i][j][0][1]):
+            raise CertificateFailure(f"slot {s} product u_{i} u_{j} is not one monomial")
+    return [[cell[0][0] for cell in row] for row in table]
 
 
 def build_ZG(a: StructureAlgebra, f: FieldDescriptor) -> GaloisModuleAlgebra:
@@ -374,12 +382,12 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     E^H = Q there and basis element 0 is 1 u_0, the unit of the result.
 
     Products run on integer vectors, one pair of orbits at a time: a term
-    c u_k of u_s u_s' at a representative k, read once from Z(A)'s table,
+    c u_k of u_s u_s' at a representative k, formed once by z.products,
     adds one product of FieldDescriptor.pack_matrices of the coefficients a
     at s of the basis elements (packed once per s) and pack_vectors of the
     b c, b those at s', which sums M_a (b c) = reduce(a b c) for every pair
-    of basis elements.
-    Each sum is read once: at E^H = E every coordinate, at E^H = Q
+    of basis elements.  Each sum is read once, with an unpacker memoized
+    for this call only: at E^H = E every coordinate, at E^H = Q
     coordinate 0, the others having to vanish, and otherwise those at the
     pivots of E^H, the RREF rows combined by them having to give the sum
     back; else NotClosedUnderMultiplication is raised.  The moves are
@@ -387,13 +395,10 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     where it breaks these checks or the dimension count.
 
     The resulting table is swept for associativity while its dim is at
-    most SWEEP_MAX_DIM.  Beyond that the fixed subalgebra inherits
-    associativity from Z(A), whose table is a twist of a checked table by
-    field automorphisms followed by tensoring; the unit law is always
-    verified exactly.
+    most SWEEP_MAX_DIM.  Beyond that it inherits associativity from Z(A),
+    certified with its slots; the unit law is always verified exactly.
     """
-    f, alg = z.field, z.underlying
-    d, n = f.degree, alg.dim
+    f, d, n = z.field, z.field.degree, z.dim
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
     blocks, basis, fields = [], [], {}  # a block: first coordinate, dim E^H, orbit, pivots, rows over S, S
     for t in range(n):
@@ -441,33 +446,30 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     # the basis over one denominator M, the table over one L: products over M^2 L D^2, D = reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [{s: tuple([x * (bden // c.den) for x in c.num]) for s, c in vec.items()} for vec in basis]
-    den = bden * bden * alg.den * f.reduction_den ** 2
+    den = bden * bden * z.den * f.reduction_den ** 2
     # the terms (s, k, (s', c)) of each pair of orbits, and ys[s', c], the b c
     reps, patterns = {orbit[0] for _, _, orbit, *_ in blocks}, [[[] for _ in blocks] for _ in blocks]
     multiply, ys = lru_cache(maxsize=None)(f.multiply), {}
-    for s, row in enumerate(alg.table):
-        pattern = patterns[block_of[s]]
-        for s2, cell in enumerate(row):
-            for k, c in cell:
-                if k in reps:
-                    pattern[block_of[s2]].append((s, k, (s2, c)))
-                    if (s2, c) not in ys:
-                        first, m, *_ = blocks[block_of[s2]]
-                        ys[s2, c] = [multiply(ibasis[j][s2], c) for j in range(first, first + m)]
+    for s, s2, k, c in z.products(reps):
+        patterns[block_of[s]][block_of[s2]].append((s, k, (s2, c)))
+        if (s2, c) not in ys:
+            first, m, *_ = blocks[block_of[s2]]
+            ys[s2, c] = [multiply(ibasis[j][s2], c) for j in range(first, first + m)]
     terms = max(len(p) for row in patterns for p in row)
     width = f.packing_width(terms, {a for v in ibasis for a in v.values()}, {y for v in ys.values() for y in v})
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
     packed_a = {s: f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], width)
                 for first, m, orbit, *_ in blocks for s in orbit}
-    constants = [[[] for _ in range(n)] for _ in range(n)]
+    constants, unpacker = [[[] for _ in range(n)] for _ in range(n)], lru_cache(maxsize=None)(f.unpacker)
     for (i0, m, *_), row in zip(blocks, patterns):
         for (j0, mr, *_), pattern in zip(blocks, row):
             sums: dict = {}
             for s, k, key in pattern:
                 sums[k] = sums.get(k, 0) + packed_a[s] * packed_y[key]
             cells = [constants[i0 + x // mr][j0 + x % mr] for x in range(m * mr)]
+            unpack = unpacker(m, mr, width)
             for k in sorted(sums):
-                read(k, f.unpack(sums[k], m, mr, width), cells)
+                read(k, unpack(sums[k]), cells)
     return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
 
 
@@ -477,35 +479,28 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
 def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
     """dim_Q of the center of b = invariants(z), fixed by two counts.
 
-    Upper bound, on the table of Z(A): every product u_s u_t must be one
-    nonzero monomial, u_s u_t and u_t u_s must land on the same monomial,
-    and for each s, t -> that monomial must be injective.  Then
-    conjugation by u_s scales each u_t, so the center of Z(A) is spanned
-    by its central monomials (Lam, Introduction to Quadratic Forms over
-    Fields, Ch. V), the u_t with u_s u_t = u_t u_s for every s.  Their
-    number bounds dim_Q Z(b) from above, as Z(b) tensor E lies in the
-    center of Z(A).  Lower bound, on b's table: the basis elements that
-    commute with every basis element are independent and central.  A
-    failed shape check, or bounds that differ, raise CertificateFailure.
+    Upper bound, on the slots of Z(A): in each, every product u_i u_j must
+    be one nonzero monomial, the same as u_j u_i, and for each i, j -> that
+    monomial must be injective.  Then conjugation by u_i scales each u_j,
+    so a slot's center is spanned by its central monomials (Lam,
+    Introduction to Quadratic Forms over Fields, Ch. V), and the center of
+    Z(A), the tensor of the slots' centers (Pierce), has dim the product of
+    their counts.  It bounds dim_Q Z(b) from above, as Z(b) tensor E lies
+    in it.  Lower bound, on b's table: the basis elements that commute with
+    every basis element are independent and central.  A failed shape
+    check, or bounds that differ, raise CertificateFailure.
     """
-    alg = z.underlying
-    n = alg.dim
-    monomials = []
-    for s, row in enumerate(alg.table):
-        ms = [cell[0][0] if len(cell) == 1 and any(cell[0][1]) else None for cell in row]
-        if None in ms:
-            raise CertificateFailure(f"Z(A) product u_{s} u_{ms.index(None)} is not one monomial")
-        t = next((t for t in range(s) if monomials[t][s] != ms[t]), None)
-        if t is not None:
-            raise CertificateFailure(
-                f"Z(A) products u_{s} u_{t} and u_{t} u_{s} land on different monomials"
-            )
-        if len(set(ms)) != n:
-            raise CertificateFailure(f"Z(A) products u_{s} u_t repeat a monomial")
-        monomials.append(ms)
-    zt, bt = alg.table, b.table
-    upper = sum(all(zt[s][t] == zt[t][s] for s in range(n)) for t in range(n))
-    lower = sum(all(bt[i][j] == bt[j][i] for j in range(b.dim)) for i in range(b.dim))
+    upper = 1
+    for s, (table, _) in enumerate(z.slots):
+        monomials = _monomials(s, table)
+        for i, ms in enumerate(monomials):
+            j = next((j for j in range(i) if monomials[j][i] != ms[j]), None)
+            if j is not None:
+                raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} land on different monomials")
+            if len(set(ms)) != len(ms):
+                raise CertificateFailure(f"slot {s} products u_{i} u_j repeat a monomial")
+        upper *= sum(all(row[j] == table[j][i] for i, row in enumerate(table)) for j in range(len(table)))
+    lower = sum(all(b.table[i][j] == b.table[j][i] for j in range(b.dim)) for i in range(b.dim))
     if lower != upper:
         raise CertificateFailure(
             f"center bounds differ: {lower} central basis elements in B,"
@@ -556,19 +551,20 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
 def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor) -> bool:
     """Check Z(C0(Q)) against the tensor of conjugate even Clifford algebras.
 
-    The two sides are built through different code paths: the left twists
-    the structure constants of C0(Q) by each sigma_i, the right runs the
-    Clifford construction on the sigma_i-conjugated diagonal entries.  The
-    identity map on monomials must be an algebra isomorphism, and the
-    stored G-action must match the slot-permutation action recomputed from
-    scratch.
+    The two sides are built through different code paths: the left tensors
+    the slots of build_ZG, the structure constants of C0(Q) twisted by each
+    sigma_i and swept as tables, the right runs the Clifford construction
+    on the sigma_i-conjugated diagonal entries.  The identity map on
+    monomials must be an algebra isomorphism, and the stored G-action must
+    match the slot-permutation action recomputed from scratch.
     """
     from .clifford import CliffordAlgebra, even_part  # layering: clifford builds on csa
 
     a = even_part(CliffordAlgebra(f, diag_q.entries))
     d = f.degree
     zg = build_ZG(a, f)
+    left = reduce(tensor, (StructureAlgebra(f, table, den=den) for table, den in zg.slots))
     right = reduce(tensor, (
         even_part(CliffordAlgebra(f, [apply_automorphism(e, i) for e in diag_q.entries])) for i in range(1, d + 1)
     ))
-    return zg.underlying == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in range(1, d + 1))
+    return left == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in range(1, d + 1))

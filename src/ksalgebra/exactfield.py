@@ -16,8 +16,8 @@ P, over reduction_den; multiply reduces one product, convolved into 2d - 1
 ints; adjugate gives the product of the other conjugates, for inverses,
 norms and exact division.  Over Q a product is one integer product:
 accumulate holds the package's one degree-1 branch.
-pack_matrices, pack_vectors and unpack sum many M_a y = reduce(a y) in one
-int by Kronecker substitution, at a digit width packing_width bounds; a
+pack_matrices, pack_vectors and unpacker sum many M_a y = reduce(a y) in
+one int by Kronecker substitution, at a digit width packing_width bounds; a
 packed M_a has room for d vectors, so it is packed once for every count.
 
 Real places are indexed 1..d.  The first listed interval is the field's
@@ -51,7 +51,6 @@ means P is reducible: both raise InvalidDescriptor.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, count, repeat
 from math import gcd, isqrt, lcm, prod
 from operator import lshift, mul
@@ -278,12 +277,20 @@ class FieldDescriptor:
         """The vectors end to end at 2^width: digit d j + q is y_j[q]."""
         return sum(map(lshift, chain.from_iterable(vectors), count(0, width)))
 
-    def unpack(self, packed: int, matrices: int, vectors: int, width: int) -> list[int]:
-        """The sums of (M_{a_l} y_j)_i over the products of pack_matrices and
-        pack_vectors added up in packed, over reduction_den, at (l vectors + j) d + i."""
-        bias, shifts = _layout(self.degree, matrices, vectors, width)
-        mask, half, packed = (1 << width) - 1, 1 << width - 1, packed + bias
-        return [(packed >> s & mask) - half for s in shifts]
+    def unpacker(self, matrices: int, vectors: int, width: int):
+        """The reader of a sum of products of pack_matrices of that many
+        coefficients and pack_vectors of that many vectors: it gives the sums
+        of (M_{a_l} y_j)_i, over reduction_den, at (l vectors + j) d + i."""
+        d, slot = self.degree, self.degree * (self.degree + 1) - 1
+        bias = ((1 << width * slot * d * matrices) - 1) // ((1 << width) - 1) << width - 1
+        shifts = [width * (slot * (l * d + i) + d - 1 + d * j)
+                  for l in range(matrices) for j in range(vectors) for i in range(d)]
+        mask, half = (1 << width) - 1, 1 << width - 1
+
+        def unpack(packed: int) -> list[int]:
+            packed += bias  # 2^(width - 1) at every digit, so that none borrows
+            return [(packed >> s & mask) - half for s in shifts]
+        return unpack
 
     def automorphism(self, i: int, num: Sequence[int]) -> tuple[list[int], int]:
         """sigma_i(num(alpha)), 1-based, as (r, A) meaning r / A.  The field
@@ -377,15 +384,6 @@ class FieldDescriptor:
 
     def __repr__(self) -> str:
         return f"FieldDescriptor(Q[{self.name}]/({render(self.min_poly)}))"
-
-
-@lru_cache(maxsize=None)
-def _layout(d: int, matrices: int, vectors: int, width: int) -> tuple[int, tuple[int, ...]]:
-    """For unpack: 2^(width - 1) at every digit, so none borrows, and the shifts it reads at."""
-    slot = d * (d + 1) - 1
-    bias = ((1 << width * slot * d * matrices) - 1) // ((1 << width) - 1) << width - 1
-    return bias, tuple(width * (slot * (l * d + i) + d - 1 + d * j)
-                       for l in range(matrices) for j in range(vectors) for i in range(d))
 
 
 _set = object.__setattr__

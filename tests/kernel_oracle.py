@@ -13,14 +13,25 @@ columns.
 oracle_center is how csa.center used to find the center: it intersects the
 kernels of the commutator maps x -> [x, u_i] and returns the RREF basis.
 
+materialize is how csa.GaloisModuleAlgebra used to store Z(A): its whole
+n^2 table, each product of monomials the product of the slot cells at
+their digits (slot 0 the leading one), here on Fraction coefficient lists
+with fraction_reference's arithmetic.  It shares no code with
+GaloisModuleAlgebra.products, only the slots.
+
+oracle_action_failure is how csa.GaloisModuleAlgebra used to certify its
+action: the walk over all n^2 products of a materialized table, each
+moved by the monomial permutations with its coefficients pushed through
+the automorphisms, which must give the product of the moved monomials.
+
 oracle_invariants is how csa.invariants used to build the fixed algebra.
 Z(A) is laid out on the Q-basis alpha^l u_t (index t*d + l), each sigma_g
 becomes a sparse Q-linear operator rebuilt here from the field's
 composition table, the fixed subspace is the kernel of the stacked
 operators act(g) - id, and every product of two RREF basis vectors is
 re-expressed in that basis by reading it at the pivot columns and checking
-the residual exactly.  It shares with csa.invariants only the monomial
-table of Z(A).
+the residual exactly.  It shares with csa.invariants only the slots of
+Z(A), read through materialize.
 
 oracle_dense_trace_signature is how csa.trace_form_signature used to find
 the signature: it assembles the whole n x n Gram matrix of Tr(L_{xy}) in
@@ -34,7 +45,7 @@ from math import lcm
 import fraction_reference as ref
 from ksalgebra.csa import StructureAlgebra
 from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
-from ksalgebra.exactfield import RATIONAL_FIELD
+from ksalgebra.exactfield import RATIONAL_FIELD, apply_automorphism
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -211,10 +222,48 @@ def action_columns(f, m: int, g: int) -> list[list[tuple[int, Fraction]]]:
     ]
 
 
+def materialize(z) -> StructureAlgebra:
+    """Z(A)'s n^2 table from z.slots, swept: u_s u_t is the product over
+    the slots of the cells at the digits of s and t, its coefficients
+    Fraction lists multiplied with fraction_reference, and the table is
+    stored over the common denominator of all of them."""
+    f, d = z.field, z.field.degree
+    slots = [[[[(k, [Fraction(x, den) for x in v]) for k, v in cell] for cell in row] for row in table]
+             for table, den in z.slots]
+    m = len(slots[0])
+    one = ref.pad([Fraction(1)], d)
+    rows = []
+    for s in product(range(m), repeat=d):  # the digits of s and t, in index order
+        row = []
+        for t in product(range(m), repeat=d):
+            terms = [(0, one)]
+            for slot, i, j in zip(slots, s, t):
+                terms = [(k * m + k2, ref.mul(f, c, c2)) for k, c in terms for k2, c2 in slot[i][j]]
+            row.append(sorted(terms))
+        rows.append(row)
+    den = lcm(1, *(x.denominator for row in rows for cell in row for _, c in cell for x in c))
+    table = [[[(k, tuple(int(x * den) for x in c)) for k, c in cell] for cell in row] for row in rows]
+    return StructureAlgebra(f, table, den=den)
+
+
+def oracle_action_failure(z, alg: StructureAlgebra) -> tuple[int, int, int] | None:
+    """The first (g, t1, t2) at which sigma_g, acting by z.moves, does not
+    take u_t1 u_t2 of alg, the materialized table of z, to the product of
+    the moved monomials; None if there is none."""
+    n = alg.dim
+    for g, pt in z.moves.items():
+        for t1 in range(n):
+            for t2 in range(n):
+                moved = {pt[k]: apply_automorphism(c, g) for k, c in alg.row(t1, t2)}
+                if moved != dict(alg.row(pt[t1], pt[t2])):
+                    return g, t1, t2
+    return None
+
+
 def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
     """The fixed algebra of z = build_ZG(a, f) by the stacked kernel over
     Q, base_dim the dim of a."""
-    f, alg = z.field, z.underlying
+    f, alg = z.field, materialize(z)
     d, want = f.degree, alg.dim
     n = want * d
     alpha_pow = [f.one()]

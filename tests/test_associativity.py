@@ -18,14 +18,17 @@ generators, and a span probe that reports every basis element inside, so
 that no generator is found.  The rejections are run once more under
 python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
-unit law (a wrong unit), the action certification of Z(A) and the fixed
-algebra built from it (corrupted monomial moves), the closure test of the
-fixed algebra (a corrupted Z(A) coefficient), the congruence
+unit law (a wrong unit), the action certification of Z(A)'s slots and
+moves and the fixed algebra built from it (corrupted monomial moves, a
+corrupted slot cell, moves that keep the digits, a slot cell that is not
+one monomial), the closure test of the fixed algebra (a corrupted slot
+coefficient), the congruence
 certificate P^T G P (once with the certificate's products zeroed, once on
 the Q Gram blocks of a trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
 even_weight_orbits, the two claims of six_lines_family and the center
 count (a fixed algebra whose central basis element no longer commutes, and
-Z(A) tables that are not monomial in the way the count needs).
+slot tables that are not monomial in the way the count needs).  Z(A)'s
+tables here are kernel_oracle.materialize's, built from its slots.
 """
 
 import os
@@ -52,7 +55,7 @@ from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderM
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
-from kernel_oracle import rref
+from kernel_oracle import materialize, rref
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 from test_acceptance import TRIPLES
 
@@ -90,7 +93,8 @@ def oracle_associativity_failure(field, table) -> tuple | None:
 def tables(name: str) -> dict:
     """The C0, Z(A) and fixed-algebra tables of one field, and the
     quaternion table (1/2 + a, 2/3 + a/5), whose constants need the common
-    denominator (over Q it is (1/2, 2/3)).
+    denominator (over Q it is (1/2, 2/3)).  Z(A) is kernel_oracle's
+    materialized table of the slots.
 
     Over Q(sqrt d) the first three come from the six-lines family form
     diag(a, a, a - d) with c = 1.  Over the cubic, Z(A) and the fixed
@@ -118,18 +122,18 @@ def tables(name: str) -> dict:
     )
     return {
         "C0": c0,
-        "Z(A)": z.underlying,
+        "Z(A)": materialize(z),
         "fixed": invariants(z),
         "symbol": from_symbol(symbol),
     }
 
 
-def scaled_by(alg: StructureAlgebra, v: tuple, factor) -> tuple:
+def scaled_by(field, den: int, v: tuple, factor) -> tuple:
     """The stored integer vector v times the field element factor, over
-    the table's denominator (factor has integer coordinates, and the
+    the table's denominator den (factor has integer coordinates, and the
     fields here reduce over denominator 1)."""
-    p = alg.field.from_integers(v, alg.den) * factor
-    return tuple(x * alg.den // p.den for x in p.num)
+    p = field.from_integers(v, den) * factor
+    return tuple(x * den // p.den for x in p.num)
 
 
 def perturbed(alg: StructureAlgebra) -> list:
@@ -142,7 +146,7 @@ def perturbed(alg: StructureAlgebra) -> list:
         (i, j) for i in range(1, alg.dim) for j in range(1, alg.dim) if out[i][j]
     )
     k, v = out[i][j][0]
-    out[i][j][0] = (k, scaled_by(alg, v, factor))
+    out[i][j][0] = (k, scaled_by(alg.field, alg.den, v, factor))
     return out
 
 
@@ -240,8 +244,8 @@ def sweep_with_a_blind_probe() -> None:
 def swept_tables(case) -> dict:
     """The tables of one case, built and swept once for every test here.
     An int m gives C0 of diag(1, ..., m) over Q; an acceptance triple
-    (d, c, e) gives C0 of diag(a, a, c a - d) over Q(sqrt d), its Z(A) and
-    its fixed algebra B."""
+    (d, c, e) gives C0 of diag(a, a, c a - d) over Q(sqrt d), its Z(A)
+    (the materialized table of the slots) and its fixed algebra B."""
     if isinstance(case, int):
         return {"C0": even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, case + 1))))}
     d, c, e = case
@@ -249,7 +253,7 @@ def swept_tables(case) -> dict:
     a = f.gen()
     c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
     z = build_ZG(c0, f)
-    return {"C0": c0, "Z(A)": z.underlying, "B": invariants(z)}
+    return {"C0": c0, "Z(A)": materialize(z), "B": invariants(z)}
 
 
 @pytest.mark.parametrize("d, c, e", TRIPLES)
@@ -354,7 +358,7 @@ def generation_cases():
         ("biquadratic rank 2", biquadratic, [y, y - 2]),
     ):
         z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
-        yield f"{label} Z(A)", f, z.underlying.table
+        yield f"{label} Z(A)", f, materialize(z).table
         yield f"{label} B", RATIONAL_FIELD, invariants(z).table
     for m in range(3, 10):
         yield f"Q rank {m} C0", RATIONAL_FIELD, swept_tables(m)["C0"].table
@@ -416,21 +420,20 @@ def corrupted_moves(name: str):
 
 
 def corrupted_coefficient(name: str):
-    """small_zg(name) with u_0 u_t = u_t scaled by alpha in the stored
-    integer table after construction, t the first monomial after u_0 that
-    every automorphism fixes, or over the cyclic quartic the first whose
-    stabiliser H has order 2.  The basis element at u_0 is u_0, and the
-    first one at u_t has the coefficient 1 at u_t (the RREF row of 1 in
-    E^H), so their product has the coefficient alpha at u_t, outside E^H.
-    Over Q(sqrt 2) and the cubic E^H = Q, and coordinate 1 no longer
-    vanishes; over the quartic E^H = Q(alpha^2), and only the closure test
+    """small_zg(name) with u_0 u_1 = u_1 of slot s scaled by alpha in the
+    stored integer table after construction, s = 1 over the cyclic quartic
+    and s = 0 otherwise.  That scales the products u_0 u_t of Z(A) whose
+    digit s is 1.  The basis element at u_0 is u_0, so its product with a
+    basis element at such a u_t has the coefficient alpha c at u_t, c in
+    E^H, outside E^H.  The first such product invariants reads lies over
+    Q(sqrt 2) and the cubic at a monomial every automorphism fixes, E^H =
+    Q, where coordinate 1 no longer vanishes; over the quartic at one whose
+    stabiliser H has order 2, E^H = Q(alpha^2), where only the closure test
     at its free columns can see it."""
     z = small_zg(name)
-    order = 2 if name == "cyclic quartic" else z.field.degree
-    t = next(t for t in range(1, z.underlying.dim) if sum(m[t] == t for m in z.moves.values()) == order)
-    cell = z.underlying.table[0]
-    [(k, v)] = cell[t]
-    cell[t] = [(k, scaled_by(z.underlying, v, z.field.gen()))]
+    table, den = z.slots[1 if name == "cyclic quartic" else 0]
+    [(k, v)] = table[0][1]
+    table[0][1] = [(k, scaled_by(z.field, den, v, z.field.gen()))]
     return z
 
 
@@ -440,6 +443,32 @@ CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic", "cyclic quartic")
 
 def certify_corrupted_action() -> None:
     corrupted_moves("Q(sqrt 2)")._check_actions()
+
+
+def zg_of_a_non_monomial_algebra() -> None:
+    """build_ZG of Q(sqrt 2)[x]/(x^2 - x - 1), whose u_1 u_1 = u_0 + u_1."""
+    f = quadratic_field(2)
+    one = f.one().num
+    build_ZG(StructureAlgebra(f, [[[(0, one)], [(1, one)]], [[(1, one)], [(0, one), (1, one)]]]), f)
+
+
+def certify_a_corrupted_slot() -> None:
+    """small_zg("Q(sqrt 2)") with u_1 u_2 of slot 1 doubled after
+    construction: sigma_2 no longer takes slot 0 to it."""
+    z = small_zg("Q(sqrt 2)")
+    table, _ = z.slots[1]
+    [(k, v)] = table[1][2]
+    table[1][2] = [(k, tuple(x + x for x in v))]
+    z._check_actions()
+
+
+def certify_moves_that_keep_the_digits() -> None:
+    """small_zg("Q(sqrt 2)") with sigma_2 moving every monomial to itself:
+    a bijection that follows the group law of a group of order 2, but
+    leaves digit 0 in slot 0."""
+    z = small_zg("Q(sqrt 2)")
+    z.moves[2] = list(range(z.dim))
+    z._check_actions()
 
 
 # invariants(z) of a corrupted z: the error and its message, per field
@@ -531,17 +560,17 @@ def family_against_the_split_class() -> None:
 
 def family_center_after(corrupt) -> None:
     """csa.center of Z(A) over Q(sqrt 2) (the family form) and its fixed
-    algebra B, after corrupt(Z(A) table, B table) has edited their stored
-    integer tables.
+    algebra B, after corrupt(slot 1 table, B table) has edited the stored
+    integer tables of Z(A)'s second slot and of B.
 
-    B's one central basis element is its unit e_0.  In Z(A),
-    u_s u_t = +-c u_{s xor t}, so u_1 u_3 lands on u_2.
+    B's one central basis element is its unit e_0.  In each slot,
+    u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2.
     """
     f = quadratic_field(2)
     a = f.gen()
     z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
     b = invariants(z)
-    corrupt(z.underlying.table, b.table)
+    corrupt(z.slots[1][0], b.table)
     csa.center(z, b)
 
 
@@ -552,19 +581,19 @@ def center_with_a_noncentral_unit(zt, bt) -> None:
 
 
 def center_with_two_terms(zt, bt) -> None:
-    """u_1 u_2 in Z(A) gains a second term."""
+    """u_1 u_2 in the slot gains a second term."""
     zt[1][2] = zt[1][2] + [(0, zt[1][2][0][1])]
 
 
 def center_with_a_repeated_monomial(zt, bt) -> None:
-    """u_1 u_2 and u_2 u_1 in Z(A) land on u_2, as u_1 u_3 does."""
+    """u_1 u_2 and u_2 u_1 in the slot land on u_2, as u_1 u_3 does."""
     k = zt[1][3][0][0]
     zt[1][2] = [(k, zt[1][2][0][1])]
     zt[2][1] = [(k, zt[2][1][0][1])]
 
 
 def center_with_asymmetric_monomials(zt, bt) -> None:
-    """u_2 u_1 and u_2 u_3 in Z(A) exchange their monomials."""
+    """u_2 u_1 and u_2 u_3 in the slot exchange their monomials."""
     (k1, c1), (k3, c3) = zt[2][1][0], zt[2][3][0]
     zt[2][1], zt[2][3] = [(k3, c1)], [(k1, c3)]
 
@@ -581,11 +610,15 @@ NEW_CERTIFICATES = (
     ("center", lambda: family_center_after(center_with_a_noncentral_unit),
      "center bounds differ: 0 central basis elements in B, 1 central monomials in Z(A)"),
     ("center two terms", lambda: family_center_after(center_with_two_terms),
-     "Z(A) product u_1 u_2 is not one monomial"),
+     "slot 1 product u_1 u_2 is not one monomial"),
     ("center repeated monomial", lambda: family_center_after(center_with_a_repeated_monomial),
-     "Z(A) products u_1 u_t repeat a monomial"),
+     "slot 1 products u_1 u_j repeat a monomial"),
     ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
-     "Z(A) products u_2 u_1 and u_1 u_2 land on different monomials"),
+     "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
+    ("slot cell", zg_of_a_non_monomial_algebra, "slot 0 product u_1 u_1 is not one monomial"),
+    ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 0 to slot 1 at (1,2)"),
+    ("slot digits", certify_moves_that_keep_the_digits,
+     "action 2 does not carry the slot digits of monomial 1"),
     ("generation", sweep_with_a_blind_probe, "generators [] span 1 of 4 dimensions"),
     ("trace form division", trace_form_with_a_wrong_division, "congruence certificate P^T G P fails at (1,1)"),
 )
@@ -600,7 +633,7 @@ def test_orbit_family_and_center_certificates_raise_certificate_failure(label, b
 def test_wrong_unit_and_corrupted_action_raise_certificate_failure():
     with pytest.raises(CertificateFailure, match="left unit law fails"):
         build_with_wrong_unit()
-    with pytest.raises(CertificateFailure, match=r"not multiplicative on monomials \(1,1\)"):
+    with pytest.raises(CertificateFailure, match=r"group law fails for \(2,2\) at monomial 1"):
         certify_corrupted_action()
 
 
@@ -710,7 +743,7 @@ def test_negative_control_survives_python_O():
     swept = 5 * len(FIELDS)  # 4 perturbed tables and one perturbed C0 build per field
     certificates = [
         "wrong unit: left unit law fails at u_0",
-        "corrupted action: action 2 is not multiplicative on monomials (1,1)",
+        "corrupted action: action group law fails for (2,2) at monomial 1",
         "congruence: congruence certificate P^T G P fails at (0,0)",
         "quaternion relations: quaternion relation fails at (2,2)",
         *(f"{label}: {message}" for label, _, message in NEW_CERTIFICATES),

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from ksalgebra import csa
+from ksalgebra import csa, exactfield
 from ksalgebra.brauer import QuaternionSymbol, rational_symbol
 from ksalgebra.csa import (
     StructureAlgebra,
@@ -17,7 +17,7 @@ from ksalgebra.csa import (
     verify_twisted_iso,
 )
 from ksalgebra.clifford import CliffordAlgebra, even_part
-from ksalgebra.errors import CertificateFailure, FieldMismatch
+from ksalgebra.errors import CertificateFailure, FieldMismatch, NotAssociative
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
     FieldDescriptor,
@@ -25,11 +25,19 @@ from ksalgebra.exactfield import (
     cyclic_cubic_field,
     quadratic_field,
 )
-from ksalgebra.pipeline import search_cubic_diagonal
+from ksalgebra.pipeline import ks_report, search_cubic_diagonal
 from ksalgebra.qform import GramForm, diagonalize
 
-from kernel_oracle import congruence, oracle_center, oracle_dense_trace_signature, oracle_invariants
+from kernel_oracle import (
+    congruence,
+    materialize,
+    oracle_action_failure,
+    oracle_center,
+    oracle_dense_trace_signature,
+    oracle_invariants,
+)
 from quartic_fields import biquadratic_field, cyclic_quartic_field
+from test_associativity import corrupted_moves
 
 Q2 = quadratic_field(2)
 
@@ -304,7 +312,7 @@ def test_trace_signature_rejects_an_algebra_over_E():
 def test_zg_dimension_bookkeeping():
     a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
     zg = build_ZG(a, Q2)
-    assert zg.underlying.dim == 16
+    assert zg.dim == 16
     # one monomial permutation per automorphism; sigma_2 swaps the slots, so
     # it fixes the 4 monomials u_k (x) u_k, each adding [Q:Q] = 1 to the
     # fixed algebra, and pairs the other 12, each pair adding [E:Q] = 2
@@ -328,7 +336,7 @@ def test_zg_action_group_law_public():
         return {zg.moves[g][t]: apply_automorphism(c, g) for t, c in x.items()}
 
     # sigma_2 is an involution on every Q-basis vector alpha^l u_t
-    for t in range(zg.underlying.dim):
+    for t in range(zg.dim):
         for c in (Q2.one(), Q2.gen()):
             x = {t: c}
             assert act(2, act(2, x)) == x
@@ -342,7 +350,7 @@ def test_zg_group_law_certificate_rejects_a_wrong_move():
     one = f.one()
     etale = monomial_algebra(f, [[(0, one), (1, one)], [(1, one), (0, f.rational(2))]])
     zg = build_ZG(etale, f)
-    zg.moves[2] = list(range(zg.underlying.dim))
+    zg.moves[2] = list(range(zg.dim))
     with pytest.raises(CertificateFailure, match=r"group law fails for \(2,2\)"):
         zg._check_actions()
 
@@ -417,23 +425,96 @@ def oracle_case(name: str):
     return even_part(CliffordAlgebra(f, entries))
 
 
+ORACLE_CASES = (
+    "Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2",
+    "cyclic quartic rank 2", "biquadratic rank 2",
+)
+
+
 # the two quartic cases (n = 16) have an orbit of size 2, where E^H is a
 # quadratic subfield: coordinates read at its pivots, checked by its rows
-@pytest.mark.parametrize(
-    "name",
-    [
-        "Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2",
-        "cyclic quartic rank 2", "biquadratic rank 2",
-    ],
-)
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_invariants_match_kernel_oracle(name):
     a = oracle_case(name)
     z = build_ZG(a, a.field)
     inv, oracle = invariants(z), oracle_invariants(z, a.dim)
-    assert inv.dim == oracle.dim == z.underlying.dim
+    assert inv.dim == oracle.dim == z.dim
     assert inv.den == oracle.den
     assert inv.table == oracle.table
     assert inv == oracle
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_slot_products_match_the_materialized_table(name):
+    # materialize builds and sweeps Z(A)'s n^2 table from the slots on
+    # Fractions; products, over z.den, must give every one of its cells
+    a = oracle_case(name)
+    z = build_ZG(a, a.field)
+    alg = materialize(z)
+    got = [[[] for _ in range(z.dim)] for _ in range(z.dim)]
+    for s, t, k, c in z.products(range(z.dim)):
+        got[s][t].append((k, [Fraction(x, z.den) for x in c]))
+    want = [[[(k, [Fraction(x, alg.den) for x in v]) for k, v in cell] for cell in row] for row in alg.table]
+    assert got == want
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_the_n2_action_walk_accepts_the_slot_certified_action(name):
+    a = oracle_case(name)
+    z = build_ZG(a, a.field)
+    assert oracle_action_failure(z, materialize(z)) is None
+
+
+def test_the_n2_action_walk_rejects_corrupted_moves():
+    z = corrupted_moves("Q(sqrt 2)")
+    assert oracle_action_failure(z, materialize(z)) == (2, 1, 1)
+
+
+def test_products_form_only_the_kept_monomials():
+    a = oracle_case("cubic rank 2")
+    z = build_ZG(a, a.field)
+    keep = {0, 3, 5}
+    kept = list(z.products(keep))
+    assert {k for _, _, k, _ in kept} == keep
+    assert kept == [p for p in z.products(range(z.dim)) if p[2] in keep]
+
+
+def test_a_rank_3_report_over_Q_sweeps_three_tables(monkeypatch):
+    # C0, the fixed algebra B and the quaternion table of the symbol route;
+    # Z(A), kept as its one slot, is not copied into a table of its own
+    swept = []
+    real = csa.check_associativity
+
+    def sweep(field, table):
+        swept.append(len(table))
+        real(field, table)
+
+    monkeypatch.setattr(csa, "check_associativity", sweep)
+    q = RATIONAL_FIELD
+    ks_report(q, GramForm.diagonal(q, [q.rational(x) for x in (1, 2, -3)]))
+    assert swept == [4, 4, 4]
+
+
+def test_invariants_keep_no_packing_layout_across_calls(monkeypatch):
+    # the unpackers are memoized for one invariants call: after calls at
+    # two packing widths no lru_cache of exactfield holds an entry and the
+    # field has no new attribute
+    widths = []
+    real = FieldDescriptor.packing_width
+
+    def packing_width(field, *args):
+        widths.append(real(field, *args))
+        return widths[-1]
+
+    monkeypatch.setattr(FieldDescriptor, "packing_width", packing_width)
+    caches = [x for owner in (exactfield, FieldDescriptor) for x in vars(owner).values() if hasattr(x, "cache_info")]
+    attributes = set(vars(Q2))
+    for name in ("Q(sqrt 2)", "Q(sqrt 2) rank 4"):
+        a = oracle_case(name)
+        invariants(build_ZG(a, a.field))
+    assert len(set(widths)) == 2
+    assert [c.cache_info().currsize for c in caches] == [0] * len(caches)
+    assert set(vars(Q2)) == attributes
 
 
 def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(monkeypatch):
@@ -491,6 +572,13 @@ def verify_against(monkeypatch, diag, f, zg) -> bool:
     return verify_twisted_iso(diag, f)
 
 
+def corrupt_a_slot_constant(zg, s: int) -> None:
+    """Add 1 to the first coordinate of u_1 u_2 in slot s of zg."""
+    table, den = zg.slots[s]
+    k, v = table[1][2][0]
+    table[1][2] = [(k, (v[0] + den,) + v[1:])]
+
+
 def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
     diag = diagonalize(GramForm.diagonal(RATIONAL_FIELD, [1, 1, -1]))
     a = even_part(CliffordAlgebra(RATIONAL_FIELD, diag.entries))
@@ -499,11 +587,12 @@ def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
     moves[0], moves[1] = moves[1], moves[0]
     zg.moves[1] = moves
     assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg) is False
+    # the left side sweeps each slot it tensors: a corrupted constant
+    # breaks associativity there
     zg2 = build_ZG(a, RATIONAL_FIELD)
-    left = zg2.underlying
-    k, v = left.table[1][2][0]
-    left.table[1][2] = [(k, (v[0] + left.den,))]
-    assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg2) is False
+    corrupt_a_slot_constant(zg2, 0)
+    with pytest.raises(NotAssociative):
+        verify_against(monkeypatch, diag, RATIONAL_FIELD, zg2)
 
 
 def test_twisted_iso_negative_controls(monkeypatch):
@@ -515,9 +604,12 @@ def test_twisted_iso_negative_controls(monkeypatch):
     moves[5] = (moves[5] + 1) % len(moves)
     zg.moves[2] = moves
     assert verify_against(monkeypatch, diag, f, zg) is False
+    # corrupt a stored integer constant of the twisted slot instead
     zg2 = build_ZG(a, f)
-    # corrupt a stored integer constant instead: add 1 to it
-    left = zg2.underlying
-    k, v = left.table[1][2][0]
-    left.table[1][2] = [(k, (v[0] + left.den,) + v[1:])]
-    assert verify_against(monkeypatch, diag, f, zg2) is False
+    corrupt_a_slot_constant(zg2, 1)
+    with pytest.raises(NotAssociative):
+        verify_against(monkeypatch, diag, f, zg2)
+    # or store the two slots, each associative, in the wrong order
+    zg3 = build_ZG(a, f)
+    zg3.slots.reverse()
+    assert verify_against(monkeypatch, diag, f, zg3) is False

@@ -535,13 +535,14 @@ def width_for(field, terms) -> int:
 
 
 def packed_sum(field, terms) -> list[int]:
-    """unpack of the sum, over the terms (coefficients, vectors), of
-    pack_matrices * pack_vectors, at the width packing_width gives."""
+    """The unpacker's read of the sum, over the terms (coefficients,
+    vectors), of pack_matrices * pack_vectors, at the width packing_width
+    gives."""
     width = width_for(field, terms)
     total = sum(
         field.pack_matrices(coefficients, width) * field.pack_vectors(ys, width) for coefficients, ys in terms
     )
-    return field.unpack(total, len(terms[0][0]), len(terms[0][1]), width)
+    return field.unpacker(len(terms[0][0]), len(terms[0][1]), width)(total)
 
 
 def accumulated_sum(field, terms) -> list[int]:
@@ -599,7 +600,7 @@ def test_one_packed_matrix_serves_every_vector_count_up_to_the_degree(data):
     for r in range(1, d + 1):
         total = sum(x * field.pack_vectors(ys[:r], width) for x, (_, ys) in zip(matrices, terms))
         first = [(coefficients, ys[:r]) for coefficients, ys in terms]
-        got = field.unpack(total, m, r, width)
+        got = field.unpacker(m, r, width)(total)
         assert got == accumulated_sum(field, first)
         assert got == reference_sum(field, first)
 
