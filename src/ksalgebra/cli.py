@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .brauer import (
     INF,
@@ -143,18 +144,20 @@ def _cmd_classify(args) -> int:
 
 
 def _load_report_input(path: str) -> tuple:
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = handle.read()
-        except OSError as exc:
-            raise MalformedInput(f"cannot read input file: {exc}")
+    try:
+        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"cannot read input file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"input is not UTF-8: {exc}")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"input is not valid JSON: {exc}")
+    except RecursionError:
+        raise MalformedInput("input is not valid JSON: nested too deeply")
+    except ValueError:  # int() refuses a literal past sys.get_int_max_str_digits()
+        raise MalformedInput("input is not valid JSON: an integer has too many digits")
     if not isinstance(doc, dict):
         raise MalformedInput("input must be a JSON object with keys 'field' and 'form'")
     for key in ("field", "form"):

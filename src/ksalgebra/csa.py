@@ -11,8 +11,8 @@ become table cells in one place, monomial_algebra, and come back only from
 row().  Every table has unit u_0.  One checking rule: the unit law, read
 off the stored row and column of u_0, and the Galois action on the slots
 of Z(A) are always certified; a table monomial_algebra builds from given
-constants is swept for associativity, and a tensor or fixed subalgebra of
-swept tables is swept while its dim is at most SWEEP_MAX_DIM.  A sweep
+constants is always swept for associativity, and the fixed subalgebra of
+Z(A) is swept while its dim is at most SWEEP_MAX_DIM.  A sweep
 checks (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a
 generating set S: the right nucleus is a subalgebra (Schafer, An
 Introduction to Nonassociative Algebras, 1966), so that is n^2 |S|
@@ -39,7 +39,7 @@ form of a Q-algebra is diagonalized block by block, on integers, split at
 every index that no nonzero entry crosses; for the fixed algebra the
 blocks are the orbits.
 """
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import compress, count, cycle, product
 from math import gcd, lcm, prod
 
@@ -61,9 +61,9 @@ from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
-# A tensor or fixed subalgebra up to this dim is swept for associativity;
-# a bigger one inherits it.  Sweeping the dim-64 fixed algebra of a rank-4
-# report would double its cost.
+# The fixed subalgebra of Z(A) is swept for associativity up to this dim;
+# a bigger one inherits it from Z(A).  Sweeping the dim-64 fixed algebra of
+# a rank-4 report would double its cost.
 SWEEP_MAX_DIM = 16
 
 
@@ -155,7 +155,8 @@ class StructureAlgebra:
     unit law is always verified.  monomial_algebra builds a table given by
     FieldElem constants.  check=True sweeps associativity with
     check_associativity, on the basis pairs times a certified generating
-    set (only the SWEEP_MAX_DIM rule passes False).
+    set; only invariants passes False, for a fixed subalgebra above
+    SWEEP_MAX_DIM.
     """
 
     def __init__(self, field: FieldDescriptor, constants, *, check: bool = True, den: int = 1):
@@ -223,34 +224,6 @@ def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
         [(3, one), (2, -a), (1, b), (0, -(a * b))],
     ]
     return monomial_algebra(s.field, cells)
-
-
-def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """Plain tensor product over the common base field.
-
-    Swept while its dim is at most SWEEP_MAX_DIM; a tensor product of
-    associative algebras is associative, so for big tables the sweep
-    certifies nothing the factors' checks did not.
-    """
-    if a.field != b.field:
-        raise FieldMismatch("tensor factors over different fields")
-    constants, den = _tensor_table(a.field, (a.table, a.den), (b.table, b.den))
-    return StructureAlgebra(a.field, constants, check=len(constants) <= SWEEP_MAX_DIM, den=den)
-
-
-def _tensor_table(field: FieldDescriptor, a: tuple, b: tuple) -> tuple[list, int]:
-    """(constants, den) of the tensor product of two (constants, den)
-    tables, u_i tensor u_j at index i * nb + j; each distinct pair of
-    integer vectors is multiplied once."""
-    (ta, la), (tb, lb) = a, b
-    nb = len(tb)
-    mul = lru_cache(maxsize=None)(field.multiply)
-    constants = [
-        [[(k1 * nb + k2, mul(v1, v2)) for k1, v1 in ea for k2, v2 in eb] for ea in row_a for eb in row_b]
-        for row_a in ta
-        for row_b in tb
-    ]
-    return constants, la * lb * field.reduction_den
 
 
 def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
@@ -551,20 +524,22 @@ def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
 def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor) -> bool:
     """Check Z(C0(Q)) against the tensor of conjugate even Clifford algebras.
 
-    The two sides are built through different code paths: the left tensors
-    the slots of build_ZG, the structure constants of C0(Q) twisted by each
-    sigma_i and swept as tables, the right runs the Clifford construction
-    on the sigma_i-conjugated diagonal entries.  The identity map on
-    monomials must be an algebra isomorphism, and the stored G-action must
-    match the slot-permutation action recomputed from scratch.
+    The two sides are built through different code paths: the left is the
+    slots of build_ZG, the structure constants of C0(Q) twisted by each
+    sigma_i, each swept as a table; the right runs the Clifford
+    construction on the sigma_i-conjugated diagonal entries.  They are
+    compared slot by slot, which compares their tensor products: each
+    factor's unit is u_0, so (u_i x u_0 x ...)(u_j x u_0 x ...) is the
+    first factor's u_i u_j times the unit, likewise in every slot, and two
+    tensor tables are equal exactly when their factors are (Pierce,
+    Associative Algebras, GTM 88); StructureAlgebra stores each in lowest
+    terms, so == is canonical.  The stored G-action must match the
+    slot-permutation action recomputed from scratch.
     """
     from .clifford import CliffordAlgebra, even_part  # layering: clifford builds on csa
 
-    a = even_part(CliffordAlgebra(f, diag_q.entries))
-    d = f.degree
+    a, gs = even_part(CliffordAlgebra(f, diag_q.entries)), range(1, f.degree + 1)
     zg = build_ZG(a, f)
-    left = reduce(tensor, (StructureAlgebra(f, table, den=den) for table, den in zg.slots))
-    right = reduce(tensor, (
-        even_part(CliffordAlgebra(f, [apply_automorphism(e, i) for e in diag_q.entries])) for i in range(1, d + 1)
-    ))
-    return left == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in range(1, d + 1))
+    left = [StructureAlgebra(f, table, den=den) for table, den in zg.slots]
+    right = [even_part(CliffordAlgebra(f, [apply_automorphism(e, i) for e in diag_q.entries])) for i in gs]
+    return left == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in gs)

@@ -13,14 +13,15 @@ columns.
 oracle_center is how csa.center used to find the center: it intersects the
 kernels of the commutator maps x -> [x, u_i] and returns the RREF basis.
 
-materialize is how csa.GaloisModuleAlgebra used to store Z(A): its whole
-n^2 table, each product of monomials the product of the slot cells at
-their digits (slot 0 the leading one), here on Fraction coefficient lists
-with fraction_reference's arithmetic.  It shares no code with
-GaloisModuleAlgebra.products, only the slots.
+oracle_tensor is the tensor product of tables of any sizes on Fraction
+coefficient lists with fraction_reference's arithmetic.  On the slots of
+Z(A) it is how csa.GaloisModuleAlgebra used to store Z(A), its whole n^2
+table, and it shares no code with GaloisModuleAlgebra.products, only the
+slots.  It also builds the reference tensors of quaternion tables, which
+csa no longer forms.
 
 oracle_action_failure is how csa.GaloisModuleAlgebra used to certify its
-action: the walk over all n^2 products of a materialized table, each
+action: the walk over all n^2 products of Z(A)'s oracle_tensor table, each
 moved by the monomial permutations with its coefficients pushed through
 the automorphisms, which must give the product of the moved monomials.
 
@@ -31,7 +32,7 @@ composition table, the fixed subspace is the kernel of the stacked
 operators act(g) - id, and every product of two RREF basis vectors is
 re-expressed in that basis by reading it at the pivot columns and checking
 the residual exactly.  It shares with csa.invariants only the slots of
-Z(A), read through materialize.
+Z(A), read through oracle_tensor.
 
 oracle_dense_trace_signature is how csa.trace_form_signature used to find
 the signature: it assembles the whole n x n Gram matrix of Tr(L_{xy}) in
@@ -222,34 +223,36 @@ def action_columns(f, m: int, g: int) -> list[list[tuple[int, Fraction]]]:
     ]
 
 
-def materialize(z) -> StructureAlgebra:
-    """Z(A)'s n^2 table from z.slots, swept: u_s u_t is the product over
-    the slots of the cells at the digits of s and t, its coefficients
-    Fraction lists multiplied with fraction_reference, and the table is
-    stored over the common denominator of all of them."""
-    f, d = z.field, z.field.degree
-    slots = [[[[(k, [Fraction(x, den) for x in v]) for k, v in cell] for cell in row] for row in table]
-             for table, den in z.slots]
-    m = len(slots[0])
+def oracle_tensor(field, tables) -> StructureAlgebra:
+    """The tensor product of (constants, den) tables of any sizes, swept:
+    u_s u_t is the product over the factors of the cells at the digits of
+    s and t (the first factor the leading one), its coefficients Fraction
+    lists multiplied with fraction_reference, and the table is stored over
+    the common denominator of all of them."""
+    d = field.degree
+    factors = [[[[(k, [Fraction(x, den) for x in v]) for k, v in cell] for cell in row] for row in table]
+               for table, den in tables]
+    sizes = [range(len(table)) for table in factors]
     one = ref.pad([Fraction(1)], d)
     rows = []
-    for s in product(range(m), repeat=d):  # the digits of s and t, in index order
+    for s in product(*sizes):  # the digits of s and t, in index order
         row = []
-        for t in product(range(m), repeat=d):
+        for t in product(*sizes):
             terms = [(0, one)]
-            for slot, i, j in zip(slots, s, t):
-                terms = [(k * m + k2, ref.mul(f, c, c2)) for k, c in terms for k2, c2 in slot[i][j]]
+            for table, i, j in zip(factors, s, t):
+                m = len(table)
+                terms = [(k * m + k2, ref.mul(field, c, c2)) for k, c in terms for k2, c2 in table[i][j]]
             row.append(sorted(terms))
         rows.append(row)
     den = lcm(1, *(x.denominator for row in rows for cell in row for _, c in cell for x in c))
     table = [[[(k, tuple(int(x * den) for x in c)) for k, c in cell] for cell in row] for row in rows]
-    return StructureAlgebra(f, table, den=den)
+    return StructureAlgebra(field, table, den=den)
 
 
 def oracle_action_failure(z, alg: StructureAlgebra) -> tuple[int, int, int] | None:
     """The first (g, t1, t2) at which sigma_g, acting by z.moves, does not
-    take u_t1 u_t2 of alg, the materialized table of z, to the product of
-    the moved monomials; None if there is none."""
+    take u_t1 u_t2 of alg, the oracle_tensor table of z's slots, to the
+    product of the moved monomials; None if there is none."""
     n = alg.dim
     for g, pt in z.moves.items():
         for t1 in range(n):
@@ -263,7 +266,7 @@ def oracle_action_failure(z, alg: StructureAlgebra) -> tuple[int, int, int] | No
 def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
     """The fixed algebra of z = build_ZG(a, f) by the stacked kernel over
     Q, base_dim the dim of a."""
-    f, alg = z.field, materialize(z)
+    f, alg = z.field, oracle_tensor(z.field, z.slots)
     d, want = f.degree, alg.dim
     n = want * d
     alpha_pow = [f.one()]

@@ -28,7 +28,7 @@ the Q Gram blocks of a trace form with inexact divisions), the 16 quaternion rel
 even_weight_orbits, the two claims of six_lines_family and the center
 count (a fixed algebra whose central basis element no longer commutes, and
 slot tables that are not monomial in the way the count needs).  Z(A)'s
-tables here are kernel_oracle.materialize's, built from its slots.
+tables here are kernel_oracle.oracle_tensor's, built from its slots.
 """
 
 import os
@@ -55,7 +55,7 @@ from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderM
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
-from kernel_oracle import materialize, rref
+from kernel_oracle import oracle_tensor, rref
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 from test_acceptance import TRIPLES
 
@@ -94,7 +94,7 @@ def tables(name: str) -> dict:
     """The C0, Z(A) and fixed-algebra tables of one field, and the
     quaternion table (1/2 + a, 2/3 + a/5), whose constants need the common
     denominator (over Q it is (1/2, 2/3)).  Z(A) is kernel_oracle's
-    materialized table of the slots.
+    oracle_tensor table of the slots.
 
     Over Q(sqrt d) the first three come from the six-lines family form
     diag(a, a, a - d) with c = 1.  Over the cubic, Z(A) and the fixed
@@ -122,7 +122,7 @@ def tables(name: str) -> dict:
     )
     return {
         "C0": c0,
-        "Z(A)": materialize(z),
+        "Z(A)": oracle_tensor(z.field, z.slots),
         "fixed": invariants(z),
         "symbol": from_symbol(symbol),
     }
@@ -245,7 +245,7 @@ def swept_tables(case) -> dict:
     """The tables of one case, built and swept once for every test here.
     An int m gives C0 of diag(1, ..., m) over Q; an acceptance triple
     (d, c, e) gives C0 of diag(a, a, c a - d) over Q(sqrt d), its Z(A)
-    (the materialized table of the slots) and its fixed algebra B."""
+    (the oracle_tensor table of the slots) and its fixed algebra B."""
     if isinstance(case, int):
         return {"C0": even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, case + 1))))}
     d, c, e = case
@@ -253,7 +253,7 @@ def swept_tables(case) -> dict:
     a = f.gen()
     c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
     z = build_ZG(c0, f)
-    return {"C0": c0, "Z(A)": materialize(z), "B": invariants(z)}
+    return {"C0": c0, "Z(A)": oracle_tensor(z.field, z.slots), "B": invariants(z)}
 
 
 @pytest.mark.parametrize("d, c, e", TRIPLES)
@@ -358,7 +358,7 @@ def generation_cases():
         ("biquadratic rank 2", biquadratic, [y, y - 2]),
     ):
         z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
-        yield f"{label} Z(A)", f, materialize(z).table
+        yield f"{label} Z(A)", f, oracle_tensor(z.field, z.slots).table
         yield f"{label} B", RATIONAL_FIELD, invariants(z).table
     for m in range(3, 10):
         yield f"Q rank {m} C0", RATIONAL_FIELD, swept_tables(m)["C0"].table

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksalgebra.cli import run
 from ksalgebra.exactfield import cyclic_cubic_field, field_to_json_dict, quadratic_field
@@ -259,6 +264,62 @@ def test_report_malformed_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+# report inputs that json.loads cannot take: bytes that are not UTF-8, an
+# array nested past the recursion limit, an integer past the digit limit
+UNREADABLE_INPUTS = {
+    "not_utf8": (b"\xff\xfe\x00bad",
+                 "input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "deep_array": (b"[" * 1000 + b"]" * 1000, "input is not valid JSON: nested too deeply"),
+    "long_integer": (b'{"field": {"quadratic_d": 1' + b"0" * 4999 + b'}, "form": {}}',
+                     "input is not valid JSON: an integer has too many digits"),
+}
+
+
+def run_report_on_bytes(data: bytes, via_stdin: bool) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of report --input on data, in process,
+    from a file or from a strict UTF-8 stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        path = Path(tmp) / "input.json"
+        path.write_bytes(data)
+        stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        try:
+            code = run(["report", "--input", "-" if via_stdin else str(path)])
+        finally:
+            sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+def test_report_on_unreadable_input_is_one_line_exit_2(name, via_stdin):
+    data, message = UNREADABLE_INPUTS[name]
+    assert run_report_on_bytes(data, via_stdin) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("name", UNREADABLE_INPUTS)
+def test_report_on_unreadable_input_under_python_O(tmp_path, name):
+    # a real stdin may decode with surrogateescape, which turns the bytes
+    # that are not UTF-8 into a JSON syntax error: exit 2 all the same
+    data, message = UNREADABLE_INPUTS[name]
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    from_file = cli_subprocess("report", "--input", str(path), optimize=True)
+    assert (from_file.returncode, from_file.stdout, from_file.stderr) == (2, b"", f"error: {message}\n".encode())
+    from_stdin = cli_subprocess("report", "--input", "-", optimize=True, stdin=data)
+    assert (from_stdin.returncode, from_stdin.stdout) == (2, b"")
+    assert from_stdin.stderr.startswith(b"error: input is not") and from_stdin.stderr.count(b"\n") == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=256), via_stdin=st.booleans())
+def test_report_on_arbitrary_bytes_ends_in_one_error_line(data, via_stdin):
+    code, out, err = run_report_on_bytes(data, via_stdin)
+    assert code in (1, 2)
+    assert out == ""
+    assert err.startswith("error:") and err.endswith("\n") and err.count("\n") == 1
+
+
 def test_report_json_round_trips_byte_identical(tmp_path, capsys):
     path = write_input(tmp_path, FAMILY_INPUT)
     assert run(["report", "--input", path]) == 0
@@ -274,8 +335,11 @@ def test_selftest_passes(capsys):
     assert "FAILED" not in out
 
 
-def cli_subprocess(*args: str, optimize: bool, timeout: float = 300) -> subprocess.CompletedProcess:
-    """python [-O] -m ksalgebra.cli args, with the package's sources on the path."""
+def cli_subprocess(
+    *args: str, optimize: bool, timeout: float = 300, stdin: bytes = b""
+) -> subprocess.CompletedProcess:
+    """python [-O] -m ksalgebra.cli args, with the package's sources on the
+    path and stdin fed to it."""
     path = [str(Path(__file__).resolve().parent.parent / "src")]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
@@ -283,7 +347,7 @@ def cli_subprocess(*args: str, optimize: bool, timeout: float = 300) -> subproce
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, "-m", "ksalgebra.cli", *args],
-        capture_output=True, env=env, timeout=timeout,
+        input=stdin, capture_output=True, env=env, timeout=timeout,
     )
 
 

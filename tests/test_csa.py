@@ -12,7 +12,6 @@ from ksalgebra.csa import (
     from_symbol,
     invariants,
     monomial_algebra,
-    tensor,
     trace_form_signature,
     verify_twisted_iso,
 )
@@ -30,11 +29,11 @@ from ksalgebra.qform import GramForm, diagonalize
 
 from kernel_oracle import (
     congruence,
-    materialize,
     oracle_action_failure,
     oracle_center,
     oracle_dense_trace_signature,
     oracle_invariants,
+    oracle_tensor,
 )
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 from test_associativity import corrupted_moves
@@ -43,6 +42,11 @@ Q2 = quadratic_field(2)
 
 HAMILTON = from_symbol(rational_symbol(-1, -1))
 SPLIT = from_symbol(rational_symbol(1, 1))
+
+
+def tensor_q(*algebras: StructureAlgebra) -> StructureAlgebra:
+    """The tensor product of Q-algebras, built by kernel_oracle.oracle_tensor."""
+    return oracle_tensor(RATIONAL_FIELD, [(a.table, a.den) for a in algebras])
 
 
 def family_diag(d: int, c: int):
@@ -129,15 +133,15 @@ def test_split_signature_matches_matrix_algebra():
 
 
 def test_trace_signature_cross_oracle_on_tensors():
-    mat2_h = tensor(SPLIT, HAMILTON)
-    mat4 = tensor(SPLIT, SPLIT)
+    mat2_h = tensor_q(SPLIT, HAMILTON)
+    mat4 = tensor_q(SPLIT, SPLIT)
     assert trace_form_signature(mat2_h) == oracle_trace_signature(mat2_h) == (6, 10, 0)
     assert trace_form_signature(mat4) == oracle_trace_signature(mat4) == (10, 6, 0)
     assert trace_form_signature(matrix_units_algebra(4)) == (10, 6, 0)
 
 
 def test_signature_components_sum_to_dim():
-    for alg in (HAMILTON, SPLIT, tensor(HAMILTON, HAMILTON)):
+    for alg in (HAMILTON, SPLIT, tensor_q(HAMILTON, HAMILTON)):
         pos, neg, null = trace_form_signature(alg)
         assert pos + neg + null == alg.dim
 
@@ -186,24 +190,11 @@ def test_unit_law_rejects_an_empty_table():
         StructureAlgebra(RATIONAL_FIELD, [])
 
 
-# -- tensor ---------------------------------------------------------------------------
-
-
-def test_tensor_with_unit_algebra():
-    s = StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))]]])
-    t = tensor(HAMILTON, s)
-    assert t.dim == 4
-    assert all(t.row(i, j) == HAMILTON.row(i, j) for i in range(4) for j in range(4))
-
-
-def test_tensor_dims_and_field_guard():
-    assert tensor(HAMILTON, SPLIT).dim == 16
-    with pytest.raises(FieldMismatch):
-        tensor(HAMILTON, StructureAlgebra(Q2, [[[(0, (1, 0))]]]))
+# -- tensor products ------------------------------------------------------------------
 
 
 def test_hamilton_squared_is_full_matrix_class():
-    assert trace_form_signature(tensor(HAMILTON, HAMILTON)) == (10, 6, 0)
+    assert trace_form_signature(tensor_q(HAMILTON, HAMILTON)) == (10, 6, 0)
 
 
 # -- center ---------------------------------------------------------------------------
@@ -285,8 +276,8 @@ TRACE_ALGEBRAS = {
     "SPLIT": lambda: SPLIT,
     "matrix units 2": lambda: matrix_units_algebra(2),
     "matrix units 4": lambda: matrix_units_algebra(4),
-    "SPLIT x HAMILTON": lambda: tensor(SPLIT, HAMILTON),
-    "SPLIT x SPLIT": lambda: tensor(SPLIT, SPLIT),
+    "SPLIT x HAMILTON": lambda: tensor_q(SPLIT, HAMILTON),
+    "SPLIT x SPLIT": lambda: tensor_q(SPLIT, SPLIT),
     "dual numbers": dual_numbers,
 }
 TRACE_CASES = (
@@ -398,8 +389,8 @@ def test_family_invariant_route_matches_mat2_hamilton():
     assert inv.dim == 16
     assert center(zg, inv) == 1
     sig = trace_form_signature(inv)
-    assert sig == trace_form_signature(tensor(SPLIT, HAMILTON))
-    assert sig != trace_form_signature(tensor(SPLIT, SPLIT))
+    assert sig == trace_form_signature(tensor_q(SPLIT, HAMILTON))
+    assert sig != trace_form_signature(tensor_q(SPLIT, SPLIT))
 
 
 def oracle_case(name: str):
@@ -446,11 +437,11 @@ def test_invariants_match_kernel_oracle(name):
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_slot_products_match_the_materialized_table(name):
-    # materialize builds and sweeps Z(A)'s n^2 table from the slots on
+    # oracle_tensor builds and sweeps Z(A)'s n^2 table from the slots on
     # Fractions; products, over z.den, must give every one of its cells
     a = oracle_case(name)
     z = build_ZG(a, a.field)
-    alg = materialize(z)
+    alg = oracle_tensor(z.field, z.slots)
     got = [[[] for _ in range(z.dim)] for _ in range(z.dim)]
     for s, t, k, c in z.products(range(z.dim)):
         got[s][t].append((k, [Fraction(x, z.den) for x in c]))
@@ -462,12 +453,12 @@ def test_slot_products_match_the_materialized_table(name):
 def test_the_n2_action_walk_accepts_the_slot_certified_action(name):
     a = oracle_case(name)
     z = build_ZG(a, a.field)
-    assert oracle_action_failure(z, materialize(z)) is None
+    assert oracle_action_failure(z, oracle_tensor(z.field, z.slots)) is None
 
 
 def test_the_n2_action_walk_rejects_corrupted_moves():
     z = corrupted_moves("Q(sqrt 2)")
-    assert oracle_action_failure(z, materialize(z)) == (2, 1, 1)
+    assert oracle_action_failure(z, oracle_tensor(z.field, z.slots)) == (2, 1, 1)
 
 
 def test_products_form_only_the_kept_monomials():
@@ -566,6 +557,18 @@ def test_twisted_iso_degree_one():
     assert verify_twisted_iso(diagonalize(g), RATIONAL_FIELD) is True
 
 
+@pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4"])
+def test_twisted_iso_beyond_the_family_form(name):
+    # d = 3 slots, and m = 4 with dim-8 slots
+    if name == "cubic search form":
+        f = cyclic_cubic_field()
+        diag = diagonalize(search_cubic_diagonal(f))
+    else:
+        f, a = Q2, Q2.gen()
+        diag = diagonalize(GramForm.diagonal(f, [a, a, a - 2, a - 2]))
+    assert verify_twisted_iso(diag, f) is True
+
+
 def verify_against(monkeypatch, diag, f, zg) -> bool:
     """verify_twisted_iso with zg standing in for the Z(A) it builds."""
     monkeypatch.setattr(csa, "build_ZG", lambda a, field: zg)
@@ -587,7 +590,7 @@ def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
     moves[0], moves[1] = moves[1], moves[0]
     zg.moves[1] = moves
     assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg) is False
-    # the left side sweeps each slot it tensors: a corrupted constant
+    # the left side sweeps each slot it compares: a corrupted constant
     # breaks associativity there
     zg2 = build_ZG(a, RATIONAL_FIELD)
     corrupt_a_slot_constant(zg2, 0)
@@ -613,3 +616,12 @@ def test_twisted_iso_negative_controls(monkeypatch):
     zg3 = build_ZG(a, f)
     zg3.slots.reverse()
     assert verify_against(monkeypatch, diag, f, zg3) is False
+
+
+def test_twisted_iso_rejects_slot_0_in_slot_1(monkeypatch):
+    # slot 0 is C0 itself: associative, so it passes the sweep, but it is
+    # not sigma_2(C0), which the Clifford construction builds for slot 1
+    f, diag = family_diag(2, 1)
+    zg = build_ZG(even_part(CliffordAlgebra(f, diag.entries)), f)
+    zg.slots[1] = zg.slots[0]
+    assert verify_against(monkeypatch, diag, f, zg) is False

@@ -16,9 +16,10 @@ assert left in the package is listed below by module and enclosing function: cer
 raise, and a new assert is a deliberate edit of that list.  So is every
 comparison of a field degree with 1: products specialize to Q in one
 place, the exactfield accumulator, and a new Q-only fork is a deliberate
-edit of its list.  The Fraction reference that the arithmetic is checked
-against imports nothing from the package, so a package bug cannot pass by
-agreeing with itself.  The modules that import fractions are listed
+edit of its list.  So is every call that passes check=, the size gate on
+a sweep for associativity.  The Fraction reference that the arithmetic is
+checked against imports nothing from the package, so a package bug cannot
+pass by agreeing with itself.  The modules that import fractions are listed
 below, so that Fraction arithmetic does not come back into the linear
 algebra unnoticed.  No assert in the tests may have a constant true
 operand of `or` in its condition, which would let it pass whatever the
@@ -360,6 +361,31 @@ def test_degree_branches_are_located_by_function():
 def test_degree_branches_in_src_are_the_listed_ones():
     found = {path.stem: degree_branches_by_function(path.read_text()) for path in MODULES}
     assert {module: where for module, where in found.items() if where} == LISTED_DEGREE_BRANCHES
+
+
+# the functions in the package that pass check= to a StructureAlgebra,
+# by module: the one size-gated sweep left, the fixed subalgebra's
+LISTED_SWEEP_GATES = {"csa": ["invariants"]}
+
+
+def sweep_gates_by_function(source: str) -> list[str]:
+    return located_by_function(
+        source, lambda node: isinstance(node, ast.Call) and any(kw.arg == "check" for kw in node.keywords)
+    )
+
+
+def test_sweep_gates_are_located_by_function():
+    source = (
+        "def f(t):\n    return A(t, check=len(t) < 9)\n"
+        "class K:\n    def m(self, t):\n        return [A(t, check=False), A(t), A(t, den=2)]\n"
+        "def clean(t, check):\n    return A(t, checked=check)\n"
+    )
+    assert sweep_gates_by_function(source) == ["f", "K.m"]
+
+
+def test_sweep_gates_in_src_are_the_listed_ones():
+    found = {path.stem: sweep_gates_by_function(path.read_text()) for path in MODULES}
+    assert {module: where for module, where in found.items() if where} == LISTED_SWEEP_GATES
 
 
 def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:

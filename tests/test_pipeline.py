@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ksalgebra import csa, qform
 from ksalgebra.clifford import CliffordAlgebra
 from ksalgebra.brauer import INF, is_definite, rational_symbol
-from ksalgebra.csa import from_symbol, tensor, trace_form_signature
+from ksalgebra.csa import from_symbol, trace_form_signature
 from ksalgebra.errors import (
     CertificateFailure,
     FieldMismatch,
@@ -33,6 +33,7 @@ from ksalgebra.pipeline import (
 )
 from ksalgebra.qform import GramForm
 
+from kernel_oracle import oracle_tensor
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 
 
@@ -453,14 +454,12 @@ def test_dimension_laws_on_reports(family_211, cubic_report):
 
 def tensor_chain_signatures(d: int) -> tuple:
     """The reference signatures built literally: the (-1,-1) and (1,1)
-    symbol tables over Q, each tensored with d - 1 copies of M_2(Q)."""
-    split = from_symbol(rational_symbol(1, 1))
-    definite = from_symbol(rational_symbol(-1, -1))
-    indefinite = split
-    for _ in range(d - 1):
-        definite = tensor(split, definite)
-        indefinite = tensor(split, indefinite)
-    return trace_form_signature(definite), trace_form_signature(indefinite)
+    symbol tables over Q, each tensored with d - 1 copies of M_2(Q) by
+    kernel_oracle.oracle_tensor."""
+    split, definite = (from_symbol(rational_symbol(x, x)) for x in (1, -1))
+    chain = [(split.table, split.den)] * (d - 1)
+    return tuple(trace_form_signature(oracle_tensor(RATIONAL_FIELD, chain + [(a.table, a.den)]))
+                 for a in (definite, split))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
