@@ -144,8 +144,8 @@ def _cmd_classify(args) -> int:
 
 
 def _load_report_input(path: str) -> tuple:
-    try:
-        raw = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    try:  # bytes, decoded strictly here whatever text layer the locale gave sys.stdin
+        raw = (sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()).decode("utf-8")
     except OSError as exc:
         raise MalformedInput(f"cannot read input file: {exc}")
     except UnicodeDecodeError as exc:

@@ -40,8 +40,9 @@ every index that no nonzero entry crosses; for the fixed algebra the
 blocks are the orbits.
 """
 from functools import lru_cache
-from itertools import compress, count, cycle, product
+from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import (
     CertificateFailure,
@@ -359,13 +360,14 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     adds one product of FieldDescriptor.pack_matrices of the coefficients a
     at s of the basis elements (packed once per s) and pack_vectors of the
     b c, b those at s', which sums M_a (b c) = reduce(a b c) for every pair
-    of basis elements.  Each sum is read once, with an unpacker memoized
-    for this call only: at E^H = E every coordinate, at E^H = Q
-    coordinate 0, the others having to vanish, and otherwise those at the
-    pivots of E^H, the RREF rows combined by them having to give the sum
-    back; else NotClosedUnderMultiplication is raised.  The moves are
-    trusted as certified when z was built; a later corruption is caught
-    where it breaks these checks or the dimension count.
+    of basis elements.  Each sum is read once, by an unpacker memoized for
+    this call only, as one column per coordinate.  Its coordinates in the
+    basis at k are the pivot columns of E^H; the RREF rows, over one S and
+    so S times the identity there, must take them to S times each free
+    column (off the pivots), else NotClosedUnderMultiplication is raised:
+    at E^H = Q columns 1..d-1 must vanish, at E^H = E none is free.  The
+    moves are trusted as certified when z was built; a later corruption is
+    caught where it breaks these checks or the dimension count.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that it inherits associativity from Z(A),
@@ -373,7 +375,7 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     """
     f, d, n = z.field, z.field.degree, z.dim
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
-    blocks, basis, fields = [], [], {}  # a block: first coordinate, dim E^H, orbit, pivots, rows over S, S
+    blocks, basis, fields = [], [], {}  # a block: first coordinate, dim E^H, orbit, pivots, free columns, S
     for t in range(n):
         images = [z.moves[g][t] for g in gs]
         if min(images) < t:
@@ -392,30 +394,16 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             scale = lcm(*(echelon[p][p][0] for p in pivots))
             rows = [[echelon[p].get(l, (0,))[0] * (scale // echelon[p][p][0]) for l in range(d)] for p in pivots]
             conjugates = [[apply_automorphism(f.from_integers(r, scale), g) for g in gs] for r in rows]
-            fields[stab] = pivots, rows, scale, conjugates
-        pivots, rows, scale, conjugates = fields[stab]
-        blocks.append((len(basis), len(rows), sorted(set(images)), pivots, rows, scale))
+            free = [(l, [r[l] for r in rows]) for l in range(d) if l not in pivots]
+            fields[stab] = pivots, free, scale, conjugates
+        pivots, free, scale, conjugates = fields[stab]
+        blocks.append((len(basis), len(pivots), sorted(set(images)), pivots, free, scale))
         if any(len(set(zip(images, cs))) != len(set(images)) for cs in conjugates):
             raise CertificateFailure(f"basis element at monomial {t} is not fixed")
         basis += [dict(zip(images, cs)) for cs in conjugates]  # {monomial: coefficient}
     if len(basis) != n:
         raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
     block_of = {s: o for o, (_, _, orbit, *_) in enumerate(blocks) for s in orbit}
-
-    def read(k: int, v: list[int], cells: list[list]) -> None:
-        # appends to cells[x] the coordinates of v[d x:d x + d] u_k in the basis at k
-        first, m, _, pivots, rows, scale = blocks[block_of[k]]
-        if m in (1, d):  # every one at E^H = E; at E^H = Q the first, and the rest must vanish
-            xs, bad = v[::d // m], m == 1 and any(any(v[i::d]) for i in range(1, d))
-        else:  # those at the pivots, which the RREF rows must take back to v
-            xs = [v[y + p] for y in range(0, len(v), d) for p in pivots]
-            bad = any(sum(c * r[l] for c, r in zip(xs[m * x:m * x + m], rows)) != scale * v[d * x + l]
-                      for x in range(len(cells)) for l in range(d))
-        if bad:
-            raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-        for i, x, at in compress(zip(cycle(range(first, first + m)), zip(xs), count()), xs):
-            cells[at // m].append((i, x))
-
     # the basis over one denominator M, the table over one L: products over M^2 L D^2, D = reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [{s: tuple([x * (bden // c.den) for x in c.num]) for s, c in vec.items()} for vec in basis]
@@ -442,7 +430,16 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             cells = [constants[i0 + x // mr][j0 + x % mr] for x in range(m * mr)]
             unpack = unpacker(m, mr, width)
             for k in sorted(sums):
-                read(k, unpack(sums[k]), cells)
+                first, _, _, pivots, free, scale = blocks[block_of[k]]
+                columns = unpack(sums[k])
+                coordinates = [columns[p] for p in pivots]
+                for l, rs in free:  # the RREF rows must take the coordinates back to column l
+                    if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
+                        raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+                for e, xs in enumerate(coordinates, first):
+                    for cell, x in zip(cells, xs):
+                        if x:
+                            cell.append((e, (x,)))
     return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
 
 

@@ -18,7 +18,8 @@ norms and exact division.  Over Q a product is one integer product:
 accumulate holds the package's one degree-1 branch.
 pack_matrices, pack_vectors and unpacker sum many M_a y = reduce(a y) in
 one int by Kronecker substitution, at a digit width packing_width bounds; a
-packed M_a has room for d vectors, so it is packed once for every count.
+packed M_a has room for d vectors, so it is packed once for every count,
+and unpacker reads the sums back one list of digits per coordinate.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of
@@ -279,17 +280,17 @@ class FieldDescriptor:
 
     def unpacker(self, matrices: int, vectors: int, width: int):
         """The reader of a sum of products of pack_matrices of that many
-        coefficients and pack_vectors of that many vectors: it gives the sums
-        of (M_{a_l} y_j)_i, over reduction_den, at (l vectors + j) d + i."""
+        coefficients and pack_vectors of that many vectors: its column i
+        holds the sums of (M_{a_l} y_j)_i, over reduction_den, at l vectors + j."""
         d, slot = self.degree, self.degree * (self.degree + 1) - 1
         bias = ((1 << width * slot * d * matrices) - 1) // ((1 << width) - 1) << width - 1
-        shifts = [width * (slot * (l * d + i) + d - 1 + d * j)
-                  for l in range(matrices) for j in range(vectors) for i in range(d)]
+        columns = [[width * (slot * (l * d + i) + d - 1 + d * j) for l in range(matrices) for j in range(vectors)]
+                   for i in range(d)]
         mask, half = (1 << width) - 1, 1 << width - 1
 
-        def unpack(packed: int) -> list[int]:
+        def unpack(packed: int) -> list[list[int]]:
             packed += bias  # 2^(width - 1) at every digit, so that none borrows
-            return [(packed >> s & mask) - half for s in shifts]
+            return [[(packed >> s & mask) - half for s in shifts] for shifts in columns]
         return unpack
 
     def automorphism(self, i: int, num: Sequence[int]) -> tuple[list[int], int]:

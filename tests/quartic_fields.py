@@ -2,8 +2,10 @@
 
 Both are totally real Galois quartics with subgroups of order 2, so their
 Z(A) has monomials whose stabiliser is neither trivial nor all of G: the
-fixed field E^H there is a quadratic subfield, where the fixed algebra's
-coordinates are read at the pivots of E^H and checked against its rows.
+fixed field E^H there is a quadratic subfield.  The fixed algebra's
+coordinates are read at the pivots of every E^H and checked against its
+rows at the other columns; only here are there pivots and other columns
+that are neither all of them (E^H = E) nor all but coordinate 0 (E^H = Q).
 
 - the cyclic quartic X^4 - 4X^2 + 2, the real subfield of Q(zeta_16);
 - the biquadratic X^4 - 10X^2 + 1 = Q(sqrt 2, sqrt 3), with G = C2 x C2.

@@ -52,7 +52,7 @@ from ksalgebra.csa import (
     invariants,
 )
 from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
-from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field
+from ksalgebra.exactfield import RATIONAL_FIELD, FieldDescriptor, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
 from kernel_oracle import oracle_tensor, rref
@@ -441,6 +441,47 @@ def corrupted_coefficient(name: str):
 CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic", "cyclic quartic")
 
 
+def invariants_with_a_nudged_digit(name: str) -> None:
+    """invariants of a dim-64 Z(A), whose fixed algebra is not swept: of
+    the rank-4 diag(a, a, a - 2, a - 2) over Q(sqrt 2), or of the cubic
+    search form, with FieldDescriptor.unpacker adding 1 to coordinate 1 of
+    the first sum read.  That sum is u_0 u_0 at monomial 0, which every
+    move fixes, so E^H = Q there and coordinate 1, off its one pivot, must
+    vanish."""
+    if name == "Q(sqrt 2) rank 4":
+        f = quadratic_field(2)
+        a = f.gen()
+        entries = [a, a, a - 2, a - 2]
+    else:
+        f = cyclic_cubic_field()
+        form = pipeline.search_cubic_diagonal(f)
+        entries = [form.entries[i][i] for i in range(form.dim)]
+    z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    assert z.dim == 64
+    real, nudged = FieldDescriptor.unpacker, []
+
+    def unpacker(field, *args):
+        unpack = real(field, *args)
+
+        def nudge(packed):
+            columns = unpack(packed)
+            if not nudged:
+                nudged.append(True)
+                columns[1][0] += 1
+            return columns
+        return nudge
+
+    FieldDescriptor.unpacker = unpacker
+    try:
+        invariants(z)
+    finally:
+        FieldDescriptor.unpacker = real
+
+
+# the dim-64 cases whose invariants_with_a_nudged_digit must reject
+NUDGED_DIGITS = ("Q(sqrt 2) rank 4", "cubic search form")
+
+
 def certify_corrupted_action() -> None:
     corrupted_moves("Q(sqrt 2)")._check_actions()
 
@@ -649,6 +690,12 @@ def test_invariants_reject_a_coefficient_corrupted_after_construction():
             invariants(corrupted_coefficient(name))
 
 
+@pytest.mark.parametrize("name", NUDGED_DIGITS)
+def test_invariants_reject_a_nudged_digit_where_the_fixed_algebra_is_not_swept(name):
+    with pytest.raises(NotClosedUnderMultiplication, match="product leaves the fixed subspace"):
+        invariants_with_a_nudged_digit(name)
+
+
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():
     with pytest.raises(CertificateFailure, match=r"P\^T G P fails at \(0,0\)"):
         diagonalize_with_broken_certificate()
@@ -663,10 +710,10 @@ def test_identification_rejects_a_c0_cell_corrupted_after_construction():
 
 _UNDER_O = """
 from test_associativity import (
-    CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES, NUCLEUS_TABLES,
+    CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES, NUCLEUS_TABLES, NUDGED_DIGITS,
     build_perturbed, build_with_wrong_unit, certify_corrupted_action,
     corrupted_coefficient, corrupted_moves, diagonalize_with_broken_certificate,
-    nucleus_table, perturbed, symbol_with_broken_relation, tables,
+    invariants_with_a_nudged_digit, nucleus_table, perturbed, symbol_with_broken_relation, tables,
 )
 from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
 from ksalgebra.exactfield import RATIONAL_FIELD
@@ -720,6 +767,13 @@ for name in CORRUPTED_COEFFICIENTS:
         print(f"{name} corrupted coefficient: {exc}")
     else:
         raise SystemExit(f"{name}: invariants of a corrupted coefficient accepted")
+for name in NUDGED_DIGITS:
+    try:
+        invariants_with_a_nudged_digit(name)
+    except NotClosedUnderMultiplication as exc:
+        print(f"{name} nudged digit: {exc}")
+    else:
+        raise SystemExit(f"{name}: invariants of a nudged digit accepted")
 """
 
 
@@ -753,6 +807,8 @@ def test_negative_control_survives_python_O():
         "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
         "cubic corrupted coefficient: product leaves the fixed subspace",
         "cyclic quartic corrupted coefficient: product leaves the fixed subspace",
+        "Q(sqrt 2) rank 4 nudged digit: product leaves the fixed subspace",
+        "cubic search form nudged digit: product leaves the fixed subspace",
     ]
     assert len(lines) == swept + 2 + len(certificates)
     assert all("associativity fails at (" in line for line in lines[:swept])

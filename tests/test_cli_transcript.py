@@ -32,7 +32,7 @@ def run_case(case: dict) -> dict:
     raw = case.get("input", "")
     text = raw if isinstance(raw, str) else json.dumps(raw)
     out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(case["argv"])

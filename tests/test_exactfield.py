@@ -534,10 +534,10 @@ def width_for(field, terms) -> int:
     )
 
 
-def packed_sum(field, terms) -> list[int]:
+def packed_sum(field, terms) -> list[list[int]]:
     """The unpacker's read of the sum, over the terms (coefficients,
     vectors), of pack_matrices * pack_vectors, at the width packing_width
-    gives."""
+    gives: d columns, one per coordinate."""
     width = width_for(field, terms)
     total = sum(
         field.pack_matrices(coefficients, width) * field.pack_vectors(ys, width) for coefficients, ys in terms
@@ -545,19 +545,21 @@ def packed_sum(field, terms) -> list[int]:
     return field.unpacker(len(terms[0][0]), len(terms[0][1]), width)(total)
 
 
-def accumulated_sum(field, terms) -> list[int]:
+def accumulated_sum(field, terms) -> list[list[int]]:
     """The same sums with accumulate and reduce: reduce(a_l y_j) summed over
-    the terms, at (l * vectors + j) d + i."""
+    the terms, coordinate i at column i, position l * vectors + j."""
     sums: dict = {}
     for coefficients, ys in terms:
         for l, a in enumerate(coefficients):
             field.accumulate(sums, a, [((l, j), y) for j, y in enumerate(ys)])
     m, r = len(terms[0][0]), len(terms[0][1])
-    return [x for l in range(m) for j in range(r) for x in field.reduce(sums[l, j])]
+    reduced = [field.reduce(sums[l, j]) for l in range(m) for j in range(r)]
+    return [list(column) for column in zip(*reduced)]
 
 
-def reference_sum(field, terms) -> list[Fraction]:
-    """The same sums from the Fraction reference, times reduction_den."""
+def reference_sum(field, terms) -> list[list[Fraction]]:
+    """The same sums from the Fraction reference, times reduction_den, in
+    the same columns."""
     m, r = len(terms[0][0]), len(terms[0][1])
     out = []
     for l in range(m):
@@ -565,8 +567,8 @@ def reference_sum(field, terms) -> list[Fraction]:
             total = ref.pad([], field.degree)
             for coefficients, ys in terms:
                 total = ref.add(total, ref.mul(field, coefficients[l], ys[j]))
-            out.extend(c * field.reduction_den for c in total)
-    return out
+            out.append([c * field.reduction_den for c in total])
+    return [list(column) for column in zip(*out)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -622,7 +624,7 @@ AT_THE_BOUND_IDS = ["Q+", "Q-", "Q(sqrt 2)+", "Q(sqrt 2)-"]
 def test_packed_products_hold_coefficients_at_the_width_bound(field, a, bound_a, y):
     terms = [([a], [y])] * 3
     got = packed_sum(field, terms)
-    assert abs(got[0]) == 3 * field.degree * bound_a * abs(y[0])
+    assert abs(got[0][0]) == 3 * field.degree * bound_a * abs(y[0])
     assert got == accumulated_sum(field, terms) == reference_sum(field, terms)
 
 
