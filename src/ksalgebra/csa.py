@@ -34,10 +34,10 @@ its coefficients at the monomial orbit representatives, so the fixed
 algebra is built in closed form from orbit traces and its products, one
 pair of orbits at a time, read off there.  The center of Z is the tensor of
 the slots' centers, each spanned by its central monomials, and the center
-of the fixed algebra is counted from the slots and its table.  The trace
-form of a Q-algebra is diagonalized block by block, on integers, split at
-every index that no nonzero entry crosses; for the fixed algebra the
-blocks are the orbits.
+of the fixed algebra is counted from the slots and its table.  The same
+slot shapes leave the unit the one monomial with a trace, so the trace
+form of the fixed algebra is read off its table's unit column, in integer
+blocks split at every index no nonzero entry crosses: the orbits.
 """
 from functools import lru_cache
 from itertools import product
@@ -446,21 +446,9 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
 # -- centers and trace forms ---------------------------------------------------------
 
 
-def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
-    """dim_Q of the center of b = invariants(z), fixed by two counts.
-
-    Upper bound, on the slots of Z(A): in each, every product u_i u_j must
-    be one nonzero monomial, the same as u_j u_i, and for each i, j -> that
-    monomial must be injective.  Then conjugation by u_i scales each u_j,
-    so a slot's center is spanned by its central monomials (Lam,
-    Introduction to Quadratic Forms over Fields, Ch. V), and the center of
-    Z(A), the tensor of the slots' centers (Pierce), has dim the product of
-    their counts.  It bounds dim_Q Z(b) from above, as Z(b) tensor E lies
-    in it.  Lower bound, on b's table: the basis elements that commute with
-    every basis element are independent and central.  A failed shape
-    check, or bounds that differ, raise CertificateFailure.
-    """
-    upper = 1
+def _certify_slot_shapes(z: GaloisModuleAlgebra) -> None:
+    """Each slot product u_i u_j of Z(A) must be one nonzero monomial, the
+    same as u_j u_i, and injective in j, else CertificateFailure."""
     for s, (table, _) in enumerate(z.slots):
         monomials = _monomials(s, table)
         for i, ms in enumerate(monomials):
@@ -469,8 +457,23 @@ def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
                 raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} land on different monomials")
             if len(set(ms)) != len(ms):
                 raise CertificateFailure(f"slot {s} products u_{i} u_j repeat a monomial")
-        upper *= sum(all(row[j] == table[j][i] for i, row in enumerate(table)) for j in range(len(table)))
-    lower = sum(all(b.table[i][j] == b.table[j][i] for j in range(b.dim)) for i in range(b.dim))
+
+
+def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
+    """dim_Q of the center of b = invariants(z), fixed by two counts.
+
+    Upper bound: on slots shaped as _certify_slot_shapes requires,
+    conjugation by u_i scales each u_j, so a slot's center is spanned by
+    its central monomials (Lam, Introduction to Quadratic Forms over
+    Fields, Ch. V); the center of Z(A), the tensor of the slots' centers
+    (Pierce), has dim the product of their counts, and Z(b) tensor E lies
+    in it.  Lower bound: the basis elements of b that commute with every
+    basis element, independent and central.  Bounds that differ raise
+    CertificateFailure.
+    """
+    _certify_slot_shapes(z)
+    upper = prod(sum(row == list(col) for row, col in zip(table, zip(*table))) for table, _ in z.slots)
+    lower = sum(row == list(col) for row, col in zip(b.table, zip(*b.table)))
     if lower != upper:
         raise CertificateFailure(
             f"center bounds differ: {lower} central basis elements in B,"
@@ -479,36 +482,33 @@ def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
     return upper
 
 
-def trace_form_signature(a: StructureAlgebra) -> tuple[int, int, int]:
-    """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q.
+def trace_form_signature(z: GaloisModuleAlgebra, b: StructureAlgebra) -> tuple[int, int, int]:
+    """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) on b = invariants(z).
 
-    Associativity makes Tr(L_x L_y) = Tr(L_{xy}).  With the constants
-    stored as integers over one denominator L, the basis traces and the
-    Gram matrix are integers over L and L^2, positive factors the
-    signature does not see.  The Gram matrix splits at every index that no
-    nonzero entry crosses: each block, an interval of the basis, is closed
-    as soon as its rows are summed and goes to qform.congruence_diagonalize,
-    which certifies its P^T G P in integers (Conner and Perlis, A Survey of
-    Trace Forms).  No nonzero entry lies outside the blocks, so the
-    signature is the sum of theirs.  For a fixed algebra of Z(A) the blocks
-    are the orbits' bases: u_s u_t has a unit component only when s = t.
+    Once _certify_slot_shapes has passed, u_s u_t in a slot is one
+    monomial, symmetric and injective in s and t, so it lies on u_t = u_0
+    u_t only for s = 0; traces multiply over the slots, so in Z(A)
+    Tr(L_{u_t}) is n at t = 0 and 0 elsewhere.  b tensor E = Z(A) (Knus,
+    Merkurjev, Rost and Tignol, 3.B), and b_0 = u_0 alone has a u_0 term,
+    so Tr(L_{xy}) = n (xy)_0: the Gram matrix is n/L times the u_0 entries
+    of b's integer cells over L, each its cell's first term.  Its blocks,
+    split at every index no nonzero entry crosses (the orbits), go to
+    qform.congruence_diagonalize as they close, which certifies P^T G P in
+    integers (Conner and Perlis, A Survey of Trace Forms).
     """
-    if a.field.degree != 1:
-        raise FieldMismatch("trace form is computed for Q-algebras only")
-    n, table = a.dim, a.table
-    tr = [sum(v[0] for t, cell in enumerate(row) for k, v in cell if k == t) for row in table]
+    _certify_slot_shapes(z)
+    n, table = b.dim, b.table
     gram: dict[tuple[int, int], int] = {}
     pos = neg = start = end = 0  # the open block starts at start; end is its last nonzero column
     for i in range(n):
         for j in range(i, n):
-            x = sum(v[0] * tr[k] for k, v in table[i][j])
-            if x:
-                gram[i, j] = gram[j, i] = x
+            cell = table[i][j]
+            if cell and cell[0][0] == 0:
+                gram[i, j] = gram[j, i] = cell[0][1][0]
                 end = max(end, j)
         if end <= i:  # no nonzero entry crosses i
             block = range(start, i + 1)
-            diag, _ = congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD)
-            for e in diag:
+            for e in congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD):
                 pos += e.num[0] > 0
                 neg += e.num[0] < 0
             start, gram = i + 1, {}

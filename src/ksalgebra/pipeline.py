@@ -208,7 +208,7 @@ def _symbol_route(c0: QuaternionSymbol, f: FieldDescriptor, diag_entries: list) 
 def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
     z = build_ZG(ev_algebra, f)
     inv = invariants(z)
-    sig = trace_form_signature(inv)
+    sig = trace_form_signature(z, inv)
     verdict = None
     if m == 3 and sig[2] == 0:
         # B is M_n(H) or M_2n(Q), n = 2^(d-1).  Trace forms multiply under

@@ -10,8 +10,8 @@ M_1, M_2, ... are minors of the matrix, and the step after M_k divides by
 it exactly: it multiplies by the adjugate of M_k and divides the integers
 by its norm.  The diagonal is D_k = M_k / M_(k-1), M_0 = 1, and the
 integer change of basis P_int is certified in integers, P_int^T G P_int =
-diag(M_(k-1) M_k) (CertificateFailure otherwise), so every
-diagonalization carries its own certificate.
+diag(M_(k-1) M_k) (CertificateFailure otherwise), so every diagonal
+is certified where it is made.
 
 Signatures are per real place: count exact signs of the diagonal entries
 under each embedding.  The K3-with-real-multiplication shape is signature
@@ -74,18 +74,17 @@ class GramForm:
 
 @dataclass
 class DiagForm:
-    """Diagonal entries plus the congruence certificate that produced them."""
+    """The diagonal entries of a form, from a certified congruence."""
 
     field: FieldDescriptor
     entries: list[FieldElem]
-    certificate: list[list[FieldElem]]  # P with P^T G P = diag(entries)
 
 
 def congruence_diagonalize(matrix, field: FieldDescriptor):
-    """(diag, P) as FieldElems with P^T A P = diag, for A a symmetric
-    matrix of integer vectors (d ints each, over 1), by the module's
-    Bareiss; column k of P_int is M_k times column k of P.  A totally
-    isotropic active block ends it: the radical gives zero entries."""
+    """The diagonal P^T A P, as FieldElems, for A a symmetric matrix of
+    integer vectors (d ints each, over 1), by the module's Bareiss, with
+    P_int = P diag(M_k) certified in integers.  A totally isotropic active
+    block ends it: the radical gives zero entries."""
     m, multiply, rd = len(matrix), field.multiply, field.reduction_den
     zero = (0,) * field.degree
     a, one = [list(row) for row in matrix], (1,) + zero[1:]
@@ -128,9 +127,7 @@ def congruence_diagonalize(matrix, field: FieldDescriptor):
         for j, x in enumerate(row):
             if (multiply(x, adj) != tuple([rd * rd * rn * y for y in pivot])) if i == j else any(x):
                 raise CertificateFailure(f"congruence certificate P^T G P fails at ({i},{j})")
-    elem = field.from_integers
-    p = [[elem(multiply(x, adj), rn) for x, (_, adj, rn) in zip(row, steps)] for row in zip(*cols)]
-    return [elem(multiply(v, adj), rn) for v, adj, rn in steps], p
+    return [field.from_integers(multiply(v, adj), rn) for v, adj, rn in steps]
 
 
 def _congruence_products(field: FieldDescriptor, matrix, cols) -> list[list[tuple[int, ...]]]:
@@ -148,15 +145,15 @@ def _congruence_products(field: FieldDescriptor, matrix, cols) -> list[list[tupl
 
 
 def diagonalize(g: GramForm) -> DiagForm:
-    """Diagonalize a non-degenerate Gram form with an exact certificate: the
+    """Diagonalize a non-degenerate Gram form, certified in integers: the
     entries over their common denominator L, the diagonal divided by L."""
     f = g.field
     den = lcm(1, *(e.den for row in g.entries for e in row))
     rows = [[tuple([x * (den // e.den) for x in e.num]) for e in row] for row in g.entries]
-    diag, p = congruence_diagonalize(rows, f)
+    diag = congruence_diagonalize(rows, f)
     if not all(diag):
         raise DegenerateForm("form has a totally isotropic active block")
-    return DiagForm(f, [f.from_integers(e.num, e.den * den) for e in diag], p)
+    return DiagForm(f, [f.from_integers(e.num, e.den * den) for e in diag])
 
 
 def _inertia(diag: DiagForm, i: int) -> tuple[int, int]:

@@ -1,10 +1,10 @@
 """The fixed algebra of Z(A) and the center of an algebra over Q computed
 the long way, as test oracles, with the dense eliminations they rely on.
-The oracles share no elimination with the package: rref is a Fraction
-RREF, and congruence is the symmetric Gauss congruence the package ran on
-FieldElems before its integer Bareiss elimination, kept here as the
-reference on plain Fraction coefficient lists (fraction_reference's
-arithmetic, inverses solved with rref).
+The oracles share no elimination with the package, block_trace_signature
+(below) aside: rref is a Fraction RREF, and congruence is the symmetric
+Gauss congruence the package ran on FieldElems before its integer Bareiss
+elimination, kept here as the reference on plain Fraction coefficient
+lists (fraction_reference's arithmetic, inverses solved with rref).
 
 kernel reads a kernel basis off rref: each free column f gives the vector
 with x_f = 1, x_c = -row[f] at each pivot column c and 0 at the other free
@@ -37,6 +37,15 @@ Z(A), read through oracle_tensor.
 oracle_dense_trace_signature is how csa.trace_form_signature used to find
 the signature: it assembles the whole n x n Gram matrix of Tr(L_{xy}) in
 Fractions and runs one dense congruence diagonalization on it.
+
+block_trace_signature is the trace form of any Q-algebra as
+csa.trace_form_signature computed it before it was narrowed to fixed
+algebras, where it reads the Gram matrix off the unit column: the basis
+traces from every cell, the Gram matrix summed term by term against them
+and split into interval blocks, each diagonalized by the package's
+qform.congruence_diagonalize.  It is the reference for the algebras that
+are not fixed algebras of a Z(A): quaternion and matrix-unit tables, their
+tensors and the dual numbers.
 """
 
 from fractions import Fraction
@@ -47,6 +56,7 @@ import fraction_reference as ref
 from ksalgebra.csa import StructureAlgebra
 from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
 from ksalgebra.exactfield import RATIONAL_FIELD, apply_automorphism
+from ksalgebra.qform import congruence_diagonalize
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -338,3 +348,26 @@ def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
             gram[i][j] = gram[j][i] = [acc]
     diag, _ = congruence(gram, RATIONAL_FIELD)
     return sum(e > 0 for e, in diag), sum(e < 0 for e, in diag), sum(e == 0 for e, in diag)
+
+
+def block_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
+    """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q, on the
+    integer table: the basis traces, then the Gram matrix over L^2, closed
+    into a block at every index that no nonzero entry crosses."""
+    n, table = a.dim, a.table
+    tr = [sum(v[0] for t, cell in enumerate(row) for k, v in cell if k == t) for row in table]
+    gram: dict[tuple[int, int], int] = {}
+    pos = neg = start = end = 0  # the open block starts at start; end is its last nonzero column
+    for i in range(n):
+        for j in range(i, n):
+            x = sum(v[0] * tr[k] for k, v in table[i][j])
+            if x:
+                gram[i, j] = gram[j, i] = x
+                end = max(end, j)
+        if end <= i:  # no nonzero entry crosses i
+            block = range(start, i + 1)
+            for e in congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD):
+                pos += e.num[0] > 0
+                neg += e.num[0] < 0
+            start, gram = i + 1, {}
+    return pos, neg, n - pos - neg

@@ -25,9 +25,11 @@ one monomial), the closure test of the fixed algebra (a corrupted slot
 coefficient), the congruence
 certificate P^T G P (once with the certificate's products zeroed, once on
 the Q Gram blocks of a trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
-even_weight_orbits, the two claims of six_lines_family and the center
+even_weight_orbits, the two claims of six_lines_family, the center
 count (a fixed algebra whose central basis element no longer commutes, and
-slot tables that are not monomial in the way the count needs).  Z(A)'s
+slot tables that are not monomial in the way the count needs) and the
+trace form, which reads its Gram matrix off the unit column only after
+the same slot check (a repeated and an exchanged monomial).  Z(A)'s
 tables here are kernel_oracle.oracle_tensor's, built from its slots.
 """
 
@@ -536,11 +538,13 @@ def trace_form_with_a_wrong_division() -> None:
     """The trace form of the fixed algebra over Q(sqrt 2), whose Gram
     blocks over Q are eliminated with the norm of each pivot but the last
     taken one too large, so that the exact divisions floor."""
+    z = small_zg("Q(sqrt 2)")
+    b = invariants(z)
     q = RATIONAL_FIELD
     real = q.adjugate
     q.adjugate = lambda num: (real(num)[0], real(num)[1] + 1)
     try:
-        csa.trace_form_signature(tables("Q(sqrt 2)")["fixed"])
+        csa.trace_form_signature(z, b)
     finally:
         del q.adjugate
 
@@ -599,10 +603,11 @@ def family_against_the_split_class() -> None:
         pipeline.rational_symbol = real
 
 
-def family_center_after(corrupt) -> None:
-    """csa.center of Z(A) over Q(sqrt 2) (the family form) and its fixed
-    algebra B, after corrupt(slot 1 table, B table) has edited the stored
-    integer tables of Z(A)'s second slot and of B.
+def family_center_after(corrupt, read=csa.center) -> None:
+    """read(z, B), csa.center by default, of Z(A) over Q(sqrt 2) (the
+    family form) and its fixed algebra B, after corrupt(slot 1 table, B
+    table) has edited the stored integer tables of Z(A)'s second slot and
+    of B.
 
     B's one central basis element is its unit e_0.  In each slot,
     u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2.
@@ -612,7 +617,12 @@ def family_center_after(corrupt) -> None:
     z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
     b = invariants(z)
     corrupt(z.slots[1][0], b.table)
-    csa.center(z, b)
+    read(z, b)
+
+
+def family_trace_form_after(corrupt) -> None:
+    """csa.trace_form_signature in place of csa.center in family_center_after."""
+    family_center_after(corrupt, csa.trace_form_signature)
 
 
 def center_with_a_noncentral_unit(zt, bt) -> None:
@@ -655,6 +665,10 @@ NEW_CERTIFICATES = (
     ("center repeated monomial", lambda: family_center_after(center_with_a_repeated_monomial),
      "slot 1 products u_1 u_j repeat a monomial"),
     ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
+     "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
+    ("trace form repeated monomial", lambda: family_trace_form_after(center_with_a_repeated_monomial),
+     "slot 1 products u_1 u_j repeat a monomial"),
+    ("trace form asymmetric monomials", lambda: family_trace_form_after(center_with_asymmetric_monomials),
      "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
     ("slot cell", zg_of_a_non_monomial_algebra, "slot 0 product u_1 u_1 is not one monomial"),
     ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 0 to slot 1 at (1,2)"),

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -28,6 +28,7 @@ from ksalgebra.pipeline import ks_report, search_cubic_diagonal
 from ksalgebra.qform import GramForm, diagonalize
 
 from kernel_oracle import (
+    block_trace_signature,
     congruence,
     oracle_action_failure,
     oracle_center,
@@ -124,25 +125,25 @@ def test_split_table_over_E():
 def test_hamilton_trace_form_by_hand():
     # regular trace of 1, i, j, k is (4, 0, 0, 0); Tr(L_{x^2}) gives diag(4,-4,-4,-4)
     assert oracle_trace_signature(HAMILTON) == (1, 3, 0)
-    assert trace_form_signature(HAMILTON) == (1, 3, 0)
+    assert block_trace_signature(HAMILTON) == (1, 3, 0)
 
 
 def test_split_signature_matches_matrix_algebra():
-    assert trace_form_signature(SPLIT) == oracle_trace_signature(SPLIT) == (3, 1, 0)
-    assert trace_form_signature(matrix_units_algebra(2)) == (3, 1, 0)
+    assert block_trace_signature(SPLIT) == oracle_trace_signature(SPLIT) == (3, 1, 0)
+    assert block_trace_signature(matrix_units_algebra(2)) == (3, 1, 0)
 
 
 def test_trace_signature_cross_oracle_on_tensors():
     mat2_h = tensor_q(SPLIT, HAMILTON)
     mat4 = tensor_q(SPLIT, SPLIT)
-    assert trace_form_signature(mat2_h) == oracle_trace_signature(mat2_h) == (6, 10, 0)
-    assert trace_form_signature(mat4) == oracle_trace_signature(mat4) == (10, 6, 0)
-    assert trace_form_signature(matrix_units_algebra(4)) == (10, 6, 0)
+    assert block_trace_signature(mat2_h) == oracle_trace_signature(mat2_h) == (6, 10, 0)
+    assert block_trace_signature(mat4) == oracle_trace_signature(mat4) == (10, 6, 0)
+    assert block_trace_signature(matrix_units_algebra(4)) == (10, 6, 0)
 
 
 def test_signature_components_sum_to_dim():
     for alg in (HAMILTON, SPLIT, tensor_q(HAMILTON, HAMILTON)):
-        pos, neg, null = trace_form_signature(alg)
+        pos, neg, null = block_trace_signature(alg)
         assert pos + neg + null == alg.dim
 
 
@@ -194,7 +195,7 @@ def test_unit_law_rejects_an_empty_table():
 
 
 def test_hamilton_squared_is_full_matrix_class():
-    assert trace_form_signature(tensor_q(HAMILTON, HAMILTON)) == (10, 6, 0)
+    assert block_trace_signature(tensor_q(HAMILTON, HAMILTON)) == (10, 6, 0)
 
 
 # -- center ---------------------------------------------------------------------------
@@ -288,13 +289,16 @@ TRACE_CASES = (
 
 @pytest.mark.parametrize("kind, args", TRACE_CASES)
 def test_trace_signature_matches_the_dense_oracle(kind, args):
-    alg = TRACE_ALGEBRAS[args]() if kind == "algebra" else invariants(center_case(kind, args))
-    assert trace_form_signature(alg) == oracle_dense_trace_signature(alg)
-
-
-def test_trace_signature_rejects_an_algebra_over_E():
-    with pytest.raises(FieldMismatch, match="Q-algebras only"):
-        trace_form_signature(from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen())))
+    # fixed algebras through the package's unit column, the others through
+    # the general block reference
+    if kind == "algebra":
+        alg = TRACE_ALGEBRAS[args]()
+        sig = block_trace_signature(alg)
+    else:
+        z = center_case(kind, args)
+        alg = invariants(z)
+        sig = trace_form_signature(z, alg)
+    assert sig == oracle_dense_trace_signature(alg)
 
 
 # -- Z_G construction ------------------------------------------------------------------
@@ -359,6 +363,33 @@ def test_zg_identity_move_is_certified_without_its_cells(f):
         zg._check_actions()
 
 
+class S3Stub:
+    """The composition table of S3 as a degree-6 field would give it:
+    sigma_1..sigma_6 are the permutations of (0, 1, 2), the identity
+    first, and compose(g, h) is the index of sigma_g . sigma_h, sigma_h
+    applied first."""
+
+    degree = 6
+    perms = sorted(permutations(range(3)))
+
+    def compose(self, g: int, h: int) -> int:
+        pg, ph = self.perms[g - 1], self.perms[h - 1]
+        return self.perms.index(tuple(pg[ph[x]] for x in range(3))) + 1
+
+
+def test_slot_moves_follow_a_non_abelian_composition():
+    # slot s hosts sigma_{s+1}, and sigma_g moves it to the slot hosting
+    # sigma_g . sigma_{s+1}, which differs from sigma_{s+1} . sigma_g in S3
+    f, m = S3Stub(), 3
+    assert any(f.compose(g, h) != f.compose(h, g) for g, h in product(range(1, 7), repeat=2))
+    for g in range(1, 7):
+        moves = csa._slot_moves(f, m, g)
+        assert sorted(moves) == list(range(m ** 6))
+        for t, digits in enumerate(product(range(m), repeat=6)):
+            image = [moves[t] // m ** (5 - s) % m for s in range(6)]
+            assert all(image[f.compose(g, s + 1) - 1] == k for s, k in enumerate(digits)), (g, t)
+
+
 def test_invariants_of_E_itself():
     zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]]), Q2)
     inv = invariants(zg)
@@ -378,7 +409,7 @@ def test_invariants_trivial_degree_one():
     zg = build_ZG(HAMILTON, RATIONAL_FIELD)
     inv = invariants(zg)
     assert inv.dim == 4
-    assert trace_form_signature(inv) == (1, 3, 0)
+    assert trace_form_signature(zg, inv) == (1, 3, 0)
 
 
 def test_family_invariant_route_matches_mat2_hamilton():
@@ -388,9 +419,9 @@ def test_family_invariant_route_matches_mat2_hamilton():
     inv = invariants(zg)
     assert inv.dim == 16
     assert center(zg, inv) == 1
-    sig = trace_form_signature(inv)
-    assert sig == trace_form_signature(tensor_q(SPLIT, HAMILTON))
-    assert sig != trace_form_signature(tensor_q(SPLIT, SPLIT))
+    sig = trace_form_signature(zg, inv)
+    assert sig == block_trace_signature(tensor_q(SPLIT, HAMILTON))
+    assert sig != block_trace_signature(tensor_q(SPLIT, SPLIT))
 
 
 def oracle_case(name: str):

@@ -321,11 +321,9 @@ def test_no_vacuous_asserts_in_tests(path):
 
 
 # the comparisons of a field degree with 1 left in the package, by module
-# and enclosing function: Q's label, the trace form's guard, and the one Q
-# specialization of products
+# and enclosing function: Q's label and the one Q specialization of products
 LISTED_DEGREE_BRANCHES = {
     "brauer": ["QuaternionSymbol.render"],
-    "csa": ["trace_form_signature"],
     "exactfield": ["FieldDescriptor.accumulate"],
 }
 

@@ -1,21 +1,23 @@
 """Metamorphic tests: a report depends on the isometry class of the form only.
 
 A seeded generator draws diagonal forms that meet the K3 signature profile,
-(2, m - 2) at place 1 and (0, m) at every other place, over Q(sqrt 2) and
-Q(sqrt 5) at m = 3 and 4 and over the cyclic cubic at m = 3.  Each form is
-changed four ways, none of which changes the corestriction of its even
-Clifford algebra (Lam, Introduction to Quadratic Forms over Fields, Ch. I
-and V):
+(2, m - 2) at place 1 and (0, m) at every other place, five per field and
+rank: over Q, Q(sqrt 2) and Q(sqrt 5) at m = 3 and 4 and over the cyclic
+cubic at m = 3.  Each form is changed four ways, none of which changes the
+corestriction of its even Clifford algebra (Lam, Introduction to Quadratic
+Forms over Fields, Ch. I and V):
 
 - its entries permuted;
-- one entry multiplied by the square (alpha + 1)^2;
+- one entry multiplied by the square (alpha + 1)^2, or 2^2 over Q, where
+  the generator alpha is 0;
 - the whole form multiplied by the totally positive lambda = alpha + 3, as
   C0(lambda q) and C0(q) are isomorphic;
 - the form given as the Gram matrix P^T D P of a unitriangular P, which the
   report diagonalizes itself.
 
 The report of each must agree with the form's own: validation, dim, center
-dim, trace signature, definiteness and warnings, and the ramification set
+dim, trace signature (read off the fixed algebra's unit column at every
+field), definiteness and warnings, and the ramification set
 where both reports have a symbol route.  The C0 symbol, its scalings and
 the field block are not invariants and are not compared.  Whether the
 symbol route is available may change with the presentation; such a change
@@ -27,14 +29,15 @@ from functools import lru_cache
 
 import pytest
 
-from ksalgebra.exactfield import cyclic_cubic_field, quadratic_field, sign_at_embedding
+from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field, sign_at_embedding
 from ksalgebra.pipeline import ks_report
 from ksalgebra.qform import GramForm
 
-FIELDS = {"Q(sqrt 2)": lambda: quadratic_field(2), "Q(sqrt 5)": lambda: quadratic_field(5),
-          "cubic": cyclic_cubic_field}
-CONFIGS = (("Q(sqrt 2)", 3), ("Q(sqrt 2)", 4), ("Q(sqrt 5)", 3), ("Q(sqrt 5)", 4), ("cubic", 3))
-FORMS = 4  # per config
+FIELDS = {"Q": lambda: RATIONAL_FIELD, "Q(sqrt 2)": lambda: quadratic_field(2),
+          "Q(sqrt 5)": lambda: quadratic_field(5), "cubic": cyclic_cubic_field}
+CONFIGS = (("Q", 3), ("Q", 4), ("Q(sqrt 2)", 3), ("Q(sqrt 2)", 4), ("Q(sqrt 5)", 3), ("Q(sqrt 5)", 4),
+           ("cubic", 3))
+FORMS = 5  # per config
 RESISTED = "first slot of the C0 symbol resisted rationalization"
 
 
@@ -87,7 +90,8 @@ def transforms(label: str, m: int, index: int) -> dict:
     while order == list(range(m)):
         rng.shuffle(order)
     i = rng.randrange(m)
-    square = [e * (a + 1) * (a + 1) if k == i else e for k, e in enumerate(entries)]
+    root = a + 1 if a else f.rational(2)
+    square = [e * root * root if k == i else e for k, e in enumerate(entries)]
     lam = a + 3
     assert signs(lam) == (1,) * f.degree
     p = [[f.one() if r == c else f.elem([rng.randint(-1, 1) for _ in range(f.degree)]) if r < c else f.zero()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ksalgebra import csa, qform
 from ksalgebra.clifford import CliffordAlgebra
 from ksalgebra.brauer import INF, is_definite, rational_symbol
-from ksalgebra.csa import from_symbol, trace_form_signature
+from ksalgebra.csa import from_symbol
 from ksalgebra.errors import (
     CertificateFailure,
     FieldMismatch,
@@ -33,7 +33,7 @@ from ksalgebra.pipeline import (
 )
 from ksalgebra.qform import GramForm
 
-from kernel_oracle import oracle_tensor
+from kernel_oracle import block_trace_signature, oracle_tensor
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 
 
@@ -455,10 +455,11 @@ def test_dimension_laws_on_reports(family_211, cubic_report):
 def tensor_chain_signatures(d: int) -> tuple:
     """The reference signatures built literally: the (-1,-1) and (1,1)
     symbol tables over Q, each tensored with d - 1 copies of M_2(Q) by
-    kernel_oracle.oracle_tensor."""
+    kernel_oracle.oracle_tensor, their signatures kernel_oracle's
+    block_trace_signature."""
     split, definite = (from_symbol(rational_symbol(x, x)) for x in (1, -1))
     chain = [(split.table, split.den)] * (d - 1)
-    return tuple(trace_form_signature(oracle_tensor(RATIONAL_FIELD, chain + [(a.table, a.den)]))
+    return tuple(block_trace_signature(oracle_tensor(RATIONAL_FIELD, chain + [(a.table, a.den)]))
                  for a in (definite, split))
 
 
@@ -477,8 +478,8 @@ def test_route_disagreement_is_detected(monkeypatch):
 
     real = pl.trace_form_signature
 
-    def swapped(a):
-        pos, neg, null = real(a)
+    def swapped(z, b):
+        pos, neg, null = real(z, b)
         return neg, pos, null
 
     monkeypatch.setattr(pl, "trace_form_signature", swapped)

@@ -47,10 +47,20 @@ def integer_rows(g: GramForm) -> list[list[tuple[int, ...]]]:
     return [[e.num for e in row] for row in g.entries]
 
 
+def oracle_congruence(g: GramForm) -> tuple[list, list]:
+    """kernel_oracle.congruence on the Fraction coefficients of g, as
+    FieldElems: (diag, P) with P^T G P = diag."""
+    f = g.field
+    diag, p = congruence([[[Fraction(x, e.den) for x in e.num] for e in row] for row in g.entries], f)
+    return [f.elem(c) for c in diag], [[f.elem(c) for c in row] for row in p]
+
+
 def check_certificate(g: GramForm, diag: DiagForm) -> None:
-    # independent P^T G P == diag(entries) recomputation
+    # the diagonal is the Fraction congruence's, and that congruence's P
+    # has P^T G P == diag(entries), recomputed independently
     m = g.dim
-    p = diag.certificate
+    want, p = oracle_congruence(g)
+    assert diag.entries == want
     for i in range(m):
         for j in range(m):
             acc = g.field.zero()
@@ -65,9 +75,9 @@ def test_diagonal_form_is_fixed_point():
     g = GramForm.diagonal(Q2, [Q2.gen(), Q2.rational(3), Q2.gen() - 2])
     diag = diagonalize(g)
     assert diag.entries == [Q2.gen(), Q2.rational(3), Q2.gen() - 2]
-    assert diag.certificate == [
+    assert oracle_congruence(g) == (diag.entries, [
         [Q2.one() if i == j else Q2.zero() for j in range(3)] for i in range(3)
-    ]
+    ])
 
 
 def test_hyperbolic_plane_splits_into_one_of_each_sign():
@@ -95,17 +105,19 @@ def test_degenerate_raises():
 
 def test_zero_block_tolerated_when_allowed():
     g = GramForm(RATIONAL_FIELD, [[1, 1], [1, 1]])
-    diag, p = congruence_diagonalize(integer_rows(g), RATIONAL_FIELD)
+    diag = congruence_diagonalize(integer_rows(g), RATIONAL_FIELD)
     signs = [1 if sign_at_embedding(e, 1) > 0 else (-1 if sign_at_embedding(e, 1) < 0 else 0) for e in diag]
     assert sorted(signs) == [0, 1]
 
 
 def test_degenerate_gram_comes_back_with_its_radical():
-    # the radical is a zero diagonal entry under a certified P, and
-    # diagonalize rejects it with the same message as ever
+    # the radical is a zero diagonal entry, as under the Fraction
+    # congruence's P, and diagonalize rejects it with the same message as ever
     g = GramForm(RATIONAL_FIELD, [[1, 1], [1, 1]])
-    diag, p = congruence_diagonalize(integer_rows(g), RATIONAL_FIELD)
+    diag = congruence_diagonalize(integer_rows(g), RATIONAL_FIELD)
     assert sorted(bool(e) for e in diag) == [False, True]
+    want, p = oracle_congruence(g)
+    assert diag == want
     zero = RATIONAL_FIELD.zero()
     for i in range(2):
         for j in range(2):
@@ -135,18 +147,18 @@ def random_symmetric(rng: random.Random, field, m: int, kind: str) -> list[list[
 @pytest.mark.parametrize("field", [RATIONAL_FIELD, Q2, CUBIC, HALF], ids=repr)
 def test_bareiss_matches_the_fraction_congruence(field):
     # congruence_diagonalize raises unless P_int^T A P_int = diag(M_k
-    # M_(k+1)) holds in integers; its diagonal and P must be those of the
-    # Gauss congruence on Fraction coefficient lists, and P^T A P = diag
-    # is recomputed here with FieldElems
+    # M_(k+1)) holds in integers; its diagonal must be that of the Gauss
+    # congruence on Fraction coefficient lists, and P^T A P = diag is
+    # recomputed here with FieldElems on that congruence's P
     rng = random.Random(2024)
     zero, seen = field.zero(), {"mix": 0, "radical": 0}
     for trial in range(45):
         kind, m = ("plain", "mix", "radical")[trial % 3], rng.randint(2, 5)
         matrix = random_symmetric(rng, field, m, kind)
-        diag, p = congruence_diagonalize(matrix, field)
+        diag = congruence_diagonalize(matrix, field)
         want_diag, want_p = congruence([[[Fraction(x) for x in e] for e in row] for row in matrix], field)
         assert diag == [field.elem(c) for c in want_diag]
-        assert p == [[field.elem(c) for c in row] for row in want_p]
+        p = [[field.elem(c) for c in row] for row in want_p]
         a = [[field.from_integers(e, 1) for e in row] for row in matrix]
         for i in range(m):
             for j in range(m):
