@@ -8,18 +8,21 @@ in one form, integer vectors over one common denominator; tables are built
 and checked on those integers with the field's kernel (FieldDescriptor
 multiply, accumulate, reduce and the packed products).  FieldElem constants
 become table cells in one place, monomial_algebra, and come back only from
-row().  Every table has unit u_0.  One checking rule: the unit law, read
-off the stored row and column of u_0, and the Galois action on the slots
-of Z(A) are always certified; a table monomial_algebra builds from given
-constants is always swept for associativity, and the fixed subalgebra of
-Z(A) is swept while its dim is at most SWEEP_MAX_DIM.  A sweep
-checks (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a
-generating set S: the right nucleus is a subalgebra (Schafer, An
-Introduction to Nonassociative Algebras, 1966), so that is n^2 |S|
-triples instead of n^3.  S is chosen greedily from the basis, and the
-same closure of its left-normed words, on an integer row echelon
-(linalg), proves that they span the table.  Failures raise
-NotAssociative or CertificateFailure, under python -O too.
+row().  Both builders, monomial_algebra and invariants, and the step to
+lowest terms make each distinct entry (k, v) one tuple that every cell
+holding it shares (_Entries), which saves allocation and collector time,
+not arithmetic.  Every table has unit u_0.  One checking rule: the unit
+law, read off the stored row and column of u_0, and the Galois action on
+the slots of Z(A) are always certified; a table monomial_algebra builds
+from given constants is always swept for associativity, and the fixed
+subalgebra of Z(A) is swept while its dim is at most SWEEP_MAX_DIM.  A
+sweep checks (u_i u_j) g = u_i (u_j g) for every basis pair and every g in
+a generating set S: the right nucleus is a subalgebra (Schafer, An
+Introduction to Nonassociative Algebras, 1966), so that is n^2 |S| triples
+instead of n^3.  S is chosen greedily from the basis, and the same closure
+of its left-normed words, on an integer row echelon (linalg), proves that
+they span the table.  Failures raise NotAssociative or CertificateFailure,
+under python -O too.
 
 The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
 twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
@@ -63,8 +66,9 @@ from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
 # The fixed subalgebra of Z(A) is swept for associativity up to this dim;
-# a bigger one inherits it from Z(A).  Sweeping the dim-64 fixed algebra of
-# a rank-4 report would double its cost.
+# a bigger one inherits it from Z(A).  At dim 64 a sweep costs about two
+# whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), and about three
+# on the cubic search form.
 SWEEP_MAX_DIM = 16
 
 
@@ -168,7 +172,8 @@ class StructureAlgebra:
                 break
         if g > 1:  # to lowest terms, so that equal algebras store equal tables
             den //= g
-            table = [[[(k, tuple([x // g for x in v])) for k, v in cell] for cell in row] for row in table]
+            shared = [_Entries(k, lambda v: tuple([x // g for x in v])) for k in range(len(table))]
+            table = [[[shared[k][v] for k, v in cell] for cell in row] for row in table]
         self.field, self.dim, self.den, self.table = field, len(table), den, table
         self._check_unit()
         if check:
@@ -200,16 +205,29 @@ class StructureAlgebra:
         )
 
 
+class _Entries(dict):
+    """The entries at index k of a table being built, for one call: the first
+    lookup of a key makes the tuple (k, vector(key)), later ones return it."""
+
+    def __init__(self, k: int, vector):
+        self.k, self.vector = k, vector
+
+    def __missing__(self, key):
+        self[key] = entry = (self.k, self.vector(key))
+        return entry
+
+
 def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
     """The algebra with u_i u_j = c u_k for cells[i][j] = (k, c), c a
     nonzero FieldElem of field, over the constants' common denominator and
-    always swept; cells[0] and column 0 must make u_0 the unit."""
+    always swept; cells[0] and column 0 must make u_0 the unit.  Equal
+    entries are one shared tuple: rank 9's 65,536 cells hold 512."""
     given = [c for row in cells for _, c in row]
     if any(c.field != field for c in given):
         raise FieldMismatch("structure constant in the wrong field")
     den = lcm(1, *{c.den for c in given})
-    table = [[[(k, tuple([x * (den // c.den) for x in c.num]))] for k, c in row] for row in cells]
-    return StructureAlgebra(field, table, den=den)
+    shared = [_Entries(k, lambda c: tuple([x * (den // c.den) for x in c.num])) for k in range(len(cells))]
+    return StructureAlgebra(field, [[[shared[k][c]] for k, c in row] for row in cells], den=den)
 
 
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
@@ -367,7 +385,9 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     column (off the pivots), else NotClosedUnderMultiplication is raised:
     at E^H = Q columns 1..d-1 must vanish, at E^H = E none is free.  The
     moves are trusted as certified when z was built; a later corruption is
-    caught where it breaks these checks or the dimension count.
+    caught where it breaks these checks or the dimension count.  Equal
+    entries (e, (x,)) are one shared tuple: the rank-4 cubic's ~2 million
+    are ~38,000, which saves allocation and collector time, not arithmetic.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that it inherits associativity from Z(A),
@@ -422,24 +442,26 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     packed_a = {s: f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], width)
                 for first, m, orbit, *_ in blocks for s in orbit}
     constants, unpacker = [[[] for _ in range(n)] for _ in range(n)], lru_cache(maxsize=None)(f.unpacker)
+    shared = [_Entries(e, lambda x: (x,)) for e in range(n)]  # the entry (e, (x,)), made once
+    targets = {orbit[0]: (shared[first:first + m], *rest) for first, m, orbit, *rest in blocks}  # pivots, free, S
     for (i0, m, *_), row in zip(blocks, patterns):
         for (j0, mr, *_), pattern in zip(blocks, row):
             sums: dict = {}
             for s, k, key in pattern:
                 sums[k] = sums.get(k, 0) + packed_a[s] * packed_y[key]
-            cells = [constants[i0 + x // mr][j0 + x % mr] for x in range(m * mr)]
+            cells = [cell for line in constants[i0:i0 + m] for cell in line[j0:j0 + mr]]
             unpack = unpacker(m, mr, width)
             for k in sorted(sums):
-                first, _, _, pivots, free, scale = blocks[block_of[k]]
+                entries, pivots, free, scale = targets[k]
                 columns = unpack(sums[k])
                 coordinates = [columns[p] for p in pivots]
                 for l, rs in free:  # the RREF rows must take the coordinates back to column l
                     if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
                         raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-                for e, xs in enumerate(coordinates, first):
+                for entry_of, xs in zip(entries, coordinates):
                     for cell, x in zip(cells, xs):
                         if x:
-                            cell.append((e, (x,)))
+                            cell.append(entry_of[x])
     return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
 
 

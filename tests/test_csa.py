@@ -557,6 +557,32 @@ def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(mo
     assert b.dim == 64 and b.field == RATIONAL_FIELD
 
 
+@pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4", "Q rank 5", "Q(sqrt 5) rank 4"])
+def test_tables_hold_one_tuple_per_distinct_entry(name):
+    # C0 from monomial_algebra and B from invariants: every cell holding an
+    # equal entry (k, v) holds the one tuple, so the ids over all cells
+    # count the distinct entries, far fewer than the entries themselves;
+    # the Q(sqrt 5) form's B is built over 4 and stored over 2, so the
+    # step to lowest terms must share its entries too
+    if name == "Q(sqrt 5) rank 4":
+        f = quadratic_field(5)
+        a = f.gen()
+        c0 = even_part(CliffordAlgebra(f, [a, (a + 1) / 2, a - 3, a - 3]))
+    elif name == "cubic search form":
+        f = cyclic_cubic_field()
+        form = search_cubic_diagonal(f)
+        c0 = even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)]))
+    elif name == "Q rank 5":
+        f, c0 = RATIONAL_FIELD, even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 1, -1, -1, -1]))
+    else:
+        c0 = oracle_case(name)
+        f = c0.field
+    tables = [c0.table] if f == RATIONAL_FIELD else [invariants(build_ZG(c0, f)).table, c0.table]
+    for table in tables:
+        entries = [entry for row in table for cell in row for entry in cell]
+        assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+
+
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():
     # the quaternion table (1/2, 2/3) over Q, whose constants 1/2, 2/3 and
     # 1/3 need the common denominator 6, and the Hamilton table, whose

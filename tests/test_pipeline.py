@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -425,6 +429,36 @@ def test_quartic_rank_3_reports_are_definite_and_agree(field, entries, prime):
     assert rep.parity_expected == "definite"
     assert rep.warnings == ()  # the parity expectation is met
     assert secs < 5, f"took {secs:.2f}s, bound is 5s"
+
+
+_RANK4_CUBIC_REPORT = """
+import resource
+from ksalgebra.exactfield import cyclic_cubic_field
+from ksalgebra.pipeline import ks_report
+from ksalgebra.qform import GramForm
+f = cyclic_cubic_field()
+a = f.gen()
+route = ks_report(f, GramForm.diagonal(f, [a, a, a - 1, a - 2])).cores_invariant_route
+print(route["dim"], route["center_dim"], *route["trace_signature"])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_the_rank_4_cubic_report_peaks_under_200_mb():
+    # B has dim 512 and ~2 million nonzero entries, ~38,000 of them
+    # distinct; the report runs alone in a fresh process, whose peak
+    # resident size (ru_maxrss, in KiB on Linux) is the whole report's
+    path = [str(Path(__file__).resolve().parent.parent / "src")]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", _RANK4_CUBIC_REPORT], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    shape, peak = done.stdout.splitlines()
+    assert shape == "512 8 256 256 0"
+    assert int(peak) < 200 * 1024, f"peak {int(peak) / 1024:.0f} MB, bound is 200 MB"
 
 
 def test_symbol_route_unavailable_on_a_rank_3_form():
