@@ -35,7 +35,9 @@ monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
 Tignol, The Book of Involutions, 3.B).  A fixed element is determined by
 its coefficients at the monomial orbit representatives, so the fixed
 algebra is built in closed form from orbit traces and its products, one
-pair of orbits at a time, read off there.  The center of Z is the tensor of
+unordered pair of orbits at a time, read off there: slots whose u_j u_i =
++-u_i u_j give the products of J and I as those of I and J times a sign.
+The center of Z is the tensor of
 the slots' centers, each spanned by its central monomials, and the center
 of the fixed algebra is counted from the slots and its table.  The same
 slot shapes leave the unit the one monomial with a trace, so the trace
@@ -66,9 +68,9 @@ from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
 # The fixed subalgebra of Z(A) is swept for associativity up to this dim;
-# a bigger one inherits it from Z(A).  At dim 64 a sweep costs about two
-# whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), and about three
-# on the cubic search form.
+# a bigger one inherits it from Z(A).  At dim 64 a sweep costs about 2.5
+# whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), and about 4 on
+# the cubic search form.
 SWEEP_MAX_DIM = 16
 
 
@@ -289,21 +291,23 @@ class GaloisModuleAlgebra:
         self._check_actions()
 
     def products(self, keep):
-        """(s, t, k, c) for each product u_s u_t = c u_k with k in keep, c as
-        d ints over den: the slot cells at the digits of s and t multiplied,
-        the last slot's only where k is kept."""
+        """(s, t, k, beta, c) for each product u_s u_t = c u_k with k in keep,
+        c as d ints over den: the slot cells at the digits of s and t
+        multiplied, the last slot's only where k is kept.  u_t u_s = beta c
+        u_k, beta the product of the slots' signs u_j u_i = +-u_i u_j, which
+        _certify_slot_shapes certifies before the first product."""
         m, mul = len(self.slots[0][0]), lru_cache(maxsize=None)(self.field.multiply)
-        *heads, last = [[(s, t, *cell[0]) for s, row in enumerate(table) for t, cell in enumerate(row)]
-                        for table, _ in self.slots]
-        pairs = [(0, 0, 0, None)]
+        *heads, last = [[(s, t, *cell[0], sign[s][t]) for s, row in enumerate(table) for t, cell in enumerate(row)]
+                        for (table, _), sign in zip(self.slots, _certify_slot_shapes(self))]
+        pairs = [(0, 0, 0, None, 1)]
         for slot in heads:
-            pairs = [(s * m + s1, t * m + t1, k * m + k1, v1 if v is None else mul(v, v1))
-                     for s, t, k, v in pairs for s1, t1, k1, v1 in slot]
-        for s, t, k, v in pairs:
+            pairs = [(s * m + s1, t * m + t1, k * m + k1, v1 if v is None else mul(v, v1), b * b1)
+                     for s, t, k, v, b in pairs for s1, t1, k1, v1, b1 in slot]
+        for s, t, k, v, b in pairs:
             s, t, k = s * m, t * m, k * m
-            for s1, t1, k1, v1 in last:
+            for s1, t1, k1, v1, b1 in last:
                 if k + k1 in keep:
-                    yield s + s1, t + t1, k + k1, v1 if v is None else mul(v, v1)
+                    yield s + s1, t + t1, k + k1, b * b1, v1 if v is None else mul(v, v1)
 
     def _check_actions(self) -> None:
         """Exact certification of the slots and the stored moves.
@@ -373,12 +377,13 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     values raises CertificateFailure.  Every move fixes monomial 0, so
     E^H = Q there and basis element 0 is 1 u_0, the unit of the result.
 
-    Products run on integer vectors, one pair of orbits at a time: a term
-    c u_k of u_s u_s' at a representative k, formed once by z.products,
-    adds one product of FieldDescriptor.pack_matrices of the coefficients a
-    at s of the basis elements (packed once per s) and pack_vectors of the
-    b c, b those at s', which sums M_a (b c) = reduce(a b c) for every pair
-    of basis elements.  Each sum is read once, by an unpacker memoized for
+    Products run on integer vectors, one unordered pair of orbits I <= J
+    (by representative) at a time: a term c u_k of u_s u_s', s in I and s'
+    in J, at a representative k, formed once by z.products, adds one
+    product of FieldDescriptor.pack_matrices of the coefficients a at s of
+    the basis elements (packed once per s) and pack_vectors of the b c, b
+    those at s', which sums M_a (b c) = reduce(a b c) for every pair of
+    basis elements.  Each sum is read once, by an unpacker memoized for
     this call only, as one column per coordinate.  Its coordinates in the
     basis at k are the pivot columns of E^H; the RREF rows, over one S and
     so S times the identity there, must take them to S times each free
@@ -388,6 +393,16 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     caught where it breaks these checks or the dimension count.  Equal
     entries (e, (x,)) are one shared tuple: the rank-4 cubic's ~2 million
     are ~38,000, which saves allocation and collector time, not arithmetic.
+
+    The (J, I) cells are mirrored.  z.products gives u_s' u_s = beta c u_k,
+    one beta for all the terms of a target (I, J, k), else
+    CertificateFailure, so b_j b_i = beta b_i b_j at k: each unpacked x goes
+    to cell (i, j) and beta x to cell (j, i).  On even Clifford slots, e_S
+    e_T = (-1)^|S n T| e_T e_S (Lam, Ch. V) and 2 |S n T| = |S| + |T| - |S
+    xor T|, and each of the three sizes summed over the slots is constant
+    on an orbit, as G permutes the slots: beta is one per target.  b_j b_i
+    is in E^H at k exactly when b_i b_j is, so the closure tests still
+    cover every product.
 
     The resulting table is swept for associativity while its dim is at
     most SWEEP_MAX_DIM.  Beyond that it inherits associativity from Z(A),
@@ -428,15 +443,21 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [{s: tuple([x * (bden // c.den) for x in c.num]) for s, c in vec.items()} for vec in basis]
     den = bden * bden * z.den * f.reduction_den ** 2
-    # the terms (s, k, (s', c)) of each pair of orbits, and ys[s', c], the b c
-    reps, patterns = {orbit[0] for _, _, orbit, *_ in blocks}, [[[] for _ in blocks] for _ in blocks]
+    # per pair of orbits I <= J and per k, beta and the terms (s, (s', c)); ys[s', c], the b c
+    reps, pairs = [orbit[0] for _, _, orbit, *_ in blocks], {}
     multiply, ys = lru_cache(maxsize=None)(f.multiply), {}
-    for s, s2, k, c in z.products(reps):
-        patterns[block_of[s]][block_of[s2]].append((s, k, (s2, c)))
+    for s, s2, k, beta, c in z.products(set(reps)):
+        o, o2 = block_of[s], block_of[s2]
+        if o > o2:
+            continue
+        sign, group = pairs.setdefault((o, o2), {}).setdefault(k, (beta, []))
+        if sign != beta:
+            raise CertificateFailure(f"products of orbits of u_{reps[o]} and u_{reps[o2]} at u_{k} carry both signs")
+        group.append((s, (s2, c)))
         if (s2, c) not in ys:
-            first, m, *_ = blocks[block_of[s2]]
+            first, m, *_ = blocks[o2]
             ys[s2, c] = [multiply(ibasis[j][s2], c) for j in range(first, first + m)]
-    terms = max(len(p) for row in patterns for p in row)
+    terms = max(len(group) for by_k in pairs.values() for _, group in by_k.values())
     width = f.packing_width(terms, {a for v in ibasis for a in v.values()}, {y for v in ys.values() for y in v})
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
     packed_a = {s: f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], width)
@@ -444,41 +465,50 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     constants, unpacker = [[[] for _ in range(n)] for _ in range(n)], lru_cache(maxsize=None)(f.unpacker)
     shared = [_Entries(e, lambda x: (x,)) for e in range(n)]  # the entry (e, (x,)), made once
     targets = {orbit[0]: (shared[first:first + m], *rest) for first, m, orbit, *rest in blocks}  # pivots, free, S
-    for (i0, m, *_), row in zip(blocks, patterns):
-        for (j0, mr, *_), pattern in zip(blocks, row):
-            sums: dict = {}
-            for s, k, key in pattern:
-                sums[k] = sums.get(k, 0) + packed_a[s] * packed_y[key]
-            cells = [cell for line in constants[i0:i0 + m] for cell in line[j0:j0 + mr]]
-            unpack = unpacker(m, mr, width)
-            for k in sorted(sums):
-                entries, pivots, free, scale = targets[k]
-                columns = unpack(sums[k])
-                coordinates = [columns[p] for p in pivots]
-                for l, rs in free:  # the RREF rows must take the coordinates back to column l
-                    if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
-                        raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-                for entry_of, xs in zip(entries, coordinates):
-                    for cell, x in zip(cells, xs):
-                        if x:
-                            cell.append(entry_of[x])
+    for (o, o2), by_k in sorted(pairs.items()):
+        (i0, m, *_), (j0, mr, *_) = blocks[o], blocks[o2]
+        rows, cols = range(i0, i0 + m), range(j0, j0 + mr)
+        cells = [constants[i][j] for i in rows for j in cols]
+        # b_j b_i = beta b_i b_j at k; a pair I = J holds both in cells and mirrors into one scratch list
+        mirror = [constants[j][i] for i in rows for j in cols] if o < o2 else [[]] * len(cells)
+        unpack = unpacker(m, mr, width)
+        for k, (beta, group) in sorted(by_k.items()):
+            entries, pivots, free, scale = targets[k]
+            columns = unpack(sum(packed_a[s] * packed_y[key] for s, key in group))
+            coordinates = [columns[p] for p in pivots]
+            for l, rs in free:  # the RREF rows must take the coordinates back to column l
+                if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
+                    raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+            for entry_of, xs in zip(entries, coordinates):
+                for cell, back, x in zip(cells, mirror, xs):
+                    if x:
+                        cell.append(entry_of[x])
+                        back.append(entry_of[beta * x])
     return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
 
 
 # -- centers and trace forms ---------------------------------------------------------
 
 
-def _certify_slot_shapes(z: GaloisModuleAlgebra) -> None:
-    """Each slot product u_i u_j of Z(A) must be one nonzero monomial, the
-    same as u_j u_i, and injective in j, else CertificateFailure."""
+def _certify_slot_shapes(z: GaloisModuleAlgebra) -> list[list[list[int]]]:
+    """Each slot product u_i u_j of Z(A) must be one nonzero monomial, on
+    the same monomial as u_j u_i, injective in j, and u_j u_i = +-u_i u_j
+    on the stored integers, else CertificateFailure.  Returns the signs:
+    u_j u_i = signs[s][i][j] u_i u_j in slot s."""
+    signs = []
     for s, (table, _) in enumerate(z.slots):
-        monomials = _monomials(s, table)
+        monomials, sign = _monomials(s, table), [[1] * len(table) for _ in table]
         for i, ms in enumerate(monomials):
-            j = next((j for j in range(i) if monomials[j][i] != ms[j]), None)
-            if j is not None:
-                raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} land on different monomials")
+            for j in range(i):
+                (k, v), (k2, w) = table[i][j][0], table[j][i][0]
+                if k != k2 or w not in (v, tuple([-x for x in v])):
+                    how = "land on different monomials" if k != k2 else "differ by more than a sign"
+                    raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} {how}")
+                sign[i][j] = sign[j][i] = 1 if w == v else -1
             if len(set(ms)) != len(ms):
                 raise CertificateFailure(f"slot {s} products u_{i} u_j repeat a monomial")
+        signs.append(sign)
+    return signs
 
 
 def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:

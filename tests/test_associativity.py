@@ -422,20 +422,23 @@ def corrupted_moves(name: str):
 
 
 def corrupted_coefficient(name: str):
-    """small_zg(name) with u_0 u_1 = u_1 of slot s scaled by alpha in the
-    stored integer table after construction, s = 1 over the cyclic quartic
-    and s = 0 otherwise.  That scales the products u_0 u_t of Z(A) whose
-    digit s is 1.  The basis element at u_0 is u_0, so its product with a
-    basis element at such a u_t has the coefficient alpha c at u_t, c in
-    E^H, outside E^H.  The first such product invariants reads lies over
-    Q(sqrt 2) and the cubic at a monomial every automorphism fixes, E^H =
-    Q, where coordinate 1 no longer vanishes; over the quartic at one whose
-    stabiliser H has order 2, E^H = Q(alpha^2), where only the closure test
-    at its free columns can see it."""
+    """small_zg(name) with u_0 u_1 = u_1 = u_1 u_0 of slot s, both cells,
+    scaled by alpha in the stored integer table after construction, s = 1
+    over the cyclic quartic and s = 0 otherwise, so that the two still
+    agree and the slot signs pass.  That scales the products u_0 u_t and
+    u_t u_0 of Z(A) whose digit s is 1.  The basis element at u_0 is u_0,
+    so its product with a basis element at such a u_t has the coefficient
+    alpha c at u_t, c in E^H, outside E^H.  The first such product
+    invariants reads lies over Q(sqrt 2) and the cubic at a monomial every
+    automorphism fixes, E^H = Q, where coordinate 1 no longer vanishes;
+    over the quartic at one whose stabiliser H has order 2, E^H =
+    Q(alpha^2), where only the closure test at its free columns can see
+    it."""
     z = small_zg(name)
     table, den = z.slots[1 if name == "cyclic quartic" else 0]
-    [(k, v)] = table[0][1]
-    table[0][1] = [(k, scaled_by(z.field, den, v, z.field.gen()))]
+    for i, j in ((0, 1), (1, 0)):
+        [(k, v)] = table[i][j]
+        table[i][j] = [(k, scaled_by(z.field, den, v, z.field.gen()))]
     return z
 
 
@@ -625,6 +628,11 @@ def family_trace_form_after(corrupt) -> None:
     family_center_after(corrupt, csa.trace_form_signature)
 
 
+def family_invariants_after(corrupt) -> None:
+    """invariants(z) in place of csa.center in family_center_after."""
+    family_center_after(corrupt, lambda z, b: invariants(z))
+
+
 def center_with_a_noncentral_unit(zt, bt) -> None:
     """e_0 e_1 = 2 e_1 in B: no basis element of B is central any more."""
     k, v = bt[0][1][0]
@@ -649,6 +657,20 @@ def center_with_asymmetric_monomials(zt, bt) -> None:
     zt[2][1], zt[2][3] = [(k3, c1)], [(k1, c3)]
 
 
+def slot_with_a_side_scaled(zt, bt) -> None:
+    """u_1 u_2 in the slot doubled and u_2 u_1 kept: no longer +-u_1 u_2."""
+    [(k, v)] = zt[1][2]
+    zt[1][2] = [(k, tuple(x + x for x in v))]
+
+
+def slot_with_a_sign_flipped(zt, bt) -> None:
+    """u_1 u_2 in the slot negated and u_2 u_1 kept, so the two commute
+    where they anticommuted: the sign changes on the terms whose digit in
+    the slot pairs 1 with 2, and a target of B meets such terms and others."""
+    [(k, v)] = zt[1][2]
+    zt[1][2] = [(k, tuple(-x for x in v))]
+
+
 # the certificates above, with the message each must raise under python -O
 NEW_CERTIFICATES = (
     ("orbit divisibility", lambda: orbits_under_a_broken_action(3),
@@ -670,6 +692,10 @@ NEW_CERTIFICATES = (
      "slot 1 products u_1 u_j repeat a monomial"),
     ("trace form asymmetric monomials", lambda: family_trace_form_after(center_with_asymmetric_monomials),
      "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
+    ("slot side scaled", lambda: family_invariants_after(slot_with_a_side_scaled),
+     "slot 1 products u_2 u_1 and u_1 u_2 differ by more than a sign"),
+    ("slot sign flipped", lambda: family_invariants_after(slot_with_a_sign_flipped),
+     "products of orbits of u_1 and u_11 at u_15 carry both signs"),
     ("slot cell", zg_of_a_non_monomial_algebra, "slot 0 product u_1 u_1 is not one monomial"),
     ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 0 to slot 1 at (1,2)"),
     ("slot digits", certify_moves_that_keep_the_digits,

@@ -469,15 +469,19 @@ def test_invariants_match_kernel_oracle(name):
 @pytest.mark.parametrize("name", ORACLE_CASES)
 def test_slot_products_match_the_materialized_table(name):
     # oracle_tensor builds and sweeps Z(A)'s n^2 table from the slots on
-    # Fractions; products, over z.den, must give every one of its cells
+    # Fractions; products, over z.den, must give every one of its cells,
+    # and each sign beta must take cell (s, t) to cell (t, s)
     a = oracle_case(name)
     z = build_ZG(a, a.field)
     alg = oracle_tensor(z.field, z.slots)
     got = [[[] for _ in range(z.dim)] for _ in range(z.dim)]
-    for s, t, k, c in z.products(range(z.dim)):
+    mirrored = [[[] for _ in range(z.dim)] for _ in range(z.dim)]
+    for s, t, k, beta, c in z.products(range(z.dim)):
         got[s][t].append((k, [Fraction(x, z.den) for x in c]))
+        mirrored[t][s].append((k, [Fraction(beta * x, z.den) for x in c]))
     want = [[[(k, [Fraction(x, alg.den) for x in v]) for k, v in cell] for cell in row] for row in alg.table]
     assert got == want
+    assert mirrored == want
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)
@@ -497,7 +501,7 @@ def test_products_form_only_the_kept_monomials():
     z = build_ZG(a, a.field)
     keep = {0, 3, 5}
     kept = list(z.products(keep))
-    assert {k for _, _, k, _ in kept} == keep
+    assert {k for _, _, k, _, _ in kept} == keep
     assert kept == [p for p in z.products(range(z.dim)) if p[2] in keep]
 
 
@@ -581,6 +585,49 @@ def test_tables_hold_one_tuple_per_distinct_entry(name):
     for table in tables:
         entries = [entry for row in table for cell in row for entry in cell]
         assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+
+
+# the targets k of every ordered pair of orbits: the sums a readout of both orders unpacks
+ORDERED_TARGETS = {"cubic search form": 1296, "Q(sqrt 2) rank 4": 2080}
+
+
+@pytest.mark.parametrize("name", ORDERED_TARGETS)
+def test_invariants_read_each_unordered_pair_of_orbits_once(monkeypatch, name):
+    # B's (J, I) cells are the (I, J) ones times the slots' sign, so one sum
+    # is unpacked per target: a representative k that some u_s u_t lands on,
+    # s in orbit I, t in orbit J, I <= J, ordered by their representatives
+    if name == "cubic search form":
+        f = cyclic_cubic_field()
+        form = search_cubic_diagonal(f)
+        c0 = even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)]))
+    else:
+        c0 = oracle_case(name)
+    z = build_ZG(c0, c0.field)
+    reads = []
+    real = FieldDescriptor.unpacker
+
+    def unpacker(field, *args):
+        unpack = real(field, *args)
+
+        def read(packed):
+            reads.append(packed)
+            return unpack(packed)
+        return read
+
+    monkeypatch.setattr(FieldDescriptor, "unpacker", unpacker)
+    invariants(z)
+    m, d = c0.dim, c0.field.degree
+    rep = [min(moves[t] for moves in z.moves.values()) for t in range(z.dim)]
+    digits = list(product(range(m), repeat=d))
+
+    def monomial(s, t):  # of u_s u_t, slot by slot
+        return sum(table[i][j][0][0] * m ** (d - 1 - p) for p, ((table, _), i, j)
+                   in enumerate(zip(z.slots, digits[s], digits[t])))
+
+    targets = {(rep[s], rep[t], k) for s, t in product(range(z.dim), repeat=2)
+               if rep[k := monomial(s, t)] == k}
+    assert len(targets) == ORDERED_TARGETS[name]
+    assert len(reads) == len({(r, r2, k) for r, r2, k in targets if r <= r2}) < len(targets)
 
 
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():

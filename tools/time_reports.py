@@ -1,0 +1,74 @@
+"""Time the big ks_report inputs, each in a fresh `python -O` process.
+
+Usage:
+    python3 tools/time_reports.py [--src DIR ...] [--runs N]
+
+Each --src is the `src` directory of a checkout (default: this one's).
+With several, every report runs once per checkout in turn, so that their
+runs interleave on a host whose speed drifts; --runs repeats the whole
+round.  The quartic fields come from the checkout's
+tests/quartic_fields.py.
+
+One JSON line per report: the checkout, the report, wall and CPU seconds
+of ks_report alone (imports and the field excluded), the process's peak
+resident size (ru_maxrss, in MB), and the invariant route's dim, center
+dimension and trace signature.  Standard library only.
+"""
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+# per report, the field and the diagonal entries as source the child runs, a the generator
+INPUTS = {
+    "rank4-cubic": ("cyclic_cubic_field()", "[a, a, a - 1, a - 2]"),
+    "rank4-cubic-valid": ("cyclic_cubic_field()", "[-2 * a - 2] * 2 + [-2 * a * a - 2 * a - 2] * 2"),
+    "quartic-cyclic": ("cyclic_quartic_field()", "[2 * a - 3, 2 * a - 3, -f.one()]"),
+    "quartic-biquadratic": ("biquadratic_field()", "[a - 2, a - 2, -f.one()]"),
+}
+
+_CHILD = """
+import json, resource, sys, time
+from ksalgebra.exactfield import cyclic_cubic_field
+from ksalgebra.pipeline import ks_report
+from ksalgebra.qform import GramForm
+from quartic_fields import biquadratic_field, cyclic_quartic_field
+f = {field}
+a = f.gen()
+form = GramForm.diagonal(f, {entries})
+wall, cpu = time.perf_counter(), time.process_time()
+route = ks_report(f, form).cores_invariant_route
+wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+print(json.dumps({{
+    "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
+    "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "dim": route["dim"], "center": route["center_dim"], "signature": list(route["trace_signature"]),
+}}))
+"""
+
+
+def run(src: Path, name: str) -> dict:
+    """One report in a fresh python -O process with src and its tests importable."""
+    field, entries = INPUTS[name]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(src.parent / "tests")]))
+    done = subprocess.run([sys.executable, "-O", "-c", _CHILD.format(field=field, entries=entries)],
+                          capture_output=True, text=True, env=env, check=True)
+    return {"src": str(src), "report": name, **json.loads(done.stdout)}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append", type=Path, help="a checkout's src directory (repeatable)")
+    parser.add_argument("--runs", type=int, default=1, help="rounds over every report and checkout")
+    args = parser.parse_args()
+    sources = [p.resolve() for p in args.src or [Path(__file__).resolve().parent.parent / "src"]]
+    for _ in range(args.runs):
+        for name in INPUTS:
+            for src in sources:
+                print(json.dumps(run(src, name)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
