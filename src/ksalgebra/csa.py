@@ -1,48 +1,26 @@
 """Associative algebras by structure constants, and Galois descent machinery.
 
-Everything is basis-and-constants: an algebra is a table c with
-u_i u_j = sum_k c_ijk u_k, stored sparsely since the algebras that matter
-here (even Clifford algebras, quaternion tables, their tensor powers) are
-monomial or close to it.  A table is given to StructureAlgebra and stored
-in one form, integer vectors over one common denominator; tables are built
-and checked on those integers with the field's kernel (FieldDescriptor
-multiply, accumulate, reduce and the packed products).  FieldElem constants
-become table cells in one place, monomial_algebra, and come back only from
-row().  Both builders, monomial_algebra and invariants, and the step to
-lowest terms make each distinct entry (k, v) one tuple that every cell
-holding it shares (_Entries), which saves allocation and collector time,
-not arithmetic.  Every table has unit u_0.  One checking rule: the unit
-law, read off the stored row and column of u_0, and the Galois action on
-the slots of Z(A) are always certified; a table monomial_algebra builds
-from given constants is always swept for associativity, and the fixed
-subalgebra of Z(A) is swept while its dim is at most SWEEP_MAX_DIM.  A
-sweep checks (u_i u_j) g = u_i (u_j g) for every basis pair and every g in
-a generating set S: the right nucleus is a subalgebra (Schafer, An
-Introduction to Nonassociative Algebras, 1966), so that is n^2 |S| triples
-instead of n^3.  S is chosen greedily from the basis, and the same closure
-of its left-normed words, on an integer row echelon (linalg), proves that
-they span the table.  Failures raise NotAssociative or CertificateFailure,
+An algebra is a table c with u_i u_j = sum_k c_ijk u_k, held by
+StructureAlgebra in one sparse form, integer vectors over one common
+denominator, with unit u_0: the algebras that matter here (even Clifford
+algebras, quaternion tables, their tensor powers) are monomial or close to
+it.  Tables are built and checked on those integers with the field's
+kernel (FieldDescriptor multiply, accumulate, reduce and the packed
+products); FieldElem constants become cells only in monomial_algebra.
+One checking rule: the unit law and Z(A)'s slots and Galois action are
+always certified, a table monomial_algebra builds is always swept for
+associativity (check_associativity), and the fixed subalgebra of Z(A)
+while its dim is at most SWEEP_MAX_DIM.  Failures raise NotAssociative,
+NotClosedUnderMultiplication, DimensionMismatch or CertificateFailure,
 under python -O too.
 
-The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, the
-twisted algebra A_{sigma_i} is A with sigma_i applied to its constants,
-and Z = A_{sigma_1} tensor ... tensor A_{sigma_d}, kept as its d slot
-tables (A monomial) and multiplied where it is read, carries a semilinear
-G-action: sigma_g permutes the tensor slots (slot i moves to the slot of
-tau targeting tau.sigma_i), so it sends c u_t to sigma_g(c) u_{t'} for one
-monomial t' = moves[g][t].  The fixed points form a Q-algebra of dimension
-(dim_E A)^d: the corestriction of A to Q (Knus, Merkurjev, Rost and
-Tignol, The Book of Involutions, 3.B).  A fixed element is determined by
-its coefficients at the monomial orbit representatives, so the fixed
-algebra is built in closed form from orbit traces and its products, one
-unordered pair of orbits at a time, read off there: slots whose u_j u_i =
-+-u_i u_j give the products of J and I as those of I and J times a sign.
-The center of Z is the tensor of
-the slots' centers, each spanned by its central monomials, and the center
-of the fixed algebra is counted from the slots and its table.  The same
-slot shapes leave the unit the one monomial with a trace, so the trace
-form of the fixed algebra is read off its table's unit column, in integer
-blocks split at every index no nonzero entry crosses: the orbits.
+The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, Z(A)
+= A_{sigma_1} tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with
+sigma_i applied to its constants in slot i, carries a semilinear G-action
+that permutes its monomials.  Its fixed points, built by invariants, are
+the corestriction of A to Q (Knus, Merkurjev, Rost and Tignol, The Book
+of Involutions, 3.B); center and trace_form_signature read that algebra.
+All three rest on one slot shape, which _certify_slot_shapes certifies.
 """
 from functools import lru_cache
 from itertools import product
@@ -312,23 +290,23 @@ class GaloisModuleAlgebra:
     def _check_actions(self) -> None:
         """Exact certification of the slots and the stored moves.
 
-        Every slot cell is one nonzero monomial and each move a bijection.
-        sigma_g, applied by _twist once to each distinct vector of slot s,
-        takes its cells to those of slot pi_g(s), hosting sigma_g .
-        sigma_{s+1}, compared over both denominators.  Slot 0 is A, so each
-        slot is certified as sigma_g(A), associative by A's sweep, and so is
-        Z(A), their tensor product (Pierce, Associative Algebras, GTM 88).
-        The moves follow the group law of G, and each carries digit s of
-        every monomial to slot pi_g(s); the coefficient part of the action
-        is the field automorphism, certified with the field.
+        The slots have the shape _certify_slot_shapes certifies, and each
+        move is a bijection.  sigma_g, applied by _twist once to each
+        distinct vector of slot s, takes its cells to those of slot pi_g(s),
+        hosting sigma_g . sigma_{s+1}, compared over both denominators.
+        Slot 0 is A, so each slot is certified as sigma_g(A), associative by
+        A's sweep, and so is Z(A), their tensor product (Pierce, Associative
+        Algebras, GTM 88).  The moves follow the group law of G, and each
+        carries digit s of every monomial to slot pi_g(s); the coefficient
+        part of the action is the field automorphism, certified with the
+        field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
         field pins sigma_1 to X, and the group law at (1, 1) gives
         p_1 o p_1 = p_1, which for a bijection p_1 forces p_1 = id.
         """
         f, slots, n, m = self.field, self.slots, self.dim, len(self.slots[0][0])
-        for s, (table, _) in enumerate(slots):
-            _monomials(s, table)
+        _certify_slot_shapes(self)
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(n)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
@@ -351,12 +329,33 @@ class GaloisModuleAlgebra:
                 raise CertificateFailure(f"action {g} does not carry the slot digits of monomial {t}")
 
 
-def _monomials(s: int, table) -> list[list[int]]:
-    """The monomial of each cell of slot s's table, which must be one nonzero monomial."""
-    for i, j in product(range(len(table)), repeat=2):
-        if len(table[i][j]) != 1 or not any(table[i][j][0][1]):
-            raise CertificateFailure(f"slot {s} product u_{i} u_{j} is not one monomial")
-    return [[cell[0][0] for cell in row] for row in table]
+def _certify_slot_shapes(z: GaloisModuleAlgebra) -> list[list[list[int]]]:
+    """The slot shape every reader of Z(A) needs, certified in one walk when
+    Z(A) is built and again by each reader (products, center,
+    trace_form_signature), which catches a slot corrupted after
+    construction.  In slot s every product u_i u_j must be one nonzero
+    monomial (all cells first), the same monomial as u_j u_i, with u_j u_i
+    = +-u_i u_j on the stored integers, and injective in j, else
+    CertificateFailure: even Clifford slots are, as e_S e_T = +-e_T e_S
+    (Lam, Introduction to Quadratic Forms over Fields, Ch. V).  Returns
+    the signs: u_j u_i = signs[s][i][j] u_i u_j in slot s."""
+    signs = []
+    for s, (table, _) in enumerate(z.slots):
+        for i, j in product(range(len(table)), repeat=2):
+            if len(table[i][j]) != 1 or not any(table[i][j][0][1]):
+                raise CertificateFailure(f"slot {s} product u_{i} u_{j} is not one monomial")
+        sign = [[1] * len(table) for _ in table]
+        for i, row in enumerate(table):
+            for j in range(i):
+                (k, v), (k2, w) = table[i][j][0], table[j][i][0]
+                if k != k2 or w not in (v, tuple([-x for x in v])):
+                    how = "land on different monomials" if k != k2 else "differ by more than a sign"
+                    raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} {how}")
+                sign[i][j] = sign[j][i] = 1 if w == v else -1
+            if len({cell[0][0] for cell in row}) != len(row):
+                raise CertificateFailure(f"slot {s} products u_{i} u_j repeat a monomial")
+        signs.append(sign)
+    return signs
 
 
 def build_ZG(a: StructureAlgebra, f: FieldDescriptor) -> GaloisModuleAlgebra:
@@ -364,7 +363,8 @@ def build_ZG(a: StructureAlgebra, f: FieldDescriptor) -> GaloisModuleAlgebra:
 
 
 def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
-    """The Q-algebra of G-fixed points of Z(A): the corestriction to Q.
+    """The Q-algebra of G-fixed points of Z(A), of dim (dim_E A)^d: the
+    corestriction to Q.
 
     A fixed element is determined by its coefficients at the orbit
     representatives, the monomials t with no smaller image; the one at t
@@ -390,9 +390,10 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     column (off the pivots), else NotClosedUnderMultiplication is raised:
     at E^H = Q columns 1..d-1 must vanish, at E^H = E none is free.  The
     moves are trusted as certified when z was built; a later corruption is
-    caught where it breaks these checks or the dimension count.  Equal
-    entries (e, (x,)) are one shared tuple: the rank-4 cubic's ~2 million
-    are ~38,000, which saves allocation and collector time, not arithmetic.
+    caught where it breaks these checks, the dimension count or the
+    partition of the monomials into orbits.  Equal entries (e, (x,)) are
+    one shared tuple: the rank-4 cubic's ~2 million are ~38,000, which
+    saves allocation and collector time, not arithmetic.
 
     The (J, I) cells are mirrored.  z.products gives u_s' u_s = beta c u_k,
     one beta for all the terms of a target (I, J, k), else
@@ -438,6 +439,8 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
         basis += [dict(zip(images, cs)) for cs in conjugates]  # {monomial: coefficient}
     if len(basis) != n:
         raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
+    if sorted(s for _, _, orbit, *_ in blocks for s in orbit) != list(range(n)):
+        raise CertificateFailure("the orbits do not cover each monomial exactly once")
     block_of = {s: o for o, (_, _, orbit, *_) in enumerate(blocks) for s in orbit}
     # the basis over one denominator M, the table over one L: products over M^2 L D^2, D = reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
@@ -490,41 +493,18 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
 # -- centers and trace forms ---------------------------------------------------------
 
 
-def _certify_slot_shapes(z: GaloisModuleAlgebra) -> list[list[list[int]]]:
-    """Each slot product u_i u_j of Z(A) must be one nonzero monomial, on
-    the same monomial as u_j u_i, injective in j, and u_j u_i = +-u_i u_j
-    on the stored integers, else CertificateFailure.  Returns the signs:
-    u_j u_i = signs[s][i][j] u_i u_j in slot s."""
-    signs = []
-    for s, (table, _) in enumerate(z.slots):
-        monomials, sign = _monomials(s, table), [[1] * len(table) for _ in table]
-        for i, ms in enumerate(monomials):
-            for j in range(i):
-                (k, v), (k2, w) = table[i][j][0], table[j][i][0]
-                if k != k2 or w not in (v, tuple([-x for x in v])):
-                    how = "land on different monomials" if k != k2 else "differ by more than a sign"
-                    raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} {how}")
-                sign[i][j] = sign[j][i] = 1 if w == v else -1
-            if len(set(ms)) != len(ms):
-                raise CertificateFailure(f"slot {s} products u_{i} u_j repeat a monomial")
-        signs.append(sign)
-    return signs
-
-
 def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
     """dim_Q of the center of b = invariants(z), fixed by two counts.
 
-    Upper bound: on slots shaped as _certify_slot_shapes requires,
-    conjugation by u_i scales each u_j, so a slot's center is spanned by
-    its central monomials (Lam, Introduction to Quadratic Forms over
-    Fields, Ch. V); the center of Z(A), the tensor of the slots' centers
-    (Pierce), has dim the product of their counts, and Z(b) tensor E lies
-    in it.  Lower bound: the basis elements of b that commute with every
-    basis element, independent and central.  Bounds that differ raise
-    CertificateFailure.
+    Upper bound: in a slot of the shape _certify_slot_shapes certifies,
+    conjugation by u_i scales u_j by the sign of the pair, so the slot's
+    center is spanned by the monomials whose signs are all +1 (Lam, Ch.
+    V); the center of Z(A), the tensor of the slots' centers (Pierce), has
+    dim the product of their counts, and Z(b) tensor E lies in it.  Lower
+    bound: the basis elements of b that commute with every basis element,
+    independent and central.  Bounds that differ raise CertificateFailure.
     """
-    _certify_slot_shapes(z)
-    upper = prod(sum(row == list(col) for row, col in zip(table, zip(*table))) for table, _ in z.slots)
+    upper = prod(sum(-1 not in row for row in sign) for sign in _certify_slot_shapes(z))
     lower = sum(row == list(col) for row, col in zip(b.table, zip(*b.table)))
     if lower != upper:
         raise CertificateFailure(

@@ -20,9 +20,11 @@ python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit), the action certification of Z(A)'s slots and
 moves and the fixed algebra built from it (corrupted monomial moves, a
-corrupted slot cell, moves that keep the digits, a slot cell that is not
-one monomial), the closure test of the fixed algebra (a corrupted slot
-coefficient), the congruence
+move that is not a bijection, rotated moves whose orbits miss the
+dimension or do not partition the monomials, a corrupted slot cell,
+moves that keep the digits, a slot cell that is not one monomial, a
+group algebra whose slots do not commute up to sign), the closure test
+of the fixed algebra (a corrupted slot coefficient), the congruence
 certificate P^T G P (once with the certificate's products zeroed, once on
 the Q Gram blocks of a trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
 even_weight_orbits, the two claims of six_lines_family, the center
@@ -39,6 +41,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -53,7 +56,7 @@ from ksalgebra.csa import (
     from_symbol,
     invariants,
 )
-from ksalgebra.errors import CertificateFailure, NotAssociative, NotClosedUnderMultiplication
+from ksalgebra.errors import CertificateFailure, DimensionMismatch, NotAssociative, NotClosedUnderMultiplication
 from ksalgebra.exactfield import RATIONAL_FIELD, FieldDescriptor, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
@@ -491,6 +494,32 @@ def certify_corrupted_action() -> None:
     corrupted_moves("Q(sqrt 2)")._check_actions()
 
 
+def rotated_moves(triple):
+    """small_zg("Q(sqrt 2)") with the images of monomials a, b, c under
+    sigma_2 rotated after construction: a takes b's image, b takes c's and
+    c takes a's."""
+    z = small_zg("Q(sqrt 2)")
+    moves, (a, b, c) = z.moves[2], triple
+    moves[a], moves[b], moves[c] = moves[b], moves[c], moves[a]
+    return z
+
+
+# invariants(rotated_moves(triple)): the error and its message.  Under
+# (1, 2, 9) the dimensions still add up to 16, but monomial 4 lies in no
+# orbit and another monomial in two
+ROTATED_MOVES = (
+    ((1, 2, 9), CertificateFailure, "the orbits do not cover each monomial exactly once"),
+    ((1, 2, 4), DimensionMismatch, "invariant dimension 15, expected 16"),
+)
+
+
+def certify_a_move_that_is_not_a_bijection() -> None:
+    """small_zg("Q(sqrt 2)") with sigma_2 sending monomial 1 where it sends monomial 0."""
+    z = small_zg("Q(sqrt 2)")
+    z.moves[2][1] = z.moves[2][0]
+    z._check_actions()
+
+
 def zg_of_a_non_monomial_algebra() -> None:
     """build_ZG of Q(sqrt 2)[x]/(x^2 - x - 1), whose u_1 u_1 = u_0 + u_1."""
     f = quadratic_field(2)
@@ -498,13 +527,26 @@ def zg_of_a_non_monomial_algebra() -> None:
     build_ZG(StructureAlgebra(f, [[[(0, one)], [(1, one)]], [[(1, one)], [(0, one), (1, one)]]]), f)
 
 
+def zg_of_a_group_algebra() -> None:
+    """build_ZG of the group algebra Q(sqrt 2)[S_3], its basis the
+    permutations of 0, 1, 2 in itertools order: u_1 and u_2 are
+    transpositions that do not commute, so the slots lack the shape every
+    reader of Z(A) needs."""
+    f = quadratic_field(2)
+    group = list(permutations(range(3)))
+    cells = [[(group.index(tuple(p[x] for x in q)), f.one()) for q in group] for p in group]
+    build_ZG(csa.monomial_algebra(f, cells), f)
+
+
 def certify_a_corrupted_slot() -> None:
-    """small_zg("Q(sqrt 2)") with u_1 u_2 of slot 1 doubled after
-    construction: sigma_2 no longer takes slot 0 to it."""
+    """small_zg("Q(sqrt 2)") with u_1 u_2 and u_2 u_1 of slot 1 doubled
+    after construction, so that the two still differ by a sign and the
+    slot shapes pass: sigma_2 no longer takes slot 0 to slot 1."""
     z = small_zg("Q(sqrt 2)")
     table, _ = z.slots[1]
-    [(k, v)] = table[1][2]
-    table[1][2] = [(k, tuple(x + x for x in v))]
+    for i, j in ((1, 2), (2, 1)):
+        [(k, v)] = table[i][j]
+        table[i][j] = [(k, tuple(x + x for x in v))]
     z._check_actions()
 
 
@@ -697,9 +739,12 @@ NEW_CERTIFICATES = (
     ("slot sign flipped", lambda: family_invariants_after(slot_with_a_sign_flipped),
      "products of orbits of u_1 and u_11 at u_15 carry both signs"),
     ("slot cell", zg_of_a_non_monomial_algebra, "slot 0 product u_1 u_1 is not one monomial"),
+    ("slot shape at construction", zg_of_a_group_algebra,
+     "slot 0 products u_2 u_1 and u_1 u_2 land on different monomials"),
     ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 0 to slot 1 at (1,2)"),
     ("slot digits", certify_moves_that_keep_the_digits,
      "action 2 does not carry the slot digits of monomial 1"),
+    ("move bijection", certify_a_move_that_is_not_a_bijection, "action 2: monomial move is not a bijection"),
     ("generation", sweep_with_a_blind_probe, "generators [] span 1 of 4 dimensions"),
     ("trace form division", trace_form_with_a_wrong_division, "congruence certificate P^T G P fails at (1,1)"),
 )
@@ -722,6 +767,12 @@ def test_invariants_reject_moves_corrupted_after_construction():
     for name, error, message in CORRUPTED_INVARIANTS:
         with pytest.raises(error, match=message):
             invariants(corrupted_moves(name))
+
+
+@pytest.mark.parametrize("triple, error, message", ROTATED_MOVES, ids=[str(c[0]) for c in ROTATED_MOVES])
+def test_invariants_reject_rotated_moves(triple, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        invariants(rotated_moves(triple))
 
 
 def test_invariants_reject_a_coefficient_corrupted_after_construction():
@@ -751,9 +802,9 @@ def test_identification_rejects_a_c0_cell_corrupted_after_construction():
 _UNDER_O = """
 from test_associativity import (
     CORRUPTED_COEFFICIENTS, CORRUPTED_INVARIANTS, FIELDS, NEW_CERTIFICATES, NUCLEUS_TABLES, NUDGED_DIGITS,
-    build_perturbed, build_with_wrong_unit, certify_corrupted_action,
+    ROTATED_MOVES, build_perturbed, build_with_wrong_unit, certify_corrupted_action,
     corrupted_coefficient, corrupted_moves, diagonalize_with_broken_certificate,
-    invariants_with_a_nudged_digit, nucleus_table, perturbed, symbol_with_broken_relation, tables,
+    invariants_with_a_nudged_digit, nucleus_table, perturbed, rotated_moves, symbol_with_broken_relation, tables,
 )
 from ksalgebra.csa import StructureAlgebra, check_associativity, invariants
 from ksalgebra.exactfield import RATIONAL_FIELD
@@ -800,6 +851,13 @@ for name, error, _ in CORRUPTED_INVARIANTS:
         print(f"{name} corrupted invariants: {type(exc).__name__}: {exc}")
     else:
         raise SystemExit(f"{name}: invariants of corrupted moves accepted")
+for triple, error, _ in ROTATED_MOVES:
+    try:
+        invariants(rotated_moves(triple))
+    except error as exc:
+        print(f"rotated moves {triple}: {type(exc).__name__}: {exc}")
+    else:
+        raise SystemExit(f"{triple}: invariants of rotated moves accepted")
 for name in CORRUPTED_COEFFICIENTS:
     try:
         invariants(corrupted_coefficient(name))
@@ -844,6 +902,7 @@ def test_negative_control_survives_python_O():
         "Q(sqrt 2) corrupted invariants: NotClosedUnderMultiplication:"
         " product leaves the fixed subspace",
         "cubic corrupted invariants: CertificateFailure: basis element at monomial 1 is not fixed",
+        *(f"rotated moves {triple}: {error.__name__}: {message}" for triple, error, message in ROTATED_MOVES),
         "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
         "cubic corrupted coefficient: product leaves the fixed subspace",
         "cyclic quartic corrupted coefficient: product leaves the fixed subspace",

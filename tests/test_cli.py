@@ -51,6 +51,8 @@ def test_hilbert_rejects_bad_flags(capsys):
     assert "-a" in capsys.readouterr().err
     assert run(["hilbert", "-a", "0", "-b", "2", "-p", "3"]) == 2
     capsys.readouterr()
+    assert run(["hilbert", "-a", "1", "-b", "2", "-p", "x"]) == 2
+    assert capsys.readouterr() == ("", "error: flag -p: expected a prime number or 'inf', got 'x'\n")
 
 
 def test_classify_text_and_json(capsys):
@@ -130,6 +132,13 @@ def test_report_over_a_zero_min_poly_is_one_line_exit_2(tmp_path, capsys, min_po
 
 QUADRATIC_DESCRIPTOR = {"min_poly": [-2, 0, 1], "automorphisms": [[0, 1], [0, -1]], "embeddings": [[1, 2], [-2, -1]]}
 
+# X^4 - 10X^2 + 16 = (X^2 - 2)(X^2 - 8), as in the reducible test above:
+# an automorphism image acts on the four real roots by its values at sqrt 2
+# and at 2 sqrt 2, chosen apart, so the images can fail to close under
+# composition, or close on maps that are not bijections; an irreducible
+# min_poly allows neither, as its d root images make the field Galois
+REDUCIBLE_QUARTIC = {"min_poly": [16, 0, -10, 0, 1], "embeddings": [[1, "3/2"], ["-3/2", -1], ["5/2", 3], [-3, "-5/2"]]}
+
 
 @pytest.mark.parametrize(
     "field, form, message",
@@ -140,8 +149,27 @@ QUADRATIC_DESCRIPTOR = {"min_poly": [-2, 0, 1], "automorphisms": [[0, 1], [0, -1
          "key 'automorphisms': each entry must be a list"),
         (dict(QUADRATIC_DESCRIPTOR, embeddings=5), FAMILY_INPUT["form"], "key 'embeddings': expected a list"),
         ({"quadratic_d": 2}, {"dim": True, "entries": [["1"]]}, "key 'dim': expected a positive integer"),
+        (dict(QUADRATIC_DESCRIPTOR, automorphisms=[[0, -1], [0, 1]]), FAMILY_INPUT["form"],
+         "invalid field descriptor: first automorphism must be the identity X"),
+        (dict(QUADRATIC_DESCRIPTOR, embeddings=[[1, 2]]), FAMILY_INPUT["form"],
+         "invalid field descriptor: need exactly 2 isolating intervals, got 1"),
+        (dict(QUADRATIC_DESCRIPTOR, embeddings=[[2, 1], [-2, -1]]), FAMILY_INPUT["form"],
+         "invalid field descriptor: empty interval (2, 1)"),
+        (dict(REDUCIBLE_QUARTIC, automorphisms=[[0, 1], [0, "-3/2", 0, "1/4"], [0, "5/2", 0, "-1/4"],
+                                                [0, "-17/6", 0, "5/12"]]), FAMILY_INPUT["form"],
+         "invalid field descriptor: automorphisms are not closed under composition"),
+        (dict(REDUCIBLE_QUARTIC, automorphisms=[[0, 1], [0, "-5/3", 0, "1/3"], [0, "7/3", 0, "-1/6"],
+                                                [0, -3, 0, "1/2"]]), FAMILY_INPUT["form"],
+         "invalid field descriptor: composition table rows are not permutations"),
+        ({"quadratic_d": True}, FAMILY_INPUT["form"], "key 'quadratic_d': expected a rational, got a boolean"),
+        ({"quadratic_d": "x"}, FAMILY_INPUT["form"], "key 'quadratic_d': cannot parse rational 'x'"),
+        (5, FAMILY_INPUT["form"], "field descriptor must be a JSON object"),
+        (dict(QUADRATIC_DESCRIPTOR, name=5), FAMILY_INPUT["form"], "key 'name': expected a string"),
+        ({"quadratic_d": 2}, 5, "form document must be a JSON object"),
     ],
-    ids=["min_poly", "automorphisms", "one_automorphism", "embeddings", "dim_true"],
+    ids=["min_poly", "automorphisms", "one_automorphism", "embeddings", "dim_true", "first_automorphism",
+         "interval_count", "empty_interval", "not_closed", "not_permutations", "boolean", "unparsable",
+         "field_not_object", "name", "form_not_object"],
 )
 def test_report_rejects_json_fields_of_the_wrong_shape(tmp_path, capsys, field, form, message):
     assert run(["report", "--input", write_input(tmp_path, {"field": field, "form": form})]) == 2
@@ -206,6 +234,8 @@ def test_six_lines_flag_validation(capsys):
     capsys.readouterr()
     assert run(["six-lines", "--sweep", "2,1"]) == 2
     capsys.readouterr()
+    assert run(["six-lines", "--sweep", ";"]) == 2
+    assert capsys.readouterr() == ("", "error: flag --sweep: no triples found\n")
 
 
 def test_report_from_file(tmp_path, capsys):
