@@ -73,7 +73,8 @@ def even_rank3_to_symbol(c0: StructureAlgebra, entries) -> QuaternionSymbol:
     The identification 1, i, j, k -> u_0, u_1, u_2, -a1 u_3 (c0's basis is
     1, e1e2, e1e3, e2e3) is certified on c0's table before the symbol is
     returned: it must be multiplicative on all 16 basis pairs, and the
-    first pair where it is not raises CertificateFailure.
+    first pair where it is not raises CertificateFailure.  The row-3 (k)
+    relations follow: (1, 2) makes k = ij on both sides, both swept associative.
     """
     if c0.dim != 4 or len(entries) != 3:
         raise DimensionMismatch(

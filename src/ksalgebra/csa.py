@@ -2,25 +2,23 @@
 
 An algebra is a table c with u_i u_j = sum_k c_ijk u_k, held by
 StructureAlgebra in one sparse form, integer vectors over one common
-denominator, with unit u_0: the algebras that matter here (even Clifford
-algebras, quaternion tables, their tensor powers) are monomial or close to
-it.  Tables are built and checked on those integers with the field's
-kernel (FieldDescriptor multiply, accumulate, reduce and the packed
-products); FieldElem constants become cells only in monomial_algebra.
-One checking rule: the unit law and Z(A)'s slots and Galois action are
-always certified, a table monomial_algebra builds is always swept for
-associativity (check_associativity), and the fixed subalgebra of Z(A)
+denominator, with unit u_0, built and checked on those integers with the
+field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
+products); FieldElem constants become cells only in monomial_algebra.  One
+checking rule: the unit law and Z(A)'s slots and Galois action are always
+certified, a table monomial_algebra builds is always swept for
+associativity (check_associativity), and so is the fixed algebra B of Z(A)
 while its dim is at most SWEEP_MAX_DIM.  Failures raise NotAssociative,
 NotClosedUnderMultiplication, DimensionMismatch or CertificateFailure,
 under python -O too.
 
-The descent part: for E/Q Galois with group G = {sigma_1..sigma_d}, Z(A)
-= A_{sigma_1} tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with
-sigma_i applied to its constants in slot i, carries a semilinear G-action
-that permutes its monomials.  Its fixed points, built by invariants, are
-the corestriction of A to Q (Knus, Merkurjev, Rost and Tignol, The Book
-of Involutions, 3.B); center and trace_form_signature read that algebra.
-All three rest on one slot shape, which _certify_slot_shapes certifies.
+For E/Q Galois with group G = {sigma_1..sigma_d}, Z(A) = A_{sigma_1}
+tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with sigma_i applied
+to its constants in slot i, carries a semilinear G-action that permutes its
+monomials.  Its fixed points, built by invariants, are the corestriction B
+of A to Q (Knus, Merkurjev, Rost and Tignol, The Book of Involutions, 3.B),
+kept as orbit blocks (FixedAlgebra) that center and trace_form_signature
+read.  All three rest on the slot shape _certify_slot_shapes certifies.
 """
 from functools import lru_cache
 from itertools import product
@@ -45,10 +43,10 @@ from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
-# The fixed subalgebra of Z(A) is swept for associativity up to this dim;
-# a bigger one inherits it from Z(A).  At dim 64 a sweep costs about 2.5
-# whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), and about 4 on
-# the cubic search form.
+# B = invariants(z) is materialized as a table and swept for associativity
+# up to this dim; a bigger B stays in blocks and inherits it from Z(A).  At
+# dim 64 a sweep costs about 3 whole reports on diag(a, a, a - 2, a - 2)
+# over Q(sqrt 2), and about 5 on the cubic search form.
 SWEEP_MAX_DIM = 16
 
 
@@ -139,9 +137,8 @@ class StructureAlgebra:
     store equal tables; row() builds FieldElems.  The unit is u_0, and the
     unit law is always verified.  monomial_algebra builds a table given by
     FieldElem constants.  check=True sweeps associativity with
-    check_associativity, on the basis pairs times a certified generating
-    set; only invariants passes False, for a fixed subalgebra above
-    SWEEP_MAX_DIM.
+    check_associativity; only FixedAlgebra.algebra passes False, for a B
+    above SWEEP_MAX_DIM.
     """
 
     def __init__(self, field: FieldDescriptor, constants, *, check: bool = True, den: int = 1):
@@ -152,8 +149,7 @@ class StructureAlgebra:
                 break
         if g > 1:  # to lowest terms, so that equal algebras store equal tables
             den //= g
-            shared = [_Entries(k, lambda v: tuple([x // g for x in v])) for k in range(len(table))]
-            table = [[[shared[k][v] for k, v in cell] for cell in row] for row in table]
+            table = [[[(k, tuple([x // g for x in v])) for k, v in cell] for cell in row] for row in table]
         self.field, self.dim, self.den, self.table = field, len(table), den, table
         self._check_unit()
         if check:
@@ -362,20 +358,60 @@ def build_ZG(a: StructureAlgebra, f: FieldDescriptor) -> GaloisModuleAlgebra:
     return GaloisModuleAlgebra(a, f)
 
 
-def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
-    """The Q-algebra of G-fixed points of Z(A), of dim (dim_E A)^d: the
-    corestriction to Q.
+class FixedAlgebra:
+    """B = invariants(z) over Q as its orbit blocks, with no n x n table.
+
+    orbits[o] = (first, m, rep): orbit o has the basis elements b_first ..
+    b_(first+m-1), m = dim E^H at its representative rep.  blocks[o, o2],
+    o <= o2, maps each target k, a representative, to (beta, coordinates):
+    coordinates[c][i m2 + j], m2 the dim of orbit o2, is the coordinate at
+    basis element c of k's orbit of b_(first+i) b_(first2+j), over den,
+    and b_(first2+j) b_(first+i) is beta times it.  The constructor checks
+    the unit law on the (0, J) blocks: e_0 e_j has the one nonzero
+    coordinate den, at j, and beta is 1 there, so e_j e_0 = e_j too.
+    """
+
+    def __init__(self, orbits: list, blocks: dict, den: int):
+        self.orbits, self.blocks, self.den, self.dim = orbits, blocks, den, sum(m for _, m, _ in orbits)
+        for o, (first, m, rep) in enumerate(orbits):
+            by_k = blocks.get((0, o), {})
+            for j in range(m):
+                if [(k, c, xs[j]) for k, (_, cs) in by_k.items() for c, xs in enumerate(cs) if xs[j]] != [(rep, j, den)]:
+                    raise CertificateFailure(f"left unit law fails at u_{first + j}")
+                if by_k[rep][0] != 1:
+                    raise CertificateFailure(f"right unit law fails at u_{first + j}")
+
+    def algebra(self) -> StructureAlgebra:
+        """B's table, the blocks' one materializer, swept while its dim is at
+        most SWEEP_MAX_DIM: cell (i, j) holds (e, (x,)) for each nonzero
+        coordinate x at b_e, and cell (j, i) (e, (beta x,))."""
+        n, first = self.dim, {rep: start for start, _, rep in self.orbits}
+        table = [[[] for _ in range(n)] for _ in range(n)]
+        for (o, o2), by_k in sorted(self.blocks.items()):
+            (i0, m, _), (j0, mr, _) = self.orbits[o], self.orbits[o2]
+            for k, (beta, coordinates) in sorted(by_k.items()):
+                for e, xs in enumerate(coordinates, first[k]):
+                    for (i, j), x in zip(product(range(i0, i0 + m), range(j0, j0 + mr)), xs):
+                        if x:
+                            table[i][j].append((e, (x,)))
+                            if o < o2:  # an (I, I) block holds both orders
+                                table[j][i].append((e, (beta * x,)))
+        return StructureAlgebra(RATIONAL_FIELD, table, check=n <= SWEEP_MAX_DIM, den=self.den)
+
+
+def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
+    """The Q-algebra B of G-fixed points of Z(A), of dim (dim_E A)^d: the
+    corestriction to Q, as its orbit blocks.
 
     A fixed element is determined by its coefficients at the orbit
     representatives, the monomials t with no smaller image; the one at t
     ranges over E^H, H the stabiliser of t.  The basis is Tr_{G/H}(b u_t)
     for the RREF rows b of E^H, which the H-traces of 1, alpha, ...,
-    alpha^(d-1) span: linalg.echelon_reduce over Q takes them to primitive
-    rows, back-reduced at the pivots, which over their pivots are those
-    RREF rows.  In the Q-basis alpha^l u_t this is the RREF basis of the
-    fixed subspace.  A basis element that gives one monomial two
-    values raises CertificateFailure.  Every move fixes monomial 0, so
-    E^H = Q there and basis element 0 is 1 u_0, the unit of the result.
+    alpha^(d-1) span (reduced with linalg.echelon_reduce over Q), so in the
+    Q-basis alpha^l u_t it is the RREF basis of the fixed subspace.  A
+    basis element that gives one monomial two values raises
+    CertificateFailure.  Every move fixes monomial 0, so E^H = Q there and
+    basis element 0 is 1 u_0, the unit of B.
 
     Products run on integer vectors, one unordered pair of orbits I <= J
     (by representative) at a time: a term c u_k of u_s u_s', s in I and s'
@@ -384,34 +420,25 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
     the basis elements (packed once per s) and pack_vectors of the b c, b
     those at s', which sums M_a (b c) = reduce(a b c) for every pair of
     basis elements.  Each sum is read once, by an unpacker memoized for
-    this call only, as one column per coordinate.  Its coordinates in the
-    basis at k are the pivot columns of E^H; the RREF rows, over one S and
-    so S times the identity there, must take them to S times each free
-    column (off the pivots), else NotClosedUnderMultiplication is raised:
-    at E^H = Q columns 1..d-1 must vanish, at E^H = E none is free.  The
-    moves are trusted as certified when z was built; a later corruption is
-    caught where it breaks these checks, the dimension count or the
-    partition of the monomials into orbits.  Equal entries (e, (x,)) are
-    one shared tuple: the rank-4 cubic's ~2 million are ~38,000, which
-    saves allocation and collector time, not arithmetic.
+    this call only; its pivot columns of E^H are the block's coordinates at
+    k, and the RREF rows, over one S, must take them to S times each free
+    column, else NotClosedUnderMultiplication (at E^H = Q columns 1..d-1
+    must vanish).  The moves are trusted as certified when z was built; a
+    later corruption is caught by these checks, the dimension count or the
+    orbit partition.
 
-    The (J, I) cells are mirrored.  z.products gives u_s' u_s = beta c u_k,
-    one beta for all the terms of a target (I, J, k), else
-    CertificateFailure, so b_j b_i = beta b_i b_j at k: each unpacked x goes
-    to cell (i, j) and beta x to cell (j, i).  On even Clifford slots, e_S
-    e_T = (-1)^|S n T| e_T e_S (Lam, Ch. V) and 2 |S n T| = |S| + |T| - |S
-    xor T|, and each of the three sizes summed over the slots is constant
-    on an orbit, as G permutes the slots: beta is one per target.  b_j b_i
-    is in E^H at k exactly when b_i b_j is, so the closure tests still
-    cover every product.
-
-    The resulting table is swept for associativity while its dim is at
-    most SWEEP_MAX_DIM.  Beyond that it inherits associativity from Z(A),
-    certified with its slots; the unit law is always verified exactly.
+    z.products gives u_s' u_s = beta c u_k with one beta per target (I, J,
+    k), else CertificateFailure, so b_j b_i = beta b_i b_j at k: on even
+    Clifford slots e_S e_T = (-1)^|S n T| e_T e_S (Lam, Ch. V), 2 |S n T| =
+    |S| + |T| - |S xor T|, and each size summed over the slots is constant
+    on an orbit.  b_j b_i is in E^H at k exactly when b_i b_j is, so the
+    closure tests cover every product.  While n is at most SWEEP_MAX_DIM,
+    B's table (FixedAlgebra.algebra) is swept for associativity; a bigger B
+    inherits it from Z(A), certified with its slots.
     """
     f, d, n = z.field, z.field.degree, z.dim
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
-    blocks, basis, fields = [], [], {}  # a block: first coordinate, dim E^H, orbit, pivots, free columns, S
+    orbits, members, basis, fields, targets = [], [], [], {}, {}  # targets[rep]: pivots, free columns, S, conjugates
     for t in range(n):
         images = [z.moves[g][t] for g in gs]
         if min(images) < t:
@@ -432,68 +459,60 @@ def invariants(z: GaloisModuleAlgebra) -> StructureAlgebra:
             conjugates = [[apply_automorphism(f.from_integers(r, scale), g) for g in gs] for r in rows]
             free = [(l, [r[l] for r in rows]) for l in range(d) if l not in pivots]
             fields[stab] = pivots, free, scale, conjugates
-        pivots, free, scale, conjugates = fields[stab]
-        blocks.append((len(basis), len(pivots), sorted(set(images)), pivots, free, scale))
+        pivots, free, scale, conjugates = targets[t] = fields[stab]
+        orbits.append((len(basis), len(pivots), t))
+        members.append(sorted(set(images)))
         if any(len(set(zip(images, cs))) != len(set(images)) for cs in conjugates):
             raise CertificateFailure(f"basis element at monomial {t} is not fixed")
         basis += [dict(zip(images, cs)) for cs in conjugates]  # {monomial: coefficient}
     if len(basis) != n:
         raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
-    if sorted(s for _, _, orbit, *_ in blocks for s in orbit) != list(range(n)):
+    if sorted(s for orbit in members for s in orbit) != list(range(n)):
         raise CertificateFailure("the orbits do not cover each monomial exactly once")
-    block_of = {s: o for o, (_, _, orbit, *_) in enumerate(blocks) for s in orbit}
-    # the basis over one denominator M, the table over one L: products over M^2 L D^2, D = reduction_den
+    block_of = {s: o for o, orbit in enumerate(members) for s in orbit}
+    # the basis over one denominator M, the blocks over one L: products over M^2 L D^2, D = reduction_den
     bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
     ibasis = [{s: tuple([x * (bden // c.den) for x in c.num]) for s, c in vec.items()} for vec in basis]
     den = bden * bden * z.den * f.reduction_den ** 2
-    # per pair of orbits I <= J and per k, beta and the terms (s, (s', c)); ys[s', c], the b c
-    reps, pairs = [orbit[0] for _, _, orbit, *_ in blocks], {}
-    multiply, ys = lru_cache(maxsize=None)(f.multiply), {}
-    for s, s2, k, beta, c in z.products(set(reps)):
+    # per pair of orbits I <= J and per k, beta and the terms (s, (s', c)), later the coordinates; ys[s', c], the b c
+    pairs, multiply, ys = {}, lru_cache(maxsize=None)(f.multiply), {}
+    for s, s2, k, beta, c in z.products(targets):
         o, o2 = block_of[s], block_of[s2]
         if o > o2:
             continue
         sign, group = pairs.setdefault((o, o2), {}).setdefault(k, (beta, []))
         if sign != beta:
-            raise CertificateFailure(f"products of orbits of u_{reps[o]} and u_{reps[o2]} at u_{k} carry both signs")
+            raise CertificateFailure(f"products of orbits of u_{orbits[o][2]} and u_{orbits[o2][2]} at u_{k} carry both signs")
         group.append((s, (s2, c)))
         if (s2, c) not in ys:
-            first, m, *_ = blocks[o2]
+            first, m, _ = orbits[o2]
             ys[s2, c] = [multiply(ibasis[j][s2], c) for j in range(first, first + m)]
     terms = max(len(group) for by_k in pairs.values() for _, group in by_k.values())
     width = f.packing_width(terms, {a for v in ibasis for a in v.values()}, {y for v in ys.values() for y in v})
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
     packed_a = {s: f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], width)
-                for first, m, orbit, *_ in blocks for s in orbit}
-    constants, unpacker = [[[] for _ in range(n)] for _ in range(n)], lru_cache(maxsize=None)(f.unpacker)
-    shared = [_Entries(e, lambda x: (x,)) for e in range(n)]  # the entry (e, (x,)), made once
-    targets = {orbit[0]: (shared[first:first + m], *rest) for first, m, orbit, *rest in blocks}  # pivots, free, S
+                for (first, m, _), orbit in zip(orbits, members) for s in orbit}
+    unpacker = lru_cache(maxsize=None)(f.unpacker)
     for (o, o2), by_k in sorted(pairs.items()):
-        (i0, m, *_), (j0, mr, *_) = blocks[o], blocks[o2]
-        rows, cols = range(i0, i0 + m), range(j0, j0 + mr)
-        cells = [constants[i][j] for i in rows for j in cols]
-        # b_j b_i = beta b_i b_j at k; a pair I = J holds both in cells and mirrors into one scratch list
-        mirror = [constants[j][i] for i in rows for j in cols] if o < o2 else [[]] * len(cells)
-        unpack = unpacker(m, mr, width)
-        for k, (beta, group) in sorted(by_k.items()):
-            entries, pivots, free, scale = targets[k]
+        unpack = unpacker(orbits[o][1], orbits[o2][1], width)
+        for k, (beta, group) in by_k.items():
+            pivots, free, scale, _ = targets[k]
             columns = unpack(sum(packed_a[s] * packed_y[key] for s, key in group))
             coordinates = [columns[p] for p in pivots]
             for l, rs in free:  # the RREF rows must take the coordinates back to column l
                 if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
                     raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-            for entry_of, xs in zip(entries, coordinates):
-                for cell, back, x in zip(cells, mirror, xs):
-                    if x:
-                        cell.append(entry_of[x])
-                        back.append(entry_of[beta * x])
-    return StructureAlgebra(RATIONAL_FIELD, constants, check=n <= SWEEP_MAX_DIM, den=den)
+            by_k[k] = beta, coordinates
+    b = FixedAlgebra(orbits, pairs, den)
+    if n <= SWEEP_MAX_DIM:
+        b.algebra()
+    return b
 
 
 # -- centers and trace forms ---------------------------------------------------------
 
 
-def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
+def center(z: GaloisModuleAlgebra, b: FixedAlgebra) -> int:
     """dim_Q of the center of b = invariants(z), fixed by two counts.
 
     Upper bound: in a slot of the shape _certify_slot_shapes certifies,
@@ -501,20 +520,27 @@ def center(z: GaloisModuleAlgebra, b: StructureAlgebra) -> int:
     center is spanned by the monomials whose signs are all +1 (Lam, Ch.
     V); the center of Z(A), the tensor of the slots' centers (Pierce), has
     dim the product of their counts, and Z(b) tensor E lies in it.  Lower
-    bound: the basis elements of b that commute with every basis element,
-    independent and central.  Bounds that differ raise CertificateFailure.
+    bound: the basis elements that commute with every basis element, read
+    off the blocks: across orbits b_j b_i = beta b_i b_j, equal where beta
+    = 1 or the entry is 0; an (I, I) block holds both orders.  Bounds that
+    differ raise CertificateFailure.
     """
     upper = prod(sum(-1 not in row for row in sign) for sign in _certify_slot_shapes(z))
-    lower = sum(row == list(col) for row, col in zip(b.table, zip(*b.table)))
-    if lower != upper:
-        raise CertificateFailure(
-            f"center bounds differ: {lower} central basis elements in B,"
-            f" {upper} central monomials in Z(A)"
-        )
+    central = [True] * b.dim
+    for (o, o2), by_k in b.blocks.items():
+        (i0, m, _), (j0, mr, _) = b.orbits[o], b.orbits[o2]
+        for beta, coordinates in by_k.values() if any(central[i0:i0 + m] + central[j0:j0 + mr]) else ():
+            for xs in coordinates if o == o2 or beta != 1 else ():  # b_i b_j at i mr + j, beside b_j b_i
+                back = [xs[j * m + i] for i in range(m) for j in range(m)] if o == o2 else [0] * len(xs)
+                for p in (p for p, (x, y) in enumerate(zip(xs, back)) if x != y):
+                    central[i0 + p // mr] = central[j0 + p % mr] = False
+    if sum(central) != upper:
+        raise CertificateFailure(f"center bounds differ: {sum(central)} central basis elements in B,"
+                                 f" {upper} central monomials in Z(A)")
     return upper
 
 
-def trace_form_signature(z: GaloisModuleAlgebra, b: StructureAlgebra) -> tuple[int, int, int]:
+def trace_form_signature(z: GaloisModuleAlgebra, b: FixedAlgebra) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) on b = invariants(z).
 
     Once _certify_slot_shapes has passed, u_s u_t in a slot is one
@@ -522,29 +548,25 @@ def trace_form_signature(z: GaloisModuleAlgebra, b: StructureAlgebra) -> tuple[i
     u_t only for s = 0; traces multiply over the slots, so in Z(A)
     Tr(L_{u_t}) is n at t = 0 and 0 elsewhere.  b tensor E = Z(A) (Knus,
     Merkurjev, Rost and Tignol, 3.B), and b_0 = u_0 alone has a u_0 term,
-    so Tr(L_{xy}) = n (xy)_0: the Gram matrix is n/L times the u_0 entries
-    of b's integer cells over L, each its cell's first term.  Its blocks,
-    split at every index no nonzero entry crosses (the orbits), go to
-    qform.congruence_diagonalize as they close, which certifies P^T G P in
-    integers (Conner and Perlis, A Survey of Trace Forms).
+    so Tr(L_{xy}) = n (xy)_0.  A pair of orbits I != J with a target u_0
+    raises CertificateFailure, so the Gram matrix is n/L times one (I, I)
+    block per orbit at u_0, read on and above the diagonal;
+    qform.congruence_diagonalize certifies P^T G P in integers (Conner and
+    Perlis, A Survey of Trace Forms).
     """
     _certify_slot_shapes(z)
-    n, table = b.dim, b.table
-    gram: dict[tuple[int, int], int] = {}
-    pos = neg = start = end = 0  # the open block starts at start; end is its last nonzero column
-    for i in range(n):
-        for j in range(i, n):
-            cell = table[i][j]
-            if cell and cell[0][0] == 0:
-                gram[i, j] = gram[j, i] = cell[0][1][0]
-                end = max(end, j)
-        if end <= i:  # no nonzero entry crosses i
-            block = range(start, i + 1)
-            for e in congruence_diagonalize([[(gram.get((r, c), 0),) for c in block] for r in block], RATIONAL_FIELD):
-                pos += e.num[0] > 0
-                neg += e.num[0] < 0
-            start, gram = i + 1, {}
-    return pos, neg, n - pos - neg
+    pos = neg = 0
+    for (o, o2), by_k in b.blocks.items():
+        if 0 not in by_k:
+            continue
+        if o != o2:
+            raise CertificateFailure(f"products of orbits of u_{b.orbits[o][2]} and u_{b.orbits[o2][2]} reach u_0")
+        m, [xs] = b.orbits[o][1], by_k[0][1]
+        for e in congruence_diagonalize([[(xs[min(r, c) * m + max(r, c)],) for c in range(m)] for r in range(m)],
+                                        RATIONAL_FIELD):
+            pos += e.num[0] > 0
+            neg += e.num[0] < 0
+    return pos, neg, b.dim - pos - neg
 
 
 # -- the twisted-Clifford comparison --------------------------------------------------

@@ -18,20 +18,25 @@ generators, and a span probe that reports every basis element inside, so
 that no generator is found.  The rejections are run once more under
 python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
-unit law (a wrong unit), the action certification of Z(A)'s slots and
+unit law (a wrong unit, and on the fixed algebra's blocks a nudged unit
+coordinate, an extra term and a flipped sign), the action certification of Z(A)'s slots and
 moves and the fixed algebra built from it (corrupted monomial moves, a
 move that is not a bijection, rotated moves whose orbits miss the
 dimension or do not partition the monomials, a corrupted slot cell,
 moves that keep the digits, a slot cell that is not one monomial, a
 group algebra whose slots do not commute up to sign), the closure test
-of the fixed algebra (a corrupted slot coefficient), the congruence
-certificate P^T G P (once with the certificate's products zeroed, once on
-the Q Gram blocks of a trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
-even_weight_orbits, the two claims of six_lines_family, the center
-count (a fixed algebra whose central basis element no longer commutes, and
-slot tables that are not monomial in the way the count needs) and the
-trace form, which reads its Gram matrix off the unit column only after
-the same slot check (a repeated and an exchanged monomial).  Z(A)'s
+of the fixed algebra (a corrupted slot coefficient, and a nudged digit in
+the last free column over the cubic), the congruence certificate P^T G P
+(once with the certificate's products zeroed, once with one off-diagonal
+product nonzero, once on the Q Gram blocks of a trace form with inexact
+divisions), the 16 quaternion relations of C0, the orbit sums of
+even_weight_orbits, the two claims of six_lines_family, the center count
+(a fixed algebra whose central basis element no longer commutes, one whose
+orbit block is no longer symmetric, and slot tables that are not monomial
+in the way the count needs) and the trace form, which reads its Gram
+matrix off the unit coordinate only after the same slot check (a
+repeated and an exchanged monomial) and only per orbit (a group algebra
+whose orbits multiply to u_0).  Z(A)'s
 tables here are kernel_oracle.oracle_tensor's, built from its slots.
 """
 
@@ -128,7 +133,7 @@ def tables(name: str) -> dict:
     return {
         "C0": c0,
         "Z(A)": oracle_tensor(z.field, z.slots),
-        "fixed": invariants(z),
+        "fixed": invariants(z).algebra(),
         "symbol": from_symbol(symbol),
     }
 
@@ -258,7 +263,7 @@ def swept_tables(case) -> dict:
     a = f.gen()
     c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
     z = build_ZG(c0, f)
-    return {"C0": c0, "Z(A)": oracle_tensor(z.field, z.slots), "B": invariants(z)}
+    return {"C0": c0, "Z(A)": oracle_tensor(z.field, z.slots), "B": invariants(z).algebra()}
 
 
 @pytest.mark.parametrize("d, c, e", TRIPLES)
@@ -364,7 +369,7 @@ def generation_cases():
     ):
         z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
         yield f"{label} Z(A)", f, oracle_tensor(z.field, z.slots).table
-        yield f"{label} B", RATIONAL_FIELD, invariants(z).table
+        yield f"{label} B", RATIONAL_FIELD, invariants(z).algebra().table
     for m in range(3, 10):
         yield f"Q rank {m} C0", RATIONAL_FIELD, swept_tables(m)["C0"].table
     for xyz, _ in NUCLEUS_TABLES:
@@ -449,13 +454,14 @@ def corrupted_coefficient(name: str):
 CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic", "cyclic quartic")
 
 
-def invariants_with_a_nudged_digit(name: str) -> None:
+def invariants_with_a_nudged_digit(name: str, column: int) -> None:
     """invariants of a dim-64 Z(A), whose fixed algebra is not swept: of
     the rank-4 diag(a, a, a - 2, a - 2) over Q(sqrt 2), or of the cubic
-    search form, with FieldDescriptor.unpacker adding 1 to coordinate 1 of
-    the first sum read.  That sum is u_0 u_0 at monomial 0, which every
-    move fixes, so E^H = Q there and coordinate 1, off its one pivot, must
-    vanish."""
+    search form, with FieldDescriptor.unpacker adding 1 to the given
+    coordinate of the first sum read.  That sum is u_0 u_0 at monomial 0,
+    which every move fixes, so E^H = Q there: coordinate 0, its one pivot,
+    is e_0 e_0, which the unit law must find to be e_0, and coordinates
+    1..d-1, its free columns, must vanish."""
     if name == "Q(sqrt 2) rank 4":
         f = quadratic_field(2)
         a = f.gen()
@@ -475,7 +481,7 @@ def invariants_with_a_nudged_digit(name: str) -> None:
             columns = unpack(packed)
             if not nudged:
                 nudged.append(True)
-                columns[1][0] += 1
+                columns[column][0] += 1
             return columns
         return nudge
 
@@ -486,8 +492,9 @@ def invariants_with_a_nudged_digit(name: str) -> None:
         FieldDescriptor.unpacker = real
 
 
-# the dim-64 cases whose invariants_with_a_nudged_digit must reject
-NUDGED_DIGITS = ("Q(sqrt 2) rank 4", "cubic search form")
+# the dim-64 cases and free columns whose invariants_with_a_nudged_digit
+# must reject; over the cubic column 2 is the last free one
+NUDGED_DIGITS = (("Q(sqrt 2) rank 4", 1), ("cubic search form", 1), ("cubic search form", 2))
 
 
 def certify_corrupted_action() -> None:
@@ -579,6 +586,35 @@ def diagonalize_with_broken_certificate() -> None:
         qform._congruence_products = real
 
 
+def diagonalize_with_an_off_diagonal_product() -> None:
+    """diag(a, a, a - 2) over Q(sqrt 2) with P_int^T G P_int computed right
+    on the diagonal but 1 at (0, 1)."""
+    f = quadratic_field(2)
+    a = f.gen()
+    real = qform._congruence_products
+
+    def products(field, matrix, cols):
+        out = real(field, matrix, cols)
+        out[0][1] = (1,) + (0,) * (field.degree - 1)
+        return out
+
+    qform._congruence_products = products
+    try:
+        qform.diagonalize(qform.GramForm.diagonal(f, [a, a, a - 2]))
+    finally:
+        qform._congruence_products = real
+
+
+def trace_form_of_a_cyclic_group_algebra() -> None:
+    """The trace form of the fixed algebra of Z(A) for the group algebra
+    Q(sqrt 2)[C_3]: its slots have the shape the readers need, but u_1 u_2
+    = u_0 in a slot, so the monomials (1, 0) and (2, 0), in the orbits of
+    u_1 and u_2, multiply to u_0 across two orbits."""
+    f = quadratic_field(2)
+    z = build_ZG(csa.monomial_algebra(f, [[((p + q) % 3, f.one()) for q in range(3)] for p in range(3)]), f)
+    csa.trace_form_signature(z, invariants(z))
+
+
 def trace_form_with_a_wrong_division() -> None:
     """The trace form of the fixed algebra over Q(sqrt 2), whose Gram
     blocks over Q are eliminated with the norm of each pivot but the last
@@ -650,9 +686,9 @@ def family_against_the_split_class() -> None:
 
 def family_center_after(corrupt, read=csa.center) -> None:
     """read(z, B), csa.center by default, of Z(A) over Q(sqrt 2) (the
-    family form) and its fixed algebra B, after corrupt(slot 1 table, B
-    table) has edited the stored integer tables of Z(A)'s second slot and
-    of B.
+    family form) and its fixed algebra B, after corrupt(slot 1 table, B)
+    has edited the stored integer table of Z(A)'s second slot or B's
+    blocks.
 
     B's one central basis element is its unit e_0.  In each slot,
     u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2.
@@ -661,7 +697,7 @@ def family_center_after(corrupt, read=csa.center) -> None:
     a = f.gen()
     z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
     b = invariants(z)
-    corrupt(z.slots[1][0], b.table)
+    corrupt(z.slots[1][0], b)
     read(z, b)
 
 
@@ -675,37 +711,65 @@ def family_invariants_after(corrupt) -> None:
     family_center_after(corrupt, lambda z, b: invariants(z))
 
 
-def center_with_a_noncentral_unit(zt, bt) -> None:
-    """e_0 e_1 = 2 e_1 in B: no basis element of B is central any more."""
-    k, v = bt[0][1][0]
-    bt[0][1] = [(k, tuple(x + x for x in v))]
+def rebuilt(z, b) -> None:
+    """B's blocks given to the FixedAlgebra constructor again, which
+    verifies the unit law on them."""
+    csa.FixedAlgebra(b.orbits, b.blocks, b.den)
 
 
-def center_with_two_terms(zt, bt) -> None:
+def center_with_a_noncentral_unit(zt, b) -> None:
+    """e_1 e_0 = -e_1 in B, its block (0, 1) signed -1 at its one target:
+    no basis element of B is central any more, and the unit law's right
+    side fails."""
+    rep = b.orbits[1][2]
+    beta, coordinates = b.blocks[0, 1][rep]
+    b.blocks[0, 1][rep] = -beta, coordinates
+
+
+def unit_with_an_extra_term(zt, b) -> None:
+    """e_0 e_j in B gains 1 at e_(j+1), e_j the first basis element of the
+    first orbit with two: the unit column holds one nonzero too many."""
+    o = next(o for o, (_, m, _) in enumerate(b.orbits) if m > 1)
+    b.blocks[0, o][b.orbits[o][2]][1][1][0] += 1
+
+
+def center_within_an_orbit() -> None:
+    """csa.center of the fixed algebra of small_zg("cubic"), commutative of
+    dim 8, after e_1 e_2 at u_0 gains 1 where e_2 e_1 does not: both lie in
+    the orbit of u_1, whose (I, I) block holds both orders, and neither is
+    central any more."""
+    z = small_zg("cubic")
+    b = invariants(z)
+    [xs] = b.blocks[1, 1][0][1]
+    xs[1] += 1
+    csa.center(z, b)
+
+
+def center_with_two_terms(zt, b) -> None:
     """u_1 u_2 in the slot gains a second term."""
     zt[1][2] = zt[1][2] + [(0, zt[1][2][0][1])]
 
 
-def center_with_a_repeated_monomial(zt, bt) -> None:
+def center_with_a_repeated_monomial(zt, b) -> None:
     """u_1 u_2 and u_2 u_1 in the slot land on u_2, as u_1 u_3 does."""
     k = zt[1][3][0][0]
     zt[1][2] = [(k, zt[1][2][0][1])]
     zt[2][1] = [(k, zt[2][1][0][1])]
 
 
-def center_with_asymmetric_monomials(zt, bt) -> None:
+def center_with_asymmetric_monomials(zt, b) -> None:
     """u_2 u_1 and u_2 u_3 in the slot exchange their monomials."""
     (k1, c1), (k3, c3) = zt[2][1][0], zt[2][3][0]
     zt[2][1], zt[2][3] = [(k3, c1)], [(k1, c3)]
 
 
-def slot_with_a_side_scaled(zt, bt) -> None:
+def slot_with_a_side_scaled(zt, b) -> None:
     """u_1 u_2 in the slot doubled and u_2 u_1 kept: no longer +-u_1 u_2."""
     [(k, v)] = zt[1][2]
     zt[1][2] = [(k, tuple(x + x for x in v))]
 
 
-def slot_with_a_sign_flipped(zt, bt) -> None:
+def slot_with_a_sign_flipped(zt, b) -> None:
     """u_1 u_2 in the slot negated and u_2 u_1 kept, so the two commute
     where they anticommuted: the sign changes on the terms whose digit in
     the slot pairs 1 with 2, and a target of B meets such terms and others."""
@@ -747,6 +811,18 @@ NEW_CERTIFICATES = (
     ("move bijection", certify_a_move_that_is_not_a_bijection, "action 2: monomial move is not a bijection"),
     ("generation", sweep_with_a_blind_probe, "generators [] span 1 of 4 dimensions"),
     ("trace form division", trace_form_with_a_wrong_division, "congruence certificate P^T G P fails at (1,1)"),
+    ("congruence off the diagonal", diagonalize_with_an_off_diagonal_product,
+     "congruence certificate P^T G P fails at (0,1)"),
+    ("trace form across orbits", trace_form_of_a_cyclic_group_algebra,
+     "products of orbits of u_1 and u_2 reach u_0"),
+    ("unit law on the blocks", lambda: invariants_with_a_nudged_digit("cubic search form", 0),
+     "left unit law fails at u_0"),
+    ("unit law right side", lambda: family_center_after(center_with_a_noncentral_unit, rebuilt),
+     "right unit law fails at u_1"),
+    ("unit law extra term", lambda: family_center_after(unit_with_an_extra_term, rebuilt),
+     "left unit law fails at u_1"),
+    ("center within an orbit", center_within_an_orbit,
+     "center bounds differ: 6 central basis elements in B, 8 central monomials in Z(A)"),
 )
 
 
@@ -781,10 +857,10 @@ def test_invariants_reject_a_coefficient_corrupted_after_construction():
             invariants(corrupted_coefficient(name))
 
 
-@pytest.mark.parametrize("name", NUDGED_DIGITS)
-def test_invariants_reject_a_nudged_digit_where_the_fixed_algebra_is_not_swept(name):
+@pytest.mark.parametrize("name, column", NUDGED_DIGITS, ids=[n if c == 1 else f"{n} column {c}" for n, c in NUDGED_DIGITS])
+def test_invariants_reject_a_nudged_digit_where_the_fixed_algebra_is_not_swept(name, column):
     with pytest.raises(NotClosedUnderMultiplication, match="product leaves the fixed subspace"):
-        invariants_with_a_nudged_digit(name)
+        invariants_with_a_nudged_digit(name, column)
 
 
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():
@@ -865,11 +941,11 @@ for name in CORRUPTED_COEFFICIENTS:
         print(f"{name} corrupted coefficient: {exc}")
     else:
         raise SystemExit(f"{name}: invariants of a corrupted coefficient accepted")
-for name in NUDGED_DIGITS:
+for name, column in NUDGED_DIGITS:
     try:
-        invariants_with_a_nudged_digit(name)
+        invariants_with_a_nudged_digit(name, column)
     except NotClosedUnderMultiplication as exc:
-        print(f"{name} nudged digit: {exc}")
+        print(f"{name} column {column} nudged digit: {exc}")
     else:
         raise SystemExit(f"{name}: invariants of a nudged digit accepted")
 """
@@ -906,8 +982,7 @@ def test_negative_control_survives_python_O():
         "Q(sqrt 2) corrupted coefficient: product leaves the fixed subspace",
         "cubic corrupted coefficient: product leaves the fixed subspace",
         "cyclic quartic corrupted coefficient: product leaves the fixed subspace",
-        "Q(sqrt 2) rank 4 nudged digit: product leaves the fixed subspace",
-        "cubic search form nudged digit: product leaves the fixed subspace",
+        *(f"{name} column {column} nudged digit: product leaves the fixed subspace" for name, column in NUDGED_DIGITS),
     ]
     assert len(lines) == swept + 2 + len(certificates)
     assert all("associativity fails at (" in line for line in lines[:swept])

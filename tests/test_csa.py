@@ -262,7 +262,7 @@ def center_case(kind: str, args):
 def test_center_counts_match_the_dense_oracle(kind, args):
     z = center_case(kind, args)
     b = invariants(z)
-    assert center(z, b) == len(oracle_center(b))
+    assert center(z, b) == len(oracle_center(b.algebra()))
 
 
 def dual_numbers() -> StructureAlgebra:
@@ -296,9 +296,42 @@ def test_trace_signature_matches_the_dense_oracle(kind, args):
         sig = block_trace_signature(alg)
     else:
         z = center_case(kind, args)
-        alg = invariants(z)
-        sig = trace_form_signature(z, alg)
+        b = invariants(z)
+        sig, alg = trace_form_signature(z, b), b.algebra()
     assert sig == oracle_dense_trace_signature(alg)
+
+
+# center and trace_form_signature of each CENTER_CASES entry as the readers
+# counted them on B's n x n table, before B was kept as its orbit blocks
+TABLE_COUNTS = {
+    **{f"family {d},{c},{e}": (1, (6, 10, 0)) for d, c, e in FAMILY_TRIPLES},
+    **{f"rank 4 Q(sqrt {d}) shifts {s}": (4, (24, 40, 0)) for d, s in RANK4_SHIFTS},
+    "cubic search form": (1, (36, 28, 0)),
+    "cubic rank 2": (8, (4, 4, 0)),
+    "Q rank 3": (1, (3, 1, 0)),
+    "Q rank 4": (2, (4, 4, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, args, counts", [pytest.param(*case.values, TABLE_COUNTS[case.id], id=case.id) for case in CENTER_CASES]
+)
+def test_block_readers_give_the_table_counts(kind, args, counts):
+    z = center_case(kind, args)
+    b = invariants(z)
+    assert (center(z, b), trace_form_signature(z, b)) == counts
+
+
+def test_invariants_materialize_a_table_only_to_sweep_it(monkeypatch):
+    # B is kept as its blocks; its table is built while its dim is at most
+    # SWEEP_MAX_DIM, for the associativity sweep alone
+    built = []
+    real = csa.FixedAlgebra.algebra
+    monkeypatch.setattr(csa.FixedAlgebra, "algebra", lambda b: built.append(b.dim) or real(b))
+    for name in ("Q(sqrt 2)", "Q(sqrt 2) rank 4"):
+        a = oracle_case(name)
+        invariants(build_ZG(a, a.field))
+    assert built == [16] and csa.SWEEP_MAX_DIM == 16
 
 
 # -- Z_G construction ------------------------------------------------------------------
@@ -394,7 +427,7 @@ def test_invariants_of_E_itself():
     zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]]), Q2)
     inv = invariants(zg)
     assert inv.dim == 1
-    assert inv.field == RATIONAL_FIELD
+    assert inv.algebra().field == RATIONAL_FIELD
 
 
 def test_invariants_dim16_center1():
@@ -459,7 +492,7 @@ ORACLE_CASES = (
 def test_invariants_match_kernel_oracle(name):
     a = oracle_case(name)
     z = build_ZG(a, a.field)
-    inv, oracle = invariants(z), oracle_invariants(z, a.dim)
+    inv, oracle = invariants(z).algebra(), oracle_invariants(z, a.dim)
     assert inv.dim == oracle.dim == z.dim
     assert inv.den == oracle.den
     assert inv.table == oracle.table
@@ -558,16 +591,14 @@ def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(mo
     monkeypatch.setattr(FieldDescriptor, "quotient", quotient)
     b = invariants(z)
     assert calls == []
-    assert b.dim == 64 and b.field == RATIONAL_FIELD
+    assert b.dim == 64
 
 
 @pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4", "Q rank 5", "Q(sqrt 5) rank 4"])
 def test_tables_hold_one_tuple_per_distinct_entry(name):
-    # C0 from monomial_algebra and B from invariants: every cell holding an
-    # equal entry (k, v) holds the one tuple, so the ids over all cells
-    # count the distinct entries, far fewer than the entries themselves;
-    # the Q(sqrt 5) form's B is built over 4 and stored over 2, so the
-    # step to lowest terms must share its entries too
+    # C0 from monomial_algebra: every cell holding an equal entry (k, v)
+    # holds the one tuple, so the ids over all cells count the distinct
+    # entries, far fewer than the entries themselves
     if name == "Q(sqrt 5) rank 4":
         f = quadratic_field(5)
         a = f.gen()
@@ -577,14 +608,11 @@ def test_tables_hold_one_tuple_per_distinct_entry(name):
         form = search_cubic_diagonal(f)
         c0 = even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)]))
     elif name == "Q rank 5":
-        f, c0 = RATIONAL_FIELD, even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 1, -1, -1, -1]))
+        c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 1, -1, -1, -1]))
     else:
         c0 = oracle_case(name)
-        f = c0.field
-    tables = [c0.table] if f == RATIONAL_FIELD else [invariants(build_ZG(c0, f)).table, c0.table]
-    for table in tables:
-        entries = [entry for row in table for cell in row for entry in cell]
-        assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+    entries = [entry for row in c0.table for cell in row for entry in cell]
+    assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
 
 
 # the targets k of every ordered pair of orbits: the sums a readout of both orders unpacks

@@ -225,6 +225,12 @@ def test_descriptor_rejects_place_order_mismatch():
     # the intervals just moves the distinguished place to the negative root
     swapped = FieldDescriptor([-2, 0, 1], [[0, 1], [0, -1]], [(-2, -1), (1, 2)])
     assert sign_at_embedding(swapped.gen(), 1) == -1
+    # the image above its interval: with sigma2 and sigma3 listed the other
+    # way round, sigma2 = X^2 - X - 2 sends the smallest root to the
+    # largest, ~1.88, above interval 2, (-1, 0); interval 3 fails too, from
+    # below, so only a check of both sides names interval 2
+    with pytest.raises(InvalidDescriptor, match="interval 2 does not isolate the image of automorphism 2"):
+        FieldDescriptor([-1, -3, 0, 1], [[0, 1], [-2, -1, 1], [2, 0, -1]], [(-2, -1), (-1, 0), (1, 2)])
 
 
 # X^4 - 10X^2 + 16 = (X^2 - 2)(X^2 - 8) passes construction: it has no

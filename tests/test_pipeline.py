@@ -523,6 +523,21 @@ def test_route_disagreement_is_detected(monkeypatch):
         pl.ks_report(f, form)
 
 
+def test_route_disagreement_is_detected_when_the_invariant_route_says_definite(monkeypatch):
+    # the other direction: over the cyclic cubic, diag(u, u, w) with u = -2 -
+    # 2 alpha and w = -2 - alpha - 2 alpha^2 has an indefinite symbol route
+    # (the cubic search form's is split), and the trace signature swapped
+    # makes the invariant route say definite
+    import ksalgebra.pipeline as pl
+
+    real = pl.trace_form_signature
+    monkeypatch.setattr(pl, "trace_form_signature", lambda z, b: (lambda pos, neg, null: (neg, pos, null))(*real(z, b)))
+    f = cyclic_cubic_field()
+    u, w = f.elem([-2, -2]), f.elem([-2, -1, -2])
+    with pytest.raises(RouteDisagreement, match="symbol route says indefinite, invariant route says definite"):
+        pl.ks_report(f, GramForm.diagonal(f, [u, u, w]))
+
+
 def test_orbit_data_json_shape():
     data = even_weight_orbits(3, cyclic_generators(3), 3)
     doc = data.to_json_dict()
