@@ -17,8 +17,8 @@ tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with sigma_i applied
 to its constants in slot i, carries a semilinear G-action that permutes its
 monomials.  Its fixed points, built by invariants, are the corestriction B
 of A to Q (Knus, Merkurjev, Rost and Tignol, The Book of Involutions, 3.B),
-kept as orbit blocks (FixedAlgebra) that center and trace_form_signature
-read.  All three rest on the slot shape _certify_slot_shapes certifies.
+kept as orbit blocks sharing one tuple per read (FixedAlgebra) for center
+and trace_form_signature.  All three rest on _certify_slot_shapes's shape.
 """
 from functools import lru_cache
 from itertools import product
@@ -43,10 +43,8 @@ from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
-# B = invariants(z) is materialized as a table and swept for associativity
-# up to this dim; a bigger B stays in blocks and inherits it from Z(A).  At
-# dim 64 a sweep costs about 3 whole reports on diag(a, a, a - 2, a - 2)
-# over Q(sqrt 2), and about 5 on the cubic search form.
+# B = invariants(z) is built as a table and swept up to this dim; a bigger B inherits associativity from Z(A).
+# At dim 64 a sweep costs about 5 whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), 8 on the cubic form.
 SWEEP_MAX_DIM = 16
 
 
@@ -365,10 +363,10 @@ class FixedAlgebra:
     b_(first+m-1), m = dim E^H at its representative rep.  blocks[o, o2],
     o <= o2, maps each target k, a representative, to (beta, coordinates):
     coordinates[c][i m2 + j], m2 the dim of orbit o2, is the coordinate at
-    basis element c of k's orbit of b_(first+i) b_(first2+j), over den,
-    and b_(first2+j) b_(first+i) is beta times it.  The constructor checks
-    the unit law on the (0, J) blocks: e_0 e_j has the one nonzero
-    coordinate den, at j, and beta is 1 there, so e_j e_0 = e_j too.
+    basis element c of k's orbit of b_(first+i) b_(first2+j), over den, and
+    b_(first2+j) b_(first+i) is beta times it.  The blocks read from one sum
+    share one tuple of tuples.  The constructor checks the unit law on the
+    (0, J) blocks: e_0 e_j is den at j alone, and beta is 1 there.
     """
 
     def __init__(self, orbits: list, blocks: dict, den: int):
@@ -417,15 +415,15 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     (by representative) at a time: a term c u_k of u_s u_s', s in I and s'
     in J, at a representative k, formed once by z.products, adds one
     product of FieldDescriptor.pack_matrices of the coefficients a at s of
-    the basis elements (packed once per s) and pack_vectors of the b c, b
-    those at s', which sums M_a (b c) = reduce(a b c) for every pair of
-    basis elements.  Each sum is read once, by an unpacker memoized for
-    this call only; its pivot columns of E^H are the block's coordinates at
-    k, and the RREF rows, over one S, must take them to S times each free
-    column, else NotClosedUnderMultiplication (at E^H = Q columns 1..d-1
-    must vanish).  The moves are trusted as certified when z was built; a
-    later corruption is caught by these checks, the dimension count or the
-    orbit partition.
+    the basis elements and pack_vectors of the b c, b those at s', which
+    sums M_a (b c) = reduce(a b c) for every pair of basis elements.  Each
+    distinct a is packed, and each b c formed, once; each distinct (E^H at
+    k, terms) is summed once, and each (E^H, shape, sum) read once, by an
+    unpacker memoized for this call only, into one tuple shared by its
+    blocks: the pivot columns, which the RREF rows, over one S, must take
+    to S times each free column, else NotClosedUnderMultiplication.  The
+    moves are trusted as certified when z was built; a later corruption is
+    caught by these checks, the dimension count or the orbit partition.
 
     z.products gives u_s' u_s = beta c u_k with one beta per target (I, J,
     k), else CertificateFailure, so b_j b_i = beta b_i b_j at k: on even
@@ -438,12 +436,12 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     """
     f, d, n = z.field, z.field.degree, z.dim
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
-    orbits, members, basis, fields, targets = [], [], [], {}, {}  # targets[rep]: pivots, free columns, S, conjugates
+    dim, orbits, members, fields, targets, where, interned = 0, [], [], {}, {}, {}, {}  # targets[rep]: H
     for t in range(n):
         images = [z.moves[g][t] for g in gs]
         if min(images) < t:
             continue
-        stab = tuple(g for g, s in zip(gs, images) if s == t)
+        stab = targets[t] = tuple(g for g, s in zip(gs, images) if s == t)
         if stab not in fields:  # the reduced echelon of E^H, each row primitive
             echelon: dict = {}
             for x in powers:
@@ -456,53 +454,55 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
             pivots = sorted(echelon)
             scale = lcm(*(echelon[p][p][0] for p in pivots))
             rows = [[echelon[p].get(l, (0,))[0] * (scale // echelon[p][p][0]) for l in range(d)] for p in pivots]
-            conjugates = [[apply_automorphism(f.from_integers(r, scale), g) for g in gs] for r in rows]
+            conjugates = [tuple([apply_automorphism(f.from_integers(r, scale), g) for r in rows]) for g in gs]
             free = [(l, [r[l] for r in rows]) for l in range(d) if l not in pivots]
-            fields[stab] = pivots, free, scale, conjugates
-        pivots, free, scale, conjugates = targets[t] = fields[stab]
-        orbits.append((len(basis), len(pivots), t))
+            fields[stab] = pivots, free, scale, [interned.setdefault(a, len(interned)) for a in conjugates]
+        pivots, free, scale, conjugate_ids = fields[stab]  # the id of the basis elements at each sigma_g(t)
+        orbits.append((dim, len(pivots), t))
         members.append(sorted(set(images)))
-        if any(len(set(zip(images, cs))) != len(set(images)) for cs in conjugates):
+        if len(set(zip(images, conjugate_ids))) != len(set(images)):
             raise CertificateFailure(f"basis element at monomial {t} is not fixed")
-        basis += [dict(zip(images, cs)) for cs in conjugates]  # {monomial: coefficient}
-    if len(basis) != n:
-        raise DimensionMismatch(f"invariant dimension {len(basis)}, expected {n}")
+        dim += len(pivots)
+        where.update((s, (len(orbits) - 1, i)) for s, i in zip(images, conjugate_ids))  # s: (orbit, id)
+    if dim != n:
+        raise DimensionMismatch(f"invariant dimension {dim}, expected {n}")
     if sorted(s for orbit in members for s in orbit) != list(range(n)):
         raise CertificateFailure("the orbits do not cover each monomial exactly once")
-    block_of = {s: o for o, orbit in enumerate(members) for s in orbit}
     # the basis over one denominator M, the blocks over one L: products over M^2 L D^2, D = reduction_den
-    bden = lcm(1, *(c.den for vec in basis for c in vec.values()))
-    ibasis = [{s: tuple([x * (bden // c.den) for x in c.num]) for s, c in vec.items()} for vec in basis]
+    bden = lcm(1, *(c.den for a in interned for c in a))
     den = bden * bden * z.den * f.reduction_den ** 2
-    # per pair of orbits I <= J and per k, beta and the terms (s, (s', c)), later the coordinates; ys[s', c], the b c
+    vectors = [tuple([tuple([x * (bden // c.den) for x in c.num]) for c in a]) for a in interned]
+    # per pair of orbits I <= J and per k, beta and the terms (id at s, id at s', c); ys[id at s', c], the b c
     pairs, multiply, ys = {}, lru_cache(maxsize=None)(f.multiply), {}
     for s, s2, k, beta, c in z.products(targets):
-        o, o2 = block_of[s], block_of[s2]
+        (o, a), (o2, b) = where[s], where[s2]
         if o > o2:
             continue
         sign, group = pairs.setdefault((o, o2), {}).setdefault(k, (beta, []))
         if sign != beta:
             raise CertificateFailure(f"products of orbits of u_{orbits[o][2]} and u_{orbits[o2][2]} at u_{k} carry both signs")
-        group.append((s, (s2, c)))
-        if (s2, c) not in ys:
-            first, m, _ = orbits[o2]
-            ys[s2, c] = [multiply(ibasis[j][s2], c) for j in range(first, first + m)]
+        group.append((a, b, c))
+        if (b, c) not in ys:
+            ys[b, c] = [multiply(x, c) for x in vectors[b]]
     terms = max(len(group) for by_k in pairs.values() for _, group in by_k.values())
-    width = f.packing_width(terms, {a for v in ibasis for a in v.values()}, {y for v in ys.values() for y in v})
+    width = f.packing_width(terms, {a for v in vectors for a in v}, {y for v in ys.values() for y in v})
+    packed_a = [f.pack_matrices(v, width) for v in vectors]
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
-    packed_a = {s: f.pack_matrices([ibasis[i][s] for i in range(first, first + m)], width)
-                for (first, m, _), orbit in zip(orbits, members) for s in orbit}
-    unpacker = lru_cache(maxsize=None)(f.unpacker)
+    unpacker, summed, read = lru_cache(maxsize=None)(f.unpacker), {}, {}
     for (o, o2), by_k in sorted(pairs.items()):
-        unpack = unpacker(orbits[o][1], orbits[o2][1], width)
+        shape = orbits[o][1], orbits[o2][1]
         for k, (beta, group) in by_k.items():
-            pivots, free, scale, _ = targets[k]
-            columns = unpack(sum(packed_a[s] * packed_y[key] for s, key in group))
-            coordinates = [columns[p] for p in pivots]
-            for l, rs in free:  # the RREF rows must take the coordinates back to column l
-                if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
-                    raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-            by_k[k] = beta, coordinates
+            key = targets[k], tuple(group)
+            if key not in summed:
+                summed[key] = total = (targets[k], *shape, sum(packed_a[a] * packed_y[b, c] for a, b, c in group))
+                if total not in read:
+                    pivots, free, scale, _ = fields[targets[k]]
+                    columns = unpacker(*shape, width)(total[-1])
+                    read[total] = coordinates = tuple([tuple(columns[p]) for p in pivots])
+                    for l, rs in free:  # the RREF rows must take the coordinates back to column l
+                        if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
+                            raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+            by_k[k] = beta, read[summed[key]]
     b = FixedAlgebra(orbits, pairs, den)
     if n <= SWEEP_MAX_DIM:
         b.algebra()

@@ -728,20 +728,24 @@ def center_with_a_noncentral_unit(zt, b) -> None:
 
 def unit_with_an_extra_term(zt, b) -> None:
     """e_0 e_j in B gains 1 at e_(j+1), e_j the first basis element of the
-    first orbit with two: the unit column holds one nonzero too many."""
+    first orbit with two: the unit column holds one nonzero too many.  The
+    one block is rebuilt, as its coordinates may be shared."""
     o = next(o for o, (_, m, _) in enumerate(b.orbits) if m > 1)
-    b.blocks[0, o][b.orbits[o][2]][1][1][0] += 1
+    rep = b.orbits[o][2]
+    beta, (xs, ys, *rest) = b.blocks[0, o][rep]
+    b.blocks[0, o][rep] = beta, (xs, (ys[0] + 1, *ys[1:]), *rest)
 
 
 def center_within_an_orbit() -> None:
     """csa.center of the fixed algebra of small_zg("cubic"), commutative of
     dim 8, after e_1 e_2 at u_0 gains 1 where e_2 e_1 does not: both lie in
     the orbit of u_1, whose (I, I) block holds both orders, and neither is
-    central any more."""
+    central any more.  The one block is rebuilt, as its coordinates may be
+    shared."""
     z = small_zg("cubic")
     b = invariants(z)
-    [xs] = b.blocks[1, 1][0][1]
-    xs[1] += 1
+    beta, [xs] = b.blocks[1, 1][0]
+    b.blocks[1, 1][0] = beta, ((xs[0], xs[1] + 1, *xs[2:]),)
     csa.center(z, b)
 
 

@@ -617,13 +617,14 @@ def test_tables_hold_one_tuple_per_distinct_entry(name):
 
 # the targets k of every ordered pair of orbits: the sums a readout of both orders unpacks
 ORDERED_TARGETS = {"cubic search form": 1296, "Q(sqrt 2) rank 4": 2080}
+# the sums invariants reads: one per distinct (sum, E^H) over the unordered targets
+READS = {"cubic search form": 305, "Q(sqrt 2) rank 4": 170}
 
 
-@pytest.mark.parametrize("name", ORDERED_TARGETS)
-def test_invariants_read_each_unordered_pair_of_orbits_once(monkeypatch, name):
-    # B's (J, I) cells are the (I, J) ones times the slots' sign, so one sum
-    # is unpacked per target: a representative k that some u_s u_t lands on,
-    # s in orbit I, t in orbit J, I <= J, ordered by their representatives
+def read_invariants(monkeypatch, name):
+    """(z, invariants(z), reads) for a dim-64 case: reads holds (sum,
+    columns) for each packed sum read through FieldDescriptor.unpacker, in
+    order."""
     if name == "cubic search form":
         f = cyclic_cubic_field()
         form = search_cubic_diagonal(f)
@@ -638,13 +639,22 @@ def test_invariants_read_each_unordered_pair_of_orbits_once(monkeypatch, name):
         unpack = real(field, *args)
 
         def read(packed):
-            reads.append(packed)
-            return unpack(packed)
+            reads.append((packed, unpack(packed)))
+            return reads[-1][1]
         return read
 
     monkeypatch.setattr(FieldDescriptor, "unpacker", unpacker)
-    invariants(z)
-    m, d = c0.dim, c0.field.degree
+    return z, invariants(z), reads
+
+
+@pytest.mark.parametrize("name", ORDERED_TARGETS)
+def test_invariants_read_each_distinct_sum_once_per_fixed_field(monkeypatch, name):
+    # every target k that some u_s u_t lands on, s in orbit I, t in orbit J,
+    # I <= J by their representatives, gets a block, and a sum is read once
+    # per fixed field E^H of its target: blocks with equal terms or equal
+    # sums there share the read
+    z, b, reads = read_invariants(monkeypatch, name)
+    m, d = len(z.slots[0][0]), z.field.degree
     rep = [min(moves[t] for moves in z.moves.values()) for t in range(z.dim)]
     digits = list(product(range(m), repeat=d))
 
@@ -655,7 +665,42 @@ def test_invariants_read_each_unordered_pair_of_orbits_once(monkeypatch, name):
     targets = {(rep[s], rep[t], k) for s, t in product(range(z.dim), repeat=2)
                if rep[k := monomial(s, t)] == k}
     assert len(targets) == ORDERED_TARGETS[name]
-    assert len(reads) == len({(r, r2, k) for r, r2, k in targets if r <= r2}) < len(targets)
+    unordered = {(r, r2, k) for r, r2, k in targets if r <= r2}
+    assert {(b.orbits[o][2], b.orbits[o2][2], k) for (o, o2), by_k in b.blocks.items() for k in by_k} == unordered
+    # the reads follow the blocks in order, one at each new coordinates object,
+    # whose rows are the read's columns at the pivots of E^H (1 for Q, all for E)
+    first = {}
+    for (o, o2), by_k in sorted(b.blocks.items()):
+        for k, (_, coordinates) in by_k.items():
+            first.setdefault(id(coordinates), (coordinates, tuple(g for g, moves in z.moves.items() if moves[k] == k)))
+    assert len(first) == len(reads)
+    assert all(c == tuple(map(tuple, columns[:len(c)])) for (c, _), (_, columns) in zip(first.values(), reads))
+    read_at = {(packed, stab) for (packed, _), (_, stab) in zip(reads, first.values())}
+    assert len(read_at) == len(reads) == READS[name] < len(unordered)
+
+
+@pytest.mark.parametrize("name", ORDERED_TARGETS)
+def test_invariants_share_one_tuple_of_coordinates_per_read(monkeypatch, name):
+    # blocks hold immutable tuples, and every block whose sum was read once
+    # holds that read's one object
+    _, b, reads = read_invariants(monkeypatch, name)
+    coordinates = [c for by_k in b.blocks.values() for _, c in by_k.values()]
+    assert all(type(c) is tuple and all(type(xs) is tuple for xs in c) for c in coordinates)
+    assert len({id(c) for c in coordinates}) == len(reads) < len(coordinates)
+
+
+def test_trace_form_reads_each_block_at_u0_on_and_above_the_diagonal():
+    # orbit 1 of the family form over Q(sqrt 2) has the Gram matrix
+    # [[-4, 0], [0, -8]] at u_0; rebuilt asymmetric, its signature follows
+    # the upper triangle: (-4, 8, 0, -8) reads as [[-4, 8], [8, -8]]
+    a = oracle_case("Q(sqrt 2)")
+    z = build_ZG(a, a.field)
+    b = invariants(z)
+    beta, [xs] = b.blocks[1, 1][0]
+    assert (b.orbits[1][1], xs, trace_form_signature(z, b)) == (2, (-4, 0, 0, -8), (6, 10, 0))
+    for gram, signature in (((-4, 0, 8, -8), (6, 10, 0)), ((-4, 8, 0, -8), (7, 9, 0)), ((-4, 8, 8, -8), (7, 9, 0))):
+        b.blocks[1, 1][0] = beta, (gram,)
+        assert trace_form_signature(z, b) == signature
 
 
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():

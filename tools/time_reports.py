@@ -1,13 +1,14 @@
 """Time the big ks_report inputs, each in a fresh `python -O` process.
 
 Usage:
-    python3 tools/time_reports.py [--src DIR ...] [--runs N]
+    python3 tools/time_reports.py [--src DIR ...] [--report NAME ...] [--runs N]
 
 Each --src is the `src` directory of a checkout (default: this one's).
 With several, every report runs once per checkout in turn, so that their
 runs interleave on a host whose speed drifts; --runs repeats the whole
-round.  The quartic fields come from the checkout's
-tests/quartic_fields.py.
+round.  Each --report names one report of INPUTS (default: all), so
+that a round can time the rank-4 cubic alone.  The quartic fields come
+from the checkout's tests/quartic_fields.py.
 
 One JSON line per report: the checkout, the report, wall and CPU seconds
 of ks_report alone (imports and the field excluded), the process's peak
@@ -61,11 +62,12 @@ def run(src: Path, name: str) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", action="append", type=Path, help="a checkout's src directory (repeatable)")
+    parser.add_argument("--report", action="append", choices=INPUTS, help="a report to run (repeatable; default: all)")
     parser.add_argument("--runs", type=int, default=1, help="rounds over every report and checkout")
     args = parser.parse_args()
     sources = [p.resolve() for p in args.src or [Path(__file__).resolve().parent.parent / "src"]]
     for _ in range(args.runs):
-        for name in INPUTS:
+        for name in args.report or INPUTS:
             for src in sources:
                 print(json.dumps(run(src, name)), flush=True)
 
