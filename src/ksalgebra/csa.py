@@ -44,7 +44,7 @@ from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
 # B = invariants(z) is built as a table and swept up to this dim; a bigger B inherits associativity from Z(A).
-# At dim 64 a sweep costs about 5 whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), 8 on the cubic form.
+# At dim 64 a sweep costs about 5 whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), 8 to 9 on the cubic form.
 SWEEP_MAX_DIM = 16
 
 
@@ -526,13 +526,15 @@ def center(z: GaloisModuleAlgebra, b: FixedAlgebra) -> int:
     differ raise CertificateFailure.
     """
     upper = prod(sum(-1 not in row for row in sign) for sign in _certify_slot_shapes(z))
-    central = [True] * b.dim
+    central, differ = [True] * b.dim, {}  # per (id(coordinates), o == o2) of this call, the p where x != y
     for (o, o2), by_k in b.blocks.items():
         (i0, m, _), (j0, mr, _) = b.orbits[o], b.orbits[o2]
         for beta, coordinates in by_k.values() if any(central[i0:i0 + m] + central[j0:j0 + mr]) else ():
-            for xs in coordinates if o == o2 or beta != 1 else ():  # b_i b_j at i mr + j, beside b_j b_i
-                back = [xs[j * m + i] for i in range(m) for j in range(m)] if o == o2 else [0] * len(xs)
-                for p in (p for p, (x, y) in enumerate(zip(xs, back)) if x != y):
+            if o == o2 or beta != 1:  # x = b_i b_j at p = i mr + j; b_j b_i is at j m + i in an (I, I) block, else -x
+                if (key := (id(coordinates), o == o2)) not in differ:
+                    differ[key] = {p for xs in coordinates for p, x in enumerate(xs)
+                                   if x != (xs[p % m * m + p // m] if o == o2 else 0)}
+                for p in differ[key]:
                     central[i0 + p // mr] = central[j0 + p % mr] = False
     if sum(central) != upper:
         raise CertificateFailure(f"center bounds differ: {sum(central)} central basis elements in B,"
@@ -552,20 +554,21 @@ def trace_form_signature(z: GaloisModuleAlgebra, b: FixedAlgebra) -> tuple[int, 
     raises CertificateFailure, so the Gram matrix is n/L times one (I, I)
     block per orbit at u_0, read on and above the diagonal;
     qform.congruence_diagonalize certifies P^T G P in integers (Conner and
-    Perlis, A Survey of Trace Forms).
+    Perlis, A Survey of Trace Forms), once per distinct block in a call.
     """
     _certify_slot_shapes(z)
-    pos = neg = 0
+    pos, neg, counts = 0, 0, {}  # counts: (pos, neg) per distinct Gram block, for this call
     for (o, o2), by_k in b.blocks.items():
         if 0 not in by_k:
             continue
         if o != o2:
             raise CertificateFailure(f"products of orbits of u_{b.orbits[o][2]} and u_{b.orbits[o2][2]} reach u_0")
         m, [xs] = b.orbits[o][1], by_k[0][1]
-        for e in congruence_diagonalize([[(xs[min(r, c) * m + max(r, c)],) for c in range(m)] for r in range(m)],
-                                        RATIONAL_FIELD):
-            pos += e.num[0] > 0
-            neg += e.num[0] < 0
+        if xs not in counts:
+            es = congruence_diagonalize([[(xs[min(r, c) * m + max(r, c)],) for c in range(m)] for r in range(m)],
+                                        RATIONAL_FIELD)
+            counts[xs] = sum(e.num[0] > 0 for e in es), sum(e.num[0] < 0 for e in es)
+        pos, neg = pos + counts[xs][0], neg + counts[xs][1]
     return pos, neg, b.dim - pos - neg
 
 

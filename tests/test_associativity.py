@@ -749,6 +749,20 @@ def center_within_an_orbit() -> None:
     csa.center(z, b)
 
 
+def center_of_a_product_sharing_an_orbit_block() -> None:
+    """csa.center of the fixed algebra of small_zg("cubic") after e_i e_j,
+    i in the orbit of u_1 and j in that of u_3, is signed -1 at u_7 and
+    given the coordinates of the symmetric (I, I) block of the orbit of u_1
+    at u_0, its very object: read first in the (I, I) block, where it holds
+    both orders, it has no differing position, but as a (J, I) product,
+    with beta = -1, each of its nonzero entries differs, and the six basis
+    elements of the two orbits are no longer central."""
+    z = small_zg("cubic")
+    b = invariants(z)
+    b.blocks[1, 2][7] = -1, b.blocks[1, 1][0][1]
+    csa.center(z, b)
+
+
 def center_with_two_terms(zt, b) -> None:
     """u_1 u_2 in the slot gains a second term."""
     zt[1][2] = zt[1][2] + [(0, zt[1][2][0][1])]
@@ -827,6 +841,8 @@ NEW_CERTIFICATES = (
      "left unit law fails at u_1"),
     ("center within an orbit", center_within_an_orbit,
      "center bounds differ: 6 central basis elements in B, 8 central monomials in Z(A)"),
+    ("center of a shared block", center_of_a_product_sharing_an_orbit_block,
+     "center bounds differ: 2 central basis elements in B, 8 central monomials in Z(A)"),
 )
 
 

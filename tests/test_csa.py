@@ -25,7 +25,7 @@ from ksalgebra.exactfield import (
     quadratic_field,
 )
 from ksalgebra.pipeline import ks_report, search_cubic_diagonal
-from ksalgebra.qform import GramForm, diagonalize
+from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
 from kernel_oracle import (
     block_trace_signature,
@@ -621,17 +621,22 @@ ORDERED_TARGETS = {"cubic search form": 1296, "Q(sqrt 2) rank 4": 2080}
 READS = {"cubic search form": 305, "Q(sqrt 2) rank 4": 170}
 
 
-def read_invariants(monkeypatch, name):
-    """(z, invariants(z), reads) for a dim-64 case: reads holds (sum,
-    columns) for each packed sum read through FieldDescriptor.unpacker, in
-    order."""
+def dim64_zg(name):
+    """Z(A) of one of the two dim-64 cases of ORDERED_TARGETS."""
     if name == "cubic search form":
         f = cyclic_cubic_field()
         form = search_cubic_diagonal(f)
         c0 = even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)]))
     else:
         c0 = oracle_case(name)
-    z = build_ZG(c0, c0.field)
+    return build_ZG(c0, c0.field)
+
+
+def read_invariants(monkeypatch, name):
+    """(z, invariants(z), reads) for a dim-64 case: reads holds (sum,
+    columns) for each packed sum read through FieldDescriptor.unpacker, in
+    order."""
+    z = dim64_zg(name)
     reads = []
     real = FieldDescriptor.unpacker
 
@@ -701,6 +706,76 @@ def test_trace_form_reads_each_block_at_u0_on_and_above_the_diagonal():
     for gram, signature in (((-4, 0, 8, -8), (6, 10, 0)), ((-4, 8, 0, -8), (7, 9, 0)), ((-4, 8, 8, -8), (7, 9, 0))):
         b.blocks[1, 1][0] = beta, (gram,)
         assert trace_form_signature(z, b) == signature
+    # orbits 2 and 3 share the block (-4, -8, -8, -8), of signature (1, 1);
+    # orbit 3 rebuilt with another value below the diagonal is a new key of
+    # the same signature, and with another value above it, [[-4, 0], [0, -8]]
+    b.blocks[1, 1][0] = beta, (xs,)
+    assert b.blocks[2, 2][0][1] == b.blocks[3, 3][0][1] == ((-4, -8, -8, -8),)
+    for gram, signature in (((-4, -8, 0, -8), (6, 10, 0)), ((-4, 0, -8, -8), (5, 11, 0)), ((-4, -8, -8, -8), (6, 10, 0))):
+        b.blocks[3, 3][0] = beta, (gram,)
+        assert trace_form_signature(z, b) == signature
+
+
+# the (I, I) blocks at u_0, and the distinct ones among them, each diagonalized once
+GRAM_BLOCKS = {"cubic search form": (24, 12), "Q(sqrt 2) rank 4": (36, 14)}
+
+
+@pytest.mark.parametrize("name", GRAM_BLOCKS)
+def test_trace_form_diagonalizes_each_distinct_gram_block_once(monkeypatch, name):
+    z = dim64_zg(name)
+    b = invariants(z)
+    calls = []
+    real = csa.congruence_diagonalize
+
+    def congruence_diagonalize(gram, field):
+        calls.append(gram)
+        return real(gram, field)
+
+    monkeypatch.setattr(csa, "congruence_diagonalize", congruence_diagonalize)
+    signature = trace_form_signature(z, b)
+    blocks = [by_k[0][1] for by_k in b.blocks.values() if 0 in by_k]
+    assert (len(blocks), len(calls)) == GRAM_BLOCKS[name]
+    assert len({gram for [gram] in blocks}) == len(calls)
+    # a second call diagonalizes them all again: the memo lives for one call
+    assert trace_form_signature(z, b) == signature
+    assert len(calls) == 2 * GRAM_BLOCKS[name][1]
+
+
+@pytest.mark.parametrize("orbit", [2, 3])
+def test_trace_form_memo_is_keyed_by_the_gram_block(orbit):
+    # orbits 2 and 3 of the cubic search form share one 3 x 3 Gram block at
+    # u_0; either one rebuilt negated, the first seen or its repeat, moves
+    # the signature by that orbit's (pos, neg) exchanged, and the other
+    # orbit keeps its own
+    z = dim64_zg("cubic search form")
+    b = invariants(z)
+    (beta, [xs]), [twin] = b.blocks[orbit, orbit][0], b.blocks[5 - orbit, 5 - orbit][0][1]
+    assert xs == twin and b.orbits[orbit][1] == 3
+    pos, neg, null = trace_form_signature(z, b)
+    es = [e.num[0] for e in congruence_diagonalize([[(xs[3 * min(r, c) + max(r, c)],) for c in range(3)]
+                                                    for r in range(3)], RATIONAL_FIELD)]
+    p, q = sum(e > 0 for e in es), sum(e < 0 for e in es)
+    assert p != q
+    b.blocks[orbit, orbit][0] = beta, (tuple([-x for x in xs]),)
+    assert trace_form_signature(z, b) == (pos - p + q, neg - q + p, null)
+
+
+def test_invariants_multiply_each_distinct_pair_once(monkeypatch):
+    # the field multiplies of one invariants call on the cubic search form:
+    # 203 for its products' slot cells and 563 for the b c, b a basis
+    # conjugate at s' and c a structure constant of a kept term, each
+    # distinct pair once in its own memo
+    z = dim64_zg("cubic search form")
+    calls = []
+    real = FieldDescriptor.multiply
+
+    def multiply(field, a, b):
+        calls.append((a, b))
+        return real(field, a, b)
+
+    monkeypatch.setattr(FieldDescriptor, "multiply", multiply)
+    invariants(z)
+    assert len(calls) == 766
 
 
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():

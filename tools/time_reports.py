@@ -13,7 +13,11 @@ from the checkout's tests/quartic_fields.py.
 One JSON line per report: the checkout, the report, wall and CPU seconds
 of ks_report alone (imports and the field excluded), the process's peak
 resident size (ru_maxrss, in MB), and the invariant route's dim, center
-dimension and trace signature.  Standard library only.
+dimension and trace signature, and under "stages" the CPU seconds of
+ks_report spent in each of STAGES, names that ksalgebra.pipeline
+imports: the child rebinds them there, and nowhere else, to timed
+wrappers, so the package is unchanged and no stage is counted inside
+another.  Standard library only.
 """
 import argparse
 import json
@@ -29,6 +33,8 @@ INPUTS = {
     "quartic-cyclic": ("cyclic_quartic_field()", "[2 * a - 3, 2 * a - 3, -f.one()]"),
     "quartic-biquadratic": ("biquadratic_field()", "[a - 2, a - 2, -f.one()]"),
 }
+# the stages timed in each report, as named in ksalgebra.pipeline
+STAGES = ("validate_k3_rm", "even_part", "build_ZG", "invariants", "trace_form_signature", "center")
 
 _CHILD = """
 import json, resource, sys, time
@@ -36,6 +42,20 @@ from ksalgebra.exactfield import cyclic_cubic_field
 from ksalgebra.pipeline import ks_report
 from ksalgebra.qform import GramForm
 from quartic_fields import biquadratic_field, cyclic_quartic_field
+from ksalgebra import pipeline
+stages = dict.fromkeys({stages}, 0.0)
+
+def timed(name, real):
+    def stage(*args, **kwargs):
+        start = time.process_time()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            stages[name] += time.process_time() - start
+    return stage
+
+for name in stages:
+    setattr(pipeline, name, timed(name, getattr(pipeline, name)))
 f = {field}
 a = f.gen()
 form = GramForm.diagonal(f, {entries})
@@ -46,6 +66,7 @@ print(json.dumps({{
     "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
     "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "dim": route["dim"], "center": route["center_dim"], "signature": list(route["trace_signature"]),
+    "stages": {{k: round(v, 4) for k, v in stages.items()}},
 }}))
 """
 
@@ -54,7 +75,7 @@ def run(src: Path, name: str) -> dict:
     """One report in a fresh python -O process with src and its tests importable."""
     field, entries = INPUTS[name]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(src.parent / "tests")]))
-    done = subprocess.run([sys.executable, "-O", "-c", _CHILD.format(field=field, entries=entries)],
+    done = subprocess.run([sys.executable, "-O", "-c", _CHILD.format(field=field, entries=entries, stages=STAGES)],
                           capture_output=True, text=True, env=env, check=True)
     return {"src": str(src), "report": name, **json.loads(done.stdout)}
 
