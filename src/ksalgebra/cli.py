@@ -37,7 +37,7 @@ from .errors import (
     ParameterConstraintViolated,
     ZeroInput,
 )
-from .exactfield import field_from_json_dict
+from .exactfield import field_from_json_dict, parse_rational
 from .pipeline import (
     cyclic_generators,
     even_weight_orbits,
@@ -54,8 +54,8 @@ def _canonical(doc) -> str:
 
 def _parse_rational_flag(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text, flag)
+    except MalformedInput:
         raise MalformedInput(f"flag {flag}: expected a rational like -3/4, got {text!r}")
 
 

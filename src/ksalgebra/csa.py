@@ -6,11 +6,11 @@ denominator, with unit u_0, built and checked on those integers with the
 field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
 products); FieldElem constants become cells only in monomial_algebra.  One
 checking rule: the unit law and Z(A)'s slots and Galois action are always
-certified, a table monomial_algebra builds is always swept for
-associativity (check_associativity), and so is the fixed algebra B of Z(A)
-while its dim is at most SWEEP_MAX_DIM.  Failures raise NotAssociative,
-NotClosedUnderMultiplication, DimensionMismatch or CertificateFailure,
-under python -O too.
+certified, and every StructureAlgebra is swept for associativity
+(check_associativity) where it is built; invariants builds the fixed
+algebra B of Z(A) as one while its dim is at most SWEEP_MAX_DIM.
+Failures raise NotAssociative, NotClosedUnderMultiplication,
+DimensionMismatch or CertificateFailure, under python -O too.
 
 For E/Q Galois with group G = {sigma_1..sigma_d}, Z(A) = A_{sigma_1}
 tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with sigma_i applied
@@ -43,7 +43,7 @@ from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
-# B = invariants(z) is built as a table and swept up to this dim; a bigger B inherits associativity from Z(A).
+# invariants builds B's table, and so sweeps it, up to this dim; a bigger B inherits associativity from Z(A).
 # At dim 64 a sweep costs about 5 whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), 8 to 9 on the cubic form.
 SWEEP_MAX_DIM = 16
 
@@ -133,13 +133,11 @@ class StructureAlgebra:
     of d ints) with distinct indices and nonzero vectors, all over the
     denominator den.  It is brought to lowest terms, so equal algebras
     store equal tables; row() builds FieldElems.  The unit is u_0, and the
-    unit law is always verified.  monomial_algebra builds a table given by
-    FieldElem constants.  check=True sweeps associativity with
-    check_associativity; only FixedAlgebra.algebra passes False, for a B
-    above SWEEP_MAX_DIM.
+    unit law and associativity (check_associativity) are always verified.
+    monomial_algebra builds a table given by FieldElem constants.
     """
 
-    def __init__(self, field: FieldDescriptor, constants, *, check: bool = True, den: int = 1):
+    def __init__(self, field: FieldDescriptor, constants, *, den: int = 1):
         table, g = constants, den
         for v in (v for row in table for cell in row for _, v in cell):
             g = gcd(g, *v)
@@ -150,8 +148,7 @@ class StructureAlgebra:
             table = [[[(k, tuple([x // g for x in v])) for k, v in cell] for cell in row] for row in table]
         self.field, self.dim, self.den, self.table = field, len(table), den, table
         self._check_unit()
-        if check:
-            check_associativity(field, table)
+        check_associativity(field, table)
 
     def row(self, i: int, j: int) -> list[tuple[int, FieldElem]]:
         """u_i u_j as (index, FieldElem) pairs."""
@@ -380,9 +377,9 @@ class FixedAlgebra:
                     raise CertificateFailure(f"right unit law fails at u_{first + j}")
 
     def algebra(self) -> StructureAlgebra:
-        """B's table, the blocks' one materializer, swept while its dim is at
-        most SWEEP_MAX_DIM: cell (i, j) holds (e, (x,)) for each nonzero
-        coordinate x at b_e, and cell (j, i) (e, (beta x,))."""
+        """B's table, the blocks' one materializer, swept as every table is:
+        cell (i, j) holds (e, (x,)) for each nonzero coordinate x at b_e,
+        and cell (j, i) (e, (beta x,))."""
         n, first = self.dim, {rep: start for start, _, rep in self.orbits}
         table = [[[] for _ in range(n)] for _ in range(n)]
         for (o, o2), by_k in sorted(self.blocks.items()):
@@ -394,7 +391,7 @@ class FixedAlgebra:
                             table[i][j].append((e, (x,)))
                             if o < o2:  # an (I, I) block holds both orders
                                 table[j][i].append((e, (beta * x,)))
-        return StructureAlgebra(RATIONAL_FIELD, table, check=n <= SWEEP_MAX_DIM, den=self.den)
+        return StructureAlgebra(RATIONAL_FIELD, table, den=self.den)
 
 
 def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
@@ -430,9 +427,9 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     Clifford slots e_S e_T = (-1)^|S n T| e_T e_S (Lam, Ch. V), 2 |S n T| =
     |S| + |T| - |S xor T|, and each size summed over the slots is constant
     on an orbit.  b_j b_i is in E^H at k exactly when b_i b_j is, so the
-    closure tests cover every product.  While n is at most SWEEP_MAX_DIM,
-    B's table (FixedAlgebra.algebra) is swept for associativity; a bigger B
-    inherits it from Z(A), certified with its slots.
+    closure tests cover every product.  B's table (FixedAlgebra.algebra),
+    and with it the sweep, is built only while n is at most SWEEP_MAX_DIM;
+    a bigger B inherits associativity from Z(A), certified with its slots.
     """
     f, d, n = z.field, z.field.degree, z.dim
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]

@@ -51,6 +51,7 @@ nonzero element whose conjugates do not multiply to a nonzero rational,
 means P is reducible: both raise InvalidDescriptor.
 """
 
+import re
 from fractions import Fraction
 from itertools import accumulate, chain, count, repeat
 from math import gcd, isqrt, lcm, prod
@@ -602,13 +603,16 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(value, key: str) -> Fraction:
-    """Accept ints and 'p/q' strings; reject floats (exactness contract)."""
+    """Accept ints and [+-]digits[/digits] strings; reject floats, and the decimal
+    and exponent strings Fraction takes: "1e2000000" is short but huge (exactness contract)."""
     if isinstance(value, bool):
         raise MalformedInput(f"key {key!r}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedInput(f"key {key!r}: cannot parse rational {value!r}") from exc

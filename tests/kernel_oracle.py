@@ -325,7 +325,7 @@ def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
     # fixed, so the first RREF row is u_0 and the unit law holds on it
     den = lcm(1, *(c.denominator for row in constants for cell in row for _, c in cell))
     table = [[[(k, (int(c * den),)) for k, c in cell] for cell in row] for row in constants]
-    return StructureAlgebra(RATIONAL_FIELD, table, check=False, den=den)
+    return StructureAlgebra(RATIONAL_FIELD, table, den=den)
 
 
 def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:

@@ -26,7 +26,9 @@ dimension or do not partition the monomials, a corrupted slot cell,
 moves that keep the digits, a slot cell that is not one monomial, a
 group algebra whose slots do not commute up to sign), the closure test
 of the fixed algebra (a corrupted slot coefficient, and a nudged digit in
-the last free column over the cubic), the congruence certificate P^T G P
+the last free column over the cubic), the sweep of the fixed algebra's
+table at dim 64 (a pivot digit nudged in a late sum, which invariants
+passes), the congruence certificate P^T G P
 (once with the certificate's products zeroed, once with one off-diagonal
 product nonzero, once on the Q Gram blocks of a trace form with inexact
 divisions), the 16 quaternion relations of C0, the orbit sums of
@@ -55,6 +57,7 @@ from ksalgebra import clifford, csa, pipeline, qform
 from ksalgebra.brauer import QuaternionSymbol
 from ksalgebra.clifford import CliffordAlgebra, even_part
 from ksalgebra.csa import (
+    FixedAlgebra,
     StructureAlgebra,
     build_ZG,
     check_associativity,
@@ -454,14 +457,15 @@ def corrupted_coefficient(name: str):
 CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic", "cyclic quartic")
 
 
-def invariants_with_a_nudged_digit(name: str, column: int) -> None:
-    """invariants of a dim-64 Z(A), whose fixed algebra is not swept: of
-    the rank-4 diag(a, a, a - 2, a - 2) over Q(sqrt 2), or of the cubic
-    search form, with FieldDescriptor.unpacker adding 1 to the given
-    coordinate of the first sum read.  That sum is u_0 u_0 at monomial 0,
-    which every move fixes, so E^H = Q there: coordinate 0, its one pivot,
-    is e_0 e_0, which the unit law must find to be e_0, and coordinates
-    1..d-1, its free columns, must vanish."""
+def invariants_with_a_nudged_digit(name: str, column: int, read: int = 0) -> FixedAlgebra:
+    """invariants of a dim-64 Z(A), whose fixed algebra invariants does not
+    sweep: of the rank-4 diag(a, a, a - 2, a - 2) over Q(sqrt 2), or of the
+    cubic search form, with FieldDescriptor.unpacker adding 1 to the given
+    coordinate of the sum read at the given position, the first by
+    default.  That sum is u_0 u_0 at monomial 0, which every move fixes, so
+    E^H = Q there: coordinate 0, its one pivot, is e_0 e_0, which the unit
+    law must find to be e_0, and coordinates 1..d-1, its free columns, must
+    vanish."""
     if name == "Q(sqrt 2) rank 4":
         f = quadratic_field(2)
         a = f.gen()
@@ -472,22 +476,22 @@ def invariants_with_a_nudged_digit(name: str, column: int) -> None:
         entries = [form.entries[i][i] for i in range(form.dim)]
     z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
     assert z.dim == 64
-    real, nudged = FieldDescriptor.unpacker, []
+    real, reads = FieldDescriptor.unpacker, []
 
     def unpacker(field, *args):
         unpack = real(field, *args)
 
         def nudge(packed):
             columns = unpack(packed)
-            if not nudged:
-                nudged.append(True)
+            reads.append(True)
+            if len(reads) == read + 1:
                 columns[column][0] += 1
             return columns
         return nudge
 
     FieldDescriptor.unpacker = unpacker
     try:
-        invariants(z)
+        return invariants(z)
     finally:
         FieldDescriptor.unpacker = real
 
@@ -495,6 +499,15 @@ def invariants_with_a_nudged_digit(name: str, column: int) -> None:
 # the dim-64 cases and free columns whose invariants_with_a_nudged_digit
 # must reject; over the cubic column 2 is the last free one
 NUDGED_DIGITS = (("Q(sqrt 2) rank 4", 1), ("cubic search form", 1), ("cubic search form", 2))
+
+# the dim-64 cases whose fixed algebra, with the pivot coordinate of its
+# 40th sum read nudged, passes invariants, and the triple at which the
+# sweep of its materialized table must fail
+LATE_NUDGES = (("Q(sqrt 2) rank 4", "(1,54,3)"), ("cubic search form", "(1,34,4)"))
+
+
+def sweep_of_a_late_nudge(name: str) -> None:
+    invariants_with_a_nudged_digit(name, 0, read=39).algebra()
 
 
 def certify_corrupted_action() -> None:
@@ -881,6 +894,26 @@ def test_invariants_reject_a_coefficient_corrupted_after_construction():
 def test_invariants_reject_a_nudged_digit_where_the_fixed_algebra_is_not_swept(name, column):
     with pytest.raises(NotClosedUnderMultiplication, match="product leaves the fixed subspace"):
         invariants_with_a_nudged_digit(name, column)
+
+
+@pytest.mark.parametrize("name, triple", LATE_NUDGES, ids=[name for name, _ in LATE_NUDGES])
+def test_a_materialized_fixed_algebra_is_swept_at_dim_64(name, triple):
+    with pytest.raises(NotAssociative, match=re.escape(f"associativity fails at {triple}")):
+        sweep_of_a_late_nudge(name)
+
+
+def test_a_materialized_fixed_algebra_is_swept_at_dim_64_under_python_O():
+    script = (
+        "from test_associativity import LATE_NUDGES, sweep_of_a_late_nudge\n"
+        "from ksalgebra.errors import NotAssociative\n"
+        "if __debug__:\n    raise SystemExit('not running under python -O')\n"
+        "for name, _ in LATE_NUDGES:\n"
+        "    try:\n        sweep_of_a_late_nudge(name)\n"
+        "    except NotAssociative as exc:\n        print(exc)\n"
+    )
+    done = run_under_O(script)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout.splitlines() == [f"associativity fails at {triple}" for _, triple in LATE_NUDGES]
 
 
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():

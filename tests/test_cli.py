@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksalgebra.cli import run
-from ksalgebra.exactfield import cyclic_cubic_field, field_to_json_dict, quadratic_field
+from ksalgebra.cli import _parse_rational_flag, run
+from ksalgebra.errors import MalformedInput
+from ksalgebra.exactfield import cyclic_cubic_field, field_to_json_dict, parse_rational, quadratic_field
 from ksalgebra.pipeline import search_cubic_diagonal
 
 FAMILY_INPUT = {
@@ -77,6 +79,30 @@ def test_negative_fraction_flags_read_as_the_equals_form(capsys):
         want = capsys.readouterr()
         assert run(separate) == 0
         assert capsys.readouterr() == want
+
+
+# rationals in decimal or exponent form, which Fraction would take: a short
+# exponent stands for a number with as many digits, past every bound
+FLOAT_FORMS = ("1e2000000", "3e200000", "3e20000", "0.5", "-2.5e1", "1E3")
+
+
+@pytest.mark.parametrize("text", FLOAT_FORMS)
+def test_rational_parsers_reject_decimal_and_exponent_forms(text):
+    # hilbert -a 1e2000000 and classify -a 3e200000 run unbounded once
+    # past these parsers, so the parsers are tested, not the runs
+    with pytest.raises(MalformedInput, match=re.escape(f"flag -a: expected a rational like -3/4, got {text!r}")):
+        _parse_rational_flag(text, "-a")
+    with pytest.raises(MalformedInput, match=re.escape(f"key 'quadratic_d': cannot parse rational {text!r}")):
+        parse_rational(text, "quadratic_d")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["classify", "-a", "3e20000", "-b", "-1"], "-a", "3e20000"),
+    (["hilbert", "-a", "2", "-b", "0.5", "-p", "3"], "-b", "0.5"),
+], ids=["classify exponent", "hilbert decimal"])
+def test_flags_in_exponent_or_decimal_form_exit_2(argv, flag, text, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: flag {flag}: expected a rational like -3/4, got {text!r}\n")
 
 
 def test_classify_rejects_zero_slot(capsys):
@@ -163,13 +189,14 @@ REDUCIBLE_QUARTIC = {"min_poly": [16, 0, -10, 0, 1], "embeddings": [[1, "3/2"], 
          "invalid field descriptor: composition table rows are not permutations"),
         ({"quadratic_d": True}, FAMILY_INPUT["form"], "key 'quadratic_d': expected a rational, got a boolean"),
         ({"quadratic_d": "x"}, FAMILY_INPUT["form"], "key 'quadratic_d': cannot parse rational 'x'"),
+        ({"quadratic_d": "1e20000"}, FAMILY_INPUT["form"], "key 'quadratic_d': cannot parse rational '1e20000'"),
         (5, FAMILY_INPUT["form"], "field descriptor must be a JSON object"),
         (dict(QUADRATIC_DESCRIPTOR, name=5), FAMILY_INPUT["form"], "key 'name': expected a string"),
         ({"quadratic_d": 2}, 5, "form document must be a JSON object"),
     ],
     ids=["min_poly", "automorphisms", "one_automorphism", "embeddings", "dim_true", "first_automorphism",
          "interval_count", "empty_interval", "not_closed", "not_permutations", "boolean", "unparsable",
-         "field_not_object", "name", "form_not_object"],
+         "exponent", "field_not_object", "name", "form_not_object"],
 )
 def test_report_rejects_json_fields_of_the_wrong_shape(tmp_path, capsys, field, form, message):
     assert run(["report", "--input", write_input(tmp_path, {"field": field, "form": form})]) == 2

@@ -16,8 +16,9 @@ assert left in the package is listed below by module and enclosing function: cer
 raise, and a new assert is a deliberate edit of that list.  So is every
 comparison of a field degree with 1: products specialize to Q in one
 place, the exactfield accumulator, and a new Q-only fork is a deliberate
-edit of its list.  So is every call that passes check=, the size gate on
-a sweep for associativity.  The Fraction reference that the arithmetic is
+edit of its list.  So is every call that passes check=, which would
+bring back a size gate on the sweep for associativity: today none does,
+as every StructureAlgebra is swept where it is built.  The Fraction reference that the arithmetic is
 checked against imports nothing from the package, so a package bug cannot
 pass by agreeing with itself.  The modules that import fractions are listed
 below, so that Fraction arithmetic does not come back into the linear
@@ -362,8 +363,8 @@ def test_degree_branches_in_src_are_the_listed_ones():
 
 
 # the functions in the package that pass check= to a StructureAlgebra,
-# by module: the one size-gated sweep left, the fixed subalgebra's
-LISTED_SWEEP_GATES = {"csa": ["FixedAlgebra.algebra"]}
+# by module: none, as every table is swept where it is built
+LISTED_SWEEP_GATES = {}
 
 
 def sweep_gates_by_function(source: str) -> list[str]:
@@ -467,8 +468,10 @@ def test_every_default_is_passed_somewhere_in_src():
 def test_structure_algebra_leads_with_the_arguments_perfbench_reads():
     # perfbench/tracer.py _table_hook reads constants as args[2] and check
     # from the keywords when there are at most 4 positional arguments; a
-    # reorder would miscount csa.assoc_triples_n silently
+    # reorder would miscount csa.assoc_triples_n silently.  No check is
+    # passed, so the hook counts every table as swept, as each one is
     params = inspect.signature(StructureAlgebra.__init__).parameters
     assert list(params)[2] == "constants"
     assert params["constants"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
-    assert params["check"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert "check" not in params
+    assert params["den"].kind is inspect.Parameter.KEYWORD_ONLY
