@@ -42,13 +42,14 @@ bisection halves an interval around that sign change, and whatever needs
 the roots reads it: signs, and the rational-root test, run at every
 degree >= 2, which decides irreducibility in degree 2 and 3.
 
-Signs are decided exactly: test for zero first, then evaluate on the
-halved intervals with interval arithmetic until the enclosure has constant
-sign.  The norm is the product of the d conjugates, taken with
-the certified automorphisms, and the inverse is the product of the other
-d - 1 conjugates over the norm.  A bisection that never settles, or a
-nonzero element whose conjugates do not multiply to a nonzero rational,
-means P is reducible: both raise InvalidDescriptor.
+Signs are decided exactly: test for zero first, then evaluate on the halved
+intervals with interval arithmetic until the enclosure has constant sign,
+all on ints: P and the element scaled to int coefficients, each halving
+as (lo, hi, q) for [lo/q, hi/q].  The norm is the product of the d
+conjugates, taken with the certified automorphisms, and the inverse is the
+product of the other d - 1 conjugates over the norm.  A bisection that
+never settles, or a nonzero element whose conjugates do not multiply to a
+nonzero rational, means P is reducible: both raise InvalidDescriptor.
 """
 
 import re
@@ -78,8 +79,18 @@ from .polynomials import (
 _BISECTION_CAP = 2000
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _integral(f: Sequence) -> list[int]:
+    """f times the lcm of its denominators: int coefficients, same signs."""
+    den = lcm(*(c.denominator for c in f))
+    return [c.numerator * (den // c.denominator) for c in f]
+
+
+def _value(f: Sequence[int], num: int, q: int) -> int:
+    """f(num / q) times q^deg f, by Horner homogenized at q > 0."""
+    acc, qk = 0, 1
+    for c in reversed(f):
+        acc, qk = acc * num + c * qk, qk * q
+    return acc
 
 
 class FieldDescriptor:
@@ -123,7 +134,7 @@ class FieldDescriptor:
     # -- validation -------------------------------------------------------
 
     def _validate(self, images: list["FieldElem"]) -> None:
-        d, p = self.degree, self.min_poly
+        d, p, pz = self.degree, self.min_poly, _integral(self.min_poly)
         if len(images) != d:
             raise NonGaloisField(f"need exactly {d} automorphisms, got {len(images)}")
         if images[0] != self.gen():
@@ -141,7 +152,7 @@ class FieldDescriptor:
         for lo, hi in self.embeddings:
             if not lo < hi:
                 raise InvalidDescriptor(f"empty interval ({lo}, {hi})")
-            if peval(p, lo) * peval(p, hi) >= 0:
+            if _value(pz, lo.numerator, lo.denominator) * _value(pz, hi.numerator, hi.denominator) >= 0:
                 raise InvalidDescriptor(f"min_poly does not change sign on ({lo}, {hi})")
         ordered = sorted(self.embeddings)
         for (_, h1), (l2, _) in zip(ordered, ordered[1:]):
@@ -170,14 +181,15 @@ class FieldDescriptor:
         degree d >= 2 and is the whole irreducibility test in degree 2 and
         3.  D P is integral with leading coefficient D, the lcm of P's
         denominators, so such a root lies in (1/D)Z: halve its isolating
-        interval below 1/D and test the point of (1/D)Z nearest the middle."""
-        p = self.min_poly
-        den = lcm(*(c.denominator for c in p))
+        interval below 1/D and test the point of (1/D)Z nearest the middle:
+        a root in the interval is nearer than 1/2D, so no tie can hide it."""
+        p = _integral(self.min_poly)
+        den = p[-1]
         for i in range(self.degree):
-            for lo, hi in self._halvings(i):
-                if (hi - lo) * den < 1:
+            for lo, hi, q in self._halvings(i):
+                if (hi - lo) * den < q:
                     break
-            if not peval(p, Fraction(round((lo + hi) * den / 2), den)):
+            if not _value(p, ((lo + hi) * den + q) // (2 * q), den):
                 return True
         return False
 
@@ -344,31 +356,34 @@ class FieldDescriptor:
 
     def _halvings(self, idx0: int):
         """The (idx0+1)-th isolating interval, then its successive halves
-        around P's sign change, at most _BISECTION_CAP of them; (r, r) last
-        if a midpoint r is the root itself."""
+        around P's sign change, at most _BISECTION_CAP of them, as ints
+        (lo, hi, q) for [lo/q, hi/q], q doubling at each halving; (r, r, q)
+        last if a midpoint r/q is the root itself."""
         lo, hi = self.embeddings[idx0]
-        p = self.min_poly
-        slo = _sign(peval(p, lo))
+        q = lcm(lo.denominator, hi.denominator)
+        lo, hi = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
+        p = _integral(self.min_poly)
+        below = _value(p, lo, q) < 0  # P's sign at lo, which every halving keeps
         for _ in range(_BISECTION_CAP):
-            yield lo, hi
-            mid = (lo + hi) / 2
-            sm = _sign(peval(p, mid))
-            if sm == 0:
-                yield mid, mid
+            yield lo, hi, q
+            mid, q = lo + hi, 2 * q
+            v = _value(p, mid, q)
+            if not v:
+                yield mid, mid, q
                 return
-            if slo * sm < 0:
-                hi = mid
+            if (v < 0) != below:
+                lo, hi = 2 * lo, mid
             else:
-                lo, slo = mid, sm
+                lo, hi = mid, 2 * hi
         raise InvalidDescriptor("sign bisection did not converge; is min_poly irreducible?")
 
     def _sign_at_poly(self, g: Poly, idx0: int) -> int:
         """Exact sign of g(alpha) under the (idx0+1)-th real embedding."""
-        g = trim(g)
+        g = _integral(trim(g))
         if not g:
             return 0
-        for lo, hi in self._halvings(idx0):
-            vlo, vhi = interval_eval(g, lo, hi)
+        for lo, hi, q in self._halvings(idx0):
+            vlo, vhi = interval_eval(g, lo, hi, q)
             if vlo > 0:
                 return 1
             if vhi < 0:

@@ -4,10 +4,11 @@ A polynomial is a list of Fractions in ascending degree order with no
 trailing zeros; the zero polynomial is the empty list.  Everything here is
 exact.  This module carries what the number-field layer needs to set a
 field up and to decide signs: sums, remainders (the X^k mod P table),
-point evaluation and interval evaluation on an isolating interval, and
-rendering.  Products, composition, norms and inverses are not here: the
-field layer computes them in its own arithmetic, where point evaluation
-at a field element is Horner in the field.
+point evaluation, rendering, and interval evaluation on an isolating
+interval, on ints over one denominator so that a sign forms no Fraction.
+Products, composition, norms and inverses are not here: the field layer
+computes them in its own arithmetic, where point evaluation at a field
+element is Horner in the field.
 """
 
 from fractions import Fraction
@@ -60,14 +61,14 @@ def peval(f: Sequence[Fraction], x):
     return acc
 
 
-def interval_eval(f: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of f([lo, hi]) by interval Horner; exact endpoints."""
+def interval_eval(f: Sequence[int], lo: int, hi: int, q: int) -> tuple[int, int]:
+    """Enclosure of f([lo/q, hi/q]) by interval Horner on ints: ints over q^deg f."""
     assert lo <= hi
-    alo, ahi = ZERO, ZERO
+    alo, ahi, qk = 0, 0, 1
     for c in reversed(trim(f)):
-        # interval multiplication of [alo, ahi] by [lo, hi]
+        # interval multiplication of [alo, ahi] by [lo, hi], then c over qk
         prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + c, max(prods) + c
+        alo, ahi, qk = min(prods) + c * qk, max(prods) + c * qk, qk * q
     return alo, ahi
 
 

@@ -5,7 +5,9 @@ Sums are taken coefficientwise and products as pmod(pmul(a, b), P), with
 this module's own polynomial product and remainder: it imports nothing
 from ksalgebra, so it shares no code with FieldElem's integer vectors or
 with the polynomial division that builds the field's X^k mod P table, and
-the tests can check both against it.  Norms are
+the tests can check both against it.  Signs at the real places are
+decided by plain Fraction bisection with a derivative bound, not by
+interval Horner on scaled integers as in the package.  Norms are
 checked against the resultant Res(P, g), read off as the determinant of
 the Sylvester matrix: for monic P it is the product of g over the roots of
 P, and it uses neither the automorphisms nor the field's multiplication.
@@ -54,6 +56,36 @@ def sub(a, b) -> list[Fraction]:
 
 def mul(field, a, b) -> list[Fraction]:
     return pad(pmod(pmul(list(a), list(b)), field.min_poly), field.degree)
+
+
+def evaluate(f, x: Fraction) -> Fraction:
+    return sum((c * x**k for k, c in enumerate(trim(f))), Fraction(0))
+
+
+def bisection_signs(min_poly, intervals, g) -> list[int]:
+    """The sign of g(alpha) at each place, alpha the root of min_poly that
+    interval (lo, hi) isolates.  g is reduced mod min_poly, so a nonzero
+    remainder is nonzero at alpha when min_poly is irreducible.  Halve
+    around min_poly's sign change until |g(mid)| exceeds the half-width
+    times L = sum |k g_k| R^(k-1), R = max(|lo|, |hi|), a bound on |g'|
+    over the interval: then g has g(mid)'s sign on all of it."""
+    g = pmod(g, min_poly)
+    if not g:
+        return [0] * len(intervals)
+    signs = []
+    for lo, hi in intervals:
+        lo, hi = Fraction(lo), Fraction(hi)
+        lo_negative = evaluate(min_poly, lo) < 0
+        for _ in range(10_000):
+            mid, r = (lo + hi) / 2, max(abs(lo), abs(hi))
+            v, p = evaluate(g, mid), evaluate(min_poly, mid)
+            if not p or abs(v) > (hi - lo) / 2 * sum(abs(k * c) * r ** (k - 1) for k, c in enumerate(g) if k):
+                signs.append((v > 0) - (v < 0))
+                break
+            lo, hi = (lo, mid) if (p < 0) != lo_negative else (mid, hi)
+        else:
+            raise AssertionError(f"no sign settled on ({lo}, {hi})")
+    return signs
 
 
 def sylvester_resultant(f, g):

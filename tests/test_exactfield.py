@@ -15,6 +15,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ksalgebra import exactfield
 from ksalgebra.errors import (
     FieldMismatch,
     InvalidDescriptor,
@@ -35,6 +36,7 @@ from ksalgebra.exactfield import (
 )
 
 import fraction_reference as ref
+from quartic_fields import cyclic_quartic_field
 
 F = Fraction
 
@@ -354,6 +356,59 @@ def test_norm_sign_is_product_of_place_signs(data):
         sign_prod *= sign_at_embedding(x, i)
     n = norm(x)
     assert ((n > 0) - (n < 0)) == sign_prod
+
+
+# -- signs on scaled integers ---------------------------------------------------
+
+SIGN_FIELDS = [Q2, Q5, CUBIC, cyclic_quartic_field()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_signs_match_the_fraction_bisection_reference(data):
+    # the element is drawn at random, or as alpha - r for an r inside one of
+    # the isolating intervals, a close call that needs many halvings
+    field = data.draw(st.sampled_from(SIGN_FIELDS))
+    if data.draw(st.booleans()):
+        x = FieldElem(field, data.draw(coeff_lists(field)))
+    else:
+        lo, hi = data.draw(st.sampled_from(field.embeddings))
+        x = field.gen() - data.draw(st.fractions(min_value=lo, max_value=hi, max_denominator=500))
+    want = ref.bisection_signs(list(field.min_poly), list(field.embeddings), list(x.coeffs))
+    assert [sign_at_embedding(x, i) for i in range(1, field.degree + 1)] == want
+
+
+def test_the_sign_layer_reads_only_ints(monkeypatch):
+    # every interval and point evaluation behind a sign, while fields are
+    # built (the fractional P and endpoints of HALF included) and after,
+    # sees int coefficients and int endpoints only
+    calls = []
+
+    def spy(name):
+        real = getattr(exactfield, name)
+
+        def evaluate(f, *points):
+            calls.append((name, f, points))
+            return real(f, *points)
+        monkeypatch.setattr(exactfield, name, evaluate)
+
+    spy("interval_eval")
+    spy("_value")
+    fields = [
+        quadratic_field(5),
+        cyclic_cubic_field(),
+        cyclic_quartic_field(),
+        FieldDescriptor([F(-1, 2), 0, 1], [[0, 1], [0, -1]], [(F(1, 2), 1), (-1, F(-1, 2))], name="h"),
+    ]
+    built = len(calls)
+    for f in fields:
+        for x in (f.gen() - F(1, 3), f.elem([F(17, 12), F(-1, 7)])):
+            for i in range(1, f.degree + 1):
+                sign_at_embedding(x, i)
+    for _, f, points in calls:
+        assert all(type(v) is int for v in (*f, *points)), (f, points)
+    names = {"interval_eval", "_value"}
+    assert {c[0] for c in calls[:built]} == {c[0] for c in calls[built:]} == names
 
 
 # -- arithmetic and serialization ------------------------------------------------

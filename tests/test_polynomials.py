@@ -44,11 +44,15 @@ def test_divmod_reconstructs(qc, gc, rc):
     st.integers(1, 4),
 )
 def test_interval_eval_encloses_point_values(fc, num, den):
-    f = poly(fc)
-    lo, hi = F(num, den) - F(1, 3), F(num, den) + F(1, 2)
-    vlo, vhi = interval_eval(f, lo, hi)
-    for x in (lo, hi, (lo + hi) / 2, F(num, den)):
-        assert vlo <= peval(f, x) <= vhi
+    # [num/den - 1/3, num/den + 1/2] as ints over q = 6 den: the enclosure
+    # is over q^deg f
+    f, q = poly(fc), 6 * den
+    lo, hi = 6 * num - 2 * den, 6 * num + 3 * den
+    vlo, vhi = interval_eval(fc, lo, hi, q)
+    assert all(type(v) is int for v in (vlo, vhi))
+    scale = q ** max(len(f) - 1, 0)
+    for x in (F(lo, q), F(hi, q), F(lo + hi, 2 * q), F(num, den)):
+        assert vlo <= scale * peval(f, x) <= vhi
 
 
 def test_render_readable():
