@@ -7,8 +7,9 @@ field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
 products); FieldElem constants become cells only in monomial_algebra.  One
 checking rule: the unit law and Z(A)'s slots and Galois action are always
 certified, and every StructureAlgebra is swept for associativity
-(check_associativity) where it is built; invariants builds the fixed
-algebra B of Z(A) as one while its dim is at most SWEEP_MAX_DIM.
+(check_associativity) where it is built; the fixed algebra B of Z(A) is
+never built as one, and invariants checks its readout with one exact
+checksum at every dim.
 Failures raise NotAssociative, NotClosedUnderMultiplication,
 DimensionMismatch or CertificateFailure, under python -O too.
 
@@ -21,9 +22,9 @@ kept as orbit blocks sharing one tuple per read (FixedAlgebra) for center
 and trace_form_signature.  All three rest on _certify_slot_shapes's shape.
 """
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     CertificateFailure,
@@ -31,7 +32,6 @@ from .errors import (
     FieldMismatch,
     NotAssociative,
     NotClosedUnderMultiplication,
-    ZeroSlot,
 )
 from .exactfield import (
     RATIONAL_FIELD,
@@ -42,10 +42,6 @@ from .exactfield import (
 from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
-
-# invariants builds B's table, and so sweeps it, up to this dim; a bigger B inherits associativity from Z(A).
-# At dim 64 a sweep costs about 5 whole reports on diag(a, a, a - 2, a - 2) over Q(sqrt 2), 8 to 9 on the cubic form.
-SWEEP_MAX_DIM = 16
 
 
 def check_associativity(field: FieldDescriptor, table) -> None:
@@ -204,8 +200,6 @@ def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
 def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
     """The 4-dimensional algebra 1, i, j, k with i^2 = a, j^2 = b, k = ij."""
     a, b = s.a, s.b
-    if not a or not b:
-        raise ZeroSlot("symbol slots must be nonzero")
     one = s.field.one()
     cells = [
         [(0, one), (1, one), (2, one), (3, one)],
@@ -376,23 +370,6 @@ class FixedAlgebra:
                 if by_k[rep][0] != 1:
                     raise CertificateFailure(f"right unit law fails at u_{first + j}")
 
-    def algebra(self) -> StructureAlgebra:
-        """B's table, the blocks' one materializer, swept as every table is:
-        cell (i, j) holds (e, (x,)) for each nonzero coordinate x at b_e,
-        and cell (j, i) (e, (beta x,))."""
-        n, first = self.dim, {rep: start for start, _, rep in self.orbits}
-        table = [[[] for _ in range(n)] for _ in range(n)]
-        for (o, o2), by_k in sorted(self.blocks.items()):
-            (i0, m, _), (j0, mr, _) = self.orbits[o], self.orbits[o2]
-            for k, (beta, coordinates) in sorted(by_k.items()):
-                for e, xs in enumerate(coordinates, first[k]):
-                    for (i, j), x in zip(product(range(i0, i0 + m), range(j0, j0 + mr)), xs):
-                        if x:
-                            table[i][j].append((e, (x,)))
-                            if o < o2:  # an (I, I) block holds both orders
-                                table[j][i].append((e, (beta * x,)))
-        return StructureAlgebra(RATIONAL_FIELD, table, den=self.den)
-
 
 def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     """The Q-algebra B of G-fixed points of Z(A), of dim (dim_E A)^d: the
@@ -427,9 +404,17 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     Clifford slots e_S e_T = (-1)^|S n T| e_T e_S (Lam, Ch. V), 2 |S n T| =
     |S| + |T| - |S xor T|, and each size summed over the slots is constant
     on an orbit.  b_j b_i is in E^H at k exactly when b_i b_j is, so the
-    closure tests cover every product.  B's table (FixedAlgebra.algebra),
-    and with it the sweep, is built only while n is at most SWEEP_MAX_DIM;
-    a bigger B inherits associativity from Z(A), certified with its slots.
+    closure tests cover every product.
+
+    The closure tests see the free columns only.  Once FixedAlgebra has
+    checked the unit law, one exact checksum covers every read, its pivot
+    columns too: the d column sums of all reads must equal the sum over
+    their terms (a, b, c) of multiply(sum_l a_l, sum_j b_j c), folded by
+    bilinearity into one FieldDescriptor.multiply per distinct id a and
+    formed without packing, else CertificateFailure.  A misread digit, such
+    as a packing width too narrow for the sums gives, shows in its column's
+    sum unless errors cancel there: this is Freivalds' product check (IFIP
+    1977) with the all-ones vector.
     """
     f, d, n = z.field, z.field.degree, z.dim
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
@@ -486,6 +471,7 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     packed_a = [f.pack_matrices(v, width) for v in vectors]
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
     unpacker, summed, read = lru_cache(maxsize=None)(f.unpacker), {}, {}
+    read_columns, read_terms = [], []  # the checksum's input: the columns and the terms of every read
     for (o, o2), by_k in sorted(pairs.items()):
         shape = orbits[o][1], orbits[o2][1]
         for k, (beta, group) in by_k.items():
@@ -499,11 +485,21 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
                     for l, rs in free:  # the RREF rows must take the coordinates back to column l
                         if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
                             raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+                    read_columns.append(columns)
+                    read_terms += group
             by_k[k] = beta, read[summed[key]]
-    b = FixedAlgebra(orbits, pairs, den)
-    if n <= SWEEP_MAX_DIM:
-        b.algebra()
-    return b
+    fixed = FixedAlgebra(orbits, pairs, den)
+    paired = {}  # per id a, the b c of its terms in every read
+    for a, b, c in read_terms:
+        paired.setdefault(a, []).extend(ys[b, c])
+    checksum = [0] * d  # the sum over the ids a of (sum_l a_l)(sum of those b c)
+    for a, y in paired.items():
+        checksum = list(map(add, checksum, f.multiply(list(map(sum, zip(*vectors[a]))), list(map(sum, zip(*y))))))
+    column_sums = [sum(chain.from_iterable(column)) for column in zip(*read_columns)]
+    i = next((i for i, (x, y) in enumerate(zip(column_sums, checksum)) if x != y), None)
+    if i is not None:
+        raise CertificateFailure(f"readout checksum fails at column {i}")
+    return fixed
 
 
 # -- centers and trace forms ---------------------------------------------------------

@@ -6,9 +6,9 @@ fraction_reference.py, so it shares nothing with the integer sweep in
 csa.check_associativity (and the FieldDescriptor kernel it runs on, which
 FieldElem multiplication shares) but the table.  Over Q, Q(sqrt 2), Q(sqrt 5) and
 the cyclic cubic both must accept the tables the pipeline builds (C0, Z(A)
-and the fixed algebra) and a quaternion table whose constants have
-unequal denominators, and both must reject each of them once one
-structure constant is perturbed.  The sweep checks only the triples
+and the fixed algebra, whose table fixed_table builds from its blocks) and
+a quaternion table whose constants have unequal denominators, and both
+must reject each of them once one structure constant is perturbed.  The sweep checks only the triples
 (i, j, g) with g in a certified generating set, so the triple it names
 must be one where the oracle fails too, with g a generator.  The
 generating set has an oracle of its own, a greedy search on Fraction
@@ -26,12 +26,12 @@ dimension or do not partition the monomials, a corrupted slot cell,
 moves that keep the digits, a slot cell that is not one monomial, a
 group algebra whose slots do not commute up to sign), the closure test
 of the fixed algebra (a corrupted slot coefficient, and a nudged digit in
-the last free column over the cubic), the sweep of the fixed algebra's
-table at dim 64 (a pivot digit nudged in a late sum, which invariants
-passes), the congruence certificate P^T G P
-(once with the certificate's products zeroed, once with one off-diagonal
-product nonzero, once on the Q Gram blocks of a trace form with inexact
-divisions), the 16 quaternion relations of C0, the orbit sums of
+the last free column over the cubic), the readout checksum of the fixed
+algebra at dim 64 (a pivot digit nudged in a late sum, and a packing width
+too narrow, both of which the closure tests pass), the congruence
+certificate P^T G P (once with the certificate's products zeroed, once
+with one off-diagonal product nonzero, once on the Q Gram blocks of a
+trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
 even_weight_orbits, the two claims of six_lines_family, the center count
 (a fixed algebra whose central basis element no longer commutes, one whose
 orbit block is no longer symmetric, and slot tables that are not monomial
@@ -64,10 +64,17 @@ from ksalgebra.csa import (
     from_symbol,
     invariants,
 )
-from ksalgebra.errors import CertificateFailure, DimensionMismatch, NotAssociative, NotClosedUnderMultiplication
+from ksalgebra.errors import (
+    CertificateFailure,
+    DimensionMismatch,
+    ExactAlgebraError,
+    NotAssociative,
+    NotClosedUnderMultiplication,
+)
 from ksalgebra.exactfield import RATIONAL_FIELD, FieldDescriptor, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
+from fixed_table import fixed_table
 from kernel_oracle import oracle_tensor, rref
 from quartic_fields import biquadratic_field, cyclic_quartic_field
 from test_acceptance import TRIPLES
@@ -136,7 +143,7 @@ def tables(name: str) -> dict:
     return {
         "C0": c0,
         "Z(A)": oracle_tensor(z.field, z.slots),
-        "fixed": invariants(z).algebra(),
+        "fixed": fixed_table(invariants(z)),
         "symbol": from_symbol(symbol),
     }
 
@@ -266,7 +273,7 @@ def swept_tables(case) -> dict:
     a = f.gen()
     c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
     z = build_ZG(c0, f)
-    return {"C0": c0, "Z(A)": oracle_tensor(z.field, z.slots), "B": invariants(z).algebra()}
+    return {"C0": c0, "Z(A)": oracle_tensor(z.field, z.slots), "B": fixed_table(invariants(z))}
 
 
 @pytest.mark.parametrize("d, c, e", TRIPLES)
@@ -372,7 +379,7 @@ def generation_cases():
     ):
         z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
         yield f"{label} Z(A)", f, oracle_tensor(z.field, z.slots).table
-        yield f"{label} B", RATIONAL_FIELD, invariants(z).algebra().table
+        yield f"{label} B", RATIONAL_FIELD, fixed_table(invariants(z)).table
     for m in range(3, 10):
         yield f"Q rank {m} C0", RATIONAL_FIELD, swept_tables(m)["C0"].table
     for xyz, _ in NUCLEUS_TABLES:
@@ -457,15 +464,9 @@ def corrupted_coefficient(name: str):
 CORRUPTED_COEFFICIENTS = ("Q(sqrt 2)", "cubic", "cyclic quartic")
 
 
-def invariants_with_a_nudged_digit(name: str, column: int, read: int = 0) -> FixedAlgebra:
-    """invariants of a dim-64 Z(A), whose fixed algebra invariants does not
-    sweep: of the rank-4 diag(a, a, a - 2, a - 2) over Q(sqrt 2), or of the
-    cubic search form, with FieldDescriptor.unpacker adding 1 to the given
-    coordinate of the sum read at the given position, the first by
-    default.  That sum is u_0 u_0 at monomial 0, which every move fixes, so
-    E^H = Q there: coordinate 0, its one pivot, is e_0 e_0, which the unit
-    law must find to be e_0, and coordinates 1..d-1, its free columns, must
-    vanish."""
+def dim64_zg(name: str):
+    """Z(A) of the rank-4 diag(a, a, a - 2, a - 2) over Q(sqrt 2), or of
+    the cubic search form: dim 64."""
     if name == "Q(sqrt 2) rank 4":
         f = quadratic_field(2)
         a = f.gen()
@@ -476,6 +477,18 @@ def invariants_with_a_nudged_digit(name: str, column: int, read: int = 0) -> Fix
         entries = [form.entries[i][i] for i in range(form.dim)]
     z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
     assert z.dim == 64
+    return z
+
+
+def invariants_with_a_nudged_digit(name: str, column: int, read: int = 0) -> FixedAlgebra:
+    """invariants of dim64_zg(name) with FieldDescriptor.unpacker adding 1
+    to the given coordinate of the sum read at the given position, the
+    first by default.  That sum is u_0 u_0 at monomial 0, which every move
+    fixes, so E^H = Q there: coordinate 0, its one pivot, is e_0 e_0, which
+    the unit law must find to be e_0, and coordinates 1..d-1, its free
+    columns, must vanish.  A pivot coordinate of a later sum is seen by the
+    readout checksum alone."""
+    z = dim64_zg(name)
     real, reads = FieldDescriptor.unpacker, []
 
     def unpacker(field, *args):
@@ -501,13 +514,27 @@ def invariants_with_a_nudged_digit(name: str, column: int, read: int = 0) -> Fix
 NUDGED_DIGITS = (("Q(sqrt 2) rank 4", 1), ("cubic search form", 1), ("cubic search form", 2))
 
 # the dim-64 cases whose fixed algebra, with the pivot coordinate of its
-# 40th sum read nudged, passes invariants, and the triple at which the
-# sweep of its materialized table must fail
-LATE_NUDGES = (("Q(sqrt 2) rank 4", "(1,54,3)"), ("cubic search form", "(1,34,4)"))
+# 40th sum read nudged, passes the closure tests and the unit law, so that
+# the readout checksum must reject it
+LATE_NUDGES = ("Q(sqrt 2) rank 4", "cubic search form")
 
 
-def sweep_of_a_late_nudge(name: str) -> None:
-    invariants_with_a_nudged_digit(name, 0, read=39).algebra()
+def invariants_at_width(z, width: int) -> FixedAlgebra:
+    """invariants(z) with FieldDescriptor.packing_width giving width."""
+    real = FieldDescriptor.packing_width
+    FieldDescriptor.packing_width = lambda field, *args: width
+    try:
+        return invariants(z)
+    finally:
+        FieldDescriptor.packing_width = real
+
+
+# the dim-64 cases and a width short of packing_width's (18 and 10) at
+# which the closure tests and the unit law pass a wrong readout, so that
+# the readout checksum must reject it
+NARROW_WIDTHS = (("cubic search form", 14), ("Q(sqrt 2) rank 4", 7))
+
+CHECKSUM_FAILURE = "readout checksum fails at column 0"
 
 
 def certify_corrupted_action() -> None:
@@ -896,24 +923,55 @@ def test_invariants_reject_a_nudged_digit_where_the_fixed_algebra_is_not_swept(n
         invariants_with_a_nudged_digit(name, column)
 
 
-@pytest.mark.parametrize("name, triple", LATE_NUDGES, ids=[name for name, _ in LATE_NUDGES])
-def test_a_materialized_fixed_algebra_is_swept_at_dim_64(name, triple):
-    with pytest.raises(NotAssociative, match=re.escape(f"associativity fails at {triple}")):
-        sweep_of_a_late_nudge(name)
+@pytest.mark.parametrize("name", LATE_NUDGES)
+def test_the_readout_checksum_rejects_a_late_nudge(name):
+    with pytest.raises(CertificateFailure, match=re.escape(CHECKSUM_FAILURE)):
+        invariants_with_a_nudged_digit(name, 0, read=39)
 
 
-def test_a_materialized_fixed_algebra_is_swept_at_dim_64_under_python_O():
+@pytest.mark.parametrize("name, width", NARROW_WIDTHS, ids=[name for name, _ in NARROW_WIDTHS])
+def test_the_readout_checksum_rejects_a_narrow_width(name, width):
+    with pytest.raises(CertificateFailure, match=re.escape(CHECKSUM_FAILURE)):
+        invariants_at_width(dim64_zg(name), width)
+
+
+@pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4", "Q(sqrt 2)"])
+def test_invariants_at_every_narrower_width_are_right_or_raise(monkeypatch, name):
+    # from one bit short of packing_width's width down to 1 (packing_width
+    # gives at least 1): the full width's blocks, or a named error
+    z = small_zg(name) if name == "Q(sqrt 2)" else dim64_zg(name)
+    widths = []
+    real = FieldDescriptor.packing_width
+
+    def packing_width(field, *args):
+        widths.append(real(field, *args))
+        return widths[-1]
+
+    monkeypatch.setattr(FieldDescriptor, "packing_width", packing_width)
+    full = invariants(z).blocks
+    monkeypatch.undo()
+    for width in range(widths[0] - 1, 0, -1):
+        try:
+            blocks = invariants_at_width(z, width).blocks
+        except ExactAlgebraError:
+            continue
+        assert blocks == full, width
+
+
+def test_the_readout_checksum_fires_under_python_O():
     script = (
-        "from test_associativity import LATE_NUDGES, sweep_of_a_late_nudge\n"
-        "from ksalgebra.errors import NotAssociative\n"
+        "from test_associativity import LATE_NUDGES, NARROW_WIDTHS, dim64_zg, invariants_at_width,"
+        " invariants_with_a_nudged_digit\n"
+        "from ksalgebra.errors import CertificateFailure\n"
         "if __debug__:\n    raise SystemExit('not running under python -O')\n"
-        "for name, _ in LATE_NUDGES:\n"
-        "    try:\n        sweep_of_a_late_nudge(name)\n"
-        "    except NotAssociative as exc:\n        print(exc)\n"
+        "for build in [*(lambda n=n: invariants_with_a_nudged_digit(n, 0, read=39) for n in LATE_NUDGES),\n"
+        "              *(lambda n=n, w=w: invariants_at_width(dim64_zg(n), w) for n, w in NARROW_WIDTHS)]:\n"
+        "    try:\n        build()\n"
+        "    except CertificateFailure as exc:\n        print(exc)\n"
     )
     done = run_under_O(script)
     assert done.returncode == 0, done.stderr or done.stdout
-    assert done.stdout.splitlines() == [f"associativity fails at {triple}" for _, triple in LATE_NUDGES]
+    assert done.stdout.splitlines() == [CHECKSUM_FAILURE] * (len(LATE_NUDGES) + len(NARROW_WIDTHS))
 
 
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():

@@ -27,6 +27,7 @@ from ksalgebra.exactfield import (
 from ksalgebra.pipeline import ks_report, search_cubic_diagonal
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
+from fixed_table import fixed_table
 from kernel_oracle import (
     block_trace_signature,
     congruence,
@@ -262,7 +263,7 @@ def center_case(kind: str, args):
 def test_center_counts_match_the_dense_oracle(kind, args):
     z = center_case(kind, args)
     b = invariants(z)
-    assert center(z, b) == len(oracle_center(b.algebra()))
+    assert center(z, b) == len(oracle_center(fixed_table(b)))
 
 
 def dual_numbers() -> StructureAlgebra:
@@ -297,7 +298,7 @@ def test_trace_signature_matches_the_dense_oracle(kind, args):
     else:
         z = center_case(kind, args)
         b = invariants(z)
-        sig, alg = trace_form_signature(z, b), b.algebra()
+        sig, alg = trace_form_signature(z, b), fixed_table(b)
     assert sig == oracle_dense_trace_signature(alg)
 
 
@@ -322,16 +323,36 @@ def test_block_readers_give_the_table_counts(kind, args, counts):
     assert (center(z, b), trace_form_signature(z, b)) == counts
 
 
-def test_invariants_materialize_a_table_only_to_sweep_it(monkeypatch):
-    # B is kept as its blocks; its table is built while its dim is at most
-    # SWEEP_MAX_DIM, for the associativity sweep alone
+# (degree of E, dim) of each table a report builds: C0 and, for a rank-3
+# form, the quaternion table of the symbol route; over Q the rank-3 sweep
+# count below pins the same
+REPORT_TABLES = {
+    "family Q(sqrt 2)": [(2, 4), (2, 4)],
+    "Q(sqrt 2) rank 4": [(2, 8)],
+    "cubic search form": [(3, 4), (3, 4)],
+}
+
+
+@pytest.mark.parametrize("name", REPORT_TABLES)
+def test_no_report_builds_a_table_for_the_fixed_algebra(monkeypatch, name):
+    # B, over Q and of dim 16, 64 and 64 here, is kept as its blocks at
+    # every dim and checked by the readout checksum, never built as a table
+    if name == "cubic search form":
+        f = cyclic_cubic_field()
+        form = search_cubic_diagonal(f)
+    else:
+        f, a = Q2, Q2.gen()
+        form = GramForm.diagonal(f, [a, a, a - 2] if name == "family Q(sqrt 2)" else [a, a, a - 2, a - 2])
     built = []
-    real = csa.FixedAlgebra.algebra
-    monkeypatch.setattr(csa.FixedAlgebra, "algebra", lambda b: built.append(b.dim) or real(b))
-    for name in ("Q(sqrt 2)", "Q(sqrt 2) rank 4"):
-        a = oracle_case(name)
-        invariants(build_ZG(a, a.field))
-    assert built == [16] and csa.SWEEP_MAX_DIM == 16
+    real = StructureAlgebra.__init__
+
+    def init(alg, field, constants, **kwargs):
+        built.append((field.degree, len(constants)))
+        real(alg, field, constants, **kwargs)
+
+    monkeypatch.setattr(StructureAlgebra, "__init__", init)
+    ks_report(f, form)
+    assert built == REPORT_TABLES[name]
 
 
 # -- Z_G construction ------------------------------------------------------------------
@@ -427,7 +448,7 @@ def test_invariants_of_E_itself():
     zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]]), Q2)
     inv = invariants(zg)
     assert inv.dim == 1
-    assert inv.algebra().field == RATIONAL_FIELD
+    assert fixed_table(inv).field == RATIONAL_FIELD
 
 
 def test_invariants_dim16_center1():
@@ -492,7 +513,7 @@ ORACLE_CASES = (
 def test_invariants_match_kernel_oracle(name):
     a = oracle_case(name)
     z = build_ZG(a, a.field)
-    inv, oracle = invariants(z).algebra(), oracle_invariants(z, a.dim)
+    inv, oracle = fixed_table(invariants(z)), oracle_invariants(z, a.dim)
     assert inv.dim == oracle.dim == z.dim
     assert inv.den == oracle.den
     assert inv.table == oracle.table
@@ -538,9 +559,10 @@ def test_products_form_only_the_kept_monomials():
     assert kept == [p for p in z.products(range(z.dim)) if p[2] in keep]
 
 
-def test_a_rank_3_report_over_Q_sweeps_three_tables(monkeypatch):
-    # C0, the fixed algebra B and the quaternion table of the symbol route;
-    # Z(A), kept as its one slot, is not copied into a table of its own
+def test_a_rank_3_report_over_Q_sweeps_two_tables(monkeypatch):
+    # C0 and the quaternion table of the symbol route; Z(A), kept as its
+    # one slot, is not copied into a table of its own, and the fixed
+    # algebra B is kept as its blocks
     swept = []
     real = csa.check_associativity
 
@@ -551,7 +573,7 @@ def test_a_rank_3_report_over_Q_sweeps_three_tables(monkeypatch):
     monkeypatch.setattr(csa, "check_associativity", sweep)
     q = RATIONAL_FIELD
     ks_report(q, GramForm.diagonal(q, [q.rational(x) for x in (1, 2, -3)]))
-    assert swept == [4, 4, 4]
+    assert swept == [4, 4]
 
 
 def test_invariants_keep_no_packing_layout_across_calls(monkeypatch):
@@ -764,7 +786,8 @@ def test_invariants_multiply_each_distinct_pair_once(monkeypatch):
     # the field multiplies of one invariants call on the cubic search form:
     # 203 for its products' slot cells and 563 for the b c, b a basis
     # conjugate at s' and c a structure constant of a kept term, each
-    # distinct pair once in its own memo
+    # distinct pair once in its own memo, and 4 for the readout checksum,
+    # one per distinct coefficient id a at s
     z = dim64_zg("cubic search form")
     calls = []
     real = FieldDescriptor.multiply
@@ -775,7 +798,7 @@ def test_invariants_multiply_each_distinct_pair_once(monkeypatch):
 
     monkeypatch.setattr(FieldDescriptor, "multiply", multiply)
     invariants(z)
-    assert len(calls) == 766
+    assert len(calls) == 770
 
 
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():
