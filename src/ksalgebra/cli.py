@@ -34,6 +34,7 @@ from .errors import (
     ExactAlgebraError,
     MalformedInput,
     NotAPlace,
+    OutputTooLarge,
     ParameterConstraintViolated,
     ZeroInput,
 )
@@ -50,6 +51,15 @@ from .qform import diagonalize, gram_from_json_dict
 
 def _canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _rendered(reports, fmt: str) -> str:
+    """The reports as canonical JSON (one as an object) or as text."""
+    try:
+        docs = [r.to_json_dict() if fmt == "json" else r.to_text() for r in reports]
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        raise OutputTooLarge(f"an integer in the report has more than {sys.get_int_max_str_digits()} digits")
+    return "\n".join(docs) if fmt == "text" else _canonical(docs[0] if len(docs) == 1 else docs)
 
 
 def _parse_rational_flag(text: str, flag: str) -> Fraction:
@@ -171,10 +181,7 @@ def _load_report_input(path: str) -> tuple:
 def _cmd_report(args) -> int:
     f, g = _load_report_input(args.input)
     rep = ks_report(f, g)
-    if args.format == "json":
-        sys.stdout.write(_canonical(rep.to_json_dict()))
-    else:
-        sys.stdout.write(rep.to_text())
+    sys.stdout.write(_rendered([rep], args.format))
     return 0 if rep.validation.passed else 1
 
 
@@ -212,13 +219,7 @@ def _cmd_six_lines(args) -> int:
             )
         ]
     reports = [six_lines_family(d, c, e) for d, c, e in triples]
-    if args.format == "json":
-        if len(reports) == 1:
-            sys.stdout.write(_canonical(reports[0].to_json_dict()))
-        else:
-            sys.stdout.write(_canonical([r.to_json_dict() for r in reports]))
-    else:
-        sys.stdout.write("\n".join(r.to_text() for r in reports))
+    sys.stdout.write(_rendered(reports, args.format))
     return 0
 
 

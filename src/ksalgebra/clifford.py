@@ -9,17 +9,17 @@ and e_i e_j = -e_j e_i for i != j; the general blade product is
 with sign(S,T) = (-1)^#{(s,t) in S x T : s > t}.  The even blades form a
 subalgebra C0 of dimension 2^(n-1), built by even_part as a
 structure-constant table.  For n = 3 it is the quaternion algebra
-(-a1 a2, -a1 a3), via i -> e1 e2, j -> e1 e3, k = ij -> -a1 e2 e3; that
-identification is certified on C0's table itself, the table the invariant
-route corestricts.
+(-a1 a2, -a1 a3), with i = e1 e2, j = e1 e3 and ij = -a1 e2 e3, certified
+by i^2 = a, j^2 = b and ij = -ji on four cells of C0's table itself, the
+table the invariant route corestricts.
 """
 
 from functools import lru_cache
 
-from .errors import CertificateFailure, DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
+from .errors import DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
 from .exactfield import FieldDescriptor, FieldElem
 from .brauer import QuaternionSymbol
-from .csa import StructureAlgebra, from_symbol, monomial_algebra
+from .csa import StructureAlgebra, check_products, monomial_algebra
 
 
 class CliffordAlgebra:
@@ -70,11 +70,12 @@ def even_rank3_to_symbol(c0: StructureAlgebra, entries) -> QuaternionSymbol:
     """The quaternion symbol (-a1 a2, -a1 a3) of c0, the even part of
     diag(a1, a2, a3) for entries = [a1, a2, a3].
 
-    The identification 1, i, j, k -> u_0, u_1, u_2, -a1 u_3 (c0's basis is
-    1, e1e2, e1e3, e2e3) is certified on c0's table before the symbol is
-    returned: it must be multiplicative on all 16 basis pairs, and the
-    first pair where it is not raises CertificateFailure.  The row-3 (k)
-    relations follow: (1, 2) makes k = ij on both sides, both swept associative.
+    c0 (basis 1, e1e2, e1e3, e2e3) is certified to be (a, b) by the
+    presentation (Voight, Quaternion Algebras, GTM 288, Ch. 2) on four of
+    its stored cells: i = u_1 and j = u_2 with i^2 = a, j^2 = b,
+    ij = -a1 u_3 and ji = a1 u_3.  With c0 swept associative, ij + ji = 0
+    and 1, i, j, ij a basis (a1 != 0, as a is), c0 is (a, b).  The first
+    failing cell raises CertificateFailure naming its relation.
     """
     if c0.dim != 4 or len(entries) != 3:
         raise DimensionMismatch(
@@ -82,13 +83,10 @@ def even_rank3_to_symbol(c0: StructureAlgebra, entries) -> QuaternionSymbol:
         )
     a1, a2, a3 = entries
     symbol = QuaternionSymbol(-(a1 * a2), -(a1 * a3))
-    quaternions = from_symbol(symbol)
-    one = c0.field.one()
-    image = [one, one, one, -a1]  # 1, i, j, k map to image[x] u_x
-    for x in range(4):
-        for y in range(4):
-            got = {k: image[x] * image[y] * c for k, c in c0.row(x, y)}
-            want = {k: image[k] * c for k, c in quaternions.row(x, y)}
-            if got != want:
-                raise CertificateFailure(f"quaternion relation fails at ({x},{y})")
+    check_products(c0, [
+        ("quaternion relation i^2 = a", 1, 1, 0, symbol.a),
+        ("quaternion relation j^2 = b", 2, 2, 0, symbol.b),
+        ("quaternion relation ij = -a1 u_3", 1, 2, 3, -a1),
+        ("quaternion relation ji = -ij", 2, 1, 3, a1),
+    ])
     return symbol

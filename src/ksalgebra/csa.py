@@ -4,12 +4,13 @@ An algebra is a table c with u_i u_j = sum_k c_ijk u_k, held by
 StructureAlgebra in one sparse form, integer vectors over one common
 denominator, with unit u_0, built and checked on those integers with the
 field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
-products); FieldElem constants become cells only in monomial_algebra.  One
-checking rule: the unit law and Z(A)'s slots and Galois action are always
-certified, and every StructureAlgebra is swept for associativity
-(check_associativity) where it is built; the fixed algebra B of Z(A) is
-never built as one, and invariants checks its readout with one exact
-checksum at every dim.
+products); FieldElem constants become cells only in monomial_algebra, and
+check_products compares named cells with FieldElem constants on those
+integers.  One checking rule: the unit law and Z(A)'s slots and Galois
+action are always certified, and every StructureAlgebra is swept for
+associativity (check_associativity) where it is built; the fixed algebra
+B of Z(A) is never built as one, and invariants checks its readout with
+one exact checksum at every dim.
 Failures raise NotAssociative, NotClosedUnderMultiplication,
 DimensionMismatch or CertificateFailure, under python -O too.
 
@@ -36,10 +37,8 @@ from .errors import (
 from .exactfield import (
     RATIONAL_FIELD,
     FieldDescriptor,
-    FieldElem,
     apply_automorphism,
 )
-from .brauer import QuaternionSymbol
 from .linalg import echelon_reduce
 from .qform import DiagForm, congruence_diagonalize
 
@@ -128,9 +127,10 @@ class StructureAlgebra:
     constants[i][j] is u_i u_j, 0-based, as a sorted list of (index, tuple
     of d ints) with distinct indices and nonzero vectors, all over the
     denominator den.  It is brought to lowest terms, so equal algebras
-    store equal tables; row() builds FieldElems.  The unit is u_0, and the
-    unit law and associativity (check_associativity) are always verified.
-    monomial_algebra builds a table given by FieldElem constants.
+    store equal tables.  The unit is u_0, and the unit law and
+    associativity (check_associativity) are always verified.
+    monomial_algebra builds a table given by FieldElem constants, and
+    check_products certifies named cells against them.
     """
 
     def __init__(self, field: FieldDescriptor, constants, *, den: int = 1):
@@ -145,11 +145,6 @@ class StructureAlgebra:
         self.field, self.dim, self.den, self.table = field, len(table), den, table
         self._check_unit()
         check_associativity(field, table)
-
-    def row(self, i: int, j: int) -> list[tuple[int, FieldElem]]:
-        """u_i u_j as (index, FieldElem) pairs."""
-        f, den = self.field, self.den
-        return [(k, f.from_integers(v, den)) for k, v in self.table[i][j]]
 
     def _check_unit(self) -> None:
         """u_0 u_i = u_i = u_i u_0 for each basis element u_i: both stored
@@ -197,17 +192,17 @@ def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
     return StructureAlgebra(field, [[[shared[k][c]] for k, c in row] for row in cells], den=den)
 
 
-def from_symbol(s: QuaternionSymbol) -> StructureAlgebra:
-    """The 4-dimensional algebra 1, i, j, k with i^2 = a, j^2 = b, k = ij."""
-    a, b = s.a, s.b
-    one = s.field.one()
-    cells = [
-        [(0, one), (1, one), (2, one), (3, one)],
-        [(1, one), (0, a), (3, one), (2, a)],
-        [(2, one), (3, -one), (0, b), (1, -b)],
-        [(3, one), (2, -a), (1, b), (0, -(a * b))],
-    ]
-    return monomial_algebra(s.field, cells)
+def check_products(alg: StructureAlgebra, products) -> None:
+    """u_i u_j = c u_k for each (relation, i, j, k, c) in products, c a
+    FieldElem of alg's field: the stored cell must be the one entry (k, v)
+    with v c.den = c.num alg.den, else CertificateFailure names the relation."""
+    den, table = alg.den, alg.table
+    for relation, i, j, k, c in products:
+        if c.field != alg.field:
+            raise FieldMismatch("structure constant in the wrong field")
+        cell = table[i][j]
+        if len(cell) != 1 or cell[0][0] != k or [x * c.den for x in cell[0][1]] != [x * den for x in c.num]:
+            raise CertificateFailure(f"{relation} fails at ({i},{j})")
 
 
 def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:

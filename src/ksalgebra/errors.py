@@ -87,5 +87,9 @@ class ParameterConstraintViolated(ExactAlgebraError):
     """Family parameters violate their defining constraint."""
 
 
+class OutputTooLarge(ExactAlgebraError):
+    """A result holds an integer with more digits than str() may write."""
+
+
 class MalformedInput(ExactAlgebraError):
     """A JSON input document is malformed; the message names the key."""

@@ -58,6 +58,8 @@ from ksalgebra.errors import DimensionMismatch, NotClosedUnderMultiplication
 from ksalgebra.exactfield import RATIONAL_FIELD, apply_automorphism
 from ksalgebra.qform import congruence_diagonalize
 
+from basis_product import basis_product
+
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Fraction; zero rows dropped."""
@@ -169,9 +171,9 @@ def oracle_center(a: StructureAlgebra) -> list[list[Fraction]]:
         for j, vj in enumerate(v):
             if not vj:
                 continue
-            for k, c in a.row(j, i):
+            for k, c in basis_product(a, j, i):
                 out[k] += vj * c.rational_value()
-            for k, c in a.row(i, j):
+            for k, c in basis_product(a, i, j):
                 out[k] -= vj * c.rational_value()
         return out
 
@@ -267,8 +269,8 @@ def oracle_action_failure(z, alg: StructureAlgebra) -> tuple[int, int, int] | No
     for g, pt in z.moves.items():
         for t1 in range(n):
             for t2 in range(n):
-                moved = {pt[k]: apply_automorphism(c, g) for k, c in alg.row(t1, t2)}
-                if moved != dict(alg.row(pt[t1], pt[t2])):
+                moved = {pt[k]: apply_automorphism(c, g) for k, c in basis_product(alg, t1, t2)}
+                if moved != dict(basis_product(alg, pt[t1], pt[t2])):
                     return g, t1, t2
     return None
 
@@ -290,7 +292,7 @@ def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
             for q, yv in ys.items():
                 t2, l2 = divmod(q, d)
                 w = xv * yv
-                for t3, c in alg.row(t1, t2):
+                for t3, c in basis_product(alg, t1, t2):
                     for lp, coeff in enumerate((c * alpha_pow[l1 + l2]).coeffs):
                         if coeff:
                             r = t3 * d + lp
@@ -336,14 +338,14 @@ def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     tr = [Fraction(0)] * n
     for k in range(n):
         for t in range(n):
-            for s, c in a.row(k, t):
+            for s, c in basis_product(a, k, t):
                 if s == t:
                     tr[k] += c.rational_value()
     gram = [[[Fraction(0)]] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             acc = Fraction(0)
-            for k, c in a.row(i, j):
+            for k, c in basis_product(a, i, j):
                 acc += c.rational_value() * tr[k]
             gram[i][j] = gram[j][i] = [acc]
     diag, _ = congruence(gram, RATIONAL_FIELD)

@@ -33,6 +33,8 @@ from ksalgebra.pipeline import (
 )
 from ksalgebra.qform import GramForm, diagonalize
 
+from basis_product import basis_product
+
 TRIPLES = ((2, 1, 1), (5, 1, 2), (13, 2, 3))
 
 
@@ -287,7 +289,7 @@ def test_criterion_4_random_rank3_quaternion_relations():
             }
             for x in range(4):
                 for y in range(4):
-                    got = {k: images[x] * images[y] * c for k, c in c0.row(x, y)}
+                    got = {k: images[x] * images[y] * c for k, c in basis_product(c0, x, y)}
                     want = {
                         idx: coeff * images[idx]
                         for idx, coeff in table.get((x, y), [(y if x == 0 else x, one)])

@@ -31,11 +31,13 @@ algebra at dim 64 (a pivot digit nudged in a late sum, and a packing width
 too narrow, both of which the closure tests pass), the congruence
 certificate P^T G P (once with the certificate's products zeroed, once
 with one off-diagonal product nonzero, once on the Q Gram blocks of a
-trace form with inexact divisions), the 16 quaternion relations of C0, the orbit sums of
-even_weight_orbits, the two claims of six_lines_family, the center count
-(a fixed algebra whose central basis element no longer commutes, one whose
-orbit block is no longer symmetric, and slot tables that are not monomial
-in the way the count needs) and the trace form, which reads its Gram
+trace form with inexact divisions), the quaternion presentation of C0
+(entries that do not match C0, and each of its four cells doubled after
+the sweep), the orbit sums of even_weight_orbits, the two claims of
+six_lines_family, the center count (a fixed algebra whose central basis
+element no longer commutes, one whose orbit block is no longer
+symmetric, and slot tables that are not monomial in the way the count
+needs) and the trace form, which reads its Gram
 matrix off the unit coordinate only after the same slot check (a
 repeated and an exchanged monomial) and only per orbit (a group algebra
 whose orbits multiply to u_0).  Z(A)'s
@@ -61,7 +63,6 @@ from ksalgebra.csa import (
     StructureAlgebra,
     build_ZG,
     check_associativity,
-    from_symbol,
     invariants,
 )
 from ksalgebra.errors import (
@@ -77,6 +78,7 @@ import fraction_reference as ref
 from fixed_table import fixed_table
 from kernel_oracle import oracle_tensor, rref
 from quartic_fields import biquadratic_field, cyclic_quartic_field
+from quaternion_table import quaternion_table
 from test_acceptance import TRIPLES
 
 FIELDS = ("Q", "Q(sqrt 2)", "Q(sqrt 5)", "cubic")
@@ -144,7 +146,7 @@ def tables(name: str) -> dict:
         "C0": c0,
         "Z(A)": oracle_tensor(z.field, z.slots),
         "fixed": fixed_table(invariants(z)),
-        "symbol": from_symbol(symbol),
+        "symbol": quaternion_table(symbol),
     }
 
 
@@ -365,7 +367,7 @@ def generation_cases():
         built = swept_tables((d, c, e))
         f = built["C0"].field
         a = f.gen()
-        symbol = from_symbol(clifford.even_rank3_to_symbol(built["C0"], [a, a, c * a - d]))
+        symbol = quaternion_table(clifford.even_rank3_to_symbol(built["C0"], [a, a, c * a - d]))
         for label, alg in (*built.items(), ("quaternions", symbol)):
             yield f"{d, c, e} {label}", f, alg.table
     q2, cubic = quadratic_field(2), cyclic_cubic_field()
@@ -678,12 +680,13 @@ def symbol_with_broken_relation() -> None:
     clifford.even_rank3_to_symbol(c0, [f.rational(x) for x in (1, 2, 3)])
 
 
-def symbol_of_a_corrupted_c0() -> None:
-    """C0 of diag(1, 2, -3) over Q with u_1 u_2 doubled after construction."""
+def symbol_of_a_corrupted_c0(i: int, j: int) -> None:
+    """C0 of diag(1, 2, -3) over Q with u_i u_j doubled after construction
+    (and so after its sweep)."""
     f = RATIONAL_FIELD
     c0 = even_part(CliffordAlgebra(f, [1, 2, -3]))
-    [(k, v)] = c0.table[1][2]
-    c0.table[1][2] = [(k, tuple(x + x for x in v))]
+    [(k, v)] = c0.table[i][j]
+    c0.table[i][j] = [(k, tuple(x + x for x in v))]
     clifford.even_rank3_to_symbol(c0, [f.rational(x) for x in (1, 2, -3)])
 
 
@@ -883,6 +886,10 @@ NEW_CERTIFICATES = (
      "center bounds differ: 6 central basis elements in B, 8 central monomials in Z(A)"),
     ("center of a shared block", center_of_a_product_sharing_an_orbit_block,
      "center bounds differ: 2 central basis elements in B, 8 central monomials in Z(A)"),
+    *((f"quaternion relation {relation}", lambda ij=ij: symbol_of_a_corrupted_c0(*ij),
+       f"quaternion relation {relation} fails at ({ij[0]},{ij[1]})")
+      for relation, ij in (("i^2 = a", (1, 1)), ("j^2 = b", (2, 2)), ("ij = -a1 u_3", (1, 2)),
+                           ("ji = -ij", (2, 1)))),
 )
 
 
@@ -977,13 +984,13 @@ def test_the_readout_checksum_fires_under_python_O():
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():
     with pytest.raises(CertificateFailure, match=r"P\^T G P fails at \(0,0\)"):
         diagonalize_with_broken_certificate()
-    with pytest.raises(CertificateFailure, match=r"quaternion relation fails at \(2,2\)"):
+    with pytest.raises(CertificateFailure, match=r"quaternion relation j\^2 = b fails at \(2,2\)"):
         symbol_with_broken_relation()
 
 
 def test_identification_rejects_a_c0_cell_corrupted_after_construction():
-    with pytest.raises(CertificateFailure, match=r"quaternion relation fails at \(1,2\)"):
-        symbol_of_a_corrupted_c0()
+    with pytest.raises(CertificateFailure, match=r"quaternion relation ij = -a1 u_3 fails at \(1,2\)"):
+        symbol_of_a_corrupted_c0(1, 2)
 
 
 _UNDER_O = """
@@ -1084,7 +1091,7 @@ def test_negative_control_survives_python_O():
         "wrong unit: left unit law fails at u_0",
         "corrupted action: action group law fails for (2,2) at monomial 1",
         "congruence: congruence certificate P^T G P fails at (0,0)",
-        "quaternion relations: quaternion relation fails at (2,2)",
+        "quaternion relations: quaternion relation j^2 = b fails at (2,2)",
         *(f"{label}: {message}" for label, _, message in NEW_CERTIFICATES),
         "Q(sqrt 2) corrupted invariants: NotClosedUnderMultiplication:"
         " product leaves the fixed subspace",

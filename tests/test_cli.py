@@ -367,6 +367,40 @@ def test_report_on_unreadable_input_under_python_O(tmp_path, name):
     assert (from_stdin.returncode, from_stdin.stdout, from_stdin.stderr) == (2, b"", f"error: {message}\n".encode())
 
 
+# diagonal forms over Q(sqrt 2) whose report holds an integer past
+# sys.get_int_max_str_digits(): diag(sqrt 2, sqrt 2, -10^4000), the entry
+# written as 4,001 digits, whose corestricted symbol (in the JSON report
+# only) has the slot -2 10^8000, and 10^2200 diag(sqrt 2, sqrt 2, sqrt 2 - 2),
+# whose C0 symbol (in both reports) has the slot a = -2 10^4400
+OVERSIZED_REPORTS = {
+    "corestricted symbol": [["0", "1"], ["0", "1"], "-1" + "0" * 4000],
+    "C0 symbol": [["0", "1" + "0" * 2200]] * 2 + [["-2" + "0" * 2200, "1" + "0" * 2200]],
+}
+
+
+def diagonal_input(entries) -> dict:
+    return {
+        "field": {"quadratic_d": 2},
+        "form": {"dim": 3, "entries": [[e if i == j else "0" for j in range(3)] for i, e in enumerate(entries)]},
+    }
+
+
+@pytest.mark.parametrize("name, fmt", [("corestricted symbol", "json"), ("C0 symbol", "json"), ("C0 symbol", "text")])
+def test_report_with_an_integer_past_the_digit_limit_is_one_line_exit_1(tmp_path, capsys, name, fmt):
+    path = write_input(tmp_path, diagonal_input(OVERSIZED_REPORTS[name]))
+    assert run(["report", "--input", path, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: OutputTooLarge: an integer in the report has more than 4300 digits\n")
+
+
+def test_text_report_of_a_4001_digit_entry_is_written(tmp_path, capsys):
+    # the text report leaves out the corestricted symbol before reduction
+    path = write_input(tmp_path, diagonal_input(OVERSIZED_REPORTS["corestricted symbol"]))
+    assert run(["report", "--input", path, "--format", "text"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "symbol route: cores = (-1,-2)/Q, ramification {2, inf}, definite" in out
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.binary(max_size=256), via_stdin=st.booleans())
 def test_report_on_arbitrary_bytes_ends_in_one_error_line(data, via_stdin):

@@ -7,6 +7,7 @@ from ksalgebra.errors import DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
 from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 from ksalgebra.qform import GramForm, diagonalize
 
+from basis_product import basis_product
 from test_associativity import run_under_O
 
 Q2 = quadratic_field(2)
@@ -82,14 +83,14 @@ def test_even_part_dimensions():
 def test_even_part_n1_is_scalars():
     alg = even_part(CliffordAlgebra(RATIONAL_FIELD, [7]))
     assert alg.dim == 1
-    assert alg.row(0, 0) == [(0, RATIONAL_FIELD.one())]
+    assert basis_product(alg, 0, 0) == [(0, RATIONAL_FIELD.one())]
 
 
 def test_even_part_rank3_unit_square():
     alg = even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 1, 1]))
     assert alg.dim == 4
     # basis order: 1, e1e2, e1e3, e2e3; (e1e2)^2 = -1
-    assert alg.row(1, 1) == [(0, -RATIONAL_FIELD.one())]
+    assert basis_product(alg, 1, 1) == [(0, -RATIONAL_FIELD.one())]
 
 
 def test_rank3_symbol_values():
@@ -109,7 +110,7 @@ def test_rank3_k_is_minus_a_e23():
     # k = ij = e1e2 e1e3 = -a1 e2e3, for diag(2, 3, 5)
     assert CliffordAlgebra(RATIONAL_FIELD, [2, 3, 5]).blade_product(0b011, 0b101) == (-2, 0b110)
     c0, _ = c0_and_entries(RATIONAL_FIELD, [2, 3, 5])
-    assert c0.row(1, 2) == [(3, RATIONAL_FIELD.rational(-2))]
+    assert basis_product(c0, 1, 2) == [(3, RATIONAL_FIELD.rational(-2))]
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,13 +118,13 @@ def test_rank3_k_is_minus_a_e23():
 def test_rank3_relations_reverified(entries):
     # read off C0's basis 1, e1e2, e1e3, e2e3, where i, j, k are u_1, u_2, -a1 u_3
     c0, diag = c0_and_entries(RATIONAL_FIELD, entries)
-    symbol = even_rank3_to_symbol(c0, diag)  # runs the full 16-product certification
+    symbol = even_rank3_to_symbol(c0, diag)  # certifies the presentation on four cells
     a1 = diag[0]
-    assert c0.row(1, 1) == [(0, symbol.a)]
-    assert c0.row(2, 2) == [(0, symbol.b)]
-    assert c0.row(1, 2) == [(3, -a1)]
-    assert c0.row(2, 1) == [(3, a1)]
-    [(k, c)] = c0.row(3, 3)
+    assert basis_product(c0, 1, 1) == [(0, symbol.a)]
+    assert basis_product(c0, 2, 2) == [(0, symbol.b)]
+    assert basis_product(c0, 1, 2) == [(3, -a1)]
+    assert basis_product(c0, 2, 1) == [(3, a1)]
+    [(k, c)] = basis_product(c0, 3, 3)
     assert k == 0 and a1 * a1 * c == -(symbol.a * symbol.b)
 
 
@@ -147,6 +148,13 @@ def test_guards():
         CliffordAlgebra(RATIONAL_FIELD, [1, 0, 2])
     with pytest.raises(FieldMismatch):
         CliffordAlgebra(Q2, [RATIONAL_FIELD.one()])
+
+
+def test_rank3_identification_needs_entries_in_the_field_of_c0():
+    c0, _ = c0_and_entries(Q2, [1, 2, 3])
+    q5 = quadratic_field(5)
+    with pytest.raises(FieldMismatch):
+        even_rank3_to_symbol(c0, [q5.rational(x) for x in (1, 2, 3)])
 
 
 _WRONG_RANK = """

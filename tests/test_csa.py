@@ -9,7 +9,6 @@ from ksalgebra.csa import (
     StructureAlgebra,
     build_ZG,
     center,
-    from_symbol,
     invariants,
     monomial_algebra,
     trace_form_signature,
@@ -27,6 +26,7 @@ from ksalgebra.exactfield import (
 from ksalgebra.pipeline import ks_report, search_cubic_diagonal
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
+from basis_product import basis_product
 from fixed_table import fixed_table
 from kernel_oracle import (
     block_trace_signature,
@@ -38,12 +38,13 @@ from kernel_oracle import (
     oracle_tensor,
 )
 from quartic_fields import biquadratic_field, cyclic_quartic_field
+from quaternion_table import quaternion_table
 from test_associativity import corrupted_moves
 
 Q2 = quadratic_field(2)
 
-HAMILTON = from_symbol(rational_symbol(-1, -1))
-SPLIT = from_symbol(rational_symbol(1, 1))
+HAMILTON = quaternion_table(rational_symbol(-1, -1))
+SPLIT = quaternion_table(rational_symbol(1, 1))
 
 
 def tensor_q(*algebras: StructureAlgebra) -> StructureAlgebra:
@@ -66,7 +67,7 @@ def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
     for k in range(n):
         m = [[Fraction(0)] * n for _ in range(n)]
         for j in range(n):
-            for s, c in alg.row(k, j):
+            for s, c in basis_product(alg, k, j):
                 m[s][j] = c.rational_value()
         mats.append(m)
     gram = []
@@ -103,24 +104,24 @@ def matrix_units_algebra(n: int) -> StructureAlgebra:
     return StructureAlgebra(RATIONAL_FIELD, constants)
 
 
-# -- from_symbol ---------------------------------------------------------------------
+# -- quaternion tables ---------------------------------------------------------------
 
 
 def test_hamilton_table():
     h = HAMILTON
     one = RATIONAL_FIELD.one()
-    assert h.row(1, 1) == [(0, -one)]
-    assert h.row(1, 2) == [(3, one)]
-    assert h.row(2, 1) == [(3, -one)]
-    assert h.row(3, 3) == [(0, -one)]
-    assert h.row(1, 3) == [(2, -one)]  # ik = aj with a = -1
+    assert basis_product(h, 1, 1) == [(0, -one)]
+    assert basis_product(h, 1, 2) == [(3, one)]
+    assert basis_product(h, 2, 1) == [(3, -one)]
+    assert basis_product(h, 3, 3) == [(0, -one)]
+    assert basis_product(h, 1, 3) == [(2, -one)]  # ik = aj with a = -1
 
 
 def test_split_table_over_E():
     s = QuaternionSymbol(Q2.rational(-2), Q2.gen() - 1)
-    alg = from_symbol(s)
+    alg = quaternion_table(s)
     assert alg.dim == 4 and alg.field == Q2
-    assert alg.row(1, 1) == [(0, Q2.rational(-2))]
+    assert basis_product(alg, 1, 1) == [(0, Q2.rational(-2))]
 
 
 def test_hamilton_trace_form_by_hand():
@@ -165,7 +166,7 @@ def test_builder_unit_is_u0_over_the_constants_denominator():
     alg = monomial_algebra(Q2, [[(0, one), (1, one)], [(1, one), (0, c)]])
     assert alg.den == 3
     assert alg.table[0] == [[(0, (3, 0))], [(1, (3, 0))]]
-    assert alg.row(1, 1) == [(0, c)]
+    assert basis_product(alg, 1, 1) == [(0, c)]
 
 
 def hamilton_table_with(cells: dict) -> list:
@@ -323,13 +324,13 @@ def test_block_readers_give_the_table_counts(kind, args, counts):
     assert (center(z, b), trace_form_signature(z, b)) == counts
 
 
-# (degree of E, dim) of each table a report builds: C0 and, for a rank-3
-# form, the quaternion table of the symbol route; over Q the rank-3 sweep
-# count below pins the same
+# (degree of E, dim) of each table a report builds: C0 alone, since the
+# symbol route certifies C0 as (a, b) on C0's own cells; over Q the rank-3
+# sweep count below pins the same
 REPORT_TABLES = {
-    "family Q(sqrt 2)": [(2, 4), (2, 4)],
+    "family Q(sqrt 2)": [(2, 4)],
     "Q(sqrt 2) rank 4": [(2, 8)],
-    "cubic search form": [(3, 4), (3, 4)],
+    "cubic search form": [(3, 4)],
 }
 
 
@@ -359,7 +360,7 @@ def test_no_report_builds_a_table_for_the_fixed_algebra(monkeypatch, name):
 
 
 def test_zg_dimension_bookkeeping():
-    a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
+    a = quaternion_table(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
     zg = build_ZG(a, Q2)
     assert zg.dim == 16
     # one monomial permutation per automorphism; sigma_2 swaps the slots, so
@@ -378,7 +379,7 @@ def test_zg_field_guard():
 
 
 def test_zg_action_group_law_public():
-    a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
+    a = quaternion_table(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
     zg = build_ZG(a, Q2)
 
     def act(g: int, x: dict) -> dict:  # sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}
@@ -408,7 +409,7 @@ def test_zg_group_law_certificate_rejects_a_wrong_move():
 def test_zg_identity_move_is_certified_without_its_cells(f):
     # sigma_1's cells are not compared; a move that is a bijection but not
     # the identity still fails the group law at (1, 1)
-    a = from_symbol(QuaternionSymbol(f.rational(-1), f.gen() - 1))
+    a = quaternion_table(QuaternionSymbol(f.rational(-1), f.gen() - 1))
     zg = build_ZG(a, f)
     moves = list(zg.moves[1])
     moves[1], moves[2] = moves[2], moves[1]
@@ -452,7 +453,7 @@ def test_invariants_of_E_itself():
 
 
 def test_invariants_dim16_center1():
-    a = from_symbol(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
+    a = quaternion_table(QuaternionSymbol(Q2.rational(-1), Q2.gen() - 1))
     zg = build_ZG(a, Q2)
     inv = invariants(zg)
     assert inv.dim == 16
@@ -559,10 +560,10 @@ def test_products_form_only_the_kept_monomials():
     assert kept == [p for p in z.products(range(z.dim)) if p[2] in keep]
 
 
-def test_a_rank_3_report_over_Q_sweeps_two_tables(monkeypatch):
-    # C0 and the quaternion table of the symbol route; Z(A), kept as its
-    # one slot, is not copied into a table of its own, and the fixed
-    # algebra B is kept as its blocks
+def test_a_rank_3_report_over_Q_sweeps_only_c0(monkeypatch):
+    # the symbol route reads C0's own cells and builds no quaternion table;
+    # Z(A), kept as its one slot, is not copied into a table of its own,
+    # and the fixed algebra B is kept as its blocks
     swept = []
     real = csa.check_associativity
 
@@ -573,7 +574,7 @@ def test_a_rank_3_report_over_Q_sweeps_two_tables(monkeypatch):
     monkeypatch.setattr(csa, "check_associativity", sweep)
     q = RATIONAL_FIELD
     ks_report(q, GramForm.diagonal(q, [q.rational(x) for x in (1, 2, -3)]))
-    assert swept == [4, 4]
+    assert swept == [4]
 
 
 def test_invariants_keep_no_packing_layout_across_calls(monkeypatch):
@@ -807,15 +808,15 @@ def test_field_elem_rows_and_integers_over_6_store_the_same_table():
     # integer constants given over 6 must come back to lowest terms; the
     # builder takes the FieldElem rows, the constructor integers over 6
     for symbol in (rational_symbol(Fraction(1, 2), Fraction(2, 3)), rational_symbol(-1, -1)):
-        a = from_symbol(symbol)
-        rows = [[a.row(i, j) for j in range(4)] for i in range(4)]
+        a = quaternion_table(symbol)
+        rows = [[basis_product(a, i, j) for j in range(4)] for i in range(4)]
         assert monomial_algebra(RATIONAL_FIELD, [[cell for [cell] in row] for row in rows]) == a
         over_6 = [[[(k, (int(6 * c.rational_value()),)) for k, c in cell] for cell in row] for row in rows]
         b = StructureAlgebra(RATIONAL_FIELD, over_6, den=6)
         assert b == a
         assert (b.den, b.table) == (a.den, a.table)
-        assert [[b.row(i, j) for j in range(4)] for i in range(4)] == rows
-    assert from_symbol(rational_symbol(Fraction(1, 2), Fraction(2, 3))).den == 6
+        assert [[basis_product(b, i, j) for j in range(4)] for i in range(4)] == rows
+    assert quaternion_table(rational_symbol(Fraction(1, 2), Fraction(2, 3))).den == 6
     assert HAMILTON.den == 1
 
 

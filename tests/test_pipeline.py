@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from ksalgebra import csa, qform
 from ksalgebra.clifford import CliffordAlgebra
 from ksalgebra.brauer import INF, is_definite, rational_symbol
-from ksalgebra.csa import from_symbol
 from ksalgebra.errors import (
     CertificateFailure,
     FieldMismatch,
@@ -39,6 +38,7 @@ from ksalgebra.qform import GramForm
 
 from kernel_oracle import block_trace_signature, oracle_tensor
 from quartic_fields import biquadratic_field, cyclic_quartic_field
+from quaternion_table import quaternion_table
 
 
 # -- independent orbit oracle: pairwise-product closure and inverse-indexed action
@@ -491,7 +491,7 @@ def tensor_chain_signatures(d: int) -> tuple:
     symbol tables over Q, each tensored with d - 1 copies of M_2(Q) by
     kernel_oracle.oracle_tensor, their signatures kernel_oracle's
     block_trace_signature."""
-    split, definite = (from_symbol(rational_symbol(x, x)) for x in (1, -1))
+    split, definite = (quaternion_table(rational_symbol(x, x)) for x in (1, -1))
     chain = [(split.table, split.den)] * (d - 1)
     return tuple(block_trace_signature(oracle_tensor(RATIONAL_FIELD, chain + [(a.table, a.den)]))
                  for a in (definite, split))

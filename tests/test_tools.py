@@ -6,7 +6,8 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-STAGES = ["validate_k3_rm", "even_part", "build_ZG", "invariants", "trace_form_signature", "center"]
+STAGES = ["validate_k3_rm", "even_part", "even_rank3_to_symbol", "build_ZG", "invariants",
+          "trace_form_signature", "center"]
 
 
 def test_time_reports_times_the_pipeline_stages():

@@ -34,7 +34,8 @@ INPUTS = {
     "quartic-biquadratic": ("biquadratic_field()", "[a - 2, a - 2, -f.one()]"),
 }
 # the stages timed in each report, as named in ksalgebra.pipeline
-STAGES = ("validate_k3_rm", "even_part", "build_ZG", "invariants", "trace_form_signature", "center")
+STAGES = ("validate_k3_rm", "even_part", "even_rank3_to_symbol", "build_ZG", "invariants",
+          "trace_form_signature", "center")
 
 _CHILD = """
 import json, resource, sys, time
