@@ -235,7 +235,8 @@ def _odd_prime_exponents(n: int) -> dict[int, int]:
         if f * f > n or is_probable_prime(n):
             exponents[n] = 1
         elif isqrt(n) ** 2 != n:
-            raise FactorizationBound(f"cofactor {n} not factored within bound {DEFAULT_TRIAL_BOUND}")
+            shown = n if n.bit_length() <= 2048 else f"of {n.bit_length()} bits"  # printable at any digit limit
+            raise FactorizationBound(f"cofactor {shown} not factored within bound {DEFAULT_TRIAL_BOUND}")
     return exponents
 
 

@@ -19,8 +19,8 @@ tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with sigma_i applied
 to its constants in slot i, carries a semilinear G-action that permutes its
 monomials.  Its fixed points, built by invariants, are the corestriction B
 of A to Q (Knus, Merkurjev, Rost and Tignol, The Book of Involutions, 3.B),
-kept as orbit blocks sharing one tuple per read (FixedAlgebra) for center
-and trace_form_signature.  All three rest on _certify_slot_shapes's shape.
+kept as orbit blocks (FixedAlgebra) for center and trace_form_signature.
+Slot 0 is A's own table; _certify_slot_shapes walks the slots a stage reads.
 """
 from functools import lru_cache
 from itertools import chain, product
@@ -207,7 +207,7 @@ def check_products(alg: StructureAlgebra, products) -> None:
 
 def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
     """(constants, den) of the table over den with sigma_i applied to each
-    of its distinct integer vectors once; sigma_1 gives the table back."""
+    of its distinct integer vectors once."""
     images = {}
     for v in {v for row in table for cell in row for _, v in cell}:
         r, scale = field.automorphism(i, v)  # the same scale for every v
@@ -229,20 +229,20 @@ def _slot_moves(f: FieldDescriptor, m: int, g: int) -> list[int]:
 class GaloisModuleAlgebra:
     """Z(A) = A_{sigma_1} tensor ... tensor A_{sigma_d} with its G-action.
 
-    slots[s] is A_{sigma_{s+1}} as (constants, den), each cell one nonzero
-    monomial.  Z(A) has dim (dim A)^d and the monomial basis u_t, t read in
-    base dim A with slot 0 the leading digit; products gives its products
-    over den, the slot denominators times reduction_den^(d-1).  sigma_g
-    acts semilinearly by the monomial permutation moves[g]: sigma_g(c u_t)
-    = sigma_g(c) u_{moves[g][t]}.  The slots and moves are always certified.
+    slots[s] is A_{sigma_{s+1}} as (constants, den), slots[0] A's own, each
+    cell one nonzero monomial.  Z(A) has dim (dim A)^d and the monomial basis
+    u_t, t read in base dim A with slot 0 the leading digit; products gives
+    its products over den, the slot denominators times reduction_den^(d-1).
+    sigma_g acts semilinearly by the monomial permutation moves[g]: sigma_g(c
+    u_t) = sigma_g(c) u_{moves[g][t]}.  The slots and moves are always
+    certified.
     """
 
     def __init__(self, a: StructureAlgebra, f: FieldDescriptor):
         if a.field != f:
             raise FieldMismatch("algebra is not defined over the given field")
-        self.field = f
-        d = f.degree
-        self.slots = [_twist(f, a.table, a.den, i) for i in range(1, d + 1)]
+        self.field, d = f, f.degree
+        self.slots = [(a.table, a.den)] + [_twist(f, a.table, a.den, i) for i in range(2, d + 1)]
         self.dim = a.dim ** d
         self.den = f.reduction_den ** (d - 1) * prod(den for _, den in self.slots)
         self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
@@ -253,10 +253,10 @@ class GaloisModuleAlgebra:
         c as d ints over den: the slot cells at the digits of s and t
         multiplied, the last slot's only where k is kept.  u_t u_s = beta c
         u_k, beta the product of the slots' signs u_j u_i = +-u_i u_j, which
-        _certify_slot_shapes certifies before the first product."""
+        _certify_slot_shapes certifies in every slot first."""
         m, mul = len(self.slots[0][0]), lru_cache(maxsize=None)(self.field.multiply)
         *heads, last = [[(s, t, *cell[0], sign[s][t]) for s, row in enumerate(table) for t, cell in enumerate(row)]
-                        for (table, _), sign in zip(self.slots, _certify_slot_shapes(self))]
+                        for (table, _), sign in zip(self.slots, _certify_slot_shapes(self.slots))]
         pairs = [(0, 0, 0, None, 1)]
         for slot in heads:
             pairs = [(s * m + s1, t * m + t1, k * m + k1, v1 if v is None else mul(v, v1), b * b1)
@@ -270,23 +270,23 @@ class GaloisModuleAlgebra:
     def _check_actions(self) -> None:
         """Exact certification of the slots and the stored moves.
 
-        The slots have the shape _certify_slot_shapes certifies, and each
+        Slot 0, A, has the shape _certify_slot_shapes certifies, and each
         move is a bijection.  sigma_g, applied by _twist once to each
         distinct vector of slot s, takes its cells to those of slot pi_g(s),
-        hosting sigma_g . sigma_{s+1}, compared over both denominators.
-        Slot 0 is A, so each slot is certified as sigma_g(A), associative by
-        A's sweep, and so is Z(A), their tensor product (Pierce, Associative
-        Algebras, GTM 88).  The moves follow the group law of G, and each
-        carries digit s of every monomial to slot pi_g(s); the coefficient
-        part of the action is the field automorphism, certified with the
-        field.
+        hosting sigma_g . sigma_{s+1}, compared over both denominators.  So
+        each slot is certified as sigma_g(A), of A's shape (sigma_g is
+        linear) and associative by A's sweep, and so is Z(A), their tensor
+        product (Pierce, Associative Algebras, GTM 88).  The moves follow
+        the group law of G, and each carries digit s of every monomial to
+        slot pi_g(s); the coefficient part of the action is the field
+        automorphism, certified with the field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
         field pins sigma_1 to X, and the group law at (1, 1) gives
         p_1 o p_1 = p_1, which for a bijection p_1 forces p_1 = id.
         """
         f, slots, n, m = self.field, self.slots, self.dim, len(self.slots[0][0])
-        _certify_slot_shapes(self)
+        _certify_slot_shapes(slots[:1])
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(n)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
@@ -309,18 +309,18 @@ class GaloisModuleAlgebra:
                 raise CertificateFailure(f"action {g} does not carry the slot digits of monomial {t}")
 
 
-def _certify_slot_shapes(z: GaloisModuleAlgebra) -> list[list[list[int]]]:
-    """The slot shape every reader of Z(A) needs, certified in one walk when
-    Z(A) is built and again by each reader (products, center,
-    trace_form_signature), which catches a slot corrupted after
-    construction.  In slot s every product u_i u_j must be one nonzero
-    monomial (all cells first), the same monomial as u_j u_i, with u_j u_i
-    = +-u_i u_j on the stored integers, and injective in j, else
-    CertificateFailure: even Clifford slots are, as e_S e_T = +-e_T e_S
-    (Lam, Introduction to Quadratic Forms over Fields, Ch. V).  Returns
-    the signs: u_j u_i = signs[s][i][j] u_i u_j in slot s."""
+def _certify_slot_shapes(slots) -> list[list[list[int]]]:
+    """The slot shape every reader of Z(A) needs, one walk per slot given:
+    slot 0 when Z(A) is built (the action certificate makes the others its
+    images) and in center, every slot in products, which catches a slot
+    corrupted after construction.  In slot s every product u_i u_j must be
+    one nonzero monomial (all cells first), the same monomial as u_j u_i,
+    with u_j u_i = +-u_i u_j on the stored integers, and injective in j,
+    else CertificateFailure: even Clifford slots are, as e_S e_T = +-e_T e_S
+    (Lam, Introduction to Quadratic Forms over Fields, Ch. V).  Returns the
+    signs: u_j u_i = signs[s][i][j] u_i u_j in slot s."""
     signs = []
-    for s, (table, _) in enumerate(z.slots):
+    for s, (table, _) in enumerate(slots):
         for i, j in product(range(len(table)), repeat=2):
             if len(table[i][j]) != 1 or not any(table[i][j][0][1]):
                 raise CertificateFailure(f"slot {s} product u_{i} u_{j} is not one monomial")
@@ -505,15 +505,15 @@ def center(z: GaloisModuleAlgebra, b: FixedAlgebra) -> int:
 
     Upper bound: in a slot of the shape _certify_slot_shapes certifies,
     conjugation by u_i scales u_j by the sign of the pair, so the slot's
-    center is spanned by the monomials whose signs are all +1 (Lam, Ch.
-    V); the center of Z(A), the tensor of the slots' centers (Pierce), has
-    dim the product of their counts, and Z(b) tensor E lies in it.  Lower
-    bound: the basis elements that commute with every basis element, read
-    off the blocks: across orbits b_j b_i = beta b_i b_j, equal where beta
-    = 1 or the entry is 0; an (I, I) block holds both orders.  Bounds that
-    differ raise CertificateFailure.
+    center is spanned by the monomials whose signs are all +1 (Lam, Ch. V);
+    the center of Z(A), the tensor of the slots' centers (Pierce), has dim
+    the product of their counts, A's to the d (each slot has A's signs), and
+    Z(b) tensor E lies in it.  Lower bound: the basis elements that commute
+    with every basis element, read off the blocks: across orbits b_j b_i =
+    beta b_i b_j, equal where beta = 1 or the entry is 0; an (I, I) block
+    holds both orders.  Bounds that differ raise CertificateFailure.
     """
-    upper = prod(sum(-1 not in row for row in sign) for sign in _certify_slot_shapes(z))
+    upper = sum(-1 not in row for row in _certify_slot_shapes(z.slots[:1])[0]) ** len(z.slots)
     central, differ = [True] * b.dim, {}  # per (id(coordinates), o == o2) of this call, the p where x != y
     for (o, o2), by_k in b.blocks.items():
         (i0, m, _), (j0, mr, _) = b.orbits[o], b.orbits[o2]
@@ -530,21 +530,20 @@ def center(z: GaloisModuleAlgebra, b: FixedAlgebra) -> int:
     return upper
 
 
-def trace_form_signature(z: GaloisModuleAlgebra, b: FixedAlgebra) -> tuple[int, int, int]:
+def trace_form_signature(b: FixedAlgebra) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) on b = invariants(z).
 
-    Once _certify_slot_shapes has passed, u_s u_t in a slot is one
-    monomial, symmetric and injective in s and t, so it lies on u_t = u_0
-    u_t only for s = 0; traces multiply over the slots, so in Z(A)
+    z.products certified every slot's shape when b was built: u_s u_t in a
+    slot is one monomial, symmetric and injective in s and t, so it lies on
+    u_t = u_0 u_t only for s = 0; traces multiply over the slots, so in Z(A)
     Tr(L_{u_t}) is n at t = 0 and 0 elsewhere.  b tensor E = Z(A) (Knus,
-    Merkurjev, Rost and Tignol, 3.B), and b_0 = u_0 alone has a u_0 term,
-    so Tr(L_{xy}) = n (xy)_0.  A pair of orbits I != J with a target u_0
-    raises CertificateFailure, so the Gram matrix is n/L times one (I, I)
-    block per orbit at u_0, read on and above the diagonal;
+    Merkurjev, Rost and Tignol, 3.B), and b_0 = u_0 alone has a u_0 term, so
+    Tr(L_{xy}) = n (xy)_0.  A pair of orbits I != J with a target u_0 raises
+    CertificateFailure, so the Gram matrix is n/L times one (I, I) block per
+    orbit at u_0, read on and above the diagonal;
     qform.congruence_diagonalize certifies P^T G P in integers (Conner and
     Perlis, A Survey of Trace Forms), once per distinct block in a call.
     """
-    _certify_slot_shapes(z)
     pos, neg, counts = 0, 0, {}  # counts: (pos, neg) per distinct Gram block, for this call
     for (o, o2), by_k in b.blocks.items():
         if 0 not in by_k:

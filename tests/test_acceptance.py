@@ -55,6 +55,7 @@ def family_reports():
 # -- criterion 1: the quadratic family, symbol route ---------------------------------
 
 
+@pytest.mark.wallclock
 def test_criterion_1_family_symbol_route(family_reports):
     failures = []
     for (d, c, e), (rep, secs) in family_reports.items():
@@ -85,6 +86,7 @@ def test_criterion_1_family_symbol_route(family_reports):
 # -- criterion 2: the invariant route over Q(sqrt 2) ----------------------------------
 
 
+@pytest.mark.wallclock
 def test_criterion_2_invariant_route_dimension_and_center(family_reports):
     f = quadratic_field(2)
     form = GramForm.diagonal(f, [f.gen(), f.gen(), f.gen() - f.rational(2)])
@@ -304,6 +306,7 @@ def test_criterion_4_random_rank3_quaternion_relations():
 # -- criterion 5: Hilbert symbol laws --------------------------------------------------
 
 
+@pytest.mark.wallclock
 def test_criterion_5_hilbert_symbol_laws():
     rng = random.Random(97)
     pool = (2, 3, 5, 7, 11, 13)

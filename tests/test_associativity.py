@@ -654,7 +654,7 @@ def trace_form_of_a_cyclic_group_algebra() -> None:
     u_1 and u_2, multiply to u_0 across two orbits."""
     f = quadratic_field(2)
     z = build_ZG(csa.monomial_algebra(f, [[((p + q) % 3, f.one()) for q in range(3)] for p in range(3)]), f)
-    csa.trace_form_signature(z, invariants(z))
+    csa.trace_form_signature(invariants(z))
 
 
 def trace_form_with_a_wrong_division() -> None:
@@ -667,7 +667,7 @@ def trace_form_with_a_wrong_division() -> None:
     real = q.adjugate
     q.adjugate = lambda num: (real(num)[0], real(num)[1] + 1)
     try:
-        csa.trace_form_signature(z, b)
+        csa.trace_form_signature(b)
     finally:
         del q.adjugate
 
@@ -727,11 +727,11 @@ def family_against_the_split_class() -> None:
         pipeline.rational_symbol = real
 
 
-def family_center_after(corrupt, read=csa.center) -> None:
+def family_center_after(corrupt, read=csa.center, slot=0) -> None:
     """read(z, B), csa.center by default, of Z(A) over Q(sqrt 2) (the
-    family form) and its fixed algebra B, after corrupt(slot 1 table, B)
-    has edited the stored integer table of Z(A)'s second slot or B's
-    blocks.
+    family form) and its fixed algebra B, after corrupt(slot table, B) has
+    edited the stored integer table of one slot of Z(A), by default slot 0,
+    which is C0's own table, or B's blocks.
 
     B's one central basis element is its unit e_0.  In each slot,
     u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2.
@@ -740,18 +740,14 @@ def family_center_after(corrupt, read=csa.center) -> None:
     a = f.gen()
     z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
     b = invariants(z)
-    corrupt(z.slots[1][0], b)
+    corrupt(z.slots[slot][0], b)
     read(z, b)
 
 
-def family_trace_form_after(corrupt) -> None:
-    """csa.trace_form_signature in place of csa.center in family_center_after."""
-    family_center_after(corrupt, csa.trace_form_signature)
-
-
 def family_invariants_after(corrupt) -> None:
-    """invariants(z) in place of csa.center in family_center_after."""
-    family_center_after(corrupt, lambda z, b: invariants(z))
+    """invariants(z) in place of csa.center in family_center_after, after
+    slot 1, a twisted copy that only products walks, is corrupted."""
+    family_center_after(corrupt, lambda z, b: invariants(z), 1)
 
 
 def rebuilt(z, b) -> None:
@@ -806,19 +802,19 @@ def center_of_a_product_sharing_an_orbit_block() -> None:
     csa.center(z, b)
 
 
-def center_with_two_terms(zt, b) -> None:
+def slot_with_two_terms(zt, b) -> None:
     """u_1 u_2 in the slot gains a second term."""
     zt[1][2] = zt[1][2] + [(0, zt[1][2][0][1])]
 
 
-def center_with_a_repeated_monomial(zt, b) -> None:
+def slot_with_a_repeated_monomial(zt, b) -> None:
     """u_1 u_2 and u_2 u_1 in the slot land on u_2, as u_1 u_3 does."""
     k = zt[1][3][0][0]
     zt[1][2] = [(k, zt[1][2][0][1])]
     zt[2][1] = [(k, zt[2][1][0][1])]
 
 
-def center_with_asymmetric_monomials(zt, b) -> None:
+def slot_with_asymmetric_monomials(zt, b) -> None:
     """u_2 u_1 and u_2 u_3 in the slot exchange their monomials."""
     (k1, c1), (k3, c3) = zt[2][1][0], zt[2][3][0]
     zt[2][1], zt[2][3] = [(k3, c1)], [(k1, c3)]
@@ -849,15 +845,17 @@ NEW_CERTIFICATES = (
      "family corestriction must be the definite (-1,-1) class"),
     ("center", lambda: family_center_after(center_with_a_noncentral_unit),
      "center bounds differ: 0 central basis elements in B, 1 central monomials in Z(A)"),
-    ("center two terms", lambda: family_center_after(center_with_two_terms),
+    ("center two terms", lambda: family_center_after(slot_with_two_terms),
+     "slot 0 product u_1 u_2 is not one monomial"),
+    ("center repeated monomial", lambda: family_center_after(slot_with_a_repeated_monomial),
+     "slot 0 products u_1 u_j repeat a monomial"),
+    ("center asymmetric monomials", lambda: family_center_after(slot_with_asymmetric_monomials),
+     "slot 0 products u_2 u_1 and u_1 u_2 land on different monomials"),
+    ("invariants two terms", lambda: family_invariants_after(slot_with_two_terms),
      "slot 1 product u_1 u_2 is not one monomial"),
-    ("center repeated monomial", lambda: family_center_after(center_with_a_repeated_monomial),
+    ("invariants repeated monomial", lambda: family_invariants_after(slot_with_a_repeated_monomial),
      "slot 1 products u_1 u_j repeat a monomial"),
-    ("center asymmetric monomials", lambda: family_center_after(center_with_asymmetric_monomials),
-     "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
-    ("trace form repeated monomial", lambda: family_trace_form_after(center_with_a_repeated_monomial),
-     "slot 1 products u_1 u_j repeat a monomial"),
-    ("trace form asymmetric monomials", lambda: family_trace_form_after(center_with_asymmetric_monomials),
+    ("invariants asymmetric monomials", lambda: family_invariants_after(slot_with_asymmetric_monomials),
      "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
     ("slot side scaled", lambda: family_invariants_after(slot_with_a_side_scaled),
      "slot 1 products u_2 u_1 and u_1 u_2 differ by more than a sign"),

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -388,6 +389,18 @@ def test_factorization_bound_honesty(monkeypatch):
     # big square cofactor is irrelevant and tolerated
     sq = rational_symbol(10007 * 10007 * 3, -1)
     assert ramification(sq) == ramification(rational_symbol(3, -1))
+
+
+def test_a_cofactor_too_long_to_print_is_named_by_its_bit_length():
+    # the product of the Mersenne primes 2^1279 - 1 and 2^2203 - 1 has 1,049
+    # digits, past the lowest digit limit str() may be given
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(FactorizationBound, match="^cofactor of 3482 bits not factored within bound"):
+            ramification(rational_symbol(-1, (2 ** 1279 - 1) * (2 ** 2203 - 1)))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_definiteness_is_read_at_the_real_place(monkeypatch):

@@ -227,6 +227,7 @@ def test_orbits_rejects_bad_degree(capsys):
     assert capsys.readouterr().err == "error: flag --degree: must be at most 16\n"
 
 
+@pytest.mark.wallclock
 @pytest.mark.parametrize("argv", [["--degree", "12", "--full"], ["--degree", "16", "--cycle"]])
 def test_orbits_up_to_the_degree_cap_answer_within_a_second(argv, capsys):
     start = time.perf_counter()

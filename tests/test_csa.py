@@ -299,7 +299,7 @@ def test_trace_signature_matches_the_dense_oracle(kind, args):
     else:
         z = center_case(kind, args)
         b = invariants(z)
-        sig, alg = trace_form_signature(z, b), fixed_table(b)
+        sig, alg = trace_form_signature(b), fixed_table(b)
     assert sig == oracle_dense_trace_signature(alg)
 
 
@@ -321,7 +321,7 @@ TABLE_COUNTS = {
 def test_block_readers_give_the_table_counts(kind, args, counts):
     z = center_case(kind, args)
     b = invariants(z)
-    assert (center(z, b), trace_form_signature(z, b)) == counts
+    assert (center(z, b), trace_form_signature(b)) == counts
 
 
 # (degree of E, dim) of each table a report builds: C0 alone, since the
@@ -334,16 +334,19 @@ REPORT_TABLES = {
 }
 
 
+def report_form(name: str):
+    """(field, form) of a REPORT_TABLES case."""
+    if name == "cubic search form":
+        f = cyclic_cubic_field()
+        return f, search_cubic_diagonal(f)
+    a = Q2.gen()
+    return Q2, GramForm.diagonal(Q2, [a, a, a - 2] if name == "family Q(sqrt 2)" else [a, a, a - 2, a - 2])
+
+
 @pytest.mark.parametrize("name", REPORT_TABLES)
 def test_no_report_builds_a_table_for_the_fixed_algebra(monkeypatch, name):
     # B, over Q and of dim 16, 64 and 64 here, is kept as its blocks at
     # every dim and checked by the readout checksum, never built as a table
-    if name == "cubic search form":
-        f = cyclic_cubic_field()
-        form = search_cubic_diagonal(f)
-    else:
-        f, a = Q2, Q2.gen()
-        form = GramForm.diagonal(f, [a, a, a - 2] if name == "family Q(sqrt 2)" else [a, a, a - 2, a - 2])
     built = []
     real = StructureAlgebra.__init__
 
@@ -352,8 +355,34 @@ def test_no_report_builds_a_table_for_the_fixed_algebra(monkeypatch, name):
         real(alg, field, constants, **kwargs)
 
     monkeypatch.setattr(StructureAlgebra, "__init__", init)
-    ks_report(f, form)
+    ks_report(*report_form(name))
     assert built == REPORT_TABLES[name]
+
+
+# the slots each _certify_slot_shapes call of a report walks: build_ZG's
+# (C0's own, slot 0), products' (every slot, d of them) and center's (C0's)
+SLOT_WALKS = {"family Q(sqrt 2)": [1, 2, 1], "Q(sqrt 2) rank 4": [1, 2, 1], "cubic search form": [1, 3, 1]}
+
+
+@pytest.mark.parametrize("name", SLOT_WALKS)
+def test_a_report_walks_c0_three_times_and_each_twisted_slot_once(monkeypatch, name):
+    walks, built = [], []
+    walk, init = csa._certify_slot_shapes, csa.GaloisModuleAlgebra.__init__
+
+    def counted(slots):
+        walks.append(len(slots))
+        return walk(slots)
+
+    def kept(z, a, f):
+        init(z, a, f)
+        built.append((z, a))
+
+    monkeypatch.setattr(csa, "_certify_slot_shapes", counted)
+    monkeypatch.setattr(csa.GaloisModuleAlgebra, "__init__", kept)
+    ks_report(*report_form(name))
+    [(z, c0)] = built
+    assert walks == SLOT_WALKS[name]
+    assert z.slots[0][0] is c0.table  # slot 0 is C0's stored table, not a copy
 
 
 # -- Z_G construction ------------------------------------------------------------------
@@ -464,7 +493,7 @@ def test_invariants_trivial_degree_one():
     zg = build_ZG(HAMILTON, RATIONAL_FIELD)
     inv = invariants(zg)
     assert inv.dim == 4
-    assert trace_form_signature(zg, inv) == (1, 3, 0)
+    assert trace_form_signature(inv) == (1, 3, 0)
 
 
 def test_family_invariant_route_matches_mat2_hamilton():
@@ -474,7 +503,7 @@ def test_family_invariant_route_matches_mat2_hamilton():
     inv = invariants(zg)
     assert inv.dim == 16
     assert center(zg, inv) == 1
-    sig = trace_form_signature(zg, inv)
+    sig = trace_form_signature(inv)
     assert sig == block_trace_signature(tensor_q(SPLIT, HAMILTON))
     assert sig != block_trace_signature(tensor_q(SPLIT, SPLIT))
 
@@ -725,10 +754,10 @@ def test_trace_form_reads_each_block_at_u0_on_and_above_the_diagonal():
     z = build_ZG(a, a.field)
     b = invariants(z)
     beta, [xs] = b.blocks[1, 1][0]
-    assert (b.orbits[1][1], xs, trace_form_signature(z, b)) == (2, (-4, 0, 0, -8), (6, 10, 0))
+    assert (b.orbits[1][1], xs, trace_form_signature(b)) == (2, (-4, 0, 0, -8), (6, 10, 0))
     for gram, signature in (((-4, 0, 8, -8), (6, 10, 0)), ((-4, 8, 0, -8), (7, 9, 0)), ((-4, 8, 8, -8), (7, 9, 0))):
         b.blocks[1, 1][0] = beta, (gram,)
-        assert trace_form_signature(z, b) == signature
+        assert trace_form_signature(b) == signature
     # orbits 2 and 3 share the block (-4, -8, -8, -8), of signature (1, 1);
     # orbit 3 rebuilt with another value below the diagonal is a new key of
     # the same signature, and with another value above it, [[-4, 0], [0, -8]]
@@ -736,7 +765,7 @@ def test_trace_form_reads_each_block_at_u0_on_and_above_the_diagonal():
     assert b.blocks[2, 2][0][1] == b.blocks[3, 3][0][1] == ((-4, -8, -8, -8),)
     for gram, signature in (((-4, -8, 0, -8), (6, 10, 0)), ((-4, 0, -8, -8), (5, 11, 0)), ((-4, -8, -8, -8), (6, 10, 0))):
         b.blocks[3, 3][0] = beta, (gram,)
-        assert trace_form_signature(z, b) == signature
+        assert trace_form_signature(b) == signature
 
 
 # the (I, I) blocks at u_0, and the distinct ones among them, each diagonalized once
@@ -755,12 +784,12 @@ def test_trace_form_diagonalizes_each_distinct_gram_block_once(monkeypatch, name
         return real(gram, field)
 
     monkeypatch.setattr(csa, "congruence_diagonalize", congruence_diagonalize)
-    signature = trace_form_signature(z, b)
+    signature = trace_form_signature(b)
     blocks = [by_k[0][1] for by_k in b.blocks.values() if 0 in by_k]
     assert (len(blocks), len(calls)) == GRAM_BLOCKS[name]
     assert len({gram for [gram] in blocks}) == len(calls)
     # a second call diagonalizes them all again: the memo lives for one call
-    assert trace_form_signature(z, b) == signature
+    assert trace_form_signature(b) == signature
     assert len(calls) == 2 * GRAM_BLOCKS[name][1]
 
 
@@ -774,13 +803,13 @@ def test_trace_form_memo_is_keyed_by_the_gram_block(orbit):
     b = invariants(z)
     (beta, [xs]), [twin] = b.blocks[orbit, orbit][0], b.blocks[5 - orbit, 5 - orbit][0][1]
     assert xs == twin and b.orbits[orbit][1] == 3
-    pos, neg, null = trace_form_signature(z, b)
+    pos, neg, null = trace_form_signature(b)
     es = [e.num[0] for e in congruence_diagonalize([[(xs[3 * min(r, c) + max(r, c)],) for c in range(3)]
                                                     for r in range(3)], RATIONAL_FIELD)]
     p, q = sum(e > 0 for e in es), sum(e < 0 for e in es)
     assert p != q
     b.blocks[orbit, orbit][0] = beta, (tuple([-x for x in xs]),)
-    assert trace_form_signature(z, b) == (pos - p + q, neg - q + p, null)
+    assert trace_form_signature(b) == (pos - p + q, neg - q + p, null)
 
 
 def test_invariants_multiply_each_distinct_pair_once(monkeypatch):

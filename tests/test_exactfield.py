@@ -8,6 +8,7 @@ grid of fields, and the integer-vector arithmetic is checked against the
 plain-Fraction reference in fraction_reference.py.
 """
 
+import operator
 import time
 from fractions import Fraction
 from math import gcd
@@ -184,6 +185,7 @@ def test_descriptor_rejects_reducible():
             FieldDescriptor(min_poly, autos, intervals)
 
 
+@pytest.mark.wallclock
 def test_descriptor_with_a_huge_constant_term_builds_fast():
     # X^2 - (10^40 + 1): the rational-root test halves the certified
     # intervals, so its cost does not grow with the constant term
@@ -278,6 +280,21 @@ def test_quadratic_field_constructor_guards():
 def test_field_mismatch_raises():
     with pytest.raises(FieldMismatch):
         Q2.gen() + Q5.gen()
+    # == across fields is False, not an error
+    assert Q2.gen() != Q5.gen()
+    with pytest.raises(FieldMismatch, match="element is not rational"):
+        Q2.gen().rational_value()
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_a_foreign_operand_is_left_to_python(op):
+    # each operator returns NotImplemented for an operand it cannot coerce,
+    # so Python raises TypeError on either side, and == falls back to identity
+    x = Q2.gen()
+    for left, right in ((x, "x"), ("x", x)):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert x != "x" and x.__eq__("x") is NotImplemented
 
 
 # -- algebra laws (property tests) ----------------------------------------------

@@ -282,6 +282,17 @@ def test_family_parameter_validation():
 # -- general reports ----------------------------------------------------------------
 
 
+def test_text_report_lists_the_profile_warnings():
+    # diag(a, a, a, a) over Q(sqrt 2) is (4, 0) at place 1: at rank 4 the
+    # profile is a warning, shown under validation and again at the end
+    f = quadratic_field(2)
+    a = f.gen()
+    lines = ks_report(f, GramForm.diagonal(f, [a, a, a, a])).to_text().splitlines()
+    warning = "signature_place_1: want (2, 2), found (4, 0)"
+    assert lines[1:3] == ["validation: passed", f"  warning: {warning}"]
+    assert lines[-1] == f"warning: {warning}"
+
+
 def test_failing_validation_keeps_shape_but_no_payload():
     f = quadratic_field(2)
     bad = GramForm.diagonal(f, [f.one(), f.one(), f.one()])
@@ -350,6 +361,15 @@ def test_cubic_search_finds_valid_form(cubic_report):
     assert (report.m, report.d) == (3, 3)
 
 
+def test_cubic_search_with_no_candidate_in_its_box_is_a_named_error(monkeypatch):
+    # at bound 0 the one coefficient vector is 0, of sign 0 at every place
+    import ksalgebra.pipeline as pl
+
+    monkeypatch.setattr(pl, "SEARCH_COEFF_BOUND", 0)
+    with pytest.raises(ParameterConstraintViolated, match="no valid diagonal form with coefficients bounded by 0"):
+        search_cubic_diagonal(cyclic_cubic_field())
+
+
 def oracle_cubic_search(f):
     """The exhaustive search the first-match scan replaced: every pair
     (u, w) of candidates with the right signs, in order, until one passes
@@ -411,6 +431,7 @@ QUARTIC_RANK3 = (
 )
 
 
+@pytest.mark.wallclock
 @pytest.mark.parametrize("field, entries, prime", QUARTIC_RANK3, ids=["cyclic quartic", "biquadratic"])
 def test_quartic_rank_3_reports_are_definite_and_agree(field, entries, prime):
     f = field()
@@ -512,8 +533,8 @@ def test_route_disagreement_is_detected(monkeypatch):
 
     real = pl.trace_form_signature
 
-    def swapped(z, b):
-        pos, neg, null = real(z, b)
+    def swapped(b):
+        pos, neg, null = real(b)
         return neg, pos, null
 
     monkeypatch.setattr(pl, "trace_form_signature", swapped)
@@ -531,7 +552,7 @@ def test_route_disagreement_is_detected_when_the_invariant_route_says_definite(m
     import ksalgebra.pipeline as pl
 
     real = pl.trace_form_signature
-    monkeypatch.setattr(pl, "trace_form_signature", lambda z, b: (lambda pos, neg, null: (neg, pos, null))(*real(z, b)))
+    monkeypatch.setattr(pl, "trace_form_signature", lambda b: (lambda pos, neg, null: (neg, pos, null))(*real(b)))
     f = cyclic_cubic_field()
     u, w = f.elem([-2, -2]), f.elem([-2, -1, -2])
     with pytest.raises(RouteDisagreement, match="symbol route says indefinite, invariant route says definite"):

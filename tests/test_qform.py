@@ -266,10 +266,18 @@ def test_validate_identity_form_fails_hard():
 def test_validate_dimension_and_degeneracy():
     small = GramForm.diagonal(RATIONAL_FIELD, [1, -1])
     assert not validate_k3_rm(RATIONAL_FIELD, small).passed
+    # a 0 x 0 form fails the dimension check and is not diagonalized
+    empty = validate_k3_rm(RATIONAL_FIELD, GramForm(RATIONAL_FIELD, []))
+    assert [(c.name, c.ok) for c in empty.checks] == [("dimension", False)] and empty.diag is None
     degen = GramForm(RATIONAL_FIELD, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     report = validate_k3_rm(RATIONAL_FIELD, degen)
     assert not report.passed
     assert any(c.name == "non_degenerate" and not c.ok for c in report.checks)
+
+
+def test_gram_form_repr_lists_its_rows():
+    g = GramForm.diagonal(Q2, [Q2.one(), Q2.gen(), Q2.rational(-3)])
+    assert repr(g) == "GramForm([1, 0, 0]; [0, sqrt2, 0]; [0, 0, -3])"
 
 
 def test_validate_rank4_profile_is_only_a_warning():

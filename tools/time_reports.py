@@ -8,7 +8,8 @@ With several, every report runs once per checkout in turn, so that their
 runs interleave on a host whose speed drifts; --runs repeats the whole
 round.  Each --report names one report of INPUTS (default: all), so
 that a round can time the rank-4 cubic alone.  The quartic fields come
-from the checkout's tests/quartic_fields.py.
+from the checkout's tests/quartic_fields.py; rank9-Q, over Q, is the one
+report with d = 1, where Z(A) is C0 and B is C0 again.
 
 One JSON line per report: the checkout, the report, wall and CPU seconds
 of ks_report alone (imports and the field excluded), the process's peak
@@ -32,6 +33,7 @@ INPUTS = {
     "rank4-cubic-valid": ("cyclic_cubic_field()", "[-2 * a - 2] * 2 + [-2 * a * a - 2 * a - 2] * 2"),
     "quartic-cyclic": ("cyclic_quartic_field()", "[2 * a - 3, 2 * a - 3, -f.one()]"),
     "quartic-biquadratic": ("biquadratic_field()", "[a - 2, a - 2, -f.one()]"),
+    "rank9-Q": ("RATIONAL_FIELD", "[f.rational(x) for x in (1, 2, -3, -5, -7, -11, -13, -17, -19)]"),
 }
 # the stages timed in each report, as named in ksalgebra.pipeline
 STAGES = ("validate_k3_rm", "even_part", "even_rank3_to_symbol", "build_ZG", "invariants",
@@ -39,7 +41,7 @@ STAGES = ("validate_k3_rm", "even_part", "even_rank3_to_symbol", "build_ZG", "in
 
 _CHILD = """
 import json, resource, sys, time
-from ksalgebra.exactfield import cyclic_cubic_field
+from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field
 from ksalgebra.pipeline import ks_report
 from ksalgebra.qform import GramForm
 from quartic_fields import biquadratic_field, cyclic_quartic_field

@@ -4,6 +4,7 @@ Usage:
     python3 tools/unreached_lines.py [PYTEST ARGS ...]
 
 Runs pytest in this process (default arguments: the tests directory) with
+`-m "not wallclock"` added unless the arguments hold their own `-m`, and
 a line tracer installed by sys.settrace and threading.settrace, then
 prints `path:line: source` for each statement of src/ksalgebra whose
 lines never ran, in file and line order.  Docstrings, `def` and `class`
@@ -14,9 +15,10 @@ header ran, a simple one when any of its lines did.
 The tracer sees this process only.  Whatever a test runs in a subprocess,
 the `python -O` runs of the negative controls included, is not seen, so a
 line reached only there is listed.  Tracing makes the suite about three
-times slower, so its wall-clock tests may fail; the listing is printed
-after pytest's own output either way.  Standard library only (besides
-pytest itself); exits with pytest's exit code.
+times slower, so the tests marked wallclock, which assert a time bound,
+are deselected by default, and the exit code says whether a test failed.
+The listing is printed after pytest's own output either way.  Standard
+library only (besides pytest itself); exits with pytest's exit code.
 """
 import ast
 import sys
@@ -59,10 +61,13 @@ def main(args: list[str]) -> int:
     def tracer(frame, event, arg):
         return local if frame.f_code.co_filename in wanted else None
 
+    args = args or [str(ROOT / "tests")]
+    if not any(arg.startswith("-m") for arg in args):
+        args = [*args, "-m", "not wallclock"]
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = pytest.main((args or [str(ROOT / "tests")]) + ["-p", "no:cacheprovider"])
+        code = pytest.main(args + ["-p", "no:cacheprovider"])
     finally:
         sys.settrace(None)
         threading.settrace(None)
