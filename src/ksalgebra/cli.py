@@ -38,7 +38,7 @@ from .errors import (
     ParameterConstraintViolated,
     ZeroInput,
 )
-from .exactfield import field_from_json_dict, parse_rational
+from .exactfield import MAX_DEGREE, field_from_json_dict, parse_rational
 from .pipeline import (
     cyclic_generators,
     even_weight_orbits,
@@ -230,8 +230,8 @@ def _cmd_orbits(args) -> int:
         raise MalformedInput(f"flag --degree: expected an integer, got {args.degree!r}")
     if degree < 1:
         raise MalformedInput("flag --degree: must be at least 1")
-    if degree > 16:  # the orbit walk visits all 2^(d-1) even-weight vectors
-        raise MalformedInput("flag --degree: must be at most 16")
+    if degree > MAX_DEGREE:  # the orbit walk visits all 2^(d-1) even-weight vectors
+        raise MalformedInput(f"flag --degree: must be at most {MAX_DEGREE}")
     if args.cycle:
         data = even_weight_orbits(degree, cyclic_generators(degree), degree)
     else:

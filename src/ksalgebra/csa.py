@@ -19,8 +19,8 @@ tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with sigma_i applied
 to its constants in slot i, carries a semilinear G-action that permutes its
 monomials.  Its fixed points, built by invariants, are the corestriction B
 of A to Q (Knus, Merkurjev, Rost and Tignol, The Book of Involutions, 3.B),
-kept as orbit blocks (FixedAlgebra) for center and trace_form_signature.
-Slot 0 is A's own table; _certify_slot_shapes walks the slots a stage reads.
+kept as orbit blocks (FixedAlgebra), which center and trace_form_signature
+read alone.  Building Z(A) certifies its action, invariants its slots' shape.
 """
 from functools import lru_cache
 from itertools import chain, product
@@ -215,6 +215,12 @@ def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
     return [[[(k, images[v]) for k, v in cell] for cell in row] for row in table], den * scale
 
 
+def _scaled(table, by: int) -> list:
+    """table with each of its distinct integer vectors times by, once."""
+    images = {v: tuple([x * by for x in v]) for v in {v for row in table for cell in row for _, v in cell}}
+    return [[[(k, images[v]) for k, v in cell] for cell in row] for row in table]
+
+
 # -- the G-module Z_G(A) -------------------------------------------------------------
 
 
@@ -229,13 +235,13 @@ def _slot_moves(f: FieldDescriptor, m: int, g: int) -> list[int]:
 class GaloisModuleAlgebra:
     """Z(A) = A_{sigma_1} tensor ... tensor A_{sigma_d} with its G-action.
 
-    slots[s] is A_{sigma_{s+1}} as (constants, den), slots[0] A's own, each
-    cell one nonzero monomial.  Z(A) has dim (dim A)^d and the monomial basis
-    u_t, t read in base dim A with slot 0 the leading digit; products gives
-    its products over den, the slot denominators times reduction_den^(d-1).
-    sigma_g acts semilinearly by the monomial permutation moves[g]: sigma_g(c
-    u_t) = sigma_g(c) u_{moves[g][t]}.  The slots and moves are always
-    certified.
+    slots[s] is A_{sigma_{s+1}} as (constants, den), slots[0] A's own.  Z(A)
+    has dim (dim A)^d and the monomial basis u_t, t read in base dim A with
+    slot 0 the leading digit; products gives its products over den, the slot
+    denominators times reduction_den^(d-1).  sigma_g acts semilinearly by the
+    monomial permutation moves[g]: sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}.
+    The action is certified at construction; the slots' shape, each cell one
+    nonzero monomial, by invariants, which reads it.
     """
 
     def __init__(self, a: StructureAlgebra, f: FieldDescriptor):
@@ -248,15 +254,15 @@ class GaloisModuleAlgebra:
         self.moves = {g: _slot_moves(f, a.dim, g) for g in range(1, d + 1)}
         self._check_actions()
 
-    def products(self, keep):
+    def products(self, keep, signs):
         """(s, t, k, beta, c) for each product u_s u_t = c u_k with k in keep,
         c as d ints over den: the slot cells at the digits of s and t
         multiplied, the last slot's only where k is kept.  u_t u_s = beta c
-        u_k, beta the product of the slots' signs u_j u_i = +-u_i u_j, which
-        _certify_slot_shapes certifies in every slot first."""
+        u_k, beta the product of the slots' signs u_j u_i = +-u_i u_j, signs
+        as _certify_slot_shapes returned them for these slots."""
         m, mul = len(self.slots[0][0]), lru_cache(maxsize=None)(self.field.multiply)
         *heads, last = [[(s, t, *cell[0], sign[s][t]) for s, row in enumerate(table) for t, cell in enumerate(row)]
-                        for (table, _), sign in zip(self.slots, _certify_slot_shapes(self.slots))]
+                        for (table, _), sign in zip(self.slots, signs)]
         pairs = [(0, 0, 0, None, 1)]
         for slot in heads:
             pairs = [(s * m + s1, t * m + t1, k * m + k1, v1 if v is None else mul(v, v1), b * b1)
@@ -268,17 +274,17 @@ class GaloisModuleAlgebra:
                     yield s + s1, t + t1, k + k1, b * b1, v1 if v is None else mul(v, v1)
 
     def _check_actions(self) -> None:
-        """Exact certification of the slots and the stored moves.
+        """Exact certification of the Galois action on the slots and moves.
 
-        Slot 0, A, has the shape _certify_slot_shapes certifies, and each
-        move is a bijection.  sigma_g, applied by _twist once to each
+        Each move is a bijection.  sigma_g, applied by _twist once to each
         distinct vector of slot s, takes its cells to those of slot pi_g(s),
-        hosting sigma_g . sigma_{s+1}, compared over both denominators.  So
-        each slot is certified as sigma_g(A), of A's shape (sigma_g is
-        linear) and associative by A's sweep, and so is Z(A), their tensor
-        product (Pierce, Associative Algebras, GTM 88).  The moves follow
-        the group law of G, and each carries digit s of every monomial to
-        slot pi_g(s); the coefficient part of the action is the field
+        hosting sigma_g . sigma_{s+1}: each cell is compared whole, its list
+        of entries, over one denominator.  So each slot is certified as
+        sigma_g(A), associative by A's sweep, and so is Z(A), their tensor
+        product (Pierce, Associative Algebras, GTM 88); the slots' shape is
+        certified where it is read, by invariants.  The moves follow the
+        group law of G, and each carries digit s of every monomial to slot
+        pi_g(s); the coefficient part of the action is the field
         automorphism, certified with the field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
@@ -286,18 +292,17 @@ class GaloisModuleAlgebra:
         p_1 o p_1 = p_1, which for a bijection p_1 forces p_1 = id.
         """
         f, slots, n, m = self.field, self.slots, self.dim, len(self.slots[0][0])
-        _certify_slot_shapes(slots[:1])
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(n)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
             for s, (table, den) in enumerate(slots if g > 1 else ()):
                 s2 = f.compose(g, s + 1) - 1
-                image, den1 = _twist(f, table, den, g)
-                target, den2 = slots[s2]
-                for i, j in product(range(m), repeat=2):
-                    [(k, v)], [(k2, w)] = image[i][j], target[i][j]
-                    if k != k2 or [x * den2 for x in v] != [x * den1 for x in w]:
-                        raise CertificateFailure(f"action {g} does not take slot {s} to slot {s2} at ({i},{j})")
+                (image, den1), (target, den2) = _twist(f, table, den, g), slots[s2]
+                if den1 != den2:  # then over den1 den2; never for integral automorphism matrices
+                    image, target = _scaled(image, den2), _scaled(target, den1)
+                if image != target:
+                    i, j = next((i, j) for i, j in product(range(m), repeat=2) if image[i][j] != target[i][j])
+                    raise CertificateFailure(f"action {g} does not take slot {s} to slot {s2} at ({i},{j})")
         for (g1, p1), (g2, p2) in product(self.moves.items(), repeat=2):
             p12 = self.moves[f.compose(g1, g2)]
             t = next((t for t in range(n) if p1[p2[t]] != p12[t]), None)
@@ -310,15 +315,13 @@ class GaloisModuleAlgebra:
 
 
 def _certify_slot_shapes(slots) -> list[list[list[int]]]:
-    """The slot shape every reader of Z(A) needs, one walk per slot given:
-    slot 0 when Z(A) is built (the action certificate makes the others its
-    images) and in center, every slot in products, which catches a slot
-    corrupted after construction.  In slot s every product u_i u_j must be
-    one nonzero monomial (all cells first), the same monomial as u_j u_i,
-    with u_j u_i = +-u_i u_j on the stored integers, and injective in j,
-    else CertificateFailure: even Clifford slots are, as e_S e_T = +-e_T e_S
-    (Lam, Introduction to Quadratic Forms over Fields, Ch. V).  Returns the
-    signs: u_j u_i = signs[s][i][j] u_i u_j in slot s."""
+    """The slot shape every reader of Z(A) needs, walked once per report by
+    invariants, before it reads a product.  In slot s every product u_i u_j
+    must be one nonzero monomial (all cells first), the same monomial as
+    u_j u_i, with u_j u_i = +-u_i u_j on the stored integers, and injective
+    in j, else CertificateFailure: even Clifford slots are, as e_S e_T =
+    +-e_T e_S (Lam, Introduction to Quadratic Forms over Fields, Ch. V).
+    Returns the signs: u_j u_i = signs[s][i][j] u_i u_j in slot s."""
     signs = []
     for s, (table, _) in enumerate(slots):
         for i, j in product(range(len(table)), repeat=2):
@@ -350,13 +353,14 @@ class FixedAlgebra:
     o <= o2, maps each target k, a representative, to (beta, coordinates):
     coordinates[c][i m2 + j], m2 the dim of orbit o2, is the coordinate at
     basis element c of k's orbit of b_(first+i) b_(first2+j), over den, and
-    b_(first2+j) b_(first+i) is beta times it.  The blocks read from one sum
-    share one tuple of tuples.  The constructor checks the unit law on the
-    (0, J) blocks: e_0 e_j is den at j alone, and beta is 1 there.
+    b_(first2+j) b_(first+i) is beta times it; blocks read from one sum share
+    one tuple of tuples.  central_monomials is Z(A)'s count, for center.  The
+    unit law on the (0, J) blocks is checked: e_0 e_j is den at j alone, beta 1.
     """
 
-    def __init__(self, orbits: list, blocks: dict, den: int):
+    def __init__(self, orbits: list, blocks: dict, den: int, central_monomials: int):
         self.orbits, self.blocks, self.den, self.dim = orbits, blocks, den, sum(m for _, m, _ in orbits)
+        self.central_monomials = central_monomials
         for o, (first, m, rep) in enumerate(orbits):
             by_k = blocks.get((0, o), {})
             for j in range(m):
@@ -411,7 +415,7 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     sum unless errors cancel there: this is Freivalds' product check (IFIP
     1977) with the all-ones vector.
     """
-    f, d, n = z.field, z.field.degree, z.dim
+    f, d, n, signs = z.field, z.field.degree, z.dim, _certify_slot_shapes(z.slots)  # the one walk of the slots
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
     dim, orbits, members, fields, targets, where, interned = 0, [], [], {}, {}, {}, {}  # targets[rep]: H
     for t in range(n):
@@ -451,7 +455,7 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     vectors = [tuple([tuple([x * (bden // c.den) for x in c.num]) for c in a]) for a in interned]
     # per pair of orbits I <= J and per k, beta and the terms (id at s, id at s', c); ys[id at s', c], the b c
     pairs, multiply, ys = {}, lru_cache(maxsize=None)(f.multiply), {}
-    for s, s2, k, beta, c in z.products(targets):
+    for s, s2, k, beta, c in z.products(targets, signs):
         (o, a), (o2, b) = where[s], where[s2]
         if o > o2:
             continue
@@ -483,7 +487,7 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
                     read_columns.append(columns)
                     read_terms += group
             by_k[k] = beta, read[summed[key]]
-    fixed = FixedAlgebra(orbits, pairs, den)
+    fixed = FixedAlgebra(orbits, pairs, den, prod(sum(-1 not in row for row in sign) for sign in signs))
     paired = {}  # per id a, the b c of its terms in every read
     for a, b, c in read_terms:
         paired.setdefault(a, []).extend(ys[b, c])
@@ -500,20 +504,19 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
 # -- centers and trace forms ---------------------------------------------------------
 
 
-def center(z: GaloisModuleAlgebra, b: FixedAlgebra) -> int:
+def center(b: FixedAlgebra) -> int:
     """dim_Q of the center of b = invariants(z), fixed by two counts.
 
-    Upper bound: in a slot of the shape _certify_slot_shapes certifies,
-    conjugation by u_i scales u_j by the sign of the pair, so the slot's
-    center is spanned by the monomials whose signs are all +1 (Lam, Ch. V);
-    the center of Z(A), the tensor of the slots' centers (Pierce), has dim
-    the product of their counts, A's to the d (each slot has A's signs), and
+    Upper bound, b.central_monomials, counted by invariants on its slot
+    walk's signs: in a slot of that shape conjugation by u_i scales u_j by
+    the sign of the pair, so the slot's center is spanned by the monomials
+    whose signs are all +1 (Lam, Ch. V); the center of Z(A), the tensor of
+    the slots' centers (Pierce), has dim the product of their counts, and
     Z(b) tensor E lies in it.  Lower bound: the basis elements that commute
     with every basis element, read off the blocks: across orbits b_j b_i =
     beta b_i b_j, equal where beta = 1 or the entry is 0; an (I, I) block
     holds both orders.  Bounds that differ raise CertificateFailure.
     """
-    upper = sum(-1 not in row for row in _certify_slot_shapes(z.slots[:1])[0]) ** len(z.slots)
     central, differ = [True] * b.dim, {}  # per (id(coordinates), o == o2) of this call, the p where x != y
     for (o, o2), by_k in b.blocks.items():
         (i0, m, _), (j0, mr, _) = b.orbits[o], b.orbits[o2]
@@ -524,16 +527,16 @@ def center(z: GaloisModuleAlgebra, b: FixedAlgebra) -> int:
                                    if x != (xs[p % m * m + p // m] if o == o2 else 0)}
                 for p in differ[key]:
                     central[i0 + p // mr] = central[j0 + p % mr] = False
-    if sum(central) != upper:
+    if sum(central) != b.central_monomials:
         raise CertificateFailure(f"center bounds differ: {sum(central)} central basis elements in B,"
-                                 f" {upper} central monomials in Z(A)")
-    return upper
+                                 f" {b.central_monomials} central monomials in Z(A)")
+    return b.central_monomials
 
 
 def trace_form_signature(b: FixedAlgebra) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) on b = invariants(z).
 
-    z.products certified every slot's shape when b was built: u_s u_t in a
+    invariants certified every slot's shape when b was built: u_s u_t in a
     slot is one monomial, symmetric and injective in s and t, so it lies on
     u_t = u_0 u_t only for s = 0; traces multiply over the slots, so in Z(A)
     Tr(L_{u_t}) is n at t = 0 and 0 elsewhere.  b tensor E = Z(A) (Knus,

@@ -77,6 +77,7 @@ from .polynomials import (
 )
 
 _BISECTION_CAP = 2000
+MAX_DEGREE = 16  # of a field read from input: a report walks all 2^(d-1) even-weight vectors
 
 
 def _integral(f: Sequence) -> list[int]:
@@ -659,6 +660,8 @@ def field_from_json_dict(doc: dict) -> FieldDescriptor:
             raise MalformedInput(f"field descriptor is missing key {key!r}")
         if not isinstance(doc[key], list):
             raise MalformedInput(f"key {key!r}: expected a list")
+    if len(doc["min_poly"]) > MAX_DEGREE + 1:  # before any O(d^3) set-up
+        raise MalformedInput(f"key 'min_poly': degree must be at most {MAX_DEGREE}")
     if not all(isinstance(a, list) for a in doc["automorphisms"]):
         raise MalformedInput("key 'automorphisms': each entry must be a list")
     min_poly = [parse_rational(c, "min_poly") for c in doc["min_poly"]]

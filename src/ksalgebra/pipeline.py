@@ -206,8 +206,7 @@ def _symbol_route(c0: QuaternionSymbol, f: FieldDescriptor, diag_entries: list) 
 
 
 def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
-    z = build_ZG(ev_algebra, f)
-    inv = invariants(z)
+    inv = invariants(build_ZG(ev_algebra, f))
     sig = trace_form_signature(inv)
     verdict = None
     if m == 3 and sig[2] == 0:
@@ -218,7 +217,7 @@ def _invariant_route(ev_algebra, f: FieldDescriptor, m: int) -> dict:
         verdict = {-(2 ** d): "definite", 2 ** d: "indefinite_or_split"}.get(sig[0] - sig[1])
     return {
         "dim": inv.dim,
-        "center_dim": center(z, inv),
+        "center_dim": center(inv),
         "trace_signature": sig,
         "definiteness": verdict,
     }

@@ -34,17 +34,17 @@ from .exactfield import (
 
 
 class GramForm:
-    """A symmetric Gram matrix with entries in the field."""
+    """A symmetric Gram matrix with entries in the field, else MalformedInput."""
 
     def __init__(self, field: FieldDescriptor, entries):
         self.field = field
         self.entries: list[list[FieldElem]] = [[self._coerce(e) for e in row] for row in entries]
-        self.dim = len(self.entries)
-        for row in self.entries:
-            assert len(row) == self.dim, "Gram matrix must be square"
-        for i in range(self.dim):
-            for j in range(i):
-                assert self.entries[i][j] == self.entries[j][i], "Gram matrix must be symmetric"
+        m = self.dim = len(self.entries)
+        if any(len(row) != m for row in self.entries):
+            raise MalformedInput(f"key 'entries': expected a {m}x{m} matrix")
+        ij = next(((i, j) for i in range(m) for j in range(i) if self.entries[i][j] != self.entries[j][i]), None)
+        if ij:
+            raise MalformedInput(f"key 'entries': not symmetric at ({ij[0] + 1}, {ij[1] + 1})")
 
     def _coerce(self, e) -> FieldElem:
         if isinstance(e, FieldElem):
@@ -267,9 +267,4 @@ def gram_from_json_dict(field: FieldDescriptor, doc: dict) -> GramForm:
         not isinstance(r, list) or len(r) != m for r in rows
     ):
         raise MalformedInput(f"key 'entries': expected a {m}x{m} matrix")
-    entries = [[_parse_entry(field, rows[i][j], "entries") for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(i):
-            if entries[i][j] != entries[j][i]:
-                raise MalformedInput(f"key 'entries': not symmetric at ({i + 1}, {j + 1})")
-    return GramForm(field, entries)
+    return GramForm(field, [[_parse_entry(field, rows[i][j], "entries") for j in range(m)] for i in range(m)])

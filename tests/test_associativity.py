@@ -20,11 +20,13 @@ python -O, where an assert-based sweep would vanish,
 together with the other certificates that must fire in that mode too: the
 unit law (a wrong unit, and on the fixed algebra's blocks a nudged unit
 coordinate, an extra term and a flipped sign), the action certification of Z(A)'s slots and
-moves and the fixed algebra built from it (corrupted monomial moves, a
-move that is not a bijection, rotated moves whose orbits miss the
-dimension or do not partition the monomials, a corrupted slot cell,
-moves that keep the digits, a slot cell that is not one monomial, a
-group algebra whose slots do not commute up to sign), the closure test
+moves (corrupted monomial moves, a move that is not a bijection, a
+corrupted slot cell, moves that keep the digits), the one walk of the
+slots' shape, in invariants (a slot cell that is not one monomial, a
+group algebra whose slots do not commute up to sign, and slot 0 or
+slot 1 with two terms, a repeated or an exchanged monomial, or a side
+scaled), the fixed algebra built from Z(A) (rotated moves whose orbits
+miss the dimension or do not partition the monomials), the closure test
 of the fixed algebra (a corrupted slot coefficient, and a nudged digit in
 the last free column over the cubic), the readout checksum of the fixed
 algebra at dim 64 (a pivot digit nudged in a late sum, and a packing width
@@ -34,13 +36,11 @@ with one off-diagonal product nonzero, once on the Q Gram blocks of a
 trace form with inexact divisions), the quaternion presentation of C0
 (entries that do not match C0, and each of its four cells doubled after
 the sweep), the orbit sums of even_weight_orbits, the two claims of
-six_lines_family, the center count (a fixed algebra whose central basis
-element no longer commutes, one whose orbit block is no longer
-symmetric, and slot tables that are not monomial in the way the count
-needs) and the trace form, which reads its Gram
-matrix off the unit coordinate only after the same slot check (a
-repeated and an exchanged monomial) and only per orbit (a group algebra
-whose orbits multiply to u_0).  Z(A)'s
+six_lines_family, the center count, which reads B alone (a fixed algebra
+whose central basis element no longer commutes, one whose orbit block
+is no longer symmetric), and the trace form, which reads its Gram
+matrix off the unit coordinate only per orbit (a group algebra whose
+orbits multiply to u_0).  Z(A)'s
 tables here are kernel_oracle.oracle_tensor's, built from its slots.
 """
 
@@ -569,22 +569,24 @@ def certify_a_move_that_is_not_a_bijection() -> None:
     z._check_actions()
 
 
-def zg_of_a_non_monomial_algebra() -> None:
-    """build_ZG of Q(sqrt 2)[x]/(x^2 - x - 1), whose u_1 u_1 = u_0 + u_1."""
+def invariants_of_a_non_monomial_algebra() -> None:
+    """invariants of build_ZG of Q(sqrt 2)[x]/(x^2 - x - 1), whose u_1 u_1 =
+    u_0 + u_1: construction certifies the action alone, whole cells
+    compared, and invariants' slot walk rejects the shape."""
     f = quadratic_field(2)
     one = f.one().num
-    build_ZG(StructureAlgebra(f, [[[(0, one)], [(1, one)]], [[(1, one)], [(0, one), (1, one)]]]), f)
+    invariants(build_ZG(StructureAlgebra(f, [[[(0, one)], [(1, one)]], [[(1, one)], [(0, one), (1, one)]]]), f))
 
 
-def zg_of_a_group_algebra() -> None:
-    """build_ZG of the group algebra Q(sqrt 2)[S_3], its basis the
-    permutations of 0, 1, 2 in itertools order: u_1 and u_2 are
+def invariants_of_a_group_algebra() -> None:
+    """invariants of build_ZG of the group algebra Q(sqrt 2)[S_3], its basis
+    the permutations of 0, 1, 2 in itertools order: u_1 and u_2 are
     transpositions that do not commute, so the slots lack the shape every
     reader of Z(A) needs."""
     f = quadratic_field(2)
     group = list(permutations(range(3)))
     cells = [[(group.index(tuple(p[x] for x in q)), f.one()) for q in group] for p in group]
-    build_ZG(csa.monomial_algebra(f, cells), f)
+    invariants(build_ZG(csa.monomial_algebra(f, cells), f))
 
 
 def certify_a_corrupted_slot() -> None:
@@ -727,36 +729,39 @@ def family_against_the_split_class() -> None:
         pipeline.rational_symbol = real
 
 
-def family_center_after(corrupt, read=csa.center, slot=0) -> None:
-    """read(z, B), csa.center by default, of Z(A) over Q(sqrt 2) (the
-    family form) and its fixed algebra B, after corrupt(slot table, B) has
-    edited the stored integer table of one slot of Z(A), by default slot 0,
-    which is C0's own table, or B's blocks.
-
-    B's one central basis element is its unit e_0.  In each slot,
-    u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2.
-    """
+def family_zg():
+    """Z(A) over Q(sqrt 2) of the family form diag(a, a, a - 2).  In each
+    slot, u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2."""
     f = quadratic_field(2)
     a = f.gen()
-    z = build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
-    b = invariants(z)
-    corrupt(z.slots[slot][0], b)
-    read(z, b)
+    return build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
 
 
-def family_invariants_after(corrupt) -> None:
-    """invariants(z) in place of csa.center in family_center_after, after
-    slot 1, a twisted copy that only products walks, is corrupted."""
-    family_center_after(corrupt, lambda z, b: invariants(z), 1)
+def family_invariants_after(corrupt, slot: int) -> None:
+    """invariants of family_zg() after corrupt(slot table) has edited the
+    stored integer table of the given slot: slot 0 is C0's own table,
+    slot 1 its twisted copy.  invariants walks both before any product."""
+    z = family_zg()
+    corrupt(z.slots[slot][0])
+    invariants(z)
 
 
-def rebuilt(z, b) -> None:
-    """B's blocks given to the FixedAlgebra constructor again, which
-    verifies the unit law on them."""
-    csa.FixedAlgebra(b.orbits, b.blocks, b.den)
+def family_center_after(corrupt, read=csa.center) -> None:
+    """read(B), csa.center by default, of the fixed algebra B of
+    family_zg() after corrupt(B) has edited B's blocks.  B's one central
+    basis element is its unit e_0."""
+    b = invariants(family_zg())
+    corrupt(b)
+    read(b)
 
 
-def center_with_a_noncentral_unit(zt, b) -> None:
+def rebuilt(b) -> None:
+    """B's blocks and count of central monomials given to the FixedAlgebra
+    constructor again, which verifies the unit law on them."""
+    csa.FixedAlgebra(b.orbits, b.blocks, b.den, b.central_monomials)
+
+
+def center_with_a_noncentral_unit(b) -> None:
     """e_1 e_0 = -e_1 in B, its block (0, 1) signed -1 at its one target:
     no basis element of B is central any more, and the unit law's right
     side fails."""
@@ -765,7 +770,7 @@ def center_with_a_noncentral_unit(zt, b) -> None:
     b.blocks[0, 1][rep] = -beta, coordinates
 
 
-def unit_with_an_extra_term(zt, b) -> None:
+def unit_with_an_extra_term(b) -> None:
     """e_0 e_j in B gains 1 at e_(j+1), e_j the first basis element of the
     first orbit with two: the unit column holds one nonzero too many.  The
     one block is rebuilt, as its coordinates may be shared."""
@@ -781,11 +786,10 @@ def center_within_an_orbit() -> None:
     the orbit of u_1, whose (I, I) block holds both orders, and neither is
     central any more.  The one block is rebuilt, as its coordinates may be
     shared."""
-    z = small_zg("cubic")
-    b = invariants(z)
+    b = invariants(small_zg("cubic"))
     beta, [xs] = b.blocks[1, 1][0]
     b.blocks[1, 1][0] = beta, ((xs[0], xs[1] + 1, *xs[2:]),)
-    csa.center(z, b)
+    csa.center(b)
 
 
 def center_of_a_product_sharing_an_orbit_block() -> None:
@@ -796,37 +800,36 @@ def center_of_a_product_sharing_an_orbit_block() -> None:
     both orders, it has no differing position, but as a (J, I) product,
     with beta = -1, each of its nonzero entries differs, and the six basis
     elements of the two orbits are no longer central."""
-    z = small_zg("cubic")
-    b = invariants(z)
+    b = invariants(small_zg("cubic"))
     b.blocks[1, 2][7] = -1, b.blocks[1, 1][0][1]
-    csa.center(z, b)
+    csa.center(b)
 
 
-def slot_with_two_terms(zt, b) -> None:
+def slot_with_two_terms(zt) -> None:
     """u_1 u_2 in the slot gains a second term."""
     zt[1][2] = zt[1][2] + [(0, zt[1][2][0][1])]
 
 
-def slot_with_a_repeated_monomial(zt, b) -> None:
+def slot_with_a_repeated_monomial(zt) -> None:
     """u_1 u_2 and u_2 u_1 in the slot land on u_2, as u_1 u_3 does."""
     k = zt[1][3][0][0]
     zt[1][2] = [(k, zt[1][2][0][1])]
     zt[2][1] = [(k, zt[2][1][0][1])]
 
 
-def slot_with_asymmetric_monomials(zt, b) -> None:
+def slot_with_asymmetric_monomials(zt) -> None:
     """u_2 u_1 and u_2 u_3 in the slot exchange their monomials."""
     (k1, c1), (k3, c3) = zt[2][1][0], zt[2][3][0]
     zt[2][1], zt[2][3] = [(k3, c1)], [(k1, c3)]
 
 
-def slot_with_a_side_scaled(zt, b) -> None:
+def slot_with_a_side_scaled(zt) -> None:
     """u_1 u_2 in the slot doubled and u_2 u_1 kept: no longer +-u_1 u_2."""
     [(k, v)] = zt[1][2]
     zt[1][2] = [(k, tuple(x + x for x in v))]
 
 
-def slot_with_a_sign_flipped(zt, b) -> None:
+def slot_with_a_sign_flipped(zt) -> None:
     """u_1 u_2 in the slot negated and u_2 u_1 kept, so the two commute
     where they anticommuted: the sign changes on the terms whose digit in
     the slot pairs 1 with 2, and a target of B meets such terms and others."""
@@ -845,24 +848,24 @@ NEW_CERTIFICATES = (
      "family corestriction must be the definite (-1,-1) class"),
     ("center", lambda: family_center_after(center_with_a_noncentral_unit),
      "center bounds differ: 0 central basis elements in B, 1 central monomials in Z(A)"),
-    ("center two terms", lambda: family_center_after(slot_with_two_terms),
+    ("center two terms", lambda: family_invariants_after(slot_with_two_terms, 0),
      "slot 0 product u_1 u_2 is not one monomial"),
-    ("center repeated monomial", lambda: family_center_after(slot_with_a_repeated_monomial),
+    ("center repeated monomial", lambda: family_invariants_after(slot_with_a_repeated_monomial, 0),
      "slot 0 products u_1 u_j repeat a monomial"),
-    ("center asymmetric monomials", lambda: family_center_after(slot_with_asymmetric_monomials),
+    ("center asymmetric monomials", lambda: family_invariants_after(slot_with_asymmetric_monomials, 0),
      "slot 0 products u_2 u_1 and u_1 u_2 land on different monomials"),
-    ("invariants two terms", lambda: family_invariants_after(slot_with_two_terms),
+    ("invariants two terms", lambda: family_invariants_after(slot_with_two_terms, 1),
      "slot 1 product u_1 u_2 is not one monomial"),
-    ("invariants repeated monomial", lambda: family_invariants_after(slot_with_a_repeated_monomial),
+    ("invariants repeated monomial", lambda: family_invariants_after(slot_with_a_repeated_monomial, 1),
      "slot 1 products u_1 u_j repeat a monomial"),
-    ("invariants asymmetric monomials", lambda: family_invariants_after(slot_with_asymmetric_monomials),
+    ("invariants asymmetric monomials", lambda: family_invariants_after(slot_with_asymmetric_monomials, 1),
      "slot 1 products u_2 u_1 and u_1 u_2 land on different monomials"),
-    ("slot side scaled", lambda: family_invariants_after(slot_with_a_side_scaled),
+    ("slot side scaled", lambda: family_invariants_after(slot_with_a_side_scaled, 1),
      "slot 1 products u_2 u_1 and u_1 u_2 differ by more than a sign"),
-    ("slot sign flipped", lambda: family_invariants_after(slot_with_a_sign_flipped),
+    ("slot sign flipped", lambda: family_invariants_after(slot_with_a_sign_flipped, 1),
      "products of orbits of u_1 and u_11 at u_15 carry both signs"),
-    ("slot cell", zg_of_a_non_monomial_algebra, "slot 0 product u_1 u_1 is not one monomial"),
-    ("slot shape at construction", zg_of_a_group_algebra,
+    ("slot cell", invariants_of_a_non_monomial_algebra, "slot 0 product u_1 u_1 is not one monomial"),
+    ("slot shape of a group algebra", invariants_of_a_group_algebra,
      "slot 0 products u_2 u_1 and u_1 u_2 land on different monomials"),
     ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 0 to slot 1 at (1,2)"),
     ("slot digits", certify_moves_that_keep_the_digits,

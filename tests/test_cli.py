@@ -193,10 +193,14 @@ REDUCIBLE_QUARTIC = {"min_poly": [16, 0, -10, 0, 1], "embeddings": [[1, "3/2"], 
         (5, FAMILY_INPUT["form"], "field descriptor must be a JSON object"),
         (dict(QUADRATIC_DESCRIPTOR, name=5), FAMILY_INPUT["form"], "key 'name': expected a string"),
         ({"quadratic_d": 2}, 5, "form document must be a JSON object"),
+        (dict(QUADRATIC_DESCRIPTOR, min_poly=[-2] + [0] * 16 + [1]), FAMILY_INPUT["form"],
+         "key 'min_poly': degree must be at most 16"),
+        (dict(QUADRATIC_DESCRIPTOR, min_poly=[-2] + [0] * 999 + [1]), FAMILY_INPUT["form"],
+         "key 'min_poly': degree must be at most 16"),
     ],
     ids=["min_poly", "automorphisms", "one_automorphism", "embeddings", "dim_true", "first_automorphism",
          "interval_count", "empty_interval", "not_closed", "not_permutations", "boolean", "unparsable",
-         "exponent", "field_not_object", "name", "form_not_object"],
+         "exponent", "field_not_object", "name", "form_not_object", "degree_17", "degree_1000"],
 )
 def test_report_rejects_json_fields_of_the_wrong_shape(tmp_path, capsys, field, form, message):
     assert run(["report", "--input", write_input(tmp_path, {"field": field, "form": form})]) == 2

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -264,7 +265,7 @@ def center_case(kind: str, args):
 def test_center_counts_match_the_dense_oracle(kind, args):
     z = center_case(kind, args)
     b = invariants(z)
-    assert center(z, b) == len(oracle_center(fixed_table(b)))
+    assert center(b) == len(oracle_center(fixed_table(b)))
 
 
 def dual_numbers() -> StructureAlgebra:
@@ -321,7 +322,7 @@ TABLE_COUNTS = {
 def test_block_readers_give_the_table_counts(kind, args, counts):
     z = center_case(kind, args)
     b = invariants(z)
-    assert (center(z, b), trace_form_signature(b)) == counts
+    assert (center(b), trace_form_signature(b)) == counts
 
 
 # (degree of E, dim) of each table a report builds: C0 alone, since the
@@ -359,13 +360,14 @@ def test_no_report_builds_a_table_for_the_fixed_algebra(monkeypatch, name):
     assert built == REPORT_TABLES[name]
 
 
-# the slots each _certify_slot_shapes call of a report walks: build_ZG's
-# (C0's own, slot 0), products' (every slot, d of them) and center's (C0's)
-SLOT_WALKS = {"family Q(sqrt 2)": [1, 2, 1], "Q(sqrt 2) rank 4": [1, 2, 1], "cubic search form": [1, 3, 1]}
+# the slots each _certify_slot_shapes call of a report walks: one call, in
+# invariants, of every slot, d of them (before, build_ZG and center walked
+# slot 0 besides, [1, d, 1])
+SLOT_WALKS = {"family Q(sqrt 2)": [2], "Q(sqrt 2) rank 4": [2], "cubic search form": [3]}
 
 
 @pytest.mark.parametrize("name", SLOT_WALKS)
-def test_a_report_walks_c0_three_times_and_each_twisted_slot_once(monkeypatch, name):
+def test_a_report_walks_each_slot_once(monkeypatch, name):
     walks, built = [], []
     walk, init = csa._certify_slot_shapes, csa.GaloisModuleAlgebra.__init__
 
@@ -486,7 +488,7 @@ def test_invariants_dim16_center1():
     zg = build_ZG(a, Q2)
     inv = invariants(zg)
     assert inv.dim == 16
-    assert center(zg, inv) == 1
+    assert center(inv) == 1
 
 
 def test_invariants_trivial_degree_one():
@@ -502,16 +504,27 @@ def test_family_invariant_route_matches_mat2_hamilton():
     zg = build_ZG(a, f)
     inv = invariants(zg)
     assert inv.dim == 16
-    assert center(zg, inv) == 1
+    assert center(inv) == 1
     sig = trace_form_signature(inv)
     assert sig == block_trace_signature(tensor_q(SPLIT, HAMILTON))
     assert sig != block_trace_signature(tensor_q(SPLIT, SPLIT))
+
+
+def quarter_field() -> FieldDescriptor:
+    """Q(sqrt 17) generated by (1 + sqrt 17)/4, a root of X^2 - X/2 - 1:
+    sigma_2 takes it to 1/2 minus it, so its automorphism matrix has
+    denominator 2 and Z(A)'s two slots have different denominators."""
+    return FieldDescriptor([-1, Fraction(-1, 2), 1], [[0, 1], [Fraction(1, 2), -1]],
+                           [(1, Fraction(3, 2)), (-1, Fraction(-1, 2))], name="b")
 
 
 def oracle_case(name: str):
     """The even Clifford algebra of one small diagonal form."""
     if name == "Q rank 3":
         return even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3]))
+    if name == "Q(sqrt 17) by a quarter":
+        f = quarter_field()
+        return even_part(CliffordAlgebra(f, [f.gen(), f.gen() + 1, f.gen() - 3]))
     if name == "Q(sqrt 2) rank 4":
         f = Q2
         entries = [f.gen(), f.gen(), f.gen() - 2, f.gen() - 2]
@@ -533,8 +546,21 @@ def oracle_case(name: str):
 
 ORACLE_CASES = (
     "Q rank 3", "Q(sqrt 2)", "Q(sqrt 5)", "Q(sqrt 13)", "Q(sqrt 2) rank 4", "cubic rank 2",
-    "cyclic quartic rank 2", "biquadratic rank 2",
+    "cyclic quartic rank 2", "biquadratic rank 2", "Q(sqrt 17) by a quarter",
 )
+
+
+def test_slots_over_two_denominators_are_compared_on_both():
+    # the action certificate scales each side once to one denominator: it
+    # accepts Z(A) over quarter_field(), whose slots are over 2 and 4, and
+    # names the cell of slot 1 corrupted after construction
+    z = build_ZG(oracle_case("Q(sqrt 17) by a quarter"), quarter_field())
+    assert [den for _, den in z.slots] == [2, 4]
+    table, _ = z.slots[1]
+    [(k, v)] = table[2][3]
+    table[2][3] = [(k, tuple(x + x for x in v))]
+    with pytest.raises(CertificateFailure, match=re.escape("action 2 does not take slot 0 to slot 1 at (2,3)")):
+        z._check_actions()
 
 
 # the two quartic cases (n = 16) have an orbit of size 2, where E^H is a
@@ -557,10 +583,11 @@ def test_slot_products_match_the_materialized_table(name):
     # and each sign beta must take cell (s, t) to cell (t, s)
     a = oracle_case(name)
     z = build_ZG(a, a.field)
+    signs = csa._certify_slot_shapes(z.slots)
     alg = oracle_tensor(z.field, z.slots)
     got = [[[] for _ in range(z.dim)] for _ in range(z.dim)]
     mirrored = [[[] for _ in range(z.dim)] for _ in range(z.dim)]
-    for s, t, k, beta, c in z.products(range(z.dim)):
+    for s, t, k, beta, c in z.products(range(z.dim), signs):
         got[s][t].append((k, [Fraction(x, z.den) for x in c]))
         mirrored[t][s].append((k, [Fraction(beta * x, z.den) for x in c]))
     want = [[[(k, [Fraction(x, alg.den) for x in v]) for k, v in cell] for cell in row] for row in alg.table]
@@ -583,10 +610,10 @@ def test_the_n2_action_walk_rejects_corrupted_moves():
 def test_products_form_only_the_kept_monomials():
     a = oracle_case("cubic rank 2")
     z = build_ZG(a, a.field)
-    keep = {0, 3, 5}
-    kept = list(z.products(keep))
+    keep, signs = {0, 3, 5}, csa._certify_slot_shapes(z.slots)
+    kept = list(z.products(keep, signs))
     assert {k for _, _, k, _, _ in kept} == keep
-    assert kept == [p for p in z.products(range(z.dim)) if p[2] in keep]
+    assert kept == [p for p in z.products(range(z.dim), signs) if p[2] in keep]
 
 
 def test_a_rank_3_report_over_Q_sweeps_only_c0(monkeypatch):

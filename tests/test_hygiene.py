@@ -248,7 +248,7 @@ LISTED_ASSERTS = {
     "brauer": ["_int_valuation"],
     "pipeline": ["even_weight_orbits", "search_cubic_diagonal"],
     "polynomials": ["interval_eval"],
-    "qform": ["GramForm.__init__", "GramForm.__init__", "_inertia"],
+    "qform": ["_inertia"],
 }
 
 

@@ -559,6 +559,34 @@ def test_route_disagreement_is_detected_when_the_invariant_route_says_definite(m
         pl.ks_report(f, GramForm.diagonal(f, [u, u, w]))
 
 
+# the trace signature (pos, neg, null) as a patched pipeline.trace_form_signature
+# gives it, and the warning that the invariant route's verdict then raises
+PARITY_WARNINGS = (
+    pytest.param(lambda pos, neg, null: (neg, pos, null), "parity expectation definite not met (got indefinite_or_split)",
+                 id="swapped"),
+    pytest.param(lambda pos, neg, null: (pos - 1, neg, null + 1), "trace signature matches neither reference class",
+                 id="null part"),
+)
+
+
+@pytest.mark.parametrize("patch, warning", PARITY_WARNINGS)
+def test_the_invariant_route_alone_warns_on_its_verdict(monkeypatch, patch, warning):
+    # over Q(sqrt 2), diag(3 sqrt 2 - 2, sqrt 2, -1) has no symbol route, so
+    # the invariant route's verdict alone meets the parity expectation or not
+    import ksalgebra.pipeline as pl
+
+    f = quadratic_field(2)
+    a = f.gen()
+    form = GramForm.diagonal(f, [3 * a - 2, a, f.rational(-1)])
+    first = "first slot of the C0 symbol resisted rationalization"
+    assert pl.ks_report(f, form).warnings == (first,)
+    real = pl.trace_form_signature
+    monkeypatch.setattr(pl, "trace_form_signature", lambda b: patch(*real(b)))
+    report = pl.ks_report(f, form)
+    assert report.cores_symbol_route is None
+    assert report.warnings == (first, warning)
+
+
 def test_orbit_data_json_shape():
     data = even_weight_orbits(3, cyclic_generators(3), 3)
     doc = data.to_json_dict()

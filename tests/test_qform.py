@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from ksalgebra.qform import (
 )
 
 from kernel_oracle import congruence
+from test_associativity import run_under_O
 from test_exactfield import HALF
 
 Q2 = quadratic_field(2)
@@ -336,3 +338,40 @@ def test_gram_json_rational_shorthand():
 def test_gram_json_malformed(doc, needle):
     with pytest.raises(MalformedInput, match=needle):
         gram_from_json_dict(Q2, doc)
+
+
+def malformed_grams() -> list:
+    """(rows over Q(sqrt 2), message) that GramForm must refuse in every
+    mode, with the message the JSON reader gives for the same entries."""
+    a = Q2.gen()
+    return [([[a, 1], [1, a, 0]], "key 'entries': expected a 2x2 matrix"),
+            ([[a, 1], [2, a]], "key 'entries': not symmetric at (2, 1)")]
+
+
+def test_gram_form_rejects_a_matrix_that_is_not_square_or_not_symmetric():
+    for rows, message in malformed_grams():
+        with pytest.raises(MalformedInput, match=re.escape(message)):
+            GramForm(Q2, rows)
+
+
+_MALFORMED_UNDER_O = """
+from test_qform import Q2, malformed_grams
+from ksalgebra.errors import MalformedInput
+from ksalgebra.qform import GramForm
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+for rows, _ in malformed_grams():
+    try:
+        GramForm(Q2, rows)
+    except MalformedInput as exc:
+        print(exc)
+    else:
+        raise SystemExit(f"{rows} accepted")
+"""
+
+
+def test_gram_form_rejects_a_malformed_matrix_under_python_O():
+    done = run_under_O(_MALFORMED_UNDER_O)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout.splitlines() == [message for _, message in malformed_grams()]

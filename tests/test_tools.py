@@ -1,11 +1,14 @@
 """Smoke tests of the scripts under tools/."""
 
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 STAGES = ["validate_k3_rm", "even_part", "even_rank3_to_symbol", "build_ZG", "invariants",
           "trace_form_signature", "center"]
 
@@ -23,3 +26,21 @@ def test_time_reports_times_the_pipeline_stages():
     assert list(row["stages"]) == STAGES
     assert all(t >= 0 for t in row["stages"].values())
     assert 0 < row["stages"]["invariants"] <= sum(row["stages"].values()) <= row["cpu_s"]
+
+
+def test_unreached_lines_lists_the_statements_a_test_file_leaves_unrun():
+    # the line tracer over tests/test_polynomials.py alone, a few seconds:
+    # cli's sys.exit(main()) runs only from the command line, and
+    # polynomials.interval_eval is what that file tests
+    done = subprocess.run([sys.executable, str(TOOLS / "unreached_lines.py"), "-q", "tests/test_polynomials.py"],
+                          capture_output=True, text=True, cwd=ROOT, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:]
+    count = re.fullmatch(r"(\d+) statements unreached in process; subprocesses, python -O included, are not traced",
+                         done.stderr.splitlines()[-1])
+    listed = [line.split(":", 2) for line in done.stdout.splitlines() if line.startswith("src/ksalgebra/")]
+    assert count and int(count[1]) == len(listed)
+    assert ["src/ksalgebra/cli.py", "sys.exit(main())"] in [[path, source.strip()] for path, _, source in listed]
+    source = (ROOT / "src" / "ksalgebra" / "polynomials.py").read_text(encoding="utf-8")
+    [node] = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "interval_eval"]
+    assert not [line for path, line, _ in listed
+                if path == "src/ksalgebra/polynomials.py" and node.lineno <= int(line) <= node.end_lineno]
