@@ -1,7 +1,9 @@
 """Associative algebras by structure constants, and Galois descent machinery.
 
-An algebra is a table c with u_i u_j = sum_k c_ijk u_k, held by
-StructureAlgebra in one sparse form, integer vectors over one common
+An algebra is a table with u_i u_j = c u_k, one nonzero monomial (k, c)
+per cell, as every table built here is, C0 and its sigma-twists: blades
+multiply to one blade (Lam, Introduction to Quadratic Forms over Fields,
+Ch. V).  StructureAlgebra holds c as an integer vector over one common
 denominator, with unit u_0, built and checked on those integers with the
 field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
 products); FieldElem constants become cells only in monomial_algebra, and
@@ -10,9 +12,9 @@ integers.  One checking rule: the unit law and Z(A)'s slots and Galois
 action are always certified, and every StructureAlgebra is swept for
 associativity (check_associativity) where it is built; the fixed algebra
 B of Z(A) is never built as one, and invariants checks its readout with
-one exact checksum at every dim.
-Failures raise NotAssociative, NotClosedUnderMultiplication,
-DimensionMismatch or CertificateFailure, under python -O too.
+one exact checksum at every dim.  Failures raise NotAssociative,
+NotClosedUnderMultiplication, DimensionMismatch or CertificateFailure,
+under python -O too.
 
 For E/Q Galois with group G = {sigma_1..sigma_d}, Z(A) = A_{sigma_1}
 tensor ... tensor A_{sigma_d} (GaloisModuleAlgebra), A with sigma_i applied
@@ -44,79 +46,54 @@ from .qform import DiagForm, congruence_diagonalize
 
 
 def check_associativity(field: FieldDescriptor, table) -> None:
-    """Exact check of associativity on a certified generating set.
+    """Exact check of associativity on a generating set.
 
     The right nucleus {z : (x, y, z) = 0 for all x, y} is a subalgebra
     (Schafer, An Introduction to Nonassociative Algebras, 1966), so
     (u_i u_j) g = u_i (u_j g) for every basis pair and every g in a set S
-    that generates the algebra makes it associative: n^2 |S| triples
-    instead of n^3.  S comes from _generators, whose one closure also
-    proves that the left-normed words in S span the algebra, or raises
-    CertificateFailure.
+    that generates the algebra, from _generators, makes it associative:
+    n^2 |S| triples instead of n^3.
 
-    table is the integer table a StructureAlgebra stores: cells of
-    (index, tuple of d ints), all over one denominator L, so both sides of
-    each identity carry the same factor L^2 and are compared as integers.
-    Their difference is summed per output index with
-    FieldDescriptor.accumulate, the right side through a negated copy of
-    the generators' columns, and each nonzero sum must reduce to zero under
-    FieldDescriptor.reduce.  A failure raises NotAssociative naming the
-    first failing triple (i, j, g).
+    table is a StructureAlgebra's: cell (i, j) = (k, a) is u_i u_j = a u_k,
+    a nonzero over one denominator L.  With u_k u_g = b u_l, u_j u_g = c
+    u_m and u_i u_m = e u_p the two sides are ab u_l and ce u_p over L^2,
+    equal exactly when l = p and multiply(a, b) = multiply(c, e), with
+    FieldDescriptor.multiply memoized for this call.  A failure raises
+    NotAssociative naming the first failing triple (i, j, g).
     """
-    n = len(table)
-    gens = _generators(field, table)
-    accumulate = field.accumulate
-    negated = [{g: [(t, tuple([-x for x in a])) for t, a in row[g]] for g in gens} for row in table]
-    for i in range(n):
-        ti = table[i]
-        for j in range(n):
-            rij, nj = ti[j], negated[j]
+    gens, multiply = _generators(table), lru_cache(maxsize=None)(field.multiply)
+    for i, ti in enumerate(table):
+        for j, (k, a) in enumerate(ti):
+            tj, tk = table[j], table[k]
             for g in gens:
-                sums: dict = {}
-                for t, a in rij:
-                    accumulate(sums, a, table[t][g])
-                for t, a in nj[g]:
-                    accumulate(sums, a, ti[t])
-                for v in sums.values():
-                    if any(v) and any(field.reduce(v)):
-                        raise NotAssociative(f"associativity fails at ({i},{j},{g})")
+                (l, b), (m, c) = tk[g], tj[g]
+                p, e = ti[m]
+                if l != p or multiply(a, b) != multiply(c, e):
+                    raise NotAssociative(f"associativity fails at ({i},{j},{g})")
 
 
-def _generators(field: FieldDescriptor, table) -> list[int]:
-    """Greedy generators, found and certified in one closure: each is the
-    smallest basis index outside the span of the left-normed words in the
-    ones before it, and the words in all of them must span the table.
-
-    rows is an echelon basis (linalg.echelon_reduce), by leading index, of
-    the words found so far, from u_0 on.  Each row is multiplied by every
-    generator once, summing w_t u_t u_g with FieldDescriptor.accumulate
-    and reduce.  When that stalls short of n, the smallest u_k outside the
-    span (the probe resumes after the last generator, as smaller indices
-    lie in it) is the next generator, and every row so far is multiplied
-    by it; if there is none, CertificateFailure is raised.
+def _generators(table) -> list[int]:
+    """Greedy generators of a table of nonzero monomials: each is the
+    smallest index outside the span of the left-normed words in the ones
+    before it.  Each word is a nonzero multiple of one u_t, so the walk
+    tracks monomials: from u_0, each reached u_t is multiplied by every
+    generator once, u_t u_g landing on table[t][g][0]; when it stalls, the
+    smallest unreached index is the next generator, reached as a word of
+    its own.  So the walk cannot stall, and the words span the table.
     """
-    n, one = len(table), field.one().num
-    accumulate, reduce_ = field.accumulate, field.reduce
-    gens: list[int] = []
-    rows = {0: {0: one}}
-    pending: list = []  # (row, generator) products still to reduce
-    probe = 0
-    while len(rows) < n:
+    n, gens, reached, pending = len(table), [], {0}, []  # pending: (t, g), u_t to multiply by u_g
+    while len(reached) < n:
         if pending:
-            w, g = pending.pop()
-            sums: dict = {}
-            for t, a in w.items():
-                accumulate(sums, a, table[t][g])
-            w = echelon_reduce(field, rows, {k: v for k, v in zip(sums, map(reduce_, sums.values())) if any(v)})
-            if w:
-                rows[min(w)] = w
-                pending += [(w, g) for g in gens]
+            t, g = pending.pop()
+            k = table[t][g][0]
+            if k in reached:
+                continue
         else:
-            probe = next((k for k in range(probe + 1, n) if echelon_reduce(field, rows, {k: one})), None)
-            if probe is None:
-                raise CertificateFailure(f"generators {gens} span {len(rows)} of {n} dimensions")
-            gens.append(probe)
-            pending = [(w, probe) for w in rows.values()]
+            k = next(k for k in range(n) if k not in reached)
+            gens.append(k)
+            pending = [(t, k) for t in reached]
+        reached.add(k)
+        pending += [(k, g) for g in gens]
     return gens
 
 
@@ -124,24 +101,24 @@ class StructureAlgebra:
     """Finite-dimensional associative unital algebra over an exact field.
 
     The constructor takes the table in the one form it stores:
-    constants[i][j] is u_i u_j, 0-based, as a sorted list of (index, tuple
-    of d ints) with distinct indices and nonzero vectors, all over the
-    denominator den.  It is brought to lowest terms, so equal algebras
-    store equal tables.  The unit is u_0, and the unit law and
-    associativity (check_associativity) are always verified.
+    constants[i][j] = (k, v) is u_i u_j = v u_k, 0-based, v a nonzero
+    tuple of d ints over the denominator den; a zero v raises
+    CertificateFailure naming the cell.  It is brought to lowest terms, so
+    equal algebras store equal tables.  The unit is u_0, and the unit law
+    and associativity (check_associativity) are always verified.
     monomial_algebra builds a table given by FieldElem constants, and
     check_products certifies named cells against them.
     """
 
     def __init__(self, field: FieldDescriptor, constants, *, den: int = 1):
-        table, g = constants, den
-        for v in (v for row in table for cell in row for _, v in cell):
-            g = gcd(g, *v)
-            if g == 1:
-                break
+        table = constants
+        zero = next(((i, j) for i, row in enumerate(table) for j, (_, v) in enumerate(row) if not any(v)), None)
+        if zero is not None:
+            raise CertificateFailure("u_{} u_{} is zero: a cell must be one nonzero monomial".format(*zero))
+        g = gcd(den, *{x for row in table for _, v in row for x in v})
         if g > 1:  # to lowest terms, so that equal algebras store equal tables
             den //= g
-            table = [[[(k, tuple([x // g for x in v])) for k, v in cell] for cell in row] for row in table]
+            table = [[(k, tuple([x // g for x in v])) for k, v in row] for row in table]
         self.field, self.dim, self.den, self.table = field, len(table), den, table
         self._check_unit()
         check_associativity(field, table)
@@ -155,7 +132,7 @@ class StructureAlgebra:
         one = (self.den,) + (0,) * (self.field.degree - 1)
         for i in range(self.dim):
             for side, cell in (("left", table[0][i]), ("right", table[i][0])):
-                if cell != [(i, one)]:
+                if cell != (i, one):
                     raise CertificateFailure(f"{side} unit law fails at u_{i}")
 
     def __eq__(self, other) -> bool:
@@ -189,19 +166,19 @@ def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
         raise FieldMismatch("structure constant in the wrong field")
     den = lcm(1, *{c.den for c in given})
     shared = [_Entries(k, lambda c: tuple([x * (den // c.den) for x in c.num])) for k in range(len(cells))]
-    return StructureAlgebra(field, [[[shared[k][c]] for k, c in row] for row in cells], den=den)
+    return StructureAlgebra(field, [[shared[k][c] for k, c in row] for row in cells], den=den)
 
 
 def check_products(alg: StructureAlgebra, products) -> None:
     """u_i u_j = c u_k for each (relation, i, j, k, c) in products, c a
-    FieldElem of alg's field: the stored cell must be the one entry (k, v)
-    with v c.den = c.num alg.den, else CertificateFailure names the relation."""
+    FieldElem of alg's field: the stored cell must be (k, v) with v c.den =
+    c.num alg.den, else CertificateFailure names the relation."""
     den, table = alg.den, alg.table
     for relation, i, j, k, c in products:
         if c.field != alg.field:
             raise FieldMismatch("structure constant in the wrong field")
-        cell = table[i][j]
-        if len(cell) != 1 or cell[0][0] != k or [x * c.den for x in cell[0][1]] != [x * den for x in c.num]:
+        k2, v = table[i][j]
+        if k2 != k or [x * c.den for x in v] != [x * den for x in c.num]:
             raise CertificateFailure(f"{relation} fails at ({i},{j})")
 
 
@@ -209,16 +186,16 @@ def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
     """(constants, den) of the table over den with sigma_i applied to each
     of its distinct integer vectors once."""
     images = {}
-    for v in {v for row in table for cell in row for _, v in cell}:
+    for v in {v for row in table for _, v in row}:
         r, scale = field.automorphism(i, v)  # the same scale for every v
         images[v] = tuple(r)
-    return [[[(k, images[v]) for k, v in cell] for cell in row] for row in table], den * scale
+    return [[(k, images[v]) for k, v in row] for row in table], den * scale
 
 
 def _scaled(table, by: int) -> list:
     """table with each of its distinct integer vectors times by, once."""
-    images = {v: tuple([x * by for x in v]) for v in {v for row in table for cell in row for _, v in cell}}
-    return [[[(k, images[v]) for k, v in cell] for cell in row] for row in table]
+    images = {v: tuple([x * by for x in v]) for v in {v for row in table for _, v in row}}
+    return [[(k, images[v]) for k, v in row] for row in table]
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -261,7 +238,7 @@ class GaloisModuleAlgebra:
         u_k, beta the product of the slots' signs u_j u_i = +-u_i u_j, signs
         as _certify_slot_shapes returned them for these slots."""
         m, mul = len(self.slots[0][0]), lru_cache(maxsize=None)(self.field.multiply)
-        *heads, last = [[(s, t, *cell[0], sign[s][t]) for s, row in enumerate(table) for t, cell in enumerate(row)]
+        *heads, last = [[(s, t, *cell, sign[s][t]) for s, row in enumerate(table) for t, cell in enumerate(row)]
                         for (table, _), sign in zip(self.slots, signs)]
         pairs = [(0, 0, 0, None, 1)]
         for slot in heads:
@@ -277,15 +254,15 @@ class GaloisModuleAlgebra:
         """Exact certification of the Galois action on the slots and moves.
 
         Each move is a bijection.  sigma_g, applied by _twist once to each
-        distinct vector of slot s, takes its cells to those of slot pi_g(s),
-        hosting sigma_g . sigma_{s+1}: each cell is compared whole, its list
-        of entries, over one denominator.  So each slot is certified as
-        sigma_g(A), associative by A's sweep, and so is Z(A), their tensor
-        product (Pierce, Associative Algebras, GTM 88); the slots' shape is
-        certified where it is read, by invariants.  The moves follow the
-        group law of G, and each carries digit s of every monomial to slot
-        pi_g(s); the coefficient part of the action is the field
-        automorphism, certified with the field.
+        distinct vector of slot s, takes its cells (k, v) to those of slot
+        pi_g(s), hosting sigma_g . sigma_{s+1}, over one denominator.  So
+        each slot is certified as sigma_g(A), associative by A's sweep, and
+        so is Z(A), their tensor product (Pierce, Associative Algebras, GTM
+        88); the slots' shape is certified where it is read, by invariants.
+        The moves follow the group law of G; each carries digit s of every
+        monomial to slot pi_g(s) as _slot_moves made it, not compared again.
+        The coefficient part of the action is the field automorphism,
+        certified with the field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
         field pins sigma_1 to X, and the group law at (1, 1) gives
@@ -308,16 +285,12 @@ class GaloisModuleAlgebra:
             t = next((t for t in range(n) if p1[p2[t]] != p12[t]), None)
             if t is not None:
                 raise CertificateFailure(f"action group law fails for ({g1},{g2}) at monomial {t}")
-        for g, pt in self.moves.items():
-            t = next((t for t, (x, y) in enumerate(zip(pt, _slot_moves(f, m, g))) if x != y), None)
-            if t is not None:
-                raise CertificateFailure(f"action {g} does not carry the slot digits of monomial {t}")
 
 
 def _certify_slot_shapes(slots) -> list[list[list[int]]]:
     """The slot shape every reader of Z(A) needs, walked once per report by
     invariants, before it reads a product.  In slot s every product u_i u_j
-    must be one nonzero monomial (all cells first), the same monomial as
+    must have a nonzero coefficient (all cells first), the same monomial as
     u_j u_i, with u_j u_i = +-u_i u_j on the stored integers, and injective
     in j, else CertificateFailure: even Clifford slots are, as e_S e_T =
     +-e_T e_S (Lam, Introduction to Quadratic Forms over Fields, Ch. V).
@@ -325,17 +298,17 @@ def _certify_slot_shapes(slots) -> list[list[list[int]]]:
     signs = []
     for s, (table, _) in enumerate(slots):
         for i, j in product(range(len(table)), repeat=2):
-            if len(table[i][j]) != 1 or not any(table[i][j][0][1]):
+            if not any(table[i][j][1]):
                 raise CertificateFailure(f"slot {s} product u_{i} u_{j} is not one monomial")
         sign = [[1] * len(table) for _ in table]
         for i, row in enumerate(table):
             for j in range(i):
-                (k, v), (k2, w) = table[i][j][0], table[j][i][0]
+                (k, v), (k2, w) = table[i][j], table[j][i]
                 if k != k2 or w not in (v, tuple([-x for x in v])):
                     how = "land on different monomials" if k != k2 else "differ by more than a sign"
                     raise CertificateFailure(f"slot {s} products u_{i} u_{j} and u_{j} u_{i} {how}")
                 sign[i][j] = sign[j][i] = 1 if w == v else -1
-            if len({cell[0][0] for cell in row}) != len(row):
+            if len({k for k, _ in row}) != len(row):
                 raise CertificateFailure(f"slot {s} products u_{i} u_j repeat a monomial")
         signs.append(sign)
     return signs

@@ -2,8 +2,7 @@
 
 A vector is a dict of index -> integer vector (d ints, as accumulate and
 reduce read them), and its scale is irrelevant to a span, so elimination
-never divides.  The associativity sweep's generator closure runs on it,
-and the fixed algebra of Z(A) takes each fixed field E^H from it over Q.
+never divides.  csa.invariants takes each fixed field E^H from it over Q.
 """
 
 from math import gcd

@@ -3,19 +3,21 @@
 csa.invariants keeps B = Cor_{E/Q}(A) as its orbit blocks (FixedAlgebra)
 and never builds its table.  The tests compare B with the kernel oracle's
 table, the dense center and trace-form oracles and the associativity
-oracle, all of which read a StructureAlgebra, so fixed_table builds one
-from the blocks: cell (i, j) holds (e, (x,)) for each nonzero coordinate x
-at b_e, and cell (j, i) (e, (beta x,)).  The constructor sweeps it for
-associativity, as it does every table.
+oracle, so fixed_table builds one from the blocks: cell (i, j) holds (e,
+(x,)) for each nonzero coordinate x at b_e, and cell (j, i) (e, (beta
+x,)).  B's cells are sums, so it is an EntriesTable, checked by the
+Fraction oracles alone.
 """
 
 from itertools import product
 
-from ksalgebra.csa import FixedAlgebra, StructureAlgebra
+from ksalgebra.csa import FixedAlgebra
 from ksalgebra.exactfield import RATIONAL_FIELD
 
+from entries_table import EntriesTable
 
-def fixed_table(b: FixedAlgebra) -> StructureAlgebra:
+
+def fixed_table(b: FixedAlgebra) -> EntriesTable:
     """B's table over Q, from the blocks of b."""
     n, first = b.dim, {rep: start for start, _, rep in b.orbits}
     table = [[[] for _ in range(n)] for _ in range(n)]
@@ -28,4 +30,4 @@ def fixed_table(b: FixedAlgebra) -> StructureAlgebra:
                         table[i][j].append((e, (x,)))
                         if o < o2:  # an (I, I) block holds both orders
                             table[j][i].append((e, (beta * x,)))
-    return StructureAlgebra(RATIONAL_FIELD, table, den=b.den)
+    return EntriesTable(RATIONAL_FIELD, table, den=b.den)

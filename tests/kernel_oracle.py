@@ -13,8 +13,9 @@ columns.
 oracle_center is how csa.center used to find the center: it intersects the
 kernels of the commutator maps x -> [x, u_i] and returns the RREF basis.
 
-oracle_tensor is the tensor product of tables of any sizes on Fraction
-coefficient lists with fraction_reference's arithmetic.  On the slots of
+oracle_tensor is the tensor product of monomial tables of any sizes on
+Fraction coefficient lists with fraction_reference's arithmetic, swept as a
+StructureAlgebra.  On the slots of
 Z(A) it is how csa.GaloisModuleAlgebra used to store Z(A), its whole n^2
 table, and it shares no code with GaloisModuleAlgebra.products, only the
 slots.  It also builds the reference tensors of quaternion tables, which
@@ -31,8 +32,8 @@ becomes a sparse Q-linear operator rebuilt here from the field's
 composition table, the fixed subspace is the kernel of the stacked
 operators act(g) - id, and every product of two RREF basis vectors is
 re-expressed in that basis by reading it at the pivot columns and checking
-the residual exactly.  It shares with csa.invariants only the slots of
-Z(A), read through oracle_tensor.
+the residual exactly, into an EntriesTable.  It shares with csa.invariants
+only the slots of Z(A), read through oracle_tensor.
 
 oracle_dense_trace_signature is how csa.trace_form_signature used to find
 the signature: it assembles the whole n x n Gram matrix of Tr(L_{xy}) in
@@ -59,6 +60,7 @@ from ksalgebra.exactfield import RATIONAL_FIELD, apply_automorphism
 from ksalgebra.qform import congruence_diagonalize
 
 from basis_product import basis_product
+from entries_table import EntriesTable, entries
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -158,7 +160,7 @@ def kernel(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def oracle_center(a: StructureAlgebra) -> list[list[Fraction]]:
+def oracle_center(a) -> list[list[Fraction]]:
     """RREF basis of the center of a Q-algebra, by successive restriction:
     intersect the kernels of the commutator maps x -> [x, u_i], shrinking
     the candidate space."""
@@ -236,29 +238,26 @@ def action_columns(f, m: int, g: int) -> list[list[tuple[int, Fraction]]]:
 
 
 def oracle_tensor(field, tables) -> StructureAlgebra:
-    """The tensor product of (constants, den) tables of any sizes, swept:
-    u_s u_t is the product over the factors of the cells at the digits of
-    s and t (the first factor the leading one), its coefficients Fraction
-    lists multiplied with fraction_reference, and the table is stored over
-    the common denominator of all of them."""
-    d = field.degree
-    factors = [[[[(k, [Fraction(x, den) for x in v]) for k, v in cell] for cell in row] for row in table]
-               for table, den in tables]
+    """The tensor product of (constants, den) monomial tables of any sizes,
+    swept: u_s u_t is the product over the factors of the cells at the
+    digits of s and t (the first factor the leading one), its coefficients
+    Fraction lists multiplied with fraction_reference, and the table is
+    stored over the common denominator of all of them."""
+    factors = [[[(k, [Fraction(x, den) for x in v]) for k, v in row] for row in table] for table, den in tables]
     sizes = [range(len(table)) for table in factors]
-    one = ref.pad([Fraction(1)], d)
+    one = ref.pad([Fraction(1)], field.degree)
     rows = []
     for s in product(*sizes):  # the digits of s and t, in index order
         row = []
         for t in product(*sizes):
-            terms = [(0, one)]
+            k, c = 0, one
             for table, i, j in zip(factors, s, t):
-                m = len(table)
-                terms = [(k * m + k2, ref.mul(field, c, c2)) for k, c in terms for k2, c2 in table[i][j]]
-            row.append(sorted(terms))
+                k2, c2 = table[i][j]
+                k, c = k * len(table) + k2, ref.mul(field, c, c2)
+            row.append((k, c))
         rows.append(row)
-    den = lcm(1, *(x.denominator for row in rows for cell in row for _, c in cell for x in c))
-    table = [[[(k, tuple(int(x * den) for x in c)) for k, c in cell] for cell in row] for row in rows]
-    return StructureAlgebra(field, table, den=den)
+    den = lcm(1, *(x.denominator for row in rows for _, c in row for x in c))
+    return StructureAlgebra(field, [[(k, tuple(int(x * den) for x in c)) for k, c in row] for row in rows], den=den)
 
 
 def oracle_action_failure(z, alg: StructureAlgebra) -> tuple[int, int, int] | None:
@@ -275,7 +274,7 @@ def oracle_action_failure(z, alg: StructureAlgebra) -> tuple[int, int, int] | No
     return None
 
 
-def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
+def oracle_invariants(z, base_dim: int) -> EntriesTable:
     """The fixed algebra of z = build_ZG(a, f) by the stacked kernel over
     Q, base_dim the dim of a."""
     f, alg = z.field, oracle_tensor(z.field, z.slots)
@@ -327,10 +326,10 @@ def oracle_invariants(z, base_dim: int) -> StructureAlgebra:
     # fixed, so the first RREF row is u_0 and the unit law holds on it
     den = lcm(1, *(c.denominator for row in constants for cell in row for _, c in cell))
     table = [[[(k, (int(c * den),)) for k, c in cell] for cell in row] for row in constants]
-    return StructureAlgebra(RATIONAL_FIELD, table, den=den)
+    return EntriesTable(RATIONAL_FIELD, table, den=den)
 
 
-def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
+def oracle_dense_trace_signature(a) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q, from the
     dense Gram matrix assembled from basis traces."""
     assert a.field.degree == 1, "trace form is computed for Q-algebras only"
@@ -352,11 +351,12 @@ def oracle_dense_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
     return sum(e > 0 for e, in diag), sum(e < 0 for e, in diag), sum(e == 0 for e, in diag)
 
 
-def block_trace_signature(a: StructureAlgebra) -> tuple[int, int, int]:
+def block_trace_signature(a) -> tuple[int, int, int]:
     """Signature (pos, neg, null) of (x, y) -> Tr(L_{xy}) over Q, on the
-    integer table: the basis traces, then the Gram matrix over L^2, closed
-    into a block at every index that no nonzero entry crosses."""
-    n, table = a.dim, a.table
+    integer table of a StructureAlgebra or an EntriesTable: the basis
+    traces, then the Gram matrix over L^2, closed into a block at every
+    index that no nonzero entry crosses."""
+    n, table = a.dim, [[entries(cell) for cell in row] for row in a.table]
     tr = [sum(v[0] for t, cell in enumerate(row) for k, v in cell if k == t) for row in table]
     gram: dict[tuple[int, int], int] = {}
     pos = neg = start = end = 0  # the open block starts at start; end is its last nonzero column

@@ -28,6 +28,7 @@ from ksalgebra.pipeline import ks_report, search_cubic_diagonal
 from ksalgebra.qform import GramForm, congruence_diagonalize, diagonalize
 
 from basis_product import basis_product
+from entries_table import EntriesTable
 from fixed_table import fixed_table
 from kernel_oracle import (
     block_trace_signature,
@@ -62,7 +63,7 @@ def family_diag(d: int, c: int):
 # -- oracle: trace form assembled from explicit regular-representation matrices
 
 
-def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
+def oracle_trace_signature(alg) -> tuple[int, int, int]:
     n = alg.dim
     mats = []
     for k in range(n):
@@ -86,7 +87,7 @@ def oracle_trace_signature(alg: StructureAlgebra) -> tuple[int, int, int]:
     return pos, neg, n - pos - neg
 
 
-def matrix_units_algebra(n: int) -> StructureAlgebra:
+def matrix_units_algebra(n: int) -> EntriesTable:
     # n x n matrices on the basis u_0 = 1 and the matrix units E_pq,
     # (p, q) != (0, 0), at index p n + q, as integers over 1: E_pq E_rs =
     # delta_qr E_ps, with E_00 = 1 - sum_{p > 0} E_pp
@@ -102,7 +103,7 @@ def matrix_units_algebra(n: int) -> StructureAlgebra:
         i, j = p * n + q, q * n + s
         if i and j:
             constants[i][j] = unit_matrix(p, s)
-    return StructureAlgebra(RATIONAL_FIELD, constants)
+    return EntriesTable(RATIONAL_FIELD, constants)
 
 
 # -- quaternion tables ---------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_builder_unit_is_u0_over_the_constants_denominator():
     one, c = Q2.one(), (Q2.one() + Q2.gen()) / 3
     alg = monomial_algebra(Q2, [[(0, one), (1, one)], [(1, one), (0, c)]])
     assert alg.den == 3
-    assert alg.table[0] == [[(0, (3, 0))], [(1, (3, 0))]]
+    assert alg.table[0] == [(0, (3, 0)), (1, (3, 0))]
     assert basis_product(alg, 1, 1) == [(0, c)]
 
 
@@ -181,12 +182,17 @@ def hamilton_table_with(cells: dict) -> list:
 def test_unit_law_reads_row_and_column_0_of_the_stored_table():
     # u_0 u_2 = u_3 breaks row 0 only; u_3 u_0 = -u_3 breaks column 0 only
     with pytest.raises(CertificateFailure, match=r"left unit law fails at u_2"):
-        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(0, 2): [(3, (1,))]}))
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(0, 2): (3, (1,))}))
     with pytest.raises(CertificateFailure, match=r"right unit law fails at u_3"):
-        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(3, 0): [(3, (-1,))]}))
-    # u_0 u_1 = u_1 + u_2 has the right coefficient at u_1 but one more term
-    with pytest.raises(CertificateFailure, match=r"left unit law fails at u_1"):
-        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(0, 1): [(1, (1,)), (2, (1,))]}))
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(3, 0): (3, (-1,))}))
+
+
+def test_a_zero_cell_is_refused_before_the_unit_law():
+    # u_2 u_3 = 0 is no monomial; so is a zero u_0 u_1, which the unit law would name
+    with pytest.raises(CertificateFailure, match=re.escape("u_2 u_3 is zero: a cell must be one nonzero monomial")):
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(2, 3): (1, (0,))}))
+    with pytest.raises(CertificateFailure, match=re.escape("u_0 u_1 is zero")):
+        StructureAlgebra(RATIONAL_FIELD, hamilton_table_with({(0, 1): (1, (0,))}))
 
 
 def test_unit_law_rejects_an_empty_table():
@@ -268,9 +274,9 @@ def test_center_counts_match_the_dense_oracle(kind, args):
     assert center(b) == len(oracle_center(fixed_table(b)))
 
 
-def dual_numbers() -> StructureAlgebra:
+def dual_numbers() -> EntriesTable:
     """Q[x]/(x^2): its trace form <2, 0> has a radical."""
-    return StructureAlgebra(RATIONAL_FIELD, [[[(0, (1,))], [(1, (1,))]], [[(1, (1,))], []]])
+    return EntriesTable(RATIONAL_FIELD, [[[(0, (1,))], [(1, (1,))]], [[(1, (1,))], []]])
 
 
 # Q-algebras that are not fixed algebras of a Z(A); in the matrix units
@@ -477,7 +483,7 @@ def test_slot_moves_follow_a_non_abelian_composition():
 
 
 def test_invariants_of_E_itself():
-    zg = build_ZG(StructureAlgebra(Q2, [[[(0, (1, 0))]]]), Q2)
+    zg = build_ZG(StructureAlgebra(Q2, [[(0, (1, 0))]]), Q2)
     inv = invariants(zg)
     assert inv.dim == 1
     assert fixed_table(inv).field == RATIONAL_FIELD
@@ -557,8 +563,8 @@ def test_slots_over_two_denominators_are_compared_on_both():
     z = build_ZG(oracle_case("Q(sqrt 17) by a quarter"), quarter_field())
     assert [den for _, den in z.slots] == [2, 4]
     table, _ = z.slots[1]
-    [(k, v)] = table[2][3]
-    table[2][3] = [(k, tuple(x + x for x in v))]
+    k, v = table[2][3]
+    table[2][3] = k, tuple(x + x for x in v)
     with pytest.raises(CertificateFailure, match=re.escape("action 2 does not take slot 0 to slot 1 at (2,3)")):
         z._check_actions()
 
@@ -590,7 +596,7 @@ def test_slot_products_match_the_materialized_table(name):
     for s, t, k, beta, c in z.products(range(z.dim), signs):
         got[s][t].append((k, [Fraction(x, z.den) for x in c]))
         mirrored[t][s].append((k, [Fraction(beta * x, z.den) for x in c]))
-    want = [[[(k, [Fraction(x, alg.den) for x in v]) for k, v in cell] for cell in row] for row in alg.table]
+    want = [[[(k, [Fraction(x, alg.den) for x in v])] for k, v in row] for row in alg.table]
     assert got == want
     assert mirrored == want
 
@@ -675,9 +681,9 @@ def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(mo
 
 @pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4", "Q rank 5", "Q(sqrt 5) rank 4"])
 def test_tables_hold_one_tuple_per_distinct_entry(name):
-    # C0 from monomial_algebra: every cell holding an equal entry (k, v)
-    # holds the one tuple, so the ids over all cells count the distinct
-    # entries, far fewer than the entries themselves
+    # C0 from monomial_algebra: every equal cell (k, v) is the one tuple,
+    # so the ids over all cells count the distinct cells, far fewer than
+    # the cells themselves
     if name == "Q(sqrt 5) rank 4":
         f = quadratic_field(5)
         a = f.gen()
@@ -690,8 +696,8 @@ def test_tables_hold_one_tuple_per_distinct_entry(name):
         c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 1, -1, -1, -1]))
     else:
         c0 = oracle_case(name)
-    entries = [entry for row in c0.table for cell in row for entry in cell]
-    assert len({id(entry) for entry in entries}) == len(set(entries)) < len(entries)
+    cells = [cell for row in c0.table for cell in row]
+    assert len({id(cell) for cell in cells}) == len(set(cells)) < len(cells)
 
 
 # the targets k of every ordered pair of orbits: the sums a readout of both orders unpacks
@@ -743,7 +749,7 @@ def test_invariants_read_each_distinct_sum_once_per_fixed_field(monkeypatch, nam
     digits = list(product(range(m), repeat=d))
 
     def monomial(s, t):  # of u_s u_t, slot by slot
-        return sum(table[i][j][0][0] * m ** (d - 1 - p) for p, ((table, _), i, j)
+        return sum(table[i][j][0] * m ** (d - 1 - p) for p, ((table, _), i, j)
                    in enumerate(zip(z.slots, digits[s], digits[t])))
 
     targets = {(rep[s], rep[t], k) for s, t in product(range(z.dim), repeat=2)
@@ -867,7 +873,7 @@ def test_field_elem_rows_and_integers_over_6_store_the_same_table():
         a = quaternion_table(symbol)
         rows = [[basis_product(a, i, j) for j in range(4)] for i in range(4)]
         assert monomial_algebra(RATIONAL_FIELD, [[cell for [cell] in row] for row in rows]) == a
-        over_6 = [[[(k, (int(6 * c.rational_value()),)) for k, c in cell] for cell in row] for row in rows]
+        over_6 = [[(k, (int(6 * c.rational_value()),)) for [(k, c)] in row] for row in rows]
         b = StructureAlgebra(RATIONAL_FIELD, over_6, den=6)
         assert b == a
         assert (b.den, b.table) == (a.den, a.table)
@@ -908,10 +914,10 @@ def verify_against(monkeypatch, diag, f, zg) -> bool:
 
 
 def corrupt_a_slot_constant(zg, s: int) -> None:
-    """Add 1 to the first coordinate of u_1 u_2 in slot s of zg."""
-    table, den = zg.slots[s]
-    k, v = table[1][2][0]
-    table[1][2] = [(k, (v[0] + den,) + v[1:])]
+    """Double u_1 u_2 in slot s of zg."""
+    table, _ = zg.slots[s]
+    k, v = table[1][2]
+    table[1][2] = k, tuple(x + x for x in v)
 
 
 def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):

@@ -44,3 +44,22 @@ def test_unreached_lines_lists_the_statements_a_test_file_leaves_unrun():
     [node] = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == "interval_eval"]
     assert not [line for path, line, _ in listed
                 if path == "src/ksalgebra/polynomials.py" and node.lineno <= int(line) <= node.end_lineno]
+
+
+def test_paired_bench_pairs_a_checkout_with_itself():
+    # this checkout as both sides, one pair of 0.2 s cubic runs, a few
+    # seconds: one line per run, then one per end-to-end metric of
+    # BENCHMARK.json, the change's wins counted by its "better"
+    done = subprocess.run([sys.executable, str(TOOLS / "paired_bench.py"), "--parent", str(ROOT), "--change", str(ROOT),
+                           "--workload", "cubic", "--pairs", "1", "--seconds", "0.2"],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:] or done.stdout[-2000:]
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    runs, rows = lines[:2], lines[2:]
+    assert [(r["pair"], r["side"], r["seed"], r["correct"], r["failed"]) for r in runs] == [
+        (0, "parent", 1, True, 0), (0, "change", 1, True, 0)]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [(r["metric"], r["better"], r["pairs"]) for r in rows] == [(m["name"], m["better"], 1) for m in bench["end_to_end"]]
+    for row in rows:
+        assert row["parent_iqr"] == 0 and row["change_wins"] in (0, 1)
+        assert row["parent_median"] > 0 and row["change_median"] > 0
