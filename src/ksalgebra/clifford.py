@@ -1,20 +1,20 @@
-"""Clifford algebras of diagonal quadratic forms, on subset bitmasks.
+"""The even Clifford algebra C0 of a diagonal quadratic form, on subset bitmasks.
 
-Basis blades e_S for S a subset of {1..n}, encoded as bitmasks (bit i-1
+Basis blades e_S for S a subset of {1..m}, encoded as bitmasks (bit i-1
 for index i).  The defining relations are v.v = q(v).1, so e_i e_i = a_i
 and e_i e_j = -e_j e_i for i != j; the general blade product is
 
-    e_S e_T = sign(S,T) * prod_{i in S cap T} a_i * e_{S xor T}
+    e_S e_T = (-1)^#{(s,t) in S x T : s > t} * prod_{i in S cap T} a_i * e_{S xor T}
 
-with sign(S,T) = (-1)^#{(s,t) in S x T : s > t}.  The even blades form a
-subalgebra C0 of dimension 2^(n-1), built by even_part as a
-structure-constant table.  For n = 3 it is the quaternion algebra
-(-a1 a2, -a1 a3), with i = e1 e2, j = e1 e3 and ij = -a1 e2 e3, certified
-by i^2 = a, j^2 = b and ij = -ji on four cells of C0's table itself, the
-table the invariant route corestricts.
+(Lam, Introduction to Quadratic Forms over Fields, Ch. V), so a cell
+depends only on S xor T, S cap T and one sign bit: the parity of
+|S cap p(T)|, where bit i of the prefix parity p(T) is the parity of the
+bits of T below i.  The even blades form C0, of dimension 2^(m-1), built by
+even_part as a structure-constant table.  For m = 3 it is the quaternion
+algebra (-a1 a2, -a1 a3), with i = e1 e2, j = e1 e3 and ij = -a1 e2 e3,
+certified by i^2 = a, j^2 = b and ij = -ji on four cells of C0's table
+itself, the table the invariant route corestricts.
 """
-
-from functools import lru_cache
 
 from .errors import DimensionMismatch, FieldMismatch, ZeroDiagonalEntry
 from .exactfield import FieldDescriptor, FieldElem
@@ -22,48 +22,38 @@ from .brauer import QuaternionSymbol
 from .csa import StructureAlgebra, check_products, monomial_algebra
 
 
-class CliffordAlgebra:
-    def __init__(self, field: FieldDescriptor, diag):
-        self.field = field
-        self.diag = [e if isinstance(e, FieldElem) else field.rational(e) for e in diag]
-        for e in self.diag:
-            if e.field != field:
-                raise FieldMismatch("diagonal entry in the wrong field")
-            if not e:
-                raise ZeroDiagonalEntry("Clifford algebra needs nonzero diagonal entries")
-        self.n = len(self.diag)
-        self.dim = 1 << self.n
-        self._square = lru_cache(maxsize=None)(self._square)  # once per mask
+def even_part(field: FieldDescriptor, diag) -> StructureAlgebra:
+    """C0 of diag(a_1..a_m) over field as a structure-constant table, blades
+    ascending; an int entry is read as a rational of field.
 
-    def blade_product(self, s: int, t: int) -> tuple[FieldElem, int]:
-        """(coefficient, mask) with e_s e_t = coefficient * e_mask."""
-        sign = 0
-        for i in range(self.n):
-            if s >> i & 1:
-                sign += bin(t & ((1 << i) - 1)).count("1")
-        coeff = self._square(s & t)
-        return (coeff if sign % 2 == 0 else -coeff), s ^ t
-
-    def _square(self, common: int) -> FieldElem:
-        """prod_{i in common} a_i, from the product without the top bit."""
-        if not common:
-            return self.field.one()
-        top = common.bit_length() - 1
-        return self._square(common ^ 1 << top) * self.diag[top]
-
-
-def even_part(c: CliffordAlgebra) -> StructureAlgebra:
-    """The even subalgebra as a structure-constant table, blades ascending."""
-    masks = [m for m in range(c.dim) if bin(m).count("1") % 2 == 0]
-    index = {m: i for i, m in enumerate(masks)}
-    cells = []
-    for s in masks:
-        row = []
-        for t in masks:
-            coeff, mask = c.blade_product(s, t)
-            row.append((index[mask], coeff))
-        cells.append(row)
-    return monomial_algebra(c.field, cells)
+    The products sq[S] = prod_{i in S} a_i are formed once for all 2^m
+    masks, by doubling, and negated once.  The cell (s, t) is e_(s ^ t)
+    with the coefficient sq[s & t], negated when s & p(t) has odd weight:
+    p(t), the prefix parity of t shifted up one bit, is formed once per t
+    by the doubling XOR of Knuth, TAOCP 4A, 7.1.3.  A zero entry raises
+    ZeroDiagonalEntry, an entry of another field FieldMismatch.
+    """
+    diag = [e if isinstance(e, FieldElem) else field.rational(e) for e in diag]
+    for e in diag:
+        if e.field != field:
+            raise FieldMismatch("diagonal entry in the wrong field")
+        if not e:
+            raise ZeroDiagonalEntry("Clifford algebra needs nonzero diagonal entries")
+    sq = [field.one()]
+    for a in diag:
+        sq += [x * a for x in sq]
+    signed = (sq, [-x for x in sq])
+    masks = [s for s in range(len(sq)) if not s.bit_count() & 1]
+    index = {s: i for i, s in enumerate(masks)}
+    parities = []
+    for t in masks:
+        p, k = t << 1, 1
+        while k < len(diag):  # bit i of p: the parity of the bits of t below i
+            p ^= p << k
+            k <<= 1
+        parities.append(p)
+    cells = [[(index[s ^ t], signed[(s & p).bit_count() & 1][s & t]) for t, p in zip(masks, parities)] for s in masks]
+    return monomial_algebra(field, cells)
 
 
 def even_rank3_to_symbol(c0: StructureAlgebra, entries) -> QuaternionSymbol:

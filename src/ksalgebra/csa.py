@@ -184,12 +184,14 @@ def check_products(alg: StructureAlgebra, products) -> None:
 
 def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
     """(constants, den) of the table over den with sigma_i applied to each
-    of its distinct integer vectors once."""
+    of its distinct integer vectors once; each distinct cell's image is one
+    tuple, shared by every cell equal to it, as in C0."""
     images = {}
     for v in {v for row in table for _, v in row}:
         r, scale = field.automorphism(i, v)  # the same scale for every v
         images[v] = tuple(r)
-    return [[(k, images[v]) for k, v in row] for row in table], den * scale
+    cells = {cell: (cell[0], images[cell[1]]) for row in table for cell in row}
+    return [[cells[cell] for cell in row] for row in table], den * scale
 
 
 def _scaled(table, by: int) -> list:
@@ -543,20 +545,20 @@ def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor) -> bool:
 
     The two sides are built through different code paths: the left is the
     slots of build_ZG, the structure constants of C0(Q) twisted by each
-    sigma_i, each swept as a table; the right runs the Clifford
-    construction on the sigma_i-conjugated diagonal entries.  They are
-    compared slot by slot, which compares their tensor products: each
-    factor's unit is u_0, so (u_i x u_0 x ...)(u_j x u_0 x ...) is the
-    first factor's u_i u_j times the unit, likewise in every slot, and two
-    tensor tables are equal exactly when their factors are (Pierce,
-    Associative Algebras, GTM 88); StructureAlgebra stores each in lowest
-    terms, so == is canonical.  The stored G-action must match the
-    slot-permutation action recomputed from scratch.
+    sigma_i, each swept as a table; the right runs even_part on the
+    sigma_i-conjugated diagonal entries.  They are compared slot by slot,
+    which compares their tensor products: each factor's unit is u_0, so
+    (u_i x u_0 x ...)(u_j x u_0 x ...) is the first factor's u_i u_j times
+    the unit, likewise in every slot, and two tensor tables are equal
+    exactly when their factors are (Pierce, Associative Algebras, GTM 88);
+    StructureAlgebra stores each in lowest terms, so == is canonical.  The
+    stored G-action must match the slot-permutation action that _slot_moves
+    recomputes.
     """
-    from .clifford import CliffordAlgebra, even_part  # layering: clifford builds on csa
+    from .clifford import even_part  # layering: clifford builds on csa
 
-    a, gs = even_part(CliffordAlgebra(f, diag_q.entries)), range(1, f.degree + 1)
+    a, gs = even_part(f, diag_q.entries), range(1, f.degree + 1)
     zg = build_ZG(a, f)
     left = [StructureAlgebra(f, table, den=den) for table, den in zg.slots]
-    right = [even_part(CliffordAlgebra(f, [apply_automorphism(e, i) for e in diag_q.entries])) for i in gs]
+    right = [even_part(f, [apply_automorphism(e, i) for e in diag_q.entries]) for i in gs]
     return left == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in gs)

@@ -32,7 +32,7 @@ from .brauer import (
     squarefree_kernel,
     symbol_scale,
 )
-from .clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
+from .clifford import even_part, even_rank3_to_symbol
 from .csa import build_ZG, center, invariants, trace_form_signature
 from .errors import (
     CertificateFailure,
@@ -371,7 +371,7 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
         return report
     warnings = list(validation.warnings)
     diag = validation.diag
-    ev = even_part(CliffordAlgebra(f, diag.entries))
+    ev = even_part(f, diag.entries)
     if m == 3:
         report.c0_symbol = even_rank3_to_symbol(ev, diag.entries)
         report.cores_symbol_route = _symbol_route(report.c0_symbol, f, diag.entries)

@@ -21,7 +21,7 @@ from ksalgebra.brauer import (
     rational_symbol,
     reduced_symbol,
 )
-from ksalgebra.clifford import CliffordAlgebra, even_part, even_rank3_to_symbol
+from ksalgebra.clifford import even_part, even_rank3_to_symbol
 from ksalgebra.csa import build_ZG, verify_twisted_iso
 from ksalgebra.exactfield import RATIONAL_FIELD, quadratic_field
 from ksalgebra.pipeline import (
@@ -272,7 +272,7 @@ def test_criterion_4_random_rank3_quaternion_relations():
         one = f.one()
         for trial in range(100):
             entries = [_random_nonzero(f, rng) for _ in range(3)]
-            c0 = even_part(CliffordAlgebra(f, entries))
+            c0 = even_part(f, entries)
             symbol = even_rank3_to_symbol(c0, entries)
             a, b = symbol.a, symbol.b
             # 1, i, j, k map to C0's basis 1, e1e2, e1e3, e2e3 scaled by these
@@ -397,7 +397,7 @@ def test_criterion_8_twisted_comparison_and_negative_control(monkeypatch):
     failures = []
     if not verify_twisted_iso(diag, f):
         failures.append("comparison fails on the family form")
-    zg = build_ZG(even_part(CliffordAlgebra(f, diag.entries)), f)
+    zg = build_ZG(even_part(f, diag.entries), f)
     moves = list(zg.moves[2])
     moves[0], moves[1] = moves[1], moves[0]
     zg.moves[2] = moves

@@ -65,7 +65,7 @@ from hypothesis import strategies as st
 
 from ksalgebra import clifford, csa, pipeline, qform
 from ksalgebra.brauer import QuaternionSymbol
-from ksalgebra.clifford import CliffordAlgebra, even_part
+from ksalgebra.clifford import even_part
 from ksalgebra.csa import (
     FixedAlgebra,
     StructureAlgebra,
@@ -83,6 +83,7 @@ from ksalgebra.errors import (
 from ksalgebra.exactfield import RATIONAL_FIELD, FieldDescriptor, cyclic_cubic_field, quadratic_field
 
 import fraction_reference as ref
+from blade_reference import Blades
 from entries_table import EntriesTable, entries
 from fixed_table import fixed_table
 from kernel_oracle import oracle_tensor, rref
@@ -146,8 +147,8 @@ def tables(name: str) -> dict:
         f = quadratic_field(d)
         a = f.gen()
         rank3 = small = [a, a, a - d]
-    c0 = even_part(CliffordAlgebra(f, rank3))
-    z = build_ZG(c0 if small is rank3 else even_part(CliffordAlgebra(f, small)), f)
+    c0 = even_part(f, rank3)
+    z = build_ZG(c0 if small is rank3 else even_part(f, small), f)
     symbol = QuaternionSymbol(
         f.elem([Fraction(1, 2), 1]), f.elem([Fraction(2, 3), Fraction(1, 5)])
     )
@@ -255,7 +256,7 @@ def clifford_table(f, diagonal, flip) -> list:
     the twisted group algebra of (Z/2)^r with the Clifford cocycle, over
     the constants' common denominator; flip, if not None, is a cell (i, j)
     whose constant is negated."""
-    c = CliffordAlgebra(f, diagonal)
+    c = Blades(f, diagonal)
     products = [[c.blade_product(s, t) for t in range(c.dim)] for s in range(c.dim)]
     den = lcm(*(x.den for row in products for x, _ in row))
     table = [[(k, tuple([y * (den // x.den) for y in x.num])) for x, k in row] for row in products]
@@ -297,11 +298,11 @@ def swept_tables(case) -> dict:
     (d, c, e) gives C0 of diag(a, a, c a - d) over Q(sqrt d), its Z(A)
     (the oracle_tensor table of the slots) and its fixed algebra B."""
     if isinstance(case, int):
-        return {"C0": even_part(CliffordAlgebra(RATIONAL_FIELD, list(range(1, case + 1))))}
+        return {"C0": even_part(RATIONAL_FIELD, list(range(1, case + 1)))}
     d, c, e = case
     f = quadratic_field(d)
     a = f.gen()
-    c0 = even_part(CliffordAlgebra(f, [a, a, c * a - d]))
+    c0 = even_part(f, [a, a, c * a - d])
     z = build_ZG(c0, f)
     return {"C0": c0, "Z(A)": oracle_tensor(z.field, z.slots), "B": fixed_table(invariants(z))}
 
@@ -409,7 +410,7 @@ def generation_cases():
         ("cyclic quartic rank 2", quartic, [x, x - 1]),
         ("biquadratic rank 2", biquadratic, [y, y - 2]),
     ):
-        z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+        z = build_ZG(even_part(f, entries), f)
         yield f"{label} Z(A)", f, oracle_tensor(z.field, z.slots).table
     for m in range(3, 10):
         yield f"Q rank {m} C0", RATIONAL_FIELD, swept_tables(m)["C0"].table
@@ -454,7 +455,7 @@ def small_zg(name: str):
     }[name]()
     a = f.gen()
     entries = [a, a, a - 2] if name == "Q(sqrt 2)" else [a, a - 1]
-    return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    return build_ZG(even_part(f, entries), f)
 
 
 def corrupted_moves(name: str):
@@ -502,7 +503,7 @@ def dim64_zg(name: str):
         f = cyclic_cubic_field()
         form = pipeline.search_cubic_diagonal(f)
         entries = [form.entries[i][i] for i in range(form.dim)]
-    z = build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    z = build_ZG(even_part(f, entries), f)
     assert z.dim == 64
     return z
 
@@ -703,7 +704,7 @@ def symbol_with_broken_relation() -> None:
     """C0 of diag(1, 2, -3) over Q checked against the entries (1, 2, 3),
     whose symbol has the second slot negated."""
     f = RATIONAL_FIELD
-    c0 = even_part(CliffordAlgebra(f, [1, 2, -3]))
+    c0 = even_part(f, [1, 2, -3])
     clifford.even_rank3_to_symbol(c0, [f.rational(x) for x in (1, 2, 3)])
 
 
@@ -711,7 +712,7 @@ def symbol_of_a_corrupted_c0(i: int, j: int) -> None:
     """C0 of diag(1, 2, -3) over Q with u_i u_j doubled after construction
     (and so after its sweep)."""
     f = RATIONAL_FIELD
-    c0 = even_part(CliffordAlgebra(f, [1, 2, -3]))
+    c0 = even_part(f, [1, 2, -3])
     k, v = c0.table[i][j]
     c0.table[i][j] = k, tuple(x + x for x in v)
     clifford.even_rank3_to_symbol(c0, [f.rational(x) for x in (1, 2, -3)])
@@ -759,7 +760,7 @@ def family_zg():
     slot, u_i u_j = +-c u_{i xor j}, so u_1 u_3 lands on u_2."""
     f = quadratic_field(2)
     a = f.gen()
-    return build_ZG(even_part(CliffordAlgebra(f, [a, a, a - 2])), f)
+    return build_ZG(even_part(f, [a, a, a - 2]), f)
 
 
 def family_invariants_after(corrupt, slot: int) -> None:

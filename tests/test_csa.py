@@ -15,7 +15,7 @@ from ksalgebra.csa import (
     trace_form_signature,
     verify_twisted_iso,
 )
-from ksalgebra.clifford import CliffordAlgebra, even_part
+from ksalgebra.clifford import even_part
 from ksalgebra.errors import CertificateFailure, FieldMismatch, NotAssociative
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
@@ -264,7 +264,7 @@ def center_case(kind: str, args):
         entries = [f.gen() + s for s in args]
     else:
         f, entries = RATIONAL_FIELD, list(args)
-    return build_ZG(even_part(CliffordAlgebra(f, entries)), f)
+    return build_ZG(even_part(f, entries), f)
 
 
 @pytest.mark.parametrize("kind, args", CENTER_CASES)
@@ -506,7 +506,7 @@ def test_invariants_trivial_degree_one():
 
 def test_family_invariant_route_matches_mat2_hamilton():
     f, diag = family_diag(2, 1)
-    a = even_part(CliffordAlgebra(f, diag.entries))
+    a = even_part(f, diag.entries)
     zg = build_ZG(a, f)
     inv = invariants(zg)
     assert inv.dim == 16
@@ -527,10 +527,10 @@ def quarter_field() -> FieldDescriptor:
 def oracle_case(name: str):
     """The even Clifford algebra of one small diagonal form."""
     if name == "Q rank 3":
-        return even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 2, -3]))
+        return even_part(RATIONAL_FIELD, [1, 2, -3])
     if name == "Q(sqrt 17) by a quarter":
         f = quarter_field()
-        return even_part(CliffordAlgebra(f, [f.gen(), f.gen() + 1, f.gen() - 3]))
+        return even_part(f, [f.gen(), f.gen() + 1, f.gen() - 3])
     if name == "Q(sqrt 2) rank 4":
         f = Q2
         entries = [f.gen(), f.gen(), f.gen() - 2, f.gen() - 2]
@@ -547,7 +547,7 @@ def oracle_case(name: str):
         d, c = {"Q(sqrt 2)": (2, 1), "Q(sqrt 5)": (5, 1), "Q(sqrt 13)": (13, 2)}[name]
         f, diag = family_diag(d, c)
         entries = diag.entries
-    return even_part(CliffordAlgebra(f, entries))
+    return even_part(f, entries)
 
 
 ORACLE_CASES = (
@@ -664,7 +664,7 @@ def test_invariants_keep_no_packing_layout_across_calls(monkeypatch):
 def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(monkeypatch):
     f = cyclic_cubic_field()
     form = search_cubic_diagonal(f)
-    z = build_ZG(even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)])), f)
+    z = build_ZG(even_part(f, [form.entries[i][i] for i in range(form.dim)]), f)
     calls = []
     real = FieldDescriptor.quotient
 
@@ -679,25 +679,36 @@ def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(mo
     assert b.dim == 64
 
 
-@pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4", "Q rank 5", "Q(sqrt 5) rank 4"])
+@pytest.mark.parametrize(
+    "name", ["cubic search form", "Q(sqrt 2) rank 4", "Q rank 5", "Q(sqrt 5) rank 4", "cubic rank 4"]
+)
 def test_tables_hold_one_tuple_per_distinct_entry(name):
-    # C0 from monomial_algebra: every equal cell (k, v) is the one tuple,
-    # so the ids over all cells count the distinct cells, far fewer than
-    # the cells themselves
+    # C0 from monomial_algebra, and each slot build_ZG twists from it: every
+    # equal cell (k, v) is the one tuple, so the ids over all cells count
+    # the distinct cells, far fewer than the cells themselves
     if name == "Q(sqrt 5) rank 4":
         f = quadratic_field(5)
         a = f.gen()
-        c0 = even_part(CliffordAlgebra(f, [a, (a + 1) / 2, a - 3, a - 3]))
+        c0 = even_part(f, [a, (a + 1) / 2, a - 3, a - 3])
     elif name == "cubic search form":
         f = cyclic_cubic_field()
         form = search_cubic_diagonal(f)
-        c0 = even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)]))
+        c0 = even_part(f, [form.entries[i][i] for i in range(form.dim)])
     elif name == "Q rank 5":
-        c0 = even_part(CliffordAlgebra(RATIONAL_FIELD, [1, 1, -1, -1, -1]))
+        c0 = even_part(RATIONAL_FIELD, [1, 1, -1, -1, -1])
+    elif name == "cubic rank 4":
+        f = cyclic_cubic_field()
+        a = f.gen()
+        c0 = even_part(f, [a, a, a - 1, a - 2])
     else:
         c0 = oracle_case(name)
-    cells = [cell for row in c0.table for cell in row]
-    assert len({id(cell) for cell in cells}) == len(set(cells)) < len(cells)
+    slots = build_ZG(c0, c0.field).slots
+    assert len(slots) == c0.field.degree and slots[0][0] is c0.table
+    for table, _ in slots:
+        cells = [cell for row in table for cell in row]
+        assert len({id(cell) for cell in cells}) == len(set(cells)) < len(cells)
+        if name == "cubic rank 4":
+            assert (len(cells), len(set(cells))) == (64, 42)
 
 
 # the targets k of every ordered pair of orbits: the sums a readout of both orders unpacks
@@ -711,7 +722,7 @@ def dim64_zg(name):
     if name == "cubic search form":
         f = cyclic_cubic_field()
         form = search_cubic_diagonal(f)
-        c0 = even_part(CliffordAlgebra(f, [form.entries[i][i] for i in range(form.dim)]))
+        c0 = even_part(f, [form.entries[i][i] for i in range(form.dim)])
     else:
         c0 = oracle_case(name)
     return build_ZG(c0, c0.field)
@@ -922,7 +933,7 @@ def corrupt_a_slot_constant(zg, s: int) -> None:
 
 def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
     diag = diagonalize(GramForm.diagonal(RATIONAL_FIELD, [1, 1, -1]))
-    a = even_part(CliffordAlgebra(RATIONAL_FIELD, diag.entries))
+    a = even_part(RATIONAL_FIELD, diag.entries)
     zg = build_ZG(a, RATIONAL_FIELD)
     moves = list(zg.moves[1])
     moves[0], moves[1] = moves[1], moves[0]
@@ -938,7 +949,7 @@ def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
 
 def test_twisted_iso_negative_controls(monkeypatch):
     f, diag = family_diag(2, 1)
-    a = even_part(CliffordAlgebra(f, diag.entries))
+    a = even_part(f, diag.entries)
     zg = build_ZG(a, f)
     # corrupt one action entry
     moves = list(zg.moves[2])
@@ -960,6 +971,6 @@ def test_twisted_iso_rejects_slot_0_in_slot_1(monkeypatch):
     # slot 0 is C0 itself: associative, so it passes the sweep, but it is
     # not sigma_2(C0), which the Clifford construction builds for slot 1
     f, diag = family_diag(2, 1)
-    zg = build_ZG(even_part(CliffordAlgebra(f, diag.entries)), f)
+    zg = build_ZG(even_part(f, diag.entries), f)
     zg.slots[1] = zg.slots[0]
     assert verify_against(monkeypatch, diag, f, zg) is False
