@@ -8,11 +8,13 @@ denominator, with unit u_0, built and checked on those integers with the
 field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
 products); FieldElem constants become cells only in monomial_algebra, and
 check_products compares named cells with FieldElem constants on those
-integers.  One checking rule: the unit law and Z(A)'s slots and Galois
-action are always certified, and every StructureAlgebra is swept for
-associativity (check_associativity) where it is built; the fixed algebra
-B of Z(A) is never built as one, and invariants checks its readout with
-one exact checksum at every dim.  Failures raise NotAssociative,
+integers.  Every table is stored in lowest terms, so equal algebras store
+equal tables, each distinct cell one tuple made by one cell map.  One
+checking rule: the unit law and Z(A)'s slots and Galois action are always
+certified, and every StructureAlgebra is swept for associativity
+(check_associativity) where it is built; the fixed algebra B of Z(A) is
+never built as one, and invariants checks its readout with one exact
+checksum at every dim.  Failures raise NotAssociative,
 NotClosedUnderMultiplication, DimensionMismatch or CertificateFailure,
 under python -O too.
 
@@ -111,15 +113,11 @@ class StructureAlgebra:
     """
 
     def __init__(self, field: FieldDescriptor, constants, *, den: int = 1):
-        table = constants
-        zero = next(((i, j) for i, row in enumerate(table) for j, (_, v) in enumerate(row) if not any(v)), None)
+        zero = next(((i, j) for i, row in enumerate(constants) for j, (_, v) in enumerate(row) if not any(v)), None)
         if zero is not None:
             raise CertificateFailure("u_{} u_{} is zero: a cell must be one nonzero monomial".format(*zero))
-        g = gcd(den, *{x for row in table for _, v in row for x in v})
-        if g > 1:  # to lowest terms, so that equal algebras store equal tables
-            den //= g
-            table = [[(k, tuple([x // g for x in v])) for k, v in row] for row in table]
-        self.field, self.dim, self.den, self.table = field, len(table), den, table
+        table, self.den = _lowest_terms(constants, den)
+        self.field, self.dim, self.table = field, len(table), table
         self._check_unit()
         check_associativity(field, table)
 
@@ -144,16 +142,29 @@ class StructureAlgebra:
         )
 
 
-class _Entries(dict):
-    """The entries at index k of a table being built, for one call: the first
-    lookup of a key makes the tuple (k, vector(key)), later ones return it."""
+class _Cells(dict):
+    """The one cell map of a table being made, for one call: the first
+    lookup of a cell (k, c) makes the tuple (k, vector(c)), later ones
+    return it, and vector runs once per distinct c.  So each distinct cell
+    is one tuple, shared by every cell equal to it."""
 
-    def __init__(self, k: int, vector):
-        self.k, self.vector = k, vector
+    def __init__(self, vector):
+        self.vector = lru_cache(maxsize=None)(vector)
 
-    def __missing__(self, key):
-        self[key] = entry = (self.k, self.vector(key))
+    def __missing__(self, cell):
+        self[cell] = entry = (cell[0], self.vector(cell[1]))
         return entry
+
+
+def _lowest_terms(table, den: int) -> tuple[list, int]:
+    """(table, den) over the smallest denominator, so that equal algebras
+    store equal tables: each distinct vector divided once by the gcd of den
+    and every integer of the table."""
+    g = gcd(den, *{x for v in {v for row in table for _, v in row} for x in v})
+    if g == 1:
+        return table, den
+    cells = _Cells(lambda v: tuple([x // g for x in v]))
+    return [[cells[cell] for cell in row] for row in table], den // g
 
 
 def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
@@ -165,8 +176,8 @@ def monomial_algebra(field: FieldDescriptor, cells) -> StructureAlgebra:
     if any(c.field != field for c in given):
         raise FieldMismatch("structure constant in the wrong field")
     den = lcm(1, *{c.den for c in given})
-    shared = [_Entries(k, lambda c: tuple([x * (den // c.den) for x in c.num])) for k in range(len(cells))]
-    return StructureAlgebra(field, [[shared[k][c] for k, c in row] for row in cells], den=den)
+    shared = _Cells(lambda c: tuple([x * (den // c.den) for x in c.num]))
+    return StructureAlgebra(field, [[shared[cell] for cell in row] for row in cells], den=den)
 
 
 def check_products(alg: StructureAlgebra, products) -> None:
@@ -184,20 +195,11 @@ def check_products(alg: StructureAlgebra, products) -> None:
 
 def _twist(field: FieldDescriptor, table, den: int, i: int) -> tuple[list, int]:
     """(constants, den) of the table over den with sigma_i applied to each
-    of its distinct integer vectors once; each distinct cell's image is one
-    tuple, shared by every cell equal to it, as in C0."""
-    images = {}
-    for v in {v for row in table for _, v in row}:
-        r, scale = field.automorphism(i, v)  # the same scale for every v
-        images[v] = tuple(r)
-    cells = {cell: (cell[0], images[cell[1]]) for row in table for cell in row}
-    return [[cells[cell] for cell in row] for row in table], den * scale
-
-
-def _scaled(table, by: int) -> list:
-    """table with each of its distinct integer vectors times by, once."""
-    images = {v: tuple([x * by for x in v]) for v in {v for row in table for _, v in row}}
-    return [[(k, images[v]) for k, v in row] for row in table]
+    of its distinct integer vectors once, in lowest terms; each distinct
+    cell's image is one tuple, shared by every cell equal to it, as in C0."""
+    _, scale = field.automorphism(i, (0,) * field.degree)  # sigma_i's one denominator, for every vector
+    images = _Cells(lambda v: tuple(field.automorphism(i, v)[0]))
+    return _lowest_terms([[images[cell] for cell in row] for row in table], den * scale)
 
 
 # -- the G-module Z_G(A) -------------------------------------------------------------
@@ -214,11 +216,12 @@ def _slot_moves(f: FieldDescriptor, m: int, g: int) -> list[int]:
 class GaloisModuleAlgebra:
     """Z(A) = A_{sigma_1} tensor ... tensor A_{sigma_d} with its G-action.
 
-    slots[s] is A_{sigma_{s+1}} as (constants, den), slots[0] A's own.  Z(A)
-    has dim (dim A)^d and the monomial basis u_t, t read in base dim A with
-    slot 0 the leading digit; products gives its products over den, the slot
-    denominators times reduction_den^(d-1).  sigma_g acts semilinearly by the
-    monomial permutation moves[g]: sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}.
+    slots[s] is A_{sigma_{s+1}} as (constants, den) in lowest terms,
+    slots[0] A's own.  Z(A) has dim (dim A)^d and the monomial basis u_t, t
+    read in base dim A with slot 0 the leading digit; products gives its
+    products over den, the slot denominators times reduction_den^(d-1).
+    sigma_g acts semilinearly by the monomial permutation moves[g]:
+    sigma_g(c u_t) = sigma_g(c) u_{moves[g][t]}.
     The action is certified at construction; the slots' shape, each cell one
     nonzero monomial, by invariants, which reads it.
     """
@@ -256,15 +259,15 @@ class GaloisModuleAlgebra:
         """Exact certification of the Galois action on the slots and moves.
 
         Each move is a bijection.  sigma_g, applied by _twist once to each
-        distinct vector of slot s, takes its cells (k, v) to those of slot
-        pi_g(s), hosting sigma_g . sigma_{s+1}, over one denominator.  So
-        each slot is certified as sigma_g(A), associative by A's sweep, and
-        so is Z(A), their tensor product (Pierce, Associative Algebras, GTM
-        88); the slots' shape is certified where it is read, by invariants.
-        The moves follow the group law of G; each carries digit s of every
-        monomial to slot pi_g(s) as _slot_moves made it, not compared again.
-        The coefficient part of the action is the field automorphism,
-        certified with the field.
+        distinct vector of slot s, takes slot s to slot pi_g(s), hosting
+        sigma_g . sigma_{s+1}: both are (cells, den) in lowest terms,
+        compared with ==.  So each slot is certified as sigma_g(A),
+        associative by A's sweep, and so is Z(A), their tensor product
+        (Pierce, Associative Algebras, GTM 88); the slots' shape is
+        certified where it is read, by invariants.  The moves follow the
+        group law of G; each carries digit s of every monomial to slot
+        pi_g(s) as _slot_moves made it.  The coefficient part of the action
+        is the field automorphism, certified with the field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
         field pins sigma_1 to X, and the group law at (1, 1) gives
@@ -276,12 +279,11 @@ class GaloisModuleAlgebra:
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
             for s, (table, den) in enumerate(slots if g > 1 else ()):
                 s2 = f.compose(g, s + 1) - 1
-                (image, den1), (target, den2) = _twist(f, table, den, g), slots[s2]
-                if den1 != den2:  # then over den1 den2; never for integral automorphism matrices
-                    image, target = _scaled(image, den2), _scaled(target, den1)
+                image, target = _twist(f, table, den, g), slots[s2]
                 if image != target:
-                    i, j = next((i, j) for i, j in product(range(m), repeat=2) if image[i][j] != target[i][j])
-                    raise CertificateFailure(f"action {g} does not take slot {s} to slot {s2} at ({i},{j})")
+                    at = next((f"({i},{j})" for i, j in product(range(m), repeat=2)
+                               if image[0][i][j] != target[0][i][j]), "its denominator")
+                    raise CertificateFailure(f"action {g} does not take slot {s} to slot {s2} at {at}")
         for (g1, p1), (g2, p2) in product(self.moves.items(), repeat=2):
             p12 = self.moves[f.compose(g1, g2)]
             t = next((t for t in range(n) if p1[p2[t]] != p12[t]), None)
@@ -353,7 +355,7 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     representatives, the monomials t with no smaller image; the one at t
     ranges over E^H, H the stabiliser of t.  The basis is Tr_{G/H}(b u_t)
     for the RREF rows b of E^H, which the H-traces of 1, alpha, ...,
-    alpha^(d-1) span (reduced with linalg.echelon_reduce over Q), so in the
+    alpha^(d-1) span (one fraction-free linalg.echelon_reduce), so in the
     Q-basis alpha^l u_t it is the RREF basis of the fixed subspace.  A
     basis element that gives one monomial two values raises
     CertificateFailure.  Every move fixes monomial 0, so E^H = Q there and
@@ -398,18 +400,9 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
         if min(images) < t:
             continue
         stab = targets[t] = tuple(g for g, s in zip(gs, images) if s == t)
-        if stab not in fields:  # the reduced echelon of E^H, each row primitive
-            echelon: dict = {}
-            for x in powers:
-                trace = sum((apply_automorphism(x, h) for h in stab), f.zero()).num
-                w = echelon_reduce(RATIONAL_FIELD, echelon, {l: (c,) for l, c in enumerate(trace) if c})
-                if w:
-                    echelon = {p: echelon_reduce(RATIONAL_FIELD, {min(w): w}, r) for p, r in echelon.items()}
-                    echelon[min(w)] = w
-            # a primitive row over its pivot is an RREF row, of denominators with lcm |pivot|
-            pivots = sorted(echelon)
-            scale = lcm(*(echelon[p][p][0] for p in pivots))
-            rows = [[echelon[p].get(l, (0,))[0] * (scale // echelon[p][p][0]) for l in range(d)] for p in pivots]
+        if stab not in fields:  # E^H as the RREF of the H-traces of the powers, over one scale
+            pivots, rows, scale = echelon_reduce([sum((apply_automorphism(x, h) for h in stab), f.zero()).num
+                                                  for x in powers])
             conjugates = [tuple([apply_automorphism(f.from_integers(r, scale), g) for r in rows]) for g in gs]
             free = [(l, [r[l] for r in rows]) for l in range(d) if l not in pivots]
             fields[stab] = pivots, free, scale, [interned.setdefault(a, len(interned)) for a in conjugates]
@@ -545,20 +538,17 @@ def verify_twisted_iso(diag_q: DiagForm, f: FieldDescriptor) -> bool:
 
     The two sides are built through different code paths: the left is the
     slots of build_ZG, the structure constants of C0(Q) twisted by each
-    sigma_i, each swept as a table; the right runs even_part on the
-    sigma_i-conjugated diagonal entries.  They are compared slot by slot,
-    which compares their tensor products: each factor's unit is u_0, so
-    (u_i x u_0 x ...)(u_j x u_0 x ...) is the first factor's u_i u_j times
-    the unit, likewise in every slot, and two tensor tables are equal
-    exactly when their factors are (Pierce, Associative Algebras, GTM 88);
-    StructureAlgebra stores each in lowest terms, so == is canonical.  The
-    stored G-action must match the slot-permutation action that _slot_moves
-    recomputes.
+    sigma_i; the right is C0(Q) for sigma_1 and even_part on the
+    sigma_i-conjugated diagonal entries, each swept once: d sweeps.  They
+    are compared slot by slot, which compares their tensor products: each
+    factor's unit is u_0, so (u_i x u_0 x ...)(u_j x u_0 x ...) is the
+    first factor's u_i u_j times the unit, likewise in every slot, and two
+    tensor tables are equal exactly when their factors are (Pierce,
+    Associative Algebras, GTM 88).  Both sides are (table, den) in lowest
+    terms, so == is canonical; build_ZG certified Z(A)'s G-action.
     """
     from .clifford import even_part  # layering: clifford builds on csa
 
-    a, gs = even_part(f, diag_q.entries), range(1, f.degree + 1)
-    zg = build_ZG(a, f)
-    left = [StructureAlgebra(f, table, den=den) for table, den in zg.slots]
-    right = [even_part(f, [apply_automorphism(e, i) for e in diag_q.entries]) for i in gs]
-    return left == right and all(zg.moves[g] == _slot_moves(f, a.dim, g) for g in gs)
+    a = even_part(f, diag_q.entries)
+    right = [a] + [even_part(f, [apply_automorphism(e, i) for e in diag_q.entries]) for i in range(2, f.degree + 1)]
+    return build_ZG(a, f).slots == [(c.table, c.den) for c in right]

@@ -110,6 +110,7 @@ class FieldDescriptor:
             raise InvalidDescriptor("min_poly must have degree >= 1")
         if p[-1] != 1:
             raise InvalidDescriptor("min_poly must be monic")
+        self._pz = _integral(p)  # P times the lcm of its denominators, read by every sign
         self.automorphisms: list[Poly] = [pmod(poly(a), p) for a in automorphisms]
         self.embeddings: list[tuple[Fraction, Fraction]] = [
             (Fraction(lo), Fraction(hi)) for lo, hi in embeddings
@@ -135,7 +136,7 @@ class FieldDescriptor:
     # -- validation -------------------------------------------------------
 
     def _validate(self, images: list["FieldElem"]) -> None:
-        d, p, pz = self.degree, self.min_poly, _integral(self.min_poly)
+        d, p, pz = self.degree, self.min_poly, self._pz
         if len(images) != d:
             raise NonGaloisField(f"need exactly {d} automorphisms, got {len(images)}")
         if images[0] != self.gen():
@@ -184,8 +185,7 @@ class FieldDescriptor:
         denominators, so such a root lies in (1/D)Z: halve its isolating
         interval below 1/D and test the point of (1/D)Z nearest the middle:
         a root in the interval is nearer than 1/2D, so no tie can hide it."""
-        p = _integral(self.min_poly)
-        den = p[-1]
+        p, den = self._pz, self._pz[-1]
         for i in range(self.degree):
             for lo, hi, q in self._halvings(i):
                 if (hi - lo) * den < q:
@@ -363,7 +363,7 @@ class FieldDescriptor:
         lo, hi = self.embeddings[idx0]
         q = lcm(lo.denominator, hi.denominator)
         lo, hi = lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator)
-        p = _integral(self.min_poly)
+        p = self._pz
         below = _value(p, lo, q) < 0  # P's sign at lo, which every halving keeps
         for _ in range(_BISECTION_CAP):
             yield lo, hi, q

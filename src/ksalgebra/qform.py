@@ -262,6 +262,8 @@ def gram_from_json_dict(field: FieldDescriptor, doc: dict) -> GramForm:
     m = doc["dim"]
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise MalformedInput("key 'dim': expected a positive integer")
+    if m * field.degree > 21:  # a projective K3 has a transcendental lattice of rank at most 21
+        raise MalformedInput(f"key 'dim': dim times the field degree must be at most 21, got {m} x {field.degree}")
     rows = doc["entries"]
     if not isinstance(rows, list) or len(rows) != m or any(
         not isinstance(r, list) or len(r) != m for r in rows

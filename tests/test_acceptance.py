@@ -397,10 +397,10 @@ def test_criterion_8_twisted_comparison_and_negative_control(monkeypatch):
     failures = []
     if not verify_twisted_iso(diag, f):
         failures.append("comparison fails on the family form")
+    # a corrupted coefficient action: slot 1 holds sigma_1(C0), slot 0,
+    # where sigma_2(C0) belongs
     zg = build_ZG(even_part(f, diag.entries), f)
-    moves = list(zg.moves[2])
-    moves[0], moves[1] = moves[1], moves[0]
-    zg.moves[2] = moves
+    zg.slots[1] = zg.slots[0]
     monkeypatch.setattr(csa, "build_ZG", lambda a, field: zg)
     if verify_twisted_iso(diag, f):
         failures.append("corrupted action went undetected")

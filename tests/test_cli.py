@@ -240,6 +240,19 @@ def test_orbits_up_to_the_degree_cap_answer_within_a_second(argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.wallclock
+def test_report_refuses_rank_11_over_a_quadratic_field_within_a_second(tmp_path):
+    # m d = 22 > 21, the K3 bound: refused before Z(A), of dim 2^20, is built
+    m = 11
+    path = write_input(tmp_path, {"field": {"quadratic_d": 2}, "form": {
+        "dim": m, "entries": [["1" if i == j else "0" for j in range(m)] for i in range(m)]}})
+    start = time.perf_counter()
+    done = cli_subprocess("report", "--input", path, optimize=False, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2
+    assert done.stderr == b"error: key 'dim': dim times the field degree must be at most 21, got 11 x 2\n"
+
+
 def test_six_lines_reports_family_class(capsys):
     assert run(["six-lines", "--d", "2", "--c", "1", "--e", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,7 @@
 import re
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd
 
 import pytest
 
@@ -16,7 +17,7 @@ from ksalgebra.csa import (
     verify_twisted_iso,
 )
 from ksalgebra.clifford import even_part
-from ksalgebra.errors import CertificateFailure, FieldMismatch, NotAssociative
+from ksalgebra.errors import CertificateFailure, FieldMismatch
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
     FieldDescriptor,
@@ -557,7 +558,7 @@ ORACLE_CASES = (
 
 
 def test_slots_over_two_denominators_are_compared_on_both():
-    # the action certificate scales each side once to one denominator: it
+    # the action certificate compares both sides in lowest terms: it
     # accepts Z(A) over quarter_field(), whose slots are over 2 and 4, and
     # names the cell of slot 1 corrupted after construction
     z = build_ZG(oracle_case("Q(sqrt 17) by a quarter"), quarter_field())
@@ -567,6 +568,25 @@ def test_slots_over_two_denominators_are_compared_on_both():
     table[2][3] = k, tuple(x + x for x in v)
     with pytest.raises(CertificateFailure, match=re.escape("action 2 does not take slot 0 to slot 1 at (2,3)")):
         z._check_actions()
+
+
+def test_a_slot_over_another_denominator_is_named():
+    # equal cells over another denominator are another algebra: every
+    # constant of slot 1 halved
+    z = build_ZG(oracle_case("Q(sqrt 17) by a quarter"), quarter_field())
+    table, den = z.slots[1]
+    z.slots[1] = table, 2 * den
+    with pytest.raises(CertificateFailure, match="action 2 does not take slot 0 to slot 1 at its denominator"):
+        z._check_actions()
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_every_slot_is_stored_in_lowest_terms(name):
+    # C0 and each twist over the smallest denominator, so that == compares
+    # algebras: the quarter field's twist over 2 and 4 too
+    a = oracle_case(name)
+    for table, den in build_ZG(a, a.field).slots:
+        assert gcd(den, *(x for row in table for _, v in row for x in v)) == 1
 
 
 # the two quartic cases (n = 16) have an orbit of size 2, where E^H is a
@@ -931,45 +951,71 @@ def corrupt_a_slot_constant(zg, s: int) -> None:
     table[1][2] = k, tuple(x + x for x in v)
 
 
+def negate_a_slot_constant(zg, s: int) -> None:
+    """Negate u_1 u_2 in slot s of zg."""
+    table, _ = zg.slots[s]
+    k, v = table[1][2]
+    table[1][2] = k, tuple(-x for x in v)
+
+
 def test_twisted_iso_degree_one_checks_a_passed_zg(monkeypatch):
+    # the slot is compared with C0 as stored, so each corrupted coefficient
+    # action gives False: slot 0 over twice its denominator, or with one
+    # constant doubled
     diag = diagonalize(GramForm.diagonal(RATIONAL_FIELD, [1, 1, -1]))
     a = even_part(RATIONAL_FIELD, diag.entries)
     zg = build_ZG(a, RATIONAL_FIELD)
-    moves = list(zg.moves[1])
-    moves[0], moves[1] = moves[1], moves[0]
-    zg.moves[1] = moves
+    table, den = zg.slots[0]
+    zg.slots[0] = table, 2 * den
     assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg) is False
-    # the left side sweeps each slot it compares: a corrupted constant
-    # breaks associativity there
     zg2 = build_ZG(a, RATIONAL_FIELD)
     corrupt_a_slot_constant(zg2, 0)
-    with pytest.raises(NotAssociative):
-        verify_against(monkeypatch, diag, RATIONAL_FIELD, zg2)
+    assert verify_against(monkeypatch, diag, RATIONAL_FIELD, zg2) is False
 
 
 def test_twisted_iso_negative_controls(monkeypatch):
     f, diag = family_diag(2, 1)
     a = even_part(f, diag.entries)
+    # a corrupted coefficient action: one constant of the twisted slot
+    # negated, or doubled
     zg = build_ZG(a, f)
-    # corrupt one action entry
-    moves = list(zg.moves[2])
-    moves[5] = (moves[5] + 1) % len(moves)
-    zg.moves[2] = moves
+    negate_a_slot_constant(zg, 1)
     assert verify_against(monkeypatch, diag, f, zg) is False
-    # corrupt a stored integer constant of the twisted slot instead
     zg2 = build_ZG(a, f)
     corrupt_a_slot_constant(zg2, 1)
-    with pytest.raises(NotAssociative):
-        verify_against(monkeypatch, diag, f, zg2)
+    assert verify_against(monkeypatch, diag, f, zg2) is False
     # or store the two slots, each associative, in the wrong order
     zg3 = build_ZG(a, f)
     zg3.slots.reverse()
     assert verify_against(monkeypatch, diag, f, zg3) is False
 
 
+@pytest.mark.parametrize("name", ["Q rank 3", "family form", "cubic search form"])
+def test_twisted_iso_sweeps_once_per_slot(monkeypatch, name):
+    # C0 for sigma_1 and one conjugate even_part per other sigma_i: d
+    # sweeps, none of Z(A)'s slots swept again
+    if name == "Q rank 3":
+        f, diag = RATIONAL_FIELD, diagonalize(GramForm.diagonal(RATIONAL_FIELD, [1, 1, -1]))
+    elif name == "family form":
+        f, diag = family_diag(2, 1)
+    else:
+        f = cyclic_cubic_field()
+        diag = diagonalize(search_cubic_diagonal(f))
+    swept = []
+    real = csa.check_associativity
+
+    def sweep(field, table):
+        swept.append(len(table))
+        real(field, table)
+
+    monkeypatch.setattr(csa, "check_associativity", sweep)
+    assert verify_twisted_iso(diag, f) is True
+    assert swept == [4] * f.degree
+
+
 def test_twisted_iso_rejects_slot_0_in_slot_1(monkeypatch):
-    # slot 0 is C0 itself: associative, so it passes the sweep, but it is
-    # not sigma_2(C0), which the Clifford construction builds for slot 1
+    # slot 0 is C0 itself: associative, so no sweep would catch it, but it
+    # is not sigma_2(C0), which the Clifford construction builds for slot 1
     f, diag = family_diag(2, 1)
     zg = build_ZG(even_part(f, diag.entries), f)
     zg.slots[1] = zg.slots[0]

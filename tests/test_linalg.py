@@ -1,5 +1,6 @@
 """The test oracles' exact linear algebra: their Fraction rref, and their
-kernel against a brute-force check.
+kernel against a brute-force check; and the package's fraction-free
+linalg.echelon_reduce against that rref.
 
 kernel_oracle.kernel is read off rref, so ranks here come from minors
 instead: the largest nonzero one, by cofactor expansion, shares no code
@@ -8,8 +9,11 @@ with either.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from hypothesis import given, settings, strategies as st
+
+from ksalgebra.linalg import echelon_reduce
 
 from kernel_oracle import coords_in_rref_sparse, kernel, rref
 
@@ -117,3 +121,31 @@ def test_rref_and_coords():
     v = {0: F(2), 1: F(4), 2: F(3), 3: F(11)}  # 2*row0 + 3*row1
     assert coords_in_rref_sparse(sparse, pivots, v) == [F(2), F(3)]
     assert coords_in_rref_sparse(sparse, pivots, {1: F(1)}) is None
+
+
+def check_echelon_against_rref(rows):
+    """echelon_reduce(rows) is the oracle's RREF over scale, with each row
+    primitive over its pivot and scale the lcm of those pivots."""
+    pivots, got, scale = echelon_reduce(rows)
+    want, want_pivots = rref(mat(rows)) if rows else ([], [])
+    assert pivots == want_pivots
+    assert [[F(x, scale) for x in row] for row in got] == want
+    primitive = [[x // gcd(*row) for x in row] for row in got]
+    assert [row[p] > 0 for row, p in zip(primitive, pivots)] == [True] * len(pivots)
+    assert scale == lcm(*(row[p] for row, p in zip(primitive, pivots)))
+
+
+def test_echelon_reduce_zero_dependent_and_negative_leading_rows():
+    # a zero row, a row twice another and a negative leading entry give
+    # the RREF [[1, 0, 1/3, 0], [0, 1, 0, 1/2]], over 6 in integers
+    rows = [[0, 0, 0, 0], [-3, 0, -1, 0], [-6, 0, -2, 0], [0, 2, 0, 1]]
+    assert echelon_reduce(rows) == ([0, 1], [[6, 0, 2, 0], [0, 6, 0, 3]], 6)
+    check_echelon_against_rref(rows)
+    assert echelon_reduce([[0, 0], [0, 0]]) == ([], [], 1)
+    assert echelon_reduce([]) == ([], [], 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4), max_size=6))
+def test_echelon_reduce_is_the_rref_of_small_int_matrices(rows):
+    check_echelon_against_rref(rows)

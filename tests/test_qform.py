@@ -340,6 +340,25 @@ def test_gram_json_malformed(doc, needle):
         gram_from_json_dict(Q2, doc)
 
 
+def identity_doc(m: int, entries="1") -> dict:
+    """The "form" document of the identity of rank m, entries its diagonal."""
+    return {"dim": m, "entries": [[entries if i == j else "0" for j in range(m)] for i in range(m)]}
+
+
+def test_gram_json_reads_rank_21_over_Q():
+    # m d = 21, the largest transcendental rank of a projective K3
+    g = gram_from_json_dict(RATIONAL_FIELD, identity_doc(21))
+    assert g.dim == 21 and g.entries[20][20] == RATIONAL_FIELD.one()
+
+
+@pytest.mark.parametrize("field, m", [(RATIONAL_FIELD, 22), (Q2, 11)], ids=["Q rank 22", "sqrt2 rank 11"])
+def test_gram_json_refuses_a_rank_past_21_before_reading_an_entry(field, m):
+    # the entries would be refused too; dim is named first, with the bound
+    with pytest.raises(MalformedInput, match=re.escape(
+            f"key 'dim': dim times the field degree must be at most 21, got {m} x {field.degree}")):
+        gram_from_json_dict(field, identity_doc(m, entries="x"))
+
+
 def malformed_grams() -> list:
     """(rows over Q(sqrt 2), message) that GramForm must refuse in every
     mode, with the message the JSON reader gives for the same entries."""
