@@ -5,8 +5,8 @@ per cell, as every table built here is, C0 and its sigma-twists: blades
 multiply to one blade (Lam, Introduction to Quadratic Forms over Fields,
 Ch. V).  StructureAlgebra holds c as an integer vector over one common
 denominator, with unit u_0, built and checked on those integers with the
-field's kernel (FieldDescriptor multiply, accumulate, reduce and the packed
-products); FieldElem constants become cells only in monomial_algebra, and
+field's kernel (FieldDescriptor multiply and the packed products);
+FieldElem constants become cells only in monomial_algebra, and
 check_products compares named cells with FieldElem constants on those
 integers.  Every table is stored in lowest terms, so equal algebras store
 equal tables, each distinct cell one tuple made by one cell map.  One
@@ -259,15 +259,16 @@ class GaloisModuleAlgebra:
         """Exact certification of the Galois action on the slots and moves.
 
         Each move is a bijection.  sigma_g, applied by _twist once to each
-        distinct vector of slot s, takes slot s to slot pi_g(s), hosting
-        sigma_g . sigma_{s+1}: both are (cells, den) in lowest terms,
-        compared with ==.  So each slot is certified as sigma_g(A),
-        associative by A's sweep, and so is Z(A), their tensor product
-        (Pierce, Associative Algebras, GTM 88); the slots' shape is
-        certified where it is read, by invariants.  The moves follow the
-        group law of G; each carries digit s of every monomial to slot
-        pi_g(s) as _slot_moves made it.  The coefficient part of the action
-        is the field automorphism, certified with the field.
+        distinct vector of slot s >= 1, takes slot s to slot pi_g(s),
+        hosting sigma_g . sigma_{s+1}: both are (cells, den) in lowest
+        terms, compared with ==.  Slot 0, A, is not twisted again: __init__
+        made its twist by sigma_g, slot g - 1.  So each slot is certified
+        as sigma_g(A), associative by A's sweep, and so is Z(A), their
+        tensor product (Pierce, Associative Algebras, GTM 88); the slots'
+        shape is certified where it is read, by invariants.  The moves
+        follow the group law of G; each carries digit s of every monomial
+        to slot pi_g(s) as _slot_moves made it.  The coefficient part of
+        the action is the field automorphism, certified with the field.
 
         The cells are not compared for sigma_1, and nothing is lost: the
         field pins sigma_1 to X, and the group law at (1, 1) gives
@@ -277,7 +278,7 @@ class GaloisModuleAlgebra:
         for g, pt in self.moves.items():
             if sorted(pt) != list(range(n)):
                 raise CertificateFailure(f"action {g}: monomial move is not a bijection")
-            for s, (table, den) in enumerate(slots if g > 1 else ()):
+            for s, (table, den) in enumerate(slots[1:] if g > 1 else (), 1):
                 s2 = f.compose(g, s + 1) - 1
                 image, target = _twist(f, table, den, g), slots[s2]
                 if image != target:

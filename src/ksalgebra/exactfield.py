@@ -10,12 +10,12 @@ acts by an integer matrix, so every operation is exact and no floating
 point appears anywhere.
 
 The field owns the integer-vector kernel that FieldElem, qform and csa
-share: accumulate sums products of vectors per output index, unreduced;
-reduce takes a sum mod P by the integer matrix whose columns are X^k mod
-P, over reduction_den; multiply reduces one product, convolved into 2d - 1
-ints; adjugate gives the product of the other conjugates, for inverses,
-norms and exact division.  Over Q a product is one integer product:
-accumulate holds the package's one degree-1 branch.
+share: multiply convolves two vectors into 2d - 1 ints and reduce takes
+them mod P by the integer matrix whose columns are X^k mod P, over
+reduction_den, and as reduce is linear a sum of products is the sum of
+their multiply; adjugate gives the product of the other conjugates, for
+inverses, norms and exact division.  No product branches on the degree:
+Q is the field of degree 1, with the same kernel.
 pack_matrices, pack_vectors and unpacker sum many M_a y = reduce(a y) in
 one int by Kronecker substitution, at a digit width packing_width bounds; a
 packed M_a has room for d vectors, so it is packed once for every count,
@@ -214,34 +214,12 @@ class FieldDescriptor:
 
     # -- the integer-vector kernel -------------------------------------------
 
-    def accumulate(self, sums: dict, a: Sequence[int], row) -> None:
-        """sums[s] += a * b for each (s, b) in row, unreduced: a and each b
-        are d ints, and a sum is a list of 2d - 1 ints for reduce to read."""
-        if self.degree == 1:
-            (a,) = a
-            for s, (b,) in row:
-                acc = sums.get(s)
-                if acc is None:
-                    sums[s] = [a * b]
-                else:
-                    acc[0] += a * b
-            return
-        width = 2 * self.degree - 1
-        for s, b in row:
-            acc = sums.get(s)
-            if acc is None:
-                acc = sums[s] = [0] * width
-            for p, ap in enumerate(a):
-                if ap:
-                    for q, bq in enumerate(b):
-                        acc[p + q] += ap * bq
-
     def reduce(self, acc: Sequence[int]) -> tuple[int, ...]:
         """acc(alpha) in the power basis, as d ints over reduction_den.
 
         acc holds the integer coefficients of a polynomial of degree at
-        most 2d - 2, such as a sum from accumulate.  It is reduced mod P
-        by the integer matrix whose column k is X^k mod P.
+        most 2d - 2, such as a convolved product.  It is reduced mod P by
+        the integer matrix whose column k is X^k mod P.
         """
         return tuple([sum(map(mul, row, acc)) for row in self._reduction])
 

@@ -37,6 +37,7 @@ from .csa import build_ZG, center, invariants, trace_form_signature
 from .errors import (
     CertificateFailure,
     InvalidPermutation,
+    MalformedInput,
     ParameterConstraintViolated,
     RouteDisagreement,
 )
@@ -48,6 +49,9 @@ from .exactfield import (
     sign_at_embedding,
 )
 from .qform import GramForm, validate_k3_rm
+
+MAX_C0_DIM = 1024  # a report's budget: rank 11 over Q, C0 of dim 1024, takes ~15 s
+MAX_CORES_DIM = 4096  # and a corestriction of dim 4096, over a quartic or a sextic, 21-63 s
 
 # -- orbit combinatorics of sign vectors ----------------------------------------------
 
@@ -347,7 +351,8 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
     routes run and their definiteness verdicts are compared; a conflict
     raises RouteDisagreement (it would mean one of two independent
     computations is wrong).  For higher rank only the invariant route
-    runs and no quaternion classification is claimed.
+    runs and no quaternion classification is claimed.  A valid form past
+    MAX_C0_DIM or MAX_CORES_DIM raises MalformedInput before C0 is built.
     """
     validation = validate_k3_rm(f, g)
     d = f.degree
@@ -369,6 +374,9 @@ def ks_report(f: FieldDescriptor, g: GramForm) -> KSReport:
     )
     if not validation.passed:
         return report
+    if 2 ** (m - 1) > MAX_C0_DIM or report.cores_dim > MAX_CORES_DIM:
+        raise MalformedInput(f"key 'dim': a report builds C0 of dim at most {MAX_C0_DIM} and its corestriction "
+                             f"of dim at most {MAX_CORES_DIM}, got {2 ** (m - 1)} and {report.cores_dim}")
     warnings = list(validation.warnings)
     diag = validation.diag
     ev = even_part(f, diag.entries)

@@ -131,17 +131,18 @@ def congruence_diagonalize(matrix, field: FieldDescriptor):
 
 
 def _congruence_products(field: FieldDescriptor, matrix, cols) -> list[list[tuple[int, ...]]]:
-    """cols[i]^T matrix cols[j] at (i, j), summed with FieldDescriptor.accumulate
-    and reduced twice, so over reduction_den^2 and the columns' denominators."""
+    """cols[i]^T matrix cols[j] at (i, j): each entry of matrix cols[j], then
+    of cols[i]^T times those, is the sum of the FieldDescriptor.multiply
+    products of its terms with no zero factor, so over reduction_den^2 and
+    the columns' denominators."""
+    multiply, zero = field.multiply, (0,) * field.degree
 
-    def times(v, rows):  # v^T rows, reduced
-        sums: dict = {}
-        for x, row in zip(v, rows):
-            field.accumulate(sums, x, enumerate(row))
-        return [field.reduce(sums[j]) for j in range(len(rows))]
+    def dot(u, v):
+        terms = [multiply(x, y) for x, y in zip(u, v) if any(x) and any(y)]
+        return tuple(map(sum, zip(*terms))) if terms else zero
 
-    images = list(zip(*(times(c, matrix) for c in cols)))  # images[r][j] = (matrix cols[j])_r
-    return [times(c, images) for c in cols]
+    images = [[dot(row, c) for row in matrix] for c in cols]  # images[j] = matrix cols[j]
+    return [[dot(c, y) for y in images] for c in cols]
 
 
 def diagonalize(g: GramForm) -> DiagForm:

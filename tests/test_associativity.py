@@ -895,7 +895,7 @@ NEW_CERTIFICATES = (
     ("slot cell", invariants_of_zeroed_dual_numbers, "slot 0 product u_1 u_1 is not one monomial"),
     ("slot shape of a group algebra", invariants_of_a_group_algebra,
      "slot 0 products u_2 u_1 and u_1 u_2 land on different monomials"),
-    ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 0 to slot 1 at (1,2)"),
+    ("slot action", certify_a_corrupted_slot, "action 2 does not take slot 1 to slot 0 at (1,2)"),
     ("move bijection", certify_a_move_that_is_not_a_bijection, "action 2: monomial move is not a bijection"),
     ("trace form division", trace_form_with_a_wrong_division, "congruence certificate P^T G P fails at (1,1)"),
     ("congruence off the diagonal", diagonalize_with_an_off_diagonal_product,

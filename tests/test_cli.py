@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ksalgebra.cli import _parse_rational_flag, run
 from ksalgebra.errors import MalformedInput
-from ksalgebra.exactfield import cyclic_cubic_field, field_to_json_dict, parse_rational, quadratic_field
+from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, field_to_json_dict, parse_rational, quadratic_field
 from ksalgebra.pipeline import search_cubic_diagonal
 
 FAMILY_INPUT = {
@@ -251,6 +251,21 @@ def test_report_refuses_rank_11_over_a_quadratic_field_within_a_second(tmp_path)
     assert time.perf_counter() - start < 1.0
     assert done.returncode == 2
     assert done.stderr == b"error: key 'dim': dim times the field degree must be at most 21, got 11 x 2\n"
+
+
+@pytest.mark.wallclock
+def test_report_refuses_rank_13_over_Q_within_a_second(tmp_path):
+    # a K3 rank (m d = 13), but C0 of dim 4096 is past the report budget:
+    # refused once the form validates, before C0 is built
+    m = 13
+    entries = [[("1" if i < 2 else "-1") if i == j else "0" for j in range(m)] for i in range(m)]
+    path = write_input(tmp_path, {"field": field_to_json_dict(RATIONAL_FIELD), "form": {"dim": m, "entries": entries}})
+    start = time.perf_counter()
+    done = cli_subprocess("report", "--input", path, optimize=False, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2
+    assert done.stderr == (b"error: key 'dim': a report builds C0 of dim at most 1024 and its corestriction"
+                           b" of dim at most 4096, got 4096 and 4096\n")
 
 
 def test_six_lines_reports_family_class(capsys):

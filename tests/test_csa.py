@@ -566,7 +566,7 @@ def test_slots_over_two_denominators_are_compared_on_both():
     table, _ = z.slots[1]
     k, v = table[2][3]
     table[2][3] = k, tuple(x + x for x in v)
-    with pytest.raises(CertificateFailure, match=re.escape("action 2 does not take slot 0 to slot 1 at (2,3)")):
+    with pytest.raises(CertificateFailure, match=re.escape("action 2 does not take slot 1 to slot 0 at (2,3)")):
         z._check_actions()
 
 
@@ -576,8 +576,18 @@ def test_a_slot_over_another_denominator_is_named():
     z = build_ZG(oracle_case("Q(sqrt 17) by a quarter"), quarter_field())
     table, den = z.slots[1]
     z.slots[1] = table, 2 * den
-    with pytest.raises(CertificateFailure, match="action 2 does not take slot 0 to slot 1 at its denominator"):
+    with pytest.raises(CertificateFailure, match="action 2 does not take slot 1 to slot 0 at its denominator"):
         z._check_actions()
+
+
+@pytest.mark.parametrize("name, twists", [("Q(sqrt 2)", 2), ("cubic rank 2", 6), ("cyclic quartic rank 2", 12)])
+def test_build_ZG_twists_each_slot_by_each_g_once(monkeypatch, name, twists):
+    # d - 1 twists of A make the slots, and the action certificate twists
+    # each slot s >= 1 by each g >= 2: d(d - 1) in all, slot 0 not again
+    a, real, calls = oracle_case(name), csa._twist, []
+    monkeypatch.setattr(csa, "_twist", lambda *args: calls.append(args[3]) or real(*args))
+    build_ZG(a, a.field)
+    assert len(calls) == twists
 
 
 @pytest.mark.parametrize("name", ORACLE_CASES)

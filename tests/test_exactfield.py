@@ -514,16 +514,6 @@ def test_arithmetic_matches_the_fraction_reference(data):
     if field.degree == 1:
         # over Q the norm is the element itself
         assert norm(x) == a[0]
-    # the accumulator: products of integer vectors summed per index, each
-    # sum reduced and read over reduction_den
-    vector = st.lists(st.integers(-50, 50), min_size=field.degree, max_size=field.degree)
-    row = st.lists(st.tuples(st.integers(0, 2), vector), max_size=3)
-    sums, want = {}, {}
-    for u, entries in data.draw(st.lists(st.tuples(vector, row), max_size=4)):
-        field.accumulate(sums, tuple(u), [(s, tuple(v)) for s, v in entries])
-        for s, v in entries:
-            want[s] = ref.add(want.get(s, ref.pad([], field.degree)), ref.mul(field, u, v))
-    assert {s: [F(c, field.reduction_den) for c in field.reduce(acc)] for s, acc in sums.items()} == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -624,15 +614,12 @@ def packed_sum(field, terms) -> list[list[int]]:
 
 
 def accumulated_sum(field, terms) -> list[list[int]]:
-    """The same sums with accumulate and reduce: reduce(a_l y_j) summed over
+    """The same sums as multiply products: multiply(a_l, y_j) summed over
     the terms, coordinate i at column i, position l * vectors + j."""
-    sums: dict = {}
-    for coefficients, ys in terms:
-        for l, a in enumerate(coefficients):
-            field.accumulate(sums, a, [((l, j), y) for j, y in enumerate(ys)])
     m, r = len(terms[0][0]), len(terms[0][1])
-    reduced = [field.reduce(sums[l, j]) for l in range(m) for j in range(r)]
-    return [list(column) for column in zip(*reduced)]
+    sums = [[sum(c) for c in zip(*(field.multiply(coefficients[l], ys[j]) for coefficients, ys in terms))]
+            for l in range(m) for j in range(r)]
+    return [list(column) for column in zip(*sums)]
 
 
 def reference_sum(field, terms) -> list[list[Fraction]]:

@@ -322,10 +322,9 @@ def test_no_vacuous_asserts_in_tests(path):
 
 
 # the comparisons of a field degree with 1 left in the package, by module
-# and enclosing function: Q's label and the one Q specialization of products
+# and enclosing function: Q's label only, as every product runs one kernel
 LISTED_DEGREE_BRANCHES = {
     "brauer": ["QuaternionSymbol.render"],
-    "exactfield": ["FieldDescriptor.accumulate"],
 }
 
 

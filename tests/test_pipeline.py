@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,11 +19,14 @@ from ksalgebra.errors import (
     CertificateFailure,
     FieldMismatch,
     InvalidPermutation,
+    MalformedInput,
     ParameterConstraintViolated,
     RouteDisagreement,
 )
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field, quadratic_field, sign_at_embedding
 from ksalgebra.pipeline import (
+    MAX_C0_DIM,
+    MAX_CORES_DIM,
     SEARCH_COEFF_BOUND,
     KSReport,
     OrbitData,
@@ -316,6 +320,47 @@ def test_report_rejects_form_over_other_field():
     form = GramForm.diagonal(g, [g.gen(), g.gen(), g.gen() - g.rational(5)])
     with pytest.raises(FieldMismatch):
         ks_report(f, form)
+
+
+class Admitted(Exception):
+    """Raised by a stand-in even_part: the report got past its budget."""
+
+
+# (field, top, m, admitted): diag(top, top, -1, ..., -1) of rank m, top
+# by its coefficients, of signature (2, m - 2) at place 1 and negative at
+# place 2, so C0 of dim 2^(m - 1) and the corestriction of dim
+# 2^((m - 1) d) fall on both sides of MAX_C0_DIM and of MAX_CORES_DIM
+REPORT_BUDGET = [
+    (RATIONAL_FIELD, [1], 11, True), (RATIONAL_FIELD, [1], 12, False),
+    (quadratic_field(2), [0, 1], 7, True), (quadratic_field(2), [0, 1], 8, False),
+]
+
+
+@pytest.mark.parametrize("f, top, m, admitted", REPORT_BUDGET,
+                         ids=["Q rank 11", "Q rank 12", "sqrt2 rank 7", "sqrt2 rank 8"])
+def test_report_budget_refuses_a_valid_form_past_it_before_c0(monkeypatch, f, top, m, admitted):
+    assert (MAX_C0_DIM, MAX_CORES_DIM) == (1024, 4096)
+
+    def even_part(*args):
+        raise Admitted
+
+    monkeypatch.setattr(pipeline, "even_part", even_part)
+    form = GramForm.diagonal(f, [f.elem(top)] * 2 + [-f.one()] * (m - 2))
+    if admitted:
+        with pytest.raises(Admitted):
+            ks_report(f, form)
+    else:
+        with pytest.raises(MalformedInput, match=re.escape(
+                "key 'dim': a report builds C0 of dim at most 1024 and its corestriction of dim at most 4096, "
+                f"got {2 ** (m - 1)} and {2 ** ((m - 1) * f.degree)}")):
+            ks_report(f, form)
+
+
+def test_report_budget_waits_for_validation():
+    # a degenerate form past the budget is reported as failing validation
+    q = RATIONAL_FIELD
+    rep = ks_report(q, GramForm.diagonal(q, [q.one()] * 12 + [q.zero()]))
+    assert rep.validation.passed is False and rep.cores_dim == 4096
 
 
 def test_degree_1_baseline_classical_clifford():

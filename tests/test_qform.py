@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksalgebra import qform
 from ksalgebra.errors import DegenerateForm, FieldMismatch, MalformedInput
 from ksalgebra.exactfield import (
     RATIONAL_FIELD,
+    FieldDescriptor,
     apply_automorphism,
     cyclic_cubic_field,
     quadratic_field,
@@ -169,6 +171,48 @@ def test_bareiss_matches_the_fraction_congruence(field):
         seen["mix"] += kind == "mix" and any(any(e) for row in matrix for e in row)
         seen["radical"] += not all(diag)
     assert seen["mix"] >= 10 and seen["radical"] >= 10
+
+
+def zero_column_or_radical(field, kind: str) -> list[list[tuple[int, ...]]]:
+    """A symmetric 3 x 3 matrix of integer vectors: kind "zero column" has
+    its middle row and column zero, so every certificate product with an
+    entry there has a zero factor; kind "radical" repeats the first column
+    as the last, so the radical comes back as a zero entry."""
+    x, y, z = ((1, 1, 0)[:field.degree], (-2, 0, 1)[:field.degree], (3, -1, 1)[:field.degree])
+    o = (0,) * field.degree
+    if kind == "zero column":
+        return [[x, o, y], [o, o, o], [y, o, z]]
+    return [[x, y, x], [y, z, y], [x, y, x]]
+
+
+@pytest.mark.parametrize("kind", ["zero column", "radical"])
+@pytest.mark.parametrize("field", [RATIONAL_FIELD, Q2, CUBIC], ids=repr)
+def test_bareiss_with_a_zero_column_or_a_radical_matches_the_fraction_congruence(monkeypatch, field, kind):
+    # the certificate skips every product with a zero factor: a spy on the
+    # field's multiply sees none while _congruence_products runs
+    matrix = zero_column_or_radical(field, kind)
+    real, seen = qform._congruence_products, []
+
+    def spied(f, a, cols):
+        f.multiply = lambda u, v: seen.append(any(u) and any(v)) or FieldDescriptor.multiply(f, u, v)
+        try:
+            return real(f, a, cols)
+        finally:
+            del f.multiply
+
+    monkeypatch.setattr(qform, "_congruence_products", spied)
+    diag = congruence_diagonalize(matrix, field)
+    want_diag, want_p = congruence([[[Fraction(x) for x in e] for e in row] for row in matrix], field)
+    assert diag == [field.elem(c) for c in want_diag]
+    assert [bool(e) for e in diag] == [True, True, False]
+    assert seen and all(seen)
+    p = [[field.elem(c) for c in row] for row in want_p]
+    a = [[field.from_integers(e, 1) for e in row] for row in matrix]
+    zero = field.zero()
+    for i in range(3):
+        for j in range(3):
+            entry = sum((p[r][i] * a[r][s] * p[s][j] for r in range(3) for s in range(3)), zero)
+            assert entry == (diag[i] if i == j else zero)
 
 
 def test_family_form_signatures():
