@@ -89,15 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hilbert.add_argument("-a", required=True)
     p_hilbert.add_argument("-b", required=True)
     p_hilbert.add_argument("-p", required=True, help="a prime number, or 'inf'")
+    p_hilbert.set_defaults(handler=_cmd_hilbert)
 
     p_classify = sub.add_parser("classify", help="classify the symbol (a, b) over Q")
     p_classify.add_argument("-a", required=True)
     p_classify.add_argument("-b", required=True)
     p_classify.add_argument("--format", choices=("text", "json"), default="text")
+    p_classify.set_defaults(handler=_cmd_classify)
 
     p_report = sub.add_parser("report", help="full report for a JSON input file")
     p_report.add_argument("--input", required=True, help="path to JSON with 'field' and 'form' ('-' for stdin)")
     p_report.add_argument("--format", choices=("text", "json"), default="json")
+    p_report.set_defaults(handler=_cmd_report)
 
     p_six = sub.add_parser("six-lines", help="the quadratic family preset")
     p_six.add_argument("--d")
@@ -105,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_six.add_argument("--e")
     p_six.add_argument("--sweep", help="semicolon-separated triples, e.g. '2,1,1;5,1,2'")
     p_six.add_argument("--format", choices=("text", "json"), default="json")
+    p_six.set_defaults(handler=_cmd_six_lines)
 
     p_orbits = sub.add_parser("orbits", help="even-weight orbit data")
     p_orbits.add_argument("--degree", required=True)
@@ -112,8 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--cycle", action="store_true", help="cyclic group")
     group.add_argument("--full", action="store_true", help="full symmetric group")
     p_orbits.add_argument("--format", choices=("text", "json"), default="json")
+    p_orbits.set_defaults(handler=_cmd_orbits)
 
-    sub.add_parser("selftest", help="run the family regression")
+    sub.add_parser("selftest", help="run the family regression").set_defaults(handler=_cmd_selftest)
     return parser
 
 
@@ -246,7 +251,7 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-def _cmd_selftest() -> int:
+def _cmd_selftest(args) -> int:
     ok = True
 
     def check(label: str, good: bool) -> None:
@@ -281,17 +286,7 @@ def run(argv) -> int:
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = parser.parse_args(argv)
     try:
-        if args.command == "hilbert":
-            return _cmd_hilbert(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "six-lines":
-            return _cmd_six_lines(args)
-        if args.command == "orbits":
-            return _cmd_orbits(args)
-        return _cmd_selftest()
+        return args.handler(args)
     except (MalformedInput, NotAPlace, ZeroInput, ParameterConstraintViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ kept as orbit blocks (FixedAlgebra), which center and trace_form_signature
 read alone.  Building Z(A) certifies its action, invariants its slots' shape.
 """
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import add, mul
 
@@ -331,9 +331,10 @@ class FixedAlgebra:
     o <= o2, maps each target k, a representative, to (beta, coordinates):
     coordinates[c][i m2 + j], m2 the dim of orbit o2, is the coordinate at
     basis element c of k's orbit of b_(first+i) b_(first2+j), over den, and
-    b_(first2+j) b_(first+i) is beta times it; blocks read from one sum share
-    one tuple of tuples.  central_monomials is Z(A)'s count, for center.  The
-    unit law on the (0, J) blocks is checked: e_0 e_j is den at j alone, beta 1.
+    b_(first2+j) b_(first+i) is beta times it; the blocks of one distinct
+    (E^H at k, terms) share one coordinates tuple of tuples.
+    central_monomials is Z(A)'s count, for center.  The unit law on the
+    (0, J) blocks is checked: e_0 e_j is den at j alone, beta 1.
     """
 
     def __init__(self, orbits: list, blocks: dict, den: int, central_monomials: int):
@@ -368,13 +369,14 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     product of FieldDescriptor.pack_matrices of the coefficients a at s of
     the basis elements and pack_vectors of the b c, b those at s', which
     sums M_a (b c) = reduce(a b c) for every pair of basis elements.  Each
-    distinct a is packed, and each b c formed, once; each distinct (E^H at
-    k, terms) is summed once, and each (E^H, shape, sum) read once, by an
-    unpacker memoized for this call only, into one tuple shared by its
-    blocks: the pivot columns, which the RREF rows, over one S, must take
-    to S times each free column, else NotClosedUnderMultiplication.  The
-    moves are trusted as certified when z was built; a later corruption is
-    caught by these checks, the dimension count or the orbit partition.
+    distinct a is packed, and each b c formed, once; each distinct block,
+    keyed by (E^H at k, terms), is summed and read once, by an unpacker
+    memoized for this call only, into one coordinates tuple shared by every
+    block with that key: the pivot columns, which the RREF rows, over one
+    S, must take to S times each free column, else
+    NotClosedUnderMultiplication.  The moves are trusted as certified when
+    z was built; a later corruption is caught by these checks, the
+    dimension count or the orbit partition.
 
     z.products gives u_s' u_s = beta c u_k with one beta per target (I, J,
     k), else CertificateFailure, so b_j b_i = beta b_i b_j at k: on even
@@ -388,14 +390,16 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     columns too: the d column sums of all reads must equal the sum over
     their terms (a, b, c) of multiply(sum_l a_l, sum_j b_j c), folded by
     bilinearity into one FieldDescriptor.multiply per distinct id a and
-    formed without packing, else CertificateFailure.  A misread digit, such
+    formed without packing, else CertificateFailure.  Both sides are summed
+    as each block is read: d column sums, and per id a the sum of its
+    terms' b c, so nothing is kept for after the loop.  A misread digit, such
     as a packing width too narrow for the sums gives, shows in its column's
     sum unless errors cancel there: this is Freivalds' product check (IFIP
     1977) with the all-ones vector.
     """
     f, d, n, signs = z.field, z.field.degree, z.dim, _certify_slot_shapes(z.slots)  # the one walk of the slots
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
-    dim, orbits, members, fields, targets, where, interned = 0, [], [], {}, {}, {}, {}  # targets[rep]: H
+    dim, covered, orbits, fields, targets, where, interned = 0, 0, [], {}, {}, {}, {}  # targets[rep]: H
     for t in range(n):
         images = [z.moves[g][t] for g in gs]
         if min(images) < t:
@@ -409,14 +413,14 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
             fields[stab] = pivots, free, scale, [interned.setdefault(a, len(interned)) for a in conjugates]
         pivots, free, scale, conjugate_ids = fields[stab]  # the id of the basis elements at each sigma_g(t)
         orbits.append((dim, len(pivots), t))
-        members.append(sorted(set(images)))
+        covered += len(set(images))
         if len(set(zip(images, conjugate_ids))) != len(set(images)):
             raise CertificateFailure(f"basis element at monomial {t} is not fixed")
         dim += len(pivots)
         where.update((s, (len(orbits) - 1, i)) for s, i in zip(images, conjugate_ids))  # s: (orbit, id)
     if dim != n:
         raise DimensionMismatch(f"invariant dimension {dim}, expected {n}")
-    if sorted(s for orbit in members for s in orbit) != list(range(n)):
+    if covered != n or len(where) != n or max(where) >= n:  # n distinct keys, none negative: range(n)
         raise CertificateFailure("the orbits do not cover each monomial exactly once")
     # the basis over one denominator M, the blocks over one L: products over M^2 L D^2, D = reduction_den
     bden = lcm(1, *(c.den for a in interned for c in a))
@@ -438,32 +442,27 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     width = f.packing_width(terms, {a for v in vectors for a in v}, {y for v in ys.values() for y in v})
     packed_a = [f.pack_matrices(v, width) for v in vectors]
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
-    unpacker, summed, read = lru_cache(maxsize=None)(f.unpacker), {}, {}
-    read_columns, read_terms = [], []  # the checksum's input: the columns and the terms of every read
+    unpacker, read = lru_cache(maxsize=None)(f.unpacker), {}  # read: (E^H, terms) to their coordinates
+    column_sums, weights = [0] * d, {}  # the checksum's running input: per id a, the sum of its terms' b c
     for (o, o2), by_k in sorted(pairs.items()):
-        shape = orbits[o][1], orbits[o2][1]
         for k, (beta, group) in by_k.items():
             key = targets[k], tuple(group)
-            if key not in summed:
-                summed[key] = total = (targets[k], *shape, sum(packed_a[a] * packed_y[b, c] for a, b, c in group))
-                if total not in read:
-                    pivots, free, scale, _ = fields[targets[k]]
-                    columns = unpacker(*shape, width)(total[-1])
-                    read[total] = coordinates = tuple([tuple(columns[p]) for p in pivots])
-                    for l, rs in free:  # the RREF rows must take the coordinates back to column l
-                        if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
-                            raise NotClosedUnderMultiplication("product leaves the fixed subspace")
-                    read_columns.append(columns)
-                    read_terms += group
-            by_k[k] = beta, read[summed[key]]
+            if key not in read:
+                pivots, free, scale, _ = fields[targets[k]]
+                total = sum(packed_a[a] * packed_y[b, c] for a, b, c in group)
+                columns = unpacker(orbits[o][1], orbits[o2][1], width)(total)
+                read[key] = coordinates = tuple([tuple(columns[p]) for p in pivots])
+                for l, rs in free:  # the RREF rows must take the coordinates back to column l
+                    if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
+                        raise NotClosedUnderMultiplication("product leaves the fixed subspace")
+                column_sums = list(map(add, column_sums, map(sum, columns)))
+                for a, b, c in group:
+                    weights[a] = list(map(add, weights.get(a, [0] * d), map(sum, zip(*ys[b, c]))))
+            by_k[k] = beta, read[key]
     fixed = FixedAlgebra(orbits, pairs, den, prod(sum(-1 not in row for row in sign) for sign in signs))
-    paired = {}  # per id a, the b c of its terms in every read
-    for a, b, c in read_terms:
-        paired.setdefault(a, []).extend(ys[b, c])
-    checksum = [0] * d  # the sum over the ids a of (sum_l a_l)(sum of those b c)
-    for a, y in paired.items():
-        checksum = list(map(add, checksum, f.multiply(list(map(sum, zip(*vectors[a]))), list(map(sum, zip(*y))))))
-    column_sums = [sum(chain.from_iterable(column)) for column in zip(*read_columns)]
+    checksum = [0] * d  # the sum over the ids a of (sum_l a_l)(sum of their b c)
+    for a, y in weights.items():
+        checksum = list(map(add, checksum, f.multiply(list(map(sum, zip(*vectors[a]))), y)))
     i = next((i for i, (x, y) in enumerate(zip(column_sums, checksum)) if x != y), None)
     if i is not None:
         raise CertificateFailure(f"readout checksum fails at column {i}")

@@ -19,7 +19,8 @@ Q is the field of degree 1, with the same kernel.
 pack_matrices, pack_vectors and unpacker sum many M_a y = reduce(a y) in
 one int by Kronecker substitution, at a digit width packing_width bounds; a
 packed M_a has room for d vectors, so it is packed once for every count,
-and unpacker reads the sums back one list of digits per coordinate.
+and unpacker reads the sums back one list of digits per coordinate:
+csa.invariants reads each distinct block, one (E^H, terms), once.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of

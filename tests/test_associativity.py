@@ -564,6 +564,11 @@ NARROW_WIDTHS = (("cubic search form", 14), ("Q(sqrt 2) rank 4", 7))
 
 CHECKSUM_FAILURE = "readout checksum fails at column 0"
 
+# the position of the last sum each dim-64 case reads (READS of
+# tests/test_csa.py, less one): with its pivot coordinate nudged, the
+# readout checksum must reject it, so its running sums include the last read
+LAST_READS = {"Q(sqrt 2) rank 4": 169, "cubic search form": 308}
+
 
 def certify_corrupted_action() -> None:
     corrupted_moves("Q(sqrt 2)")._check_actions()
@@ -944,6 +949,17 @@ def test_invariants_reject_rotated_moves(triple, error, message):
         invariants(rotated_moves(triple))
 
 
+def test_invariants_reject_a_move_out_of_range():
+    # sigma_2 sends monomial 1 to 16, past Z(A)'s last monomial, in place of
+    # 4: the orbit sizes and the dimensions still add up to 16, but no orbit
+    # holds monomial 4
+    z = small_zg("Q(sqrt 2)")
+    assert z.moves[2][1] == 4
+    z.moves[2][1] = z.dim
+    with pytest.raises(CertificateFailure, match="the orbits do not cover each monomial exactly once"):
+        invariants(z)
+
+
 def test_invariants_reject_a_coefficient_corrupted_after_construction():
     for name in CORRUPTED_COEFFICIENTS:
         with pytest.raises(NotClosedUnderMultiplication, match="product leaves the fixed subspace"):
@@ -960,6 +976,13 @@ def test_invariants_reject_a_nudged_digit_where_the_fixed_algebra_is_not_swept(n
 def test_the_readout_checksum_rejects_a_late_nudge(name):
     with pytest.raises(CertificateFailure, match=re.escape(CHECKSUM_FAILURE)):
         invariants_with_a_nudged_digit(name, 0, read=39)
+
+
+@pytest.mark.parametrize("name", LAST_READS)
+def test_the_readout_checksum_rejects_a_nudge_in_the_last_read(name):
+    invariants_with_a_nudged_digit(name, 0, read=LAST_READS[name] + 1)  # no read there: nothing is nudged
+    with pytest.raises(CertificateFailure, match=re.escape(CHECKSUM_FAILURE)):
+        invariants_with_a_nudged_digit(name, 0, read=LAST_READS[name])
 
 
 @pytest.mark.parametrize("name, width", NARROW_WIDTHS, ids=[name for name, _ in NARROW_WIDTHS])
@@ -993,18 +1016,19 @@ def test_invariants_at_every_narrower_width_are_right_or_raise(monkeypatch, name
 
 def test_the_readout_checksum_fires_under_python_O():
     script = (
-        "from test_associativity import LATE_NUDGES, NARROW_WIDTHS, dim64_zg, invariants_at_width,"
+        "from test_associativity import LAST_READS, LATE_NUDGES, NARROW_WIDTHS, dim64_zg, invariants_at_width,"
         " invariants_with_a_nudged_digit\n"
         "from ksalgebra.errors import CertificateFailure\n"
         "if __debug__:\n    raise SystemExit('not running under python -O')\n"
         "for build in [*(lambda n=n: invariants_with_a_nudged_digit(n, 0, read=39) for n in LATE_NUDGES),\n"
+        "              *(lambda n=n, r=r: invariants_with_a_nudged_digit(n, 0, read=r) for n, r in LAST_READS.items()),\n"
         "              *(lambda n=n, w=w: invariants_at_width(dim64_zg(n), w) for n, w in NARROW_WIDTHS)]:\n"
         "    try:\n        build()\n"
         "    except CertificateFailure as exc:\n        print(exc)\n"
     )
     done = run_under_O(script)
     assert done.returncode == 0, done.stderr or done.stdout
-    assert done.stdout.splitlines() == [CHECKSUM_FAILURE] * (len(LATE_NUDGES) + len(NARROW_WIDTHS))
+    assert done.stdout.splitlines() == [CHECKSUM_FAILURE] * (len(LATE_NUDGES) + len(LAST_READS) + len(NARROW_WIDTHS))
 
 
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():

@@ -9,7 +9,8 @@ runs interleave on a host whose speed drifts; --runs repeats the whole
 round.  Each --report names one report of INPUTS (default: all), so
 that a round can time the rank-4 cubic alone.  The quartic fields come
 from the checkout's tests/quartic_fields.py; rank9-Q, over Q, is the one
-report with d = 1, where Z(A) is C0 and B is C0 again.
+report with d = 1, where Z(A) is C0 and B is C0 again, and rank4-quartic,
+rank 4 over the cyclic quartic, the one with n = 4096 (about 25 s).
 
 One JSON line per report: the checkout, the report, wall and CPU seconds
 of ks_report alone (imports and the field excluded), the process's peak
@@ -33,6 +34,8 @@ INPUTS = {
     "rank4-cubic-valid": ("cyclic_cubic_field()", "[-2 * a - 2] * 2 + [-2 * a * a - 2 * a - 2] * 2"),
     "quartic-cyclic": ("cyclic_quartic_field()", "[2 * a - 3, 2 * a - 3, -f.one()]"),
     "quartic-biquadratic": ("biquadratic_field()", "[a - 2, a - 2, -f.one()]"),
+    "rank4-quartic": ("cyclic_quartic_field()",
+                      "[2 * a * a * a - 2 * a * a - 2 * a - 2] * 2 + [-2 * a * a - 2 * a - 2] * 2"),
     "rank9-Q": ("RATIONAL_FIELD", "[f.rational(x) for x in (1, 2, -3, -5, -7, -11, -13, -17, -19)]"),
 }
 # the stages timed in each report, as named in ksalgebra.pipeline
