@@ -10,18 +10,18 @@ as ints: Legendre characters by Euler's criterion, the p = 2 case by the
 classical epsilon/omega formula on odd parts, the real place by signs.  A
 finite place is proved prime once per call, by Miller-Rabin to as many
 prime bases as n needs (a proof below psi_13 ~ 3.3 * 10^24); a value of
-Euler's criterion other than +-1 raises NotAPlace.  No factorization of
-large integers is attempted; the odd ramification candidates, primes of
-odd valuation in a slot, come from trial division up to the fixed
-DEFAULT_TRIAL_BOUND, and anything irreducible beyond it raises rather
-than guessing.
+Euler's criterion other than +-1 raises NotAPlace.  The odd ramification
+candidates, primes of odd valuation in a slot, are its primes up to the
+fixed DEFAULT_TRIAL_BOUND, found by trial division over a wheel and by
+Brent's rho (Pollard, BIT 15, 1975; Brent, BIT 20, 1980); a cofactor past
+the bound that is neither a prime nor a square raises rather than guessing.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import accumulate, chain, cycle
-from math import isqrt, prod
+from itertools import accumulate, chain, count, cycle
+from math import gcd, isqrt, prod
 
 from .errors import (
     FactorizationBound,
@@ -214,28 +214,95 @@ def hilbert_symbol(a, b, place) -> int:
 
 # the gaps between consecutive integers prime to 30, from 7 on
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
+_SMALL_BOUND = 256  # the wheel's first stretch: most slots have no odd prime past it
+_RHO_STEPS = 4 * isqrt(DEFAULT_TRIAL_BOUND)  # ~3 times the ~1.25 sqrt(p) steps rho needs for a prime p within the bound
+_RHO_BITS = 128  # past this size a rho step costs more than the wheel steps it saves
 
 
-def _odd_prime_exponents(n: int) -> dict[int, int]:
-    """Odd prime exponents of n != 0, by trial division to DEFAULT_TRIAL_BOUND
-    over 3, 5 and the integers prime to 30.  A leftover cofactor must be a
-    prime (exponent 1) or a square, whose primes have even exponents and
-    cannot affect any symbol, so they are left out; anything else is beyond
-    the factorization budget."""
-    n = _int_valuation(abs(n), 2)[1]
-    exponents: dict[int, int] = {}
-    limit = min(isqrt(n), DEFAULT_TRIAL_BOUND)
+def _wheel(n: int, bound: int, exponents: dict[int, int]) -> tuple[int, int]:
+    """Trial division of the odd n to min(isqrt(n), bound) over 3, 5 and the integers
+    prime to 30: the cofactor and the first f not tried (with f * f > n, n is 1 or prime)."""
+    limit = min(isqrt(n), bound)
     for f in chain((3, 5), accumulate(cycle(_WHEEL_GAPS), initial=7)):
         if f > limit:
             break
         if n % f == 0:
             exponents[f], n = _int_valuation(n, f)
-            limit = min(isqrt(n), DEFAULT_TRIAL_BOUND)
-    if n > 1:
-        if f * f > n or is_probable_prime(n):
+            limit = min(isqrt(n), bound)
+    return n, f
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n, not a square, by Brent's rho
+    on x^2 + c from 2 for c = 1, 2, ..., one gcd per 32 steps, retraced step
+    by step when it reaches n; 0 once _RHO_STEPS steps split nothing."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps > _RHO_STEPS:
+                return 0
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 32):
+                ys = y
+                for _ in range(min(32, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := gcd(q, n)) > 1:
+                    break
+            steps, r = steps + 2 * r, 2 * r
+        if g == n:  # the batch passed the first repeat mod a prime: retrace it
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g < n:
+            return g
+
+
+def _odd_prime_exponents(n: int) -> dict[int, int]:
+    """Odd prime exponents of n != 0, even ones too, as trial division to
+    DEFAULT_TRIAL_BOUND finds them.  Past the wheel's _SMALL_BOUND, rho
+    splits a composite, squares as r * r; what it leaves and pieces past
+    _RHO_BITS go back to the wheel, up to the bound.  Each number is tested
+    for primality once.  The primes past the bound multiply to a cofactor
+    that must be a prime (exponent 1) or a square, whose primes have even
+    exponents and cannot affect any symbol, so they are left out; anything
+    else is beyond the factorization budget."""
+    exponents: dict[int, int] = {}
+    small = _SMALL_BOUND if _SMALL_BOUND < DEFAULT_TRIAL_BOUND else DEFAULT_TRIAL_BOUND  # every slot passes here: cheaper than min()
+    n, f = _wheel(_int_valuation(abs(n), 2)[1], small, exponents)
+    if f * f > n:  # n is 1 or a prime
+        if n > 1:
             exponents[n] = 1
-        elif isqrt(n) ** 2 != n:
-            shown = n if n.bit_length() <= 2048 else f"of {n.bit_length()} bits"  # printable at any digit limit
+        return exponents
+    known: dict[int, bool] = {}  # each number's is_probable_prime, so none is tested twice
+    beyond, pieces = 1, [(n, 1)]
+    while pieces:
+        m, e = pieces.pop()
+        if m not in known:
+            known[m] = is_probable_prime(m)
+        if not known[m]:
+            g = isqrt(m)  # a square splits as g * g
+            if g * g != m:
+                g = _rho(m) if m.bit_length() <= _RHO_BITS else 0
+            if g:
+                pieces += (g, e), (m // g, e)
+                continue
+            found: dict[int, int] = {}  # the wheel finds what rho did not
+            m = _wheel(m, DEFAULT_TRIAL_BOUND, found)[0]
+            exponents.update((p, exponents.get(p, 0) + v * e) for p, v in found.items())
+        if 1 < m <= DEFAULT_TRIAL_BOUND:  # a prime: a composite piece has no prime within the bound
+            exponents[m] = exponents.get(m, 0) + e
+        else:
+            beyond *= m ** e
+    if beyond > 1:
+        if known[beyond] if beyond in known else is_probable_prime(beyond):
+            exponents[beyond] = 1
+        elif isqrt(beyond) ** 2 != beyond:
+            shown = beyond if beyond.bit_length() <= 2048 else f"of {beyond.bit_length()} bits"  # printable at any digit limit
             raise FactorizationBound(f"cofactor {shown} not factored within bound {DEFAULT_TRIAL_BOUND}")
     return exponents
 

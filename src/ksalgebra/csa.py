@@ -444,7 +444,8 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
     unpacker, read = lru_cache(maxsize=None)(f.unpacker), {}  # read: (E^H, terms) to their coordinates
     column_sums, weights = [0] * d, {}  # the checksum's running input: per id a, the sum of its terms' b c
-    for (o, o2), by_k in sorted(pairs.items()):
+    for o, o2 in sorted(pairs):  # sorted keys: no list of (pair, dict) items at the traced peak
+        by_k = pairs[o, o2]
         for k, (beta, group) in by_k.items():
             key = targets[k], tuple(group)
             if key not in read:

@@ -1,7 +1,7 @@
 import random
 import sys
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -310,8 +310,13 @@ def test_ramification_matches_fraction_oracle(a, b):
     assert ramification(rational_symbol(a, b)).places == want
 
 
-# primes on both sides of the patched bounds 100, 121 and 127
-FACTOR_PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 10007, 10009)
+# primes on both sides of the patched bounds 100, 121 and 127, and mid primes
+# past the wheel's small bound, which rho splits off; every one is within the
+# default bound, so the run at 10^6 holds no over-bound composite, whose
+# oracle trial division costs ~50 ms
+FACTOR_PRIMES = (
+    2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 1009, 7919, 10007, 10009, 65521, 99991,
+)
 
 
 @pytest.mark.parametrize("bound", (100, 121, 127, brauer.DEFAULT_TRIAL_BOUND))
@@ -330,6 +335,64 @@ def test_odd_prime_exponents_match_oracle(bound, factors, sign):
         except FactorizationBound:
             got = FactorizationBound
     assert got == want, (n, bound)
+
+
+def _oracle_outcome(n: int):
+    try:
+        return oracle_odd_prime_exponents(n, brauer.DEFAULT_TRIAL_BOUND)
+    except FactorizationBound as e:
+        return str(e)
+
+
+def _outcome(n: int):
+    try:
+        return brauer._odd_prime_exponents(n)
+    except FactorizationBound as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("n", (
+    999983 * 1000003,  # rho splits it; one prime each side of the bound
+    1000003 ** 2,  # a square past the bound, left out
+    1000003 * 1000033,  # split by rho, then refused as the CLI's cofactor 1000036000099
+    257 ** 17,  # 137 bits, past rho's size cap: the wheel factors it
+))
+def test_odd_prime_exponents_match_oracle_past_the_small_bound(n):
+    assert _outcome(n) == _oracle_outcome(n)
+
+
+@pytest.mark.parametrize("n", (PSI_12, 1073741827 * 1073741831))
+def test_what_rho_leaves_unsplit_goes_to_the_wheel(n):
+    # both primes are far past the bound, so rho's budget runs out first
+    assert brauer._rho(n) == 0
+    assert _outcome(n) == _oracle_outcome(n) == f"cofactor {n} not factored within bound {brauer.DEFAULT_TRIAL_BOUND}"
+
+
+def _full_gcds(monkeypatch, n: int) -> int:
+    # how many of rho's gcds on n come out as n itself; the factor it returns is checked
+    seen = []
+
+    def spy(a, b):
+        seen.append(gcd(a, b))
+        return seen[-1]
+
+    monkeypatch.setattr(brauer, "gcd", spy)
+    g = brauer._rho(n)
+    assert 1 < g < n and n % g == 0
+    return seen.count(n)
+
+
+def test_rho_retraces_a_batch_whose_gcd_is_n(monkeypatch):
+    # x^2 + 1 repeats mod 257 and mod 263 within one batch; the retrace splits
+    assert _full_gcds(monkeypatch, 257 * 263) == 1
+    assert _outcome(257 * 263) == {257: 1, 263: 1}
+
+
+def test_rho_retries_with_the_next_c(monkeypatch):
+    # x^2 + 1 repeats mod 257 and mod 353 at the same step, so even the
+    # retrace reaches n; x^2 + 2 splits it
+    assert _full_gcds(monkeypatch, 257 * 353) == 2
+    assert _outcome(3 * 257 ** 2 * 353) == _oracle_outcome(3 * 257 ** 2 * 353) == {3: 1, 257: 2, 353: 1}
 
 
 # -- ramification -------------------------------------------------------------------
@@ -391,9 +454,14 @@ def test_factorization_bound_honesty(monkeypatch):
     assert ramification(sq) == ramification(rational_symbol(3, -1))
 
 
-def test_a_cofactor_too_long_to_print_is_named_by_its_bit_length():
+def test_a_cofactor_too_long_to_print_is_named_by_its_bit_length(monkeypatch):
     # the product of the Mersenne primes 2^1279 - 1 and 2^2203 - 1 has 1,049
-    # digits, past the lowest digit limit str() may be given
+    # digits, past the lowest digit limit str() may be given; it is past
+    # rho's size cap too, so the wheel alone meets it
+    def rho(n):
+        raise AssertionError(f"rho ran on {n.bit_length()} bits")
+
+    monkeypatch.setattr(brauer, "_rho", rho)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:

@@ -781,11 +781,12 @@ def read_invariants(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ORDERED_TARGETS)
-def test_invariants_read_each_distinct_sum_once_per_fixed_field(monkeypatch, name):
+def test_invariants_read_each_distinct_block_once(monkeypatch, name):
     # every target k that some u_s u_t lands on, s in orbit I, t in orbit J,
-    # I <= J by their representatives, gets a block, and a sum is read once
-    # per fixed field E^H of its target and its terms: blocks with equal
-    # terms share the read
+    # I <= J by their representatives, gets a block, and a block is read once
+    # per distinct fixed field E^H of its target and its terms: blocks with
+    # equal keys share the read, while blocks with other terms but an equal
+    # sum at one E^H are read again (DISTINCT_SUMS counts the distinct sums)
     z, b, reads = read_invariants(monkeypatch, name)
     m, d = len(z.slots[0][0]), z.field.degree
     rep = [min(moves[t] for moves in z.moves.values()) for t in range(z.dim)]

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under tools/."""
 
 import ast
+import importlib.util
 import json
 import re
 import subprocess
@@ -63,3 +64,36 @@ def test_paired_bench_pairs_a_checkout_with_itself():
     for row in rows:
         assert row["parent_iqr"] == 0 and row["change_wins"] in (0, 1)
         assert row["parent_median"] > 0 and row["change_median"] > 0
+        assert row["verdict"] in ("gain", "worse", "flat")
+
+
+def _paired_bench():
+    spec = importlib.util.spec_from_file_location("paired_bench", TOOLS / "paired_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _pairs(parent, change, name):
+    return [({"metrics": {name: {"value": p}}}, {"metrics": {name: {"value": c}}}) for p, c in zip(parent, change)]
+
+
+def test_paired_bench_verdicts_follow_the_metric_direction():
+    # ten synthetic pairs: the parent at 100..109 (median 104.5, IQR 4.5)
+    summary = _paired_bench().summary
+    parent = list(range(100, 110))
+    for better, sign in (("higher", 1), ("lower", -1)):
+        metric = {"name": "m", "better": better, "bound": 0.25}
+
+        def verdict(change):
+            row = summary(metric, _pairs(parent, change, "m"))
+            return row["verdict"], row["change_wins"]
+
+        ahead = [p + sign * 10 for p in parent]  # wins 10/10 by 10 > IQR
+        assert verdict(ahead) == ("gain", 10)
+        assert verdict(ahead[:9] + [parent[9] - sign]) == ("gain", 9)
+        assert verdict(ahead[:8] + [p - sign for p in parent[8:]]) == ("flat", 8)
+        assert verdict([p + sign for p in parent]) == ("flat", 10)  # by 1, inside the IQR
+        assert verdict([p - sign * 20 for p in parent]) == ("flat", 0)  # 19% worse, inside the bound
+        assert verdict([p - sign * 30 for p in parent]) == ("worse", 0)  # 29% worse
+    assert "verdict" not in summary({"name": "m", "better": "lower", "bound": 0.1}, _pairs(parent, parent, "other"))

@@ -13,10 +13,13 @@ One JSON line per run: the pair, the side, the seed and the run's result,
 the last line run.py prints (correct, attempted, failed and metrics), or
 its exit status and the end of its stderr if it failed.  Then one JSON line
 per end-to-end metric of the parent's BENCHMARK.json: the median of each
-side, the interquartile range of the parent's runs, and the pairs the
-change wins by the metric's "better"; a tie counts for neither side.  Exit
-status 1 if a run fails or reports an incorrect result, else 0.  Standard
-library only.
+side, the interquartile range of the parent's runs, the pairs the change
+wins by the metric's "better" (a tie counts for neither side), and a
+verdict: "gain" when the change wins at least 9 in 10 of the pairs and
+its median is better than the parent's by more than the parent's
+interquartile range, "worse" when its median is worse than the parent's by
+more than the metric's relative "bound", else "flat".  Exit status 1 if a
+run fails or reports an incorrect result, else 0.  Standard library only.
 """
 import argparse
 import json
@@ -36,8 +39,8 @@ def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summary(metric: dict, pairs: list) -> dict:
-    """Both medians, the parent's interquartile range and the change's wins
-    for one metric, over the pairs where both runs report it."""
+    """Both medians, the parent's interquartile range, the change's wins and
+    the verdict for one metric, over the pairs where both runs report it."""
     name, higher = metric["name"], metric["better"] == "higher"
     values = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
               if name in p.get("metrics", {}) and name in c.get("metrics", {})]
@@ -46,8 +49,17 @@ def summary(metric: dict, pairs: list) -> dict:
         return out
     parent, change = [p for p, _ in values], [c for _, c in values]
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
-    return {**out, "parent_median": statistics.median(parent), "change_median": statistics.median(change),
-            "parent_iqr": q3 - q1, "change_wins": sum((c > p) if higher else (c < p) for p, c in values)}
+    before, after = statistics.median(parent), statistics.median(change)
+    gain = after - before if higher else before - after  # > 0: the change is better
+    wins = sum((c > p) if higher else (c < p) for p, c in values)
+    if 10 * wins >= 9 * len(values) and gain > q3 - q1:
+        verdict = "gain"
+    elif -gain > metric["bound"] * before:
+        verdict = "worse"
+    else:
+        verdict = "flat"
+    return {**out, "parent_median": before, "change_median": after, "parent_iqr": q3 - q1, "change_wins": wins,
+            "verdict": verdict}
 
 
 def main() -> int:
