@@ -5,16 +5,19 @@ j^2 = b, ij = -ji.  Over Q the isomorphism class is the set of places
 where the local Hilbert symbol is -1; that set is finite of even size,
 and two symbols are isomorphic iff the sets agree.
 
-Local computations stay exact and run on the numerators and denominators
-as ints: Legendre characters by Euler's criterion, the p = 2 case by the
-classical epsilon/omega formula on odd parts, the real place by signs.  A
-finite place is proved prime once per call, by Miller-Rabin to as many
-prime bases as n needs (a proof below psi_13 ~ 3.3 * 10^24); a value of
-Euler's criterion other than +-1 raises NotAPlace.  The odd ramification
-candidates, primes of odd valuation in a slot, are its primes up to the
-fixed DEFAULT_TRIAL_BOUND, found by trial division over a wheel and by
-Brent's rho (Pollard, BIT 15, 1975; Brent, BIT 20, 1980); a cofactor past
-the bound that is neither a prime nor a square raises rather than guessing.
+Local computations stay exact and run on ints, a slot q as num * den (q
+times a square): Legendre characters by Euler's criterion, the p = 2 case
+by the classical epsilon/omega formula on odd parts, the real place by
+signs.  A finite place is proved prime once per call, by one gcd with the
+product of the prime bases and Miller-Rabin to as many of them as n needs
+(a proof below psi_13 ~ 3.3 * 10^24); a value of Euler's criterion other
+than +-1 raises NotAPlace.  The odd ramification candidates, primes of odd
+valuation in a slot, are its primes up to the fixed DEFAULT_TRIAL_BOUND:
+those below 256 read from one gcd with their product (Bernstein, "How to
+find smooth parts of integers", 2004), the rest split off by Brent's rho
+(Pollard, BIT 15, 1975; Brent, BIT 20, 1980) or by a wheel's trial
+division; a cofactor past the bound that is neither a prime nor a square
+raises rather than guessing.
 """
 
 from bisect import bisect_right
@@ -107,6 +110,7 @@ def sorted_places(places) -> list:
 # odd composite that is a strong probable prime to each of the first k prime
 # bases, so those k bases decide every n < psi_k
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PRODUCT = prod(_MR_BASES)
 _PSI = (
     2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747, 3_474_749_660_383,
     341_550_071_728_321, 341_550_071_728_321, 3_825_123_056_546_413_051,
@@ -120,9 +124,8 @@ def is_probable_prime(n: int) -> bool:
     Webster); above it True means a strong probable prime to 2, 3, ..., 41."""
     if n < 2:
         return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+    if gcd(n, _MR_PRODUCT) > 1:  # a prime a base divides is that base
+        return n in _MR_BASES
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -169,28 +172,26 @@ def legendre(a: int, p: int) -> int:
     raise NotAPlace(f"Euler's criterion gives {r} mod {p}, so {p} is not a prime")
 
 
-def _split(num: int, den: int, p: int) -> tuple[int, int]:
-    """(v_p(num/den), w) with w = num' * den' for the p-free parts: w is
-    num'/den' times the unit square den'^2, so every character agrees."""
-    vn, num = _int_valuation(num, p)
-    vd, den = _int_valuation(den, p)
-    return vn - vd, num * den
-
-
-def _local_symbol(a: Fraction, b: Fraction, p: int) -> int:
-    """(a, b)_p for nonzero rationals at a prime p, on the ints of a and b."""
-    alpha, u = _split(a.numerator, a.denominator, p)
-    beta, v = _split(b.numerator, b.denominator, p)
+def _local_symbol(u: int, v: int, p: int) -> int:
+    """(a, b)_p at a prime p from u = num * den of a, a times the square den^2,
+    and v of b: v_p(u) is v_p(a) mod 2, and the unit parts agree on characters."""
+    alpha = beta = 0
+    while u % p == 0:
+        u //= p
+        alpha ^= 1
+    while v % p == 0:
+        v //= p
+        beta ^= 1
     if p == 2:
         u, v = u % 8, v % 8
         e = (u % 4 == 3 and v % 4 == 3) + alpha * (v in (3, 5)) + beta * (u in (3, 5))
         return -1 if e % 2 else 1
     # (-1)^(alpha beta (p-1)/2) (u/p)^beta (v/p)^alpha is the character of t
     t = 1
-    if beta % 2:
+    if beta:
         t = u
-    if alpha % 2:
-        t = -t * v if beta % 2 else v
+    if alpha:
+        t = -t * v if beta else v
     return 1 if t == 1 else legendre(t, p)
 
 
@@ -207,29 +208,30 @@ def hilbert_symbol(a, b, place) -> int:
         return -1 if a < 0 and b < 0 else 1
     if not isinstance(place, int) or isinstance(place, bool) or not is_probable_prime(place):
         raise NotAPlace(f"{place!r} is neither a prime nor {INF!r}")
-    return _local_symbol(a, b, place)
+    return _local_symbol(a.numerator * a.denominator, b.numerator * b.denominator, place)
 
 
 # -- ramification ------------------------------------------------------------------
 
 # the gaps between consecutive integers prime to 30, from 7 on
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
-_SMALL_BOUND = 256  # the wheel's first stretch: most slots have no odd prime past it
+_SMALL_BOUND = 256  # the gcd screen's bound: most slots have no odd prime past it
+_SMALL_PRIMES = tuple(p for p in range(3, _SMALL_BOUND, 2) if all(p % f for f in range(3, isqrt(p) + 1, 2)))  # 53 primes, 3 to 251
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _RHO_STEPS = 4 * isqrt(DEFAULT_TRIAL_BOUND)  # ~3 times the ~1.25 sqrt(p) steps rho needs for a prime p within the bound
 _RHO_BITS = 128  # past this size a rho step costs more than the wheel steps it saves
 
 
-def _wheel(n: int, bound: int, exponents: dict[int, int]) -> tuple[int, int]:
-    """Trial division of the odd n to min(isqrt(n), bound) over 3, 5 and the integers
-    prime to 30: the cofactor and the first f not tried (with f * f > n, n is 1 or prime)."""
+def _wheel(n: int, bound: int, exponents: dict[int, int]) -> int:
+    """Trial division of the odd n to min(isqrt(n), bound) over 3, 5 and the
+    integers prime to 30: the cofactor, 1 or a prime if it stops at isqrt(n)."""
     limit = min(isqrt(n), bound)
     for f in chain((3, 5), accumulate(cycle(_WHEEL_GAPS), initial=7)):
         if f > limit:
-            break
+            return n
         if n % f == 0:
             exponents[f], n = _int_valuation(n, f)
             limit = min(isqrt(n), bound)
-    return n, f
 
 
 def _rho(n: int) -> int:
@@ -264,17 +266,24 @@ def _rho(n: int) -> int:
 
 def _odd_prime_exponents(n: int) -> dict[int, int]:
     """Odd prime exponents of n != 0, even ones too, as trial division to
-    DEFAULT_TRIAL_BOUND finds them.  Past the wheel's _SMALL_BOUND, rho
-    splits a composite, squares as r * r; what it leaves and pieces past
-    _RHO_BITS go back to the wheel, up to the bound.  Each number is tested
-    for primality once.  The primes past the bound multiply to a cofactor
+    DEFAULT_TRIAL_BOUND finds them.  One gcd finds those below _SMALL_BOUND;
+    rho splits a composite rest, squares as r * r, and the wheel takes what
+    it leaves and pieces past _RHO_BITS, up to the bound.  Each number is
+    tested for primality once.  The primes past the bound multiply to a cofactor
     that must be a prime (exponent 1) or a square, whose primes have even
     exponents and cannot affect any symbol, so they are left out; anything
     else is beyond the factorization budget."""
     exponents: dict[int, int] = {}
     small = _SMALL_BOUND if _SMALL_BOUND < DEFAULT_TRIAL_BOUND else DEFAULT_TRIAL_BOUND  # every slot passes here: cheaper than min()
-    n, f = _wheel(_int_valuation(abs(n), 2)[1], small, exponents)
-    if f * f > n:  # n is 1 or a prime
+    n = abs(n) >> ((n & -n).bit_length() - 1)  # the odd part
+    g = gcd(n, _SMALL_PRODUCT)
+    for p in _SMALL_PRIMES if small == _SMALL_BOUND else [p for p in _SMALL_PRIMES if p <= small]:
+        if g == 1:
+            break
+        if g % p == 0:
+            g //= p
+            exponents[p], n = _int_valuation(n, p)
+    if isqrt(n) <= small:  # no prime up to small divides n: it is 1 or a prime
         if n > 1:
             exponents[n] = 1
         return exponents
@@ -292,7 +301,7 @@ def _odd_prime_exponents(n: int) -> dict[int, int]:
                 pieces += (g, e), (m // g, e)
                 continue
             found: dict[int, int] = {}  # the wheel finds what rho did not
-            m = _wheel(m, DEFAULT_TRIAL_BOUND, found)[0]
+            m = _wheel(m, DEFAULT_TRIAL_BOUND, found)
             exponents.update((p, exponents.get(p, 0) + v * e) for p, v in found.items())
         if 1 < m <= DEFAULT_TRIAL_BOUND:  # a prime: a composite piece has no prime within the bound
             exponents[m] = exponents.get(m, 0) + e
@@ -324,8 +333,9 @@ def ramification(s: QuaternionSymbol) -> RamificationSet:
     """The finite even set of places of Q where the symbol is -1."""
     a, b = _require_rational_symbol(s)
     candidates = {2} | _odd_primes_of_odd_valuation(a) | _odd_primes_of_odd_valuation(b)
-    # each candidate is prime by trial division or by is_probable_prime
-    ramified = {p for p in candidates if _local_symbol(a, b, p) == -1}
+    # each candidate is prime: a screened small prime, or by trial division or is_probable_prime
+    u, v = a.numerator * a.denominator, b.numerator * b.denominator
+    ramified = {p for p in candidates if _local_symbol(u, v, p) == -1}
     if hilbert_symbol(a, b, INF) == -1:
         ramified.add(INF)
     return RamificationSet(frozenset(ramified))

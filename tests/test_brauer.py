@@ -111,6 +111,8 @@ def test_hilbert_rejects_bad_places_and_zero():
         hilbert_symbol(1, 1, True)
     with pytest.raises(ZeroInput):
         hilbert_symbol(0, 1, 2)
+    with pytest.raises(ZeroInput):  # zero is refused before the place is read
+        hilbert_symbol(0, 5, 4)
 
 
 _IRRATIONAL_SLOT = """
@@ -135,6 +137,32 @@ def test_hilbert_rejects_an_irrational_slot_under_python_O():
     done = run_under_O(_IRRATIONAL_SLOT)
     assert done.returncode == 0, done.stderr or done.stdout
     assert done.stdout == "TypeError\n"
+
+
+_ZERO_UNDER_O = """
+from fractions import Fraction
+
+from ksalgebra import brauer
+from ksalgebra.errors import ZeroInput, ZeroSlot
+
+if __debug__:
+    raise SystemExit("not running under python -O")
+for label, run, error in (
+    ("hilbert", lambda: brauer.hilbert_symbol(Fraction(0), 3, 3), ZeroInput),
+    ("ramification", lambda: brauer.ramification(brauer.rational_symbol(0, 3)), ZeroSlot),
+):
+    try:
+        run()
+    except error:
+        print(label, error.__name__)
+"""
+
+
+def test_zero_is_refused_under_python_O():
+    # the local symbol strips p from each slot in a loop that never ends on 0
+    done = run_under_O(_ZERO_UNDER_O)
+    assert done.returncode == 0, done.stderr or done.stdout
+    assert done.stdout == "hilbert ZeroInput\nramification ZeroSlot\n"
 
 
 def test_valuation():
@@ -166,6 +194,13 @@ PSI = (
     318665857834031151167461,
 )
 PSI_12 = PSI[-1]
+
+
+def test_products_of_the_bases_are_rejected():
+    # past the sieve's 10^5: the screen by one gcd with the product of the bases
+    for n in (510510, 29 * 31 * 37 * 41, prod(brauer._MR_BASES), 41 ** 4):
+        assert not is_probable_prime(n), n
+    assert all(map(is_probable_prime, brauer._MR_BASES))
 
 
 def test_probable_prime_matches_a_sieve():
@@ -310,12 +345,13 @@ def test_ramification_matches_fraction_oracle(a, b):
     assert ramification(rational_symbol(a, b)).places == want
 
 
-# primes on both sides of the patched bounds 100, 121 and 127, and mid primes
-# past the wheel's small bound, which rho splits off; every one is within the
-# default bound, so the run at 10^6 holds no over-bound composite, whose
-# oracle trial division costs ~50 ms
+# primes on both sides of the patched bounds 100, 121 and 127, on both sides
+# of the gcd screen's bound 256, and mid primes past it, which rho splits
+# off; every one is within the default bound, so the run at 10^6 holds no
+# over-bound composite, whose oracle trial division costs ~50 ms
 FACTOR_PRIMES = (
-    2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 1009, 7919, 10007, 10009, 65521, 99991,
+    2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 241, 251, 257, 263, 1009, 7919, 10007, 10009,
+    65521, 99991,
 )
 
 

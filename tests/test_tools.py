@@ -64,7 +64,7 @@ def test_paired_bench_pairs_a_checkout_with_itself():
     for row in rows:
         assert row["parent_iqr"] == 0 and row["change_wins"] in (0, 1)
         assert row["parent_median"] > 0 and row["change_median"] > 0
-        assert row["verdict"] in ("gain", "worse", "flat")
+        assert row["verdict"] in ("gain", "worse", "unresolved", "flat")
 
 
 def _paired_bench():
@@ -85,13 +85,20 @@ def test_paired_bench_verdicts_follow_the_metric_direction():
     for better, sign in (("higher", 1), ("lower", -1)):
         metric = {"name": "m", "better": better, "bound": 0.25}
 
-        def verdict(change):
-            row = summary(metric, _pairs(parent, change, "m"))
+        def verdict(change, base=parent):
+            row = summary(metric, _pairs(base, change, "m"))
             return row["verdict"], row["change_wins"]
 
         ahead = [p + sign * 10 for p in parent]  # wins 10/10 by 10 > IQR
         assert verdict(ahead) == ("gain", 10)
         assert verdict(ahead[:9] + [parent[9] - sign]) == ("gain", 9)
+        assert verdict(ahead[:9], parent[:9]) == ("flat", 9)  # no gain below 10 pairs
+        # a parent spread wider than the bound: IQR 30 > 0.25 * median 100
+        wide = [100 - sign * 40] * 3 + [100] * 7
+        assert verdict(wide, wide) == ("unresolved", 0)
+        assert verdict([p + sign * 5 for p in wide], wide) == ("unresolved", 10)  # by 5, inside the IQR
+        assert verdict([100 + sign] * 10, wide) == ("flat", 10)  # better than every run of the parent
+        assert verdict([p - sign * 30 for p in wide], wide) == ("worse", 0)
         assert verdict(ahead[:8] + [p - sign for p in parent[8:]]) == ("flat", 8)
         assert verdict([p + sign for p in parent]) == ("flat", 10)  # by 1, inside the IQR
         assert verdict([p - sign * 20 for p in parent]) == ("flat", 0)  # 19% worse, inside the bound

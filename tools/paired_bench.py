@@ -15,11 +15,14 @@ its exit status and the end of its stderr if it failed.  Then one JSON line
 per end-to-end metric of the parent's BENCHMARK.json: the median of each
 side, the interquartile range of the parent's runs, the pairs the change
 wins by the metric's "better" (a tie counts for neither side), and a
-verdict: "gain" when the change wins at least 9 in 10 of the pairs and
-its median is better than the parent's by more than the parent's
-interquartile range, "worse" when its median is worse than the parent's by
-more than the metric's relative "bound", else "flat".  Exit status 1 if a
-run fails or reports an incorrect result, else 0.  Standard library only.
+verdict: "gain" when at least 10 pairs ran, the change wins at least 9 in
+10 of them and its median is better than the parent's by more than the
+parent's interquartile range; "worse" when its median is worse than the
+parent's by more than the metric's relative "bound"; "unresolved" when the
+parent's interquartile range is wider than that bound, so that a change
+inside it cannot be told from noise, unless every run of the change is
+better than every run of the parent; else "flat".  Exit status 1 if a run
+fails or reports an incorrect result, else 0.  Standard library only.
 """
 import argparse
 import json
@@ -52,10 +55,13 @@ def summary(metric: dict, pairs: list) -> dict:
     before, after = statistics.median(parent), statistics.median(change)
     gain = after - before if higher else before - after  # > 0: the change is better
     wins = sum((c > p) if higher else (c < p) for p, c in values)
-    if 10 * wins >= 9 * len(values) and gain > q3 - q1:
+    everywhere = min(change) > max(parent) if higher else max(change) < min(parent)
+    if len(values) >= 10 and 10 * wins >= 9 * len(values) and gain > q3 - q1:
         verdict = "gain"
     elif -gain > metric["bound"] * before:
         verdict = "worse"
+    elif q3 - q1 > metric["bound"] * before and not everywhere:
+        verdict = "unresolved"
     else:
         verdict = "flat"
     return {**out, "parent_median": before, "change_median": after, "parent_iqr": q3 - q1, "change_wins": wins,
