@@ -14,10 +14,11 @@ product of the prime bases and Miller-Rabin to as many of them as n needs
 than +-1 raises NotAPlace.  The odd ramification candidates, primes of odd
 valuation in a slot, are its primes up to the fixed DEFAULT_TRIAL_BOUND:
 those below 256 read from one gcd with their product (Bernstein, "How to
-find smooth parts of integers", 2004), the rest split off by Brent's rho
-(Pollard, BIT 15, 1975; Brent, BIT 20, 1980) or by a wheel's trial
-division; a cofactor past the bound that is neither a prime nor a square
-raises rather than guessing.
+find smooth parts of integers", 2004), then every composite piece split at
+its square root, by Brent's rho (Pollard, BIT 15, 1975; Brent, BIT 20,
+1980) or, where rho gives up, by a wheel's trial division to the bound; a
+cofactor past the bound that is neither a prime nor a square raises rather
+than guessing.
 """
 
 from bisect import bisect_right
@@ -215,23 +216,21 @@ def hilbert_symbol(a, b, place) -> int:
 
 # the gaps between consecutive integers prime to 30, from 7 on
 _WHEEL_GAPS = (4, 2, 4, 2, 4, 6, 2, 6)
-_SMALL_BOUND = 256  # the gcd screen's bound: most slots have no odd prime past it
+_SMALL_BOUND = 256  # the gcd screen's bound: most slots have no odd prime past it; DEFAULT_TRIAL_BOUND >= _SMALL_BOUND
 _SMALL_PRIMES = tuple(p for p in range(3, _SMALL_BOUND, 2) if all(p % f for f in range(3, isqrt(p) + 1, 2)))  # 53 primes, 3 to 251
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 _RHO_STEPS = 4 * isqrt(DEFAULT_TRIAL_BOUND)  # ~3 times the ~1.25 sqrt(p) steps rho needs for a prime p within the bound
-_RHO_BITS = 128  # past this size a rho step costs more than the wheel steps it saves
 
 
-def _wheel(n: int, bound: int, exponents: dict[int, int]) -> int:
-    """Trial division of the odd n to min(isqrt(n), bound) over 3, 5 and the
-    integers prime to 30: the cofactor, 1 or a prime if it stops at isqrt(n)."""
-    limit = min(isqrt(n), bound)
+def _trial_factor(n: int) -> int:
+    """The least prime factor of the odd composite n, by trial division over
+    3, 5 and the integers prime to 30; 0 if it is past DEFAULT_TRIAL_BOUND."""
+    limit = min(isqrt(n), DEFAULT_TRIAL_BOUND)
     for f in chain((3, 5), accumulate(cycle(_WHEEL_GAPS), initial=7)):
         if f > limit:
-            return n
+            return 0
         if n % f == 0:
-            exponents[f], n = _int_valuation(n, f)
-            limit = min(isqrt(n), bound)
+            return f
 
 
 def _rho(n: int) -> int:
@@ -267,23 +266,25 @@ def _rho(n: int) -> int:
 def _odd_prime_exponents(n: int) -> dict[int, int]:
     """Odd prime exponents of n != 0, even ones too, as trial division to
     DEFAULT_TRIAL_BOUND finds them.  One gcd finds those below _SMALL_BOUND;
-    rho splits a composite rest, squares as r * r, and the wheel takes what
-    it leaves and pieces past _RHO_BITS, up to the bound.  Each number is
-    tested for primality once.  The primes past the bound multiply to a cofactor
-    that must be a prime (exponent 1) or a square, whose primes have even
-    exponents and cannot affect any symbol, so they are left out; anything
-    else is beyond the factorization budget."""
+    then each composite piece splits at its square root, by rho, or by trial
+    division where rho gives up, and a piece that does not split is a prime
+    or has no prime within the bound.  Each number is tested for primality
+    once.  The primes past the bound multiply to a cofactor that must be a
+    prime (exponent 1) or a square, whose primes have even exponents and
+    cannot affect any symbol, so they are left out; anything else is beyond
+    the factorization budget."""
     exponents: dict[int, int] = {}
-    small = _SMALL_BOUND if _SMALL_BOUND < DEFAULT_TRIAL_BOUND else DEFAULT_TRIAL_BOUND  # every slot passes here: cheaper than min()
     n = abs(n) >> ((n & -n).bit_length() - 1)  # the odd part
     g = gcd(n, _SMALL_PRODUCT)
-    for p in _SMALL_PRIMES if small == _SMALL_BOUND else [p for p in _SMALL_PRIMES if p <= small]:
-        if g == 1:
+    for p in _SMALL_PRIMES:
+        if p * p > g:  # g is 1 or one prime
             break
         if g % p == 0:
             g //= p
             exponents[p], n = _int_valuation(n, p)
-    if isqrt(n) <= small:  # no prime up to small divides n: it is 1 or a prime
+    if g > 1:
+        exponents[g], n = _int_valuation(n, g)
+    if isqrt(n) <= _SMALL_BOUND:  # no prime below _SMALL_BOUND divides n: it is 1 or a prime
         if n > 1:
             exponents[n] = 1
         return exponents
@@ -296,14 +297,11 @@ def _odd_prime_exponents(n: int) -> dict[int, int]:
         if not known[m]:
             g = isqrt(m)  # a square splits as g * g
             if g * g != m:
-                g = _rho(m) if m.bit_length() <= _RHO_BITS else 0
+                g = _rho(m) or _trial_factor(m)
             if g:
                 pieces += (g, e), (m // g, e)
                 continue
-            found: dict[int, int] = {}  # the wheel finds what rho did not
-            m = _wheel(m, DEFAULT_TRIAL_BOUND, found)
-            exponents.update((p, exponents.get(p, 0) + v * e) for p, v in found.items())
-        if 1 < m <= DEFAULT_TRIAL_BOUND:  # a prime: a composite piece has no prime within the bound
+        if m <= DEFAULT_TRIAL_BOUND:  # a prime: a composite piece has no prime within the bound
             exponents[m] = exponents.get(m, 0) + e
         else:
             beyond *= m ** e
@@ -333,7 +331,7 @@ def ramification(s: QuaternionSymbol) -> RamificationSet:
     """The finite even set of places of Q where the symbol is -1."""
     a, b = _require_rational_symbol(s)
     candidates = {2} | _odd_primes_of_odd_valuation(a) | _odd_primes_of_odd_valuation(b)
-    # each candidate is prime: a screened small prime, or by trial division or is_probable_prime
+    # each candidate is prime: read from the screen, a cofactor with no prime to its square root, or by is_probable_prime
     u, v = a.numerator * a.denominator, b.numerator * b.denominator
     ramified = {p for p in candidates if _local_symbol(u, v, p) == -1}
     if hilbert_symbol(a, b, INF) == -1:

@@ -220,25 +220,10 @@ def validate_k3_rm(f: FieldDescriptor, g: GramForm) -> ValidationReport:
         report.checks.append(ValidationCheck("non_degenerate", False, "error", str(exc)))
         return report
     profile_severity = "error" if m == 3 else "warning"
-    want_first = (2, m - 2)
-    got = _inertia(diag, 1)
-    report.checks.append(
-        ValidationCheck(
-            "signature_place_1",
-            got == want_first,
-            profile_severity,
-            f"want {want_first}, found {got}",
-        )
-    )
-    for i in range(2, f.degree + 1):
-        got = _inertia(diag, i)
+    for i in range(1, f.degree + 1):
+        want, got = (2, m - 2) if i == 1 else (0, m), _inertia(diag, i)
         report.checks.append(
-            ValidationCheck(
-                f"signature_place_{i}",
-                got == (0, m),
-                profile_severity,
-                f"want {(0, m)}, found {got}",
-            )
+            ValidationCheck(f"signature_place_{i}", got == want, profile_severity, f"want {want}, found {got}")
         )
     return report
 

@@ -345,20 +345,22 @@ def test_ramification_matches_fraction_oracle(a, b):
     assert ramification(rational_symbol(a, b)).places == want
 
 
-# primes on both sides of the patched bounds 100, 121 and 127, on both sides
-# of the gcd screen's bound 256, and mid primes past it, which rho splits
-# off; every one is within the default bound, so the run at 10^6 holds no
-# over-bound composite, whose oracle trial division costs ~50 ms
+# primes on both sides of the gcd screen's bound 256, of the patched bounds
+# 257, 289 = 17^2 and 1000, and mid primes past them, which rho or trial
+# division splits off; every one is within the default bound, so the run at
+# 10^6 holds no over-bound composite, whose oracle trial division costs ~50 ms
 FACTOR_PRIMES = (
-    2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 241, 251, 257, 263, 1009, 7919, 10007, 10009,
-    65521, 99991,
+    2, 3, 5, 7, 11, 13, 97, 101, 103, 107, 109, 113, 127, 131, 137, 241, 251, 257, 263, 283, 293, 997, 1009, 7919,
+    10007, 10009, 65521, 99991,
 )
 
 
-@pytest.mark.parametrize("bound", (100, 121, 127, brauer.DEFAULT_TRIAL_BOUND))
+@pytest.mark.parametrize("rho", ("rho", "no_rho"))
+@pytest.mark.parametrize("bound", (257, 289, 1000, brauer.DEFAULT_TRIAL_BOUND))
 @settings(max_examples=200, deadline=None)
 @given(factors=st.lists(st.sampled_from(FACTOR_PRIMES), min_size=1, max_size=5), sign=st.sampled_from((1, -1)))
-def test_odd_prime_exponents_match_oracle(bound, factors, sign):
+def test_odd_prime_exponents_match_oracle(bound, rho, factors, sign):
+    # with rho off, trial division alone splits every composite piece
     n = sign * prod(factors)
     try:
         want = oracle_odd_prime_exponents(n, bound)
@@ -366,6 +368,8 @@ def test_odd_prime_exponents_match_oracle(bound, factors, sign):
         want = FactorizationBound
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(brauer, "DEFAULT_TRIAL_BOUND", bound)
+        if rho == "no_rho":
+            patch.setattr(brauer, "_rho", lambda m: 0)
         try:
             got = brauer._odd_prime_exponents(n)
         except FactorizationBound:
@@ -391,17 +395,23 @@ def _outcome(n: int):
     999983 * 1000003,  # rho splits it; one prime each side of the bound
     1000003 ** 2,  # a square past the bound, left out
     1000003 * 1000033,  # split by rho, then refused as the CLI's cofactor 1000036000099
-    257 ** 17,  # 137 bits, past rho's size cap: the wheel factors it
+    257 ** 17,  # 137 bits, split by rho piece by piece
 ))
 def test_odd_prime_exponents_match_oracle_past_the_small_bound(n):
     assert _outcome(n) == _oracle_outcome(n)
 
 
 @pytest.mark.parametrize("n", (PSI_12, 1073741827 * 1073741831))
-def test_what_rho_leaves_unsplit_goes_to_the_wheel(n):
+def test_what_rho_and_trial_division_leave_unsplit_is_refused(n):
     # both primes are far past the bound, so rho's budget runs out first
+    # and trial division finds nothing within the bound
     assert brauer._rho(n) == 0
     assert _outcome(n) == _oracle_outcome(n) == f"cofactor {n} not factored within bound {brauer.DEFAULT_TRIAL_BOUND}"
+
+
+def test_trial_factor_finds_the_least_prime_within_the_bound():
+    assert brauer._trial_factor(1009 * 10007) == 1009
+    assert brauer._trial_factor(1000003 * 1000033) == 0
 
 
 def _full_gcds(monkeypatch, n: int) -> int:
@@ -477,7 +487,7 @@ def test_ramification_requires_rational_symbol():
 
 
 def test_factorization_bound_honesty(monkeypatch):
-    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 100)
+    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 1000)
     hard = rational_symbol(3 * 10007 * 10009, 5)
     with pytest.raises(FactorizationBound):
         ramification(hard)
@@ -492,12 +502,9 @@ def test_factorization_bound_honesty(monkeypatch):
 
 def test_a_cofactor_too_long_to_print_is_named_by_its_bit_length(monkeypatch):
     # the product of the Mersenne primes 2^1279 - 1 and 2^2203 - 1 has 1,049
-    # digits, past the lowest digit limit str() may be given; it is past
-    # rho's size cap too, so the wheel alone meets it
-    def rho(n):
-        raise AssertionError(f"rho ran on {n.bit_length()} bits")
-
-    monkeypatch.setattr(brauer, "_rho", rho)
+    # digits, past the lowest digit limit str() may be given; rho is off,
+    # so trial division alone meets it
+    monkeypatch.setattr(brauer, "_rho", lambda n: 0)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -508,8 +515,8 @@ def test_a_cofactor_too_long_to_print_is_named_by_its_bit_length(monkeypatch):
 
 
 def test_definiteness_is_read_at_the_real_place(monkeypatch):
-    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 100)
-    s = rational_symbol(-101 * 103, -1)
+    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 1000)
+    s = rational_symbol(-1009 * 1013, -1)
     assert is_definite(s)
     with pytest.raises(FactorizationBound):
         ramification(s)
@@ -525,7 +532,7 @@ def test_squarefree_kernel(monkeypatch):
     assert squarefree_kernel(Fraction(-12)) == -3
     assert squarefree_kernel(Fraction(4, 9)) == 1
     assert squarefree_kernel(Fraction(1, 2)) == 2
-    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 100)
+    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 1000)
     assert squarefree_kernel(Fraction(10007 * 10007)) == 1
     with pytest.raises(ZeroInput):
         squarefree_kernel(Fraction(0))
@@ -535,7 +542,7 @@ def test_squarefree_kernel(monkeypatch):
 
 def test_squarefree_kernel_factors_numerator_and_denominator_apart(monkeypatch):
     # each part is one prime beyond the bound; their product is not
-    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 100)
+    monkeypatch.setattr(brauer, "DEFAULT_TRIAL_BOUND", 1000)
     assert squarefree_kernel(Fraction(10007, 10009)) == 10007 * 10009
 
 

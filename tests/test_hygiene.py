@@ -14,9 +14,9 @@ default in the package must be passed at some call site of the package
 constant, and a test that needs another value monkeypatches.  Every
 assert left in the package is listed below by module and enclosing function: certificates
 raise, and a new assert is a deliberate edit of that list.  So is every
-comparison of a field degree with 1: products specialize to Q in one
-place, the exactfield accumulator, and a new Q-only fork is a deliberate
-edit of its list.  So is every call that passes check=, which would
+comparison of a field degree with 1: the one left is the Q label in
+QuaternionSymbol.render, and a new Q-only fork is a deliberate edit of its
+list.  So is every call that passes check=, which would
 bring back a size gate on the sweep for associativity: today none does,
 as every StructureAlgebra is swept where it is built.  The Fraction reference that the arithmetic is
 checked against imports nothing from the package, so a package bug cannot
