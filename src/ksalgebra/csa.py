@@ -366,17 +366,17 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     Products run on integer vectors, one unordered pair of orbits I <= J
     (by representative) at a time: a term c u_k of u_s u_s', s in I and s'
     in J, at a representative k, formed once by z.products, adds one
-    product of FieldDescriptor.pack_matrices of the coefficients a at s of
-    the basis elements and pack_vectors of the b c, b those at s', which
-    sums M_a (b c) = reduce(a b c) for every pair of basis elements.  Each
-    distinct a is packed, and each b c formed, once; each distinct block,
-    keyed by (E^H at k, terms), is summed and read once, by an unpacker
-    memoized for this call only, into one coordinates tuple shared by every
-    block with that key: the pivot columns, which the RREF rows, over one
-    S, must take to S times each free column, else
-    NotClosedUnderMultiplication.  The moves are trusted as certified when
-    z was built; a later corruption is caught by these checks, the
-    dimension count or the orbit partition.
+    product of FieldDescriptor.pack_matrices of the a_l b_j, a_l and b_j
+    the coefficients at s and at s' of the basis elements, and pack_vectors
+    of c, which sums M_{a_l b_j} c = reduce(a_l b_j c) for every pair of
+    basis elements.  The a_l b_j of each pair of ids (a, b) are formed and
+    packed once, and each distinct c once; each distinct block, keyed by
+    (E^H at k, terms), is summed and read once, by an unpacker memoized for
+    this call only, into one coordinates tuple shared by every block with
+    that key: the pivot columns, which the RREF rows, over one S, must take
+    to S times each free column, else NotClosedUnderMultiplication.  The
+    moves are trusted as certified when z was built; a later corruption is
+    caught by these checks, the dimension count or the orbit partition.
 
     z.products gives u_s' u_s = beta c u_k with one beta per target (I, J,
     k), else CertificateFailure, so b_j b_i = beta b_i b_j at k: on even
@@ -388,14 +388,14 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     The closure tests see the free columns only.  Once FixedAlgebra has
     checked the unit law, one exact checksum covers every read, its pivot
     columns too: the d column sums of all reads must equal the sum over
-    their terms (a, b, c) of multiply(sum_l a_l, sum_j b_j c), folded by
-    bilinearity into one FieldDescriptor.multiply per distinct id a and
-    formed without packing, else CertificateFailure.  Both sides are summed
-    as each block is read: d column sums, and per id a the sum of its
-    terms' b c, so nothing is kept for after the loop.  A misread digit, such
-    as a packing width too narrow for the sums gives, shows in its column's
-    sum unless errors cancel there: this is Freivalds' product check (IFIP
-    1977) with the all-ones vector.
+    their terms (a, b, c) of multiply(multiply(sum_l a_l, sum_j b_j), c),
+    folded by bilinearity into two FieldDescriptor.multiply per pair of ids
+    (a, b) and formed without packing, else CertificateFailure.  Both sides
+    are summed as each block is read: d column sums, and per pair of ids
+    the sum of its terms' c, so nothing is kept for after the loop.  A
+    misread digit, such as a packing width too narrow for the sums gives,
+    shows in its column's sum unless errors cancel there: this is Freivalds'
+    product check (IFIP 1977) with the all-ones vector.
     """
     f, d, n, signs = z.field, z.field.degree, z.dim, _certify_slot_shapes(z.slots)  # the one walk of the slots
     gs, powers = range(1, d + 1), [f.elem([0] * l + [1]) for l in range(d)]
@@ -426,8 +426,8 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     bden = lcm(1, *(c.den for a in interned for c in a))
     den = bden * bden * z.den * f.reduction_den ** 2
     vectors = [tuple([tuple([x * (bden // c.den) for x in c.num]) for c in a]) for a in interned]
-    # per pair of orbits I <= J and per k, beta and the terms (id at s, id at s', c); ys[id at s', c], the b c
-    pairs, multiply, ys = {}, lru_cache(maxsize=None)(f.multiply), {}
+    # per pair of orbits I <= J and per k, beta and the terms (id at s, id at s', c); per pair of ids, the a_l b_j
+    pairs, products, constants = {}, {}, set()
     for s, s2, k, beta, c in z.products(targets, signs):
         (o, a), (o2, b) = where[s], where[s2]
         if o > o2:
@@ -436,34 +436,36 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
         if sign != beta:
             raise CertificateFailure(f"products of orbits of u_{orbits[o][2]} and u_{orbits[o2][2]} at u_{k} carry both signs")
         group.append((a, b, c))
-        if (b, c) not in ys:
-            ys[b, c] = [multiply(x, c) for x in vectors[b]]
+        constants.add(c)
+        if (a, b) not in products:
+            products[a, b] = [f.multiply(x, y) for x in vectors[a] for y in vectors[b]]
     terms = max(len(group) for by_k in pairs.values() for _, group in by_k.values())
-    width = f.packing_width(terms, {a for v in vectors for a in v}, {y for v in ys.values() for y in v})
-    packed_a = [f.pack_matrices(v, width) for v in vectors]
-    packed_y = {key: f.pack_vectors(v, width) for key, v in ys.items()}
+    width = f.packing_width(terms, {x for v in products.values() for x in v}, constants)
+    packed_ab = {key: f.pack_matrices(v, width) for key, v in products.items()}
+    packed_c = {c: f.pack_vectors(c, width) for c in constants}
     unpacker, read = lru_cache(maxsize=None)(f.unpacker), {}  # read: (E^H, terms) to their coordinates
-    column_sums, weights = [0] * d, {}  # the checksum's running input: per id a, the sum of its terms' b c
+    column_sums, weights = [0] * d, {}  # the checksum's running input: per pair of ids, the sum of its terms' c
     for o, o2 in sorted(pairs):  # sorted keys: no list of (pair, dict) items at the traced peak
         by_k = pairs[o, o2]
         for k, (beta, group) in by_k.items():
             key = targets[k], tuple(group)
             if key not in read:
                 pivots, free, scale, _ = fields[targets[k]]
-                total = sum(packed_a[a] * packed_y[b, c] for a, b, c in group)
-                columns = unpacker(orbits[o][1], orbits[o2][1], width)(total)
+                total = sum(packed_ab[a, b] * packed_c[c] for a, b, c in group)
+                columns = unpacker(orbits[o][1] * orbits[o2][1], width)(total)
                 read[key] = coordinates = tuple([tuple(columns[p]) for p in pivots])
                 for l, rs in free:  # the RREF rows must take the coordinates back to column l
                     if any(scale * y != sum(map(mul, rs, xs)) for y, xs in zip(columns[l], zip(*coordinates))):
                         raise NotClosedUnderMultiplication("product leaves the fixed subspace")
                 column_sums = list(map(add, column_sums, map(sum, columns)))
                 for a, b, c in group:
-                    weights[a] = list(map(add, weights.get(a, [0] * d), map(sum, zip(*ys[b, c]))))
+                    weights[a, b] = list(map(add, weights.get((a, b), [0] * d), c))
             by_k[k] = beta, read[key]
     fixed = FixedAlgebra(orbits, pairs, den, prod(sum(-1 not in row for row in sign) for sign in signs))
-    checksum = [0] * d  # the sum over the ids a of (sum_l a_l)(sum of their b c)
-    for a, y in weights.items():
-        checksum = list(map(add, checksum, f.multiply(list(map(sum, zip(*vectors[a]))), y)))
+    sums = [list(map(sum, zip(*v))) for v in vectors]  # per id, sum_l a_l
+    checksum = [0] * d  # the sum over the pairs of ids (a, b) of (sum_l a_l)(sum_j b_j)(sum of their c)
+    for (a, b), y in weights.items():
+        checksum = list(map(add, checksum, f.multiply(f.multiply(sums[a], sums[b]), y)))
     i = next((i for i, (x, y) in enumerate(zip(column_sums, checksum)) if x != y), None)
     if i is not None:
         raise CertificateFailure(f"readout checksum fails at column {i}")

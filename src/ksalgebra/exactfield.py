@@ -18,9 +18,9 @@ inverses, norms and exact division.  No product branches on the degree:
 Q is the field of degree 1, with the same kernel.
 pack_matrices, pack_vectors and unpacker sum many M_a y = reduce(a y) in
 one int by Kronecker substitution, at a digit width packing_width bounds; a
-packed M_a has room for d vectors, so it is packed once for every count,
-and unpacker reads the sums back one list of digits per coordinate:
-csa.invariants reads each distinct block, one (E^H, terms), once.
+packed M_a has one-vector rows, 2d - 1 digits each, so it multiplies one
+packed y, and unpacker reads the sums back one list of digits per
+coordinate: csa.invariants reads each distinct block, one (E^H, terms), once.
 
 Real places are indexed 1..d.  The first listed interval is the field's
 distinguished inclusion into R, and interval i must isolate the image of
@@ -55,7 +55,7 @@ nonzero rational, means P is reducible: both raise InvalidDescriptor.
 
 import re
 from fractions import Fraction
-from itertools import accumulate, chain, count, repeat
+from itertools import accumulate, count, repeat
 from math import gcd, isqrt, lcm, prod
 from operator import lshift, mul
 from typing import Iterable, Sequence
@@ -259,26 +259,24 @@ class FieldDescriptor:
 
     def pack_matrices(self, coefficients: Sequence[Sequence[int]], width: int) -> int:
         """The M_a of the coefficients at 2^width, (M_a)_iq = sum_p R[i][p + q]
-        a_p so that M_a y = reduce(a y): row i of the l-th, reversed, ends at
-        digit S(l d + i) + d - 1, S = d(d + 1) - 1, so that digit S(l d + i)
-        + d - 1 + d j of a product with pack_vectors of at most d vectors is
-        (M_a y_j)_i."""
-        d, slot = self.degree, self.degree * (self.degree + 1) - 1
+        a_p so that M_a y = reduce(a y), in one-vector rows: row i of the
+        l-th, reversed, ends at digit S(l d + i) + d - 1, S = 2d - 1, so that
+        that digit of a product with pack_vectors of y is (M_a y)_i."""
+        d, slot = self.degree, 2 * self.degree - 1
         return sum(sum(map(mul, row[q:], a)) << width * (slot * (l * d + i) + d - 1 - q)
                    for l, a in enumerate(coefficients) for i, row in enumerate(self._reduction) for q in range(d))
 
-    def pack_vectors(self, vectors: Sequence[Sequence[int]], width: int) -> int:
-        """The vectors end to end at 2^width: digit d j + q is y_j[q]."""
-        return sum(map(lshift, chain.from_iterable(vectors), count(0, width)))
+    def pack_vectors(self, y: Sequence[int], width: int) -> int:
+        """One vector y at 2^width: digit q is y[q]."""
+        return sum(map(lshift, y, count(0, width)))
 
-    def unpacker(self, matrices: int, vectors: int, width: int):
+    def unpacker(self, matrices: int, width: int):
         """The reader of a sum of products of pack_matrices of that many
-        coefficients and pack_vectors of that many vectors: its column i
-        holds the sums of (M_{a_l} y_j)_i, over reduction_den, at l vectors + j."""
-        d, slot = self.degree, self.degree * (self.degree + 1) - 1
+        coefficients and pack_vectors: its column i holds the sums of
+        (M_{a_l} y)_i, over reduction_den, at l."""
+        d, slot = self.degree, 2 * self.degree - 1
         bias = ((1 << width * slot * d * matrices) - 1) // ((1 << width) - 1) << width - 1
-        columns = [[width * (slot * (l * d + i) + d - 1 + d * j) for l in range(matrices) for j in range(vectors)]
-                   for i in range(d)]
+        columns = [[width * (slot * (l * d + i) + d - 1) for l in range(matrices)] for i in range(d)]
         mask, half = (1 << width) - 1, 1 << width - 1
 
         def unpack(packed: int) -> list[list[int]]:

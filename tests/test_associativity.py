@@ -34,8 +34,9 @@ exchanged monomial, or a side scaled), the fixed algebra built from Z(A)
 monomials), the closure test of the fixed algebra (a corrupted slot
 coefficient, and a nudged digit in the last free column over the cubic),
 the readout checksum of the fixed
-algebra at dim 64 (a pivot digit nudged in a late sum, and a packing width
-too narrow, both of which the closure tests pass), the congruence
+algebra (a pivot digit nudged in a late sum at dim 64, and a packing width
+too narrow at dim 512 over the cubic and at dim 256 over the biquadratic
+quartic, all of which the closure tests pass), the congruence
 certificate P^T G P (once with the certificate's products zeroed, once
 with one off-diagonal product nonzero, once on the Q Gram blocks of a
 trace form with inexact divisions), the quaternion presentation of C0
@@ -557,10 +558,22 @@ def invariants_at_width(z, width: int) -> FixedAlgebra:
         FieldDescriptor.packing_width = real
 
 
-# the dim-64 cases and a width short of packing_width's (18 and 10) at
+def narrow_zg(name: str):
+    """Z(A) of the rank-4 diag(a, a, a - 1, a - 2) over the cubic (dim
+    512), or of the rank-3 diag(a - 2, a - 2, -1) over the biquadratic
+    quartic (dim 256): the reports rank4-cubic and quartic-biquadratic."""
+    f = cyclic_cubic_field() if name == "rank4-cubic" else biquadratic_field()
+    a = f.gen()
+    entries = [a, a, a - 1, a - 2] if name == "rank4-cubic" else [a - 2, a - 2, -f.one()]
+    return build_ZG(even_part(f, entries), f)
+
+
+# the cases of narrow_zg, a width short of packing_width's (16 and 39) at
 # which the closure tests and the unit law pass a wrong readout, so that
-# the readout checksum must reject it
-NARROW_WIDTHS = (("cubic search form", 14), ("Q(sqrt 2) rank 4", 7))
+# the readout checksum must reject it, and the column where it fails; on
+# the dim-64 cases no such width exists: each narrower one reads right or
+# fails a closure test
+NARROW_WIDTHS = (("rank4-cubic", 12, 0), ("quartic-biquadratic", 33, 1))
 
 CHECKSUM_FAILURE = "readout checksum fails at column 0"
 
@@ -985,10 +998,10 @@ def test_the_readout_checksum_rejects_a_nudge_in_the_last_read(name):
         invariants_with_a_nudged_digit(name, 0, read=LAST_READS[name])
 
 
-@pytest.mark.parametrize("name, width", NARROW_WIDTHS, ids=[name for name, _ in NARROW_WIDTHS])
-def test_the_readout_checksum_rejects_a_narrow_width(name, width):
-    with pytest.raises(CertificateFailure, match=re.escape(CHECKSUM_FAILURE)):
-        invariants_at_width(dim64_zg(name), width)
+@pytest.mark.parametrize("name, width, column", NARROW_WIDTHS, ids=[name for name, _, _ in NARROW_WIDTHS])
+def test_the_readout_checksum_rejects_a_narrow_width(name, width, column):
+    with pytest.raises(CertificateFailure, match=re.escape(f"readout checksum fails at column {column}")):
+        invariants_at_width(narrow_zg(name), width)
 
 
 @pytest.mark.parametrize("name", ["cubic search form", "Q(sqrt 2) rank 4", "Q(sqrt 2)"])
@@ -1016,19 +1029,20 @@ def test_invariants_at_every_narrower_width_are_right_or_raise(monkeypatch, name
 
 def test_the_readout_checksum_fires_under_python_O():
     script = (
-        "from test_associativity import LAST_READS, LATE_NUDGES, NARROW_WIDTHS, dim64_zg, invariants_at_width,"
-        " invariants_with_a_nudged_digit\n"
+        "from test_associativity import LAST_READS, LATE_NUDGES, NARROW_WIDTHS, invariants_at_width,"
+        " invariants_with_a_nudged_digit, narrow_zg\n"
         "from ksalgebra.errors import CertificateFailure\n"
         "if __debug__:\n    raise SystemExit('not running under python -O')\n"
         "for build in [*(lambda n=n: invariants_with_a_nudged_digit(n, 0, read=39) for n in LATE_NUDGES),\n"
         "              *(lambda n=n, r=r: invariants_with_a_nudged_digit(n, 0, read=r) for n, r in LAST_READS.items()),\n"
-        "              *(lambda n=n, w=w: invariants_at_width(dim64_zg(n), w) for n, w in NARROW_WIDTHS)]:\n"
+        "              *(lambda n=n, w=w: invariants_at_width(narrow_zg(n), w) for n, w, _ in NARROW_WIDTHS)]:\n"
         "    try:\n        build()\n"
         "    except CertificateFailure as exc:\n        print(exc)\n"
     )
     done = run_under_O(script)
     assert done.returncode == 0, done.stderr or done.stdout
-    assert done.stdout.splitlines() == [CHECKSUM_FAILURE] * (len(LATE_NUDGES) + len(LAST_READS) + len(NARROW_WIDTHS))
+    assert done.stdout.splitlines() == [CHECKSUM_FAILURE] * (len(LATE_NUDGES) + len(LAST_READS)) + [
+        f"readout checksum fails at column {column}" for _, _, column in NARROW_WIDTHS]
 
 
 def test_congruence_and_quaternion_certificates_raise_certificate_failure():

@@ -745,8 +745,9 @@ def test_tables_hold_one_tuple_per_distinct_entry(name):
 ORDERED_TARGETS = {"cubic search form": 1296, "Q(sqrt 2) rank 4": 2080}
 # the sums invariants reads: one per distinct (E^H, terms) over the unordered targets
 READS = {"cubic search form": 309, "Q(sqrt 2) rank 4": 170}
-# the distinct (sum, E^H) among them: over the cubic 4 reads repeat an earlier sum under other terms
-DISTINCT_SUMS = {"cubic search form": 305, "Q(sqrt 2) rank 4": 170}
+# the distinct (sum, E^H) among them: 4 reads over the cubic and 15 over Q(sqrt 2) repeat an earlier
+# sum under other terms
+DISTINCT_SUMS = {"cubic search form": 305, "Q(sqrt 2) rank 4": 155}
 
 
 def dim64_zg(name):
@@ -890,13 +891,16 @@ def test_trace_form_memo_is_keyed_by_the_gram_block(orbit):
     assert trace_form_signature(b) == (pos - p + q, neg - q + p, null)
 
 
-def test_invariants_multiply_each_distinct_pair_once(monkeypatch):
-    # the field multiplies of one invariants call on the cubic search form:
-    # 203 for its products' slot cells and 563 for the b c, b a basis
-    # conjugate at s' and c a structure constant of a kept term, each
-    # distinct pair once in its own memo, and 4 for the readout checksum,
-    # one per distinct coefficient id a at s
-    z = dim64_zg("cubic search form")
+# the field multiplies of one invariants call: the products' slot cells,
+# each distinct pair once in its memo; the a_l b_j, m m2 for each pair of
+# basis ids (a, b) at (s, s') of a kept term, formed once; and 2 per such
+# pair for the readout checksum
+MULTIPLIES = {"cubic search form": (203, 100, 32), "Q(sqrt 2) rank 4": (104, 25, 18)}
+
+
+@pytest.mark.parametrize("name", MULTIPLIES)
+def test_invariants_multiply_each_distinct_pair_once(monkeypatch, name):
+    z = dim64_zg(name)
     calls = []
     real = FieldDescriptor.multiply
 
@@ -906,7 +910,7 @@ def test_invariants_multiply_each_distinct_pair_once(monkeypatch):
 
     monkeypatch.setattr(FieldDescriptor, "multiply", multiply)
     invariants(z)
-    assert len(calls) == 770
+    assert len(calls) == sum(MULTIPLIES[name])
 
 
 def test_field_elem_rows_and_integers_over_6_store_the_same_table():

@@ -596,55 +596,51 @@ def test_power_table_clears_rational_denominators():
 
 
 def width_for(field, terms) -> int:
-    """The width packing_width gives for the terms (coefficients, vectors)."""
-    return field.packing_width(
-        len(terms), [a for coefficients, _ in terms for a in coefficients], [y for _, ys in terms for y in ys]
-    )
+    """The width packing_width gives for the terms (coefficients, vector)."""
+    return field.packing_width(len(terms), [a for coefficients, _ in terms for a in coefficients], [y for _, y in terms])
 
 
 def packed_sum(field, terms) -> list[list[int]]:
     """The unpacker's read of the sum, over the terms (coefficients,
-    vectors), of pack_matrices * pack_vectors, at the width packing_width
+    vector), of pack_matrices * pack_vectors, at the width packing_width
     gives: d columns, one per coordinate."""
     width = width_for(field, terms)
-    total = sum(
-        field.pack_matrices(coefficients, width) * field.pack_vectors(ys, width) for coefficients, ys in terms
-    )
-    return field.unpacker(len(terms[0][0]), len(terms[0][1]), width)(total)
+    total = sum(field.pack_matrices(coefficients, width) * field.pack_vectors(y, width) for coefficients, y in terms)
+    return field.unpacker(len(terms[0][0]), width)(total)
 
 
 def accumulated_sum(field, terms) -> list[list[int]]:
-    """The same sums as multiply products: multiply(a_l, y_j) summed over
-    the terms, coordinate i at column i, position l * vectors + j."""
-    m, r = len(terms[0][0]), len(terms[0][1])
-    sums = [[sum(c) for c in zip(*(field.multiply(coefficients[l], ys[j]) for coefficients, ys in terms))]
-            for l in range(m) for j in range(r)]
+    """The same sums as multiply products: multiply(a_l, y) summed over
+    the terms, coordinate i at column i, position l."""
+    sums = [[sum(c) for c in zip(*(field.multiply(coefficients[l], y) for coefficients, y in terms))]
+            for l in range(len(terms[0][0]))]
     return [list(column) for column in zip(*sums)]
 
 
 def reference_sum(field, terms) -> list[list[Fraction]]:
     """The same sums from the Fraction reference, times reduction_den, in
     the same columns."""
-    m, r = len(terms[0][0]), len(terms[0][1])
     out = []
-    for l in range(m):
-        for j in range(r):
-            total = ref.pad([], field.degree)
-            for coefficients, ys in terms:
-                total = ref.add(total, ref.mul(field, coefficients[l], ys[j]))
-            out.append([c * field.reduction_den for c in total])
+    for l in range(len(terms[0][0])):
+        total = ref.pad([], field.degree)
+        for coefficients, y in terms:
+            total = ref.add(total, ref.mul(field, coefficients[l], y))
+        out.append([c * field.reduction_den for c in total])
     return [list(column) for column in zip(*out)]
+
+
+def vectors_of(data, field):
+    """A strategy for vectors of d ints, up to one drawn magnitude."""
+    big = data.draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
+    return st.lists(st.integers(-big, big), min_size=field.degree, max_size=field.degree).map(tuple)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_packed_products_match_the_accumulator_and_the_fraction_reference(data):
     field = data.draw(st.sampled_from(REFERENCE_FIELDS))
-    m, r = data.draw(st.integers(1, field.degree)), data.draw(st.integers(1, field.degree))
-    big = data.draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
-    vector = st.lists(st.integers(-big, big), min_size=field.degree, max_size=field.degree).map(tuple)
-    term = st.tuples(st.lists(vector, min_size=m, max_size=m), st.lists(vector, min_size=r, max_size=r))
-    terms = data.draw(st.lists(term, min_size=1, max_size=5))
+    m, vector = data.draw(st.integers(1, field.degree ** 2)), vectors_of(data, field)
+    terms = data.draw(st.lists(st.tuples(st.lists(vector, min_size=m, max_size=m), vector), min_size=1, max_size=5))
     got = packed_sum(field, terms)
     assert got == accumulated_sum(field, terms)
     assert got == reference_sum(field, terms)
@@ -652,24 +648,18 @@ def test_packed_products_match_the_accumulator_and_the_fraction_reference(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_one_packed_matrix_serves_every_vector_count_up_to_the_degree(data):
-    # pack_matrices leaves room for d vectors, so the int packed once per
-    # term is multiplied by pack_vectors of the first r vectors, r = 1..d
-    field = data.draw(st.sampled_from(REFERENCE_FIELDS))
-    d = field.degree
-    m = data.draw(st.integers(1, d))
-    big = data.draw(st.sampled_from((9, 10 ** 6, 10 ** 30)))
-    vector = st.lists(st.integers(-big, big), min_size=d, max_size=d).map(tuple)
-    term = st.tuples(st.lists(vector, min_size=m, max_size=m), st.lists(vector, min_size=d, max_size=d))
-    terms = data.draw(st.lists(term, min_size=1, max_size=5))
-    width = width_for(field, terms)
-    matrices = [field.pack_matrices(coefficients, width) for coefficients, _ in terms]
-    for r in range(1, d + 1):
-        total = sum(x * field.pack_vectors(ys[:r], width) for x, (_, ys) in zip(matrices, terms))
-        first = [(coefficients, ys[:r]) for coefficients, ys in terms]
-        got = field.unpacker(m, r, width)(total)
-        assert got == accumulated_sum(field, first)
-        assert got == reference_sum(field, first)
+def test_packed_basis_products_read_back_against_one_packed_constant(data):
+    # as csa.invariants packs them: per term, the rows M_{a_l b_j} of the
+    # products a_l b_j, at l m2 + j, and one constant c; column i reads the
+    # sum of (M_{a_l b_j} c)_i = D^2 (a_l b_j c)_i, D = reduction_den
+    field = data.draw(st.sampled_from([RATIONAL_FIELD, *SIGN_FIELDS]))
+    d, vector = field.degree, vectors_of(data, field)
+    m, m2 = data.draw(st.integers(1, d)), data.draw(st.integers(1, d))
+    drawn = data.draw(st.lists(st.tuples(st.lists(vector, min_size=m, max_size=m),
+                                         st.lists(vector, min_size=m2, max_size=m2), vector), min_size=1, max_size=5))
+    got = packed_sum(field, [([field.multiply(a, b) for a in xs for b in ys], c) for xs, ys, c in drawn])
+    want = reference_sum(field, [([ref.mul(field, a, b) for a in xs for b in ys], c) for xs, ys, c in drawn])
+    assert got == [[x * field.reduction_den for x in column] for column in want]
 
 
 # terms at the width bound: the digit read sums terms * d products of A,
@@ -687,7 +677,7 @@ AT_THE_BOUND_IDS = ["Q+", "Q-", "Q(sqrt 2)+", "Q(sqrt 2)-"]
 
 @pytest.mark.parametrize("field, a, bound_a, y", AT_THE_BOUND, ids=AT_THE_BOUND_IDS)
 def test_packed_products_hold_coefficients_at_the_width_bound(field, a, bound_a, y):
-    terms = [([a], [y])] * 3
+    terms = [([a], y)] * 3
     got = packed_sum(field, terms)
     assert abs(got[0][0]) == 3 * field.degree * bound_a * abs(y[0])
     assert got == accumulated_sum(field, terms) == reference_sum(field, terms)
@@ -697,5 +687,5 @@ def test_packed_products_hold_coefficients_at_the_width_bound(field, a, bound_a,
 def test_packed_products_one_bit_short_of_the_width_bound_fail(monkeypatch, field, a, bound_a, y):
     real = FieldDescriptor.packing_width
     monkeypatch.setattr(FieldDescriptor, "packing_width", lambda self, *args: real(self, *args) - 1)
-    terms = [([a], [y])] * 3
+    terms = [([a], y)] * 3
     assert packed_sum(field, terms) != accumulated_sum(field, terms)
