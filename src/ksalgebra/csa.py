@@ -368,7 +368,7 @@ def invariants(z: GaloisModuleAlgebra) -> FixedAlgebra:
     in J, at a representative k, formed once by z.products, adds one
     product of FieldDescriptor.pack_matrices of the a_l b_j, a_l and b_j
     the coefficients at s and at s' of the basis elements, and pack_vectors
-    of c, which sums M_{a_l b_j} c = reduce(a_l b_j c) for every pair of
+    of c, which sums M_{a_l b_j} c = multiply(a_l b_j, c) for every pair of
     basis elements.  The a_l b_j of each pair of ids (a, b) are formed and
     packed once, and each distinct c once; each distinct block, keyed by
     (E^H at k, terms), is summed and read once, by an unpacker memoized for

@@ -10,14 +10,16 @@ acts by an integer matrix, so every operation is exact and no floating
 point appears anywhere.
 
 The field owns the integer-vector kernel that FieldElem, qform and csa
-share: multiply convolves two vectors into 2d - 1 ints and reduce takes
-them mod P by the integer matrix whose columns are X^k mod P, over
-reduction_den, and as reduce is linear a sum of products is the sum of
-their multiply; adjugate gives the product of the other conjugates, for
-inverses, norms and exact division.  No product branches on the degree:
-Q is the field of degree 1, with the same kernel.
-pack_matrices, pack_vectors and unpacker sum many M_a y = reduce(a y) in
-one int by Kronecker substitution, at a digit width packing_width bounds; a
+share: multiply is one straight-line function of two vectors, compiled
+when the field is built, that forms the 2d - 1 convolution sums and takes
+them mod P by the nonzero entries of the integer matrix whose columns are
+X^k mod P, over reduction_den.  It is bilinear, so a sum of products is
+the sum of their multiply; adjugate gives the product of the other
+conjugates, for inverses, norms and exact division.  No product branches
+on the degree: Q is the field of degree 1, with the same kernel.
+pack_matrices, pack_vectors and unpacker sum many M_a y = multiply(a, y)
+in one int by Kronecker substitution, at a digit width packing_width
+bounds; column q of M_a is multiply(a, X^q), read from the same kernel.  A
 packed M_a has one-vector rows, 2d - 1 digits each, so it multiplies one
 packed y, and unpacker reads the sums back one list of digits per
 coordinate: csa.invariants reads each distinct block, one (E^H, terms), once.
@@ -95,6 +97,24 @@ def _value(f: Sequence[int], num: int, q: int) -> int:
     return acc
 
 
+def _product_kernel(matrix: Sequence[Sequence[int]]):
+    """The product of two d-vectors as one straight-line function of (a, b),
+    matrix being the d x (2d - 1) ints whose column k is X^k mod P: it
+    unpacks both, forms the 2d - 1 convolution sums once and returns
+    coordinate i as the sum of matrix[i][k] s_k over the nonzero entries.
+    The entries are bound by name in the function's namespace, never
+    written into its source, so an int of any size compiles."""
+    d = len(matrix)
+    namespace = {f"r{i}_{k}": c for i, row in enumerate(matrix) for k, c in enumerate(row) if c}
+    sums = (" + ".join(f"a{p} * b{k - p}" for p in range(max(0, k - d + 1), min(k, d - 1) + 1)) for k in range(2 * d - 1))
+    coordinates = (" + ".join(f"r{i}_{k} * s{k}" for k, c in enumerate(row) if c) for i, row in enumerate(matrix))
+    lines = [f"{', '.join(f'{x}{p}' for p in range(d))}, = {x}" for x in "ab"]
+    lines += [f"s{k} = {s}" for k, s in enumerate(sums)]
+    lines.append(f"return {', '.join(coordinates)},")
+    exec("def product(a, b):\n    " + "\n    ".join(lines), namespace)
+    return namespace["product"]
+
+
 class FieldDescriptor:
     """A totally real Galois number field, fully explicit and validated.
 
@@ -121,9 +141,11 @@ class FieldDescriptor:
         self._hash = hash(self._key)
         # column k is X^k mod P for k <= 2d - 2: a product of two
         # coefficient vectors has degree <= 2d - 2 and reduces through it
-        self.reduction_den, self._reduction = self._integer_matrix(
+        self.reduction_den, reduction = self._integer_matrix(
             pmod(poly([0] * k + [1]), p) for k in range(2 * d - 1)
         )
+        self._product = _product_kernel(reduction)
+        self._units = [(0,) * q + (1,) + (0,) * (d - 1 - q) for q in range(d)]
         # each automorphism as its image a_i = sigma_i(alpha), an element
         images = [self.elem(a) for a in self.automorphisms]
         self._validate(images)
@@ -215,23 +237,9 @@ class FieldDescriptor:
 
     # -- the integer-vector kernel -------------------------------------------
 
-    def reduce(self, acc: Sequence[int]) -> tuple[int, ...]:
-        """acc(alpha) in the power basis, as d ints over reduction_den.
-
-        acc holds the integer coefficients of a polynomial of degree at
-        most 2d - 2, such as a convolved product.  It is reduced mod P by
-        the integer matrix whose column k is X^k mod P.
-        """
-        return tuple([sum(map(mul, row, acc)) for row in self._reduction])
-
     def multiply(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        """a * b on integer vectors, convolved and reduced: d ints over reduction_den."""
-        acc = [0] * (2 * self.degree - 1)
-        for p, ap in enumerate(a):
-            if ap:
-                for q, bq in enumerate(b, p):
-                    acc[q] += ap * bq
-        return self.reduce(acc)
+        """a * b on integer d-vectors by the field's compiled kernel: d ints over reduction_den."""
+        return self._product(a, b)
 
     def adjugate(self, num: Sequence[int]) -> tuple[tuple[int, ...], int]:
         """(adj, n): adj the product of sigma_i(num) over i >= 2 times the
@@ -252,19 +260,19 @@ class FieldDescriptor:
         """W for sums of at most terms products pack_matrices * pack_vectors:
         each digit sums at most terms * d products, so W - 1 = bit_length(terms
         d A B), A and B the largest |entry| of an M_a and of a y, holds it."""
-        a = max((abs(sum(map(mul, row[q:], c))) for c in coefficients for row in self._reduction
-                 for q in range(self.degree)), default=0)
+        a = max((abs(x) for c in coefficients for e in self._units for x in self._product(c, e)), default=0)
         b = max((abs(x) for y in vectors for x in y), default=0)
         return (terms * self.degree * a * b).bit_length() + 1
 
     def pack_matrices(self, coefficients: Sequence[Sequence[int]], width: int) -> int:
-        """The M_a of the coefficients at 2^width, (M_a)_iq = sum_p R[i][p + q]
-        a_p so that M_a y = reduce(a y), in one-vector rows: row i of the
-        l-th, reversed, ends at digit S(l d + i) + d - 1, S = 2d - 1, so that
-        that digit of a product with pack_vectors of y is (M_a y)_i."""
+        """The M_a of the coefficients at 2^width, column q multiply(a, X^q),
+        in one-vector rows: row i of the l-th, reversed, ends at digit S(l d
+        + i) + d - 1, S = 2d - 1, so that that digit of a product with
+        pack_vectors of y is (M_a y)_i = multiply(a, y)_i."""
         d, slot = self.degree, 2 * self.degree - 1
-        return sum(sum(map(mul, row[q:], a)) << width * (slot * (l * d + i) + d - 1 - q)
-                   for l, a in enumerate(coefficients) for i, row in enumerate(self._reduction) for q in range(d))
+        return sum(x << width * (slot * (l * d + i) + d - 1 - q)
+                   for l, a in enumerate(coefficients) for q, e in enumerate(self._units)
+                   for i, x in enumerate(self._product(a, e)))
 
     def pack_vectors(self, y: Sequence[int], width: int) -> int:
         """One vector y at 2^width: digit q is y[q]."""

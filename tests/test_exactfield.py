@@ -37,7 +37,7 @@ from ksalgebra.exactfield import (
 )
 
 import fraction_reference as ref
-from quartic_fields import cyclic_quartic_field
+from quartic_fields import biquadratic_field, cyclic_quartic_field
 
 F = Fraction
 
@@ -48,7 +48,7 @@ FIELDS = [RATIONAL_FIELD, Q2, Q5, CUBIC]
 # alpha = sqrt(2)/2: min_poly X^2 - 1/2, so the X^k mod P table has
 # denominator 2
 HALF = FieldDescriptor([F(-1, 2), 0, 1], [[0, 1], [0, -1]], [(F(1, 2), 1), (-1, F(-1, 2))], name="h")
-REFERENCE_FIELDS = [RATIONAL_FIELD, Q2, Q5, CUBIC, HALF]
+REFERENCE_FIELDS = [RATIONAL_FIELD, Q2, Q5, CUBIC, HALF, cyclic_quartic_field(), biquadratic_field()]
 
 
 def elem(field, *coeffs):
@@ -194,6 +194,15 @@ def test_descriptor_with_a_huge_constant_term_builds_fast():
     f = FieldDescriptor([-(r * r + 1), 0, 1], [[0, 1], [0, -1]], [(r, r + 1), (-r - 1, -r)])
     assert time.perf_counter() - start < 1
     assert sign_at_embedding(f.gen() - r, 1) == 1 and sign_at_embedding(f.gen() + r, 2) == -1
+
+
+def test_a_constant_past_the_int_string_limit_compiles_into_the_product():
+    # X^2 - m with m of 4,401 digits, past the 4,300 that str(int) allows:
+    # the product kernel must bind m by name, not write it into its source
+    r = 10**2200
+    m = r * r + r
+    f = FieldDescriptor([-m, 0, 1], [[0, 1], [0, -1]], [(r, r + 1), (-r - 1, -r)])
+    assert f.gen() * f.gen() == m
 
 
 def test_descriptor_rejects_not_totally_real():
@@ -489,13 +498,26 @@ def coeff_lists(field):
     )
 
 
+def kernel_lists(field):
+    """Small fractions, integers up to 2^256 in size, or the zero vector."""
+    return st.one_of(
+        coeff_lists(field),
+        st.lists(st.integers(-(2**256), 2**256).map(F), min_size=field.degree, max_size=field.degree),
+        st.just([F(0)] * field.degree),
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_arithmetic_matches_the_fraction_reference(data):
     field = data.draw(st.sampled_from(REFERENCE_FIELDS))
-    a, b = data.draw(coeff_lists(field)), data.draw(coeff_lists(field))
+    a, b = data.draw(kernel_lists(field)), data.draw(kernel_lists(field))
     x, y = FieldElem(field, a), FieldElem(field, b)
     assert list(x.coeffs) == a and in_lowest_terms(x) and in_lowest_terms(y)
+    # the raw kernel on the integer numerators, over reduction_den
+    product = field.multiply(x.num, y.num)
+    assert type(product) is tuple and all(type(c) is int for c in product)
+    assert [F(c, field.reduction_den) for c in product] == ref.mul(field, x.num, y.num)
     for got, want in (
         (x + y, ref.add(a, b)),
         (x - y, ref.sub(a, b)),
@@ -575,21 +597,32 @@ def test_half_field_arithmetic():
 # -- the integer X^k mod P table ---------------------------------------------------
 
 
+def power(f, j) -> tuple[int, ...]:
+    """X^j for j < d, as an integer vector."""
+    return tuple(int(q == j) for q in range(f.degree))
+
+
 @pytest.mark.parametrize("f", [RATIONAL_FIELD, Q2, CUBIC, HALF], ids=repr)
 def test_power_table_rows_over_their_denominator_are_x_to_the_k_mod_p(f):
     d = f.degree
     for k in range(2 * d - 1):
-        num = f.reduce([0] * k + [1])
+        j = min(k, d - 1)
+        num = f.multiply(power(f, j), power(f, k - j))
         assert len(num) == d and all(isinstance(c, int) for c in num)
         assert [F(c, f.reduction_den) for c in num] == ref.pad(ref.pmod([0] * k + [1], f.min_poly), d)
 
 
 def test_power_table_clears_rational_denominators():
-    # alpha = sqrt(2)/2 has min_poly X^2 - 1/2, so X^2 reduces to 1/2
+    # alpha = sqrt(2)/2 has min_poly X^2 - 1/2, so X^2 reduces to 1/2; a
+    # polynomial of degree <= 2 reduces as the sum of its c X^(k - k//2) X^(k//2)
+    def reduced(acc):
+        terms = [[c * x for x in HALF.multiply(power(HALF, k - k // 2), power(HALF, k // 2))] for k, c in enumerate(acc)]
+        return tuple(map(sum, zip(*terms)))
+
     assert HALF.reduction_den == 2
-    assert HALF.reduce([0, 0, 1]) == (1, 0)
-    assert HALF.reduce([3, 5]) == (6, 10)
-    assert HALF.reduce([1, 2, 4]) == (6, 4)
+    assert reduced([0, 0, 1]) == (1, 0)
+    assert reduced([3, 5]) == (6, 10)
+    assert reduced([1, 2, 4]) == (6, 4)
 
 
 # -- packed products ----------------------------------------------------------------

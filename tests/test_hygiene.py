@@ -18,7 +18,9 @@ comparison of a field degree with 1: the one left is the Q label in
 QuaternionSymbol.render, and a new Q-only fork is a deliberate edit of its
 list.  So is every call that passes check=, which would
 bring back a size gate on the sweep for associativity: today none does,
-as every StructureAlgebra is swept where it is built.  The Fraction reference that the arithmetic is
+as every StructureAlgebra is swept where it is built.  So is every call
+to exec, eval or compile: the one code generator is the product kernel
+that each field compiles in exactfield.  The Fraction reference that the arithmetic is
 checked against imports nothing from the package, so a package bug cannot
 pass by agreeing with itself.  The modules that import fractions are listed
 below, so that Fraction arithmetic does not come back into the linear
@@ -384,6 +386,36 @@ def test_sweep_gates_are_located_by_function():
 def test_sweep_gates_in_src_are_the_listed_ones():
     found = {path.stem: sweep_gates_by_function(path.read_text()) for path in MODULES}
     assert {module: where for module, where in found.items() if where} == LISTED_SWEEP_GATES
+
+
+# the calls to exec, eval and compile in the package, by module and
+# enclosing function: the one code generator is the field's product kernel
+LISTED_CODEGEN = {
+    "exactfield": ["_product_kernel"],
+}
+
+
+def codegen_by_function(source: str) -> list[str]:
+    return located_by_function(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("exec", "eval", "compile"),
+    )
+
+
+def test_codegen_is_located_by_function():
+    source = (
+        "def f(s):\n    exec(s, {})\n    return eval(s)\n"
+        "class K:\n    def m(self, s):\n        return compile(s, '<k>', 'exec')\n"
+        "def clean(s):\n    return re.compile(s), self.eval(s), execute(s)\n"
+    )
+    assert codegen_by_function(source) == ["f", "f", "K.m"]
+
+
+def test_codegen_in_src_is_the_listed_kernel_builder():
+    found = {path.stem: codegen_by_function(path.read_text()) for path in MODULES}
+    assert {module: where for module, where in found.items() if where} == LISTED_CODEGEN
 
 
 def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:
