@@ -35,8 +35,9 @@ lets signature bookkeeping elsewhere identify "signature at place i" with
 The field is built and checked in its own arithmetic.  Once P is monic of
 degree >= 1 the X^k mod P table is set up, and each automorphism is taken
 as its image a_i = sigma_i(alpha), an element: Horner evaluation in the
-field checks P(a_i) = 0 and fills the composition table, and successive
-products give the columns sigma_i(alpha^k).
+field checks P(a_i) = 0, successive products give the columns
+sigma_i(alpha^k) of its integer matrix, and that matrix times a_j gives
+(sigma_i o sigma_j)(alpha), which fills the composition table.
 
 The intervals are the certificate of the roots: each has a strict sign
 change of P and no two overlap, so P has d distinct real roots, is
@@ -141,20 +142,17 @@ class FieldDescriptor:
         self._hash = hash(self._key)
         # column k is X^k mod P for k <= 2d - 2: a product of two
         # coefficient vectors has degree <= 2d - 2 and reduces through it
-        self.reduction_den, reduction = self._integer_matrix(
-            pmod(poly([0] * k + [1]), p) for k in range(2 * d - 1)
-        )
+        self.reduction_den, reduction = self._integer_matrix(self.elem([0] * k + [1]) for k in range(2 * d - 1))
         self._product = _product_kernel(reduction)
         self._units = [(0,) * q + (1,) + (0,) * (d - 1 - q) for q in range(d)]
         # each automorphism as its image a_i = sigma_i(alpha), an element
         images = [self.elem(a) for a in self.automorphisms]
         self._validate(images)
-        self._compose_table = self._build_compose_table(images)
         # column k of automorphism i: sigma_i(alpha^k) = a_i^k
         self._automorphism_matrices = [
-            self._integer_matrix(y.coeffs for y in accumulate(repeat(x, d - 1), mul, initial=self.one()))
-            for x in images
+            self._integer_matrix(accumulate(repeat(x, d - 1), mul, initial=self.one())) for x in images
         ]
+        self._compose_table = self._build_compose_table(images)
 
     # -- validation -------------------------------------------------------
 
@@ -218,22 +216,23 @@ class FieldDescriptor:
         return False
 
     def _build_compose_table(self, images: list["FieldElem"]) -> list[list[int]]:
+        """At (i - 1, j - 1) the index of (sigma_i o sigma_j)(alpha) = sigma_i(a_j)
+        among the images, one product by sigma_i's integer matrix each."""
         index = {x: i for i, x in enumerate(images)}
-        # (sigma_i o sigma_j)(alpha) = sigma_i(aj(alpha)) = aj(a_i)
-        table = [[index.get(peval(aj, x)) for aj in self.automorphisms] for x in images]
+        table = [[index.get(apply_automorphism(aj, i)) for aj in images] for i in range(1, self.degree + 1)]
         if any(None in row for row in table):
             raise NonGaloisField("automorphisms are not closed under composition")
         if any(sorted(row) != list(range(self.degree)) for row in table):
             raise NonGaloisField("composition table rows are not permutations")
         return table
 
-    def _integer_matrix(self, polys) -> tuple[int, list[tuple[int, ...]]]:
-        """(D, M): reduced polynomials as the columns of an integer matrix
-        M of d rows over one denominator D, so that column k divided by D
-        is the k-th polynomial."""
-        padded = [list(r) + [Fraction(0)] * (self.degree - len(r)) for r in polys]
-        den = lcm(1, *(c.denominator for r in padded for c in r))
-        return den, list(zip(*([c.numerator * (den // c.denominator) for c in r] for r in padded)))
+    def _integer_matrix(self, elements) -> tuple[int, list[tuple[int, ...]]]:
+        """(D, M): elements as the columns of an integer matrix M of d rows
+        over one denominator D, the lcm of theirs, so that column k over D
+        is the k-th element."""
+        elements = list(elements)
+        den = lcm(*(x.den for x in elements))
+        return den, list(zip(*([c * (den // x.den) for c in x.num] for x in elements)))
 
     # -- the integer-vector kernel -------------------------------------------
 
@@ -306,15 +305,11 @@ class FieldDescriptor:
         return _reduced(self, (0,) * self.degree, 1)
 
     def one(self) -> "FieldElem":
-        return self.quotient(1, 1)
+        return _reduced(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def rational(self, c) -> "FieldElem":
         c = Fraction(c)
-        return self.quotient(c.numerator, c.denominator)
-
-    def quotient(self, num: int, den: int) -> "FieldElem":
-        """The rational num / den, for ints num and den > 0."""
-        return _reduced(self, (num,) + (0,) * (self.degree - 1), den)
+        return _reduced(self, (c.numerator,) + (0,) * (self.degree - 1), c.denominator)
 
     def from_integers(self, num: tuple[int, ...], den: int) -> "FieldElem":
         """The element num / den, for a tuple of d ints and den > 0."""
@@ -325,8 +320,9 @@ class FieldDescriptor:
 
     def elem(self, coeffs: Iterable) -> "FieldElem":
         cs = pmod(poly(coeffs), self.min_poly)
-        cs = list(cs) + [Fraction(0)] * (self.degree - len(cs))
-        return FieldElem(self, cs)
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        return _reduced(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def compose(self, i: int, j: int) -> int:
         """1-based index of sigma_i o sigma_j."""
@@ -393,7 +389,7 @@ _set = object.__setattr__
 
 
 def _reduced(field: FieldDescriptor, num: tuple, den: int) -> "FieldElem":
-    """The element num / den (den > 0), stored in lowest terms."""
+    """The element num / den (den > 0) in lowest terms; FieldElem's one constructor."""
     g = gcd(den, *num)
     if g != 1:
         num = tuple(c // g for c in num)
@@ -414,15 +410,6 @@ class FieldElem:
     """
 
     __slots__ = ("field", "num", "den")
-
-    def __init__(self, field: FieldDescriptor, coeffs: Sequence):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) != field.degree:
-            raise ValueError(f"coefficient vector must have length {field.degree}, got {len(cs)}")
-        den = lcm(*(c.denominator for c in cs))  # already in lowest terms
-        _set(self, "field", field)
-        _set(self, "num", tuple(c.numerator * (den // c.denominator) for c in cs))
-        _set(self, "den", den)
 
     def __setattr__(self, *_):
         raise AttributeError("FieldElem is immutable")

@@ -21,6 +21,7 @@ whenever both complete.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from .brauer import (
     INF,
@@ -151,7 +152,8 @@ def _galois_generators(f: FieldDescriptor) -> list:
 
 
 def _elem_size(x: FieldElem) -> int:
-    return sum(abs(c.numerator) + c.denominator for c in x.coeffs)
+    """Sum of |n| + den over the coefficients n / den in lowest terms."""
+    return sum((abs(n) + x.den) // gcd(n, x.den) for n in x.num)
 
 
 def _slot_state(x: FieldElem) -> tuple:

@@ -695,18 +695,21 @@ def test_invariants_of_the_cubic_search_form_build_no_rational_field_elements(mo
     f = cyclic_cubic_field()
     form = search_cubic_diagonal(f)
     z = build_ZG(even_part(f, [form.entries[i][i] for i in range(form.dim)]), f)
+    # every FieldElem is made by exactfield._reduced, so it sees each one over Q
     calls = []
-    real = FieldDescriptor.quotient
+    real = exactfield._reduced
 
-    def quotient(field, num, den):
+    def reduced(field, num, den):
         if field == RATIONAL_FIELD:
             calls.append((num, den))
         return real(field, num, den)
 
-    monkeypatch.setattr(FieldDescriptor, "quotient", quotient)
+    monkeypatch.setattr(exactfield, "_reduced", reduced)
     b = invariants(z)
     assert calls == []
     assert b.dim == 64
+    RATIONAL_FIELD.from_integers((-2,), 4)
+    assert calls == [((-2,), 4)]
 
 
 @pytest.mark.parametrize(

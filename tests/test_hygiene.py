@@ -20,7 +20,9 @@ list.  So is every call that passes check=, which would
 bring back a size gate on the sweep for associativity: today none does,
 as every StructureAlgebra is swept where it is built.  So is every call
 to exec, eval or compile: the one code generator is the product kernel
-that each field compiles in exactfield.  The Fraction reference that the arithmetic is
+that each field compiles in exactfield.  So is every object.__new__(FieldElem),
+and FieldElem defines no __init__: exactfield._reduced is the one
+constructor of a field element.  The Fraction reference that the arithmetic is
 checked against imports nothing from the package, so a package bug cannot
 pass by agreeing with itself.  The modules that import fractions are listed
 below, so that Fraction arithmetic does not come back into the linear
@@ -39,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from ksalgebra.csa import StructureAlgebra
+from ksalgebra.exactfield import FieldElem
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ksalgebra"
@@ -416,6 +419,37 @@ def test_codegen_is_located_by_function():
 def test_codegen_in_src_is_the_listed_kernel_builder():
     found = {path.stem: codegen_by_function(path.read_text()) for path in MODULES}
     assert {module: where for module, where in found.items() if where} == LISTED_CODEGEN
+
+
+# where src/ allocates a FieldElem: the one constructor, which every
+# element of every field goes through
+LISTED_ELEM_ALLOCATIONS = {
+    "exactfield": ["_reduced"],
+}
+
+
+def elem_allocations_by_function(source: str) -> list[str]:
+    return located_by_function(
+        source,
+        lambda node: isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "object.__new__"
+        and [ast.unparse(arg) for arg in node.args] == ["FieldElem"],
+    )
+
+
+def test_elem_allocations_are_located_by_function():
+    source = (
+        "def f():\n    return object.__new__(FieldElem)\n"
+        "class K:\n    def m(self):\n        return [object.__new__(FieldElem) for _ in ()]\n"
+        "def clean():\n    return object.__new__(Other), FieldElem.__new__(FieldElem), new(FieldElem)\n"
+    )
+    assert elem_allocations_by_function(source) == ["f", "K.m"]
+
+
+def test_field_elements_have_one_constructor():
+    assert "__init__" not in vars(FieldElem)
+    found = {path.stem: elem_allocations_by_function(path.read_text()) for path in MODULES}
+    assert {module: where for module, where in found.items() if where} == LISTED_ELEM_ALLOCATIONS
 
 
 def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:

@@ -22,11 +22,14 @@ def test_time_reports_times_the_pipeline_stages():
                           capture_output=True, text=True, check=True, timeout=120)
     [line] = done.stdout.splitlines()
     row = json.loads(line)
-    assert set(row) == {"src", "report", "wall_s", "cpu_s", "maxrss_mb", "dim", "center", "signature", "stages"}
+    assert set(row) == {"src", "report", "wall_s", "cpu_s", "maxrss_mb", "dim", "center", "signature", "stages",
+                        "field_us"}
     assert (row["report"], row["dim"], row["center"], row["signature"]) == ("quartic-cyclic", 256, 1, [120, 136, 0])
     assert list(row["stages"]) == STAGES
     assert all(t >= 0 for t in row["stages"].values())
     assert 0 < row["stages"]["invariants"] <= sum(row["stages"].values()) <= row["cpu_s"]
+    # the best of 20 builds of the cyclic quartic, well under the report
+    assert 0 < row["field_us"] < 1e6 * row["wall_s"]
 
 
 def test_unreached_lines_lists_the_statements_a_test_file_leaves_unrun():

@@ -15,11 +15,14 @@ rank 4 over the cyclic quartic, the one with n = 4096 (about 25 s).
 One JSON line per report: the checkout, the report, wall and CPU seconds
 of ks_report alone (imports and the field excluded), the process's peak
 resident size (ru_maxrss, in MB), and the invariant route's dim, center
-dimension and trace signature, and under "stages" the CPU seconds of
+dimension and trace signature, under "stages" the CPU seconds of
 ks_report spent in each of STAGES, names that ksalgebra.pipeline
 imports: the child rebinds them there, and nowhere else, to timed
 wrappers, so the package is unchanged and no stage is counted inside
-another.  Standard library only.
+another, and as "field_us" the best of FIELD_BUILDS wall-clock builds of
+the report's field, in microseconds, timed in the same process after the
+first (for rank9-Q, whose field is a module constant, that reads a
+name).  Standard library only.
 """
 import argparse
 import json
@@ -41,9 +44,10 @@ INPUTS = {
 # the stages timed in each report, as named in ksalgebra.pipeline
 STAGES = ("validate_k3_rm", "even_part", "even_rank3_to_symbol", "build_ZG", "invariants",
           "trace_form_signature", "center")
+FIELD_BUILDS = 20
 
 _CHILD = """
-import json, resource, sys, time
+import json, resource, sys, time, timeit
 from ksalgebra.exactfield import RATIONAL_FIELD, cyclic_cubic_field
 from ksalgebra.pipeline import ks_report
 from ksalgebra.qform import GramForm
@@ -63,6 +67,7 @@ def timed(name, real):
 for name in stages:
     setattr(pipeline, name, timed(name, getattr(pipeline, name)))
 f = {field}
+field_us = min(timeit.repeat({field!r}, number=1, repeat={builds}, globals=globals())) * 1e6
 a = f.gen()
 form = GramForm.diagonal(f, {entries})
 wall, cpu = time.perf_counter(), time.process_time()
@@ -72,7 +77,7 @@ print(json.dumps({{
     "wall_s": round(wall, 3), "cpu_s": round(cpu, 3),
     "maxrss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "dim": route["dim"], "center": route["center_dim"], "signature": list(route["trace_signature"]),
-    "stages": {{k: round(v, 4) for k, v in stages.items()}},
+    "stages": {{k: round(v, 4) for k, v in stages.items()}}, "field_us": round(field_us, 1),
 }}))
 """
 
@@ -81,7 +86,7 @@ def run(src: Path, name: str) -> dict:
     """One report in a fresh python -O process with src and its tests importable."""
     field, entries = INPUTS[name]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(src.parent / "tests")]))
-    done = subprocess.run([sys.executable, "-O", "-c", _CHILD.format(field=field, entries=entries, stages=STAGES)],
+    done = subprocess.run([sys.executable, "-O", "-c", _CHILD.format(field=field, entries=entries, stages=STAGES, builds=FIELD_BUILDS)],
                           capture_output=True, text=True, env=env, check=True)
     return {"src": str(src), "report": name, **json.loads(done.stdout)}
 
